@@ -625,12 +625,15 @@ func (m *Member) rebalance(now model.Tick) {
 	}
 	pp.acked[m.id] = true
 	m.pendingPart = pp
-	m.applyPartition(np, now)
+	// The map goes out before it is applied here: applying ships the
+	// stranded monitors, and on a FIFO link a peer that imported one
+	// while still on the old map would hand it straight back.
 	for peer := 0; peer < np.Nodes(); peer++ {
 		if peer != m.id {
 			m.deps.Link.Send(m.id, peer, upd)
 		}
 	}
+	m.applyPartition(np, now)
 }
 
 // applyPartition installs a newer map on this node: routing flips to the

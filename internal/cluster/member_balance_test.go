@@ -12,6 +12,7 @@ import (
 	"dmknn/internal/grid"
 	"dmknn/internal/model"
 	"dmknn/internal/nettcp"
+	"dmknn/internal/obs"
 	"dmknn/internal/protocol"
 	"dmknn/internal/transport"
 )
@@ -90,6 +91,14 @@ func TestMemberAdaptiveBalanceLiveMigration(t *testing.T) {
 		AnswerSlack:    1,
 	}.WithWorldDefault(world)
 
+	// This test used to time out about one run in three, and the timeout
+	// said nothing. Every failure now ships the federation's own account
+	// of the run: the lifecycle events both members recorded (handoffs
+	// begun and acked, column moves, relay drops) and, below, their
+	// counters — which is how the handoff-before-map race was found.
+	rec := obs.NewRecorder(0)
+	obs.DumpOnFailure(t, rec)
+
 	peerAddrs := reservePorts(t, 2)
 	radios := make([]*nettcp.Server, 2)
 	links := make([]*TCPLink, 2)
@@ -127,6 +136,7 @@ func TestMemberAdaptiveBalanceLiveMigration(t *testing.T) {
 			MaxObjectSpeed: 10,
 			MaxQuerySpeed:  0,
 			LatencyTicks:   2,
+			Trace:          rec,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -134,6 +144,16 @@ func TestMemberAdaptiveBalanceLiveMigration(t *testing.T) {
 		members[i] = mb
 		radios[i].AttachHandler(mb)
 	}
+	t.Cleanup(func() {
+		if !t.Failed() {
+			return
+		}
+		for i, mb := range members {
+			t.Logf("node %d at tick %d: partition version %d, %d local queries, %d attached clients, %d redirects\n  stats %+v\n  balancer %+v\n  link %+v",
+				i, now(), mb.PartitionVersion(), mb.LocalQueries(), mb.AttachedCount(), mb.Redirects(),
+				mb.Stats(), mb.BalancerStats(), links[i].Stats())
+		}
+	})
 	waitCond(t, 5*time.Second, "peer link up", func() bool {
 		return links[0].PeerUp(1) && links[1].PeerUp(0)
 	})

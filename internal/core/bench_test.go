@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"dmknn/internal/geo"
@@ -9,18 +10,37 @@ import (
 )
 
 // BenchmarkServerMoveReport measures the server's hottest path: applying
-// an in-boundary position refresh and recomputing the answer.
+// an in-boundary position refresh and re-evaluating the answer. At an
+// unchanged query centre that is one entry moved in the ranking; when the
+// centre differs from the previous report's (the first report of a tick,
+// here every report: the clock alternates under a moving query) the
+// ranking is rebuilt and sorted.
 func BenchmarkServerMoveReport(b *testing.B) {
-	srv, side, now := benchServer(b)
-	*now = 1
-	inst := benchInstall(b, srv, side)
-	msg := protocol.MoveReport{MemberReport: protocol.MemberReport{
-		Query: 1, Epoch: inst.Epoch, Object: 3, Pos: geo.Pt(520, 501), At: 1,
-	}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		srv.HandleUplink(3, msg)
+	for _, inside := range []int{20, 40, 200} {
+		for _, moved := range []bool{false, true} {
+			name := fmt.Sprintf("inside=%d/same-centre", inside)
+			if moved {
+				name = fmt.Sprintf("inside=%d/centre-moved", inside)
+			}
+			b.Run(name, func(b *testing.B) {
+				cfg := benchCfg()
+				cfg.AnswerSlack = inside / 2
+				srv, side, now := benchServerCfg(b, cfg)
+				*now = 1
+				inst := benchInstallN(b, srv, side, inside/2, inside+5, geo.Vector{X: 0.5})
+				msg := protocol.MoveReport{MemberReport: protocol.MemberReport{
+					Query: 1, Epoch: inst.Epoch, Object: 3, Pos: geo.Pt(520, 501), At: 1,
+				}}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if moved {
+						*now = 1 + model.Tick(i&1)
+					}
+					srv.HandleUplink(3, msg)
+				}
+			})
+		}
 	}
 }
 
@@ -61,11 +81,12 @@ func BenchmarkServerEnterExit(b *testing.B) {
 	}
 }
 
-// BenchmarkAgentTick measures one object agent evaluating a monitor.
-func BenchmarkAgentTick(b *testing.B) {
+// benchAgent returns an agent at a fixed position holding n monitors it
+// is inside of, none of which it has anything to report to.
+func benchAgent(b testing.TB, n int) *ObjectAgent {
+	b.Helper()
 	pos := geo.Pt(500, 505)
-	cfg := benchCfg()
-	agent, err := NewObjectAgent(cfg, AgentDeps{
+	agent, err := NewObjectAgent(benchCfg(), AgentDeps{
 		ID:   1,
 		Side: nullClientSide{},
 		Now:  func() model.Tick { return 1 },
@@ -75,14 +96,61 @@ func BenchmarkAgentTick(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	agent.HandleServerMessage(protocol.MonitorInstall{
-		Query: 1, Epoch: 1, QueryPos: geo.Pt(500, 500),
+	for q := 1; q <= n; q++ {
+		agent.HandleServerMessage(benchAgentInstall(model.QueryID(q), 1, false))
+	}
+	return agent
+}
+
+func benchAgentInstall(q model.QueryID, epoch uint32, refresh bool) protocol.Message {
+	return protocol.MonitorInstall{
+		Query: q, Epoch: epoch, Refresh: refresh, QueryPos: geo.Pt(500, 500),
 		AnswerRadius: 50, Radius: 200, At: 0,
-	})
+	}
+}
+
+// BenchmarkAgentTick measures one object agent evaluating its monitors.
+func BenchmarkAgentTick(b *testing.B) {
+	for _, n := range []int{1, 10} {
+		b.Run(fmt.Sprintf("monitors=%d", n), func(b *testing.B) {
+			agent := benchAgent(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				agent.Tick(1)
+			}
+		})
+	}
+}
+
+// BenchmarkAgentInstallRefresh measures an agent holding ten monitors
+// hearing a refresh install of one of them — the most frequent downlink
+// an object handles.
+func BenchmarkAgentInstallRefresh(b *testing.B) {
+	agent := benchAgent(b, 10)
+	msg := benchAgentInstall(5, 2, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agent.Tick(model.Tick(i + 1))
+		agent.HandleServerMessage(msg)
+	}
+}
+
+// The two per-event paths of the agent's monitor table must not touch
+// the heap: a refresh install of a held query overwrites its entry in
+// place, and a tick that drops nothing evaluates the entries where they
+// lie.
+func TestAgentTableZeroAlloc(t *testing.T) {
+	agent := benchAgent(t, 10)
+	msg := benchAgentInstall(5, 2, true)
+	if avg := testing.AllocsPerRun(200, func() { agent.HandleServerMessage(msg) }); avg != 0 {
+		t.Errorf("refresh install of a held query allocates %.1f/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() { agent.Tick(1) }); avg != 0 {
+		t.Errorf("tick without drops allocates %.1f/op, want 0", avg)
+	}
+	if agent.MonitorCount() != 10 {
+		t.Fatalf("agent holds %d monitors, want 10", agent.MonitorCount())
 	}
 }
 
@@ -100,9 +168,14 @@ func benchCfg() Config {
 
 func benchServer(b testing.TB) (*Server, *recSide, *model.Tick) {
 	b.Helper()
+	return benchServerCfg(b, benchCfg())
+}
+
+func benchServerCfg(b testing.TB, cfg Config) (*Server, *recSide, *model.Tick) {
+	b.Helper()
 	now := new(model.Tick)
 	side := &recSide{}
-	srv, err := NewServer(benchCfg(), ServerDeps{
+	srv, err := NewServer(cfg, ServerDeps{
 		Side:           side,
 		Now:            func() model.Tick { return *now },
 		DT:             1,
@@ -119,14 +192,21 @@ func benchServer(b testing.TB) (*Server, *recSide, *model.Tick) {
 // repliers.
 func benchInstall(b testing.TB, srv *Server, side *recSide) protocol.MonitorInstall {
 	b.Helper()
-	srv.HandleUplink(500, protocol.QueryRegister{Query: 1, K: 10, Pos: geo.Pt(500, 500), At: 1})
+	return benchInstallN(b, srv, side, 10, 25, geo.Vector{})
+}
+
+// benchInstallN registers query 1 with the given k and velocity and
+// completes its probe with the given number of repliers, 3 m apart.
+func benchInstallN(b testing.TB, srv *Server, side *recSide, k, repliers int, vel geo.Vector) protocol.MonitorInstall {
+	b.Helper()
+	srv.HandleUplink(500, protocol.QueryRegister{Query: 1, K: uint32(k), Pos: geo.Pt(500, 500), Vel: vel, At: 1})
 	srv.Tick(1)
 	reply := func() {
 		probe, ok := side.lastBroadcast().(protocol.ProbeRequest)
 		if !ok {
 			return
 		}
-		for i := 1; i <= 25; i++ {
+		for i := 1; i <= repliers; i++ {
 			p := geo.Pt(500+float64(i)*3, 500)
 			if probe.Region.Contains(p) {
 				srv.HandleUplink(model.ObjectID(i), protocol.ProbeReply{
@@ -136,7 +216,7 @@ func benchInstall(b testing.TB, srv *Server, side *recSide) protocol.MonitorInst
 		}
 	}
 	reply()
-	for i := 0; i < 6 && srv.Finalize(1); i++ {
+	for i := 0; i < 10 && srv.Finalize(1); i++ {
 		reply()
 	}
 	inst, ok := side.lastBroadcast().(protocol.MonitorInstall)

@@ -281,7 +281,8 @@ func TestInfluenceSuppressionStalenessBound(t *testing.T) {
 				now := env.Net.Now()
 				for _, a := range m.agents {
 					truePos := env.ObjectByID(a.deps.ID).Pos
-					for q, am := range a.monitors {
+					for _, am := range a.held() {
+						q := am.query
 						if !am.inside || am.rangeMode || am.frontier <= 0 {
 							continue
 						}
@@ -293,10 +294,13 @@ func TestInfluenceSuppressionStalenessBound(t *testing.T) {
 								now, a.deps.ID, q, drift, bound, am.frontier)
 						}
 						smon := m.server.monitors[q]
-						if smon == nil || !smon.inside[a.deps.ID] {
+						if smon == nil {
 							continue
 						}
-						stored, ok := smon.cands.Position(a.deps.ID)
+						stored, ok, inside := smon.stored(a.deps.ID)
+						if !inside {
+							continue
+						}
 						if !ok || stored != am.lastReport {
 							t.Fatalf("tick %d: object %d query %d: server stored %v, agent last reported %v",
 								now, a.deps.ID, q, stored, am.lastReport)

@@ -13,7 +13,6 @@ import (
 	"slices"
 
 	"dmknn/internal/geo"
-	"dmknn/internal/knn"
 	"dmknn/internal/model"
 	"dmknn/internal/protocol"
 )
@@ -99,18 +98,18 @@ func (s *Server) exportLocked(q model.QueryID, mon *monitor) MonitorState {
 		Frontier:     mon.frontier,
 		Band:         mon.band,
 	}
-	if n := mon.cands.Len(); n > 0 {
-		st.Candidates = make([]CandidateState, 0, n)
-		mon.cands.Visit(func(id model.ObjectID, p geo.Point) bool {
-			st.Candidates = append(st.Candidates, CandidateState{ID: id, Pos: p})
-			return true
-		})
-		slices.SortFunc(st.Candidates, func(a, b CandidateState) int {
-			return int(a.ID) - int(b.ID)
-		})
+	// The rows are in ascending id order, so the three lists are too.
+	for _, r := range mon.tab.rows {
+		if r.known {
+			st.Candidates = append(st.Candidates, CandidateState{ID: r.id, Pos: r.pos})
+		}
+		if r.inside {
+			st.Inside = append(st.Inside, r.id)
+		}
 	}
-	st.Inside = sortedIDs(mon.inside)
-	st.Sent = sortedIDs(mon.sent)
+	if len(mon.tab.sent) > 0 {
+		st.Sent = slices.Clone(mon.tab.sent)
+	}
 	delete(s.monitors, q)
 	if i, found := slices.BinarySearch(s.order, q); found {
 		s.order = slices.Delete(s.order, i, i+1)
@@ -175,38 +174,27 @@ func (s *Server) ImportMonitor(st MonitorState, now model.Tick) {
 	if !finite(st.Frontier) || st.Frontier < 0 || !finite(st.Band) || st.Band < 0 {
 		st.Frontier, st.Band = 0, 0
 	}
-	mon := &monitor{
-		query:        st.Query,
-		k:            st.K,
-		rng:          st.Range,
-		addr:         st.Addr,
-		qpos:         st.QPos,
-		qvel:         st.QVel,
-		qat:          st.QAt,
-		epoch:        st.Epoch,
-		installed:    st.Installed,
-		answerRadius: st.AnswerRadius,
-		radius:       st.Radius,
-		installedAt:  st.InstalledAt,
-		prevRegion:   st.PrevRegion,
-		answerSeq:    st.AnswerSeq,
-		lastProbeAt:  st.LastProbeAt,
-		frontier:     st.Frontier,
-		band:         st.Band,
-		cands:        knn.NewCandidateSet(),
-		inside:       make(map[model.ObjectID]bool, len(st.Inside)),
-		sent:         make(map[model.ObjectID]bool, len(st.Sent)),
-		replies:      knn.NewCandidateSet(),
-	}
+	mon := newMonitor(st.Query, st.K, st.Range, st.Addr)
+	mon.qpos, mon.qvel, mon.qat = st.QPos, st.QVel, st.QAt
+	mon.epoch, mon.installed = st.Epoch, st.Installed
+	mon.answerRadius, mon.radius = st.AnswerRadius, st.Radius
+	mon.installedAt, mon.prevRegion = st.InstalledAt, st.PrevRegion
+	mon.answerSeq, mon.lastProbeAt = st.AnswerSeq, st.LastProbeAt
+	mon.frontier, mon.band = st.Frontier, st.Band
+	// A candidate with a non-finite position would rank first forever
+	// (see handleUplinkLocked); the snapshot may keep its membership.
 	for _, c := range st.Candidates {
-		mon.cands.Set(c.ID, c.Pos)
+		if finitePoint(c.Pos) {
+			mon.tab.set(c.ID, c.Pos, false)
+		}
 	}
 	for _, id := range st.Inside {
-		mon.inside[id] = true
+		r := mon.tab.row(id)
+		mon.tab.setFlags(r, r.known, true)
 	}
-	for _, id := range st.Sent {
-		mon.sent[id] = true
-	}
+	mon.tab.sent = slices.Clone(st.Sent)
+	slices.Sort(mon.tab.sent)
+	mon.tab.sent = slices.Compact(mon.tab.sent)
 	// A never-installed snapshot (exported between register and first
 	// probe) restarts its bootstrap here.
 	mon.needsReinstall = !st.Installed
@@ -260,7 +248,8 @@ func (s *Server) QueriesInvolving(id model.ObjectID) []model.QueryID {
 	var out []model.QueryID
 	for _, q := range s.order {
 		mon := s.monitors[q]
-		if mon.cands.Has(id) || mon.inside[id] || mon.sent[id] {
+		_, row := mon.tab.find(id)
+		if _, sent := slices.BinarySearch(mon.tab.sent, id); row || sent {
 			out = append(out, q)
 		}
 	}
@@ -329,17 +318,4 @@ func ImportState(qh protocol.QueryHandoff) MonitorState {
 		}
 	}
 	return st
-}
-
-// sortedIDs flattens a membership set into a sorted id slice.
-func sortedIDs(set map[model.ObjectID]bool) []model.ObjectID {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]model.ObjectID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
 }

@@ -92,3 +92,17 @@ func TestMoveReportAllocProbe(t *testing.T) {
 		t.Fatalf("MoveReport allocates %.2f objects/op, want 0", v)
 	}
 }
+
+// held is the test view of the agent's monitor table, ascending by query.
+func (a *ObjectAgent) held() []agentMonitor { return a.mons }
+
+// stored is the test view of one member-table row: the position on record
+// for id (if any) and whether the server believes it inside.
+func (mon *monitor) stored(id model.ObjectID) (pos geo.Point, known, inside bool) {
+	i, ok := mon.tab.find(id)
+	if !ok {
+		return geo.Point{}, false, false
+	}
+	r := mon.tab.rows[i]
+	return r.pos, r.known, r.inside
+}

@@ -90,11 +90,14 @@ type monitor struct {
 	installedAt  model.Tick
 	prevRegion   geo.Circle // last installed region, for covering reinstalls
 
-	// Working state maintained from reports.
-	cands  *knn.CandidateSet       // last known positions of aware objects
-	inside map[model.ObjectID]bool // ids currently inside the answer circle
-	answer []model.Neighbor        // current maintained answer
-	sent   map[model.ObjectID]bool // membership of the last answer message
+	// Working state maintained from reports: per aware object its last
+	// known position, whether it is inside the answer circle, and whether
+	// the last answer message named it. answer is the maintained answer
+	// as of the last computeAnswer; unless it was filled from the annulus
+	// it is a prefix of tab's ranking, and every table mutation is
+	// followed by a computeAnswer before the server lock is released.
+	tab    memberTable
+	answer []model.Neighbor
 	// rebaseline forces the next answer message to be a full update
 	// (set by installs so delta-mode clients resynchronize).
 	rebaseline bool
@@ -128,17 +131,25 @@ type monitor struct {
 	replies     *knn.CandidateSet
 
 	// Report-path scratch, reused across calls so the steady-state
-	// report → answer path performs no allocations. accBuf backs
-	// mon.answer (Answer and sendFullAnswer copy before the next
-	// recompute overwrites it); the delta send path copies addedBuf and
+	// report → answer path performs no allocations. accBuf backs an
+	// annulus-filled mon.answer; the delta send path copies addedBuf and
 	// removedBuf into the outgoing message because the transport retains
 	// message payloads until delivery.
 	accBuf     []model.Neighbor
 	extraBuf   []model.Neighbor
 	addedBuf   []model.Neighbor
 	removedBuf []model.ObjectID
-	accSet     map[model.ObjectID]bool
-	goneBuf    []model.ObjectID
+}
+
+// newMonitor returns a monitor with empty working state for a kNN query
+// (rng 0) or a range query.
+func newMonitor(q model.QueryID, k int, rng float64, addr model.ObjectID) *monitor {
+	mon := &monitor{query: q, k: k, rng: rng, addr: addr, replies: knn.NewCandidateSet()}
+	mon.tab.cut = k
+	if rng > 0 {
+		mon.tab.cut = math.MaxInt
+	}
+	return mon
 }
 
 // BusyTime returns the cumulative wall-clock time spent processing.
@@ -232,44 +243,38 @@ func (s *Server) handleUplinkLocked(from model.ObjectID, msg protocol.Message, n
 		if mon, ok := s.monitors[v.Query]; ok && mon.addr == from {
 			s.resyncAnswer(mon, now)
 		}
+	// A stored non-finite position yields a NaN distance, which the
+	// neighbor order places first: every position-bearing report is
+	// dropped unless its position is finite.
 	case protocol.ProbeReply:
-		if mon, ok := s.monitors[v.Query]; ok && mon.probing && v.Seq == mon.probeSeq {
+		if mon, ok := s.monitors[v.Query]; ok && mon.probing && v.Seq == mon.probeSeq && finitePoint(v.Pos) {
 			mon.replies.Set(v.Object, v.Pos)
 		}
 	case protocol.EnterReport:
-		if mon := s.current(v.Query, v.Epoch); mon != nil {
-			mon.cands.Set(v.Object, v.Pos)
-			mon.inside[v.Object] = true
+		if mon := s.current(v.Query, v.Epoch); mon != nil && finitePoint(v.Pos) {
+			mon.tab.set(v.Object, v.Pos, true)
 			s.refreshAnswer(mon, now)
 		}
 	case protocol.ExitReport:
-		if mon := s.current(v.Query, v.Epoch); mon != nil {
-			mon.cands.Set(v.Object, v.Pos)
-			delete(mon.inside, v.Object)
-			if mon.rng == 0 && len(mon.inside) < mon.k {
-				mon.needsReinstall = true
-			}
+		if mon := s.current(v.Query, v.Epoch); mon != nil && finitePoint(v.Pos) {
+			mon.tab.set(v.Object, v.Pos, false)
+			mon.noteUnderfull()
 			s.refreshAnswer(mon, now)
 		}
 	case protocol.LeaveReport:
-		if mon := s.current(v.Query, v.Epoch); mon != nil {
-			mon.cands.Remove(v.Object)
-			if mon.inside[v.Object] {
-				delete(mon.inside, v.Object)
-				if mon.rng == 0 && len(mon.inside) < mon.k {
-					mon.needsReinstall = true
-				}
+		if mon := s.current(v.Query, v.Epoch); mon != nil && finitePoint(v.Pos) {
+			if _, wasInside := mon.tab.forget(v.Object); wasInside {
+				mon.noteUnderfull()
 			}
 			s.refreshAnswer(mon, now)
 		}
 	case protocol.MoveReport:
-		if mon := s.current(v.Query, v.Epoch); mon != nil {
-			mon.cands.Set(v.Object, v.Pos)
+		if mon := s.current(v.Query, v.Epoch); mon != nil && finitePoint(v.Pos) {
 			// A MoveReport is sent only by objects that believe they are
 			// inside the answer circle, so it doubles as a membership
 			// affirmation — under message loss this heals a lost
 			// EnterReport within one tick.
-			mon.inside[v.Object] = true
+			mon.tab.set(v.Object, v.Pos, true)
 			s.refreshAnswer(mon, now)
 		}
 	default:
@@ -299,16 +304,12 @@ func (s *Server) clientGoneLocked(id model.ObjectID, now model.Tick) {
 		// A reply from the vanished client may still sit in a pending
 		// probe round; purge it before the round concludes into state.
 		mon.replies.Remove(id)
-		touched := mon.cands.Has(id) || mon.inside[id]
+		touched, wasInside := mon.tab.forget(id)
 		if !touched {
 			continue
 		}
-		mon.cands.Remove(id)
-		if mon.inside[id] {
-			delete(mon.inside, id)
-			if mon.rng == 0 && len(mon.inside) < mon.k {
-				mon.needsReinstall = true
-			}
+		if wasInside {
+			mon.noteUnderfull()
 		}
 		s.refreshAnswer(mon, now)
 	}
@@ -328,6 +329,14 @@ const epochGrace = 2
 // refreshMinGap is the minimum number of ticks between buffer-driven
 // refresh reinstalls of one query.
 const refreshMinGap = 2
+
+// noteUnderfull marks a kNN monitor for reinstall once fewer than k
+// objects remain inside its answer circle.
+func (mon *monitor) noteUnderfull() {
+	if mon.rng == 0 && mon.tab.nInside < mon.k {
+		mon.needsReinstall = true
+	}
+}
 
 // current returns the monitor for q if the report's epoch is the live one
 // or within the grace window; older reports are discarded.
@@ -369,20 +378,9 @@ func (s *Server) register(v protocol.QueryRegister, from model.ObjectID) {
 		(v.Range == 0 && (v.K == 0 || v.K > maxK)) {
 		return
 	}
-	mon := &monitor{
-		query:          v.Query,
-		k:              int(v.K),
-		rng:            v.Range,
-		addr:           from,
-		qpos:           v.Pos,
-		qvel:           v.Vel,
-		qat:            v.At,
-		cands:          knn.NewCandidateSet(),
-		inside:         make(map[model.ObjectID]bool),
-		sent:           make(map[model.ObjectID]bool),
-		replies:        knn.NewCandidateSet(),
-		needsReinstall: true,
-	}
+	mon := newMonitor(v.Query, int(v.K), v.Range, from)
+	mon.qpos, mon.qvel, mon.qat = v.Pos, v.Vel, v.At
+	mon.needsReinstall = true
 	s.monitors[v.Query] = mon
 	// s.order stays sorted: insert at the binary-search position instead
 	// of re-sorting the whole slice on every registration.
@@ -472,7 +470,7 @@ func (s *Server) Tick(now model.Tick) {
 		// follow.
 		if mon.rng == 0 && cfg.AnswerSlack > 0 && mon.installed &&
 			now-mon.installedAt >= refreshMinGap {
-			count, target := len(mon.inside), mon.k+cfg.AnswerSlack
+			count, target := mon.tab.nInside, mon.k+cfg.AnswerSlack
 			if count < mon.k+(cfg.AnswerSlack+1)/2 || count > 2*target {
 				mon.needsReinstall = true
 			}
@@ -488,7 +486,7 @@ func (s *Server) Tick(now model.Tick) {
 		// when exits/leaves dropped the inside count below k. Range
 		// monitors always refresh once installed (membership is
 		// self-maintaining at any population).
-		if mon.installed && (mon.rng > 0 || len(mon.inside) >= mon.k) {
+		if mon.installed && (mon.rng > 0 || mon.tab.nInside >= mon.k) {
 			s.refreshInstall(mon, now)
 		} else {
 			s.startProbe(mon, now)
@@ -508,16 +506,7 @@ func (s *Server) refreshInstall(mon *monitor, now model.Tick) {
 	if mon.rng > 0 {
 		rk = mon.rng
 	} else {
-		// accBuf is free here: its previous contents (mon.answer) are
-		// rebuilt by the trailing refreshAnswer before anyone reads them.
-		acc := mon.accBuf[:0]
-		for id := range mon.inside {
-			if p, ok := mon.cands.Position(id); ok {
-				acc = append(acc, model.Neighbor{ID: id, Dist: p.Dist(center)})
-			}
-		}
-		mon.accBuf = acc
-		model.SortNeighbors(acc)
+		acc := mon.tab.rankedAt(center)
 		if len(acc) < mon.k {
 			// Positions for some inside ids are missing (cannot happen in
 			// normal operation; defensive): fall back to a probe.
@@ -544,17 +533,7 @@ func (s *Server) refreshInstall(mon *monitor, now model.Tick) {
 	// Objects strictly outside the new circle will exit/drop themselves;
 	// prune candidates whose last known position is already outside so
 	// stale annulus entries do not accumulate.
-	gone := mon.goneBuf[:0]
-	mon.cands.Visit(func(id model.ObjectID, p geo.Point) bool {
-		if p.Dist(center) > radius && !mon.inside[id] {
-			gone = append(gone, id)
-		}
-		return true
-	})
-	mon.goneBuf = gone
-	for _, id := range gone {
-		mon.cands.Remove(id)
-	}
+	mon.tab.prune(center, radius)
 
 	cover := region
 	if mon.prevRegion.R > 0 {
@@ -623,17 +602,10 @@ func (s *Server) updateFrontier(mon *monitor, center geo.Point, rk float64) {
 	if mon.rng > 0 {
 		return
 	}
-	acc := mon.extraBuf[:0]
-	for id := range mon.inside {
-		if p, ok := mon.cands.Position(id); ok {
-			acc = append(acc, model.Neighbor{ID: id, Dist: p.Dist(center)})
-		}
-	}
-	mon.extraBuf = acc
+	acc := mon.tab.rankedAt(center)
 	if len(acc) < mon.k {
 		return
 	}
-	model.SortNeighbors(acc)
 	dk := acc[mon.k-1].Dist
 	dnext := rk
 	if len(acc) > mon.k {
@@ -683,11 +655,13 @@ func (s *Server) startProbe(mon *monitor, now model.Tick) {
 	if mon.rng > 0 {
 		// Range monitors need exactly one probe over the whole region.
 		radius = mon.rng + s.delta()
-	} else if mon.cands.Len() >= mon.k {
+	} else if mon.tab.nKnown >= mon.k {
 		// If we already track at least k candidates, size the ring from
 		// the k-th known distance plus the safety slack.
-		ns := mon.cands.KNN(center, mon.k)
-		if est := ns[len(ns)-1].Dist + s.delta(); est > radius {
+		known := mon.tab.appendKnown(mon.extraBuf[:0], center, true)
+		mon.extraBuf = known
+		model.SortNeighbors(known)
+		if est := known[mon.k-1].Dist + s.delta(); est > radius {
 			radius = est
 		}
 	}
@@ -743,7 +717,7 @@ func (s *Server) Finalize(now model.Tick) bool {
 				mon.frontierRefreshes >= maxFrontierRefreshes {
 				continue
 			}
-			if mon.rng == 0 && len(mon.inside) < mon.k {
+			if mon.rng == 0 && mon.tab.nInside < mon.k {
 				continue // under-full circle: next Tick's probe recovers it
 			}
 			mon.frontierRefreshes++
@@ -841,14 +815,10 @@ func (s *Server) install(mon *monitor, now model.Tick, center geo.Point, rk, rad
 	mon.needsReinstall = false
 	mon.rebaseline = true // next answer message re-baselines delta clients
 
-	mon.cands.Clear()
-	clear(mon.inside)
+	mon.tab.reset()
 	mon.replies.Visit(func(id model.ObjectID, p geo.Point) bool {
 		if d := p.Dist(center); d <= radius {
-			mon.cands.Set(id, p)
-			if d <= rk {
-				mon.inside[id] = true
-			}
+			mon.tab.set(id, p, d <= rk)
 		}
 		return true
 	})
@@ -891,21 +861,13 @@ func (s *Server) install(mon *monitor, now model.Tick, center geo.Point, rk, rad
 	s.refreshAnswer(mon, now)
 }
 
-// computeAnswer recomputes the maintained answer from the inside set
-// (filling from annulus candidates while recovering from an under-full
-// circle) and stores it in mon.answer.
+// computeAnswer re-evaluates the maintained answer at the query's
+// current estimate — the leading ranks of the member table, filled from
+// annulus candidates while recovering from an under-full circle — and
+// stores it in mon.answer.
 func (s *Server) computeAnswer(mon *monitor, now model.Tick) []model.Neighbor {
 	center := mon.qEst(now, s.deps.DT)
-
-	// Build into the per-monitor scratch: this runs once per applied
-	// report, so it must not allocate in steady state.
-	acc := mon.accBuf[:0]
-	for id := range mon.inside {
-		if p, ok := mon.cands.Position(id); ok {
-			acc = append(acc, model.Neighbor{ID: id, Dist: p.Dist(center)})
-		}
-	}
-	model.SortNeighbors(acc)
+	acc := mon.tab.rankedAt(center)
 	// Influence mode: every applied report re-validates the advertised
 	// frontier. The instant the influence set changes — the k-th member
 	// crossed beyond F, or an annulus member crossed under it — the
@@ -920,38 +882,23 @@ func (s *Server) computeAnswer(mon *monitor, now model.Tick) []model.Neighbor {
 		// the reported distances) are only install-time fresh.
 	} else if len(acc) > mon.k {
 		acc = acc[:mon.k]
-	} else if len(acc) < mon.k && mon.cands.Len() > len(acc) {
+	} else if len(acc) < mon.k && mon.tab.nKnown > len(acc) {
 		// Best-effort fill from annulus candidates (stale positions) while
 		// a fallback probe is pending.
-		extra := mon.extraBuf[:0]
-		mon.cands.Visit(func(id model.ObjectID, p geo.Point) bool {
-			if !mon.inside[id] {
-				extra = append(extra, model.Neighbor{ID: id, Dist: p.Dist(center)})
-			}
-			return true
-		})
+		extra := mon.tab.appendKnown(mon.extraBuf[:0], center, false)
 		mon.extraBuf = extra
 		model.SortNeighbors(extra)
-		need := mon.k - len(acc)
-		if need > len(extra) {
-			need = len(extra)
-		}
-		acc = append(acc, extra[:need]...)
+		acc = append(append(mon.accBuf[:0], acc...), extra[:min(mon.k-len(acc), len(extra))]...)
 		model.SortNeighbors(acc)
+		mon.accBuf = acc
 	}
-	mon.accBuf = acc
 	mon.answer = acc
 	return acc
 }
 
-// sendFullAnswer downlinks the current answer as a re-baselining full
-// AnswerUpdate and records its membership as sent.
+// sendFullAnswer downlinks acc as a re-baselining full AnswerUpdate.
 func (s *Server) sendFullAnswer(mon *monitor, acc []model.Neighbor, now model.Tick) {
 	mon.rebaseline = false
-	clear(mon.sent)
-	for _, n := range acc {
-		mon.sent[n.ID] = true
-	}
 	ns := make([]model.Neighbor, len(acc))
 	copy(ns, acc)
 	mon.answerSeq++
@@ -971,54 +918,29 @@ func (s *Server) sendFullAnswer(mon *monitor, acc []model.Neighbor, now model.Ti
 func (s *Server) refreshAnswer(mon *monitor, now model.Tick) {
 	acc := s.computeAnswer(mon, now)
 
-	// The common case is "nothing changed": detect it with the reused
-	// added scratch so the no-send path is allocation-free.
-	changed := len(acc) != len(mon.sent)
-	added := mon.addedBuf[:0]
-	for _, n := range acc {
-		if !mon.sent[n.ID] {
-			changed = true
-			added = append(added, n)
-		}
+	// The common case is "nothing crossed rank k": the table then vouches
+	// that the answer's ids are the sent ones. An annulus-filled answer
+	// draws on rows outside the ranking and is always compared.
+	if !mon.tab.dirty && (mon.rng > 0 || len(mon.tab.ranked) >= mon.k) {
+		return
 	}
-	mon.addedBuf = added
-	if !changed {
+	added, removed := mon.tab.commitSent(acc, mon.addedBuf[:0], mon.removedBuf[:0])
+	mon.addedBuf, mon.removedBuf = added, removed
+	if len(added)+len(removed) == 0 {
 		return
 	}
 	if s.cfg.DeltaAnswers && !mon.rebaseline {
-		if mon.accSet == nil {
-			mon.accSet = make(map[model.ObjectID]bool, len(acc))
-		} else {
-			clear(mon.accSet)
-		}
-		for _, n := range acc {
-			mon.accSet[n.ID] = true
-		}
-		removed := mon.removedBuf[:0]
-		for id := range mon.sent {
-			if !mon.accSet[id] {
-				removed = append(removed, id)
-			}
-		}
-		slices.Sort(removed)
-		mon.removedBuf = removed
-		clear(mon.sent)
-		for _, n := range acc {
-			mon.sent[n.ID] = true
-		}
 		mon.answerSeq++
 		// The transport retains the payload until delivery, and the scratch
 		// slices will be overwritten by the next report; the outgoing delta
 		// gets its own copies (nil stays nil, matching the old wire shape).
 		var outAdded []model.Neighbor
 		if len(added) > 0 {
-			outAdded = make([]model.Neighbor, len(added))
-			copy(outAdded, added)
+			outAdded = slices.Clone(added)
 		}
 		var outRemoved []model.ObjectID
 		if len(removed) > 0 {
-			outRemoved = make([]model.ObjectID, len(removed))
-			copy(outRemoved, removed)
+			outRemoved = slices.Clone(removed)
 		}
 		s.deps.Side.Downlink(mon.addr, protocol.AnswerDelta{
 			Query: mon.query, Seq: mon.answerSeq, At: now, Added: outAdded, Removed: outRemoved,
@@ -1039,7 +961,9 @@ func (s *Server) refreshAnswer(mon *monitor, now model.Tick) {
 // from the focal client (client restart), and when a periodic
 // ResyncTicks probe concludes.
 func (s *Server) resyncAnswer(mon *monitor, now model.Tick) {
-	s.sendFullAnswer(mon, s.computeAnswer(mon, now), now)
+	acc := s.computeAnswer(mon, now)
+	mon.addedBuf, mon.removedBuf = mon.tab.commitSent(acc, mon.addedBuf[:0], mon.removedBuf[:0])
+	s.sendFullAnswer(mon, acc, now)
 }
 
 // Answer returns the server's maintained answer for q.

@@ -489,3 +489,85 @@ func TestServerRobustToAdversarialClients(t *testing.T) {
 		}
 	}
 }
+
+// A report whose position is NaN or infinite must be dropped whole: stored,
+// it yields a NaN distance, which the neighbor order places first, pinning
+// a bogus nearest neighbour until the next probe. No honest agent sends
+// one; the radio is an open surface.
+func TestNonFiniteReportPositionsDropped(t *testing.T) {
+	wrap := map[string]func(protocol.MemberReport) protocol.Message{
+		"enter": func(mr protocol.MemberReport) protocol.Message { return protocol.EnterReport{MemberReport: mr} },
+		"exit":  func(mr protocol.MemberReport) protocol.Message { return protocol.ExitReport{MemberReport: mr} },
+		"leave": func(mr protocol.MemberReport) protocol.Message { return protocol.LeaveReport{MemberReport: mr} },
+		"move":  func(mr protocol.MemberReport) protocol.Message { return protocol.MoveReport{MemberReport: mr} },
+	}
+	bad := []geo.Point{
+		geo.Pt(math.NaN(), 500), geo.Pt(500, math.NaN()),
+		geo.Pt(math.Inf(1), 500), geo.Pt(500, math.Inf(-1)),
+	}
+	for kind, msg := range wrap {
+		t.Run(kind, func(t *testing.T) {
+			srv, side, now := unitServer(t, baseCfg())
+			*now = 1
+			inst := installQuery(t, srv, side, 1)
+			want := srv.Answer(1).Neighbors
+			sends := len(side.broadcasts) + len(side.downlinks)
+			mon := srv.monitors[1]
+			// Object 2 is an answer member, object 9 a stranger.
+			for _, id := range []model.ObjectID{2, 9} {
+				before, knownBefore, insideBefore := mon.stored(id)
+				for _, p := range bad {
+					srv.HandleUplink(id, msg(protocol.MemberReport{
+						Query: 1, Epoch: inst.Epoch, Object: id, Pos: p, At: 1,
+					}))
+				}
+				if pos, known, inside := mon.stored(id); pos != before || known != knownBefore || inside != insideBefore {
+					t.Errorf("object %d: record changed to %v known=%v inside=%v", id, pos, known, inside)
+				}
+			}
+			if got := srv.Answer(1).Neighbors; len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+				t.Errorf("answer %v, want %v", got, want)
+			}
+			if n := len(side.broadcasts) + len(side.downlinks); n != sends {
+				t.Errorf("%d sends triggered", n-sends)
+			}
+			if mon.needsReinstall {
+				t.Error("dropped reports marked the monitor for reinstall")
+			}
+		})
+	}
+	t.Run("probe-reply", func(t *testing.T) {
+		srv, side, now := unitServer(t, baseCfg())
+		*now = 1
+		srv.HandleUplink(500, protocol.QueryRegister{Query: 1, K: 2, Pos: geo.Pt(500, 500), At: 1})
+		srv.Tick(1)
+		probe := side.lastBroadcast().(protocol.ProbeRequest)
+		for _, p := range bad {
+			srv.HandleUplink(2, protocol.ProbeReply{Query: 1, Seq: probe.Seq, Object: 2, Pos: p, At: 1})
+		}
+		if n := srv.monitors[1].replies.Len(); n != 0 {
+			t.Errorf("%d non-finite probe replies stored", n)
+		}
+	})
+	// The inter-node link is the same kind of surface: a snapshot's
+	// candidate with a non-finite position is imported without it.
+	t.Run("import", func(t *testing.T) {
+		srv, side, now := unitServer(t, baseCfg())
+		*now = 1
+		installQuery(t, srv, side, 1)
+		st, ok := srv.ExportMonitor(1)
+		if !ok || len(st.Candidates) != 3 {
+			t.Fatalf("export ok=%v candidates=%v", ok, st.Candidates)
+		}
+		st.Candidates[0].Pos = geo.Pt(math.NaN(), 500) // object 1, the nearest
+		srv.ImportMonitor(st, 1)
+		if _, known, _ := srv.monitors[1].stored(1); known {
+			t.Error("non-finite candidate position imported")
+		}
+		for _, n := range srv.Answer(1).Neighbors {
+			if math.IsNaN(n.Dist) {
+				t.Errorf("answer carries a NaN distance: %v", srv.Answer(1).Neighbors)
+			}
+		}
+	})
+}

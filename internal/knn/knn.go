@@ -1,7 +1,8 @@
 // Package knn provides the query-evaluation primitives layered on top of
 // the spatial index: a brute-force oracle (the correctness reference for
 // every other evaluator and the auditor's ground truth), and the small
-// candidate-set evaluator the distributed server maintains per query.
+// candidate-set evaluator the distributed server collects probe replies
+// in.
 package knn
 
 import (
@@ -35,11 +36,8 @@ func BruteForce(states []model.ObjectState, q geo.Point, k int, skip map[model.O
 	return out
 }
 
-// CandidateSet is the distributed server's per-query working set: the last
-// reported positions of the objects currently known to be relevant to one
-// query. It supports the two operations the monitor needs — kNN among
-// candidates, and counting candidates within a circle (to decide whether
-// the answer can still be complete).
+// CandidateSet is the distributed server's per-query probe state: the
+// positions replied to the probe round in flight, with kNN among them.
 type CandidateSet struct {
 	pos map[model.ObjectID]geo.Point
 }
@@ -57,18 +55,6 @@ func (c *CandidateSet) Set(id model.ObjectID, p geo.Point) { c.pos[id] = p }
 
 // Remove forgets a candidate. Removing an absent id is a no-op.
 func (c *CandidateSet) Remove(id model.ObjectID) { delete(c.pos, id) }
-
-// Has reports whether id is a candidate.
-func (c *CandidateSet) Has(id model.ObjectID) bool {
-	_, ok := c.pos[id]
-	return ok
-}
-
-// Position returns the recorded position of id.
-func (c *CandidateSet) Position(id model.ObjectID) (geo.Point, bool) {
-	p, ok := c.pos[id]
-	return p, ok
-}
 
 // Clear removes all candidates.
 func (c *CandidateSet) Clear() {
@@ -92,17 +78,6 @@ func (c *CandidateSet) KNN(q geo.Point, k int) []model.Neighbor {
 	}
 	model.SortNeighbors(out)
 	return out
-}
-
-// CountWithin returns how many candidates lie inside the circle.
-func (c *CandidateSet) CountWithin(circle geo.Circle) int {
-	n := 0
-	for _, p := range c.pos {
-		if circle.Contains(p) {
-			n++
-		}
-	}
-	return n
 }
 
 // Visit calls fn for every candidate; iteration order is unspecified.

@@ -84,7 +84,7 @@ func TestGridAgreesWithBruteForce(t *testing.T) {
 
 func TestCandidateSetBasics(t *testing.T) {
 	c := NewCandidateSet()
-	if c.Len() != 0 || c.Has(1) {
+	if c.Len() != 0 {
 		t.Fatal("new set not empty")
 	}
 	c.Set(1, geo.Pt(1, 1))
@@ -93,13 +93,13 @@ func TestCandidateSetBasics(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d", c.Len())
 	}
-	if p, ok := c.Position(1); !ok || p != geo.Pt(3, 3) {
-		t.Fatalf("Position(1) = %v %v", p, ok)
+	if ns := c.KNN(geo.Pt(3, 3), 1); len(ns) != 1 || ns[0].ID != 1 || ns[0].Dist != 0 {
+		t.Fatalf("update not recorded: nearest to (3,3) is %v", ns)
 	}
 	c.Remove(1)
 	c.Remove(99) // no-op
-	if c.Has(1) || c.Len() != 1 {
-		t.Fatal("Remove failed")
+	if ns := c.KNN(geo.Pt(3, 3), 2); len(ns) != 1 || ns[0].ID != 2 {
+		t.Fatalf("Remove failed: %v", ns)
 	}
 	c.Clear()
 	if c.Len() != 0 {
@@ -134,17 +134,6 @@ func TestCandidateSetKNNMatchesBruteForce(t *testing.T) {
 	empty := NewCandidateSet()
 	if got := empty.KNN(geo.Pt(0, 0), 3); got != nil {
 		t.Fatal("empty set should be nil")
-	}
-}
-
-func TestCountWithin(t *testing.T) {
-	c := NewCandidateSet()
-	c.Set(1, geo.Pt(0, 0))
-	c.Set(2, geo.Pt(3, 4))  // dist 5
-	c.Set(3, geo.Pt(10, 0)) // dist 10
-	circle := geo.Circle{Center: geo.Pt(0, 0), R: 5}
-	if got := c.CountWithin(circle); got != 2 {
-		t.Fatalf("CountWithin = %d, want 2 (boundary inclusive)", got)
 	}
 }
 

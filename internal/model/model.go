@@ -76,16 +76,18 @@ func (a Answer) KthDist() float64 {
 	return a.Neighbors[len(a.Neighbors)-1].Dist
 }
 
+// CompareNeighbors is the total order of SortNeighbors: distance (NaN
+// first, as cmp.Compare places it), ties broken by object id.
+func CompareNeighbors(a, b Neighbor) int {
+	if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
 // SortNeighbors orders ns by distance, breaking ties by object id so that
 // results are deterministic across methods and runs.
-func SortNeighbors(ns []Neighbor) {
-	slices.SortFunc(ns, func(a, b Neighbor) int {
-		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
-}
+func SortNeighbors(ns []Neighbor) { slices.SortFunc(ns, CompareNeighbors) }
 
 // SameMembers reports whether two answers contain exactly the same object
 // ids, ignoring order and distances.
