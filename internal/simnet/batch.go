@@ -6,7 +6,6 @@ import (
 	"dmknn/internal/geo"
 	"dmknn/internal/grid"
 	"dmknn/internal/metrics"
-	"dmknn/internal/model"
 	"dmknn/internal/obs"
 	"dmknn/internal/protocol"
 	"dmknn/internal/transport"
@@ -65,17 +64,6 @@ func (s serverSide) BroadcastBatch(items []transport.BroadcastItem) {
 // non-batched path exactly; the saving is that the merged gather reuses
 // per-cell sorted snapshots across items.
 func (n *Network) deliverBroadcastBatch(q queued) int {
-	if n.positions == nil {
-		panic("simnet: broadcast without a position oracle")
-	}
-	if n.linearFanout {
-		delivered := 0
-		for _, it := range q.batch {
-			delivered += n.deliverBroadcastLinear(it.Region, q.filter, it.Msg)
-		}
-		return delivered
-	}
-	n.refreshCellIndex()
 	delivered := 0
 	for _, it := range q.batch {
 		rec := n.gatherMerged(it.Region, q.filter)
@@ -91,7 +79,7 @@ func (n *Network) deliverBroadcastBatch(q queued) int {
 // the cost of a linear head scan over the handful of cells a monitoring
 // circle covers. The result lives in the recipients scratch until the
 // next gather.
-func (n *Network) gatherMerged(region geo.Circle, filter func(grid.Cell) bool) []model.ObjectID {
+func (n *Network) gatherMerged(region geo.Circle, filter func(grid.Cell) bool) []entry {
 	lists := n.mergeLists[:0]
 	n.cfg.Geometry.VisitCellsIntersecting(region, func(c grid.Cell) bool {
 		if filter == nil || filter(c) {
@@ -131,14 +119,14 @@ func (n *Network) gatherMerged(region geo.Circle, filter func(grid.Cell) bool) [
 
 // sortedCellView returns cell idx's membership sorted by id, from the
 // memoized snapshot when it is still valid. The snapshot is a copy —
-// cellIDs order is load-bearing for swap-with-last removal, so it is
-// never sorted in place — and stays valid across flushes until
-// placeClient or removeFromCell touches the cell.
-func (n *Network) sortedCellView(idx int) []model.ObjectID {
+// the order of cells[idx] is load-bearing for swap-with-last removal, so
+// it is never sorted in place — and stays valid across flushes until
+// placeSlot or removeFromCell touches the cell.
+func (n *Network) sortedCellView(idx int) []entry {
 	if n.cellSorted[idx] {
 		return n.cellSortCache[idx]
 	}
-	v := append(n.cellSortCache[idx][:0], n.cellIDs[idx]...)
+	v := append(n.cellSortCache[idx][:0], n.cells[idx]...)
 	slices.Sort(v)
 	n.cellSortCache[idx] = v
 	n.cellSorted[idx] = true

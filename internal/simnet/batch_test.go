@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dmknn/internal/geo"
@@ -54,11 +55,11 @@ func TestBroadcastBatchMatchesSequential(t *testing.T) {
 
 			var items []transport.BroadcastItem
 			for tick := model.Tick(1); tick <= 50; tick++ {
-				for id := range a.pos {
+				for id := model.ObjectID(1); id < nextID; id++ {
 					if script.Intn(2) == 0 {
 						p := randPt()
-						a.pos[id] = p
-						b.pos[id] = p
+						a.place(id, p, true)
+						b.place(id, p, true)
 					}
 				}
 				if script.Intn(4) == 0 {
@@ -106,15 +107,9 @@ func TestBroadcastBatchMatchesSequential(t *testing.T) {
 						ca.Delivered(dir), cb.Delivered(dir), ca.Dropped(dir), cb.Dropped(dir))
 				}
 			}
-			for id, ra := range a.clients {
-				rb := b.clients[id]
-				if len(ra.seen) != len(rb.seen) {
-					t.Fatalf("client %d: heard %d broadcasts (batched) vs %d (sequential)", id, len(ra.seen), len(rb.seen))
-				}
-				for i := range ra.seen {
-					if ra.seen[i] != rb.seen[i] {
-						t.Fatalf("client %d: delivery %d is %d (batched) vs %d (sequential)", id, i, ra.seen[i], rb.seen[i])
-					}
+			for id, ra := range a.recs {
+				if rb := b.recs[id]; !slices.Equal(ra.seen, rb.seen) {
+					t.Fatalf("client %d: heard %v (batched) vs %v (sequential)", id, ra.seen, rb.seen)
 				}
 			}
 			ba, fa := a.net.RNGBurn()
@@ -129,51 +124,28 @@ func TestBroadcastBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// The merged gather must also agree with the linear reference fan-out
-// when the batch entry delivers on a linear-fanout network.
+// The merged gather must also agree with the linear oracle: the scripted
+// scenario of TestIndexedFanoutMatchesLinear, mid-fan-out attach/detach
+// hooks included, with every tick's broadcasts sent as one batch on both
+// networks.
 func TestBroadcastBatchLinearReference(t *testing.T) {
 	world := geo.NewRect(geo.Pt(0, 0), geo.Pt(1000, 1000))
-	cfg := Config{
-		Geometry:      grid.NewGeometry(world, 16, 16),
-		BroadcastLoss: 0.1,
-		Seed:          7,
+	var hits scriptHits
+	for seed := int64(1); seed <= 8; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			hits.add(runFanoutScript(t, Config{
+				Geometry:      grid.NewGeometry(world, 16, 16),
+				LatencyTicks:  1,
+				BroadcastLoss: 0.1,
+				Seed:          seed,
+				Faults: FaultConfig{
+					BroadcastGE:   BurstLoss(0.15, 3),
+					JitterTicks:   1,
+					DuplicateProb: 0.1,
+				},
+			}, seed*15485863, true))
+		})
 	}
-	script := rand.New(rand.NewSource(42))
-	a := newFanoutWorld(cfg, false)
-	b := newFanoutWorld(cfg, true)
-	for id := model.ObjectID(1); id <= 80; id++ {
-		p := geo.Pt(script.Float64()*1000, script.Float64()*1000)
-		a.attach(id, p)
-		b.attach(id, p)
-	}
-	for tick := model.Tick(1); tick <= 20; tick++ {
-		items := []transport.BroadcastItem{
-			{Region: geo.Circle{Center: geo.Pt(script.Float64()*1000, script.Float64()*1000), R: 200},
-				Msg: protocol.AnswerUpdate{Query: model.QueryID(2 * tick)}},
-			{Region: geo.Circle{Center: geo.Pt(script.Float64()*1000, script.Float64()*1000), R: 350},
-				Msg: protocol.AnswerUpdate{Query: model.QueryID(2*tick + 1)}},
-		}
-		a.net.ServerSide().(transport.BatchServerSide).BroadcastBatch(items)
-		b.net.ServerSide().(transport.BatchServerSide).BroadcastBatch(items)
-		a.net.SetNow(tick)
-		b.net.SetNow(tick)
-		a.net.Flush()
-		b.net.Flush()
-	}
-	for id, ra := range a.clients {
-		rb := b.clients[id]
-		if len(ra.seen) != len(rb.seen) {
-			t.Fatalf("client %d: heard %d (indexed) vs %d (linear)", id, len(ra.seen), len(rb.seen))
-		}
-		for i := range ra.seen {
-			if ra.seen[i] != rb.seen[i] {
-				t.Fatalf("client %d: delivery %d differs", id, i)
-			}
-		}
-	}
-	ba, fa := a.net.RNGBurn()
-	bb, fb := b.net.RNGBurn()
-	if ba != bb || fa != fb {
-		t.Error("RNG streams diverged between indexed-batch and linear-batch paths")
-	}
+	hits.check(t, 8)
 }

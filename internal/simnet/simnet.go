@@ -21,8 +21,9 @@
 //     one transmission per intersecting grid cell, and is heard by every
 //     client whose current position lies in one of those cells. The
 //     audience is resolved from an incrementally maintained per-cell
-//     client index, so delivery cost scales with the region's population,
-//     not the network's.
+//     index over a dense client table, so delivery cost scales with the
+//     region's population, not the network's, and the once-per-flush
+//     position refresh is a sequential walk, not a hash-table traversal.
 //   - Loss is independent per recipient with configurable probability per
 //     direction, from a seeded generator: runs are reproducible.
 //   - Faults (optional) compose on top of the independent loss: burst loss
@@ -38,7 +39,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"dmknn/internal/geo"
 	"dmknn/internal/grid"
@@ -170,15 +170,26 @@ type queued struct {
 	batch []transport.BroadcastItem
 }
 
-// cellRef records where a client currently sits in the cell index: the
-// dense cell slot it occupies and its position within that slot's slice
-// (for O(1) swap-with-last removal). A client the position oracle cannot
-// place has located == false and sits in no cell.
-type cellRef struct {
-	idx     int
-	slot    int
-	located bool
+// client is one row of the dense client table. A row with a nil handler
+// is free (its number sits on Network.free); a live row records where the
+// client sits in the cell index: the dense cell it occupies (-1 when the
+// position oracle cannot place it) and its position within that cell's
+// list, for O(1) swap-with-last removal.
+type client struct {
+	id      model.ObjectID
+	handler transport.ClientHandler
+	cell    int32
+	at      int32
 }
+
+// entry is one audience member: a client id packed with its slot number,
+// uint64(id)<<32 | slot. The id takes the high half, so ordering entries
+// orders them by id, and the slot reaches the handler without a map probe.
+type entry uint64
+
+func pack(id model.ObjectID, slot int32) entry { return entry(id)<<32 | entry(uint32(slot)) }
+func (e entry) id() model.ObjectID             { return model.ObjectID(e >> 32) }
+func (e entry) slot() uint32                   { return uint32(e) }
 
 // Network is the simulated medium. It is not safe for concurrent use; the
 // simulation engine drives it from one goroutine.
@@ -197,10 +208,16 @@ type Network struct {
 	down  map[model.ObjectID]bool
 	dups  [3]uint64
 
-	server  transport.ServerHandler
-	clients map[model.ObjectID]transport.ClientHandler
-	ids     []model.ObjectID // sorted client ids, for the linear fan-out
-	idsDirt bool
+	server transport.ServerHandler
+
+	// Client table: slots is dense and never shrinks, free stacks the
+	// numbers of detached rows for reuse, and slotOf resolves an id to its
+	// row only where an id arrives from outside (attach, detach, downlink
+	// delivery, and a stale audience entry during fan-out). Everything on
+	// the per-flush path walks slots or follows a slot number.
+	slots  []client
+	free   []int32
+	slotOf map[model.ObjectID]int32
 
 	positions func(model.ObjectID) (geo.Point, bool)
 
@@ -217,34 +234,34 @@ type Network struct {
 	pending    int
 	dueScratch []queued
 
-	// Cell-indexed broadcast audience: cellIDs[Geometry.CellIndex(c)]
-	// holds the attached clients whose last resolved position lies in
-	// cell c, so a region broadcast visits only the clients of its
-	// intersecting cells. The index is refreshed from the position oracle
-	// at most once per Flush — lazily, when the first broadcast delivers —
-	// and maintained incrementally through attach/detach. recipients is
-	// the per-broadcast scratch the audience is gathered and sorted into.
-	cellIDs    [][]model.ObjectID
-	cellPos    map[model.ObjectID]cellRef
+	// Cell-indexed broadcast audience: cells[Geometry.CellIndex(c)] holds
+	// one packed (id, slot) entry per attached client whose last resolved
+	// position lies in cell c, so a region broadcast visits only the
+	// clients of its intersecting cells and reaches each handler through
+	// its slot number. The index is refreshed from the position oracle at
+	// most once per Flush — lazily, when the first broadcast delivers — and
+	// maintained incrementally through attach/detach. recipients is the
+	// per-broadcast scratch the audience is gathered and sorted into.
+	cells      [][]entry
 	indexFresh bool
-	recipients []model.ObjectID
+	recipients []entry
 
 	// Memoized per-cell sorted audiences for the batched broadcast path:
 	// cellSorted[i] records that cellSortCache[i] currently equals
-	// cellIDs[i] sorted by id. The two index mutators (placeClient,
+	// cells[i] sorted by id. The two index mutators (placeSlot,
 	// removeFromCell) clear the bit, so a valid snapshot survives across
 	// flushes while the cell's membership is stable and a batch touching
 	// the same cell k times sorts it once instead of k times. mergeLists
 	// is the gather scratch holding the snapshots of one region's cells.
 	cellSorted    []bool
-	cellSortCache [][]model.ObjectID
-	mergeLists    [][]model.ObjectID
+	cellSortCache [][]entry
+	mergeLists    [][]entry
 
-	// linearFanout forces the original Θ(clients) reference fan-out. The
-	// equivalence property test and the fan-out benchmark run it side by
-	// side with the indexed path; both consume the loss generators
-	// identically.
-	linearFanout bool
+	// refBroadcast, when non-nil, delivers broadcast queue entries in
+	// place of the indexed fan-out. Only _test.go assigns it: the
+	// equivalence tests and the fan-out benchmark hang their Θ(clients)
+	// oracle here to run it behind the same queue and loss generators.
+	refBroadcast func(q queued) int
 
 	// trace, when non-nil, receives a net-level event per send, per
 	// delivery, and per drop. Tracing draws no randomness and never
@@ -269,13 +286,12 @@ func New(cfg Config) *Network {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		frng:    rand.New(rand.NewSource(cfg.Seed ^ faultSeedMix)),
 		down:    make(map[model.ObjectID]bool),
-		clients: make(map[model.ObjectID]transport.ClientHandler),
+		slotOf:  make(map[model.ObjectID]int32),
 		buckets: make([][]queued, ringSize(cfg.LatencyTicks+cfg.Faults.JitterTicks+2)),
-		cellIDs: make([][]model.ObjectID, cfg.Geometry.NumCells()),
-		cellPos: make(map[model.ObjectID]cellRef),
+		cells:   make([][]entry, cfg.Geometry.NumCells()),
 
 		cellSorted:    make([]bool, cfg.Geometry.NumCells()),
-		cellSortCache: make([][]model.ObjectID, cfg.Geometry.NumCells()),
+		cellSortCache: make([][]entry, cfg.Geometry.NumCells()),
 	}
 }
 
@@ -334,32 +350,45 @@ func (n *Network) emit(t obs.EventType, dir metrics.Direction, id model.ObjectID
 func (n *Network) AttachServer(h transport.ServerHandler) { n.server = h }
 
 // AttachClient registers a client endpoint. Re-attaching an id replaces
-// its handler.
+// its handler in place: the client keeps its slot and its cell.
 func (n *Network) AttachClient(id model.ObjectID, h transport.ClientHandler) {
-	if _, exists := n.clients[id]; !exists {
-		n.idsDirt = true
-		n.cellPos[id] = cellRef{}
-		if n.indexFresh {
-			// Mid-flush attach: the index is live for the current Flush;
-			// place the newcomer now so later broadcasts in the same flush
-			// see it, exactly as the linear scan would.
-			n.placeClient(id)
-		}
+	if h == nil {
+		panic(fmt.Sprintf("simnet: client %d attached with a nil handler", id))
 	}
-	n.clients[id] = h
+	if s, exists := n.slotOf[id]; exists {
+		n.slots[s].handler = h
+		return
+	}
+	c := client{id: id, handler: h, cell: -1}
+	var s int32
+	if k := len(n.free); k > 0 {
+		s, n.free = n.free[k-1], n.free[:k-1]
+		n.slots[s] = c
+	} else {
+		s = int32(len(n.slots))
+		n.slots = append(n.slots, c)
+	}
+	n.slotOf[id] = s
+	if n.indexFresh {
+		// Mid-flush attach: the index is live for the current Flush; place
+		// the newcomer now so later broadcasts in the same flush see it.
+		n.placeSlot(s)
+	}
 }
 
 // DetachClient removes a client endpoint; in-flight messages to it will be
 // dropped (and counted as such).
 func (n *Network) DetachClient(id model.ObjectID) {
-	if _, exists := n.clients[id]; exists {
-		delete(n.clients, id)
-		n.idsDirt = true
-		if ref := n.cellPos[id]; ref.located {
-			n.removeFromCell(id, ref)
-		}
-		delete(n.cellPos, id)
+	s, exists := n.slotOf[id]
+	if !exists {
+		return
 	}
+	if c := n.slots[s]; c.cell >= 0 {
+		n.removeFromCell(c.cell, c.at)
+	}
+	n.slots[s] = client{cell: -1}
+	n.free = append(n.free, s)
+	delete(n.slotOf, id)
 }
 
 // SetPositionOracle installs the function the network uses to resolve
@@ -569,7 +598,7 @@ func (n *Network) PendingCount() int { return n.pending }
 func (n *Network) deliver(q queued) int {
 	switch q.dir {
 	case metrics.Uplink:
-		if n.server == nil || n.down[q.from] || n.lose(n.cfg.UplinkLoss) || n.geLose(metrics.Uplink) {
+		if n.server == nil || n.isDown(q.from) || n.lose(n.cfg.UplinkLoss) || n.geLose(metrics.Uplink) {
 			n.counters.RecordDrop(metrics.Uplink)
 			if n.trace != nil {
 				n.emit(obs.EvNetDrop, metrics.Uplink, q.from, q.msg.Kind())
@@ -583,8 +612,8 @@ func (n *Network) deliver(q queued) int {
 		n.server.HandleUplink(q.from, q.msg)
 		return 1
 	case metrics.Downlink:
-		h, ok := n.clients[q.to]
-		if !ok || n.down[q.to] || n.lose(n.cfg.DownlinkLoss) || n.geLose(metrics.Downlink) {
+		h := n.handlerOf(q.to)
+		if h == nil || n.isDown(q.to) || n.lose(n.cfg.DownlinkLoss) || n.geLose(metrics.Downlink) {
 			n.counters.RecordDrop(metrics.Downlink)
 			if n.trace != nil {
 				n.emit(obs.EvNetDrop, metrics.Downlink, q.to, q.msg.Kind())
@@ -598,6 +627,13 @@ func (n *Network) deliver(q queued) int {
 		h.HandleServerMessage(q.msg)
 		return 1
 	case metrics.Broadcast:
+		if n.positions == nil {
+			panic("simnet: broadcast without a position oracle")
+		}
+		if n.refBroadcast != nil {
+			return n.refBroadcast(q)
+		}
+		n.refreshCellIndex()
 		if q.batch != nil {
 			return n.deliverBroadcastBatch(q)
 		}
@@ -607,23 +643,31 @@ func (n *Network) deliver(q queued) int {
 	}
 }
 
+// handlerOf resolves an id that arrives from outside the table — a
+// downlink's recipient, or an audience entry whose slot changed hands —
+// to its current handler, nil when the id is not attached.
+func (n *Network) handlerOf(id model.ObjectID) transport.ClientHandler {
+	if s, ok := n.slotOf[id]; ok {
+		return n.slots[s].handler
+	}
+	return nil
+}
+
+// isDown reports whether id is marked crashed. The set is empty in every
+// run without churn, which is what the hot paths test first.
+func (n *Network) isDown(id model.ObjectID) bool { return len(n.down) > 0 && n.down[id] }
+
 // deliverBroadcast fans q out to every client whose cell intersects the
 // region. The audience comes from the per-cell index — only the region's
-// cells are visited, so cost is output-sensitive — and is sorted by id so
-// the fan-out order (and with it the per-recipient loss-RNG draw order)
-// is bit-identical to the linear reference scan.
+// cells are visited, so cost is output-sensitive — and is sorted by id
+// (packed entries order by their id half) so the fan-out order, and with
+// it the per-recipient loss-RNG draw order, is that of a scan over all
+// clients in id order.
 func (n *Network) deliverBroadcast(q queued) int {
-	if n.positions == nil {
-		panic("simnet: broadcast without a position oracle")
-	}
-	if n.linearFanout {
-		return n.deliverBroadcastLinear(q.region, q.filter, q.msg)
-	}
-	n.refreshCellIndex()
 	rec := n.recipients[:0]
 	n.cfg.Geometry.VisitCellsIntersecting(q.region, func(c grid.Cell) bool {
 		if q.filter == nil || q.filter(c) {
-			rec = append(rec, n.cellIDs[n.cfg.Geometry.CellIndex(c)]...)
+			rec = append(rec, n.cells[n.cfg.Geometry.CellIndex(c)]...)
 		}
 		return true
 	})
@@ -634,67 +678,21 @@ func (n *Network) deliverBroadcast(q queued) int {
 
 // fanout transmits msg to the gathered, id-sorted audience, applying the
 // per-recipient drop checks and loss draws in audience order.
-func (n *Network) fanout(rec []model.ObjectID, msg protocol.Message) int {
+func (n *Network) fanout(rec []entry, msg protocol.Message) int {
 	delivered := 0
-	for _, id := range rec {
-		// Re-check membership per recipient: a handler earlier in this
-		// fan-out may have detached this client (the recipient list is a
-		// snapshot — DetachClient unlinks the index entry but the slice we
-		// range over is already gathered), in which case the transmission
-		// is a drop, not a nil-interface call.
-		h, ok := n.clients[id]
-		if !ok {
-			n.counters.RecordDrop(metrics.Broadcast)
-			if n.trace != nil {
-				n.emit(obs.EvNetDrop, metrics.Broadcast, id, msg.Kind())
-			}
-			continue
+	for _, e := range rec {
+		id := e.id()
+		// The audience is a snapshot: a handler earlier in this fan-out may
+		// have detached this client, and its slot may since have gone to
+		// another id. An entry whose slot no longer holds its id resolves by
+		// id instead — delivered if the id is attached (elsewhere) now, a
+		// counted drop if not — never a call through a stale slot.
+		c := &n.slots[e.slot()]
+		h := c.handler
+		if c.id != id || h == nil {
+			h = n.handlerOf(id)
 		}
-		if n.down[id] || n.lose(n.cfg.BroadcastLoss) || n.geLose(metrics.Broadcast) {
-			n.counters.RecordDrop(metrics.Broadcast)
-			if n.trace != nil {
-				n.emit(obs.EvNetDrop, metrics.Broadcast, id, msg.Kind())
-			}
-			continue
-		}
-		n.counters.RecordDeliver(metrics.Broadcast)
-		if n.trace != nil {
-			n.emit(obs.EvNetDeliver, metrics.Broadcast, id, msg.Kind())
-		}
-		h.HandleServerMessage(msg)
-		delivered++
-	}
-	return delivered
-}
-
-// deliverBroadcastLinear is the original Θ(clients) fan-out: walk every
-// attached client in id order and test its cell against the region. It is
-// retained as the behavioral reference the indexed path must match
-// bit-for-bit (recipients, counters, and RNG stream); tests and the
-// fan-out benchmark select it via linearFanout.
-func (n *Network) deliverBroadcastLinear(region geo.Circle, filter func(grid.Cell) bool, msg protocol.Message) int {
-	cells := n.cfg.Geometry.CellsIntersecting(region)
-	inCell := make(map[grid.Cell]bool, len(cells))
-	for _, c := range cells {
-		if filter == nil || filter(c) {
-			inCell[c] = true
-		}
-	}
-	delivered := 0
-	for _, id := range n.sortedIDs() {
-		pos, posOK := n.positions(id)
-		if !posOK || !inCell[n.cfg.Geometry.CellOf(pos)] {
-			continue
-		}
-		h, ok := n.clients[id]
-		if !ok {
-			n.counters.RecordDrop(metrics.Broadcast)
-			if n.trace != nil {
-				n.emit(obs.EvNetDrop, metrics.Broadcast, id, msg.Kind())
-			}
-			continue
-		}
-		if n.down[id] || n.lose(n.cfg.BroadcastLoss) || n.geLose(metrics.Broadcast) {
+		if h == nil || n.isDown(id) || n.lose(n.cfg.BroadcastLoss) || n.geLose(metrics.Broadcast) {
 			n.counters.RecordDrop(metrics.Broadcast)
 			if n.trace != nil {
 				n.emit(obs.EvNetDrop, metrics.Broadcast, id, msg.Kind())
@@ -712,61 +710,58 @@ func (n *Network) deliverBroadcastLinear(region geo.Circle, filter func(grid.Cel
 }
 
 // refreshCellIndex re-resolves every attached client's cell through the
-// position oracle, once per Flush. Clients the oracle cannot place leave
-// the index. Placement is independent per client, so the map iteration
-// order does not matter: per-broadcast audiences are sorted by id before
-// fan-out.
+// position oracle, once per Flush: a sequential walk over the client
+// table that touches a cell list only for the clients that changed cell.
+// Clients the oracle cannot place leave the index.
 func (n *Network) refreshCellIndex() {
 	if n.indexFresh {
 		return
 	}
 	n.indexFresh = true
-	for id := range n.clients {
-		n.placeClient(id)
-	}
-}
-
-// placeClient moves id to the cell of its current oracle position, or out
-// of the index when the oracle cannot place it.
-func (n *Network) placeClient(id model.ObjectID) {
-	ref := n.cellPos[id]
-	var pos geo.Point
-	ok := false
-	if n.positions != nil {
-		pos, ok = n.positions(id)
-	}
-	if !ok {
-		if ref.located {
-			n.removeFromCell(id, ref)
-			n.cellPos[id] = cellRef{}
+	for s := range n.slots {
+		if n.slots[s].handler != nil {
+			n.placeSlot(int32(s))
 		}
-		return
 	}
-	idx := n.cfg.Geometry.CellIndex(n.cfg.Geometry.CellOf(pos))
-	if ref.located && ref.idx == idx {
-		return
-	}
-	if ref.located {
-		n.removeFromCell(id, ref)
-	}
-	n.cellIDs[idx] = append(n.cellIDs[idx], id)
-	n.cellPos[id] = cellRef{idx: idx, slot: len(n.cellIDs[idx]) - 1, located: true}
-	n.cellSorted[idx] = false
 }
 
-// removeFromCell unlinks id from its current cell using swap-with-last.
-func (n *Network) removeFromCell(id model.ObjectID, ref cellRef) {
-	cell := n.cellIDs[ref.idx]
-	last := len(cell) - 1
-	if ref.slot != last {
-		moved := cell[last]
-		cell[ref.slot] = moved
-		mref := n.cellPos[moved]
-		mref.slot = ref.slot
-		n.cellPos[moved] = mref
+// placeSlot moves the client in slot s to the cell of its current oracle
+// position, or out of the index when the oracle cannot place it.
+func (n *Network) placeSlot(s int32) {
+	cell := int32(-1)
+	if n.positions != nil {
+		if pos, ok := n.positions(n.slots[s].id); ok {
+			cell = int32(n.cfg.Geometry.CellIndex(n.cfg.Geometry.CellOf(pos)))
+		}
 	}
-	n.cellIDs[ref.idx] = cell[:last]
-	n.cellSorted[ref.idx] = false
+	c := &n.slots[s]
+	if c.cell == cell {
+		return
+	}
+	if c.cell >= 0 {
+		n.removeFromCell(c.cell, c.at)
+	}
+	c.cell = cell
+	if cell >= 0 {
+		c.at = int32(len(n.cells[cell]))
+		n.cells[cell] = append(n.cells[cell], pack(c.id, s))
+		n.cellSorted[cell] = false
+	}
+}
+
+// removeFromCell unlinks the entry at position at of a cell's list using
+// swap-with-last; the entry moved into the hole learns its new position
+// through its slot number.
+func (n *Network) removeFromCell(cell, at int32) {
+	list := n.cells[cell]
+	last := int32(len(list) - 1)
+	if at != last {
+		moved := list[last]
+		list[at] = moved
+		n.slots[moved.slot()].at = at
+	}
+	n.cells[cell] = list[:last]
+	n.cellSorted[cell] = false
 }
 
 func (n *Network) lose(p float64) bool {
@@ -804,16 +799,4 @@ func (n *Network) geLose(dir metrics.Direction) bool {
 		}
 	}
 	return lost
-}
-
-func (n *Network) sortedIDs() []model.ObjectID {
-	if n.idsDirt {
-		n.ids = n.ids[:0]
-		for id := range n.clients {
-			n.ids = append(n.ids, id)
-		}
-		sort.Slice(n.ids, func(i, j int) bool { return n.ids[i] < n.ids[j] })
-		n.idsDirt = false
-	}
-	return n.ids
 }

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"strings"
 	"testing"
 
 	"dmknn/internal/geo"
@@ -266,6 +267,46 @@ func TestConfigValidationPanics(t *testing.T) {
 			}()
 			New(cfg)
 		}()
+	}
+	// A nil handler is refused at attach, not discovered as a nil-interface
+	// call in the middle of some other client's fan-out.
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.HasPrefix(msg, "simnet: ") {
+				t.Errorf("AttachClient(id, nil): recovered %q, want a simnet: panic", msg)
+			}
+		}()
+		New(testConfig()).AttachClient(1, nil)
+	}()
+}
+
+// Re-attaching a live id replaces its handler where it sits: same slot,
+// same cell, no second index entry.
+func TestReattachReplacesHandlerInPlace(t *testing.T) {
+	n := New(testConfig())
+	n.SetPositionOracle(func(model.ObjectID) (geo.Point, bool) { return geo.Pt(50, 50), true })
+	first, second := &recorder{}, &recorder{}
+	n.AttachClient(1, &recorder{})
+	n.AttachClient(2, first)
+	bcast := func() int {
+		n.ServerSide().Broadcast(geo.Circle{Center: geo.Pt(50, 50), R: 10}, protocol.MonitorCancel{Query: 1})
+		return n.Flush()
+	}
+	if got := bcast(); got != 2 {
+		t.Fatalf("delivered %d, want 2", got)
+	}
+	before := n.slots[n.slotOf[2]]
+	n.AttachClient(2, second)
+	after := n.slots[n.slotOf[2]]
+	if len(n.slots) != 2 || after.cell != before.cell || after.at != before.at {
+		t.Fatalf("re-attach moved the client: %d slots, cell %d→%d, at %d→%d",
+			len(n.slots), before.cell, after.cell, before.at, after.at)
+	}
+	if got := bcast(); got != 2 {
+		t.Fatalf("after re-attach delivered %d, want 2 (one entry per client)", got)
+	}
+	if len(first.msgs) != 1 || len(second.msgs) != 1 {
+		t.Fatalf("old handler heard %d, new handler heard %d, want 1 and 1", len(first.msgs), len(second.msgs))
 	}
 }
 
