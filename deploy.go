@@ -319,58 +319,133 @@ type clientConn interface {
 	Close() error
 }
 
-func dialTransport(o ClientOptions, addr string, id model.ObjectID, h transport.ClientHandler) (clientConn, error) {
+// clientDialer is how a deployed client reaches its serving side:
+// everything that differs between a single server and a federation, TCP
+// and UDP.
+type clientDialer struct {
+	// dial connects and installs h as the receive handler.
+	dial func(h transport.ClientHandler) (clientConn, error)
+	// latency is the delivery bound, in ticks, the serving side assumes.
+	latency int
+	// keepalive, when > 0, has the tick loop announce the client after
+	// that long without an uplink: a UDP server only knows addresses it
+	// has heard from, and expires silent ones.
+	keepalive time.Duration
+}
+
+// dialer reaches a single server at addr.
+func (o ClientOptions) dialer(addr string, id model.ObjectID) clientDialer {
+	d := clientDialer{
+		dial: func(h transport.ClientHandler) (clientConn, error) {
+			return nettcp.Dial(addr, id, h)
+		},
+		latency: 1, // match the server's assumed delivery bound
+	}
 	if o.Transport == TransportUDP {
-		return netudp.Dial(addr, id, h)
+		d.dial = func(h transport.ClientHandler) (clientConn, error) {
+			return netudp.Dial(addr, id, h)
+		}
+		// A third of the server's liveness window.
+		h := o.Protocol.HorizonTicks
+		if h <= 0 {
+			h = 20
+		}
+		d.keepalive = time.Duration(h) * o.TickInterval
 	}
-	return nettcp.Dial(addr, id, h)
+	return d
 }
 
-// keepaliveSide wraps a datagram socket and tracks the last transmission,
-// so the tick loop can announce the client when it has been silent: a UDP
-// server only knows addresses it has heard from, and expires silent ones.
-type keepaliveSide struct {
-	clientConn
+// clientAgent is what the connection and the tick loop need of a
+// protocol agent.
+type clientAgent interface {
+	transport.ClientHandler
+	Tick(model.Tick)
+}
+
+// client is the part of a deployed client that does not depend on its
+// kind: the connection, which the agent sends through it, and the
+// goroutine that ticks the agent.
+type client struct {
+	conn clientConn
 	last atomic.Int64 // unix nanos of the last uplink
+	// agent is set after the connection exists; the receive loop may
+	// deliver broadcasts before then, which are safely dropped (any
+	// missed install is re-broadcast within a horizon).
+	agent  atomic.Pointer[clientAgent]
+	ticker *time.Ticker
+	done   chan struct{}
+	wg     sync.WaitGroup
 }
 
-func (k *keepaliveSide) Uplink(m protocol.Message) {
-	k.last.Store(time.Now().UnixNano())
-	k.clientConn.Uplink(m)
+// Uplink implements transport.ClientSide for the client's own agent and
+// tracks the last transmission, so the tick loop can announce the client
+// when it has been silent.
+func (c *client) Uplink(m protocol.Message) {
+	c.last.Store(time.Now().UnixNano())
+	c.conn.Uplink(m)
 }
 
-// keepaliveEvery returns how often a silent UDP client must announce
-// itself: a third of the server's liveness window.
-func keepaliveEvery(o ClientOptions) time.Duration {
-	h := o.Protocol.HorizonTicks
-	if h <= 0 {
-		h = 20
+// start connects through d, has build make the agent that sends through the
+// connection, and ticks it every interval until stop.
+func (c *client) start(id model.ObjectID, pos func() Point, interval time.Duration, d clientDialer,
+	build func(core.AgentDeps) (clientAgent, error)) error {
+	conn, err := d.dial(transport.ClientHandlerFunc(func(m protocol.Message) {
+		if a := c.agent.Load(); a != nil {
+			(*a).HandleServerMessage(m)
+		}
+	}))
+	if err != nil {
+		return err
 	}
-	return time.Duration(h) * o.TickInterval
+	c.conn = conn
+	sensor := func() geo.Point { return pos().internal() }
+	now := wallClock(interval)
+	agent, err := build(core.AgentDeps{
+		ID:           id,
+		Side:         c,
+		Now:          now,
+		Pos:          sensor,
+		DT:           interval.Seconds(),
+		LatencyTicks: d.latency,
+	})
+	if err != nil {
+		conn.Close()
+		return err
+	}
+	c.agent.Store(&agent)
+	c.ticker = time.NewTicker(interval)
+	c.done = make(chan struct{})
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		for {
+			select {
+			case <-c.done:
+				return
+			case <-c.ticker.C:
+				agent.Tick(now())
+				if d.keepalive > 0 && time.Since(time.Unix(0, c.last.Load())) >= d.keepalive {
+					c.Uplink(protocol.LocationReport{Object: id, Pos: sensor()})
+				}
+			}
+		}
+	}()
+	return nil
 }
 
-// maybeKeepalive sends a position announcement if the client has been
-// silent for the keepalive interval.
-func maybeKeepalive(k *keepaliveSide, every time.Duration, id model.ObjectID, pos geo.Point) {
-	if time.Since(time.Unix(0, k.last.Load())) < every {
-		return
-	}
-	k.Uplink(protocol.LocationReport{Object: id, Pos: pos})
+// stop ends the tick loop and disconnects.
+func (c *client) stop() error {
+	close(c.done)
+	c.ticker.Stop()
+	err := c.conn.Close()
+	c.wg.Wait()
+	return err
 }
 
 // ObjectClient runs the object-side protocol agent against a deployed
 // server: it connects, answers probes, and transmits crossing events,
 // reading its own position from the supplied callback.
-type ObjectClient struct {
-	conn clientConn
-	// agent is set after the connection exists; the receive loop may
-	// deliver broadcasts before then, which are safely dropped (any
-	// missed install is re-broadcast within a horizon).
-	agent  atomic.Pointer[core.ObjectAgent]
-	ticker *time.Ticker
-	done   chan struct{}
-	wg     sync.WaitGroup
-}
+type ObjectClient struct{ c client }
 
 // DialObject connects object id to the server at addr. pos is the
 // client's position sensor; it is called from the agent's tick loop.
@@ -379,76 +454,30 @@ func DialObject(addr string, id ObjectID, pos func() Point, opts ClientOptions) 
 	if err != nil {
 		return nil, err
 	}
-	oc := &ObjectClient{done: make(chan struct{})}
 	cfg := opts.Protocol.internal().WithWorldDefault(opts.World.internal())
-	now := wallClock(opts.TickInterval)
+	return startObject(model.ObjectID(id), pos, cfg, opts.TickInterval, opts.dialer(addr, model.ObjectID(id)))
+}
 
-	conn, err := dialTransport(opts, addr, model.ObjectID(id), transport.ClientHandlerFunc(func(m protocol.Message) {
-		if a := oc.agent.Load(); a != nil {
-			a.HandleServerMessage(m)
-		}
-	}))
-	if err != nil {
-		return nil, err
-	}
-	var side transport.ClientSide = conn
-	var ka *keepaliveSide
-	if opts.Transport == TransportUDP {
-		ka = &keepaliveSide{clientConn: conn}
-		side = ka
-	}
-	agent, err := core.NewObjectAgent(cfg, core.AgentDeps{
-		ID:           model.ObjectID(id),
-		Side:         side,
-		Now:          now,
-		Pos:          func() geo.Point { return pos().internal() },
-		DT:           opts.TickInterval.Seconds(),
-		LatencyTicks: 1, // match the server's assumed delivery bound
+func startObject(id model.ObjectID, pos func() Point, cfg core.Config, interval time.Duration, d clientDialer) (*ObjectClient, error) {
+	oc := &ObjectClient{}
+	err := oc.c.start(id, pos, interval, d, func(deps core.AgentDeps) (clientAgent, error) {
+		return core.NewObjectAgent(cfg, deps)
 	})
 	if err != nil {
-		conn.Close()
 		return nil, err
 	}
-	oc.conn = conn
-	oc.agent.Store(agent)
-	oc.ticker = time.NewTicker(opts.TickInterval)
-	oc.wg.Add(1)
-	go func() {
-		defer oc.wg.Done()
-		for {
-			select {
-			case <-oc.done:
-				return
-			case <-oc.ticker.C:
-				agent.Tick(now())
-				if ka != nil {
-					maybeKeepalive(ka, keepaliveEvery(opts), model.ObjectID(id), pos().internal())
-				}
-			}
-		}
-	}()
 	return oc, nil
 }
 
 // Close stops the agent and disconnects.
-func (oc *ObjectClient) Close() error {
-	close(oc.done)
-	oc.ticker.Stop()
-	err := oc.conn.Close()
-	oc.wg.Wait()
-	return err
-}
+func (oc *ObjectClient) Close() error { return oc.c.stop() }
 
 // QueryClient runs the focal-device protocol agent for one continuous
 // query: it registers the query, keeps the server's track of the focal
 // point fresh, and receives answer updates.
 type QueryClient struct {
-	conn clientConn
-	// agent is set after the connection exists; see ObjectClient.agent.
-	agent  atomic.Pointer[core.QueryAgent]
-	ticker *time.Ticker
-	done   chan struct{}
-	wg     sync.WaitGroup
+	c     client
+	query *core.QueryAgent
 }
 
 // DialQuery connects a focal client, registers a k-NN query, and invokes
@@ -470,61 +499,34 @@ func dialQuerySpec(addr string, clientID ObjectID, spec model.QuerySpec,
 	if err != nil {
 		return nil, err
 	}
-	qc := &QueryClient{done: make(chan struct{})}
 	cfg := opts.Protocol.internal().WithWorldDefault(opts.World.internal())
-	now := wallClock(opts.TickInterval)
+	return startQuery(model.ObjectID(clientID), spec, pos, vel, onAnswer,
+		cfg, opts.TickInterval, opts.dialer(addr, model.ObjectID(clientID)))
+}
 
-	conn, err := dialTransport(opts, addr, model.ObjectID(clientID), transport.ClientHandlerFunc(func(m protocol.Message) {
-		if a := qc.agent.Load(); a != nil {
-			a.HandleServerMessage(m)
+// startQuery's agent registers spec at the focal position pos reports.
+func startQuery(id model.ObjectID, spec model.QuerySpec,
+	pos func() Point, vel func() Vector, onAnswer func(Answer),
+	cfg core.Config, interval time.Duration, d clientDialer) (*QueryClient, error) {
+	qc := &QueryClient{}
+	err := qc.c.start(id, pos, interval, d, func(deps core.AgentDeps) (clientAgent, error) {
+		spec.Pos = deps.Pos()
+		agent, err := core.NewQueryAgent(cfg, spec, core.QueryAgentDeps{
+			AgentDeps: deps,
+			Vel:       func() geo.Vector { return vel().internal() },
+		})
+		if err != nil {
+			return nil, err
 		}
-	}))
-	if err != nil {
-		return nil, err
-	}
-	var side transport.ClientSide = conn
-	var ka *keepaliveSide
-	if opts.Transport == TransportUDP {
-		ka = &keepaliveSide{clientConn: conn}
-		side = ka
-	}
-	spec.Pos = pos().internal()
-	agent, err := core.NewQueryAgent(cfg, spec, core.QueryAgentDeps{
-		AgentDeps: core.AgentDeps{
-			ID:           model.ObjectID(clientID),
-			Side:         side,
-			Now:          now,
-			Pos:          func() geo.Point { return pos().internal() },
-			DT:           opts.TickInterval.Seconds(),
-			LatencyTicks: 1, // match the server's assumed delivery bound
-		},
-		Vel: func() geo.Vector { return vel().internal() },
+		if onAnswer != nil {
+			agent.OnAnswer = func(a model.Answer) { onAnswer(fromAnswer(a)) }
+		}
+		qc.query = agent
+		return agent, nil
 	})
 	if err != nil {
-		conn.Close()
 		return nil, err
 	}
-	if onAnswer != nil {
-		agent.OnAnswer = func(a model.Answer) { onAnswer(fromAnswer(a)) }
-	}
-	qc.conn = conn
-	qc.agent.Store(agent)
-	qc.ticker = time.NewTicker(opts.TickInterval)
-	qc.wg.Add(1)
-	go func() {
-		defer qc.wg.Done()
-		for {
-			select {
-			case <-qc.done:
-				return
-			case <-qc.ticker.C:
-				agent.Tick(now())
-				if ka != nil {
-					maybeKeepalive(ka, keepaliveEvery(opts), model.ObjectID(clientID), pos().internal())
-				}
-			}
-		}
-	}()
 	return qc, nil
 }
 
@@ -543,18 +545,14 @@ func DialRange(addr string, clientID ObjectID, query QueryID, radius float64,
 }
 
 // Answer returns the latest answer received from the server.
-func (qc *QueryClient) Answer() Answer { return fromAnswer(qc.agent.Load().Answer()) }
+func (qc *QueryClient) Answer() Answer { return fromAnswer(qc.query.Answer()) }
 
 // Close deregisters the query and disconnects.
 func (qc *QueryClient) Close() error {
-	qc.agent.Load().Deregister()
+	qc.query.Deregister()
 	// Give the deregister frame a moment on the wire before tearing the
 	// connection down; a lost deregister is healed by the server's
 	// monitor hygiene but costs a few stray reports.
 	time.Sleep(10 * time.Millisecond)
-	close(qc.done)
-	qc.ticker.Stop()
-	err := qc.conn.Close()
-	qc.wg.Wait()
-	return err
+	return qc.c.stop()
 }

@@ -362,6 +362,11 @@ func TestDeploymentTraceRecorder(t *testing.T) {
 			if len(a.Neighbors) != 1 {
 				continue
 			}
+			// The server records EvAnswerFull after the downlink that
+			// carries the answer, so the answer can get here first.
+			for wait := time.Now().Add(time.Second); rec.Count(obs.EvAnswerFull) == 0 && time.Now().Before(wait); {
+				time.Sleep(time.Millisecond)
+			}
 			for _, ev := range []obs.EventType{
 				obs.EvQueryRegistered, obs.EvProbe, obs.EvInstalled, obs.EvAnswerFull,
 			} {

@@ -15,7 +15,6 @@ import (
 
 	"dmknn/internal/balance"
 	"dmknn/internal/cluster"
-	"dmknn/internal/core"
 	"dmknn/internal/geo"
 	"dmknn/internal/grid"
 	"dmknn/internal/metrics"
@@ -605,6 +604,17 @@ func (f *fedConn) Close() error {
 
 var _ clientConn = (*fedConn)(nil)
 
+// dialer reaches a federation whose nodes' client addresses are addrs;
+// track is as in fedConn.
+func (o FederationClientOptions) dialer(addrs []string, id model.ObjectID, pos func() Point, track bool) clientDialer {
+	return clientDialer{
+		dial: func(h transport.ClientHandler) (clientConn, error) {
+			return newFedConn(addrs, id, func() geo.Point { return pos().internal() }, o, track, h)
+		},
+		latency: 2, // match the federation's delivery bound
+	}
+}
+
 // DialObjectCluster connects object id to a multi-process federation:
 // addrs lists every node's client address in node-id order. The client
 // attaches to the node owning its position and follows it across strip
@@ -614,46 +624,9 @@ func DialObjectCluster(addrs []string, id ObjectID, pos func() Point, opts Feder
 	if err != nil {
 		return nil, err
 	}
-	oc := &ObjectClient{done: make(chan struct{})}
 	cfg := opts.Protocol.internal().WithWorldDefault(opts.World.internal())
-	now := wallClock(opts.TickInterval)
-	conn, err := newFedConn(addrs, model.ObjectID(id), func() geo.Point { return pos().internal() },
-		opts, true, transport.ClientHandlerFunc(func(m protocol.Message) {
-			if a := oc.agent.Load(); a != nil {
-				a.HandleServerMessage(m)
-			}
-		}))
-	if err != nil {
-		return nil, err
-	}
-	agent, err := core.NewObjectAgent(cfg, core.AgentDeps{
-		ID:           model.ObjectID(id),
-		Side:         conn,
-		Now:          now,
-		Pos:          func() geo.Point { return pos().internal() },
-		DT:           opts.TickInterval.Seconds(),
-		LatencyTicks: 2, // match the federation's delivery bound
-	})
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	oc.conn = conn
-	oc.agent.Store(agent)
-	oc.ticker = time.NewTicker(opts.TickInterval)
-	oc.wg.Add(1)
-	go func() {
-		defer oc.wg.Done()
-		for {
-			select {
-			case <-oc.done:
-				return
-			case <-oc.ticker.C:
-				agent.Tick(now())
-			}
-		}
-	}()
-	return oc, nil
+	return startObject(model.ObjectID(id), pos, cfg, opts.TickInterval,
+		opts.dialer(addrs, model.ObjectID(id), pos, true))
 }
 
 // DialQueryCluster connects a focal client to a multi-process federation
@@ -669,52 +642,8 @@ func DialQueryCluster(addrs []string, clientID ObjectID, query QueryID, k int,
 	if err != nil {
 		return nil, err
 	}
-	qc := &QueryClient{done: make(chan struct{})}
 	cfg := opts.Protocol.internal().WithWorldDefault(opts.World.internal())
-	now := wallClock(opts.TickInterval)
-	conn, err := newFedConn(addrs, model.ObjectID(clientID), func() geo.Point { return pos().internal() },
-		opts, false, transport.ClientHandlerFunc(func(m protocol.Message) {
-			if a := qc.agent.Load(); a != nil {
-				a.HandleServerMessage(m)
-			}
-		}))
-	if err != nil {
-		return nil, err
-	}
-	agent, err := core.NewQueryAgent(cfg,
-		model.QuerySpec{ID: model.QueryID(query), K: k, Pos: pos().internal()},
-		core.QueryAgentDeps{
-			AgentDeps: core.AgentDeps{
-				ID:           model.ObjectID(clientID),
-				Side:         conn,
-				Now:          now,
-				Pos:          func() geo.Point { return pos().internal() },
-				DT:           opts.TickInterval.Seconds(),
-				LatencyTicks: 2, // match the federation's delivery bound
-			},
-			Vel: func() geo.Vector { return vel().internal() },
-		})
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if onAnswer != nil {
-		agent.OnAnswer = func(a model.Answer) { onAnswer(fromAnswer(a)) }
-	}
-	qc.conn = conn
-	qc.agent.Store(agent)
-	qc.ticker = time.NewTicker(opts.TickInterval)
-	qc.wg.Add(1)
-	go func() {
-		defer qc.wg.Done()
-		for {
-			select {
-			case <-qc.done:
-				return
-			case <-qc.ticker.C:
-				agent.Tick(now())
-			}
-		}
-	}()
-	return qc, nil
+	return startQuery(model.ObjectID(clientID), model.QuerySpec{ID: model.QueryID(query), K: k},
+		pos, vel, onAnswer, cfg, opts.TickInterval,
+		opts.dialer(addrs, model.ObjectID(clientID), pos, false))
 }

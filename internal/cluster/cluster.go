@@ -24,6 +24,14 @@
 //     the client through the resync path — the answer sequence
 //     continues, so the client never observes the migration.
 //
+// Member is the state machine: one node's implementation of all three
+// mechanisms, and the only one. Cluster is a harness that runs N Members
+// in one process for the experiments; a deployment runs one Member per
+// process. Exactly two seams separate the two: the Link that carries the
+// inter-node messages (MemLink, TCPLink), and the unexported directory
+// that answers who serves a client — one map every member reads in
+// process, a private per-node belief across processes.
+//
 // With one node the federation is wire-identical to the single server:
 // the restricted broadcast covers every cell and no link traffic exists.
 // Because each grid cell is owned by exactly one node, the aggregate
@@ -33,235 +41,18 @@
 package cluster
 
 import (
-	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dmknn/internal/balance"
 	"dmknn/internal/core"
 	"dmknn/internal/geo"
-	"dmknn/internal/grid"
 	"dmknn/internal/model"
 	"dmknn/internal/obs"
 	"dmknn/internal/protocol"
 	"dmknn/internal/transport"
 )
-
-// maxRelayHops bounds uplink forwarding chains between nodes. Two hops
-// cover every legitimate route (receiving node → object's position node
-// → query's home node); the slack absorbs a handoff racing a relay.
-const maxRelayHops = 4
-
-// Partition is the spatial decomposition: contiguous strips of whole
-// grid-cell columns, one strip per node, covering the world. Cell
-// granularity makes restricted broadcasts exact — every cell is owned by
-// exactly one node, so clipped rebroadcasts neither overlap nor leave
-// gaps.
-//
-// A partition value is immutable; the balancer evolves the map through
-// MoveColumn, which returns a new value with the version incremented.
-// Strips stay contiguous and in ascending node order because MoveColumn
-// only shifts boundary columns between adjacent strips.
-type Partition struct {
-	geom     grid.Geometry
-	regions  []geo.Rect
-	colOwner []int
-	version  uint64
-}
-
-// NewPartition divides the geometry's columns over nodes as evenly as
-// possible (leading strips take the remainder).
-func NewPartition(geom grid.Geometry, nodes int) (Partition, error) {
-	cols, _ := geom.Dims()
-	if nodes < 1 {
-		return Partition{}, fmt.Errorf("cluster: need at least one node, got %d", nodes)
-	}
-	if nodes > cols {
-		return Partition{}, fmt.Errorf("cluster: %d nodes exceed the grid's %d columns", nodes, cols)
-	}
-	p := Partition{
-		geom:     geom,
-		regions:  make([]geo.Rect, nodes),
-		colOwner: make([]int, cols),
-	}
-	b := geom.Bounds()
-	cellW := b.Width() / float64(cols)
-	base, rem := cols/nodes, cols%nodes
-	col := 0
-	for i := 0; i < nodes; i++ {
-		w := base
-		if i < rem {
-			w++
-		}
-		for j := 0; j < w; j++ {
-			p.colOwner[col+j] = i
-		}
-		x0 := b.Min.X + float64(col)*cellW
-		x1 := b.Min.X + float64(col+w)*cellW
-		if i == nodes-1 {
-			x1 = b.Max.X // absorb float rounding at the world edge
-		}
-		p.regions[i] = geo.NewRect(geo.Pt(x0, b.Min.Y), geo.Pt(x1, b.Max.Y))
-		col += w
-	}
-	return p, nil
-}
-
-// Nodes returns the node count.
-func (p Partition) Nodes() int { return len(p.regions) }
-
-// Version returns the map version: 0 for a freshly divided partition,
-// incremented by every MoveColumn. Versions order maps totally, so
-// replicated holders converge on the highest one they have seen.
-func (p Partition) Version() uint64 { return p.version }
-
-// Owners returns a copy of the per-column owner array (index = column),
-// the wire representation a PartitionUpdate distributes.
-func (p Partition) Owners() []int {
-	return slices.Clone(p.colOwner)
-}
-
-// MoveColumn returns a new partition (version incremented) with column
-// col reassigned to node to. Strips must stay contiguous, so col must be
-// a boundary column of its current strip adjacent to to's strip, and the
-// donor must keep at least one column.
-func (p Partition) MoveColumn(col, to int) (Partition, error) {
-	cols := len(p.colOwner)
-	if col < 0 || col >= cols {
-		return Partition{}, fmt.Errorf("cluster: column %d outside [0,%d)", col, cols)
-	}
-	if to < 0 || to >= len(p.regions) {
-		return Partition{}, fmt.Errorf("cluster: node %d outside [0,%d)", to, len(p.regions))
-	}
-	from := p.colOwner[col]
-	if from == to {
-		return Partition{}, fmt.Errorf("cluster: column %d already owned by node %d", col, to)
-	}
-	adjacent := (col > 0 && p.colOwner[col-1] == to) ||
-		(col < cols-1 && p.colOwner[col+1] == to)
-	if !adjacent {
-		return Partition{}, fmt.Errorf("cluster: node %d's strip is not adjacent to column %d", to, col)
-	}
-	donorCols := 0
-	for _, o := range p.colOwner {
-		if o == from {
-			donorCols++
-		}
-	}
-	if donorCols <= 1 {
-		return Partition{}, fmt.Errorf("cluster: node %d cannot give up its last column", from)
-	}
-	owners := slices.Clone(p.colOwner)
-	owners[col] = to
-	np := Partition{
-		geom:     p.geom,
-		regions:  regionsFromOwners(p.geom, owners, len(p.regions)),
-		colOwner: owners,
-		version:  p.version + 1,
-	}
-	return np, nil
-}
-
-// PartitionFromOwners reconstructs a partition from a distributed owner
-// array and version (the PartitionUpdate payload). The array must assign
-// every column, give each of the nodes at least one column, and keep
-// strips contiguous in ascending node order — everything MoveColumn
-// preserves — so a corrupt or crafted update cannot install an
-// inconsistent map.
-func PartitionFromOwners(geom grid.Geometry, owners []int, nodes int, version uint64) (Partition, error) {
-	cols, _ := geom.Dims()
-	if len(owners) != cols {
-		return Partition{}, fmt.Errorf("cluster: owner array covers %d of %d columns", len(owners), cols)
-	}
-	if nodes < 1 || nodes > cols {
-		return Partition{}, fmt.Errorf("cluster: node count %d outside [1,%d]", nodes, cols)
-	}
-	next := 0
-	for c, o := range owners {
-		switch {
-		case o == next-1: // still inside the current strip
-		case o == next && next < nodes: // first column of the next strip
-			next++
-		default:
-			return Partition{}, fmt.Errorf("cluster: owner array not contiguous ascending at column %d (node %d)", c, o)
-		}
-	}
-	if next != nodes {
-		return Partition{}, fmt.Errorf("cluster: owner array covers %d of %d nodes", next, nodes)
-	}
-	return Partition{
-		geom:     geom,
-		regions:  regionsFromOwners(geom, owners, nodes),
-		colOwner: slices.Clone(owners),
-		version:  version,
-	}, nil
-}
-
-// regionsFromOwners recomputes per-node strip rectangles from a
-// contiguous ascending owner array.
-func regionsFromOwners(geom grid.Geometry, owners []int, nodes int) []geo.Rect {
-	cols := len(owners)
-	b := geom.Bounds()
-	cellW := b.Width() / float64(cols)
-	regions := make([]geo.Rect, nodes)
-	first := make([]int, nodes)
-	last := make([]int, nodes)
-	for i := range first {
-		first[i] = -1
-	}
-	for c, o := range owners {
-		if first[o] < 0 {
-			first[o] = c
-		}
-		last[o] = c
-	}
-	for i := 0; i < nodes; i++ {
-		x0 := b.Min.X + float64(first[i])*cellW
-		x1 := b.Min.X + float64(last[i]+1)*cellW
-		if last[i] == cols-1 {
-			x1 = b.Max.X // absorb float rounding at the world edge
-		}
-		regions[i] = geo.NewRect(geo.Pt(x0, b.Min.Y), geo.Pt(x1, b.Max.Y))
-	}
-	return regions
-}
-
-// Region returns node i's strip.
-func (p Partition) Region(i int) geo.Rect { return p.regions[i] }
-
-// CellOwner returns the node owning a grid cell; restricted radio
-// surfaces filter on it.
-func (p Partition) CellOwner(c grid.Cell) int { return p.colOwner[c.Col] }
-
-// NodeOf returns the node owning the point. It goes through CellOf —
-// which clamps out-of-world points to border cells — so ownership always
-// agrees with the cell-level broadcast clipping.
-func (p Partition) NodeOf(pt geo.Point) int {
-	return p.colOwner[p.geom.CellOf(pt).Col]
-}
-
-// VisitIntersecting calls fn once for each node owning at least one grid
-// cell intersecting the region, in ascending node order. The node set
-// exactly tiles the broadcast's cell coverage, so forwarding to these
-// nodes (and letting each clip to its own cells) reproduces an
-// unrestricted broadcast.
-func (p Partition) VisitIntersecting(region geo.Circle, fn func(node int)) {
-	if region.R < 0 {
-		return
-	}
-	seen := make([]bool, len(p.regions))
-	p.geom.VisitCellsIntersecting(region, func(c grid.Cell) bool {
-		seen[p.colOwner[c.Col]] = true
-		return true
-	})
-	for i, s := range seen {
-		if s {
-			fn(i)
-		}
-	}
-}
 
 // Stats counts federation-level events.
 type Stats struct {
@@ -277,30 +68,6 @@ type Stats struct {
 	// the balancer disabled).
 	ColumnMoves uint64
 }
-
-// PartitionRef is a shared, atomically swappable view of the current
-// partition. Radio cell filters capture it instead of a partition value,
-// so a balancer-driven map change retargets every node's restricted
-// broadcast surface at the instant the cluster installs the new map —
-// clipping and forwarding always read the same map, which is what keeps
-// rebroadcasts exactly tiling the world mid-migration.
-type PartitionRef struct {
-	p atomic.Pointer[Partition]
-}
-
-// NewPartitionRef returns a ref holding p.
-func NewPartitionRef(p Partition) *PartitionRef {
-	r := &PartitionRef{}
-	r.store(p)
-	return r
-}
-
-// Load returns the current partition. Partition values are immutable,
-// so the returned value stays internally consistent however long the
-// caller holds it.
-func (r *PartitionRef) Load() Partition { return *r.p.Load() }
-
-func (r *PartitionRef) store(p Partition) { r.p.Store(&p) }
 
 // Deps wires a Cluster to its environment.
 type Deps struct {
@@ -331,30 +98,35 @@ type Deps struct {
 	PartRef *PartitionRef
 }
 
-// Cluster is the federation: the partition, the per-node servers, and
-// the routing state that stitches them together. It implements
-// transport.ServerHandler (and DisconnectHandler) as the single uplink
-// surface of the whole federation — the simulated radio does not know
-// which node a cell belongs to; the cluster routes by each client's home
-// node, which follows the client across boundaries via object handoff.
+// Cluster is the in-process harness of the federation: it owns one Member
+// per strip and drives them in lockstep — the link's flush points, the
+// parallel server ticks, and a central balancer. It holds no protocol
+// logic of its own; every message is handled by the Member it addresses.
+//
+// It implements transport.ServerHandler (and DisconnectHandler) as the
+// single uplink surface of the whole federation — the simulated radio does
+// not know which node a cell belongs to; the cluster routes by each
+// client's home node, which follows the client across boundaries via
+// object handoff.
 type Cluster struct {
-	part  Partition
-	cfg   core.Config
-	deps  Deps
-	nodes []*node
+	link  Link // unlocked: only the serial phases flush
+	nodes []*Member
 
 	// home maps each client (object or focal query address) to the node
-	// currently serving it. Updated at handoff initiation so routing
-	// flips atomically with the decision, never trailing a lossy link.
+	// currently serving it: the one authoritative map behind every
+	// member's directory. Updated at handoff initiation so routing flips
+	// atomically with the decision, never trailing a lossy link.
 	home map[model.ObjectID]int
 
-	// sendMu serializes the send surfaces (radio and link) under the
-	// parallel per-node server ticks, like shard.lockedSide. The serial
-	// phases take it too — uncontended — so every send path is uniform.
+	// sendMu serializes the send surfaces (radio and link) the members
+	// share, under the parallel per-node server ticks, like
+	// shard.lockedSide. The serial phases take it too — uncontended — so
+	// every send path is uniform.
 	sendMu sync.Mutex
 
-	// ref mirrors part for the radio cell filters; swapped together with
-	// part when the balancer moves a column.
+	// ref holds the current map, shared with the radio cell filters;
+	// every member's copy is swapped together with it when the balancer
+	// moves a column.
 	ref *PartitionRef
 
 	// bal, when non-nil, drives adaptive partitioning from the serial
@@ -362,45 +134,38 @@ type Cluster struct {
 	// the last decision, so loads are per-window rates.
 	bal         *balance.Balancer
 	balBusyBase []time.Duration
-
-	stats Stats
+	columnMoves uint64
 }
 
-// node is one federation member: a core.Server plus the cross-boundary
-// bookkeeping. All node maps are touched only by the owning node's
-// server callbacks (under sendMu) or by the cluster's serial phases.
-type node struct {
-	c      *Cluster
-	id     int
-	server *core.Server
-	radio  transport.ServerSide // restricted to this node's cells
-
-	// local marks queries homed here (this node runs their monitors).
-	local map[model.QueryID]bool
-	// remote maps queries whose broadcasts this node rebroadcast to the
-	// home node to relay reports to. Entries persist until an explicit
-	// cancel: a Leave report can arrive long after the region stopped
-	// intersecting this strip, and it must still find its way home.
-	remote map[model.QueryID]int
-	// spread tracks, per local query, every node a broadcast was ever
-	// forwarded to, so teardown (cancel, disconnect, migration) reaches
-	// all of them even when the current region no longer intersects.
-	spread map[model.QueryID]map[int]bool
-	// aware tracks, per client homed here, the remote queries its
-	// reports were relayed for (query → home node): the state an object
-	// handoff transfers, and the purge list when the client disconnects.
-	aware map[model.ObjectID]map[model.QueryID]int
-	// awareByQ is the reverse index of aware, for cancel-time purging.
-	awareByQ map[model.QueryID]map[model.ObjectID]bool
-	// pending holds exported-but-unacked query handoffs for retry; a
-	// lossy link must not be able to destroy a monitor state machine.
-	pending map[model.QueryID]*pendingHandoff
+// lockedLink and lockedSide put the cluster's send mutex around the link
+// and the radio surfaces before a member gets them: the members' servers
+// tick on parallel goroutines and send through both.
+type lockedLink struct {
+	mu *sync.Mutex
+	Link
 }
 
-type pendingHandoff struct {
-	to     int
-	msg    protocol.QueryHandoff
-	sentAt model.Tick
+func (l lockedLink) Send(from, to int, m protocol.Message) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.Link.Send(from, to, m)
+}
+
+type lockedSide struct {
+	mu   *sync.Mutex
+	side transport.ServerSide
+}
+
+func (s lockedSide) Downlink(to model.ObjectID, m protocol.Message) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.side.Downlink(to, m)
+}
+
+func (s lockedSide) Broadcast(region geo.Circle, m protocol.Message) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.side.Broadcast(region, m)
 }
 
 // New builds a federation over the partition. Deps.Link and Deps.Radio
@@ -408,13 +173,8 @@ type pendingHandoff struct {
 // server handler and installs Cluster.HandleLink as the link's delivery
 // handler.
 func New(part Partition, cfg core.Config, deps Deps) (*Cluster, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	c := &Cluster{
-		part: part,
-		cfg:  cfg,
-		deps: deps,
+		link: deps.Link,
 		home: make(map[model.ObjectID]int),
 		ref:  deps.PartRef,
 	}
@@ -423,32 +183,28 @@ func New(part Partition, cfg core.Config, deps Deps) (*Cluster, error) {
 	} else {
 		c.ref.store(part)
 	}
-	c.nodes = make([]*node, part.Nodes())
+	// An unacked handoff is resent once a full link round trip has
+	// passed without the ack.
+	retryGap := model.Tick(1)
+	if l, ok := deps.Link.(*MemLink); ok {
+		retryGap = model.Tick(2*l.cfg.LatencyTicks + 1)
+	}
+	c.nodes = make([]*Member, part.Nodes())
 	for i := range c.nodes {
-		n := &node{
-			c:        c,
-			id:       i,
-			radio:    deps.Radio(i),
-			local:    make(map[model.QueryID]bool),
-			remote:   make(map[model.QueryID]int),
-			spread:   make(map[model.QueryID]map[int]bool),
-			aware:    make(map[model.ObjectID]map[model.QueryID]int),
-			awareByQ: make(map[model.QueryID]map[model.ObjectID]bool),
-			pending:  make(map[model.QueryID]*pendingHandoff),
-		}
-		srv, err := core.NewServer(cfg, core.ServerDeps{
-			Side:           nodeSide{n},
+		n, err := newMember(part, i, cfg, MemberDeps{
+			Link:           lockedLink{&c.sendMu, deps.Link},
+			Radio:          lockedSide{&c.sendMu, deps.Radio(i)},
 			Now:            deps.Now,
 			DT:             deps.DT,
 			MaxObjectSpeed: deps.MaxObjectSpeed,
 			MaxQuerySpeed:  deps.MaxQuerySpeed,
 			LatencyTicks:   deps.LatencyTicks,
-			Trace:          obs.WithNode(deps.Trace, int16(i)),
-		})
+			Trace:          deps.Trace,
+		}, sharedHomes{self: i, homes: c.home})
 		if err != nil {
 			return nil, err
 		}
-		n.server = srv
+		n.retryGap = retryGap
 		c.nodes[i] = n
 	}
 	return c, nil
@@ -456,7 +212,7 @@ func New(part Partition, cfg core.Config, deps Deps) (*Cluster, error) {
 
 // Partition returns the spatial decomposition (the current map when the
 // balancer is enabled).
-func (c *Cluster) Partition() Partition { return c.part }
+func (c *Cluster) Partition() Partition { return c.ref.Load() }
 
 // PartitionRef returns the shared partition view; it tracks
 // balancer-driven map changes, so radio cell filters built over it stay
@@ -469,6 +225,7 @@ func (c *Cluster) PartitionRef() *PartitionRef { return c.ref }
 // stranded. Call before the first Tick.
 func (c *Cluster) EnableBalancer(cfg balance.Config) {
 	c.bal = balance.New(cfg)
+	c.balBusyBase = make([]time.Duration, len(c.nodes))
 }
 
 // BalancerStats returns the balancer's activity counters (zero when the
@@ -483,373 +240,46 @@ func (c *Cluster) BalancerStats() balance.Stats {
 // Node returns node i's server (for inspection).
 func (c *Cluster) Node(i int) *core.Server { return c.nodes[i].server }
 
-// Stats returns the federation event counters.
-func (c *Cluster) Stats() Stats { return c.stats }
+// Stats returns the federation event counters: the members' summed, plus
+// the column moves of the cluster's own balancer.
+func (c *Cluster) Stats() Stats {
+	s := Stats{ColumnMoves: c.columnMoves}
+	for _, n := range c.nodes {
+		s.ObjectHandoffs += n.stats.ObjectHandoffs
+		s.QueryHandoffs += n.stats.QueryHandoffs
+		s.RelayDrops += n.stats.RelayDrops
+	}
+	return s
+}
 
 // SeedHome records a client's initial home node from its position,
 // before any uplink exists to infer it from.
 func (c *Cluster) SeedHome(id model.ObjectID, pos geo.Point) {
-	c.home[id] = c.part.NodeOf(pos)
+	c.home[id] = c.ref.Load().NodeOf(pos)
 }
 
-// HomeOf returns the node currently serving the client.
-func (c *Cluster) HomeOf(id model.ObjectID) int { return c.homeOf(id) }
-
-func (c *Cluster) homeOf(id model.ObjectID) int {
-	if h, ok := c.home[id]; ok {
-		return h
-	}
-	return 0
-}
-
-func (c *Cluster) now() model.Tick { return c.deps.Now() }
-
-// emit records one federation-level event stamped with the acting node.
-// All call sites run in the serial phases (uplink routing, link delivery,
-// migration scan), never inside the parallel server ticks.
-func (c *Cluster) emit(node int, e obs.Event) {
-	e.At = c.now()
-	e.Node = int16(node)
-	e.Dir = -1
-	c.deps.Trace.Record(e)
-}
-
-// sendLink sends one inter-node message from a serial phase (uplink
-// handling, link delivery, migration scan). Node server callbacks that
-// already hold sendMu use c.deps.Link.Send directly instead.
-func (c *Cluster) sendLink(from, to int, m protocol.Message) {
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	c.deps.Link.Send(from, to, m)
-}
-
-// ---------------------------------------------------------------------------
-// Radio uplink routing
+// HomeOf returns the node currently serving the client (node 0 for a
+// client the cluster has never heard of).
+func (c *Cluster) HomeOf(id model.ObjectID) int { return c.home[id] }
 
 // HandleUplink implements transport.ServerHandler: radio uplinks enter
 // the federation at the sender's home node.
 func (c *Cluster) HandleUplink(from model.ObjectID, msg protocol.Message) {
-	c.nodes[c.homeOf(from)].handleUplink(from, msg, 0)
+	c.nodes[c.home[from]].routeUplink(from, msg, 0)
 }
 
-// handleUplink processes one client uplink at this node, forwarded hops
-// times so far.
-func (n *node) handleUplink(from model.ObjectID, msg protocol.Message, hops int) {
-	c := n.c
-	// Boundary detection: the client's own report proves it left this
-	// node's strip — migrate its connection before processing, so the
-	// very report that crossed the boundary is still handled here (no
-	// report lost) while everything after routes to the new owner.
-	if pos, vel, at, ok := uplinkKinematics(msg); ok && c.homeOf(from) == n.id {
-		if owner := c.part.NodeOf(pos); owner != n.id {
-			n.handoffObject(from, owner, pos, vel, at)
-		}
-	}
-	if reg, ok := msg.(protocol.QueryRegister); ok {
-		// Registrations anchor at the node owning the focal position.
-		owner := c.part.NodeOf(reg.Pos)
-		if owner != n.id && hops < maxRelayHops {
-			c.relay(n.id, owner, from, msg, hops)
-			return
-		}
-		n.server.HandleUplink(from, msg)
-		if n.server.HasQuery(reg.Query) {
-			n.local[reg.Query] = true
-		}
-		return
-	}
-	q, ok := uplinkQuery(msg)
-	if !ok {
-		// Query-less kinds (LocationReport) are not part of this
-		// protocol; the local server drops them like the single server.
-		n.server.HandleUplink(from, msg)
-		return
-	}
-	switch home, known := n.remote[q]; {
-	case n.local[q]:
-		n.server.HandleUplink(from, msg)
-		if _, gone := msg.(protocol.QueryDeregister); gone {
-			n.finishTeardown(q)
-		}
-	case known:
-		if hops >= maxRelayHops {
-			c.stats.RelayDrops++
-			if c.deps.Trace != nil {
-				c.emit(n.id, obs.Event{Type: obs.EvRelayDropped, Query: q, Object: from, Kind: msg.Kind()})
-			}
-			return
-		}
-		c.relay(n.id, home, from, msg, hops)
-		if c.homeOf(from) == n.id {
-			n.noteAware(from, q, home, msg)
-		}
-	default:
-		// Unknown query: if the report itself names a position in
-		// another strip, that node (or its remote table) knows more.
-		if pos, _, _, ok := uplinkKinematics(msg); ok && hops < maxRelayHops {
-			if owner := c.part.NodeOf(pos); owner != n.id {
-				c.relay(n.id, owner, from, msg, hops)
-				return
-			}
-		}
-		c.stats.RelayDrops++
-		if c.deps.Trace != nil {
-			c.emit(n.id, obs.Event{Type: obs.EvRelayDropped, Query: q, Object: from, Kind: msg.Kind()})
-		}
-	}
+// HandleLink consumes inter-node messages; install it as the Link's
+// delivery handler.
+func (c *Cluster) HandleLink(from, to int, m protocol.Message) {
+	c.nodes[to].handleLink(from, m)
 }
 
-// relay forwards a client uplink to another node.
-func (c *Cluster) relay(from, to int, origin model.ObjectID, msg protocol.Message, hops int) {
-	c.sendLink(from, to, protocol.NodeRelay{
-		Origin:  origin,
-		Hops:    uint8(hops + 1),
-		Version: c.part.Version(),
-		Inner:   msg,
-	})
-}
-
-// noteAware updates the awareness map from a relayed membership report:
-// Enter/Exit/Move prove the object carries monitor state for q, Leave
-// proves it dropped it.
-func (n *node) noteAware(id model.ObjectID, q model.QueryID, home int, msg protocol.Message) {
-	switch msg.(type) {
-	case protocol.EnterReport, protocol.ExitReport, protocol.MoveReport:
-		n.setAware(id, q, home)
-	case protocol.LeaveReport:
-		n.clearAware(id, q)
-	}
-}
-
-func (n *node) setAware(id model.ObjectID, q model.QueryID, home int) {
-	m := n.aware[id]
-	if m == nil {
-		m = make(map[model.QueryID]int)
-		n.aware[id] = m
-	}
-	m[q] = home
-	r := n.awareByQ[q]
-	if r == nil {
-		r = make(map[model.ObjectID]bool)
-		n.awareByQ[q] = r
-	}
-	r[id] = true
-}
-
-func (n *node) clearAware(id model.ObjectID, q model.QueryID) {
-	if m := n.aware[id]; m != nil {
-		delete(m, q)
-		if len(m) == 0 {
-			delete(n.aware, id)
-		}
-	}
-	if r := n.awareByQ[q]; r != nil {
-		delete(r, id)
-		if len(r) == 0 {
-			delete(n.awareByQ, q)
-		}
-	}
-}
-
-// purgeQuery drops every trace of a remote query at this node.
-func (n *node) purgeQuery(q model.QueryID) {
-	delete(n.remote, q)
-	for id := range n.awareByQ[q] {
-		if m := n.aware[id]; m != nil {
-			delete(m, q)
-			if len(m) == 0 {
-				delete(n.aware, id)
-			}
-		}
-	}
-	delete(n.awareByQ, q)
-}
-
-// finishTeardown completes a local query's removal after the server
-// handled its deregister. An installed monitor already broadcast a
-// MonitorCancel through nodeSide, which reached every spread node; a
-// query deregistered mid-bootstrap (probing, never installed) broadcast
-// nothing, so its probe-forward recipients are purged explicitly with a
-// state-only cancel (negative region radius: nothing to rebroadcast).
-func (n *node) finishTeardown(q model.QueryID) {
-	if n.server.HasQuery(q) {
-		return
-	}
-	for _, peer := range sortedNodes(n.spread[q]) {
-		n.c.sendLink(n.id, peer, protocol.NodeForward{
-			Home:    uint16(n.id),
-			Version: n.c.part.Version(),
-			Region:  geo.Circle{R: -1},
-			Inner:   protocol.MonitorCancel{Query: q},
-		})
-	}
-	delete(n.spread, q)
-	delete(n.local, q)
-	delete(n.pending, q)
-	// Awareness entries for q may survive from an era when this node
-	// relayed for it as a remote (before the monitor migrated here).
-	n.purgeQuery(q)
-}
-
-// ---------------------------------------------------------------------------
-// Object handoff
-
-// handoffObject migrates a client's connection to the node owning pos:
-// the home map flips immediately (so routing is consistent even if the
-// state transfer is lost) and the accumulated awareness state travels in
-// an ObjectHandoff message.
-func (n *node) handoffObject(id model.ObjectID, to int, pos geo.Point, vel geo.Vector, at model.Tick) {
-	c := n.c
-	c.home[id] = to
-	c.stats.ObjectHandoffs++
-	if c.deps.Trace != nil {
-		c.emit(n.id, obs.Event{Type: obs.EvObjectHandoffBegun, Object: id, Value: float64(to)})
-	}
-	oh := protocol.ObjectHandoff{Object: id, Pos: pos, Vel: vel, At: at}
-	// Awareness accumulated from relays, plus the local queries whose
-	// monitors currently involve the object — their home is this node.
-	for q, home := range n.aware[id] {
-		oh.Aware = append(oh.Aware, protocol.AwareEntry{Query: q, Home: uint16(home)})
-	}
-	for _, q := range n.server.QueriesInvolving(id) {
-		if _, dup := n.aware[id][q]; !dup {
-			oh.Aware = append(oh.Aware, protocol.AwareEntry{Query: q, Home: uint16(n.id)})
-		}
-	}
-	slices.SortFunc(oh.Aware, func(a, b protocol.AwareEntry) int {
-		return int(a.Query) - int(b.Query)
-	})
-	// The old copy is gone: the new owner curates it from here.
-	if m := n.aware[id]; m != nil {
-		for q := range m {
-			n.clearAware(id, q)
-		}
-	}
-	c.sendLink(n.id, to, oh)
-}
-
-func (n *node) handleObjectHandoff(v protocol.ObjectHandoff) {
-	c := n.c
-	// The client may have moved on while this transfer was in flight
-	// (chained handoff): pass the state along to its current home. The
-	// home map is globally consistent, so this terminates in one step.
-	if cur := c.homeOf(v.Object); cur != n.id {
-		c.sendLink(n.id, cur, v)
-		return
-	}
-	for _, a := range v.Aware {
-		home := int(a.Home)
-		if home == n.id {
-			// The query was homed at the sender... or this node. Either
-			// way a relay for it resolves through local/remote lookup;
-			// record only true remotes.
-			if !n.local[a.Query] {
-				n.setAware(v.Object, a.Query, home)
-			}
-			continue
-		}
-		n.setAware(v.Object, a.Query, home)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Query handoff (migration scan)
-
-// migrateQueries runs in the serial phase of every tick: any local query
-// whose dead-reckoned focal track left this node's strip is exported and
-// shipped to the new owner; unacked exports are retried.
-func (c *Cluster) migrateQueries(now model.Tick) {
-	retryGap := model.Tick(1)
-	if l, ok := c.deps.Link.(*MemLink); ok {
-		retryGap = model.Tick(2*l.cfg.LatencyTicks + 1)
-	}
-	for _, n := range c.nodes {
-		for _, q := range sortedQueries(n.local) {
-			est, ok := n.server.QueryEstimate(q, now)
-			if !ok {
-				delete(n.local, q)
-				continue
-			}
-			dest := c.part.NodeOf(est)
-			if dest == n.id {
-				continue
-			}
-			st, ok := n.server.ExportMonitor(q)
-			if !ok {
-				continue // probe in flight; retry next tick
-			}
-			n.shipMonitor(st, dest, now)
-		}
-		for _, q := range sortedPending(n.pending) {
-			p := n.pending[q]
-			if now-p.sentAt >= retryGap {
-				p.sentAt = now
-				c.sendLink(n.id, p.to, p.msg)
-			}
-		}
-	}
-}
-
-// shipMonitor sends an exported monitor snapshot to its new home node and
-// installs the retry and relay bookkeeping. The per-tick migration scan
-// and the balancer's bulk column migration share it, so both paths give a
-// migrated monitor identical lossy-link protection.
-func (n *node) shipMonitor(st core.MonitorState, dest int, now model.Tick) {
-	c := n.c
-	q := st.Query
-	qh := st.ExportState()
-	for _, peer := range sortedNodes(n.spread[q]) {
-		if peer != dest {
-			qh.Spread = append(qh.Spread, uint16(peer))
-		}
-	}
-	delete(n.local, q)
-	delete(n.spread, q)
-	// Late reports for q still arrive here (aware objects in this strip
-	// keep reporting to their own home node — this one); relay them
-	// onward like any other remote query.
-	n.remote[q] = dest
-	c.home[st.Addr] = dest
-	n.pending[q] = &pendingHandoff{to: dest, msg: qh, sentAt: now}
-	c.sendLink(n.id, dest, qh)
-	c.stats.QueryHandoffs++
-	if c.deps.Trace != nil {
-		c.emit(n.id, obs.Event{Type: obs.EvQueryHandoffBegun, Query: q, Seq: qh.AnswerSeq, Value: float64(dest)})
-	}
-}
-
-func (n *node) handleQueryHandoff(from int, v protocol.QueryHandoff) {
-	c := n.c
-	q := v.Query
-	if n.local[q] {
-		// Duplicate delivery (retry raced the ack): just ack again.
-		c.sendLink(n.id, from, protocol.QueryHandoffAck{Query: q})
-		return
-	}
-	n.server.ImportMonitor(core.ImportState(v), c.now())
-	if n.server.HasQuery(q) {
-		// Drop the remote-era routing and awareness for q: its reports
-		// are handled locally now, and QueriesInvolving supersedes the
-		// relay bookkeeping.
-		n.purgeQuery(q)
-		n.local[q] = true
-		sp := n.spread[q]
-		if sp == nil {
-			sp = make(map[int]bool)
-			n.spread[q] = sp
-		}
-		for _, peer := range v.Spread {
-			if int(peer) != n.id {
-				sp[int(peer)] = true
-			}
-		}
-		// The old home keeps relaying late reports; it must also hear
-		// the eventual teardown.
-		sp[from] = true
-	}
-	// Ack even a rejected (insane) snapshot so the sender stops
-	// retrying a message that will never apply.
-	c.sendLink(n.id, from, protocol.QueryHandoffAck{Query: q})
+// HandleClientGone implements transport.DisconnectHandler: the home node
+// purges its own monitors, and every node that ever homed one of the
+// client's remote queries is told to purge too — the distributed
+// equivalent of the single server's disconnect-purge guarantee.
+func (c *Cluster) HandleClientGone(id model.ObjectID) {
+	c.nodes[c.home[id]].purgeClient(id)
 }
 
 // ---------------------------------------------------------------------------
@@ -857,15 +287,18 @@ func (n *node) handleQueryHandoff(from int, v protocol.QueryHandoff) {
 
 // rebalance runs the balancer in the serial phase: sample per-node loads
 // over the decision window, ask for a column move, install the versioned
-// new map, and bulk-migrate the monitors the move stranded. Objects need
-// no sweep — each re-homes lazily on its next uplink through the ordinary
-// boundary-detection path, and until then its old home relays for it.
+// new map on every member in one step, and bulk-migrate the monitors the
+// move stranded. Objects need no sweep — each re-homes lazily on its next
+// uplink through the ordinary boundary-detection path, and until then its
+// old home relays for it.
+//
+// A deployment has no serial step across nodes, so there Member runs the
+// same decision engine on a coordinator node and replicates the map over
+// the link (NodeLoad, PartitionUpdate, PartitionAck); both end in
+// Member.migrateOutOfStrip.
 func (c *Cluster) rebalance(now model.Tick) {
 	if !c.bal.Due(now) {
 		return
-	}
-	if c.balBusyBase == nil {
-		c.balBusyBase = make([]time.Duration, len(c.nodes))
 	}
 	pop := make([]int, len(c.nodes))
 	for _, h := range c.home {
@@ -881,142 +314,27 @@ func (c *Cluster) rebalance(now model.Tick) {
 			BusyUS:     uint64((busy[i] - c.balBusyBase[i]).Microseconds()),
 		}
 	}
-	mv, ok := c.bal.Decide(now, c.part.Owners(), loads)
+	part := c.ref.Load()
+	mv, ok := c.bal.Decide(now, part.Owners(), loads)
 	copy(c.balBusyBase, busy) // start the next sample window either way
 	if !ok {
 		return
 	}
-	np, err := c.part.MoveColumn(mv.Col, mv.To)
+	np, err := part.MoveColumn(mv.Col, mv.To)
 	if err != nil {
 		return // defense in depth; the balancer only proposes legal moves
 	}
-	c.setPartition(np)
-	c.stats.ColumnMoves++
-	if c.deps.Trace != nil {
-		c.emit(mv.From, obs.Event{Type: obs.EvColumnMoved, Seq: uint32(np.Version()), Value: float64(mv.To)})
-	}
-	c.migrateOutOfStrip(now)
-}
-
-// setPartition installs a new partition map. The cluster's own copy and
-// the shared ref the radio cell filters read swap together under sendMu,
-// so no broadcast can clip against one map and forward against another.
-func (c *Cluster) setPartition(p Partition) {
-	c.sendMu.Lock()
-	c.part = p
-	c.ref.store(p)
-	c.sendMu.Unlock()
-}
-
-// migrateOutOfStrip bulk-exports every monitor a partition change left
-// outside its node's strip and ships each to its new owner through the
-// ordinary query-handoff machinery — retried until acked, re-baselined on
-// import — so a column move is exactly as safe as a focal client walking
-// across the old boundary.
-func (c *Cluster) migrateOutOfStrip(now model.Tick) {
+	// The members' copies and the shared ref the radio cell filters read
+	// swap in this one serial step — no server tick is running — so no
+	// broadcast can clip against one map and forward against another.
+	c.ref.store(np)
 	for _, n := range c.nodes {
-		exported := n.server.ExportMonitorsWhere(now, func(q model.QueryID, est geo.Point) bool {
-			return c.part.NodeOf(est) != n.id
-		})
-		for _, ex := range exported {
-			n.shipMonitor(ex.State, c.part.NodeOf(ex.Est), now)
-		}
+		n.part = np
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Link delivery
-
-// HandleLink consumes inter-node messages; install it as the Link's
-// delivery handler.
-func (c *Cluster) HandleLink(from, to int, m protocol.Message) {
-	n := c.nodes[to]
-	switch v := m.(type) {
-	case protocol.NodeForward:
-		n.handleForward(from, v)
-	case protocol.NodeRelay:
-		n.handleUplink(v.Origin, v.Inner, int(v.Hops))
-	case protocol.NodeDeliver:
-		c.sendMu.Lock()
-		n.radio.Downlink(v.To, v.Inner)
-		c.sendMu.Unlock()
-	case protocol.ObjectHandoff:
-		n.handleObjectHandoff(v)
-	case protocol.QueryHandoff:
-		n.handleQueryHandoff(from, v)
-	case protocol.QueryHandoffAck:
-		if _, waiting := n.pending[v.Query]; waiting && c.deps.Trace != nil {
-			c.emit(to, obs.Event{Type: obs.EvHandoffAcked, Query: v.Query})
-		}
-		delete(n.pending, v.Query)
-	case protocol.NodeClientGone:
-		n.server.HandleClientGone(v.Object)
-		for q := range cloneQuerySet(n.aware[v.Object]) {
-			n.clearAware(v.Object, q)
-		}
-	}
-}
-
-// handleForward applies a neighbor's broadcast: learn (or forget) the
-// query's home for report relaying, then rebroadcast clipped to this
-// node's cells. A negative region radius marks a state-only teardown
-// with nothing to rebroadcast.
-func (n *node) handleForward(from int, v protocol.NodeForward) {
-	switch inner := v.Inner.(type) {
-	case protocol.ProbeRequest:
-		if !n.local[inner.Query] {
-			n.remote[inner.Query] = from
-		}
-	case protocol.MonitorInstall:
-		if !n.local[inner.Query] {
-			n.remote[inner.Query] = from
-		}
-	case protocol.InfluenceInstall:
-		if !n.local[inner.Install.Query] {
-			n.remote[inner.Install.Query] = from
-		}
-	case protocol.MonitorCancel:
-		n.purgeQuery(inner.Query)
-	default:
-		return // decode layer prevents this; defense in depth
-	}
-	if v.Region.R >= 0 {
-		c := n.c
-		c.sendMu.Lock()
-		n.radio.Broadcast(v.Region, v.Inner)
-		c.sendMu.Unlock()
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Disconnect purging
-
-// HandleClientGone implements transport.DisconnectHandler: the home node
-// purges its own monitors, and every node that ever homed one of the
-// client's remote queries is told to purge too — the distributed
-// equivalent of the single server's disconnect-purge guarantee.
-func (c *Cluster) HandleClientGone(id model.ObjectID) {
-	n := c.nodes[c.homeOf(id)]
-	homes := make(map[int]bool)
-	for _, home := range n.aware[id] {
-		homes[home] = true
-	}
-	n.server.HandleClientGone(id)
-	// If id was a focal client, its queries just deregistered without a
-	// radio uplink; complete their federation teardown.
-	for _, q := range sortedQueries(n.local) {
-		if !n.server.HasQuery(q) {
-			n.finishTeardown(q)
-		}
-	}
-	for q := range cloneQuerySet(n.aware[id]) {
-		n.clearAware(id, q)
-	}
-	for _, home := range sortedNodes(homes) {
-		if home == n.id {
-			continue
-		}
-		c.sendLink(n.id, home, protocol.NodeClientGone{Object: id})
+	c.columnMoves++
+	c.nodes[mv.From].emit(obs.Event{Type: obs.EvColumnMoved, Seq: uint32(np.Version()), Value: float64(mv.To)})
+	for _, n := range c.nodes {
+		n.migrateOutOfStrip(now)
 	}
 }
 
@@ -1028,21 +346,29 @@ func (c *Cluster) HandleClientGone(id model.ObjectID) {
 // boundary-crossing queries, run every node's server tick in parallel,
 // then deliver the link traffic those ticks produced.
 func (c *Cluster) Tick(now model.Tick) {
-	c.deps.Link.Flush()
+	c.link.Flush()
 	if c.bal != nil {
 		c.rebalance(now)
 	}
-	c.migrateQueries(now)
-	var wg sync.WaitGroup
 	for _, n := range c.nodes {
+		n.migrateQueries(now)
+	}
+	c.parallel(func(_ int, n *Member) { n.server.Tick(now) })
+	c.link.Flush()
+}
+
+// parallel runs fn for every member, each on its own goroutine, and
+// waits for all of them.
+func (c *Cluster) parallel(fn func(i int, n *Member)) {
+	var wg sync.WaitGroup
+	for i, n := range c.nodes {
 		wg.Add(1)
-		go func(n *node) {
+		go func(i int, n *Member) {
 			defer wg.Done()
-			n.server.Tick(now)
-		}(n)
+			fn(i, n)
+		}(i, n)
 	}
 	wg.Wait()
-	c.deps.Link.Flush()
 }
 
 // Finalize settles intra-tick conversations: link deliveries may feed
@@ -1050,202 +376,9 @@ func (c *Cluster) Tick(now model.Tick) {
 // reports whether anything moved, so the driving engine knows to flush
 // the radio and call again.
 func (c *Cluster) Finalize(now model.Tick) bool {
-	act := c.deps.Link.Flush() > 0
+	act := c.link.Flush() > 0
 	results := make([]bool, len(c.nodes))
-	var wg sync.WaitGroup
-	for i, n := range c.nodes {
-		wg.Add(1)
-		go func(i int, n *node) {
-			defer wg.Done()
-			results[i] = n.server.Finalize(now)
-		}(i, n)
-	}
-	wg.Wait()
-	for _, r := range results {
-		act = act || r
-	}
-	if c.deps.Link.Flush() > 0 {
-		act = true
-	}
-	return act
-}
-
-// ---------------------------------------------------------------------------
-// The per-node radio surface
-
-// nodeSide is the transport.ServerSide each node's core.Server sends
-// through: downlinks route to the client's current home node, broadcasts
-// clip to the node's own cells and forward across the link to every
-// other node whose strip the region touches. It locks the cluster's send
-// mutex for the whole operation because server ticks run in parallel.
-type nodeSide struct{ n *node }
-
-func (s nodeSide) Downlink(to model.ObjectID, m protocol.Message) {
-	n, c := s.n, s.n.c
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	if home := c.homeOf(to); home != n.id {
-		c.deps.Link.Send(n.id, home, protocol.NodeDeliver{To: to, Version: c.part.Version(), Inner: m})
-		return
-	}
-	n.radio.Downlink(to, m)
-}
-
-func (s nodeSide) Broadcast(region geo.Circle, m protocol.Message) {
-	n, c := s.n, s.n.c
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	n.radio.Broadcast(region, m)
-	q, cancel, ok := broadcastQuery(m)
-	if !ok {
-		return
-	}
-	var targets []int
-	c.part.VisitIntersecting(region, func(peer int) {
-		if peer != n.id {
-			targets = append(targets, peer)
-		}
-	})
-	if cancel {
-		// A cancel must reach every node that ever saw the query, not
-		// just the ones the final region touches.
-		for _, peer := range sortedNodes(n.spread[q]) {
-			if peer != n.id && !slices.Contains(targets, peer) {
-				targets = append(targets, peer)
-			}
-		}
-		slices.Sort(targets)
-		delete(n.spread, q)
-	}
-	for _, peer := range targets {
-		c.deps.Link.Send(n.id, peer, protocol.NodeForward{
-			Home:    uint16(n.id),
-			Version: c.part.Version(),
-			Region:  region,
-			Inner:   m,
-		})
-		if !cancel {
-			sp := n.spread[q]
-			if sp == nil {
-				sp = make(map[int]bool)
-				n.spread[q] = sp
-			}
-			sp[peer] = true
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Message introspection helpers
-
-// uplinkKinematics extracts the position (and, where carried, velocity)
-// a client uplink reports, for boundary detection.
-func uplinkKinematics(m protocol.Message) (geo.Point, geo.Vector, model.Tick, bool) {
-	switch v := m.(type) {
-	case protocol.LocationReport:
-		return v.Pos, v.Vel, v.At, true
-	case protocol.ProbeReply:
-		return v.Pos, geo.Vector{}, v.At, true
-	case protocol.EnterReport:
-		return v.Pos, geo.Vector{}, v.At, true
-	case protocol.ExitReport:
-		return v.Pos, geo.Vector{}, v.At, true
-	case protocol.LeaveReport:
-		return v.Pos, geo.Vector{}, v.At, true
-	case protocol.MoveReport:
-		return v.Pos, geo.Vector{}, v.At, true
-	case protocol.QueryRegister:
-		return v.Pos, v.Vel, v.At, true
-	case protocol.QueryMove:
-		return v.Pos, v.Vel, v.At, true
-	}
-	return geo.Point{}, geo.Vector{}, 0, false
-}
-
-// uplinkQuery extracts the query id an uplink addresses.
-func uplinkQuery(m protocol.Message) (model.QueryID, bool) {
-	switch v := m.(type) {
-	case protocol.ProbeReply:
-		return v.Query, true
-	case protocol.EnterReport:
-		return v.Query, true
-	case protocol.ExitReport:
-		return v.Query, true
-	case protocol.LeaveReport:
-		return v.Query, true
-	case protocol.MoveReport:
-		return v.Query, true
-	case protocol.QueryRegister:
-		return v.Query, true
-	case protocol.QueryMove:
-		return v.Query, true
-	case protocol.QueryDeregister:
-		return v.Query, true
-	case protocol.AnswerResync:
-		return v.Query, true
-	}
-	return 0, false
-}
-
-// broadcastQuery extracts the query id a broadcast concerns and whether
-// it is a teardown.
-func broadcastQuery(m protocol.Message) (q model.QueryID, cancel, ok bool) {
-	switch v := m.(type) {
-	case protocol.ProbeRequest:
-		return v.Query, false, true
-	case protocol.MonitorInstall:
-		return v.Query, false, true
-	case protocol.InfluenceInstall:
-		return v.Install.Query, false, true
-	case protocol.MonitorCancel:
-		return v.Query, true, true
-	}
-	return 0, false, false
-}
-
-func sortedQueries(set map[model.QueryID]bool) []model.QueryID {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]model.QueryID, 0, len(set))
-	for q := range set {
-		out = append(out, q)
-	}
-	slices.Sort(out)
-	return out
-}
-
-func sortedPending(m map[model.QueryID]*pendingHandoff) []model.QueryID {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]model.QueryID, 0, len(m))
-	for q := range m {
-		out = append(out, q)
-	}
-	slices.Sort(out)
-	return out
-}
-
-func sortedNodes(set map[int]bool) []int {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	slices.Sort(out)
-	return out
-}
-
-func cloneQuerySet(m map[model.QueryID]int) map[model.QueryID]bool {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[model.QueryID]bool, len(m))
-	for q := range m {
-		out[q] = true
-	}
-	return out
+	c.parallel(func(i int, n *Member) { results[i] = n.server.Finalize(now) })
+	act = act || slices.Contains(results, true)
+	return c.link.Flush() > 0 || act
 }

@@ -10,7 +10,9 @@ import (
 	"dmknn/internal/metrics"
 	"dmknn/internal/model"
 	"dmknn/internal/obs"
+	"dmknn/internal/protocol"
 	"dmknn/internal/sim"
+	"dmknn/internal/transport"
 	"dmknn/internal/workload"
 )
 
@@ -160,6 +162,60 @@ func TestSingleNodeWireIdentity(t *testing.T) {
 	}
 }
 
+// The multi-node wire, pinned: per-direction radio traffic, link traffic
+// and handoff counts of the static federation over an ideal link, recorded
+// at the commit before the two federation state machines were merged.
+// These configurations repeat bit for bit at any GOMAXPROCS. Lossy-link
+// and adaptive runs do not and so cannot be pinned this way: the parallel
+// node ticks decide the link's send order and with it the loss draws, and
+// the balancer reads wall-clock busy time.
+func TestFederationWireDigest(t *testing.T) {
+	want := []struct {
+		nodes                                             int
+		seed                                              int64
+		upMsgs, upBytes, dnMsgs, dnBytes, bcMsgs, bcBytes uint64
+		linkSent, linkBytes, objHandoffs, qryHandoffs     float64
+	}{
+		{2, 1, 15539, 575023, 995, 94525, 8946, 599382, 1086, 71209, 217, 7},
+		{2, 2, 15773, 583649, 1130, 107350, 8863, 593821, 1268, 81158, 262, 6},
+		{2, 3, 15472, 572544, 944, 89680, 8594, 575798, 1022, 62561, 192, 4},
+		{2, 4, 15877, 587521, 1242, 117990, 9442, 632614, 1297, 83451, 267, 7},
+		{3, 1, 15482, 572914, 1000, 95000, 8886, 595362, 2077, 132214, 397, 11},
+		{3, 2, 15721, 581725, 1139, 108205, 8854, 593218, 2374, 151840, 415, 12},
+		{3, 3, 15472, 572544, 949, 90155, 8596, 575932, 2228, 137172, 353, 9},
+		{3, 4, 15877, 587521, 1253, 119035, 9442, 632614, 2158, 137866, 406, 11},
+		{4, 1, 15539, 575023, 1014, 96330, 8946, 599382, 3639, 222261, 549, 16},
+		{4, 2, 15773, 583649, 1130, 107350, 8863, 593821, 3489, 211065, 538, 12},
+		{4, 3, 15495, 573395, 957, 90915, 8594, 575798, 2674, 160351, 435, 8},
+		{4, 4, 15873, 587373, 1249, 118655, 9442, 632614, 2694, 168982, 531, 12},
+	}
+	for _, w := range want {
+		cfg := workload.Quick()
+		cfg.Ticks = 120
+		cfg.Seed = w.seed
+		res, err := sim.Run(cfg, mustMethod(t, w.nodes, proto(), LinkConfig{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := res.Traffic
+		got := w
+		got.upMsgs, got.upBytes = tr.Sent(metrics.Uplink), tr.SentBytes(metrics.Uplink)
+		got.dnMsgs, got.dnBytes = tr.Sent(metrics.Downlink), tr.SentBytes(metrics.Downlink)
+		got.bcMsgs, got.bcBytes = tr.Sent(metrics.Broadcast), tr.SentBytes(metrics.Broadcast)
+		got.linkSent, got.linkBytes = res.Extra["link_sent"], res.Extra["link_bytes"]
+		got.objHandoffs, got.qryHandoffs = res.Extra["object_handoffs"], res.Extra["query_handoffs"]
+		if got != w {
+			t.Errorf("nodes=%d seed=%d: wire moved\n got %+v\nwant %+v", w.nodes, w.seed, got, w)
+		}
+		if d := res.Extra["relay_drops"]; d != 0 {
+			t.Errorf("nodes=%d seed=%d: %v relay drops, want 0", w.nodes, w.seed, d)
+		}
+		if ex := res.Audit.Exactness(); ex != 1.0 {
+			t.Errorf("nodes=%d seed=%d: exactness = %v", w.nodes, w.seed, ex)
+		}
+	}
+}
+
 // Tracing is a pure tap on the federation too: with a flight recorder
 // attached and histogram collection on, a traced single-server run and a
 // traced one-node cluster run both stay wire-identical to the untraced
@@ -274,6 +330,56 @@ func TestClusterHandoffsOccur(t *testing.T) {
 		if homes != 1 {
 			t.Errorf("query %d homed at %d nodes, want exactly 1", q, homes)
 		}
+	}
+}
+
+// A relayed report is not evidence of where its sender is now: with link
+// latency, a NodeRelay that was in flight while the sender crossed a
+// strip boundary reaches the new home carrying the old position. It must
+// not hand the client straight back.
+func TestStaleRelayDoesNotRehome(t *testing.T) {
+	world := geo.NewRect(geo.Pt(0, 0), geo.Pt(1000, 1000))
+	part, err := NewPartition(grid.NewGeometry(world, 10, 10), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := func() model.Tick { return 1 }
+	link := NewMemLink(LinkConfig{}, now)
+	cl, err := New(part, proto().WithWorldDefault(world), Deps{
+		Link:  link,
+		Radio: func(int) transport.ServerSide { return &recordSide{} },
+		Now:   now, DT: 1, MaxObjectSpeed: 10, MaxQuerySpeed: 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handoffs := 0
+	link.OnDeliver(func(from, to int, m protocol.Message) {
+		if _, ok := m.(protocol.ObjectHandoff); ok {
+			handoffs++
+		}
+		cl.HandleLink(from, to, m)
+	})
+
+	const obj = model.ObjectID(7)
+	inA, inB := geo.Pt(450, 500), geo.Pt(550, 500)
+	cl.SeedHome(obj, inA)
+	// The client's own report from node 1's strip hands it over.
+	cl.HandleUplink(obj, protocol.LocationReport{Object: obj, Pos: inB, At: 1})
+	link.Flush()
+	if cl.HomeOf(obj) != 1 || handoffs != 1 {
+		t.Fatalf("setup: home %d after %d handoffs, want node 1 after 1", cl.HomeOf(obj), handoffs)
+	}
+	// A report node 0 relayed before the crossing arrives after it.
+	cl.HandleLink(0, 1, protocol.NodeRelay{Origin: obj, Hops: 1, Inner: protocol.EnterReport{
+		MemberReport: protocol.MemberReport{Query: 1, Object: obj, Pos: inA, At: 1},
+	}})
+	link.Flush()
+	if home := cl.HomeOf(obj); home != 1 {
+		t.Errorf("stale relay re-homed the client to node %d", home)
+	}
+	if handoffs != 1 {
+		t.Errorf("stale relay sent %d more ObjectHandoff(s)", handoffs-1)
 	}
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -43,18 +44,18 @@ type MemberDeps struct {
 	Trace obs.Sink
 }
 
-// Member is ONE node of a multi-process federation: the counterpart of
-// the in-process Cluster when every node runs in its own process and the
-// home/attachment maps can no longer be shared memory. It owns a
-// core.Server for its strip of the partition and stitches it to the
-// other nodes over the Link with the same protocol kinds 16–22 the
-// in-process federation proved out, plus NodeRedirect on the client wire.
+// Member is ONE node of the federation and the federation's state
+// machine: it owns a core.Server for its strip of the partition and
+// stitches it to the other nodes over the Link with protocol kinds 16–22,
+// plus NodeRedirect on the client wire. A deployment runs one Member per
+// process over a TCPLink (dknnd -node); the experiments run N of them in
+// one process under a Cluster over a MemLink. Besides the Link, the two
+// differ only in the directory the member is built with.
 //
-// The fundamental difference from Cluster: a TCP radio is not
-// positional. A wireless broadcast reaches whatever is physically inside
-// the cells; a nettcp broadcast reaches whatever is CONNECTED. So a
-// client must stay attached to the node owning its position, and three
-// mechanisms converge it there:
+// On a real socket the radio is not positional. A wireless broadcast
+// reaches whatever is physically inside the cells; a nettcp broadcast
+// reaches whatever is CONNECTED. So a client must stay attached to the
+// node owning its position, and three mechanisms converge it there:
 //
 //   - clients of a federation derive the owner from the static partition
 //     and dial it directly (and re-dial when their own movement crosses a
@@ -71,32 +72,51 @@ type MemberDeps struct {
 // flipped) purges nothing, so live state is never destroyed by routine
 // re-attachment.
 //
-// All state transitions run under one mutex: radio uplinks, link
-// deliveries, and the tick loop serialize through it, and the inner
-// server's send callbacks (memberSide) run while it is held. Sends
-// themselves (radio, link) are non-blocking-by-deadline, so the lock is
-// never held indefinitely.
+// All state transitions of a deployed member run under one mutex: the
+// exported entry points (radio uplinks, link deliveries, the tick) lock
+// it and call the unexported internals, and the inner server's send
+// callbacks (memberSide) run while it is held. Sends themselves (radio,
+// link) are non-blocking-by-deadline, so the lock is never held
+// indefinitely. A Cluster calls the internals directly from its serial
+// phases and never takes the mutex.
 type Member struct {
 	part Partition
 	id   int
-	cfg  core.Config
 	deps MemberDeps
 
 	mu     sync.Mutex
 	server *core.Server
 
-	// attach marks clients currently connected to this node's radio.
-	attach map[model.ObjectID]bool
-	// home is this node's belief of which node serves each known client.
-	home map[model.ObjectID]int
-	// local/remote/spread/aware/awareByQ/pending mirror the in-process
-	// node's routing state (see cluster.go); the semantics are identical.
-	local    map[model.QueryID]bool
-	remote   map[model.QueryID]int
-	spread   map[model.QueryID]map[int]bool
-	aware    map[model.ObjectID]map[model.QueryID]int
+	// dir answers who serves a client. bel is the same value when the
+	// member was built by NewMember, for the radio callbacks that only a
+	// connection-oriented medium makes; nil under a Cluster.
+	dir directory
+	bel *belief
+
+	// local marks queries homed here (this node runs their monitors).
+	local map[model.QueryID]bool
+	// remote maps queries whose broadcasts this node rebroadcast to the
+	// home node to relay reports to. Entries persist until an explicit
+	// cancel: a Leave report can arrive long after the region stopped
+	// intersecting this strip, and it must still find its way home.
+	remote map[model.QueryID]int
+	// spread tracks, per local query, every node a broadcast was ever
+	// forwarded to, so teardown (cancel, disconnect, migration) reaches
+	// all of them even when the current region no longer intersects.
+	spread map[model.QueryID]map[int]bool
+	// aware tracks, per client homed here, the remote queries its
+	// reports were relayed for (query → home node): the state an object
+	// handoff transfers, and the purge list when the client disconnects.
+	aware map[model.ObjectID]map[model.QueryID]int
+	// awareByQ is the reverse index of aware, for cancel-time purging.
 	awareByQ map[model.QueryID]map[model.ObjectID]bool
+	// pending holds exported-but-unacked query handoffs for retry; a
+	// lossy link must not be able to destroy a monitor state machine.
+	// retryGap is the resend interval in ticks: one tick of real time
+	// covers a loopback round trip many times over, a Cluster widens it
+	// to its MemLink's round trip.
 	pending  map[model.QueryID]*pendingHandoff
+	retryGap model.Tick
 
 	stats     Stats
 	redirects uint64
@@ -112,6 +132,72 @@ type Member struct {
 	peerBusyBase []uint64         // coordinator: cumulative busy-µs at window start
 	pendingPart  *pendingPartition
 }
+
+// directory is where a member looks up, and records, which node serves a
+// client. It is the one difference between the two deployments of the
+// state machine: in one process a handoff flips routing for every node at
+// once and a client is reachable wherever it is homed; across processes
+// each node holds a private belief plus the set of clients connected to
+// its own radio.
+type directory interface {
+	// home returns the node serving id, if any is known.
+	home(id model.ObjectID) (node int, known bool)
+	// setHome records a handoff initiated here: id is now served by node.
+	setHome(id model.ObjectID, node int)
+	// adopt is called when a handoff delivers id's state to this node; it
+	// returns the node now serving id.
+	adopt(id model.ObjectID) int
+	// here reports whether id is reachable on this node's own radio.
+	here(id model.ObjectID) bool
+}
+
+// belief is one process's private directory.
+type belief struct {
+	self int
+	// homes is this node's belief of which node serves each known client.
+	homes map[model.ObjectID]int
+	// attach marks clients currently connected to this node's radio.
+	attach map[model.ObjectID]bool
+}
+
+func (b *belief) home(id model.ObjectID) (int, bool)  { h, ok := b.homes[id]; return h, ok }
+func (b *belief) setHome(id model.ObjectID, node int) { b.homes[id] = node }
+func (b *belief) here(id model.ObjectID) bool         { return b.attach[id] }
+
+// adopt takes the client: the sender routed by its reported position,
+// which this node owns. If it has already moved on, its next report
+// triggers the next hop of the chain.
+func (b *belief) adopt(id model.ObjectID) int {
+	b.homes[id] = b.self
+	return b.self
+}
+
+// sharedHomes is the directory of a Cluster's members: one authoritative
+// map, written at handoff initiation and read by every node. A client the
+// map has never seen is served by node 0.
+type sharedHomes struct {
+	self  int
+	homes map[model.ObjectID]int
+}
+
+func (s sharedHomes) home(id model.ObjectID) (int, bool)  { return s.homes[id], true }
+func (s sharedHomes) setHome(id model.ObjectID, node int) { s.homes[id] = node }
+func (s sharedHomes) here(id model.ObjectID) bool         { return s.homes[id] == s.self }
+
+// adopt writes nothing — the sender already flipped the map — and may
+// name another node: the client moved on while its state was in flight.
+func (s sharedHomes) adopt(id model.ObjectID) int { return s.homes[id] }
+
+type pendingHandoff struct {
+	to     int
+	msg    protocol.QueryHandoff
+	sentAt model.Tick
+}
+
+// maxRelayHops bounds uplink forwarding chains between nodes. Two hops
+// cover every legitimate route (receiving node → object's position node
+// → query's home node); the slack absorbs a handoff racing a relay.
+const maxRelayHops = 4
 
 // coordinatorNode is the member that runs the balance decision engine.
 const coordinatorNode = 0
@@ -137,26 +223,44 @@ type pendingPartition struct {
 	sentAt  model.Tick
 }
 
-// NewMember builds node id of the partition's federation and installs it
-// as the link's delivery consumer. The caller attaches it as the radio's
-// server handler and drives Tick/Finalize.
+// NewMember builds node id of the partition's federation, with a private
+// directory, and installs it as the link's delivery consumer. The caller
+// attaches it as the radio's server handler and drives Tick/Finalize.
 func NewMember(part Partition, id int, cfg core.Config, deps MemberDeps) (*Member, error) {
+	b := &belief{
+		self:   id,
+		homes:  make(map[model.ObjectID]int),
+		attach: make(map[model.ObjectID]bool),
+	}
+	m, err := newMember(part, id, cfg, deps, b)
+	if err != nil {
+		return nil, err
+	}
+	m.bel = b
+	if ol, ok := deps.Link.(interface {
+		OnDeliver(func(from, to int, m protocol.Message))
+	}); ok {
+		ol.OnDeliver(m.HandleLink)
+	}
+	return m, nil
+}
+
+func newMember(part Partition, id int, cfg core.Config, deps MemberDeps, dir directory) (*Member, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	m := &Member{
 		part:     part,
 		id:       id,
-		cfg:      cfg,
 		deps:     deps,
-		attach:   make(map[model.ObjectID]bool),
-		home:     make(map[model.ObjectID]int),
+		dir:      dir,
 		local:    make(map[model.QueryID]bool),
 		remote:   make(map[model.QueryID]int),
 		spread:   make(map[model.QueryID]map[int]bool),
 		aware:    make(map[model.ObjectID]map[model.QueryID]int),
 		awareByQ: make(map[model.QueryID]map[model.ObjectID]bool),
 		pending:  make(map[model.QueryID]*pendingHandoff),
+		retryGap: 1,
 	}
 	srv, err := core.NewServer(cfg, core.ServerDeps{
 		Side:           memberSide{m},
@@ -171,11 +275,6 @@ func NewMember(part Partition, id int, cfg core.Config, deps MemberDeps) (*Membe
 		return nil, err
 	}
 	m.server = srv
-	if ol, ok := deps.Link.(interface {
-		OnDeliver(func(from, to int, m protocol.Message))
-	}); ok {
-		ol.OnDeliver(m.HandleLink)
-	}
 	return m, nil
 }
 
@@ -268,7 +367,7 @@ func (m *Member) Redirects() uint64 {
 func (m *Member) AttachedCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.attach)
+	return len(m.bel.attach)
 }
 
 // LocalQueries returns how many query monitors are homed at this node.
@@ -278,13 +377,14 @@ func (m *Member) LocalQueries() int {
 	return len(m.local)
 }
 
-func (m *Member) now() model.Tick { return m.deps.Now() }
-
+// emit records one federation-level event stamped with this node. All
+// call sites run in the serial phases (uplink routing, link delivery,
+// migration scan), never inside a Cluster's parallel server ticks.
 func (m *Member) emit(e obs.Event) {
 	if m.deps.Trace == nil {
 		return
 	}
-	e.At = m.now()
+	e.At = m.deps.Now()
 	e.Node = int16(m.id)
 	e.Dir = -1
 	m.deps.Trace.Record(e)
@@ -293,9 +393,10 @@ func (m *Member) emit(e obs.Event) {
 // ---------------------------------------------------------------------------
 // serverCore surface (what the deployment shell drives)
 
-// Tick advances the node one step: retry and initiate query migrations,
-// then run the inner server's tick. Link traffic needs no flushing — the
-// TCP link delivers push-style from its read goroutines.
+// Tick advances a deployed node one step: balancer duties, retry and
+// initiate query migrations, then run the inner server's tick. Link
+// traffic needs no flushing — the TCP link delivers push-style from its
+// read goroutines.
 func (m *Member) Tick(now model.Tick) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -308,7 +409,7 @@ func (m *Member) Tick(now model.Tick) {
 			m.deps.Link.Send(m.id, coordinatorNode, protocol.NodeLoad{
 				Node:       uint16(m.id),
 				Version:    m.part.Version(),
-				Population: uint32(len(m.attach)),
+				Population: uint32(len(m.bel.attach)),
 				Queries:    uint32(len(m.local)),
 				BusyUS:     uint64(m.server.BusyTime().Microseconds()),
 				At:         now,
@@ -339,40 +440,50 @@ func (m *Member) BusyTime() time.Duration { return m.server.BusyTime() }
 // Radio uplink handling
 
 // HandleUplink implements transport.ServerHandler for this node's radio:
-// every frame from an attached client enters the federation here.
+// every frame from an attached client enters the federation here. A
+// client this node has no belief about is taken to be its own.
 func (m *Member) HandleUplink(from model.ObjectID, msg protocol.Message) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.attach[from] = true
-	if _, known := m.home[from]; !known {
-		m.home[from] = m.id
+	m.bel.attach[from] = true
+	if _, known := m.bel.homes[from]; !known {
+		m.bel.homes[from] = m.id
 	}
-	m.routeUplink(from, msg, 0, true)
+	m.routeUplink(from, msg, 0)
+}
+
+// serves reports whether this node is, to its knowledge, id's home.
+func (m *Member) serves(id model.ObjectID) bool {
+	home, known := m.dir.home(id)
+	return known && home == m.id
 }
 
 // routeUplink processes one client uplink at this node, forwarded hops
-// times so far; attached marks frames that arrived on this node's own
-// radio (only those may trigger handoff/redirect — a relayed frame's
-// sender belongs to another node's radio).
-func (m *Member) routeUplink(from model.ObjectID, msg protocol.Message, hops int, attached bool) {
-	// Boundary detection, as in the in-process cluster: the sender's own
-	// report proves it belongs to another strip. Hand its state off and
-	// steer its connection there, but still process the report here — the
-	// report that crossed the boundary is never lost.
-	if pos, vel, at, ok := uplinkKinematics(msg); ok && attached && m.home[from] == m.id {
+// times so far. Frames at hops 0 arrived on this node's own radio.
+func (m *Member) routeUplink(from model.ObjectID, msg protocol.Message, hops int) {
+	// Boundary detection: the client's own report proves it left this
+	// node's strip — migrate its connection before processing, so the
+	// very report that crossed the boundary is still handled here (no
+	// report lost) while everything after routes to the new owner. Only a
+	// frame from this node's own radio may do so: a relayed frame's sender
+	// belongs to another node's radio, and a relay that was in flight
+	// while its sender crossed carries the old position — it would hand
+	// the client straight back.
+	if pos, vel, at, ok := uplinkKinematics(msg); ok && hops == 0 && m.serves(from) {
 		if owner := m.part.NodeOf(pos); owner != m.id {
 			m.handoffObject(from, owner, pos, vel, at)
 			m.redirect(from, owner)
 		}
 	}
 	if reg, ok := msg.(protocol.QueryRegister); ok {
+		// Registrations anchor at the node owning the focal position.
 		owner := m.part.NodeOf(reg.Pos)
 		if owner != m.id {
 			if hops < maxRelayHops {
 				m.relay(owner, from, msg, hops)
 			}
-			if attached {
-				m.home[from] = owner
+			if hops == 0 {
+				m.dir.setHome(from, owner)
 				m.redirect(from, owner)
 			}
 			return
@@ -385,8 +496,9 @@ func (m *Member) routeUplink(from model.ObjectID, msg protocol.Message, hops int
 	}
 	q, ok := uplinkQuery(msg)
 	if !ok {
-		// Query-less kinds (LocationReport) only matter for the boundary
-		// detection above; the server drops them like the single server.
+		// Query-less kinds (LocationReport) are not part of this protocol
+		// and only matter for the boundary detection above; the local
+		// server drops them like the single server.
 		m.server.HandleUplink(from, msg)
 		return
 	}
@@ -403,12 +515,14 @@ func (m *Member) routeUplink(from model.ObjectID, msg protocol.Message, hops int
 			return
 		}
 		m.relay(home, from, msg, hops)
-		if attached && m.home[from] == m.id {
+		// Relayed frames count too: the report that crosses a boundary
+		// reaches the client's new home as a relay from the old one.
+		if m.serves(from) {
 			m.noteAware(from, q, home, msg)
 		}
 	default:
-		// Unknown query: the node owning the reported position (or its
-		// remote table) knows more.
+		// Unknown query: if the report itself names a position in
+		// another strip, that node (or its remote table) knows more.
 		if pos, _, _, ok := uplinkKinematics(msg); ok && hops < maxRelayHops {
 			if owner := m.part.NodeOf(pos); owner != m.id {
 				m.relay(owner, from, msg, hops)
@@ -420,6 +534,7 @@ func (m *Member) routeUplink(from model.ObjectID, msg protocol.Message, hops int
 	}
 }
 
+// relay forwards a client uplink to another node.
 func (m *Member) relay(to int, origin model.ObjectID, msg protocol.Message, hops int) {
 	m.deps.Link.Send(m.id, to, protocol.NodeRelay{
 		Origin:  origin,
@@ -431,7 +546,8 @@ func (m *Member) relay(to int, origin model.ObjectID, msg protocol.Message, hops
 
 // redirect steers an attached client to the node owning its position.
 // The client reconnects there; the disconnect this causes here finds
-// home != self and purges nothing.
+// home != self and purges nothing. A member without client addresses (a
+// positional radio, as under a Cluster) has nobody to steer.
 func (m *Member) redirect(id model.ObjectID, to int) {
 	if to < 0 || to >= len(m.deps.ClientAddrs) || m.deps.ClientAddrs[to] == "" {
 		return
@@ -444,8 +560,11 @@ func (m *Member) redirect(id model.ObjectID, to int) {
 }
 
 // ---------------------------------------------------------------------------
-// Awareness bookkeeping (same semantics as the in-process node's)
+// Awareness bookkeeping
 
+// noteAware updates the awareness map from a relayed membership report:
+// Enter/Exit/Move prove the object carries monitor state for q, Leave
+// proves it dropped it.
 func (m *Member) noteAware(id model.ObjectID, q model.QueryID, home int, msg protocol.Message) {
 	switch msg.(type) {
 	case protocol.EnterReport, protocol.ExitReport, protocol.MoveReport:
@@ -485,24 +604,32 @@ func (m *Member) clearAware(id model.ObjectID, q model.QueryID) {
 	}
 }
 
+// dropAware forgets every remote query the client was aware of.
+func (m *Member) dropAware(id model.ObjectID) {
+	for q := range m.aware[id] {
+		m.clearAware(id, q)
+	}
+}
+
+// purgeQuery drops every trace of a remote query at this node.
 func (m *Member) purgeQuery(q model.QueryID) {
 	delete(m.remote, q)
 	for id := range m.awareByQ[q] {
-		if mm := m.aware[id]; mm != nil {
-			delete(mm, q)
-			if len(mm) == 0 {
-				delete(m.aware, id)
-			}
-		}
+		m.clearAware(id, q)
 	}
-	delete(m.awareByQ, q)
 }
 
+// finishTeardown completes a local query's removal after the server
+// handled its deregister. An installed monitor already broadcast a
+// MonitorCancel through memberSide, which reached every spread node; a
+// query deregistered mid-bootstrap (probing, never installed) broadcast
+// nothing, so its probe-forward recipients are purged explicitly with a
+// state-only cancel (negative region radius: nothing to rebroadcast).
 func (m *Member) finishTeardown(q model.QueryID) {
 	if m.server.HasQuery(q) {
 		return
 	}
-	for _, peer := range sortedNodes(m.spread[q]) {
+	for _, peer := range sortedKeys(m.spread[q]) {
 		m.deps.Link.Send(m.id, peer, protocol.NodeForward{
 			Home:    uint16(m.id),
 			Version: m.part.Version(),
@@ -513,17 +640,25 @@ func (m *Member) finishTeardown(q model.QueryID) {
 	delete(m.spread, q)
 	delete(m.local, q)
 	delete(m.pending, q)
+	// Awareness entries for q may survive from an era when this node
+	// relayed for it as a remote (before the monitor migrated here).
 	m.purgeQuery(q)
 }
 
 // ---------------------------------------------------------------------------
 // Object handoff
 
+// handoffObject migrates a client's connection to the node owning pos:
+// the directory flips immediately (so routing is consistent even if the
+// state transfer is lost) and the accumulated awareness state travels in
+// an ObjectHandoff message.
 func (m *Member) handoffObject(id model.ObjectID, to int, pos geo.Point, vel geo.Vector, at model.Tick) {
-	m.home[id] = to
+	m.dir.setHome(id, to)
 	m.stats.ObjectHandoffs++
 	m.emit(obs.Event{Type: obs.EvObjectHandoffBegun, Object: id, Value: float64(to)})
 	oh := protocol.ObjectHandoff{Object: id, Pos: pos, Vel: vel, At: at}
+	// Awareness accumulated from relays, plus the local queries whose
+	// monitors currently involve the object — their home is this node.
 	for q, home := range m.aware[id] {
 		oh.Aware = append(oh.Aware, protocol.AwareEntry{Query: q, Home: uint16(home)})
 	}
@@ -535,22 +670,26 @@ func (m *Member) handoffObject(id model.ObjectID, to int, pos geo.Point, vel geo
 	slices.SortFunc(oh.Aware, func(a, b protocol.AwareEntry) int {
 		return int(a.Query) - int(b.Query)
 	})
-	if mm := m.aware[id]; mm != nil {
-		for q := range mm {
-			m.clearAware(id, q)
-		}
-	}
+	// The old copy is gone: the new owner curates it from here.
+	m.dropAware(id)
 	m.deps.Link.Send(m.id, to, oh)
 }
 
 func (m *Member) handleObjectHandoff(v protocol.ObjectHandoff) {
-	// The sender routed by the object's reported position, which this
-	// node owns: adopt the client. If it has already moved on, its next
-	// report triggers the next hop of the chain.
-	m.home[v.Object] = m.id
+	// The client may have moved on while this transfer was in flight
+	// (chained handoff), and the directory may know it: pass the state
+	// along to its current home. A shared directory is globally
+	// consistent, so this terminates in one step; a private one always
+	// adopts.
+	if cur := m.dir.adopt(v.Object); cur != m.id {
+		m.deps.Link.Send(m.id, cur, v)
+		return
+	}
 	for _, a := range v.Aware {
+		// An entry homed here whose query is local resolves through the
+		// local table, not a relay; record only true remotes.
 		if int(a.Home) == m.id && m.local[a.Query] {
-			continue // resolves through the local table, not a relay
+			continue
 		}
 		m.setAware(v.Object, a.Query, int(a.Home))
 	}
@@ -585,7 +724,7 @@ func (m *Member) rebalance(now model.Tick) {
 		if i == m.id {
 			busy := uint64(m.server.BusyTime().Microseconds())
 			loads[i] = balance.Load{
-				Population: len(m.attach),
+				Population: len(m.bel.attach),
 				Queries:    len(m.local),
 				BusyUS:     busy - uint64(m.busyBase.Microseconds()),
 			}
@@ -616,7 +755,7 @@ func (m *Member) rebalance(now model.Tick) {
 	if err != nil {
 		return // defense in depth; the balancer only proposes legal moves
 	}
-	upd := protocol.PartitionUpdate{Version: np.Version(), Owners: ownersToWire(np.Owners())}
+	upd := np.update()
 	pp := &pendingPartition{
 		version: np.Version(),
 		update:  upd,
@@ -645,16 +784,22 @@ func (m *Member) applyPartition(np Partition, now model.Tick) {
 	m.part = np
 	m.stats.ColumnMoves++
 	m.emit(obs.Event{Type: obs.EvColumnMoved, Seq: uint32(np.Version())})
+	m.migrateOutOfStrip(now)
+	m.deps.Radio.Broadcast(worldCircle(m.part.geom.Bounds()), np.update())
+}
+
+// migrateOutOfStrip bulk-exports every monitor a partition change left
+// outside this node's strip and ships each to its new owner through the
+// ordinary query-handoff machinery — retried until acked, re-baselined on
+// import — so a column move is exactly as safe as a focal client walking
+// across the old boundary.
+func (m *Member) migrateOutOfStrip(now model.Tick) {
 	exported := m.server.ExportMonitorsWhere(now, func(q model.QueryID, est geo.Point) bool {
 		return m.part.NodeOf(est) != m.id
 	})
 	for _, ex := range exported {
 		m.shipMonitor(ex.State, m.part.NodeOf(ex.Est), now)
 	}
-	m.deps.Radio.Broadcast(worldCircle(m.part.geom.Bounds()), protocol.PartitionUpdate{
-		Version: np.Version(),
-		Owners:  ownersToWire(np.Owners()),
-	})
 }
 
 // handlePartitionUpdate applies a distributed map if it is newer than
@@ -667,7 +812,7 @@ func (m *Member) handlePartitionUpdate(from int, v protocol.PartitionUpdate) {
 			owners[i] = int(o)
 		}
 		if np, err := PartitionFromOwners(m.part.geom, owners, m.part.Nodes(), v.Version); err == nil {
-			m.applyPartition(np, m.now())
+			m.applyPartition(np, m.deps.Now())
 		}
 	}
 	m.deps.Link.Send(m.id, from, protocol.PartitionAck{Node: uint16(m.id), Version: v.Version})
@@ -682,19 +827,17 @@ func (m *Member) handlePeerHello(peer int, version uint64) {
 	if !m.balanceOn || version >= m.part.Version() {
 		return
 	}
-	m.deps.Link.Send(m.id, peer, protocol.PartitionUpdate{
-		Version: m.part.Version(),
-		Owners:  ownersToWire(m.part.Owners()),
-	})
+	m.deps.Link.Send(m.id, peer, m.part.update())
 }
 
-// ownersToWire converts an owner array to its PartitionUpdate form.
-func ownersToWire(owners []int) []uint16 {
-	out := make([]uint16, len(owners))
-	for i, o := range owners {
-		out[i] = uint16(o)
+// update returns the map in its wire form, the PartitionUpdate that
+// PartitionFromOwners reads back.
+func (p Partition) update() protocol.PartitionUpdate {
+	owners := make([]uint16, len(p.colOwner))
+	for i, o := range p.colOwner {
+		owners[i] = uint16(o)
 	}
-	return out
+	return protocol.PartitionUpdate{Version: p.version, Owners: owners}
 }
 
 // worldCircle returns a circle covering the whole world, for broadcasts
@@ -712,10 +855,9 @@ func worldCircle(b geo.Rect) geo.Circle {
 // migrateQueries runs in the tick's serial phase: any local query whose
 // dead-reckoned focal track left this strip is exported and shipped to
 // the owner, the focal client is redirected there, and unacked exports
-// are retried. The retry gap is in ticks of real time; one tick covers a
-// loopback round trip many times over.
+// are retried.
 func (m *Member) migrateQueries(now model.Tick) {
-	for _, q := range sortedQueries(m.local) {
+	for _, q := range sortedKeys(m.local) {
 		est, ok := m.server.QueryEstimate(q, now)
 		if !ok {
 			delete(m.local, q)
@@ -731,9 +873,9 @@ func (m *Member) migrateQueries(now model.Tick) {
 		}
 		m.shipMonitor(st, dest, now)
 	}
-	for _, q := range sortedPending(m.pending) {
+	for _, q := range sortedKeys(m.pending) {
 		p := m.pending[q]
-		if now-p.sentAt >= 1 {
+		if now-p.sentAt >= m.retryGap {
 			p.sentAt = now
 			m.deps.Link.Send(m.id, p.to, p.msg)
 		}
@@ -743,26 +885,28 @@ func (m *Member) migrateQueries(now model.Tick) {
 // shipMonitor sends an exported monitor snapshot to its new home node,
 // installs the retry and relay bookkeeping, and steers the focal client
 // there. The per-tick migration scan and a partition change's bulk
-// migration share it.
+// migration share it, so both paths give a migrated monitor identical
+// lossy-link protection.
 func (m *Member) shipMonitor(st core.MonitorState, dest int, now model.Tick) {
 	q := st.Query
 	qh := st.ExportState()
-	for _, peer := range sortedNodes(m.spread[q]) {
+	for _, peer := range sortedKeys(m.spread[q]) {
 		if peer != dest {
 			qh.Spread = append(qh.Spread, uint16(peer))
 		}
 	}
 	delete(m.local, q)
 	delete(m.spread, q)
-	// Late reports still arrive here; relay them onward like any other
-	// remote query.
+	// Late reports for q still arrive here (aware objects in this strip
+	// keep reporting to their own home node — this one); relay them
+	// onward like any other remote query.
 	m.remote[q] = dest
-	m.home[st.Addr] = dest
+	m.dir.setHome(st.Addr, dest)
 	m.pending[q] = &pendingHandoff{to: dest, msg: qh, sentAt: now}
 	m.deps.Link.Send(m.id, dest, qh)
 	m.stats.QueryHandoffs++
 	m.emit(obs.Event{Type: obs.EvQueryHandoffBegun, Query: q, Seq: qh.AnswerSeq, Value: float64(dest)})
-	if m.attach[st.Addr] {
+	if m.dir.here(st.Addr) {
 		m.redirect(st.Addr, dest)
 	}
 }
@@ -770,32 +914,34 @@ func (m *Member) shipMonitor(st core.MonitorState, dest int, now model.Tick) {
 func (m *Member) handleQueryHandoff(from int, v protocol.QueryHandoff) {
 	q := v.Query
 	if m.local[q] {
-		// Duplicate of a handoff already applied (retry after a lost
-		// ack). Re-affirm the focal client's home before acking: a
-		// handoff flap in the other direction may have left it stale,
-		// and the sender's retry proves it believes the query lives
-		// here now.
-		m.home[v.Addr] = m.id
+		// Duplicate of a handoff already applied (the retry raced the
+		// ack, or the ack was lost). Re-affirm the focal client's home
+		// before acking again: a handoff flap in the other direction may
+		// have left a private belief stale, and the sender's retry proves
+		// it believes the query lives here now.
+		m.dir.adopt(v.Addr)
 		m.deps.Link.Send(m.id, from, protocol.QueryHandoffAck{Query: q})
 		return
 	}
-	m.server.ImportMonitor(core.ImportState(v), m.now())
+	m.server.ImportMonitor(core.ImportState(v), m.deps.Now())
 	if m.server.HasQuery(q) {
+		// Drop the remote-era routing and awareness for q: its reports
+		// are handled locally now, and QueriesInvolving supersedes the
+		// relay bookkeeping.
 		m.purgeQuery(q)
 		m.local[q] = true
-		m.home[v.Addr] = m.id
-		sp := m.spread[q]
-		if sp == nil {
-			sp = make(map[int]bool)
-			m.spread[q] = sp
-		}
+		m.dir.adopt(v.Addr)
 		for _, peer := range v.Spread {
 			if int(peer) != m.id {
-				sp[int(peer)] = true
+				m.noteSpread(q, int(peer))
 			}
 		}
-		sp[from] = true
+		// The old home keeps relaying late reports; it must also hear
+		// the eventual teardown.
+		m.noteSpread(q, from)
 	}
+	// Ack even a rejected (insane) snapshot so the sender stops
+	// retrying a message that will never apply.
 	m.deps.Link.Send(m.id, from, protocol.QueryHandoffAck{Query: q})
 }
 
@@ -808,14 +954,18 @@ func (m *Member) handleQueryHandoff(from int, v protocol.QueryHandoff) {
 func (m *Member) HandleLink(from, to int, msg protocol.Message) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.handleLink(from, msg)
+}
+
+func (m *Member) handleLink(from int, msg protocol.Message) {
 	switch v := msg.(type) {
 	case protocol.NodeForward:
 		m.handleForward(from, v)
 	case protocol.NodeRelay:
-		m.routeUplink(v.Origin, v.Inner, int(v.Hops), false)
+		m.routeUplink(v.Origin, v.Inner, int(v.Hops))
 	case protocol.NodeDeliver:
-		// Hand the payload to this node's radio regardless of the attach
-		// set: on connection-oriented media the client may hold a live
+		// Hand the payload to this node's radio whatever the directory
+		// says: on connection-oriented media the client may hold a live
 		// connection without having uplinked yet, and a truly absent
 		// client is metered as a transport drop. What a NodeDeliver must
 		// never do is forward AGAIN on this node's own home belief — that
@@ -833,9 +983,7 @@ func (m *Member) HandleLink(from, to int, msg protocol.Message) {
 		delete(m.pending, v.Query)
 	case protocol.NodeClientGone:
 		m.server.HandleClientGone(v.Object)
-		for q := range cloneQuerySet(m.aware[v.Object]) {
-			m.clearAware(v.Object, q)
-		}
+		m.dropAware(v.Object)
 	case protocol.NodeLoad:
 		if m.bal != nil && int(v.Node) < len(m.peerLoads) && int(v.Node) != m.id {
 			m.peerLoads[v.Node] = nodeLoadSample{
@@ -851,11 +999,7 @@ func (m *Member) HandleLink(from, to int, msg protocol.Message) {
 	case protocol.PartitionAck:
 		if pp := m.pendingPart; pp != nil && v.Version == pp.version && int(v.Node) < len(pp.acked) {
 			pp.acked[v.Node] = true
-			done := true
-			for _, a := range pp.acked {
-				done = done && a
-			}
-			if done {
+			if !slices.Contains(pp.acked, false) {
 				m.pendingPart = nil
 			}
 		}
@@ -863,27 +1007,20 @@ func (m *Member) HandleLink(from, to int, msg protocol.Message) {
 }
 
 // handleForward applies a peer's broadcast: learn (or forget) the remote
-// query's home, then rebroadcast to this node's attached clients. The
-// client-side state machines filter by the region carried in the
-// message, exactly as for a local broadcast.
+// query's home for report relaying, then rebroadcast on this node's radio
+// — clipped to its cells on a positional medium, to its attached clients
+// on a socket, where the client-side state machines filter by the region
+// carried in the message exactly as for a local broadcast. A negative
+// region radius marks a state-only teardown with nothing to rebroadcast.
 func (m *Member) handleForward(from int, v protocol.NodeForward) {
-	switch inner := v.Inner.(type) {
-	case protocol.ProbeRequest:
-		if !m.local[inner.Query] {
-			m.remote[inner.Query] = from
-		}
-	case protocol.MonitorInstall:
-		if !m.local[inner.Query] {
-			m.remote[inner.Query] = from
-		}
-	case protocol.InfluenceInstall:
-		if !m.local[inner.Install.Query] {
-			m.remote[inner.Install.Query] = from
-		}
-	case protocol.MonitorCancel:
-		m.purgeQuery(inner.Query)
-	default:
+	q, cancel, ok := broadcastQuery(v.Inner)
+	switch {
+	case !ok:
 		return // decode layer prevents this; defense in depth
+	case cancel:
+		m.purgeQuery(q)
+	case !m.local[q]:
+		m.remote[q] = from
 	}
 	if v.Region.R >= 0 {
 		m.deps.Radio.Broadcast(v.Region, v.Inner)
@@ -911,14 +1048,11 @@ func (m *Member) handleForward(from int, v protocol.NodeForward) {
 func (m *Member) HandleClientAttached(id model.ObjectID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.attach[id] = true
+	m.bel.attach[id] = true
 	if !m.balanceOn || m.part.Version() == 0 {
 		return
 	}
-	m.deps.Radio.Downlink(id, protocol.PartitionUpdate{
-		Version: m.part.Version(),
-		Owners:  ownersToWire(m.part.Owners()),
-	})
+	m.deps.Radio.Downlink(id, m.part.update())
 }
 
 // HandleClientGone implements transport.DisconnectHandler for this
@@ -929,25 +1063,33 @@ func (m *Member) HandleClientAttached(id model.ObjectID) {
 func (m *Member) HandleClientGone(id model.ObjectID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.attach, id)
-	if m.home[id] != m.id {
+	delete(m.bel.attach, id)
+	if m.bel.homes[id] != m.id {
 		return
 	}
-	delete(m.home, id)
+	delete(m.bel.homes, id)
+	m.purgeClient(id)
+}
+
+// purgeClient removes a vanished client federation-wide: this node, its
+// home, purges its own monitors, and every node that ever homed one of
+// the client's remote queries is told to purge too — the distributed
+// equivalent of the single server's disconnect-purge guarantee.
+func (m *Member) purgeClient(id model.ObjectID) {
 	homes := make(map[int]bool)
 	for _, home := range m.aware[id] {
 		homes[home] = true
 	}
 	m.server.HandleClientGone(id)
-	for _, q := range sortedQueries(m.local) {
+	// If id was a focal client, its queries just deregistered without a
+	// radio uplink; complete their federation teardown.
+	for _, q := range sortedKeys(m.local) {
 		if !m.server.HasQuery(q) {
 			m.finishTeardown(q)
 		}
 	}
-	for q := range cloneQuerySet(m.aware[id]) {
-		m.clearAware(id, q)
-	}
-	for _, home := range sortedNodes(homes) {
+	m.dropAware(id)
+	for _, home := range sortedKeys(homes) {
 		if home == m.id {
 			continue
 		}
@@ -959,22 +1101,26 @@ func (m *Member) HandleClientGone(id model.ObjectID) {
 // The server's send surface
 
 // memberSide is the transport.ServerSide the inner core.Server sends
-// through. It runs only while the Member's mutex is held (every entry
-// into the server holds it), so it reads the routing state directly.
+// through: downlinks go to the client's own radio or, over the link, to
+// the node serving it; broadcasts go out on this node's radio and forward
+// across the link to every other node whose strip the region touches. It
+// reads the routing state directly: every entry into a deployed member's
+// server holds the mutex, and a Cluster's parallel server ticks each
+// touch only their own member (the directory is not written while they
+// run, and the shared send surfaces arrive already locked).
 type memberSide struct{ m *Member }
 
 func (s memberSide) Downlink(to model.ObjectID, msg protocol.Message) {
 	m := s.m
-	if m.attach[to] {
-		m.deps.Radio.Downlink(to, msg)
-		return
+	if !m.dir.here(to) {
+		if home, known := m.dir.home(to); known && home != m.id {
+			m.deps.Link.Send(m.id, home, protocol.NodeDeliver{To: to, Version: m.part.Version(), Inner: msg})
+			return
+		}
+		// Not attached and no better belief: send on the radio anyway
+		// (the transport meters it as a drop if the client is truly
+		// absent).
 	}
-	if home, ok := m.home[to]; ok && home != m.id {
-		m.deps.Link.Send(m.id, home, protocol.NodeDeliver{To: to, Version: m.part.Version(), Inner: msg})
-		return
-	}
-	// Not attached and no better belief: send on the radio anyway (the
-	// transport meters it as a drop if the client is truly absent).
 	m.deps.Radio.Downlink(to, msg)
 }
 
@@ -992,7 +1138,9 @@ func (s memberSide) Broadcast(region geo.Circle, msg protocol.Message) {
 		}
 	})
 	if cancel {
-		for _, peer := range sortedNodes(m.spread[q]) {
+		// A cancel must reach every node that ever saw the query, not
+		// just the ones the final region touches.
+		for _, peer := range sortedKeys(m.spread[q]) {
 			if peer != m.id && !slices.Contains(targets, peer) {
 				targets = append(targets, peer)
 			}
@@ -1008,14 +1156,102 @@ func (s memberSide) Broadcast(region geo.Circle, msg protocol.Message) {
 			Inner:   msg,
 		})
 		if !cancel {
-			sp := m.spread[q]
-			if sp == nil {
-				sp = make(map[int]bool)
-				m.spread[q] = sp
-			}
-			sp[peer] = true
+			m.noteSpread(q, peer)
 		}
 	}
+}
+
+// noteSpread records that peer has seen a broadcast of local query q.
+func (m *Member) noteSpread(q model.QueryID, peer int) {
+	sp := m.spread[q]
+	if sp == nil {
+		sp = make(map[int]bool)
+		m.spread[q] = sp
+	}
+	sp[peer] = true
+}
+
+// ---------------------------------------------------------------------------
+// Message introspection helpers
+
+// uplinkKinematics extracts the position (and, where carried, velocity)
+// a client uplink reports, for boundary detection.
+func uplinkKinematics(m protocol.Message) (geo.Point, geo.Vector, model.Tick, bool) {
+	switch v := m.(type) {
+	case protocol.LocationReport:
+		return v.Pos, v.Vel, v.At, true
+	case protocol.ProbeReply:
+		return v.Pos, geo.Vector{}, v.At, true
+	case protocol.EnterReport:
+		return v.Pos, geo.Vector{}, v.At, true
+	case protocol.ExitReport:
+		return v.Pos, geo.Vector{}, v.At, true
+	case protocol.LeaveReport:
+		return v.Pos, geo.Vector{}, v.At, true
+	case protocol.MoveReport:
+		return v.Pos, geo.Vector{}, v.At, true
+	case protocol.QueryRegister:
+		return v.Pos, v.Vel, v.At, true
+	case protocol.QueryMove:
+		return v.Pos, v.Vel, v.At, true
+	}
+	return geo.Point{}, geo.Vector{}, 0, false
+}
+
+// uplinkQuery extracts the query id an uplink addresses.
+func uplinkQuery(m protocol.Message) (model.QueryID, bool) {
+	switch v := m.(type) {
+	case protocol.ProbeReply:
+		return v.Query, true
+	case protocol.EnterReport:
+		return v.Query, true
+	case protocol.ExitReport:
+		return v.Query, true
+	case protocol.LeaveReport:
+		return v.Query, true
+	case protocol.MoveReport:
+		return v.Query, true
+	case protocol.QueryRegister:
+		return v.Query, true
+	case protocol.QueryMove:
+		return v.Query, true
+	case protocol.QueryDeregister:
+		return v.Query, true
+	case protocol.AnswerResync:
+		return v.Query, true
+	}
+	return 0, false
+}
+
+// broadcastQuery extracts the query id a broadcast concerns and whether
+// it is a teardown.
+func broadcastQuery(m protocol.Message) (q model.QueryID, cancel, ok bool) {
+	switch v := m.(type) {
+	case protocol.ProbeRequest:
+		return v.Query, false, true
+	case protocol.MonitorInstall:
+		return v.Query, false, true
+	case protocol.InfluenceInstall:
+		return v.Install.Query, false, true
+	case protocol.MonitorCancel:
+		return v.Query, true, true
+	}
+	return 0, false, false
+}
+
+// sortedKeys returns a map's keys in ascending order: everything that
+// sends while walking a map walks it through here, so message order never
+// depends on map iteration.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
 }
 
 var (

@@ -216,4 +216,54 @@ func TestMemberCrossStripExactness(t *testing.T) {
 	}
 }
 
+// The report that crosses a strip boundary reaches the client's new home
+// as a relay from the old one. When it is the client's first report for a
+// forwarded query, the new home must still record the awareness — it is
+// what tells the query's home to purge the client when it disconnects.
+func TestRelayedReportRecordsAwareness(t *testing.T) {
+	world := geo.NewRect(geo.Pt(0, 0), geo.Pt(900, 900))
+	part, err := NewPartition(grid.NewGeometry(world, 9, 9), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := func() model.Tick { return 1 }
+	link := NewMemLink(LinkConfig{}, now)
+	cfg := core.Config{HorizonTicks: 8, MinProbeRadius: 150, AnswerSlack: 1}.WithWorldDefault(world)
+	m, err := NewMember(part, 2, cfg, MemberDeps{
+		Link: link, Radio: &recordSide{}, Now: now,
+		DT: 1, MaxObjectSpeed: 10, LatencyTicks: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Record what the member sends instead of looping it back in.
+	goneTo := -1
+	link.OnDeliver(func(from, to int, msg protocol.Message) {
+		if v, ok := msg.(protocol.NodeClientGone); ok && v.Object == 7 {
+			goneTo = to
+		}
+	})
+
+	const q, obj = model.QueryID(1), model.ObjectID(7)
+	here := geo.Pt(650, 450) // node 2 owns x in [600, 900)
+	// Node 0 homes q, and its monitoring region reaches into this strip.
+	m.HandleLink(0, 2, protocol.NodeForward{
+		Home:   0,
+		Region: geo.Circle{Center: geo.Pt(450, 450), R: 300},
+		Inner:  protocol.MonitorInstall{Query: q, Epoch: 1, QueryPos: geo.Pt(450, 450), AnswerRadius: 250, Radius: 300, At: 1},
+	})
+	// The client walks in from node 1's strip: node 1 hands it off, then
+	// relays the very report that crossed to the position's owner.
+	m.HandleLink(1, 2, protocol.ObjectHandoff{Object: obj, Pos: here, At: 1})
+	m.HandleLink(1, 2, protocol.NodeRelay{Origin: obj, Hops: 1, Inner: protocol.EnterReport{
+		MemberReport: protocol.MemberReport{Query: q, Epoch: 1, Object: obj, Pos: here, At: 1},
+	}})
+	m.HandleClientAttached(obj)
+	m.HandleClientGone(obj)
+	link.Flush()
+	if goneTo != 0 {
+		t.Fatalf("NodeClientGone went to node %d, want the query's home 0 (-1: never sent)", goneTo)
+	}
+}
+
 func r(radios []*nettcp.Server, i int) transport.ServerSide { return radios[i].Side() }
