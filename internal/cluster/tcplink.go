@@ -1,14 +1,13 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
 
 	"dmknn/internal/model"
+	"dmknn/internal/nettcp"
 	"dmknn/internal/protocol"
 )
 
@@ -60,11 +59,6 @@ func (c TCPConfig) withDefaults() TCPConfig {
 	return c
 }
 
-// maxPeerFrame bounds a peer frame payload. Query handoffs carry whole
-// monitor state machines, so the bound is the same generous one nettcp
-// uses for the client wire.
-const maxPeerFrame = 1 << 20
-
 // TCPLink carries inter-node messages over real TCP connections, one per
 // peer pair: the lower-numbered node dials, the higher-numbered accepts,
 // so exactly one connection exists per pair and a simultaneous-open race
@@ -99,6 +93,27 @@ type TCPLink struct {
 type peerConn struct {
 	mu   sync.Mutex // serializes writes and conn replacement
 	conn net.Conn
+}
+
+// peerReader reads one peer connection's frames, first for the handshake
+// and then for the session: frames sent right behind a hello are in buf.
+type peerReader struct {
+	c   net.Conn
+	fr  nettcp.FrameReader
+	buf [4096]byte // a handful of peers, not one per mobile client
+}
+
+// next reads one frame, giving up on a peer silent for patience.
+func (r *peerReader) next(patience time.Duration) (protocol.Message, error) {
+	r.c.SetReadDeadline(time.Now().Add(patience))
+	return r.fr.Next(r.c, r.buf[:])
+}
+
+// writePeer sends one frame under a write deadline.
+func writePeer(c net.Conn, m protocol.Message, timeout time.Duration) error {
+	c.SetWriteDeadline(time.Now().Add(timeout))
+	defer c.SetWriteDeadline(time.Time{})
+	return nettcp.WriteFrame(c, m)
 }
 
 // NewTCPLink binds the node's peer listener and starts the accept and
@@ -290,23 +305,22 @@ func (l *TCPLink) acceptLoop() {
 		l.wg.Add(1)
 		go func(c net.Conn) {
 			defer l.wg.Done()
-			peer, ver, err := l.acceptHandshake(c)
+			r := &peerReader{c: c}
+			peer, ver, err := l.acceptHandshake(r)
 			if err != nil {
 				c.Close()
 				return
 			}
-			l.runSession(peer, ver, c)
+			l.runSession(peer, ver, r)
 		}(c)
 	}
 }
 
-func (l *TCPLink) acceptHandshake(c net.Conn) (int, uint64, error) {
-	c.SetReadDeadline(time.Now().Add(3 * l.cfg.Heartbeat))
-	m, err := readPeerFrame(c)
+func (l *TCPLink) acceptHandshake(r *peerReader) (int, uint64, error) {
+	m, err := r.next(3 * l.cfg.Heartbeat)
 	if err != nil {
 		return 0, 0, err
 	}
-	c.SetReadDeadline(time.Time{})
 	hello, ok := m.(protocol.PeerHello)
 	if !ok {
 		return 0, 0, fmt.Errorf("cluster: peer opened with %v, want peer-hello", m.Kind())
@@ -315,7 +329,7 @@ func (l *TCPLink) acceptHandshake(c net.Conn) (int, uint64, error) {
 	if int(hello.Nodes) != len(l.cfg.Addrs) || peer >= l.cfg.Node || peer < 0 {
 		return 0, 0, fmt.Errorf("cluster: bad peer hello node=%d nodes=%d", hello.Node, hello.Nodes)
 	}
-	if err := writePeerFrame(c, l.hello(), l.cfg.WriteTimeout); err != nil {
+	if err := writePeer(r.c, l.hello(), l.cfg.WriteTimeout); err != nil {
 		return 0, 0, err
 	}
 	return peer, hello.Version, nil
@@ -327,7 +341,7 @@ func (l *TCPLink) dialLoop(peer int) {
 	defer l.wg.Done()
 	backoff := l.cfg.DialBackoffMin
 	for !l.isClosed() {
-		c, ver, err := l.dialHandshake(peer)
+		r, ver, err := l.dialHandshake(peer)
 		if err != nil {
 			time.Sleep(backoff)
 			if backoff *= 2; backoff > l.cfg.DialBackoffMax {
@@ -336,45 +350,51 @@ func (l *TCPLink) dialLoop(peer int) {
 			continue
 		}
 		backoff = l.cfg.DialBackoffMin
-		l.runSession(peer, ver, c)
+		l.runSession(peer, ver, r)
 	}
 }
 
-func (l *TCPLink) dialHandshake(peer int) (net.Conn, uint64, error) {
+func (l *TCPLink) dialHandshake(peer int) (*peerReader, uint64, error) {
 	c, err := net.DialTimeout("tcp", l.cfg.Addrs[peer], 3*l.cfg.Heartbeat)
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := writePeerFrame(c, l.hello(), l.cfg.WriteTimeout); err != nil {
+	if err := writePeer(c, l.hello(), l.cfg.WriteTimeout); err != nil {
 		c.Close()
 		return nil, 0, err
 	}
-	c.SetReadDeadline(time.Now().Add(3 * l.cfg.Heartbeat))
-	m, err := readPeerFrame(c)
+	r := &peerReader{c: c}
+	m, err := r.next(3 * l.cfg.Heartbeat)
 	if err != nil {
 		c.Close()
 		return nil, 0, err
 	}
-	c.SetReadDeadline(time.Time{})
 	hello, ok := m.(protocol.PeerHello)
 	if !ok || int(hello.Node) != peer || int(hello.Nodes) != len(l.cfg.Addrs) {
 		c.Close()
 		return nil, 0, fmt.Errorf("cluster: bad hello reply from peer %d: %#v", peer, m)
 	}
-	return c, hello.Version, nil
+	return r, hello.Version, nil
 }
 
 // runSession installs c as the peer's live connection, pumps heartbeats,
 // and reads frames until the connection dies; a read silent for three
 // heartbeat intervals counts as death. Returns after tearing the session
 // down (the dial loop redials; the accept loop waits for the peer to).
-func (l *TCPLink) runSession(peer int, ver uint64, c net.Conn) {
+func (l *TCPLink) runSession(peer int, ver uint64, r *peerReader) {
 	p := l.peers[peer]
 	p.mu.Lock()
+	// Installing after Close swept the sessions would leave this one
+	// open, and Close waiting on it, for as long as the peer heartbeats.
+	if l.isClosed() {
+		p.mu.Unlock()
+		r.c.Close()
+		return
+	}
 	if p.conn != nil {
 		p.conn.Close() // a reconnect replaces the previous session
 	}
-	p.conn = c
+	p.conn = r.c
 	p.mu.Unlock()
 
 	// Surface the handshake's map version only once the session is live,
@@ -405,8 +425,7 @@ func (l *TCPLink) runSession(peer int, ver uint64, c net.Conn) {
 	}()
 
 	for {
-		c.SetReadDeadline(time.Now().Add(3 * l.cfg.Heartbeat))
-		m, err := readPeerFrame(c)
+		m, err := r.next(3 * l.cfg.Heartbeat)
 		if err != nil {
 			break
 		}
@@ -428,11 +447,11 @@ func (l *TCPLink) runSession(peer int, ver uint64, c net.Conn) {
 	}
 	close(stop)
 	p.mu.Lock()
-	if p.conn == c {
+	if p.conn == r.c {
 		p.conn = nil
 	}
 	p.mu.Unlock()
-	c.Close()
+	r.c.Close()
 	hb.Wait()
 }
 
@@ -444,46 +463,12 @@ func (p *peerConn) write(m protocol.Message, timeout time.Duration) error {
 	if p.conn == nil {
 		return fmt.Errorf("cluster: peer down")
 	}
-	p.conn.SetWriteDeadline(time.Now().Add(timeout))
-	err := writePeerFrame(p.conn, m, 0) // deadline already set
-	p.conn.SetWriteDeadline(time.Time{})
+	err := writePeer(p.conn, m, timeout)
 	if err != nil {
 		p.conn.Close()
 		p.conn = nil
 	}
 	return err
-}
-
-// ---------------------------------------------------------------------------
-// Framing (nettcp's length-prefixed layout, shared by both wires)
-
-func writePeerFrame(w net.Conn, m protocol.Message, timeout time.Duration) error {
-	if timeout > 0 {
-		w.SetWriteDeadline(time.Now().Add(timeout))
-		defer w.SetWriteDeadline(time.Time{})
-	}
-	payload := protocol.Encode(nil, m)
-	buf := make([]byte, 4+len(payload))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(payload)))
-	copy(buf[4:], payload)
-	_, err := w.Write(buf)
-	return err
-}
-
-func readPeerFrame(r io.Reader) (protocol.Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > maxPeerFrame {
-		return nil, fmt.Errorf("cluster: peer frame length %d out of range", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	return protocol.Decode(payload)
 }
 
 var _ Link = (*TCPLink)(nil)

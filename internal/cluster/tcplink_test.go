@@ -212,11 +212,10 @@ func TestTCPLinkRejectsBadHello(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		if err := writePeerFrame(c, hello, time.Second); err != nil {
+		if err := writePeer(c, hello, time.Second); err != nil {
 			t.Fatal(err)
 		}
-		c.SetReadDeadline(time.Now().Add(2 * time.Second))
-		_, err = readPeerFrame(c)
+		_, err = (&peerReader{c: c}).next(2 * time.Second)
 		return err
 	}
 
@@ -235,5 +234,37 @@ func TestTCPLinkRejectsBadHello(t *testing.T) {
 	// The real node 0 is accepted.
 	if err := try(protocol.PeerHello{Node: 0, Nodes: 2}); err != nil {
 		t.Errorf("valid hello rejected: %v", err)
+	}
+}
+
+// A session whose handshake completes after Close swept the peers must
+// not be installed: nothing would close it, and Close would wait on its
+// read loop for as long as the peer kept heartbeating.
+func TestTCPLinkCloseRefusesLateSession(t *testing.T) {
+	l, err := NewTCPLink(testTCPConfig(1, reservePorts(t, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	ours, theirs := net.Pipe()
+	defer theirs.Close()
+	go func() { // a live peer: heartbeats until its connection is cut
+		for writePeer(theirs, protocol.PeerHeartbeat{Node: 0}, time.Second) == nil {
+			time.Sleep(10 * time.Millisecond)
+		}
+	}()
+	returned := make(chan struct{})
+	go func() {
+		l.runSession(0, 0, &peerReader{c: ours})
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(time.Second):
+		t.Error("session on a closed link still running after 1s")
+	}
+	if l.PeerUp(0) {
+		t.Error("closed link installed a session")
 	}
 }

@@ -1,6 +1,8 @@
 package nettcp
 
 import (
+	"encoding/binary"
+	"io"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -38,14 +40,13 @@ func (g *goneCounter) HandleClientGone(model.ObjectID) { g.gone.Add(1) }
 
 // rawHandshake dials the server without the Client wrapper so the test
 // fully controls when (whether) the connection reads.
-func rawHandshake(t *testing.T, addr string, id model.ObjectID) net.Conn {
+func rawHandshake(t testing.TB, addr string, id model.ObjectID) net.Conn {
 	t.Helper()
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello := []byte{'D', 'K', 'N', 'N', version, 0, 0, 0, 0}
-	hello[5] = byte(id)
+	hello := binary.LittleEndian.AppendUint32([]byte{'D', 'K', 'N', 'N', version}, uint32(id))
 	if _, err := c.Write(hello); err != nil {
 		t.Fatal(err)
 	}
@@ -233,4 +234,100 @@ func TestReapIdle(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("reaped client's read loop never exited")
 	}
+}
+
+// closing runs s.Close beside the test; the channel closes when it returns.
+func closing(s *Server) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		s.Close()
+		close(done)
+	}()
+	return done
+}
+
+// returnsWithin fails the test unless the Close behind done returns within d.
+func returnsWithin(t *testing.T, done <-chan struct{}, d time.Duration) {
+	t.Helper()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Errorf("Close still blocked after %v", d)
+	}
+}
+
+// Close reaches a connection that is still in its handshake: it does not
+// wait out the handshake deadline, and a connection cut by shutdown is
+// not metered as a dial-and-stall eviction.
+func TestCloseDuringHandshake(t *testing.T) {
+	s := startServerCfg(t, Config{HandshakeTimeout: 2 * time.Second})
+	silent, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// Accepts are in dial order: once a later connection has registered,
+	// the silent one is in its handshake read.
+	later := rawHandshake(t, s.Addr().String(), 41)
+	defer later.Close()
+	waitFor(t, "later connection registered", func() bool { return s.ClientCount() == 1 })
+
+	returnsWithin(t, closing(s), time.Second)
+	if cnt := s.Counters(); cnt.Evictions() != 0 {
+		t.Errorf("shutdown metered %d eviction(s)", cnt.Evictions())
+	}
+}
+
+// A handshake that arrives after Close swept the connections must not
+// register: no one would ever close that connection, and Close would
+// wait on its read loop for as long as the client stayed connected.
+func TestCloseRefusesLateHandshake(t *testing.T) {
+	s := startServerCfg(t, Config{})
+	late, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer late.Close()
+	later := rawHandshake(t, s.Addr().String(), 42)
+	defer later.Close()
+	waitFor(t, "later connection registered", func() bool { return s.ClientCount() == 1 })
+
+	closed := closing(s)
+	// The listener closes after the sweep: a refused dial means the sweep
+	// is over, so the hello below arrives too late by construction.
+	waitFor(t, "listener closed", func() bool {
+		c, err := net.Dial("tcp", s.Addr().String())
+		if err == nil {
+			c.Close()
+		}
+		return err != nil
+	})
+	late.Write([]byte{'D', 'K', 'N', 'N', version, 43, 0, 0, 0}) // may fail: already cut
+	returnsWithin(t, closed, time.Second)
+	if n := s.ClientCount(); n != 0 {
+		t.Errorf("%d client(s) registered on a closed server", n)
+	}
+}
+
+// The same refusal when the handshake read had already completed as
+// Close swept (the connection in neither table at that instant), driven
+// directly: a hello presented to a closed server's serveConn.
+func TestCloseRefusesRegistration(t *testing.T) {
+	s := startServerCfg(t, Config{})
+	s.Close()
+	srv, cli := net.Pipe()
+	defer cli.Close()
+	s.wg.Add(1)
+	go s.serveConn(srv)
+	if _, err := cli.Write([]byte{'D', 'K', 'N', 'N', version, 44, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	cli.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := cli.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("read from a connection refused at registration: %v, want EOF", err)
+	}
+	if n := s.ClientCount(); n != 0 {
+		t.Errorf("%d client(s) registered on a closed server", n)
+	}
+	returnsWithin(t, closing(s), time.Second)
 }

@@ -7,7 +7,7 @@
 //
 //	handshake (client → server, once):
 //	    4 bytes magic "DKNN" | 1 byte version | 4 bytes client id (LE)
-//	then, both directions, length-prefixed frames:
+//	then, both directions, length-prefixed frames (AppendFrame, FrameReader):
 //	    4 bytes payload length (LE) | payload = protocol.Encode(msg)
 //
 // Broadcast semantics: a wireless cell broadcast has no TCP equivalent,
@@ -43,9 +43,6 @@ var (
 	version byte = 1
 )
 
-// maxFrame bounds a frame payload; anything larger is a protocol error.
-const maxFrame = 1 << 20
-
 // ErrBadHandshake reports a connection that did not start with the
 // expected magic/version.
 var ErrBadHandshake = errors.New("nettcp: bad handshake")
@@ -80,31 +77,94 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func writeFrame(w io.Writer, m protocol.Message) error {
-	payload := protocol.Encode(nil, m)
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+// ---------------------------------------------------------------------------
+// Framing
+
+// maxFrame bounds a frame payload; anything larger is a protocol error.
+// Generous, because query handoffs carry whole monitor state machines.
+const maxFrame = 1 << 20
+
+// AppendFrame appends m to dst as one wire frame, length prefix then
+// payload. It is the only frame encoder: cluster.TCPLink's peer wire too.
+func AppendFrame(dst []byte, m protocol.Message) []byte {
+	at := len(dst)
+	dst = protocol.Encode(append(dst, 0, 0, 0, 0), m)
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	return dst
+}
+
+// framePool recycles encode buffers, so a send allocates nothing. A buffer
+// that one rare large frame grew past maxPooledFrame is not kept.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledFrame = 4 << 10 // most frames are under 100 bytes
+
+func getFrame(m protocol.Message) *[]byte {
+	b := framePool.Get().(*[]byte)
+	*b = AppendFrame((*b)[:0], m)
+	return b
+}
+
+func putFrame(b *[]byte) {
+	if cap(*b) <= maxPooledFrame {
+		framePool.Put(b)
 	}
-	_, err := w.Write(payload)
+}
+
+// WriteFrame encodes m into a pooled buffer and sends it with one Write.
+func WriteFrame(w io.Writer, m protocol.Message) error {
+	b := getFrame(m)
+	_, err := w.Write(*b)
+	putFrame(b)
 	return err
 }
 
-func readFrame(r io.Reader) (protocol.Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// FrameReader is the read cursor over one connection's inbound frames;
+// buf[r:w] is read but not yet consumed. The owner embeds the buffer (4 to
+// 65535 bytes, sized to its traffic) and passes it to every call: with one
+// end per mobile client, every 100 bytes there is 6% of a server's heap.
+type FrameReader struct{ r, w uint16 }
+
+// Next returns the next frame's message. A frame that arrives in one
+// segment costs one Read and is decoded straight out of buf (sound because
+// protocol.Decode never aliases its input); one larger than buf, an
+// allocation and a sized read. The stream's end is io.EOF between frames
+// and io.ErrUnexpectedEOF inside one.
+func (fr *FrameReader) Next(src io.Reader, buf []byte) (protocol.Message, error) {
+	for {
+		have := buf[fr.r:fr.w]
+		if len(have) >= 4 {
+			n := int(binary.LittleEndian.Uint32(have))
+			if n == 0 || n > maxFrame {
+				return nil, fmt.Errorf("nettcp: frame length %d out of range", n)
+			}
+			if len(have) >= 4+n {
+				fr.r += uint16(4 + n)
+				return protocol.Decode(have[4 : 4+n])
+			}
+			if 4+n > len(buf) {
+				payload := make([]byte, n)
+				k := copy(payload, have[4:])
+				fr.r, fr.w = 0, 0
+				if _, err := io.ReadFull(src, payload[k:]); err == io.EOF {
+					return nil, io.ErrUnexpectedEOF
+				} else if err != nil {
+					return nil, err
+				}
+				return protocol.Decode(payload)
+			}
+		}
+		// Incomplete: moved to the front, the rest is sure to fit.
+		fr.r, fr.w = 0, uint16(copy(buf, have))
+		n, err := src.Read(buf[fr.w:])
+		fr.w += uint16(n)
+		if n == 0 && err != nil {
+			if err == io.EOF && fr.w > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFrame {
-		return nil, fmt.Errorf("nettcp: frame length %d out of range", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	return protocol.Decode(payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -120,6 +180,8 @@ type Server struct {
 
 	mu      sync.Mutex
 	conns   map[model.ObjectID]*serverConn
+	pending map[net.Conn]struct{} // accepted, handshake not yet done
+	targets []*serverConn         // broadcast snapshot of conns; nil after a change
 	handler transport.ServerHandler
 	metered metrics.Counters
 	closed  bool
@@ -128,10 +190,11 @@ type Server struct {
 }
 
 type serverConn struct {
-	id       model.ObjectID
 	c        net.Conn
 	wm       sync.Mutex   // serializes frame writes
 	lastSeen atomic.Int64 // unix nanos of the last frame read (or handshake)
+	fr       FrameReader
+	rbuf     [60]byte // uplinks are 41-61 bytes framed; see FrameReader
 }
 
 // Listen starts a server on addr ("host:port"; ":0" picks a free port)
@@ -148,10 +211,11 @@ func ListenConfig(addr string, geom grid.Geometry, cfg Config) (*Server, error) 
 		return nil, fmt.Errorf("nettcp: listen: %w", err)
 	}
 	return &Server{
-		ln:    ln,
-		geom:  geom,
-		cfg:   cfg.withDefaults(),
-		conns: make(map[model.ObjectID]*serverConn),
+		ln:      ln,
+		geom:    geom,
+		cfg:     cfg.withDefaults(),
+		conns:   make(map[model.ObjectID]*serverConn),
+		pending: make(map[net.Conn]struct{}),
 	}, nil
 }
 
@@ -185,27 +249,35 @@ func (s *Server) ClientCount() int {
 func (s *Server) Serve() error {
 	for {
 		c, err := s.ln.Accept()
+		s.mu.Lock()
+		closed := s.closed
+		if err == nil && closed {
+			c.Close() // accepted as Close ran
+		} else if err == nil {
+			s.pending[c] = struct{}{} // so Close reaches it mid-handshake
+			s.wg.Add(1)
+			go s.serveConn(c)
+		}
+		s.mu.Unlock()
+		if closed {
+			return nil
+		}
 		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
 			return err
 		}
-		s.wg.Add(1)
-		go s.serveConn(c)
 	}
 }
 
-// Close stops accepting, closes every client connection, and waits for
-// the per-connection readers to finish.
+// Close stops accepting, closes every connection — registered or still
+// in its handshake — and waits for the per-connection readers to finish.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
 	for _, sc := range s.conns {
 		sc.c.Close()
+	}
+	for c := range s.pending {
+		c.Close()
 	}
 	s.mu.Unlock()
 	err := s.ln.Close()
@@ -216,26 +288,28 @@ func (s *Server) Close() error {
 func (s *Server) serveConn(c net.Conn) {
 	defer s.wg.Done()
 	id, err := s.handshake(c)
-	if err != nil {
+	s.mu.Lock()
+	delete(s.pending, c)
+	// Registering after Close swept the connections would leave this one
+	// open, and Close waiting on its read loop, for as long as it liked.
+	if err != nil || s.closed {
 		// A connection that presented nothing until the deadline pinned
 		// this goroutine for the whole timeout; meter the eviction so
 		// operators can see dial-and-stall behavior (port scans, broken
 		// clients) distinctly from protocol garbage.
 		if isTimeout(err) {
-			s.mu.Lock()
 			s.metered.RecordEviction()
-			s.mu.Unlock()
 		}
+		s.mu.Unlock()
 		c.Close()
 		return
 	}
-	sc := &serverConn{id: id, c: c}
-	sc.lastSeen.Store(time.Now().UnixNano())
-	s.mu.Lock()
 	if old, ok := s.conns[id]; ok {
 		old.c.Close() // a reconnect replaces the previous session
 	}
-	s.conns[id] = sc
+	sc := &serverConn{c: c}
+	sc.lastSeen.Store(time.Now().UnixNano())
+	s.conns[id], s.targets = sc, nil
 	ah := s.handler
 	s.mu.Unlock()
 	if a, ok := ah.(transport.AttachHandler); ok {
@@ -248,7 +322,7 @@ func (s *Server) serveConn(c net.Conn) {
 		gone := false
 		if s.conns[id] == sc {
 			delete(s.conns, id)
-			gone = true
+			s.targets, gone = nil, true
 		}
 		h := s.handler
 		s.mu.Unlock()
@@ -262,7 +336,7 @@ func (s *Server) serveConn(c net.Conn) {
 	}()
 
 	for {
-		msg, err := readFrame(c)
+		msg, err := sc.fr.Next(c, sc.rbuf[:])
 		if err != nil {
 			return
 		}
@@ -340,19 +414,11 @@ func (t tcpServerSide) Downlink(to model.ObjectID, m protocol.Message) {
 	s.metered.RecordSend(metrics.Downlink, m.Kind(), protocol.EncodedSize(m))
 	if !ok {
 		s.metered.RecordDrop(metrics.Downlink)
-		s.mu.Unlock()
-		return
 	}
 	s.mu.Unlock()
-	if err := t.write(sc, m); err != nil {
-		s.mu.Lock()
-		s.metered.RecordDrop(metrics.Downlink)
-		s.mu.Unlock()
-		return
+	if ok {
+		s.fanout(metrics.Downlink, []*serverConn{sc}, m)
 	}
-	s.mu.Lock()
-	s.metered.RecordDeliver(metrics.Downlink)
-	s.mu.Unlock()
 }
 
 // Broadcast implements transport.ServerSide: fan out to every client,
@@ -360,7 +426,8 @@ func (t tcpServerSide) Downlink(to model.ObjectID, m protocol.Message) {
 // model shared with the simulation).
 func (t tcpServerSide) Broadcast(region geo.Circle, m protocol.Message) {
 	s := t.s
-	cells := len(s.geom.CellsIntersecting(region))
+	cells := 0
+	s.geom.VisitCellsIntersecting(region, func(grid.Cell) bool { cells++; return true })
 	if cells == 0 {
 		return
 	}
@@ -369,45 +436,52 @@ func (t tcpServerSide) Broadcast(region geo.Circle, m protocol.Message) {
 	for i := 0; i < cells; i++ {
 		s.metered.RecordSend(metrics.Broadcast, m.Kind(), size)
 	}
-	targets := make([]*serverConn, 0, len(s.conns))
-	for _, sc := range s.conns {
-		targets = append(targets, sc)
-	}
-	s.mu.Unlock()
-	for _, sc := range targets {
-		if err := t.write(sc, m); err != nil {
-			s.mu.Lock()
-			s.metered.RecordDrop(metrics.Broadcast)
-			s.mu.Unlock()
-			continue
+	if s.targets == nil {
+		s.targets = make([]*serverConn, 0, len(s.conns))
+		for _, sc := range s.conns {
+			s.targets = append(s.targets, sc)
 		}
-		s.mu.Lock()
-		s.metered.RecordDeliver(metrics.Broadcast)
-		s.mu.Unlock()
 	}
+	targets := s.targets // never written again: a change replaces it
+	s.mu.Unlock()
+	s.fanout(metrics.Broadcast, targets, m)
 }
 
-// write sends one frame under the connection's write mutex with the
-// configured write deadline. A client whose reader has stalled (full TCP
-// window) fails the write at the deadline; the connection is closed so
-// the read loop exits and the normal gone path purges the client —
-// without the deadline one stalled client would hold wm forever and
-// head-of-line-block every broadcast fan-out behind it.
-func (t tcpServerSide) write(sc *serverConn, m protocol.Message) error {
-	sc.wm.Lock()
-	defer sc.wm.Unlock()
-	sc.c.SetWriteDeadline(time.Now().Add(t.s.cfg.WriteTimeout))
-	err := writeFrame(sc.c, m)
-	sc.c.SetWriteDeadline(time.Time{})
-	if err != nil {
-		if isTimeout(err) {
-			t.s.mu.Lock()
-			t.s.metered.RecordEviction()
-			t.s.mu.Unlock()
+// fanout encodes m once, sends it to every target with one Write under
+// the connection's write mutex and write deadline, and meters the outcome
+// under one lock acquisition. A client whose reader has stalled (full TCP
+// window) fails the write at the deadline; the connection is closed so the
+// read loop exits and the normal gone path purges the client — without the
+// deadline it would hold wm forever and block every fan-out behind it.
+func (s *Server) fanout(d metrics.Direction, targets []*serverConn, m protocol.Message) {
+	frame := getFrame(m)
+	dropped, evicted := 0, 0
+	for _, sc := range targets {
+		sc.wm.Lock()
+		sc.c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		_, err := sc.c.Write(*frame)
+		sc.c.SetWriteDeadline(time.Time{})
+		sc.wm.Unlock()
+		if err != nil {
+			sc.c.Close()
+			dropped++
+			if isTimeout(err) {
+				evicted++
+			}
 		}
-		sc.c.Close()
 	}
-	return err
+	putFrame(frame)
+	s.mu.Lock()
+	for i := len(targets) - dropped; i > 0; i-- {
+		s.metered.RecordDeliver(d)
+	}
+	for ; dropped > 0; dropped-- {
+		s.metered.RecordDrop(d)
+	}
+	for ; evicted > 0; evicted-- {
+		s.metered.RecordEviction()
+	}
+	s.mu.Unlock()
 }
 
 // ---------------------------------------------------------------------------
@@ -417,9 +491,10 @@ func (t tcpServerSide) write(sc *serverConn, m protocol.Message) error {
 // method implements transport.ClientSide; received frames are dispatched
 // to the handler from a dedicated goroutine.
 type Client struct {
-	id model.ObjectID
-	c  net.Conn
-	wm sync.Mutex
+	c    net.Conn
+	wm   sync.Mutex
+	fr   FrameReader
+	rbuf [92]byte // installs are 87 bytes framed; see FrameReader
 
 	mu     sync.Mutex
 	closed bool
@@ -442,7 +517,7 @@ func Dial(addr string, id model.ObjectID, h transport.ClientHandler) (*Client, e
 		c.Close()
 		return nil, fmt.Errorf("nettcp: handshake: %w", err)
 	}
-	cl := &Client{id: id, c: c, done: make(chan struct{})}
+	cl := &Client{c: c, done: make(chan struct{})}
 	go cl.readLoop(h)
 	return cl, nil
 }
@@ -450,7 +525,7 @@ func Dial(addr string, id model.ObjectID, h transport.ClientHandler) (*Client, e
 func (cl *Client) readLoop(h transport.ClientHandler) {
 	defer close(cl.done)
 	for {
-		msg, err := readFrame(cl.c)
+		msg, err := cl.fr.Next(cl.c, cl.rbuf[:])
 		if err != nil {
 			cl.mu.Lock()
 			if !cl.closed {
@@ -470,7 +545,7 @@ func (cl *Client) readLoop(h transport.ClientHandler) {
 // send surface stays error-free.
 func (cl *Client) Uplink(m protocol.Message) {
 	cl.wm.Lock()
-	err := writeFrame(cl.c, m)
+	err := WriteFrame(cl.c, m)
 	cl.wm.Unlock()
 	if err != nil {
 		cl.mu.Lock()

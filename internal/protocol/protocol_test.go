@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -102,6 +103,27 @@ func TestRoundTripAllKinds(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, m) {
 			t.Errorf("%v round trip:\n got %#v\nwant %#v", m.Kind(), got, m)
+		}
+	}
+}
+
+// The socket transports decode frames straight out of a read buffer they
+// overwrite with the next frame, which is sound only while a decoded
+// message keeps no reference into the bytes it was decoded from.
+func TestDecodeDoesNotAliasInput(t *testing.T) {
+	for _, m := range sampleMessages() {
+		want := Encode(nil, m)
+		scratch := bytes.Clone(want)
+		got, err := Decode(scratch)
+		if err != nil {
+			t.Fatalf("%v: Decode error: %v", m.Kind(), err)
+		}
+		for i := range scratch {
+			scratch[i] = 0xFF
+		}
+		if again := Encode(nil, got); !bytes.Equal(again, want) {
+			t.Errorf("%v: decoded message changed when its input buffer was overwritten:\n got %x\nwant %x",
+				m.Kind(), again, want)
 		}
 	}
 }
