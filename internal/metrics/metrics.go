@@ -63,8 +63,14 @@ type Counters struct {
 // the given direction. For broadcasts, "one message" is one cell-level
 // transmission; a region broadcast covering c cells records c sends.
 func (c *Counters) RecordSend(d Direction, k protocol.Kind, size int) {
-	c.sent[d][k]++
-	c.sentBytes[d][k] += uint64(size)
+	c.RecordSendN(d, k, size, 1)
+}
+
+// RecordSendN is n RecordSend calls in one: a region broadcast covering n
+// cells meters its n transmissions with one add per counter.
+func (c *Counters) RecordSendN(d Direction, k protocol.Kind, size, n int) {
+	c.sent[d][k] += uint64(n)
+	c.sentBytes[d][k] += uint64(n) * uint64(size)
 }
 
 // RecordDeliver notes a successful delivery to one recipient.

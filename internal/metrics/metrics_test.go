@@ -37,6 +37,22 @@ func TestCountersBasics(t *testing.T) {
 	}
 }
 
+// RecordSendN must be indistinguishable from n RecordSend calls, n = 0
+// included.
+func TestRecordSendNEqualsRepeatedRecordSend(t *testing.T) {
+	var loop, once Counters
+	for _, n := range []int{0, 1, 157} {
+		for i := 0; i < n; i++ {
+			loop.RecordSend(Broadcast, protocol.KindMonitorInstall, 61)
+		}
+		once.RecordSendN(Broadcast, protocol.KindMonitorInstall, 61, n)
+		if loop != once {
+			t.Fatalf("after n = %d: %d sends and %d bytes, want %d and %d", n,
+				once.Sent(Broadcast), once.SentBytes(Broadcast), loop.Sent(Broadcast), loop.SentBytes(Broadcast))
+		}
+	}
+}
+
 func TestCountersDiff(t *testing.T) {
 	var c Counters
 	c.RecordSend(Uplink, protocol.KindProbeReply, 10)

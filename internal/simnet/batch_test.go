@@ -124,7 +124,7 @@ func TestBroadcastBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// The merged gather must also agree with the linear oracle: the scripted
+// The batched path must also agree with the linear oracle: the scripted
 // scenario of TestIndexedFanoutMatchesLinear, mid-fan-out attach/detach
 // hooks included, with every tick's broadcasts sent as one batch on both
 // networks.

@@ -179,6 +179,7 @@ type scriptHits struct {
 	midFlush     int // attach while the index was fresh
 	unlocated    int // oracle lost a client that sat in a cell
 	downThenLive int // marked down before it was ever attached
+	wideRegion   int // broadcast covering at least 100 cells
 }
 
 func (h *scriptHits) add(o scriptHits) {
@@ -188,6 +189,7 @@ func (h *scriptHits) add(o scriptHits) {
 	h.midFlush += o.midFlush
 	h.unlocated += o.unlocated
 	h.downThenLive += o.downThenLive
+	h.wideRegion += o.wideRegion
 }
 
 // check is meaningful over a test's full seed list only; a -run filter
@@ -197,7 +199,7 @@ func (h scriptHits) check(t *testing.T, seeds int) {
 	if h.runs < seeds {
 		return
 	}
-	if h.slotReused == 0 || h.movedSlot == 0 || h.midFlush == 0 || h.unlocated == 0 || h.downThenLive == 0 {
+	if h.slotReused == 0 || h.movedSlot == 0 || h.midFlush == 0 || h.unlocated == 0 || h.downThenLive == 0 || h.wideRegion == 0 {
 		t.Errorf("scripted scenarios missed an edge case they exist for: %+v", h)
 	}
 }
@@ -339,6 +341,16 @@ func runFanoutScript(t *testing.T, cfg Config, scriptSeed int64, batched bool) s
 			c := geo.Circle{Center: randPt(), R: r}
 			tag := protocol.AnswerUpdate{Query: model.QueryID(tick*100 + model.Tick(j))}
 			items = append(items, transport.BroadcastItem{Region: c, Msg: tag})
+		}
+		// Every tenth tick adds a many-query-sized region — well over a
+		// hundred cells, most of the population — drawn from no generator,
+		// so the rest of the script is what it was.
+		if tick%10 == 0 {
+			c := geo.Circle{Center: geo.Pt(500, 500), R: 400}
+			items = append(items, transport.BroadcastItem{Region: c, Msg: protocol.AnswerUpdate{Query: model.QueryID(tick*100 + 99)}})
+			if len(cfg.Geometry.CellsIntersecting(c)) >= 100 {
+				hits.wideRegion++
+			}
 		}
 		for _, w := range worlds {
 			if batched {
@@ -490,46 +502,111 @@ func TestBroadcastDeliveryDoesNotAllocate(t *testing.T) {
 			}
 		})
 	}
+	// The unicast path through the same queue: a round of uplinks, whose
+	// handler replies by downlink from inside the round, and the second
+	// round that delivers the replies. The 100 measured cycles span a trim
+	// window, so steady traffic must also survive the queue's trimming.
+	t.Run("unicast", func(t *testing.T) {
+		w, _, _ := allocWorld()
+		side := w.net.ServerSide()
+		w.net.AttachServer(transport.ServerHandlerFunc(func(from model.ObjectID, _ protocol.Message) {
+			side.Downlink(from, msg) // boxed up front: the reply itself allocates nothing
+		}))
+		ups := make([]transport.ClientSide, 50)
+		for i := range ups {
+			ups[i] = w.net.ClientSide(model.ObjectID(i + 1))
+		}
+		tick := model.Tick(0)
+		cycle := func() {
+			tick++
+			w.net.SetNow(tick)
+			for _, up := range ups {
+				up.Uplink(msg)
+			}
+			if got := w.net.Flush(); got != 2*len(ups) {
+				t.Fatalf("cycle delivered %d, want %d uplinks and as many replies", got, len(ups))
+			}
+		}
+		for i := 0; i < 40; i++ {
+			cycle()
+		}
+		if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+			t.Errorf("uplink+reply cycle allocates %.1f times per run, want 0", avg)
+		}
+	})
 }
 
 // BenchmarkBroadcastFanout measures a flush delivering a burst of
-// fixed-radius region broadcasts against populations of 1k/10k/100k, on
-// both the indexed (production) path and the linear oracle. The indexed
-// path pays one position re-resolution per client per flush plus work
-// proportional to the regions' populations; the oracle scans every client
-// once per broadcast.
+// fixed-radius region broadcasts, sent one by one on the indexed
+// (production) path, as one BroadcastBatch on the same path, and one by
+// one against the linear oracle. The indexed path pays one position
+// re-resolution per client per flush plus work proportional to the
+// regions' populations; the oracle scans every client once per broadcast.
+//
+// The N= cases are small monitoring circles (R = 250 m, 9–16 cells of
+// the 64 × 64 grid over 10 km) at rest. The manyq case is the many-query
+// regime the repository's benchmark runs: 16 installs per flush at
+// R = 1 000 m — 157 cells where the world's edge does not clip the circle,
+// 134 and about 650 recipients on average — with a tenth of the population
+// changing cell between flushes. A gather whose cost grows with
+// recipients × cells shows here and nowhere above.
 func BenchmarkBroadcastFanout(b *testing.B) {
 	world := geo.NewRect(geo.Pt(0, 0), geo.Pt(10000, 10000))
-	const broadcastsPerFlush = 8
-	for _, n := range []int{1000, 10000, 100000} {
-		for _, mode := range []string{"indexed", "linear"} {
-			b.Run(fmt.Sprintf("N=%d/%s", n, mode), func(b *testing.B) {
+	cases := []struct {
+		name      string
+		n         int
+		r         float64
+		perFlush  int
+		movingPct int
+	}{
+		{"N=1000", 1000, 250, 8, 0},
+		{"N=10000", 10000, 250, 8, 0},
+		{"N=100000", 100000, 250, 8, 0},
+		{"manyq/N=20000", 20000, 1000, 16, 10},
+	}
+	for _, c := range cases {
+		for _, mode := range []string{"indexed", "batch", "linear"} {
+			b.Run(c.name+"/"+mode, func(b *testing.B) {
 				w := newFanoutWorld(Config{
 					Geometry: grid.NewGeometry(world, 64, 64),
 				}, mode == "linear")
 				rng := rand.New(rand.NewSource(1))
-				for id := model.ObjectID(1); id <= model.ObjectID(n); id++ {
+				for id := model.ObjectID(1); id <= model.ObjectID(c.n); id++ {
 					w.attach(id, geo.Pt(rng.Float64()*10000, rng.Float64()*10000))
 				}
-				var msg protocol.Message = protocol.MonitorCancel{Query: 1}
-				regions := make([]geo.Circle, broadcastsPerFlush)
-				for i := range regions {
-					regions[i] = geo.Circle{
-						Center: geo.Pt(rng.Float64()*10000, rng.Float64()*10000),
-						R:      250,
+				// The oracle flips between two prepared position tables, so a
+				// flush's worth of movement costs the benchmark nothing.
+				tables := [2][]geo.Point{w.pos, slices.Clone(w.pos)}
+				for id := 1; id <= c.n; id++ {
+					if rng.Intn(100) < c.movingPct {
+						tables[1][id] = geo.Pt(rng.Float64()*10000, rng.Float64()*10000)
 					}
+				}
+				var msg protocol.Message = protocol.MonitorCancel{Query: 1}
+				items := make([]transport.BroadcastItem, c.perFlush)
+				for i := range items {
+					items[i] = transport.BroadcastItem{Msg: msg, Region: geo.Circle{
+						Center: geo.Pt(rng.Float64()*10000, rng.Float64()*10000),
+						R:      c.r,
+					}}
 				}
 				tick := model.Tick(0)
 				flushBurst := func() {
 					tick++
+					w.pos = tables[tick&1]
 					w.net.SetNow(tick)
-					for _, r := range regions {
-						w.net.ServerSide().Broadcast(r, msg)
+					if mode == "batch" {
+						w.net.ServerSide().(transport.BatchServerSide).BroadcastBatch(items)
+					} else {
+						for _, it := range items {
+							w.net.ServerSide().Broadcast(it.Region, it.Msg)
+						}
 					}
 					w.net.Flush()
 				}
-				// Warm up so scratch growth is excluded from the steady state.
-				for i := 0; i < 4; i++ {
+				// Warm up so scratch growth is excluded from the steady state:
+				// every bucket of the queue's ring has to have held a burst.
+				for i := 0; i < 2*len(w.net.buckets); i++ {
 					flushBurst()
 				}
 				b.ReportAllocs()

@@ -16,7 +16,10 @@
 //     the messages that are actually due; without jitter, due ticks are
 //     monotone in enqueue order and bucket order equals global FIFO
 //     bit-for-bit. With jitter enabled, delivery runs in due-tick order
-//     (FIFO within a tick) — jitter breaks FIFO by design.
+//     (FIFO within a tick) — jitter breaks FIFO by design. A round takes
+//     its bucket by swapping it with an empty scratch slice, delivered
+//     entries are zeroed, and capacity a burst left behind is released
+//     once a whole window of flushes has passed without needing it.
 //   - Broadcasts are cell-granular: a region broadcast is accounted as
 //     one transmission per intersecting grid cell, and is heard by every
 //     client whose current position lies in one of those cells. The
@@ -228,11 +231,20 @@ type Network struct {
 	// actually due instead of re-partitioning the whole queue. bucketLow
 	// is a lower bound (it lags after drains), which is safe: slots
 	// between it and the true minimum are empty.
+	//
+	// dueScratch is the slice the current flush round delivers from; a
+	// round trades it for the due bucket instead of copying (takeDue).
+	// Every slot past len of every bucket and of the scratch is the zero
+	// queued: delivered entries are cleared, so a retained array pins no
+	// message. roundHigh is the largest round of the current window of
+	// trimWindow flushes, flushes how many of them are done (see trimQueue).
 	buckets    [][]queued
 	bucketLow  model.Tick
 	bucketHigh model.Tick
 	pending    int
 	dueScratch []queued
+	roundHigh  int
+	flushes    int
 
 	// Cell-indexed broadcast audience: cells[Geometry.CellIndex(c)] holds
 	// one packed (id, slot) entry per attached client whose last resolved
@@ -245,17 +257,6 @@ type Network struct {
 	cells      [][]entry
 	indexFresh bool
 	recipients []entry
-
-	// Memoized per-cell sorted audiences for the batched broadcast path:
-	// cellSorted[i] records that cellSortCache[i] currently equals
-	// cells[i] sorted by id. The two index mutators (placeSlot,
-	// removeFromCell) clear the bit, so a valid snapshot survives across
-	// flushes while the cell's membership is stable and a batch touching
-	// the same cell k times sorts it once instead of k times. mergeLists
-	// is the gather scratch holding the snapshots of one region's cells.
-	cellSorted    []bool
-	cellSortCache [][]entry
-	mergeLists    [][]entry
 
 	// refBroadcast, when non-nil, delivers broadcast queue entries in
 	// place of the indexed fan-out. Only _test.go assigns it: the
@@ -289,9 +290,6 @@ func New(cfg Config) *Network {
 		slotOf:  make(map[model.ObjectID]int32),
 		buckets: make([][]queued, ringSize(cfg.LatencyTicks+cfg.Faults.JitterTicks+2)),
 		cells:   make([][]entry, cfg.Geometry.NumCells()),
-
-		cellSorted:    make([]bool, cfg.Geometry.NumCells()),
-		cellSortCache: make([][]entry, cfg.Geometry.NumCells()),
 	}
 }
 
@@ -440,8 +438,17 @@ func (s serverSide) Downlink(to model.ObjectID, m protocol.Message) {
 }
 
 func (s serverSide) Broadcast(region geo.Circle, m protocol.Message) {
+	if s.meterBroadcast(region, m) {
+		s.n.enqueue(queued{dir: metrics.Broadcast, region: region, filter: s.filter, msg: m})
+	}
+}
+
+// meterBroadcast accounts one region broadcast at send time — one
+// cell-level transmission per accepted cell the region covers — and
+// reports whether it covers any: a broadcast that reaches no cell is
+// neither traced nor queued.
+func (s serverSide) meterBroadcast(region geo.Circle, m protocol.Message) bool {
 	n := s.n
-	size := protocol.EncodedSize(m)
 	cells := 0
 	n.cfg.Geometry.VisitCellsIntersecting(region, func(c grid.Cell) bool {
 		if s.filter == nil || s.filter(c) {
@@ -449,17 +456,14 @@ func (s serverSide) Broadcast(region geo.Circle, m protocol.Message) {
 		}
 		return true
 	})
-	// One cell-level transmission per covered cell.
-	for i := 0; i < cells; i++ {
-		n.counters.RecordSend(metrics.Broadcast, m.Kind(), size)
-	}
 	if cells == 0 {
-		return
+		return false
 	}
+	n.counters.RecordSendN(metrics.Broadcast, m.Kind(), protocol.EncodedSize(m), cells)
 	if n.trace != nil {
 		n.emit(obs.EvNetSend, metrics.Broadcast, 0, m.Kind())
 	}
-	n.enqueue(queued{dir: metrics.Broadcast, region: region, filter: s.filter, msg: m})
+	return true
 }
 
 type clientSide struct {
@@ -523,18 +527,17 @@ func (n *Network) push(q queued) {
 
 // growBuckets doubles the ring until span due ticks fit and rehomes the
 // pending entries. A bucket holds exactly one due tick (the span
-// invariant held before the grow), so moving each bucket wholesale
-// preserves FIFO order within every tick.
+// invariant held before the grow) and the new ring fits every pending
+// tick, so each non-empty bucket moves wholesale to a slot of its own,
+// which preserves FIFO order within every tick.
 func (n *Network) growBuckets(span int) {
 	old := n.buckets
 	n.buckets = make([][]queued, ringSize(span))
 	mask := len(n.buckets) - 1
 	for _, b := range old {
-		if len(b) == 0 {
-			continue
+		if len(b) > 0 {
+			n.buckets[int(b[0].due)&mask] = b
 		}
-		idx := int(b[0].due) & mask
-		n.buckets[idx] = append(n.buckets[idx], b...)
 	}
 }
 
@@ -558,29 +561,43 @@ func (n *Network) Flush() int {
 		}
 		due := n.takeDue()
 		if len(due) == 0 {
+			n.trimQueue()
 			return delivered
 		}
+		n.roundHigh = max(n.roundHigh, len(due))
 		for i := range due {
 			delivered += n.deliver(due[i])
 		}
+		clear(due)
 	}
 }
 
-// takeDue drains every bucket due at or before now into the reusable
-// scratch slice, in due-tick order (FIFO within a tick). The scan starts
-// at bucketLow and stops as soon as the pending count hits zero, so it
-// visits at most the live span of the ring.
+// takeDue hands the flush round every entry due at or before now, in
+// due-tick order (FIFO within a tick), as the scratch slice. The first due
+// bucket is not copied: it becomes the scratch and the emptied scratch
+// takes its place in the ring, so what handlers enqueue during the round
+// never lands in the slice the round is iterating. Only when a clock jump
+// made more than one bucket due are the later ones appended. The scan
+// starts at bucketLow and stops as soon as the pending count hits zero, so
+// it visits at most the live span of the ring.
 func (n *Network) takeDue() []queued {
 	out := n.dueScratch[:0]
 	if n.pending > 0 && n.bucketLow <= n.now {
 		mask := len(n.buckets) - 1
 		for t := n.bucketLow; t <= n.now && n.pending > 0; t++ {
 			idx := int(t) & mask
-			if b := n.buckets[idx]; len(b) > 0 {
-				out = append(out, b...)
-				n.pending -= len(b)
-				n.buckets[idx] = b[:0]
+			b := n.buckets[idx]
+			if len(b) == 0 {
+				continue
 			}
+			n.pending -= len(b)
+			if len(out) == 0 {
+				n.buckets[idx], out = out, b
+				continue
+			}
+			out = append(out, b...)
+			clear(b)
+			n.buckets[idx] = b[:0]
 		}
 		n.bucketLow = n.now + 1
 		if n.pending == 0 {
@@ -589,6 +606,40 @@ func (n *Network) takeDue() []queued {
 	}
 	n.dueScratch = out
 	return out
+}
+
+// Queue capacity follows traffic with hysteresis. A run's first ticks are
+// a probe storm some twenty times its steady round, so slices sized by the
+// peak would hold most of the live heap for nothing; giving capacity back
+// the moment it is idle would instead reallocate on every recurring burst.
+// So at the end of every window of trimWindow flushes, a bucket or scratch
+// whose capacity exceeds trimSlack times the window's largest round (and
+// what it still holds) is released, to regrow at the size traffic has now.
+// A one-off burst is given back within two windows; steady traffic, or a
+// burst that recurs within a window, never reallocates.
+const (
+	trimWindow = 64
+	trimSlack  = 4
+)
+
+// trimQueue counts one finished flush and, on the window's last, applies
+// the capacity bound above and starts the next window.
+func (n *Network) trimQueue() {
+	if n.flushes++; n.flushes < trimWindow {
+		return
+	}
+	keep := trimSlack * n.roundHigh
+	n.flushes, n.roundHigh = 0, 0
+	trim := func(s []queued) []queued {
+		if cap(s) <= max(keep, trimSlack*len(s)) {
+			return s
+		}
+		return append([]queued(nil), s...) // nil when nothing is pending in it
+	}
+	for i, b := range n.buckets {
+		n.buckets[i] = trim(b)
+	}
+	n.dueScratch = trim(n.dueScratch)
 }
 
 // PendingCount returns the number of queued (not yet delivered) entries;
@@ -634,10 +685,14 @@ func (n *Network) deliver(q queued) int {
 			return n.refBroadcast(q)
 		}
 		n.refreshCellIndex()
-		if q.batch != nil {
-			return n.deliverBroadcastBatch(q)
+		if q.batch == nil {
+			return n.deliverBroadcast(q.region, q.filter, q.msg)
 		}
-		return n.deliverBroadcast(q)
+		delivered := 0
+		for _, it := range q.batch {
+			delivered += n.deliverBroadcast(it.Region, q.filter, it.Msg)
+		}
+		return delivered
 	default:
 		panic("simnet: unknown direction")
 	}
@@ -657,23 +712,24 @@ func (n *Network) handlerOf(id model.ObjectID) transport.ClientHandler {
 // run without churn, which is what the hot paths test first.
 func (n *Network) isDown(id model.ObjectID) bool { return len(n.down) > 0 && n.down[id] }
 
-// deliverBroadcast fans q out to every client whose cell intersects the
-// region. The audience comes from the per-cell index — only the region's
-// cells are visited, so cost is output-sensitive — and is sorted by id
-// (packed entries order by their id half) so the fan-out order, and with
-// it the per-recipient loss-RNG draw order, is that of a scan over all
-// clients in id order.
-func (n *Network) deliverBroadcast(q queued) int {
+// deliverBroadcast fans msg out to every client whose cell intersects the
+// region and passes the filter: the one gather behind both a single
+// broadcast and each item of a batch. The audience comes from the per-cell
+// index — only the region's cells are visited, so cost is output-sensitive
+// — and is sorted by id (packed entries order by their id half) so the
+// fan-out order, and with it the per-recipient loss-RNG draw order, is
+// that of a scan over all clients in id order.
+func (n *Network) deliverBroadcast(region geo.Circle, filter func(grid.Cell) bool, msg protocol.Message) int {
 	rec := n.recipients[:0]
-	n.cfg.Geometry.VisitCellsIntersecting(q.region, func(c grid.Cell) bool {
-		if q.filter == nil || q.filter(c) {
+	n.cfg.Geometry.VisitCellsIntersecting(region, func(c grid.Cell) bool {
+		if filter == nil || filter(c) {
 			rec = append(rec, n.cells[n.cfg.Geometry.CellIndex(c)]...)
 		}
 		return true
 	})
 	slices.Sort(rec)
 	n.recipients = rec
-	return n.fanout(rec, q.msg)
+	return n.fanout(rec, msg)
 }
 
 // fanout transmits msg to the gathered, id-sorted audience, applying the
@@ -745,7 +801,6 @@ func (n *Network) placeSlot(s int32) {
 	if cell >= 0 {
 		c.at = int32(len(n.cells[cell]))
 		n.cells[cell] = append(n.cells[cell], pack(c.id, s))
-		n.cellSorted[cell] = false
 	}
 }
 
@@ -761,7 +816,6 @@ func (n *Network) removeFromCell(cell, at int32) {
 		n.slots[moved.slot()].at = at
 	}
 	n.cells[cell] = list[:last]
-	n.cellSorted[cell] = false
 }
 
 func (n *Network) lose(p float64) bool {
