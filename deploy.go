@@ -103,14 +103,12 @@ func wallClock(interval time.Duration) func() model.Tick {
 	}
 }
 
-// serverCore is the common surface of the single and sharded servers.
+// serverCore is what a deployed endpoint needs of the engine behind it:
+// the single server, the sharded one and a federation member alike.
 type serverCore interface {
-	transport.ServerHandler
-	Tick(model.Tick)
-	Finalize(model.Tick) bool
+	core.Engine
 	Answer(model.QueryID) model.Answer
 	QueryCount() int
-	BusyTime() time.Duration
 }
 
 // serverTransport is the common surface of the TCP and UDP endpoints.
@@ -126,14 +124,7 @@ type serverTransport interface {
 
 // Server is a deployed DKNN query server: a network endpoint that moving
 // objects and query clients connect to.
-type Server struct {
-	tcp    serverTransport
-	core   serverCore
-	ticker *time.Ticker
-	expire func() // UDP liveness sweep; nil on TCP
-	done   chan struct{}
-	wg     sync.WaitGroup
-}
+type Server struct{ serving }
 
 // ListenAndServe starts a query server on addr (":0" picks a port; see
 // Server.Addr). The returned server is running; call Close to stop it.
@@ -144,10 +135,7 @@ func ListenAndServe(addr string, opts ServerOptions) (*Server, error) {
 	}
 	world := opts.World.internal()
 	geom := grid.NewGeometry(world, opts.GridCols, opts.GridRows)
-	var (
-		tcp    serverTransport
-		expire func()
-	)
+	s := &Server{}
 	if opts.Transport == TransportUDP {
 		liveness := 3 * time.Duration(max(1, opts.Protocol.HorizonTicks)) * opts.TickInterval
 		if opts.Protocol.HorizonTicks == 0 {
@@ -157,18 +145,18 @@ func ListenAndServe(addr string, opts ServerOptions) (*Server, error) {
 		if uerr != nil {
 			return nil, uerr
 		}
-		tcp = udp
-		expire = func() { udp.ExpireSilent() }
+		s.tcp = udp
+		s.housekeep = func() { udp.ExpireSilent() }
 	} else {
 		t, terr := nettcp.Listen(addr, geom)
 		if terr != nil {
 			return nil, terr
 		}
-		tcp = t
+		s.tcp = t
 	}
 	cfg := opts.Protocol.internal().WithWorldDefault(world)
 	deps := core.ServerDeps{
-		Side:           tcp.Side(),
+		Side:           s.tcp.Side(),
 		Now:            wallClock(opts.TickInterval),
 		DT:             opts.TickInterval.Seconds(),
 		MaxObjectSpeed: opts.MaxObjectSpeed,
@@ -179,32 +167,53 @@ func ListenAndServe(addr string, opts ServerOptions) (*Server, error) {
 		LatencyTicks: 1,
 		Trace:        opts.Trace,
 	}
-	var srv serverCore
-	var err2 error
+	// The batched pipeline drains the inter-tick arrivals inside Tick, on
+	// the tick goroutine that owns the medium, and again in every
+	// Finalize, so replies landing mid-round still conclude probes this
+	// tick.
 	if opts.Shards > 1 || opts.BatchedIngest {
-		srv, err2 = shard.NewWithOptions(max(1, opts.Shards), cfg, deps,
+		s.core, err = shard.NewWithOptions(max(1, opts.Shards), cfg, deps,
 			shard.Options{Batched: opts.BatchedIngest})
 	} else {
-		srv, err2 = core.NewServer(cfg, deps)
+		s.core, err = core.NewServer(cfg, deps)
 	}
-	if err2 != nil {
-		tcp.Close()
-		return nil, err2
+	if err != nil {
+		s.tcp.Close()
+		return nil, err
 	}
-	tcp.AttachHandler(srv)
+	s.serve(opts.TickInterval)
+	return s, nil
+}
 
-	s := &Server{
-		tcp:    tcp,
-		core:   srv,
-		ticker: time.NewTicker(opts.TickInterval),
-		expire: expire,
-		done:   make(chan struct{}),
-	}
-	now := wallClock(opts.TickInterval)
+// serving is the running part every deployed server shares: a client
+// endpoint, the engine its uplinks feed, and the one evaluation loop that
+// ticks the engine from the wall clock.
+type serving struct {
+	tcp  serverTransport
+	core serverCore
+	// housekeep, when set, runs at the head of every tick: the medium's
+	// own upkeep (UDP liveness expiry, idle-connection reaping).
+	housekeep func()
+
+	last    model.Tick // the tick evaluated last; 0 before the first
+	skipped atomic.Uint64
+
+	ticker *time.Ticker
+	done   chan struct{}
+	wg     sync.WaitGroup
+}
+
+// serve attaches the engine to the endpoint and starts the accept loop and
+// the evaluation loop.
+func (s *serving) serve(interval time.Duration) {
+	s.tcp.AttachHandler(s.core)
+	s.ticker = time.NewTicker(interval)
+	s.done = make(chan struct{})
+	now := wallClock(interval)
 	s.wg.Add(2)
 	go func() {
 		defer s.wg.Done()
-		_ = tcp.Serve()
+		_ = s.tcp.Serve()
 	}()
 	go func() {
 		defer s.wg.Done()
@@ -213,37 +222,62 @@ func ListenAndServe(addr string, opts ServerOptions) (*Server, error) {
 			case <-s.done:
 				return
 			case <-s.ticker.C:
-				t := now()
-				if s.expire != nil {
-					s.expire()
-				}
-				// The batched pipeline drains the inter-tick arrivals
-				// here, on the tick goroutine that owns the medium;
-				// Drain is a no-op on synchronous servers. Finalize
-				// drains again itself, so replies landing mid-round
-				// still conclude probes this tick.
-				if d, ok := srv.(interface{ Drain(model.Tick) bool }); ok {
-					d.Drain(t)
-				}
-				srv.Tick(t)
-				for i := 0; i < 8 && srv.Finalize(t); i++ {
-				}
+				s.tick(now())
 			}
 		}
 	}()
-	return s, nil
 }
 
-// Addr returns the server's listen address ("host:port").
-func (s *Server) Addr() string { return s.tcp.Addr().String() }
+// tick evaluates wall-clock tick t. The ticker drops the ticks an
+// overrunning evaluation sat through, and nothing ever makes them up;
+// they are counted, so an overloaded server shows in its Stats.
+func (s *serving) tick(t model.Tick) {
+	if s.last != 0 && t > s.last+1 {
+		s.skipped.Add(uint64(t - s.last - 1))
+	}
+	s.last = t
+	if s.housekeep != nil {
+		s.housekeep()
+	}
+	s.core.Tick(t)
+	for i := 0; i < 8 && s.core.Finalize(t); i++ {
+	}
+}
 
-// Answer returns the server's current answer for a registered query.
-func (s *Server) Answer(q QueryID) Answer {
+// halt stops the evaluation loop from starting another tick.
+func (s *serving) halt() {
+	close(s.done)
+	s.ticker.Stop()
+}
+
+// closeEndpoint disconnects every client and waits for both loops.
+func (s *serving) closeEndpoint() error {
+	err := s.tcp.Close()
+	s.wg.Wait()
+	return err
+}
+
+// Close stops the evaluation loop and the client endpoint.
+func (s *serving) Close() error {
+	s.halt()
+	return s.closeEndpoint()
+}
+
+// Addr returns the client listen address ("host:port").
+func (s *serving) Addr() string { return s.tcp.Addr().String() }
+
+// Answer returns the server's current answer for a query registered (in a
+// federation: homed) here.
+func (s *serving) Answer(q QueryID) Answer {
 	return fromAnswer(s.core.Answer(model.QueryID(q)))
 }
 
-// QueryCount returns the number of registered continuous queries.
-func (s *Server) QueryCount() int { return s.core.QueryCount() }
+// QueryCount returns the number of continuous queries registered (in a
+// federation: homed) here.
+func (s *serving) QueryCount() int { return s.core.QueryCount() }
+
+// ClientCount returns the number of connected clients.
+func (s *serving) ClientCount() int { return s.tcp.ClientCount() }
 
 // Stats is an operational snapshot of a deployed server.
 type Stats struct {
@@ -256,10 +290,13 @@ type Stats struct {
 	DownlinkBytes  uint64        `json:"downlink_bytes"`
 	BroadcastBytes uint64        `json:"broadcast_bytes"`
 	BusyTime       time.Duration `json:"busy_ns"`
+	// TicksSkipped counts the evaluation intervals that passed without an
+	// evaluation because an earlier one overran.
+	TicksSkipped uint64 `json:"ticks_skipped"`
 }
 
 // Stats returns current operational counters.
-func (s *Server) Stats() Stats {
+func (s *serving) Stats() Stats {
 	c := s.tcp.Counters()
 	return Stats{
 		Clients:        s.tcp.ClientCount(),
@@ -271,19 +308,8 @@ func (s *Server) Stats() Stats {
 		DownlinkBytes:  c.SentBytes(metrics.Downlink),
 		BroadcastBytes: c.SentBytes(metrics.Broadcast),
 		BusyTime:       s.core.BusyTime(),
+		TicksSkipped:   s.skipped.Load(),
 	}
-}
-
-// ClientCount returns the number of connected clients.
-func (s *Server) ClientCount() int { return s.tcp.ClientCount() }
-
-// Close stops the evaluation loop and the TCP endpoint.
-func (s *Server) Close() error {
-	close(s.done)
-	s.ticker.Stop()
-	err := s.tcp.Close()
-	s.wg.Wait()
-	return err
 }
 
 // ClientOptions configures a deployed object or query client. The world,

@@ -2,11 +2,13 @@ package dmknn
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"dmknn/internal/model"
 	"dmknn/internal/obs"
 )
 
@@ -313,6 +315,49 @@ func TestServerStats(t *testing.T) {
 			t.Fatalf("stats never saw the client: %+v", srv.Stats())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// stubCore records what the evaluation loop asks of its engine.
+type stubCore struct {
+	serverCore // nil: only what the loop body calls is implemented
+	ticks      []model.Tick
+	finalizes  int
+	rounds     int // Finalize reports activity this many times per tick
+}
+
+func (c *stubCore) Tick(t model.Tick) { c.ticks = append(c.ticks, t) }
+func (c *stubCore) Finalize(model.Tick) bool {
+	c.finalizes++
+	return c.finalizes%(c.rounds+1) != 0
+}
+
+// The evaluation loop's body, with no socket and no clock: the ticks the
+// wall clock went past without an evaluation are counted — none for the
+// first tick, whatever its number, none when the ticker fires twice inside
+// one interval — housekeeping runs ahead of every evaluation, and Finalize
+// is called until it settles.
+func TestServingCountsSkippedTicks(t *testing.T) {
+	eng := &stubCore{rounds: 2}
+	kept := 0
+	s := &serving{core: eng, housekeep: func() { kept++ }}
+	for i, c := range []struct {
+		tick    model.Tick
+		skipped uint64
+	}{{10, 0}, {11, 0}, {14, 2}, {14, 2}, {15, 2}} {
+		s.tick(c.tick)
+		if got := s.skipped.Load(); got != c.skipped {
+			t.Errorf("step %d (tick %d): %d ticks skipped, want %d", i, c.tick, got, c.skipped)
+		}
+	}
+	if want := []model.Tick{10, 11, 14, 14, 15}; !slices.Equal(eng.ticks, want) {
+		t.Errorf("engine ticked at %v, want %v", eng.ticks, want)
+	}
+	if kept != 5 {
+		t.Errorf("housekeeping ran %d times in 5 ticks", kept)
+	}
+	if eng.finalizes != 5*3 {
+		t.Errorf("Finalize called %d times, want 3 per tick", eng.finalizes)
 	}
 }
 

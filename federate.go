@@ -17,7 +17,6 @@ import (
 	"dmknn/internal/cluster"
 	"dmknn/internal/geo"
 	"dmknn/internal/grid"
-	"dmknn/internal/metrics"
 	"dmknn/internal/model"
 	"dmknn/internal/nettcp"
 	"dmknn/internal/obs"
@@ -106,14 +105,10 @@ func (o FederationOptions) withDefaults() (FederationOptions, error) {
 
 // NodeServer is one running node of a deployed federation.
 type NodeServer struct {
+	serving
 	node   int
-	tcp    *nettcp.Server
 	link   *cluster.TCPLink
 	member *cluster.Member
-	reap   time.Duration
-	ticker *time.Ticker
-	done   chan struct{}
-	wg     sync.WaitGroup
 }
 
 // ListenAndServeNode starts one federation node: the client endpoint on
@@ -171,61 +166,24 @@ func ListenAndServeNode(opts FederationOptions) (*NodeServer, error) {
 			MinGain:       opts.BalanceMinGain,
 		})
 	}
-	tcp.AttachHandler(member)
-
 	s := &NodeServer{
-		node:   opts.Node,
-		tcp:    tcp,
-		link:   link,
-		member: member,
-		reap:   opts.IdleReap,
-		ticker: time.NewTicker(opts.TickInterval),
-		done:   make(chan struct{}),
+		serving: serving{tcp: tcp, core: member},
+		node:    opts.Node,
+		link:    link,
+		member:  member,
 	}
-	s.wg.Add(2)
-	go func() {
-		defer s.wg.Done()
-		_ = tcp.Serve()
-	}()
-	go func() {
-		defer s.wg.Done()
-		for {
-			select {
-			case <-s.done:
-				return
-			case <-s.ticker.C:
-				t := now()
-				if s.reap > 0 {
-					s.tcp.ReapIdle(s.reap)
-				}
-				member.Tick(t)
-				for i := 0; i < 8 && member.Finalize(t); i++ {
-				}
-			}
-		}
-	}()
+	if opts.IdleReap > 0 {
+		s.housekeep = func() { tcp.ReapIdle(opts.IdleReap) }
+	}
+	s.serve(opts.TickInterval)
 	return s, nil
 }
 
 // Node returns this server's node id.
 func (s *NodeServer) Node() int { return s.node }
 
-// Addr returns the client listen address ("host:port").
-func (s *NodeServer) Addr() string { return s.tcp.Addr().String() }
-
 // PeerAddr returns the inter-node listen address.
 func (s *NodeServer) PeerAddr() string { return s.link.Addr().String() }
-
-// Answer returns the node's current answer for a locally homed query.
-func (s *NodeServer) Answer(q QueryID) Answer {
-	return fromAnswer(s.member.Answer(model.QueryID(q)))
-}
-
-// QueryCount returns the number of locally homed queries.
-func (s *NodeServer) QueryCount() int { return s.member.QueryCount() }
-
-// ClientCount returns the number of clients attached to this node.
-func (s *NodeServer) ClientCount() int { return s.tcp.ClientCount() }
 
 // PeersUp returns how many peer link sessions are currently established
 // (out of len(PeerAddrs)-1).
@@ -271,17 +229,7 @@ func (s *NodeServer) Stats() NodeStats {
 	ls := s.link.Stats()
 	bs := s.member.BalancerStats()
 	return NodeStats{
-		Stats: Stats{
-			Clients:        s.tcp.ClientCount(),
-			Queries:        s.member.QueryCount(),
-			UplinkMsgs:     c.Sent(metrics.Uplink),
-			DownlinkMsgs:   c.Sent(metrics.Downlink),
-			BroadcastMsgs:  c.Sent(metrics.Broadcast),
-			UplinkBytes:    c.SentBytes(metrics.Uplink),
-			DownlinkBytes:  c.SentBytes(metrics.Downlink),
-			BroadcastBytes: c.SentBytes(metrics.Broadcast),
-			BusyTime:       s.member.BusyTime(),
-		},
+		Stats:          s.serving.Stats(),
 		Node:           s.node,
 		PeersUp:        s.link.ConnectedCount(),
 		Attached:       s.member.AttachedCount(),
@@ -308,11 +256,9 @@ func (s *NodeServer) Stats() NodeStats {
 
 // Close stops the tick loop, the peer link, and the client endpoint.
 func (s *NodeServer) Close() error {
-	close(s.done)
-	s.ticker.Stop()
+	s.halt()
 	lerr := s.link.Close()
-	terr := s.tcp.Close()
-	s.wg.Wait()
+	terr := s.closeEndpoint()
 	if terr != nil {
 		return terr
 	}

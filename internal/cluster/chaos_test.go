@@ -128,3 +128,54 @@ func TestClusterChaosReconvergence(t *testing.T) {
 		})
 	}
 }
+
+// ROADMAP item 1's smallest reproduction. A focal client that cold-restarts
+// within a metre of a strip boundary re-registers while its track crosses
+// it: seed 2's query 4 restarts after tick 48 at (500.60, 598.47), the
+// boundary at x = 500, and tick 49 moves its home from node 1 to node 0.
+// Node 0's own Answer(4) is then wrong on 40 of the ticks 50–96 — well
+// past the heal window of the restart-churn schedule every single-process
+// engine passes (TestRestartChurnHealsOnEveryEngine in internal/exp), of
+// which this is the federation cell. Seeds 1, 3, 4 and 5 pass, and so does
+// seed 2 without the query restarts.
+func TestFocalRestartAtStripBoundary(t *testing.T) {
+	t.Skip("known defect, ROADMAP item 1: a query that migrates in the tick it re-registers leaves its new home inexact")
+	cfg := workload.Quick()
+	cfg.Seed = 2
+	cfg.DisableAudit = true
+	rec := obs.NewRecorder(0)
+	cfg.Trace = rec
+	obs.DumpOnFailure(t, rec)
+
+	pc := chaosProto()
+	m := mustMethod(t, 2, pc, LinkConfig{})
+	eng, err := sim.NewEngine(cfg, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := eng.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step(10)
+	assertClientAnswersExact(t, eng.Env(), m, "pre-churn")
+	for i := 0; i < 40; i++ {
+		if i%10 == 8 {
+			if err := m.RestartObject(model.ObjectID(1 + (i*13)%cfg.NumObjects)); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.RestartQuery(model.QueryID(1 + (i/10)%cfg.NumQueries)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step(1)
+	}
+	step(2*pc.ResyncTicks + 3)
+	for i := 0; i < 5; i++ {
+		step(1)
+		assertClientAnswersExact(t, eng.Env(), m, fmt.Sprintf("post-heal+%d", i))
+	}
+}

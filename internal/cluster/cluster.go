@@ -240,6 +240,16 @@ func (c *Cluster) BalancerStats() balance.Stats {
 // Node returns node i's server (for inspection).
 func (c *Cluster) Node(i int) *core.Server { return c.nodes[i].server }
 
+// BusyTime implements core.Engine: the nodes tick in parallel, so the
+// federation's server time is the critical path — the busiest node.
+func (c *Cluster) BusyTime() time.Duration {
+	var busiest time.Duration
+	for _, n := range c.nodes {
+		busiest = max(busiest, n.server.BusyTime())
+	}
+	return busiest
+}
+
 // Stats returns the federation event counters: the members' summed, plus
 // the column moves of the cluster's own balancer.
 func (c *Cluster) Stats() Stats {

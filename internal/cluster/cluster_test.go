@@ -440,7 +440,7 @@ func TestClientGonePurgesFederation(t *testing.T) {
 			t.Errorf("node %d still tracks aware objects for query %d", i, q)
 		}
 	}
-	for i, a := range m.agents {
+	for i, a := range m.Agents() {
 		if a.MonitorCount() != 0 {
 			t.Errorf("object %d still holds a monitor after federation-wide teardown", i+1)
 		}

@@ -2,159 +2,100 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"dmknn/internal/balance"
 	"dmknn/internal/core"
-	"dmknn/internal/geo"
 	"dmknn/internal/grid"
-	"dmknn/internal/model"
 	"dmknn/internal/sim"
 	"dmknn/internal/transport"
 )
 
-// Method plugs the federation into the simulation engine. The client
-// side is identical to the single-server DKNN method — the clients
-// cannot tell how many nodes serve them; only the server's interior
-// (partition, link, per-node servers) differs.
+// Method plugs the federation into the simulation engine. It is
+// core.Method over a Cluster — the clients cannot tell how many nodes
+// serve them; only the server's interior (partition, link, per-node
+// servers) differs — plus the federation's own inspection surface.
 type Method struct {
-	cfg      core.Config
-	n        int
-	linkCfg  LinkConfig
-	adaptive bool
-	balCfg   balance.Config
-	cluster  *Cluster
-	link     *MemLink
-	agents   []*core.ObjectAgent
-	qcs      []*core.QueryAgent
+	*core.Method
+	cluster *Cluster
+	link    *MemLink
 }
 
-var _ sim.Method = (*Method)(nil)
-var _ sim.ExtraReporter = (*Method)(nil)
+var (
+	_ sim.Method        = (*Method)(nil)
+	_ sim.ExtraReporter = (*Method)(nil)
+	_ core.Engine       = (*Cluster)(nil)
+	_ core.Engine       = (*Member)(nil)
+)
 
 // NewMethod returns a DKNN method served by a federation of n nodes
 // connected by an in-memory link with the given latency/loss profile.
 func NewMethod(n int, cfg core.Config, linkCfg LinkConfig) (*Method, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("cluster: non-positive node count %d", n)
-	}
-	linkCfg.validate()
-	return &Method{cfg: cfg, n: n, linkCfg: linkCfg}, nil
+	return newMethod("dknn-cluster", n, cfg, linkCfg, nil)
 }
 
 // NewAdaptiveMethod returns the federation method with the load balancer
 // enabled: the partition starts even and evolves under bcfg as the
 // workload skews.
 func NewAdaptiveMethod(n int, cfg core.Config, linkCfg LinkConfig, bcfg balance.Config) (*Method, error) {
-	m, err := NewMethod(n, cfg, linkCfg)
+	return newMethod("dknn-cluster-adaptive", n, cfg, linkCfg, &bcfg)
+}
+
+func newMethod(name string, n int, cfg core.Config, linkCfg LinkConfig, bcfg *balance.Config) (*Method, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("cluster: non-positive node count %d", n)
+	}
+	linkCfg.validate()
+	m := &Method{}
+	// A cross-boundary exchange pays radio latency plus link latency; both
+	// servers and clients size their reply deadlines from the total.
+	inner, err := core.NewMethod(name, cfg, linkCfg.LatencyTicks,
+		func(cfg core.Config, deps core.ServerDeps, env *sim.Env) (core.Engine, error) {
+			part, err := NewPartition(env.Geometry, n)
+			if err != nil {
+				return nil, err
+			}
+			m.link = NewMemLink(linkCfg, deps.Now)
+			// The radio cell filters read the partition through the shared
+			// ref, not a captured value, so a balancer-driven column move
+			// retargets every node's broadcast surface the instant the map
+			// is installed.
+			ref := NewPartitionRef(part)
+			cl, err := New(part, cfg, Deps{
+				Link: m.link,
+				Radio: func(node int) transport.ServerSide {
+					return env.Net.RestrictedServerSide(func(c grid.Cell) bool {
+						return ref.Load().CellOwner(c) == node
+					})
+				},
+				Now:            deps.Now,
+				DT:             deps.DT,
+				MaxObjectSpeed: deps.MaxObjectSpeed,
+				MaxQuerySpeed:  deps.MaxQuerySpeed,
+				LatencyTicks:   deps.LatencyTicks,
+				Trace:          deps.Trace,
+				PartRef:        ref,
+			})
+			if err != nil {
+				return nil, err
+			}
+			if bcfg != nil {
+				cl.EnableBalancer(*bcfg)
+			}
+			m.cluster = cl
+			m.link.OnDeliver(cl.HandleLink)
+			for i := range env.Objects {
+				cl.SeedHome(env.Objects[i].ID, env.Objects[i].Pos)
+			}
+			for i := range env.Queries {
+				cl.SeedHome(env.Queries[i].State.ID, env.Queries[i].State.Pos)
+			}
+			return cl, nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	m.adaptive = true
-	m.balCfg = bcfg
+	m.Method = inner
 	return m, nil
-}
-
-// Name implements sim.Method.
-func (m *Method) Name() string {
-	if m.adaptive {
-		return "dknn-cluster-adaptive"
-	}
-	return "dknn-cluster"
-}
-
-// Setup implements sim.Method.
-func (m *Method) Setup(env *sim.Env) error {
-	m.cfg = m.cfg.WithWorldDefault(env.World)
-	part, err := NewPartition(env.Geometry, m.n)
-	if err != nil {
-		return err
-	}
-	m.link = NewMemLink(m.linkCfg, env.Net.Now)
-	// A cross-boundary exchange pays radio latency plus link latency;
-	// both servers and clients size their reply deadlines from the total.
-	latency := env.LatencyTicks + m.linkCfg.LatencyTicks
-	// The radio cell filters read the partition through the shared ref,
-	// not a captured value, so a balancer-driven column move retargets
-	// every node's broadcast surface the instant the map is installed.
-	ref := NewPartitionRef(part)
-	cl, err := New(part, m.cfg, Deps{
-		Link: m.link,
-		Radio: func(node int) transport.ServerSide {
-			return env.Net.RestrictedServerSide(func(c grid.Cell) bool {
-				return ref.Load().CellOwner(c) == node
-			})
-		},
-		Now:            env.Net.Now,
-		DT:             env.DT,
-		MaxObjectSpeed: env.MaxObjectSpeed,
-		MaxQuerySpeed:  env.MaxQuerySpeed,
-		LatencyTicks:   latency,
-		Trace:          env.Trace,
-		PartRef:        ref,
-	})
-	if err != nil {
-		return err
-	}
-	if m.adaptive {
-		cl.EnableBalancer(m.balCfg)
-	}
-	m.cluster = cl
-	m.link.OnDeliver(cl.HandleLink)
-	env.Net.AttachServer(cl)
-
-	for i := range env.Objects {
-		cl.SeedHome(env.Objects[i].ID, env.Objects[i].Pos)
-	}
-	for i := range env.Queries {
-		cl.SeedHome(env.Queries[i].State.ID, env.Queries[i].State.Pos)
-	}
-
-	m.agents = make([]*core.ObjectAgent, len(env.Objects))
-	for i := range m.agents {
-		id := model.ObjectID(i + 1)
-		idx := i
-		agent, err := core.NewObjectAgent(m.cfg, core.AgentDeps{
-			ID:           id,
-			Side:         env.Net.ClientSide(id),
-			Now:          env.Net.Now,
-			Pos:          func() geo.Point { return env.Objects[idx].Pos },
-			DT:           env.DT,
-			LatencyTicks: latency,
-			Trace:        env.Trace,
-		})
-		if err != nil {
-			return err
-		}
-		m.agents[i] = agent
-		env.Net.AttachClient(id, agent)
-	}
-	m.qcs = make([]*core.QueryAgent, len(env.Queries))
-	for i := range m.qcs {
-		idx := i
-		addr := env.Queries[i].State.ID
-		qa, err := core.NewQueryAgent(m.cfg, env.Queries[i].Spec, core.QueryAgentDeps{
-			AgentDeps: core.AgentDeps{
-				ID:           addr,
-				Side:         env.Net.ClientSide(addr),
-				Now:          env.Net.Now,
-				Pos:          func() geo.Point { return env.Queries[idx].State.Pos },
-				DT:           env.DT,
-				LatencyTicks: latency,
-				Trace:        env.Trace,
-			},
-			Vel: func() geo.Vector { return env.Queries[idx].State.Vel },
-		})
-		if err != nil {
-			return err
-		}
-		m.qcs[i] = qa
-		env.Net.AttachClient(addr, qa)
-	}
-	return nil
 }
 
 // Cluster exposes the federation (tests and harnesses inspect it).
@@ -162,43 +103,6 @@ func (m *Method) Cluster() *Cluster { return m.cluster }
 
 // Link exposes the inter-node link.
 func (m *Method) Link() *MemLink { return m.link }
-
-// ClientTick implements sim.Method.
-func (m *Method) ClientTick(now model.Tick) {
-	for _, qc := range m.qcs {
-		qc.Tick(now)
-	}
-	for _, a := range m.agents {
-		a.Tick(now)
-	}
-}
-
-// ServerTick implements sim.Method.
-func (m *Method) ServerTick(now model.Tick) { m.cluster.Tick(now) }
-
-// Finalize implements sim.Method.
-func (m *Method) Finalize(now model.Tick) bool { return m.cluster.Finalize(now) }
-
-// Answer implements sim.Method (the focal client's view).
-func (m *Method) Answer(q model.QueryID) model.Answer {
-	qi := int(q) - 1
-	if qi < 0 || qi >= len(m.qcs) {
-		return model.Answer{Query: q}
-	}
-	return m.qcs[qi].Answer()
-}
-
-// ServerTime implements sim.Method: the nodes tick in parallel, so the
-// federation's server time is the critical path — the busiest node.
-func (m *Method) ServerTime() time.Duration {
-	var max time.Duration
-	for i := 0; i < m.n; i++ {
-		if d := m.cluster.Node(i).BusyTime(); d > max {
-			max = d
-		}
-	}
-	return max
-}
 
 // ExtraMetrics implements sim.ExtraReporter with the federation-level
 // cumulative counters: link traffic, handoff events, balancer moves, and
@@ -217,8 +121,8 @@ func (m *Method) ExtraMetrics() map[string]float64 {
 		"relay_drops":     float64(cs.RelayDrops),
 		"column_moves":    float64(cs.ColumnMoves),
 	}
-	for i := 0; i < m.n; i++ {
-		out[fmt.Sprintf("node%d_busy_us", i)] = float64(m.cluster.Node(i).BusyTime().Microseconds())
+	for i, n := range m.cluster.nodes {
+		out[fmt.Sprintf("node%d_busy_us", i)] = float64(n.BusyTime().Microseconds())
 	}
 	return out
 }

@@ -279,7 +279,7 @@ func TestInfluenceSuppressionStalenessBound(t *testing.T) {
 				}
 				assertClientAnswersExact(t, env, m, fmt.Sprintf("tick+%d", i))
 				now := env.Net.Now()
-				for _, a := range m.agents {
+				for _, a := range m.Agents() {
 					truePos := env.ObjectByID(a.deps.ID).Pos
 					for _, am := range a.held() {
 						q := am.query
@@ -293,7 +293,7 @@ func TestInfluenceSuppressionStalenessBound(t *testing.T) {
 							t.Fatalf("tick %d: object %d query %d: drift %.6f exceeds advertised bound %.6f (F=%.3f)",
 								now, a.deps.ID, q, drift, bound, am.frontier)
 						}
-						smon := m.server.monitors[q]
+						smon := m.Engine().(*Server).monitors[q]
 						if smon == nil {
 							continue
 						}

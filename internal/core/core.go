@@ -52,6 +52,7 @@ import (
 	"dmknn/internal/geo"
 	"dmknn/internal/model"
 	"dmknn/internal/sim"
+	"dmknn/internal/transport"
 )
 
 // errNoMaxProbeRadius reports a server built without a probe cap.
@@ -156,103 +157,117 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Method is the DKNN strategy plugged into the simulation engine: it
-// instantiates one Server, one ObjectAgent per data object, and one
-// QueryAgent per query, all wired to the engine's metered network.
+// Engine is the server side of the protocol as a driver sees it: the
+// uplink surface the medium delivers to, the periodic evaluation, the
+// intra-tick rounds that settle probe conversations, and the cumulative
+// processing time. Server, the sharded server (internal/shard) and the
+// federation (internal/cluster: one Member, or the in-process Cluster of
+// them) all are one — the clients cannot tell which they talk to, and
+// neither the simulation method below nor the deployed tick loop can.
+// Tick and Finalize ingest whatever the engine queued since the last
+// call, so a driver never needs to know the ingest discipline.
+type Engine interface {
+	transport.ServerHandler
+	Tick(now model.Tick)
+	// Finalize reports whether anything moved; the driver delivers what
+	// was sent and calls again while it does.
+	Finalize(now model.Tick) bool
+	BusyTime() time.Duration
+}
+
+// BuildEngine makes a method's server side. cfg carries the world
+// defaults and deps is filled from the simulation environment — the
+// unrestricted radio as Side, the clock, the speed bounds, the latency
+// bound and the trace sink; env is there for engines that need more of it
+// (the federation's partition and per-node radio surfaces).
+type BuildEngine func(cfg Config, deps ServerDeps, env *sim.Env) (Engine, error)
+
+// Method is the DKNN strategy plugged into the simulation engine, for
+// every server shape: it builds one Engine, one ObjectAgent per data
+// object, and one QueryAgent per query, all wired to the engine's metered
+// network.
 type Method struct {
-	cfg    Config
-	env    *sim.Env
-	server *Server
-	agents []*ObjectAgent
-	qcs    []*QueryAgent
+	name    string
+	cfg     Config
+	latency int // server-side latency on top of the radio's, in ticks
+	build   BuildEngine
+	env     *sim.Env
+	engine  Engine
+	agents  []*ObjectAgent
+	qcs     []*QueryAgent
 }
 
 var _ sim.Method = (*Method)(nil)
 
-// New returns a DKNN method with the given protocol configuration.
+// New returns a DKNN method with the given protocol configuration, served
+// by a single Server.
 func New(cfg Config) (*Method, error) {
+	return NewMethod("dknn", cfg, 0, func(cfg Config, deps ServerDeps, _ *sim.Env) (Engine, error) {
+		return NewServer(cfg, deps)
+	})
+}
+
+// NewMethod returns the DKNN method over the engine build makes.
+// extraLatency is what an exchange pays inside the server side on top of
+// the radio latency (a federation's link latency); server and clients
+// size their reply deadlines from the total.
+func NewMethod(name string, cfg Config, extraLatency int, build BuildEngine) (*Method, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Method{cfg: cfg}, nil
+	return &Method{name: name, cfg: cfg, latency: extraLatency, build: build}, nil
 }
 
 // Name implements sim.Method.
-func (m *Method) Name() string { return "dknn" }
+func (m *Method) Name() string { return m.name }
 
-// Setup implements sim.Method.
+// Setup implements sim.Method. Every agent is built by the restart hooks,
+// so a restarted client is wired exactly like a first-time one whatever
+// the engine.
 func (m *Method) Setup(env *sim.Env) error {
 	m.env = env
 	m.cfg = m.cfg.WithWorldDefault(env.World)
-
-	srv, err := NewServer(m.cfg, ServerDeps{
+	eng, err := m.build(m.cfg, ServerDeps{
 		Side:           env.Net.ServerSide(),
 		Now:            env.Net.Now,
 		DT:             env.DT,
 		MaxObjectSpeed: env.MaxObjectSpeed,
 		MaxQuerySpeed:  env.MaxQuerySpeed,
-		LatencyTicks:   env.LatencyTicks,
+		LatencyTicks:   env.LatencyTicks + m.latency,
 		Trace:          env.Trace,
-	})
+	}, env)
 	if err != nil {
 		return err
 	}
-	m.server = srv
-	env.Net.AttachServer(srv)
+	m.engine = eng
+	env.Net.AttachServer(eng)
 
 	m.agents = make([]*ObjectAgent, len(env.Objects))
 	for i := range m.agents {
-		id := model.ObjectID(i + 1)
-		idx := i
-		agent, err := m.buildObjectAgent(idx)
-		if err != nil {
+		if err := m.RestartObject(model.ObjectID(i + 1)); err != nil {
 			return err
 		}
-		m.agents[i] = agent
-		env.Net.AttachClient(id, agent)
 	}
-
 	m.qcs = make([]*QueryAgent, len(env.Queries))
 	for i := range m.qcs {
-		qa, err := m.buildQueryAgent(i)
-		if err != nil {
+		if err := m.RestartQuery(model.QueryID(i + 1)); err != nil {
 			return err
 		}
-		m.qcs[i] = qa
-		env.Net.AttachClient(env.Queries[i].State.ID, qa)
 	}
 	return nil
 }
 
-func (m *Method) buildObjectAgent(idx int) (*ObjectAgent, error) {
-	env := m.env
-	id := model.ObjectID(idx + 1)
-	return NewObjectAgent(m.cfg, AgentDeps{
+// agentDeps wires one client (object or focal) to the environment.
+func (m *Method) agentDeps(id model.ObjectID, pos func() geo.Point) AgentDeps {
+	return AgentDeps{
 		ID:           id,
-		Side:         env.Net.ClientSide(id),
-		Now:          env.Net.Now,
-		Pos:          func() geo.Point { return env.Objects[idx].Pos },
-		DT:           env.DT,
-		LatencyTicks: env.LatencyTicks,
-		Trace:        env.Trace,
-	})
-}
-
-func (m *Method) buildQueryAgent(idx int) (*QueryAgent, error) {
-	env := m.env
-	addr := env.Queries[idx].State.ID
-	return NewQueryAgent(m.cfg, env.Queries[idx].Spec, QueryAgentDeps{
-		AgentDeps: AgentDeps{
-			ID:           addr,
-			Side:         env.Net.ClientSide(addr),
-			Now:          env.Net.Now,
-			Pos:          func() geo.Point { return env.Queries[idx].State.Pos },
-			DT:           env.DT,
-			LatencyTicks: env.LatencyTicks,
-			Trace:        env.Trace,
-		},
-		Vel: func() geo.Vector { return env.Queries[idx].State.Vel },
-	})
+		Side:         m.env.Net.ClientSide(id),
+		Now:          m.env.Net.Now,
+		Pos:          pos,
+		DT:           m.env.DT,
+		LatencyTicks: m.env.LatencyTicks + m.latency,
+		Trace:        m.env.Trace,
+	}
 }
 
 // RestartObject simulates a crash/restart of one data object's client
@@ -262,15 +277,16 @@ func (m *Method) buildQueryAgent(idx int) (*QueryAgent, error) {
 // normal install/refresh cycle.
 func (m *Method) RestartObject(id model.ObjectID) error {
 	idx := int(id) - 1
-	if m.env == nil || idx < 0 || idx >= len(m.agents) {
+	if idx < 0 || idx >= len(m.agents) {
 		return fmt.Errorf("core: restart of unknown object %d", id)
 	}
-	agent, err := m.buildObjectAgent(idx)
+	env := m.env
+	agent, err := NewObjectAgent(m.cfg, m.agentDeps(id, func() geo.Point { return env.Objects[idx].Pos }))
 	if err != nil {
 		return err
 	}
 	m.agents[idx] = agent
-	m.env.Net.AttachClient(id, agent)
+	env.Net.AttachClient(id, agent)
 	return nil
 }
 
@@ -281,15 +297,20 @@ func (m *Method) RestartObject(id model.ObjectID) error {
 // AnswerUpdate.
 func (m *Method) RestartQuery(q model.QueryID) error {
 	qi := int(q) - 1
-	if m.env == nil || qi < 0 || qi >= len(m.qcs) {
+	if qi < 0 || qi >= len(m.qcs) {
 		return fmt.Errorf("core: restart of unknown query %d", q)
 	}
-	qa, err := m.buildQueryAgent(qi)
+	env := m.env
+	addr := env.Queries[qi].State.ID
+	qa, err := NewQueryAgent(m.cfg, env.Queries[qi].Spec, QueryAgentDeps{
+		AgentDeps: m.agentDeps(addr, func() geo.Point { return env.Queries[qi].State.Pos }),
+		Vel:       func() geo.Vector { return env.Queries[qi].State.Vel },
+	})
 	if err != nil {
 		return err
 	}
 	m.qcs[qi] = qa
-	m.env.Net.AttachClient(m.env.Queries[qi].State.ID, qa)
+	env.Net.AttachClient(addr, qa)
 	return nil
 }
 
@@ -304,10 +325,10 @@ func (m *Method) ClientTick(now model.Tick) {
 }
 
 // ServerTick implements sim.Method.
-func (m *Method) ServerTick(now model.Tick) { m.server.Tick(now) }
+func (m *Method) ServerTick(now model.Tick) { m.engine.Tick(now) }
 
 // Finalize implements sim.Method.
-func (m *Method) Finalize(now model.Tick) bool { return m.server.Finalize(now) }
+func (m *Method) Finalize(now model.Tick) bool { return m.engine.Finalize(now) }
 
 // Answer implements sim.Method: the answer as currently visible at the
 // query's focal client (what the user would see).
@@ -319,11 +340,12 @@ func (m *Method) Answer(q model.QueryID) model.Answer {
 	return m.qcs[qi].Answer()
 }
 
-// ServerAnswer returns the server's maintained answer (used by tests to
-// distinguish server-side from client-visible state).
-func (m *Method) ServerAnswer(q model.QueryID) model.Answer {
-	return m.server.Answer(q)
-}
+// ServerTime implements sim.Method: the engine's critical path.
+func (m *Method) ServerTime() time.Duration { return m.engine.BusyTime() }
 
-// ServerTime implements sim.Method.
-func (m *Method) ServerTime() time.Duration { return m.server.BusyTime() }
+// Engine returns the server side Setup built, nil before Setup (tests and
+// harnesses inspect server-side state through it).
+func (m *Method) Engine() Engine { return m.engine }
+
+// Agents returns the object agents, indexed by object id − 1.
+func (m *Method) Agents() []*ObjectAgent { return m.agents }

@@ -229,14 +229,15 @@ func TestDeregisterStopsTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if a := method.ServerAnswer(1); len(a.Neighbors) != cfg.K {
+	server := method.Engine().(*Server)
+	if a := server.Answer(1); len(a.Neighbors) != cfg.K {
 		t.Fatalf("query not established after 10 ticks: %v", a)
 	}
 	// Deregister via the query client's own transport and deliver.
 	addr := env.Queries[0].State.ID
 	env.Net.ClientSide(addr).Uplink(protocol.QueryDeregister{Query: 1})
 	env.Net.Flush()
-	if a := method.ServerAnswer(1); len(a.Neighbors) != 0 {
+	if a := server.Answer(1); len(a.Neighbors) != 0 {
 		t.Fatalf("server retains answer after deregister: %v", a)
 	}
 	// After the cancel propagates, object agents must hold no monitors
@@ -258,7 +259,7 @@ func TestDeregisterStopsTraffic(t *testing.T) {
 		}
 	}
 	for i := range env.Objects {
-		if n := method.agents[i].MonitorCount(); n != 0 {
+		if n := method.Agents()[i].MonitorCount(); n != 0 {
 			t.Fatalf("object %d still holds %d monitors", i+1, n)
 		}
 	}
@@ -277,7 +278,7 @@ func TestServerAnswerForUnknownQuery(t *testing.T) {
 	if a := m.Answer(999); len(a.Neighbors) != 0 {
 		t.Errorf("unknown query answer = %v", a)
 	}
-	if a := m.ServerAnswer(999); len(a.Neighbors) != 0 {
+	if a := m.Engine().(*Server).Answer(999); len(a.Neighbors) != 0 {
 		t.Errorf("unknown query server answer = %v", a)
 	}
 }

@@ -115,9 +115,11 @@ func (s *Server) enqueueGone(id model.ObjectID) {
 
 // Drain processes every queued arrival, shard-parallel on the bounded
 // worker pool, then transmits the captured sends merged back into
-// arrival order. It reports whether any arrival was processed. In
-// synchronous mode it is a no-op, so drivers may call it
-// unconditionally. Drain must run on the driver goroutine (the one that
+// arrival order. It reports whether any arrival was processed. Tick and
+// Finalize call it themselves; a driver that wants the phase timed on
+// its own (bench/) calls it just before, which leaves theirs nothing to
+// do — on empty queues, and in synchronous mode, it returns before
+// touching a shard. Drain must run on the driver goroutine (the one that
 // owns the medium); only the per-shard processing is parallel.
 func (s *Server) Drain(now model.Tick) bool {
 	if !s.opts.Batched {

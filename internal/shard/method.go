@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"dmknn/internal/core"
 	"dmknn/internal/geo"
@@ -33,151 +32,34 @@ func (l *lockedSide) Broadcast(region geo.Circle, m protocol.Message) {
 	l.side.Broadcast(region, m)
 }
 
-// Method plugs the sharded server into the simulation engine. The client
-// side is identical to the single-server DKNN method; only the server's
-// interior differs.
-type Method struct {
-	cfg    core.Config
-	n      int
-	opts   Options
-	server *Server
-	agents []*core.ObjectAgent
-	qcs    []*core.QueryAgent
-}
-
-var _ sim.Method = (*Method)(nil)
-
 // NewMethod returns a DKNN method whose server runs n shards with
-// synchronous ingest.
-func NewMethod(n int, cfg core.Config) (*Method, error) {
-	return NewMethodWithOptions(n, cfg, Options{})
+// synchronous ingest. The client side is core.Method's, as for every
+// engine; only the server's interior differs.
+func NewMethod(n int, cfg core.Config) (*core.Method, error) {
+	return newMethod("dknn-sharded", n, cfg, Options{})
 }
 
 // NewBatchedMethod returns a DKNN method whose server runs n shards on
 // the batched ingest pipeline (per-shard arrival queues drained once per
 // tick, sends merged back into the synchronous order).
-func NewBatchedMethod(n int, cfg core.Config) (*Method, error) {
-	return NewMethodWithOptions(n, cfg, Options{Batched: true})
+func NewBatchedMethod(n int, cfg core.Config) (*core.Method, error) {
+	return newMethod("dknn-batched", n, cfg, Options{Batched: true})
 }
 
-// NewMethodWithOptions returns a DKNN method whose server runs n shards
-// with the given ingest options.
-func NewMethodWithOptions(n int, cfg core.Config, opts Options) (*Method, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func newMethod(name string, n int, cfg core.Config, opts Options) (*core.Method, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("shard: non-positive shard count %d", n)
 	}
-	return &Method{cfg: cfg, n: n, opts: opts}, nil
-}
-
-// Name implements sim.Method.
-func (m *Method) Name() string {
-	if m.opts.Batched {
-		return "dknn-batched"
-	}
-	return "dknn-sharded"
-}
-
-// Setup implements sim.Method.
-func (m *Method) Setup(env *sim.Env) error {
-	m.cfg = m.cfg.WithWorldDefault(env.World)
-	// In synchronous mode the shards send mid-tick from their own
-	// goroutines, so the medium needs a serializing wrapper. In batched
-	// mode the shards write to capture buffers and the medium is only
-	// touched by flushSends on the engine goroutine, so the side is used
-	// directly — which is also what lets the medium see whole-drain
-	// broadcast batches.
-	var side transport.ServerSide = env.Net.ServerSide()
-	if !m.opts.Batched {
-		side = &lockedSide{side: side}
-	}
-	srv, err := NewWithOptions(m.n, m.cfg, core.ServerDeps{
-		Side:           side,
-		Now:            env.Net.Now,
-		DT:             env.DT,
-		MaxObjectSpeed: env.MaxObjectSpeed,
-		MaxQuerySpeed:  env.MaxQuerySpeed,
-		LatencyTicks:   env.LatencyTicks,
-	}, m.opts)
-	if err != nil {
-		return err
-	}
-	m.server = srv
-	env.Net.AttachServer(srv)
-
-	m.agents = make([]*core.ObjectAgent, len(env.Objects))
-	for i := range m.agents {
-		id := model.ObjectID(i + 1)
-		idx := i
-		agent, err := core.NewObjectAgent(m.cfg, core.AgentDeps{
-			ID:           id,
-			Side:         env.Net.ClientSide(id),
-			Now:          env.Net.Now,
-			Pos:          func() geo.Point { return env.Objects[idx].Pos },
-			DT:           env.DT,
-			LatencyTicks: env.LatencyTicks,
-		})
-		if err != nil {
-			return err
+	return core.NewMethod(name, cfg, 0, func(cfg core.Config, deps core.ServerDeps, _ *sim.Env) (core.Engine, error) {
+		// In synchronous mode the shards send mid-tick from their own
+		// goroutines, so the medium needs a serializing wrapper. In batched
+		// mode the shards write to capture buffers and the medium is only
+		// touched by flushSends on the engine goroutine, so the side is used
+		// directly — which is also what lets the medium see whole-drain
+		// broadcast batches.
+		if !opts.Batched {
+			deps.Side = &lockedSide{side: deps.Side}
 		}
-		m.agents[i] = agent
-		env.Net.AttachClient(id, agent)
-	}
-	m.qcs = make([]*core.QueryAgent, len(env.Queries))
-	for i := range m.qcs {
-		idx := i
-		addr := env.Queries[i].State.ID
-		qa, err := core.NewQueryAgent(m.cfg, env.Queries[i].Spec, core.QueryAgentDeps{
-			AgentDeps: core.AgentDeps{
-				ID:           addr,
-				Side:         env.Net.ClientSide(addr),
-				Now:          env.Net.Now,
-				Pos:          func() geo.Point { return env.Queries[idx].State.Pos },
-				DT:           env.DT,
-				LatencyTicks: env.LatencyTicks,
-			},
-			Vel: func() geo.Vector { return env.Queries[idx].State.Vel },
-		})
-		if err != nil {
-			return err
-		}
-		m.qcs[i] = qa
-		env.Net.AttachClient(addr, qa)
-	}
-	return nil
+		return NewWithOptions(n, cfg, deps, opts)
+	})
 }
-
-// ClientTick implements sim.Method.
-func (m *Method) ClientTick(now model.Tick) {
-	for _, qc := range m.qcs {
-		qc.Tick(now)
-	}
-	for _, a := range m.agents {
-		a.Tick(now)
-	}
-}
-
-// ServerTick implements sim.Method: in batched mode the arrivals
-// delivered since the last tick are drained first, exactly where the
-// synchronous server would have processed them.
-func (m *Method) ServerTick(now model.Tick) {
-	m.server.Drain(now)
-	m.server.Tick(now)
-}
-
-// Finalize implements sim.Method.
-func (m *Method) Finalize(now model.Tick) bool { return m.server.Finalize(now) }
-
-// Answer implements sim.Method (the focal client's view).
-func (m *Method) Answer(q model.QueryID) model.Answer {
-	qi := int(q) - 1
-	if qi < 0 || qi >= len(m.qcs) {
-		return model.Answer{Query: q}
-	}
-	return m.qcs[qi].Answer()
-}
-
-// ServerTime implements sim.Method: the parallel critical path.
-func (m *Method) ServerTime() time.Duration { return m.server.BusyTime() }

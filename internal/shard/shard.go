@@ -11,10 +11,12 @@
 // onto a per-shard arrival queue and processes whole ticks of arrivals
 // in a Drain phase, shard-parallel on a bounded worker pool, with the
 // outgoing sends of all shards merged back into the synchronous server's
-// global send order before they touch the medium. Both modes are
-// byte-identical to the single-server DKNN on the client wire — the
-// batched one by the ordering argument in DESIGN.md, pinned by the
-// property tests in this package.
+// global send order before they touch the medium. Tick and Finalize
+// drain first, so either mode is driven like any other core.Engine;
+// Drain is exported for drivers that want the phase timed on its own.
+// Both modes are byte-identical to the single-server DKNN on the client
+// wire — the batched one by the ordering argument in DESIGN.md, pinned
+// by the property tests in this package.
 //
 // This is the follow-up-literature "scalable distributed processing"
 // extension: the wireless side of the protocol is unchanged (objects and
@@ -136,12 +138,14 @@ func (s *Server) HandleClientGone(id model.ObjectID) {
 	s.parallel(func(sh *core.Server) { sh.HandleClientGone(id) })
 }
 
-// Tick runs every shard's periodic work in parallel. In batched mode the
-// captured sends are merged into sorted-query order — the synchronous
-// server's Tick iteration order — and transmitted before returning; call
-// Drain first to process the tick's arrivals.
+// Tick runs every shard's periodic work in parallel. In batched mode it
+// first drains the tick's arrivals, exactly where the synchronous server
+// would have processed them, then merges the captured sends into
+// sorted-query order — the synchronous server's Tick iteration order —
+// and transmits them before returning.
 func (s *Server) Tick(now model.Tick) {
 	if s.opts.Batched {
+		s.Drain(now)
 		s.parallelShards(func(i int, sh *core.Server) {
 			s.sides[i].byQuery = true
 			sh.Tick(now)
@@ -229,6 +233,6 @@ func (s *Server) BusyTime() time.Duration {
 }
 
 var (
-	_ transport.ServerHandler     = (*Server)(nil)
+	_ core.Engine                 = (*Server)(nil)
 	_ transport.DisconnectHandler = (*Server)(nil)
 )

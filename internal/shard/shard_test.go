@@ -57,12 +57,13 @@ func TestShardedExactness(t *testing.T) {
 	if ex := res.Audit.Exactness(); ex != 1.0 {
 		t.Fatalf("sharded exactness = %v (recall %v)", ex, res.Audit.MeanRecall())
 	}
-	if got := m.server.QueryCount(); got != cfg.NumQueries {
+	srv := m.Engine().(*Server)
+	if got := srv.QueryCount(); got != cfg.NumQueries {
 		t.Errorf("QueryCount = %d, want %d", got, cfg.NumQueries)
 	}
 	// With 8 queries over 4 shards, at least two shards must own queries.
 	owners := 0
-	for _, sh := range m.server.shards {
+	for _, sh := range srv.shards {
 		if sh.QueryCount() > 0 {
 			owners++
 		}
