@@ -11,6 +11,9 @@
 package dmknn
 
 import (
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 
 	"dmknn/internal/exp"
@@ -67,6 +70,39 @@ func sanitizeMetric(name string) string {
 	return string(out)
 }
 
+// Every experiment has one benchmark in this file and one section in
+// EXPERIMENTS.md, and neither names an experiment the suite no longer
+// has: removing (or adding) an experiment in one place fails here until
+// the other two follow. table2 is the one id outside exp.Suite.
+func TestExperimentsBenchmarksAndDocsAgree(t *testing.T) {
+	suite := map[string]bool{"table2": true}
+	for _, e := range exp.Suite(exp.SmokeProfile()) {
+		suite[e.ID] = true
+	}
+	for _, src := range []struct{ file, pattern, what string }{
+		{"bench_test.go", `(?m)^func Benchmark(Fig|Table)(\d+)`, "benchmark"},
+		{"EXPERIMENTS.md", `(?m)^## (Fig|Table) (\d+)\b`, "section"},
+	} {
+		text, err := os.ReadFile(src.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := map[string]bool{}
+		for _, m := range regexp.MustCompile(src.pattern).FindAllStringSubmatch(string(text), -1) {
+			id := strings.ToLower(m[1]) + m[2]
+			found[id] = true
+			if !suite[id] {
+				t.Errorf("%s has a %s for %s, which is not an experiment", src.file, src.what, id)
+			}
+		}
+		for id := range suite {
+			if !found[id] {
+				t.Errorf("experiment %s has no %s in %s", id, src.what, src.file)
+			}
+		}
+	}
+}
+
 // BenchmarkFig5ObjectScaling regenerates Fig 5: uplink/tick vs N.
 func BenchmarkFig5ObjectScaling(b *testing.B) {
 	runExperiment(b, func(p exp.Profile) *exp.Experiment { return p.Fig5ObjectScaling() })
@@ -113,12 +149,6 @@ func BenchmarkFig13GridResolution(b *testing.B) {
 	runExperiment(b, func(p exp.Profile) *exp.Experiment { return p.Fig13GridResolution() })
 }
 
-// BenchmarkFig14IndexAblation regenerates Fig 14: grid vs R-tree server
-// index.
-func BenchmarkFig14IndexAblation(b *testing.B) {
-	runExperiment(b, func(p exp.Profile) *exp.Experiment { return p.Fig14IndexAblation() })
-}
-
 // BenchmarkFig15Skew regenerates Fig 15: uniform vs hotspot populations.
 func BenchmarkFig15Skew(b *testing.B) {
 	runExperiment(b, func(p exp.Profile) *exp.Experiment { return p.Fig15Skew() })
@@ -133,6 +163,12 @@ func BenchmarkFig16ShardScaling(b *testing.B) {
 // BenchmarkFig17LossRobustness regenerates Fig 17: quality vs loss.
 func BenchmarkFig17LossRobustness(b *testing.B) {
 	runExperiment(b, func(p exp.Profile) *exp.Experiment { return p.Fig17LossRobustness() })
+}
+
+// BenchmarkFig18BurstLoss regenerates Fig 18: quality vs bursty
+// (Gilbert–Elliott) loss.
+func BenchmarkFig18BurstLoss(b *testing.B) {
+	runExperiment(b, func(p exp.Profile) *exp.Experiment { return p.Fig18BurstLoss() })
 }
 
 // BenchmarkFig19LargeScale regenerates Fig 19: audit-free traffic and

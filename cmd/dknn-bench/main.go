@@ -5,25 +5,24 @@
 // Usage:
 //
 //	dknn-bench [-profile full|smoke] [-only fig5,table3] [-markdown]
-//	           [-workers N] [-json out.json] [-trace]
+//	           [-csv dir] [-seeds N] [-workers N] [-trace]
 //	           [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // The full profile is paper-scale (tens of thousands of objects; expect
 // minutes per experiment). The smoke profile runs the same grid at unit
 // scale in seconds.
 //
+// -only selects experiments by id (the Suite ids and table2); an id that
+// names no experiment is an error, not an empty run. -markdown prints the
+// tables as EXPERIMENTS.md records them and -csv writes one file per
+// experiment: those two are the machine-readable forms.
+//
 // -workers sets the experiment runner's worker-pool size (0 = one worker
 // per core). Every (method × sweep-point × seed) cell is an independent
 // seeded simulation, so the tables are byte-identical for every worker
 // count; experiments that measure wall-clock quantities (fig10, fig13,
-// fig14, fig15, fig16, fig19, fig20) are declared Serial and always run
-// their cells one at a time so sibling runs cannot perturb their
-// timings.
-//
-// -json additionally writes a machine-readable report — per-experiment
-// wall-clock, the worker count used, and host parallelism — which is how
-// the checked-in BENCH_PR1.json, BENCH_PR3.json, and BENCH_PR4.json
-// baselines were produced.
+// fig15, fig16, fig19, fig20, fig22) are declared Serial and always run
+// their cells one at a time so sibling runs cannot perturb their timings.
 //
 // -cpuprofile and -memprofile write pprof profiles of the selected
 // experiments (see README.md §Profiling), which is how hot-path
@@ -38,57 +37,48 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
-	"dmknn/internal/core"
 	"dmknn/internal/exp"
 	"dmknn/internal/obs"
 )
 
-// expTiming is one experiment's entry in the -json report. Columns and
-// Rows carry the rendered table itself, so a checked-in report is a
-// complete record of the numbers, not just how long they took.
-type expTiming struct {
-	ID      string    `json:"id"`
-	Serial  bool      `json:"serial"`
-	Seconds float64   `json:"seconds"`
-	Columns []string  `json:"columns,omitempty"`
-	Rows    []jsonRow `json:"rows,omitempty"`
-}
-
-// jsonRow is one sweep point of an experiment table in the -json report.
-type jsonRow struct {
-	Label  string    `json:"label"`
-	Values []float64 `json:"values"`
-}
-
-// report is the -json output: enough to compare suite wall-clock across
-// worker counts and machines, plus the hot-path allocation rate and the
-// profile's shard grid so scaling artifacts are self-describing.
-type report struct {
-	Profile    string `json:"profile"`
-	Workers    int    `json:"workers"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
-	Seeds      int    `json:"seeds"`
-	// Shards is the profile's shard-count grid (fig16/fig19 methods).
-	Shards []int `json:"shards,omitempty"`
-	// AllocsPerOp is the measured heap allocation rate of the server's
-	// move-report hot path with tracing off; the pinned value is 0.
-	AllocsPerOp     float64     `json:"allocs_per_op"`
-	Experiments     []expTiming `json:"experiments"`
-	ParallelSeconds float64     `json:"parallel_seconds"` // non-Serial experiments
-	SerialSeconds   float64     `json:"serial_seconds"`   // Serial experiments
-	TotalSeconds    float64     `json:"total_seconds"`
+// selectExperiments resolves -only against the suite: the experiments
+// to run, in suite order, and whether table2 (which is not an
+// Experiment) is among them. An empty list selects everything.
+func selectExperiments(suite []*exp.Experiment, only string) ([]*exp.Experiment, bool, error) {
+	if only == "" {
+		return suite, true, nil
+	}
+	valid := make([]string, 0, len(suite)+1)
+	for _, e := range suite {
+		valid = append(valid, e.ID)
+	}
+	valid = append(valid, "table2")
+	want := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		id = strings.TrimSpace(id)
+		if !slices.Contains(valid, id) {
+			return nil, false, fmt.Errorf("unknown experiment id %q (valid: %s)", id, strings.Join(valid, ", "))
+		}
+		want[id] = true
+	}
+	var picked []*exp.Experiment
+	for _, e := range suite {
+		if want[e.ID] {
+			picked = append(picked, e)
+		}
+	}
+	return picked, want["table2"], nil
 }
 
 func main() {
@@ -98,7 +88,6 @@ func main() {
 	csvDir := flag.String("csv", "", "also write one CSV per experiment into this directory")
 	seeds := flag.Int("seeds", 1, "repetitions per cell with distinct workload seeds (mean reported)")
 	workers := flag.Int("workers", 0, "worker pool size for experiment cells (0 = GOMAXPROCS; Serial experiments ignore it)")
-	jsonPath := flag.String("json", "", "also write a machine-readable timing report to this file")
 	trace := flag.Bool("trace", false, "arm a flight recorder on every simulation and print a per-event census after each experiment")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
@@ -152,34 +141,14 @@ func main() {
 	}
 	profile.Workers = *workers
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
-	}
-	selected := func(id string) bool { return len(want) == 0 || want[id] }
-
-	rep := report{
-		Profile:    *profileName,
-		Workers:    *workers,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Seeds:      *seeds,
-		Shards:     profile.Shards,
-	}
-	allocs, err := core.MoveReportAllocsPerOp(0)
+	experiments, table2, err := selectExperiments(exp.Suite(profile), *only)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dknn-bench: alloc probe: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(os.Stderr, "dknn-bench: -only: %v\n", err)
+		os.Exit(2)
 	}
-	rep.AllocsPerOp = allocs
 
 	fmt.Printf("# dknn-bench profile=%s workers=%d\n\n", *profileName, *workers)
-	for _, e := range exp.Suite(profile) {
-		if !selected(e.ID) {
-			continue
-		}
+	for _, e := range experiments {
 		e.Seeds = *seeds
 		var rec *obs.Recorder
 		if *trace {
@@ -224,45 +193,13 @@ func main() {
 			}
 		}
 		fmt.Printf("(%s in %v)\n\n", e.ID, elapsed.Round(time.Millisecond))
-		timing := expTiming{
-			ID: e.ID, Serial: e.Serial, Seconds: elapsed.Seconds(),
-			Columns: table.Columns,
-		}
-		for _, r := range table.Rows {
-			timing.Rows = append(timing.Rows, jsonRow{Label: r.Label, Values: r.Values})
-		}
-		rep.Experiments = append(rep.Experiments, timing)
-		if e.Serial {
-			rep.SerialSeconds += elapsed.Seconds()
-		} else {
-			rep.ParallelSeconds += elapsed.Seconds()
-		}
-		rep.TotalSeconds += elapsed.Seconds()
 	}
-	if selected("table2") {
-		start := time.Now()
+	if table2 {
 		out, err := profile.RunTable2()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dknn-bench: table2: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Println(out)
-		elapsed := time.Since(start)
-		rep.Experiments = append(rep.Experiments, expTiming{
-			ID: "table2", Serial: true, Seconds: elapsed.Seconds(),
-		})
-		rep.SerialSeconds += elapsed.Seconds()
-		rep.TotalSeconds += elapsed.Seconds()
-	}
-	if *jsonPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dknn-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "dknn-bench: %v\n", err)
-			os.Exit(1)
-		}
 	}
 }

@@ -20,9 +20,10 @@
 //     messages-vs-server-CPU tradeoff from the moving-object-database
 //     literature.
 //
-// All run on the same transport, are driven by the same engine, and are
-// audited by the same ground truth as the distributed method, so every
-// reported difference is attributable to the protocol.
+// All index their reports in the same uniform grid (internal/grid), run
+// on the same transport, are driven by the same engine, and are audited
+// by the same ground truth as the distributed method, so every reported
+// difference is attributable to the protocol.
 package baseline
 
 import (
@@ -31,7 +32,7 @@ import (
 	"time"
 
 	"dmknn/internal/geo"
-	"dmknn/internal/index"
+	"dmknn/internal/grid"
 	"dmknn/internal/model"
 	"dmknn/internal/protocol"
 	"dmknn/internal/sim"
@@ -69,9 +70,6 @@ type Config struct {
 	// query position is cheap to track precisely, so it defaults to 0
 	// (report every tick it moved).
 	QueryThreshold float64
-	// Index selects the server's spatial index substrate: index.KindGrid
-	// (default) or index.KindRTree.
-	Index string
 }
 
 // Validate reports a descriptive error for unusable configurations.
@@ -105,15 +103,6 @@ func NewCP() *Method {
 	return &Method{cfg: Config{Mode: ModePeriodic}, name: "cp"}
 }
 
-// NewCPWithIndex returns the CP baseline on the named spatial index
-// substrate (index.KindGrid or index.KindRTree), for the index ablation.
-func NewCPWithIndex(kind string) (*Method, error) {
-	if _, err := index.New(kind, geo.NewRect(geo.Pt(0, 0), geo.Pt(1, 1)), 1, 1); err != nil {
-		return nil, err
-	}
-	return &Method{cfg: Config{Mode: ModePeriodic, Index: kind}, name: "cp[" + kind + "]"}, nil
-}
-
 // NewCI returns the centralized-incremental baseline with drift threshold
 // tau (meters).
 func NewCI(tau float64) (*Method, error) {
@@ -140,11 +129,7 @@ func (m *Method) Name() string { return m.name }
 // Setup implements sim.Method.
 func (m *Method) Setup(env *sim.Env) error {
 	m.env = env
-	srv, err := newCentralServer(m, env.Net.ServerSide())
-	if err != nil {
-		return err
-	}
-	m.server = srv
+	m.server = newCentralServer(m, env.Net.ServerSide())
 	env.Net.AttachServer(m.server)
 
 	m.agents = make([]reporterAgent, len(env.Objects))
@@ -309,7 +294,7 @@ type track struct {
 type centralServer struct {
 	m       *Method
 	side    transport.ServerSide
-	index   index.Spatial
+	index   *grid.Grid
 	tracks  map[model.ObjectID]track
 	queries map[model.QueryID]*centralQuery
 	order   []model.QueryID
@@ -319,19 +304,15 @@ type centralServer struct {
 	scratch []model.Neighbor
 }
 
-func newCentralServer(m *Method, side transport.ServerSide) (*centralServer, error) {
+func newCentralServer(m *Method, side transport.ServerSide) *centralServer {
 	cols, rows := m.env.Geometry.Dims()
-	idx, err := index.New(m.cfg.Index, m.env.World, cols, rows)
-	if err != nil {
-		return nil, err
-	}
 	return &centralServer{
 		m:       m,
 		side:    side,
-		index:   idx,
+		index:   grid.New(m.env.World, cols, rows),
 		tracks:  make(map[model.ObjectID]track),
 		queries: make(map[model.QueryID]*centralQuery),
-	}, nil
+	}
 }
 
 // HandleUplink implements transport.ServerHandler.

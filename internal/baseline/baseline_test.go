@@ -171,26 +171,6 @@ func TestAnswerForUnknownQuery(t *testing.T) {
 	}
 }
 
-// CP on the R-tree substrate is just as exact as on the grid.
-func TestCPRTreeIndexExact(t *testing.T) {
-	cfg := workload.Quick()
-	cfg.Ticks = 30
-	m, err := NewCPWithIndex("rtree")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(cfg, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex := res.Audit.Exactness(); ex != 1.0 {
-		t.Fatalf("CP[rtree] exactness = %v", ex)
-	}
-	if _, err := NewCPWithIndex("btree"); err == nil {
-		t.Fatal("unknown index accepted")
-	}
-}
-
 // Server-side hygiene paths of the centralized server: deregistration,
 // query moves, duplicate registration, and disconnect purging.
 func TestCentralServerLifecycle(t *testing.T) {

@@ -129,17 +129,19 @@ func TestClusterChaosReconvergence(t *testing.T) {
 	}
 }
 
-// ROADMAP item 1's smallest reproduction. A focal client that cold-restarts
-// within a metre of a strip boundary re-registers while its track crosses
-// it: seed 2's query 4 restarts after tick 48 at (500.60, 598.47), the
-// boundary at x = 500, and tick 49 moves its home from node 1 to node 0.
-// Node 0's own Answer(4) is then wrong on 40 of the ticks 50–96 — well
-// past the heal window of the restart-churn schedule every single-process
-// engine passes (TestRestartChurnHealsOnEveryEngine in internal/exp), of
-// which this is the federation cell. Seeds 1, 3, 4 and 5 pass, and so does
-// seed 2 without the query restarts.
+// The smallest reproduction of the re-registration-at-a-strip-boundary
+// defect (ROADMAP: "one rule for a query changing owner"). A focal client
+// that cold-restarts within a metre of a strip boundary re-registers
+// while its track crosses it: seed 2's query 4 restarts after tick 48 at
+// (500.60, 598.47), the boundary at x = 500, and tick 49 moves its home
+// from node 1 to node 0. Node 0's own Answer(4) is then wrong on 40 of
+// the ticks 50–96 — well past the heal window of the restart-churn
+// schedule every single-process engine passes
+// (TestRestartChurnHealsOnEveryEngine in internal/exp), of which this is
+// the federation cell. Seeds 1, 3, 4 and 5 pass, and so does seed 2
+// without the query restarts.
 func TestFocalRestartAtStripBoundary(t *testing.T) {
-	t.Skip("known defect, ROADMAP item 1: a query that migrates in the tick it re-registers leaves its new home inexact")
+	t.Skip("known defect (re-registration at a strip boundary): a query that migrates in the tick it re-registers leaves its new home inexact")
 	cfg := workload.Quick()
 	cfg.Seed = 2
 	cfg.DisableAudit = true

@@ -227,17 +227,6 @@ func (s *Server) QueryEstimate(q model.QueryID, now model.Tick) (geo.Point, bool
 	return mon.qEst(now, s.deps.DT), true
 }
 
-// QueryAddr returns the focal client address q was registered from.
-func (s *Server) QueryAddr(q model.QueryID) (model.ObjectID, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mon, ok := s.monitors[q]
-	if !ok {
-		return 0, false
-	}
-	return mon.addr, true
-}
-
 // QueriesInvolving returns the sorted ids of the queries whose monitor
 // state (candidates, inside set, or last sent answer) currently includes
 // the object. A federation transfers this set on object handoff so the

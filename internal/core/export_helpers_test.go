@@ -8,9 +8,9 @@ import (
 	"dmknn/internal/protocol"
 )
 
-// The federation-facing read helpers: the track estimate and focal
-// address a cluster uses to decide when a monitor should migrate, and
-// the involvement index it transfers on object handoff.
+// The federation-facing read helpers: the track estimate a cluster uses
+// to decide when a monitor should migrate, and the involvement index it
+// transfers on object handoff.
 func TestFederationReadHelpers(t *testing.T) {
 	srv, side, now := unitServer(t, baseCfg())
 	*now = 1
@@ -19,15 +19,9 @@ func TestFederationReadHelpers(t *testing.T) {
 	if _, ok := srv.QueryEstimate(99, 1); ok {
 		t.Error("estimate for an unknown query")
 	}
-	if _, ok := srv.QueryAddr(99); ok {
-		t.Error("address for an unknown query")
-	}
 	est, ok := srv.QueryEstimate(1, 1)
 	if !ok || est.Dist(geo.Pt(500, 500)) > 1e-9 {
 		t.Fatalf("estimate = %v ok=%v, want the registered position", est, ok)
-	}
-	if addr, ok := srv.QueryAddr(1); !ok || addr != 500 {
-		t.Fatalf("addr = %v ok=%v, want registrant 500", addr, ok)
 	}
 
 	// A track advertised with velocity dead-reckons forward.
@@ -77,19 +71,6 @@ func TestExportMonitorsWhere(t *testing.T) {
 	}
 	if !srv.HasQuery(2) {
 		t.Error("probing monitor was exported")
-	}
-}
-
-// The allocation probe behind dknn-bench's allocs_per_op artifact: the
-// MoveReport hot path must stay allocation-free, and the probe itself
-// must set up the full register→probe→install handshake.
-func TestMoveReportAllocProbe(t *testing.T) {
-	v, err := MoveReportAllocsPerOp(300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v >= 0.5 {
-		t.Fatalf("MoveReport allocates %.2f objects/op, want 0", v)
 	}
 }
 

@@ -551,7 +551,6 @@ func Suite(p Profile) []*Experiment {
 		p.Fig11QueryScaling(),
 		p.Fig12SlackAblation(),
 		p.Fig13GridResolution(),
-		p.Fig14IndexAblation(),
 		p.Fig15Skew(),
 		p.Fig16ShardScaling(),
 		p.Fig17LossRobustness(),
@@ -697,43 +696,14 @@ func (p Profile) Fig13GridResolution() *Experiment {
 	return e
 }
 
-// Fig14IndexAblation: the centralized server's cost on the two spatial
-// index substrates (uniform grid vs R-tree) as the population scales — an
-// ablation beyond the paper's grid.
-func (p Profile) Fig14IndexAblation() *Experiment {
-	mkCP := func(kind string) MethodSpec {
-		return MethodSpec{
-			Name:  "CP[" + kind + "]",
-			Build: func() (sim.Method, error) { return baseline.NewCPWithIndex(kind) },
-		}
-	}
-	e := &Experiment{
-		ID: "fig14", Title: "Server index substrate: grid vs R-tree (ablation)",
-		XLabel:  "N",
-		Methods: []MethodSpec{mkCP("grid"), mkCP("rtree")},
-		Metrics: []Metric{MetricServer, MetricExact},
-		Serial:  true, // reports MetricServer (wall-clock)
-	}
-	for _, n := range p.Ns {
-		e.Points = append(e.Points, Point{fmt.Sprint(n), workload.WithObjects(p.Base, n)})
-	}
-	return e
-}
-
 // Fig15Skew: uniform vs hotspot-clustered populations — skew stresses the
 // grid-based servers (dense cells) while the distributed protocol's
 // regions simply shrink where density is high.
 func (p Profile) Fig15Skew() *Experiment {
-	mkCP := func(kind string) MethodSpec {
-		return MethodSpec{
-			Name:  "CP[" + kind + "]",
-			Build: func() (sim.Method, error) { return baseline.NewCPWithIndex(kind) },
-		}
-	}
 	e := &Experiment{
 		ID: "fig15", Title: "Population skew: uniform vs hotspot clusters (ablation)",
 		XLabel:  "population",
-		Methods: []MethodSpec{mkCP("grid"), mkCP("rtree"), DKNN(p.Proto)},
+		Methods: []MethodSpec{CP(), DKNN(p.Proto)},
 		Metrics: []Metric{MetricUplink, MetricServer},
 		Serial:  true, // reports MetricServer (wall-clock)
 	}

@@ -34,8 +34,8 @@ func tiny() Profile {
 
 func TestSuiteStructure(t *testing.T) {
 	suite := Suite(tiny())
-	if len(suite) != 21 {
-		t.Fatalf("suite has %d experiments, want 21", len(suite))
+	if len(suite) != 20 {
+		t.Fatalf("suite has %d experiments, want 20", len(suite))
 	}
 	seen := map[string]bool{}
 	for _, e := range suite {
@@ -55,7 +55,7 @@ func TestSuiteStructure(t *testing.T) {
 			}
 		}
 	}
-	for _, id := range []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "fig24", "table3", "table4"} {
+	for _, id := range []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "fig24", "table3", "table4"} {
 		if !seen[id] {
 			t.Errorf("missing experiment %q", id)
 		}
@@ -438,7 +438,7 @@ func TestSerialExperimentsAndWorkerStamp(t *testing.T) {
 	p := tiny()
 	p.Workers = 3
 	serialIDs := map[string]bool{
-		"fig10": true, "fig13": true, "fig14": true, "fig15": true, "fig16": true,
+		"fig10": true, "fig13": true, "fig15": true, "fig16": true,
 		"fig19": true, "fig20": true, "fig22": true,
 	}
 	for _, e := range Suite(p) {

@@ -50,9 +50,6 @@ func (p Point) DistSq(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// Eq reports whether p and q are exactly equal.
-func (p Point) Eq(q Point) bool { return p == q }
-
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.2f, %.2f)", p.X, p.Y) }
 
@@ -105,9 +102,6 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 // Height returns the extent of r along the y axis.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 
-// Area returns the area of r.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
 // Center returns the midpoint of r.
 func (r Rect) Center() Point {
 	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
@@ -116,12 +110,6 @@ func (r Rect) Center() Point {
 // Contains reports whether p lies inside r (boundaries inclusive).
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
-// Intersects reports whether r and s share at least one point.
-func (r Rect) Intersects(s Rect) bool {
-	return r.Min.X <= s.Max.X && s.Min.X <= r.Max.X &&
-		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
 }
 
 // Clamp returns the point of r nearest to p; if p is inside r the result is
@@ -155,7 +143,7 @@ func (r Rect) String() string {
 }
 
 // Circle is a disk: center plus radius. A negative radius denotes an empty
-// circle; Contains and Intersects treat it as containing nothing.
+// circle; Contains and IntersectsRect treat it as containing nothing.
 type Circle struct {
 	Center Point
 	R      float64
@@ -175,14 +163,6 @@ func (c Circle) IntersectsRect(r Rect) bool {
 		return false
 	}
 	return r.MinDistSq(c.Center) <= c.R*c.R
-}
-
-// ContainsRect reports whether every point of r lies inside the disk.
-func (c Circle) ContainsRect(r Rect) bool {
-	if c.R < 0 {
-		return false
-	}
-	return r.MaxDist(c.Center) <= c.R
 }
 
 // BoundingRect returns the smallest rectangle containing the disk.

@@ -82,9 +82,6 @@ func TestNewRectNormalizes(t *testing.T) {
 	if !almostEq(r.Width(), 3) || !almostEq(r.Height(), 6) {
 		t.Errorf("Width/Height = %v/%v", r.Width(), r.Height())
 	}
-	if !almostEq(r.Area(), 18) {
-		t.Errorf("Area = %v", r.Area())
-	}
 	if r.Center() != Pt(3.5, 4) {
 		t.Errorf("Center = %v", r.Center())
 	}
@@ -100,28 +97,6 @@ func TestRectContains(t *testing.T) {
 	for _, p := range []Point{Pt(-0.001, 5), Pt(10.001, 5), Pt(5, -1), Pt(5, 11)} {
 		if r.Contains(p) {
 			t.Errorf("%v should not contain %v", r, p)
-		}
-	}
-}
-
-func TestRectIntersects(t *testing.T) {
-	r := NewRect(Pt(0, 0), Pt(10, 10))
-	cases := []struct {
-		s    Rect
-		want bool
-	}{
-		{NewRect(Pt(5, 5), Pt(15, 15)), true},
-		{NewRect(Pt(10, 10), Pt(20, 20)), true}, // touching corner counts
-		{NewRect(Pt(11, 0), Pt(20, 10)), false},
-		{NewRect(Pt(2, 2), Pt(3, 3)), true}, // fully inside
-		{NewRect(Pt(-5, -5), Pt(20, 20)), true},
-	}
-	for _, c := range cases {
-		if got := r.Intersects(c.s); got != c.want {
-			t.Errorf("%v.Intersects(%v) = %v, want %v", r, c.s, got, c.want)
-		}
-		if got := c.s.Intersects(r); got != c.want {
-			t.Errorf("intersection not symmetric for %v", c.s)
 		}
 	}
 }
@@ -184,12 +159,6 @@ func TestCircle(t *testing.T) {
 	if c.IntersectsRect(NewRect(Pt(4, 4), Pt(10, 10))) {
 		t.Error("rect at distance sqrt(32) > 5 should not intersect")
 	}
-	if !c.ContainsRect(NewRect(Pt(-1, -1), Pt(1, 1))) {
-		t.Error("small centered rect should be contained")
-	}
-	if c.ContainsRect(NewRect(Pt(-4, -4), Pt(4, 4))) {
-		t.Error("rect with corner outside should not be contained")
-	}
 	br := c.BoundingRect()
 	if br.Min != Pt(-5, -5) || br.Max != Pt(5, 5) {
 		t.Errorf("BoundingRect = %v", br)
@@ -204,91 +173,12 @@ func TestEmptyCircle(t *testing.T) {
 	if c.IntersectsRect(NewRect(Pt(-1, -1), Pt(1, 1))) {
 		t.Error("negative-radius circle intersects nothing")
 	}
-	if c.ContainsRect(NewRect(Pt(0, 0), Pt(0, 0))) {
-		t.Error("negative-radius circle contains no rect")
-	}
 }
 
 func TestDeadReckon(t *testing.T) {
 	got := DeadReckon(Pt(1, 1), Vec(2, -1), 3)
 	if got != Pt(7, -2) {
 		t.Errorf("DeadReckon = %v", got)
-	}
-}
-
-func TestRelativeClosingTime(t *testing.T) {
-	// Head-on at combined speed 4, gap 10, threshold 2 -> closes 8 in 2s.
-	tm, ok := RelativeClosingTime(Pt(0, 0), Vec(2, 0), Pt(10, 0), Vec(-2, 0), 2)
-	if !ok || !almostEq(tm, 2) {
-		t.Errorf("closing time = %v ok=%v, want 2 true", tm, ok)
-	}
-	// Already within threshold.
-	tm, ok = RelativeClosingTime(Pt(0, 0), Vec(0, 0), Pt(1, 0), Vec(0, 0), 5)
-	if !ok || tm != 0 {
-		t.Errorf("already-close = %v ok=%v", tm, ok)
-	}
-	// Parallel, never closes.
-	_, ok = RelativeClosingTime(Pt(0, 0), Vec(1, 0), Pt(0, 10), Vec(1, 0), 5)
-	if ok {
-		t.Error("parallel tracks should never close")
-	}
-	// Diverging.
-	_, ok = RelativeClosingTime(Pt(0, 0), Vec(-1, 0), Pt(10, 0), Vec(1, 0), 2)
-	if ok {
-		t.Error("diverging tracks should never close")
-	}
-	// Stationary and far apart.
-	_, ok = RelativeClosingTime(Pt(0, 0), Vec(0, 0), Pt(10, 0), Vec(0, 0), 2)
-	if ok {
-		t.Error("stationary far points never close")
-	}
-}
-
-// Property: the reported closing time really achieves distance <= d (with
-// tolerance), and no earlier sampled instant does distance < d - eps.
-func TestRelativeClosingTimeProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		p := Pt(rng.Float64()*100, rng.Float64()*100)
-		q := Pt(rng.Float64()*100, rng.Float64()*100)
-		vp := Vec(rng.Float64()*10-5, rng.Float64()*10-5)
-		vq := Vec(rng.Float64()*10-5, rng.Float64()*10-5)
-		d := rng.Float64() * 20
-		tm, ok := RelativeClosingTime(p, vp, q, vq, d)
-		if !ok {
-			continue
-		}
-		pp := DeadReckon(p, vp, tm)
-		qq := DeadReckon(q, vq, tm)
-		if pp.Dist(qq) > d+1e-6 {
-			t.Fatalf("at closing time %v distance is %v > d=%v", tm, pp.Dist(qq), d)
-		}
-		// Check a few earlier instants are not already strictly closer
-		// than d (tolerating the t=0 inside case).
-		if tm > 0 {
-			for _, f := range []float64{0.25, 0.5, 0.9} {
-				te := tm * f
-				pe := DeadReckon(p, vp, te)
-				qe := DeadReckon(q, vq, te)
-				if pe.Dist(qe) < d-1e-6 {
-					t.Fatalf("distance %v < d=%v already at t=%v < closing %v",
-						pe.Dist(qe), d, te, tm)
-				}
-			}
-		}
-	}
-}
-
-func TestEscapeTime(t *testing.T) {
-	c := Circle{Pt(0, 0), 10}
-	if tm, ok := EscapeTime(Pt(15, 0), 1, c); !ok || tm != 0 {
-		t.Errorf("outside point: %v %v", tm, ok)
-	}
-	if tm, ok := EscapeTime(Pt(4, 0), 2, c); !ok || !almostEq(tm, 3) {
-		t.Errorf("inside point: %v %v, want 3", tm, ok)
-	}
-	if _, ok := EscapeTime(Pt(0, 0), 0, c); ok {
-		t.Error("stationary inside point can never escape")
 	}
 }
 

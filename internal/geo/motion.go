@@ -1,64 +1,9 @@
 package geo
 
-import "math"
-
 // DeadReckon returns the position reached from start after moving with
 // constant velocity v for dt time units.
 func DeadReckon(start Point, v Vector, dt float64) Point {
 	return start.Add(v.Scale(dt))
-}
-
-// RelativeClosingTime returns the earliest non-negative time at which two
-// points moving with constant velocities come within distance d of each
-// other, and whether such a time exists. A result of 0 means they are
-// already within d.
-//
-// The distributed monitor uses this to size safe regions: an object outside
-// the monitoring circle cannot affect the answer before the closing time
-// with the query's advertised track.
-func RelativeClosingTime(p Point, vp Vector, q Point, vq Vector, d float64) (float64, bool) {
-	// Work in the query's frame: relative position r(t) = r0 + vr*t,
-	// find the least t >= 0 with |r(t)| <= d.
-	r0 := p.Sub(q)
-	vr := Vector(vp.Sub(vq))
-	c := Vector(r0).LenSq() - d*d
-	if c <= 0 {
-		return 0, true
-	}
-	a := vr.LenSq()
-	b := 2 * Vector(r0).Dot(vr)
-	if a == 0 {
-		// No relative motion and currently farther than d.
-		return 0, false
-	}
-	disc := b*b - 4*a*c
-	if disc < 0 {
-		return 0, false
-	}
-	sq := math.Sqrt(disc)
-	t := (-b - sq) / (2 * a)
-	if t < 0 {
-		t = (-b + sq) / (2 * a)
-	}
-	if t < 0 {
-		return 0, false
-	}
-	return t, true
-}
-
-// EscapeTime returns the earliest time at which a point starting at p and
-// moving at speed at most vmax can exit the disk c, assuming worst-case
-// (straight outward) motion. If p is outside c the result is 0. If vmax is
-// zero and p is inside, the point can never escape and ok is false.
-func EscapeTime(p Point, vmax float64, c Circle) (t float64, ok bool) {
-	d := c.Center.Dist(p)
-	if d >= c.R {
-		return 0, true
-	}
-	if vmax <= 0 {
-		return 0, false
-	}
-	return (c.R - d) / vmax, true
 }
 
 // SafeRadius returns the slack to add to an answer radius so that, given

@@ -252,16 +252,6 @@ func (g *Grid) CellObjects(c Cell) []model.ObjectID {
 	return g.cells[c.Row*g.cols+c.Col]
 }
 
-// VisitAll calls fn for every indexed object. Iteration order is
-// unspecified. If fn returns false the visit stops early.
-func (g *Grid) VisitAll(fn func(id model.ObjectID, p geo.Point) bool) {
-	for id, e := range g.objects {
-		if !fn(id, e.pos) {
-			return
-		}
-	}
-}
-
 // VisitCellsByMinDist visits cells in non-decreasing order of their
 // minimum distance to p, calling visit with the cell and that distance.
 // The visit stops when visit returns false or all cells were seen.

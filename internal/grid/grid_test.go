@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -50,11 +51,13 @@ func TestCellRectTilesWorld(t *testing.T) {
 	var area float64
 	for row := 0; row < 5; row++ {
 		for col := 0; col < 8; col++ {
-			area += g.CellRect(Cell{col, row}).Area()
+			r := g.CellRect(Cell{col, row})
+			area += r.Width() * r.Height()
 		}
 	}
-	if diff := area - world().Area(); diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("cells area %v != world area %v", area, world().Area())
+	want := world().Width() * world().Height()
+	if diff := area - want; diff > 1e-6 || diff < -1e-6 {
+		t.Errorf("cells area %v != world area %v", area, want)
 	}
 	// Every point maps to the cell whose rect contains it.
 	rng := rand.New(rand.NewSource(5))
@@ -116,10 +119,12 @@ func TestInsertUpdateRemove(t *testing.T) {
 // property-tested against.
 type referenceIndex map[model.ObjectID]geo.Point
 
-func (r referenceIndex) knn(p geo.Point, k int) []model.Neighbor {
+func (r referenceIndex) knn(p geo.Point, k int, skip map[model.ObjectID]bool) []model.Neighbor {
 	all := make([]model.Neighbor, 0, len(r))
 	for id, pos := range r {
-		all = append(all, model.Neighbor{ID: id, Dist: pos.Dist(p)})
+		if !skip[id] {
+			all = append(all, model.Neighbor{ID: id, Dist: pos.Dist(p)})
+		}
 	}
 	model.SortNeighbors(all)
 	if len(all) > k {
@@ -128,10 +133,10 @@ func (r referenceIndex) knn(p geo.Point, k int) []model.Neighbor {
 	return all
 }
 
-func (r referenceIndex) rangeQ(c geo.Circle) []model.Neighbor {
+func (r referenceIndex) rangeQ(c geo.Circle, skip map[model.ObjectID]bool) []model.Neighbor {
 	var out []model.Neighbor
 	for id, pos := range r {
-		if d := pos.Dist(c.Center); d <= c.R {
+		if d := pos.Dist(c.Center); d <= c.R && !skip[id] {
 			out = append(out, model.Neighbor{ID: id, Dist: d})
 		}
 	}
@@ -139,13 +144,26 @@ func (r referenceIndex) rangeQ(c geo.Circle) []model.Neighbor {
 	return out
 }
 
+// The grid against the brute-force reference over one random stream:
+// inserts, updates (half of them small moves that mostly stay in the
+// cell) and removes interleaved, a quarter of the positions snapped to a
+// 50 m lattice so objects coincide and equal distances occur, then kNN
+// and range searches with random skip sets, every result appended into
+// one reused dst slice. Ties must come back in id order, with one
+// exception: of several objects exactly tied at the k-th distance KNN
+// keeps the ones it met first, not the lowest ids, so ids are not
+// compared at that distance.
 func TestGridMatchesReferenceUnderRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := New(world(), 16, 16)
 	ref := referenceIndex{}
 	nextID := model.ObjectID(1)
 	randPoint := func() geo.Point {
-		return geo.Pt(rng.Float64()*1000, rng.Float64()*1000)
+		p := geo.Pt(rng.Float64()*1000, rng.Float64()*1000)
+		if rng.Intn(4) == 0 {
+			p = geo.Pt(math.Round(p.X/50)*50, math.Round(p.Y/50)*50)
+		}
+		return p
 	}
 	for step := 0; step < 20000; step++ {
 		switch op := rng.Intn(10); {
@@ -163,6 +181,9 @@ func TestGridMatchesReferenceUnderRandomOps(t *testing.T) {
 			}
 			id := randomKey(rng, ref)
 			p := randPoint()
+			if rng.Intn(2) == 0 {
+				p = world().Clamp(geo.Pt(ref[id].X+rng.Float64()*10-5, ref[id].Y+rng.Float64()*10-5))
+			}
 			if err := g.Update(id, p); err != nil {
 				t.Fatal(err)
 			}
@@ -182,35 +203,56 @@ func TestGridMatchesReferenceUnderRandomOps(t *testing.T) {
 		t.Fatalf("Len %d != reference %d", g.Len(), len(ref))
 	}
 	// Full content equality.
-	count := 0
-	g.VisitAll(func(id model.ObjectID, p geo.Point) bool {
-		count++
-		if ref[id] != p {
-			t.Fatalf("object %d at %v, reference says %v", id, p, ref[id])
+	for id, p := range ref {
+		if got, ok := g.Position(id); !ok || got != p {
+			t.Fatalf("object %d at %v (indexed %v), reference says %v", id, got, ok, p)
 		}
-		return true
-	})
-	if count != len(ref) {
-		t.Fatalf("VisitAll saw %d, want %d", count, len(ref))
 	}
+	randSkip := func() map[model.ObjectID]bool {
+		if rng.Intn(2) == 0 {
+			return nil
+		}
+		skip := map[model.ObjectID]bool{}
+		for i := rng.Intn(30); i > 0; i-- {
+			skip[randomKey(rng, ref)] = true
+		}
+		return skip
+	}
+	var dst []model.Neighbor
+	ties := 0
 	// kNN equivalence at random query points and ks.
 	for q := 0; q < 200; q++ {
 		p := randPoint()
 		k := 1 + rng.Intn(25)
-		got := g.KNN(p, k, nil, nil)
-		want := ref.knn(p, k)
-		if !neighborsEqual(got, want) {
-			t.Fatalf("KNN(%v, %d):\n got %v\nwant %v", p, k, got, want)
+		skip := randSkip()
+		dst = g.KNN(p, k, skip, dst[:0])
+		want := ref.knn(p, k, skip)
+		ok := len(dst) == len(want)
+		for i := 0; ok && i < len(want); i++ {
+			kth := want[i].Dist == want[len(want)-1].Dist
+			ok = dst[i].Dist == want[i].Dist && (kth || dst[i].ID == want[i].ID)
+		}
+		if !ok {
+			t.Fatalf("KNN(%v, %d, skip %d):\n got %v\nwant %v", p, k, len(skip), dst, want)
 		}
 	}
 	// Range equivalence.
 	for q := 0; q < 200; q++ {
 		c := geo.Circle{Center: randPoint(), R: rng.Float64() * 300}
-		got := g.Range(c, nil, nil)
-		want := ref.rangeQ(c)
-		if !neighborsEqual(got, want) {
-			t.Fatalf("Range(%v):\n got %d results\nwant %d", c, len(got), len(want))
+		skip := randSkip()
+		dst = g.Range(c, skip, dst[:0])
+		want := ref.rangeQ(c, skip)
+		if !neighborsEqual(dst, want) {
+			t.Fatalf("Range(%v, skip %d):\n got %d results\nwant %d", c, len(skip), len(dst), len(want))
 		}
+		for i := 1; i < len(want); i++ {
+			if want[i].Dist == want[i-1].Dist {
+				ties++
+			}
+		}
+	}
+	if ties == 0 {
+		t.Error("no two range results were equidistant: the lattice no longer produces distance ties")
 	}
 }
 
@@ -365,23 +407,6 @@ func TestCellsIntersecting(t *testing.T) {
 				t.Fatalf("cell %v intersects but was omitted", cell)
 			}
 		}
-	}
-}
-
-func TestVisitAllEarlyStop(t *testing.T) {
-	g := New(world(), 4, 4)
-	for i := model.ObjectID(1); i <= 10; i++ {
-		if err := g.Insert(i, geo.Pt(float64(i)*10, float64(i)*10)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n := 0
-	g.VisitAll(func(model.ObjectID, geo.Point) bool {
-		n++
-		return n < 3
-	})
-	if n != 3 {
-		t.Fatalf("VisitAll early stop saw %d", n)
 	}
 }
 
