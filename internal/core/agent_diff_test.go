@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -15,8 +16,16 @@ import (
 
 // The object agent as it held its monitors before the dense table — a map
 // of heap-allocated monitors plus a sorted id slice — kept as the
-// reference TestAgentTableMatchesMap compares the table against. The
-// protocol logic is the production agent's, statement for statement.
+// reference TestAgentTableMatchesMap compares the tables against. The
+// protocol logic is the production agent's, statement for statement; the
+// storage is not: every oracle monitor carries lastReport and lastSentAt,
+// inside the answer circle or not, where production keeps them in the
+// member table only while inside is set. Both agents read the pair at two
+// sites only — tick's `side && !rangeMode` arm, reachable only with inside
+// set, and handleInstall's prev.lastReport/prev.lastSentAt, every use
+// under prev.inside — so the oracle's copies on rows outside the answer
+// circle are dead and compare() does not look at them. The install's Band
+// is not stored at all: no agent ever read it.
 
 type oracleAgent struct {
 	cfg  Config
@@ -47,7 +56,6 @@ type oracleAgentMonitor struct {
 	rangeMode    bool
 	inside       bool
 	frontier     float64
-	band         float64
 
 	lastReport geo.Point
 	lastSentAt model.Tick
@@ -68,9 +76,9 @@ func (a *oracleAgent) handle(msg protocol.Message) {
 			})
 		}
 	case protocol.MonitorInstall:
-		a.handleInstall(v, 0, 0)
+		a.handleInstall(v, 0)
 	case protocol.InfluenceInstall:
-		a.handleInstall(v.Install, v.Frontier, v.Band)
+		a.handleInstall(v.Install, v.Frontier)
 	case protocol.MonitorCancel:
 		if mon, ok := a.monitors[v.Query]; ok && v.Epoch >= mon.epoch {
 			a.drop(v.Query)
@@ -78,7 +86,7 @@ func (a *oracleAgent) handle(msg protocol.Message) {
 	}
 }
 
-func (a *oracleAgent) handleInstall(v protocol.MonitorInstall, frontier, band float64) {
+func (a *oracleAgent) handleInstall(v protocol.MonitorInstall, frontier float64) {
 	prev, had := a.monitors[v.Query]
 	if had && v.Epoch < prev.epoch {
 		return // stale rebroadcast
@@ -143,7 +151,6 @@ func (a *oracleAgent) handleInstall(v protocol.MonitorInstall, frontier, band fl
 		rangeMode:    v.RangeMode,
 		inside:       side,
 		frontier:     frontier,
-		band:         band,
 		lastReport:   last,
 		lastSentAt:   sentAt,
 	}
@@ -224,8 +231,8 @@ func (a *oracleAgent) tick(now model.Tick) {
 }
 
 // agentDiffRig drives the production agent and the map-based oracle with
-// one stream of server messages and ticks, comparing uplinks and held
-// monitors after every event.
+// one stream of server messages and ticks, comparing uplinks, held
+// monitors and member state after every event.
 type agentDiffRig struct {
 	t       *testing.T
 	rng     *rand.Rand
@@ -239,6 +246,7 @@ type agentDiffRig struct {
 	step    int
 	maxHeld int
 	drops   int
+	members int // member rows compared, over all steps
 }
 
 func newAgentDiffRig(t *testing.T, seed int64) *agentDiffRig {
@@ -270,14 +278,27 @@ func (r *agentDiffRig) compare(what string) {
 	if len(held) != len(r.ora.order) || r.agent.MonitorCount() != r.ora.MonitorCount() {
 		r.t.Fatalf("step %d after %s: table holds %d monitors, oracle %d", r.step, what, len(held), len(r.ora.order))
 	}
+	// The member table names exactly the inside rows, ascending, each with
+	// the oracle's report state; the pointer is nil when there are none.
+	var members []memberState
 	for i, q := range r.ora.order {
 		om, m := r.ora.monitors[q], held[i]
 		want := agentMonitor{query: q, epoch: om.epoch, qpos: om.qpos, qvel: om.qvel, at: om.at,
 			answerRadius: om.answerRadius, radius: om.radius, rangeMode: om.rangeMode, inside: om.inside,
-			frontier: om.frontier, band: om.band, lastReport: om.lastReport, lastSentAt: om.lastSentAt}
+			frontier: om.frontier}
 		if m != want {
 			r.t.Fatalf("step %d after %s: slot %d\n table  %+v\n oracle %+v", r.step, what, i, m, want)
 		}
+		if om.inside {
+			members = append(members, memberState{query: q, lastSentAt: om.lastSentAt, lastReport: om.lastReport})
+			r.members++
+		}
+	}
+	switch got := r.agent.members; {
+	case members == nil && got != nil:
+		r.t.Fatalf("step %d after %s: inside no answer circle, member table %+v not released", r.step, what, *got)
+	case members != nil && (got == nil || !slices.Equal(*got, members)):
+		r.t.Fatalf("step %d after %s: member table\n table  %+v\n oracle %+v", r.step, what, got, members)
 	}
 	// Growth and release are bounded: never more than two growth steps of
 	// slack, and nothing at all once the agent holds no monitor.
@@ -344,15 +365,17 @@ func (r *agentDiffRig) run(steps int) {
 // The dense table changes how monitors are stored, not what the agent
 // does: under seeded streams of installs (new, refresh, stale, influence),
 // cancels, probes and ticks that drop several monitors at once, the
-// uplink sequence and every held monitor equal the map-based agent's
-// after every event, and the table's slack stays within its bound.
+// uplink sequence, every held monitor and the member state of every
+// monitor the object is inside equal the map-based agent's after every
+// event, and the table's slack stays within its bound.
 func TestAgentTableMatchesMap(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			r := newAgentDiffRig(t, seed)
 			r.run(4000)
-			if r.maxHeld < 8 || r.drops < 100 {
-				t.Fatalf("stream too tame: at most %d monitors held, %d dropped in ticks", r.maxHeld, r.drops)
+			if r.maxHeld < 8 || r.drops < 100 || r.members < 1000 {
+				t.Fatalf("stream too tame: at most %d monitors held, %d dropped in ticks, %d member rows compared",
+					r.maxHeld, r.drops, r.members)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -53,14 +54,22 @@ func emitAgent(tr obs.Sink, e obs.Event) {
 // ObjectAgent is safe for concurrent use (the TCP client invokes
 // HandleServerMessage from its receive loop while a ticker drives Tick).
 type ObjectAgent struct {
-	cfg  Config
-	deps AgentDeps
-
 	mu sync.Mutex
 	// mons is the monitor table in ascending query id, which is also the
 	// send order. Entries are values overwritten in place: hearing a
 	// refresh of a held query and evaluating a tick touch no other memory.
 	mons []agentMonitor
+	// members has one row, ascending by query, for each monitor with inside
+	// set, and is nil while there is none — which is most agents most of
+	// the time, so the report state costs them one word.
+	members *[]memberState
+
+	// There is one agent per simulated device, so it is sized to a heap
+	// size class, 128 B: deps whole (LatencyTicks, which only the query
+	// agent reads, fits) and the two Config values an object reads.
+	deps    AgentDeps
+	theta   float64    // Config.ThetaInside
+	horizon model.Tick // Config.HorizonTicks
 }
 
 // NewObjectAgent returns an object-side agent.
@@ -68,10 +77,11 @@ func NewObjectAgent(cfg Config, deps AgentDeps) (*ObjectAgent, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &ObjectAgent{cfg: cfg, deps: deps}, nil
+	return &ObjectAgent{deps: deps, theta: cfg.ThetaInside, horizon: model.Tick(cfg.HorizonTicks)}, nil
 }
 
-// agentMonitor is the object's local copy of one installed query monitor.
+// agentMonitor is the object's local copy of one installed query monitor:
+// what every tick's evaluation reads, and nothing else.
 type agentMonitor struct {
 	query        model.QueryID
 	epoch        uint32
@@ -80,20 +90,25 @@ type agentMonitor struct {
 	at           model.Tick
 	answerRadius float64
 	radius       float64
-	rangeMode    bool
-	inside       bool
 	// Influence frontier advertised with the install (zero: none — use
 	// the θ drift rule). The object's movement threshold is derived per
 	// tick as its slack to the frontier, |d(lastReport) − frontier|, so
 	// it needs no storage and re-anchors automatically on every report.
-	frontier float64
-	band     float64
+	frontier  float64
+	rangeMode bool
+	inside    bool
+}
 
-	lastReport geo.Point
+// memberState is what the server last heard from the object about a query
+// whose answer circle it is inside. Nothing reads it for any other monitor,
+// so it lives in its own table, a row exactly while inside is set.
+type memberState struct {
+	query model.QueryID
 	// lastSentAt is when this monitor last transmitted anything; inside
 	// objects re-affirm membership once per horizon if silent, which
 	// heals a membership report lost (or outrun by epochs) in flight.
 	lastSentAt model.Tick
+	lastReport geo.Point
 }
 
 // MonitorCount reports how many query monitors this agent currently
@@ -146,6 +161,34 @@ func (a *ObjectAgent) shrink(n int) {
 	}
 }
 
+// memberIndex returns the position of q's row in the member table, or
+// where it would be inserted.
+func (a *ObjectAgent) memberIndex(q model.QueryID) int {
+	if a.members == nil {
+		return 0
+	}
+	i, _ := slices.BinarySearchFunc(*a.members, q, func(m memberState, q model.QueryID) int {
+		return cmp.Compare(m.query, q)
+	})
+	return i
+}
+
+// addMember inserts row at index i of the member table.
+func (a *ObjectAgent) addMember(i int, row memberState) {
+	if a.members == nil {
+		a.members = new([]memberState)
+	}
+	*a.members = slices.Insert(*a.members, i, row)
+}
+
+// dropMember removes the member table's row at index i; the table goes
+// with its last row.
+func (a *ObjectAgent) dropMember(i int) {
+	if *a.members = slices.Delete(*a.members, i, i+1); len(*a.members) == 0 {
+		a.members = nil
+	}
+}
+
 // HandleServerMessage implements transport.ClientHandler.
 func (a *ObjectAgent) HandleServerMessage(msg protocol.Message) {
 	a.mu.Lock()
@@ -164,9 +207,9 @@ func (a *ObjectAgent) HandleServerMessage(msg protocol.Message) {
 			}
 		}
 	case protocol.MonitorInstall:
-		a.handleInstall(v, 0, 0)
+		a.handleInstall(v, 0)
 	case protocol.InfluenceInstall:
-		a.handleInstall(v.Install, v.Frontier, v.Band)
+		a.handleInstall(v.Install, v.Frontier)
 	case protocol.MonitorCancel:
 		if i, ok := a.find(v.Query); ok && v.Epoch >= a.mons[i].epoch {
 			a.drop(i)
@@ -174,14 +217,17 @@ func (a *ObjectAgent) HandleServerMessage(msg protocol.Message) {
 	}
 }
 
-func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall, frontier, band float64) {
+func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall, frontier float64) {
 	i, had := a.find(v.Query)
-	var prev agentMonitor
-	if had {
-		prev = a.mons[i]
-	}
-	if had && v.Epoch < prev.epoch {
+	if had && v.Epoch < a.mons[i].epoch {
 		return // stale rebroadcast
+	}
+	// was is our member state under the monitor this install replaces:
+	// non-nil exactly when we held the query inside its answer circle.
+	var was *memberState
+	mi := a.memberIndex(v.Query)
+	if had && a.mons[i].inside {
+		was = &(*a.members)[mi]
 	}
 	p := a.deps.Pos()
 	d := p.Dist(v.QueryPos)
@@ -192,7 +238,7 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall, frontier, band fl
 		// a refresh install the server kept its inside set, so if it
 		// believed we were an answer member we must correct it before
 		// forgetting the query.
-		if v.Refresh && had && prev.inside {
+		if v.Refresh && was != nil {
 			a.deps.Side.Uplink(protocol.ExitReport{MemberReport: protocol.MemberReport{
 				Query: v.Query, Epoch: v.Epoch, Object: a.deps.ID, Pos: p, At: now,
 			}})
@@ -215,10 +261,9 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall, frontier, band fl
 		// for a full horizon re-affirms its membership — idempotent at
 		// the server, and it heals an enter-report that was lost or
 		// outrun by reinstall epochs in flight.
-		affirm := side && had && prev.inside &&
-			now-prev.lastSentAt >= model.Tick(a.cfg.HorizonTicks)
+		affirm := side && was != nil && now-was.lastSentAt >= a.horizon
 		switch {
-		case side && (!(had && prev.inside) || affirm):
+		case side && (was == nil || affirm):
 			a.deps.Side.Uplink(protocol.EnterReport{MemberReport: protocol.MemberReport{
 				Query: v.Query, Epoch: v.Epoch, Object: a.deps.ID, Pos: p, At: now,
 			}})
@@ -227,7 +272,7 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall, frontier, band fl
 				emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvBoundaryCrossed,
 					Query: v.Query, Object: a.deps.ID, Kind: protocol.KindEnterReport, Value: d})
 			}
-		case !side && had && prev.inside:
+		case !side && was != nil:
 			a.deps.Side.Uplink(protocol.ExitReport{MemberReport: protocol.MemberReport{
 				Query: v.Query, Epoch: v.Epoch, Object: a.deps.ID, Pos: p, At: now,
 			}})
@@ -245,9 +290,9 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall, frontier, band fl
 		// correct it with a fresh MoveReport. Freshly-reported objects
 		// (drift 0, consistent side) stay silent, so each correction wave
 		// strictly shrinks the stale set and the tick converges.
-		if frontier > 0 && !v.RangeMode && side && had && prev.inside && !reported {
-			dSrv := prev.lastReport.Dist(v.QueryPos)
-			drift := p.Dist(prev.lastReport)
+		if frontier > 0 && !v.RangeMode && side && was != nil && !reported {
+			dSrv := was.lastReport.Dist(v.QueryPos)
+			drift := p.Dist(was.lastReport)
 			if (d <= frontier) != (dSrv <= frontier) || drift > math.Abs(dSrv-frontier) {
 				a.deps.Side.Uplink(protocol.MoveReport{MemberReport: protocol.MemberReport{
 					Query: v.Query, Epoch: v.Epoch, Object: a.deps.ID, Pos: p, At: now,
@@ -266,12 +311,17 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall, frontier, band fl
 	// position too; but a silent refresh carried nothing, so the
 	// server's copy is still our previous report — keep baselining
 	// against it or a drift accumulated before this install would never
-	// be transmitted.
-	last := p
-	sentAt := now
-	if v.Refresh && had && !reported {
-		last = prev.lastReport
-		sentAt = prev.lastSentAt
+	// be transmitted. (Silent and inside implies was: a refresh that finds
+	// a non-member inside reports the Enter.)
+	switch {
+	case !side:
+		if was != nil {
+			a.dropMember(mi)
+		}
+	case was == nil:
+		a.addMember(mi, memberState{query: v.Query, lastSentAt: now, lastReport: p})
+	case reported || !v.Refresh:
+		was.lastSentAt, was.lastReport = now, p
 	}
 	mon := agentMonitor{
 		query:        v.Query,
@@ -281,12 +331,9 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall, frontier, band fl
 		at:           v.At,
 		answerRadius: v.AnswerRadius,
 		radius:       v.Radius,
+		frontier:     frontier,
 		rangeMode:    v.RangeMode,
 		inside:       side,
-		frontier:     frontier,
-		band:         band,
-		lastReport:   last,
-		lastSentAt:   sentAt,
 	}
 	if had {
 		a.mons[i] = mon
@@ -295,8 +342,11 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall, frontier, band fl
 	}
 }
 
-// drop removes the monitor at index i.
+// drop removes the monitor at index i, and its member row if it has one.
 func (a *ObjectAgent) drop(i int) {
+	if a.mons[i].inside {
+		a.dropMember(a.memberIndex(a.mons[i].query))
+	}
 	copy(a.mons[i:], a.mons[i+1:])
 	a.shrink(len(a.mons) - 1)
 }
@@ -311,8 +361,8 @@ func (a *ObjectAgent) Tick(now model.Tick) {
 	}
 	p := a.deps.Pos()
 	dt := a.deps.DT
-	theta := a.cfg.ThetaInside
 	kept := 0 // monitors still held are compacted to the front in place
+	mi := 0   // the member row of the next inside monitor: both tables ascend by query
 	for i := range a.mons {
 		mon := &a.mons[i]
 		q := mon.query
@@ -327,6 +377,7 @@ func (a *ObjectAgent) Tick(now model.Tick) {
 				a.deps.Side.Uplink(protocol.LeaveReport{MemberReport: protocol.MemberReport{
 					Query: q, Epoch: mon.epoch, Object: a.deps.ID, Pos: p, At: now,
 				}})
+				a.dropMember(mi)
 				if a.deps.Trace != nil {
 					emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvReportSent,
 						Query: q, Object: a.deps.ID, Kind: protocol.KindLeaveReport, Value: d})
@@ -341,8 +392,7 @@ func (a *ObjectAgent) Tick(now model.Tick) {
 				Query: q, Epoch: mon.epoch, Object: a.deps.ID, Pos: p, At: now,
 			}})
 			mon.inside = true
-			mon.lastReport = p
-			mon.lastSentAt = now
+			a.addMember(mi, memberState{query: q, lastSentAt: now, lastReport: p})
 			if a.deps.Trace != nil {
 				emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvBoundaryCrossed,
 					Query: q, Object: a.deps.ID, Kind: protocol.KindEnterReport, Value: d})
@@ -352,14 +402,14 @@ func (a *ObjectAgent) Tick(now model.Tick) {
 				Query: q, Epoch: mon.epoch, Object: a.deps.ID, Pos: p, At: now,
 			}})
 			mon.inside = false
-			mon.lastReport = p
-			mon.lastSentAt = now
+			a.dropMember(mi)
 			if a.deps.Trace != nil {
 				emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvBoundaryCrossed,
 					Query: q, Object: a.deps.ID, Kind: protocol.KindExitReport, Value: d})
 			}
 		case side && !mon.rangeMode:
-			drift := p.Dist(mon.lastReport)
+			ms := &(*a.members)[mi]
+			drift := p.Dist(ms.lastReport)
 			move := false
 			if mon.frontier > 0 {
 				// Influence rule: the server only needs to know our side of
@@ -367,18 +417,17 @@ func (a *ObjectAgent) Tick(now model.Tick) {
 				// (|d(lastReport, q̂) − F|) the triangle inequality proves we
 				// cannot have crossed it, so the report is suppressed; the
 				// side test catches the boundary exactly.
-				dSrv := mon.lastReport.Dist(qhat)
+				dSrv := ms.lastReport.Dist(qhat)
 				move = (d <= mon.frontier) != (dSrv <= mon.frontier) ||
 					drift > math.Abs(dSrv-mon.frontier)
 			} else {
-				move = drift > theta
+				move = drift > a.theta
 			}
 			if move {
 				a.deps.Side.Uplink(protocol.MoveReport{MemberReport: protocol.MemberReport{
 					Query: q, Epoch: mon.epoch, Object: a.deps.ID, Pos: p, At: now,
 				}})
-				mon.lastReport = p
-				mon.lastSentAt = now
+				ms.lastSentAt, ms.lastReport = now, p
 				if a.deps.Trace != nil {
 					emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvReportSent,
 						Query: q, Object: a.deps.ID, Kind: protocol.KindMoveReport, Value: drift})
@@ -390,6 +439,9 @@ func (a *ObjectAgent) Tick(now model.Tick) {
 				emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvReportSuppressed,
 					Query: q, Object: a.deps.ID, Kind: protocol.KindMoveReport, Value: drift})
 			}
+		}
+		if mon.inside {
+			mi++
 		}
 		if kept != i {
 			a.mons[kept] = *mon

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"dmknn/internal/geo"
 	"dmknn/internal/model"
@@ -63,4 +65,64 @@ func TestRegisterOrderMaintained(t *testing.T) {
 			t.Fatalf("after deregister: order = %v, want %v", srv.order, want)
 		}
 	}
+}
+
+// A simulated run is one ObjectAgent per device, so the three records'
+// sizes are most of its heap: the agent fills a 128-byte size class, a
+// monitor row is what a tick's evaluation reads, and report state is paid
+// only per answer-circle membership.
+func TestAgentFootprint(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"ObjectAgent", unsafe.Sizeof(ObjectAgent{}), 128},
+		{"agentMonitor", unsafe.Sizeof(agentMonitor{}), 80},
+		{"memberState", unsafe.Sizeof(memberState{}), 32},
+	} {
+		if c.got > c.want {
+			t.Errorf("%s is %d B, want at most %d", c.name, c.got, c.want)
+		}
+	}
+}
+
+// The footprint as the heap sees it, size classes and table slack
+// included: a device that holds two monitors and is inside one of them
+// costs the agent (128 B), a two-row table (160), and a one-row member
+// table behind its slice header (32 + 24).
+func TestObjectAgentHeapPerDevice(t *testing.T) {
+	const n = 10000
+	pos := geo.Pt(500, 505)
+	deps := AgentDeps{
+		Side: nullClientSide{},
+		Now:  func() model.Tick { return 1 },
+		Pos:  func() geo.Point { return pos },
+		DT:   1,
+	}
+	inside, annulus := benchAgentInstall(1, 1, false), benchAnnulusInstall(2, 1, false)
+	agents := make([]*ObjectAgent, n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range agents {
+		deps.ID = model.ObjectID(i)
+		a, err := NewObjectAgent(benchCfg(), deps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.HandleServerMessage(inside)
+		a.HandleServerMessage(annulus)
+		agents[i] = a
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if a := agents[n-1]; a.MonitorCount() != 2 || len(*a.members) != 1 {
+		t.Fatalf("agent holds %d monitors, want 2 with one member row", a.MonitorCount())
+	}
+	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	t.Logf("%.1f B of heap per device", per)
+	if per > 360 {
+		t.Errorf("%.1f B of heap per device, want at most 360", per)
+	}
+	runtime.KeepAlive(agents)
 }

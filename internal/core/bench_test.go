@@ -109,6 +109,14 @@ func benchAgentInstall(q model.QueryID, epoch uint32, refresh bool) protocol.Mes
 	}
 }
 
+// benchAnnulusInstall is benchAgentInstall centred so that benchAgent's
+// position is in the monitoring region but outside the answer circle.
+func benchAnnulusInstall(q model.QueryID, epoch uint32, refresh bool) protocol.Message {
+	inst := benchAgentInstall(q, epoch, refresh).(protocol.MonitorInstall)
+	inst.QueryPos = geo.Pt(500, 600)
+	return inst
+}
+
 // BenchmarkAgentTick measures one object agent evaluating its monitors.
 func BenchmarkAgentTick(b *testing.B) {
 	for _, n := range []int{1, 10} {
@@ -136,21 +144,27 @@ func BenchmarkAgentInstallRefresh(b *testing.B) {
 	}
 }
 
-// The two per-event paths of the agent's monitor table must not touch
-// the heap: a refresh install of a held query overwrites its entry in
-// place, and a tick that drops nothing evaluates the entries where they
-// lie.
+// The per-event paths of the agent's two tables must not touch the heap:
+// a refresh install of a held query — in the annulus, or inside the answer
+// circle with its member row — overwrites its entry in place, and a tick
+// that transmits nothing evaluates the entries where they lie.
 func TestAgentTableZeroAlloc(t *testing.T) {
 	agent := benchAgent(t, 10)
-	msg := benchAgentInstall(5, 2, true)
+	agent.HandleServerMessage(benchAnnulusInstall(11, 1, false))
+	msg := benchAnnulusInstall(11, 2, true) // boxed once, outside the measured loop
 	if avg := testing.AllocsPerRun(200, func() { agent.HandleServerMessage(msg) }); avg != 0 {
-		t.Errorf("refresh install of a held query allocates %.1f/op, want 0", avg)
+		t.Errorf("refresh install of a held annulus row allocates %.1f/op, want 0", avg)
+	}
+	msg = benchAgentInstall(5, 2, true)
+	if avg := testing.AllocsPerRun(200, func() { agent.HandleServerMessage(msg) }); avg != 0 {
+		t.Errorf("refresh install of a held member row allocates %.1f/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(200, func() { agent.Tick(1) }); avg != 0 {
-		t.Errorf("tick without drops allocates %.1f/op, want 0", avg)
+		t.Errorf("tick that transmits nothing allocates %.1f/op, want 0", avg)
 	}
-	if agent.MonitorCount() != 10 {
-		t.Fatalf("agent holds %d monitors, want 10", agent.MonitorCount())
+	if agent.MonitorCount() != 11 || len(*agent.members) != 10 {
+		t.Fatalf("agent holds %d monitors and %d member rows, want 11 and 10",
+			agent.MonitorCount(), len(*agent.members))
 	}
 }
 

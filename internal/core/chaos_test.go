@@ -287,8 +287,9 @@ func TestInfluenceSuppressionStalenessBound(t *testing.T) {
 							continue
 						}
 						qhat := geo.DeadReckon(am.qpos, am.qvel, float64(now-am.at)*env.DT)
-						drift := truePos.Dist(am.lastReport)
-						bound := math.Abs(am.lastReport.Dist(qhat) - am.frontier)
+						lastReport := a.memberOf(q).lastReport
+						drift := truePos.Dist(lastReport)
+						bound := math.Abs(lastReport.Dist(qhat) - am.frontier)
 						if drift > bound+1e-6 {
 							t.Fatalf("tick %d: object %d query %d: drift %.6f exceeds advertised bound %.6f (F=%.3f)",
 								now, a.deps.ID, q, drift, bound, am.frontier)
@@ -301,9 +302,9 @@ func TestInfluenceSuppressionStalenessBound(t *testing.T) {
 						if !inside {
 							continue
 						}
-						if !ok || stored != am.lastReport {
+						if !ok || stored != lastReport {
 							t.Fatalf("tick %d: object %d query %d: server stored %v, agent last reported %v",
-								now, a.deps.ID, q, stored, am.lastReport)
+								now, a.deps.ID, q, stored, lastReport)
 						}
 					}
 				}

@@ -77,6 +77,11 @@ func TestExportMonitorsWhere(t *testing.T) {
 // held is the test view of the agent's monitor table, ascending by query.
 func (a *ObjectAgent) held() []agentMonitor { return a.mons }
 
+// memberOf is the test view of q's member row; the agent must be inside q.
+func (a *ObjectAgent) memberOf(q model.QueryID) memberState {
+	return (*a.members)[a.memberIndex(q)]
+}
+
 // stored is the test view of one member-table row: the position on record
 // for id (if any) and whether the server believes it inside.
 func (mon *monitor) stored(id model.ObjectID) (pos geo.Point, known, inside bool) {

@@ -2,7 +2,7 @@
 // the spatial index: a brute-force oracle (the correctness reference for
 // every other evaluator and the auditor's ground truth), and the small
 // candidate-set evaluator the distributed server collects probe replies
-// in.
+// in, which holds storage only while a probe round is in flight.
 package knn
 
 import (
@@ -38,27 +38,34 @@ func BruteForce(states []model.ObjectState, q geo.Point, k int, skip map[model.O
 
 // CandidateSet is the distributed server's per-query probe state: the
 // positions replied to the probe round in flight, with kNN among them.
+// Its capacity lives for one probe round: Clear releases the map, so a
+// monitor does not hold its start-up probe's buckets, empty, for the run.
 type CandidateSet struct {
 	pos map[model.ObjectID]geo.Point
 }
 
 // NewCandidateSet returns an empty candidate set.
 func NewCandidateSet() *CandidateSet {
-	return &CandidateSet{pos: make(map[model.ObjectID]geo.Point)}
+	return &CandidateSet{}
 }
 
 // Len returns the number of candidates.
 func (c *CandidateSet) Len() int { return len(c.pos) }
 
 // Set records (or updates) a candidate's last reported position.
-func (c *CandidateSet) Set(id model.ObjectID, p geo.Point) { c.pos[id] = p }
+func (c *CandidateSet) Set(id model.ObjectID, p geo.Point) {
+	if c.pos == nil {
+		c.pos = make(map[model.ObjectID]geo.Point)
+	}
+	c.pos[id] = p
+}
 
 // Remove forgets a candidate. Removing an absent id is a no-op.
 func (c *CandidateSet) Remove(id model.ObjectID) { delete(c.pos, id) }
 
-// Clear removes all candidates.
+// Clear removes all candidates and releases their storage.
 func (c *CandidateSet) Clear() {
-	clear(c.pos)
+	c.pos = nil
 }
 
 // KNN returns the k nearest candidates to q, ascending by distance with

@@ -107,6 +107,35 @@ func TestCandidateSetBasics(t *testing.T) {
 	}
 }
 
+// Clear gives the storage of the round it ends back — a monitor's start-up
+// probe collects hundreds of replies, its steady state none — and the
+// emptied set is as usable as a new one.
+func TestCandidateSetClearReleases(t *testing.T) {
+	c := NewCandidateSet()
+	for i := model.ObjectID(1); i <= 500; i++ {
+		c.Set(i, geo.Pt(float64(i), 0))
+	}
+	c.Clear()
+	if c.pos != nil {
+		t.Fatal("Clear kept the map and its buckets")
+	}
+	if c.Len() != 0 {
+		t.Fatalf("Len = %d after Clear", c.Len())
+	}
+	c.Remove(1)
+	c.Visit(func(id model.ObjectID, _ geo.Point) bool {
+		t.Fatalf("Visit after Clear reached %d", id)
+		return false
+	})
+	if ns := c.KNN(geo.Pt(0, 0), 3); ns != nil {
+		t.Fatalf("KNN after Clear = %v", ns)
+	}
+	c.Set(7, geo.Pt(7, 0))
+	if ns := c.KNN(geo.Pt(0, 0), 3); c.Len() != 1 || len(ns) != 1 || ns[0].ID != 7 {
+		t.Fatalf("Set after Clear: Len %d, KNN %v", c.Len(), ns)
+	}
+}
+
 func TestCandidateSetKNNMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	states := randomStates(rng, 500)
