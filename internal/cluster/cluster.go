@@ -26,11 +26,12 @@
 //
 // Member is the state machine: one node's implementation of all three
 // mechanisms, and the only one. Cluster is a harness that runs N Members
-// in one process for the experiments; a deployment runs one Member per
-// process. Exactly two seams separate the two: the Link that carries the
-// inter-node messages (MemLink, TCPLink), and the unexported directory
-// that answers who serves a client — one map every member reads in
-// process, a private per-node belief across processes.
+// in one process, on one goroutine and in node order, for the
+// experiments; a deployment runs one Member per process. Exactly two
+// seams separate the two: the Link that carries the inter-node messages
+// (MemLink, TCPLink), and the unexported directory that answers who
+// serves a client — one map every member reads in process, a private
+// per-node belief across processes.
 //
 // With one node the federation is wire-identical to the single server:
 // the restricted broadcast covers every cell and no link traffic exists.
@@ -41,8 +42,6 @@
 package cluster
 
 import (
-	"slices"
-	"sync"
 	"time"
 
 	"dmknn/internal/balance"
@@ -88,8 +87,7 @@ type Deps struct {
 	LatencyTicks   int
 	// Trace, when non-nil, receives federation lifecycle events (handoffs,
 	// relay drops) and — stamped with the node id — every per-node server's
-	// protocol events. Node servers tick on parallel goroutines, so the
-	// sink must be safe for concurrent use.
+	// protocol events. The cluster records from its driving goroutine only.
 	Trace obs.Sink
 	// PartRef, when non-nil, is the shared partition view the radio cell
 	// filters read; the cluster keeps it in sync as the balancer moves
@@ -99,9 +97,13 @@ type Deps struct {
 }
 
 // Cluster is the in-process harness of the federation: it owns one Member
-// per strip and drives them in lockstep — the link's flush points, the
-// parallel server ticks, and a central balancer. It holds no protocol
-// logic of its own; every message is handled by the Member it addresses.
+// per strip and drives them in lockstep from one goroutine — the link's
+// flush points, the server ticks in node order, and a central balancer.
+// It holds no protocol logic of its own; every message is handled by the
+// Member it addresses. Because nothing runs concurrently, the link's send
+// order, and with it every loss draw, is a function of the seed: static
+// runs repeat bit for bit over a lossy or latent link too. Adaptive runs
+// do not, because the balancer reads wall-clock busy time.
 //
 // It implements transport.ServerHandler (and DisconnectHandler) as the
 // single uplink surface of the whole federation — the simulated radio does
@@ -109,7 +111,7 @@ type Deps struct {
 // client's home node, which follows the client across boundaries via
 // object handoff.
 type Cluster struct {
-	link  Link // unlocked: only the serial phases flush
+	link  Link
 	nodes []*Member
 
 	// home maps each client (object or focal query address) to the node
@@ -118,54 +120,17 @@ type Cluster struct {
 	// atomically with the decision, never trailing a lossy link.
 	home map[model.ObjectID]int
 
-	// sendMu serializes the send surfaces (radio and link) the members
-	// share, under the parallel per-node server ticks, like
-	// shard.lockedSide. The serial phases take it too — uncontended — so
-	// every send path is uniform.
-	sendMu sync.Mutex
-
 	// ref holds the current map, shared with the radio cell filters;
 	// every member's copy is swapped together with it when the balancer
 	// moves a column.
 	ref *PartitionRef
 
-	// bal, when non-nil, drives adaptive partitioning from the serial
-	// tick phase. balBusyBase holds each node's cumulative busy time at
+	// bal, when non-nil, drives adaptive partitioning at the start of
+	// every tick. balBusyBase holds each node's cumulative busy time at
 	// the last decision, so loads are per-window rates.
 	bal         *balance.Balancer
 	balBusyBase []time.Duration
 	columnMoves uint64
-}
-
-// lockedLink and lockedSide put the cluster's send mutex around the link
-// and the radio surfaces before a member gets them: the members' servers
-// tick on parallel goroutines and send through both.
-type lockedLink struct {
-	mu *sync.Mutex
-	Link
-}
-
-func (l lockedLink) Send(from, to int, m protocol.Message) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.Link.Send(from, to, m)
-}
-
-type lockedSide struct {
-	mu   *sync.Mutex
-	side transport.ServerSide
-}
-
-func (s lockedSide) Downlink(to model.ObjectID, m protocol.Message) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.side.Downlink(to, m)
-}
-
-func (s lockedSide) Broadcast(region geo.Circle, m protocol.Message) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.side.Broadcast(region, m)
 }
 
 // New builds a federation over the partition. Deps.Link and Deps.Radio
@@ -192,8 +157,8 @@ func New(part Partition, cfg core.Config, deps Deps) (*Cluster, error) {
 	c.nodes = make([]*Member, part.Nodes())
 	for i := range c.nodes {
 		n, err := newMember(part, i, cfg, MemberDeps{
-			Link:           lockedLink{&c.sendMu, deps.Link},
-			Radio:          lockedSide{&c.sendMu, deps.Radio(i)},
+			Link:           deps.Link,
+			Radio:          deps.Radio(i),
 			Now:            deps.Now,
 			DT:             deps.DT,
 			MaxObjectSpeed: deps.MaxObjectSpeed,
@@ -219,10 +184,10 @@ func (c *Cluster) Partition() Partition { return c.ref.Load() }
 // aligned with the cluster's routing.
 func (c *Cluster) PartitionRef() *PartitionRef { return c.ref }
 
-// EnableBalancer turns on adaptive partitioning: every tick's serial
-// phase consults the balancer and, when it proposes a column move,
-// installs the versioned new map and bulk-migrates the monitors the move
-// stranded. Call before the first Tick.
+// EnableBalancer turns on adaptive partitioning: every tick first
+// consults the balancer and, when it proposes a column move, installs the
+// versioned new map and bulk-migrates the monitors the move stranded.
+// Call before the first Tick.
 func (c *Cluster) EnableBalancer(cfg balance.Config) {
 	c.bal = balance.New(cfg)
 	c.balBusyBase = make([]time.Duration, len(c.nodes))
@@ -240,8 +205,9 @@ func (c *Cluster) BalancerStats() balance.Stats {
 // Node returns node i's server (for inspection).
 func (c *Cluster) Node(i int) *core.Server { return c.nodes[i].server }
 
-// BusyTime implements core.Engine: the nodes tick in parallel, so the
-// federation's server time is the critical path — the busiest node.
+// BusyTime implements core.Engine: each node stands for its own machine,
+// so the federation's server time is the critical path — the busiest
+// node.
 func (c *Cluster) BusyTime() time.Duration {
 	var busiest time.Duration
 	for _, n := range c.nodes {
@@ -295,12 +261,12 @@ func (c *Cluster) HandleClientGone(id model.ObjectID) {
 // ---------------------------------------------------------------------------
 // Adaptive partitioning
 
-// rebalance runs the balancer in the serial phase: sample per-node loads
-// over the decision window, ask for a column move, install the versioned
-// new map on every member in one step, and bulk-migrate the monitors the
-// move stranded. Objects need no sweep — each re-homes lazily on its next
-// uplink through the ordinary boundary-detection path, and until then its
-// old home relays for it.
+// rebalance runs the balancer before the tick's migrations: sample
+// per-node loads over the decision window, ask for a column move, install
+// the versioned new map on every member in one step, and bulk-migrate the
+// monitors the move stranded. Objects need no sweep — each re-homes
+// lazily on its next uplink through the ordinary boundary-detection path,
+// and until then its old home relays for it.
 //
 // A deployment has no serial step across nodes, so there Member runs the
 // same decision engine on a coordinator node and replicates the map over
@@ -352,8 +318,8 @@ func (c *Cluster) rebalance(now model.Tick) {
 // Tick driving
 
 // Tick advances the federation one step: deliver due link messages
-// (their handlers may touch any node — still the serial phase), migrate
-// boundary-crossing queries, run every node's server tick in parallel,
+// (their handlers may touch any node), run the balancer, migrate
+// boundary-crossing queries, run every node's server tick in node order,
 // then deliver the link traffic those ticks produced.
 func (c *Cluster) Tick(now model.Tick) {
 	c.link.Flush()
@@ -363,32 +329,20 @@ func (c *Cluster) Tick(now model.Tick) {
 	for _, n := range c.nodes {
 		n.migrateQueries(now)
 	}
-	c.parallel(func(_ int, n *Member) { n.server.Tick(now) })
+	for _, n := range c.nodes {
+		n.server.Tick(now)
+	}
 	c.link.Flush()
 }
 
-// parallel runs fn for every member, each on its own goroutine, and
-// waits for all of them.
-func (c *Cluster) parallel(fn func(i int, n *Member)) {
-	var wg sync.WaitGroup
-	for i, n := range c.nodes {
-		wg.Add(1)
-		go func(i int, n *Member) {
-			defer wg.Done()
-			fn(i, n)
-		}(i, n)
-	}
-	wg.Wait()
-}
-
 // Finalize settles intra-tick conversations: link deliveries may feed
-// node servers, whose Finalize may conclude probes and send again. It
-// reports whether anything moved, so the driving engine knows to flush
-// the radio and call again.
+// node servers, whose Finalize may conclude probes and send again. Every
+// node finalizes on every call. It reports whether anything moved, so the
+// driving engine knows to flush the radio and call again.
 func (c *Cluster) Finalize(now model.Tick) bool {
 	act := c.link.Flush() > 0
-	results := make([]bool, len(c.nodes))
-	c.parallel(func(i int, n *Member) { results[i] = n.server.Finalize(now) })
-	act = act || slices.Contains(results, true)
+	for _, n := range c.nodes {
+		act = n.server.Finalize(now) || act
+	}
 	return c.link.Flush() > 0 || act
 }

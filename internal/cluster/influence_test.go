@@ -208,12 +208,12 @@ func TestInfluenceHandoffMidSuppression(t *testing.T) {
 		t.Fatalf("exported frontier %v/%v, advertised %v/%v",
 			st.Frontier, st.Band, inst.Frontier, inst.Band)
 	}
-	buf := protocol.Encode(nil, st.ExportState())
+	buf := protocol.Encode(nil, st)
 	m, err := protocol.Decode(buf)
 	if err != nil {
 		t.Fatalf("handoff decode: %v", err)
 	}
-	st2 := core.ImportState(m.(protocol.QueryHandoff))
+	st2 := m.(protocol.QueryHandoff)
 	if !reflect.DeepEqual(st2, st) {
 		t.Fatalf("handoff not codec-transparent:\n got %+v\nwant %+v", st2, st)
 	}

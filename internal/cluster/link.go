@@ -61,8 +61,9 @@ type memEnvelope struct {
 
 // MemLink is the in-memory Link: a latency/loss-modeled queue in the
 // style of internal/simnet, scoped to node-to-node envelopes. It is not
-// safe for concurrent use; the cluster serializes Send under its send
-// mutex and drives Flush from the serial phases of the tick.
+// safe for concurrent use; a Cluster calls Send and Flush from its one
+// driving goroutine, so messages queue, and draw their loss, in the
+// order the nodes send them.
 type MemLink struct {
 	cfg     LinkConfig
 	now     func() model.Tick

@@ -77,8 +77,8 @@ type MemberDeps struct {
 // it and call the unexported internals, and the inner server's send
 // callbacks (memberSide) run while it is held. Sends themselves (radio,
 // link) are non-blocking-by-deadline, so the lock is never held
-// indefinitely. A Cluster calls the internals directly from its serial
-// phases and never takes the mutex.
+// indefinitely. A Cluster calls the internals directly from its one
+// driving goroutine and never takes the mutex.
 type Member struct {
 	part Partition
 	id   int
@@ -377,9 +377,8 @@ func (m *Member) LocalQueries() int {
 	return len(m.local)
 }
 
-// emit records one federation-level event stamped with this node. All
-// call sites run in the serial phases (uplink routing, link delivery,
-// migration scan), never inside a Cluster's parallel server ticks.
+// emit records one federation-level event stamped with this node, from
+// uplink routing, link delivery and the migration scan.
 func (m *Member) emit(e obs.Event) {
 	if m.deps.Trace == nil {
 		return
@@ -852,7 +851,7 @@ func worldCircle(b geo.Rect) geo.Circle {
 // ---------------------------------------------------------------------------
 // Query migration
 
-// migrateQueries runs in the tick's serial phase: any local query whose
+// migrateQueries runs before the server tick: any local query whose
 // dead-reckoned focal track left this strip is exported and shipped to
 // the owner, the focal client is redirected there, and unacked exports
 // are retried.
@@ -887,9 +886,8 @@ func (m *Member) migrateQueries(now model.Tick) {
 // there. The per-tick migration scan and a partition change's bulk
 // migration share it, so both paths give a migrated monitor identical
 // lossy-link protection.
-func (m *Member) shipMonitor(st core.MonitorState, dest int, now model.Tick) {
-	q := st.Query
-	qh := st.ExportState()
+func (m *Member) shipMonitor(qh protocol.QueryHandoff, dest int, now model.Tick) {
+	q := qh.Query
 	for _, peer := range sortedKeys(m.spread[q]) {
 		if peer != dest {
 			qh.Spread = append(qh.Spread, uint16(peer))
@@ -901,13 +899,13 @@ func (m *Member) shipMonitor(st core.MonitorState, dest int, now model.Tick) {
 	// keep reporting to their own home node — this one); relay them
 	// onward like any other remote query.
 	m.remote[q] = dest
-	m.dir.setHome(st.Addr, dest)
+	m.dir.setHome(qh.Addr, dest)
 	m.pending[q] = &pendingHandoff{to: dest, msg: qh, sentAt: now}
 	m.deps.Link.Send(m.id, dest, qh)
 	m.stats.QueryHandoffs++
 	m.emit(obs.Event{Type: obs.EvQueryHandoffBegun, Query: q, Seq: qh.AnswerSeq, Value: float64(dest)})
-	if m.dir.here(st.Addr) {
-		m.redirect(st.Addr, dest)
+	if m.dir.here(qh.Addr) {
+		m.redirect(qh.Addr, dest)
 	}
 }
 
@@ -923,7 +921,7 @@ func (m *Member) handleQueryHandoff(from int, v protocol.QueryHandoff) {
 		m.deps.Link.Send(m.id, from, protocol.QueryHandoffAck{Query: q})
 		return
 	}
-	m.server.ImportMonitor(core.ImportState(v), m.deps.Now())
+	m.server.ImportMonitor(v, m.deps.Now())
 	if m.server.HasQuery(q) {
 		// Drop the remote-era routing and awareness for q: its reports
 		// are handled locally now, and QueriesInvolving supersedes the
@@ -1105,9 +1103,8 @@ func (m *Member) purgeClient(id model.ObjectID) {
 // the node serving it; broadcasts go out on this node's radio and forward
 // across the link to every other node whose strip the region touches. It
 // reads the routing state directly: every entry into a deployed member's
-// server holds the mutex, and a Cluster's parallel server ticks each
-// touch only their own member (the directory is not written while they
-// run, and the shared send surfaces arrive already locked).
+// server holds the mutex, and a Cluster runs everything on one
+// goroutine.
 type memberSide struct{ m *Member }
 
 func (s memberSide) Downlink(to model.ObjectID, msg protocol.Message) {

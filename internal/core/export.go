@@ -4,10 +4,10 @@ package core
 // partitioned federation (internal/cluster) uses to migrate a query
 // monitor between servers when its focal client crosses a partition
 // boundary. The snapshot is the complete per-query state machine —
-// track, epoch, candidate and inside sets, answer sequence — so the
-// importing server resumes exactly where the exporting one stopped, and
-// the focal client only observes a re-baselining AnswerUpdate on the
-// existing resync path.
+// track, epoch, candidate and inside sets, answer sequence — in its wire
+// form, protocol.QueryHandoff, so the importing server resumes exactly
+// where the exporting one stopped, and the focal client only observes a
+// re-baselining AnswerUpdate on the existing resync path.
 
 import (
 	"slices"
@@ -17,71 +17,32 @@ import (
 	"dmknn/internal/protocol"
 )
 
-// CandidateState is one (object, last known position) pair of an
-// exported monitor's candidate set.
-type CandidateState struct {
-	ID  model.ObjectID
-	Pos geo.Point
-}
-
-// MonitorState is a portable snapshot of one query monitor. All slices
-// are sorted by id so the snapshot (and hence its wire encoding) is
-// deterministic.
-type MonitorState struct {
-	Query model.QueryID
-	K     int
-	Range float64
-	Addr  model.ObjectID
-
-	QPos geo.Point
-	QVel geo.Vector
-	QAt  model.Tick
-
-	Epoch        uint32
-	Installed    bool
-	AnswerRadius float64
-	Radius       float64
-	InstalledAt  model.Tick
-	PrevRegion   geo.Circle
-
-	AnswerSeq   uint32
-	LastProbeAt model.Tick
-
-	// Influence frontier advertised with the current epoch (zero when
-	// none). Migrating it keeps suppressed objects suppressed: the new
-	// home validates and refreshes against the same F the aware objects
-	// hold, instead of force-refreshing every monitor it imports.
-	Frontier float64
-	Band     float64
-
-	Candidates []CandidateState
-	Inside     []model.ObjectID
-	Sent       []model.ObjectID
-}
-
 // ExportMonitor snapshots and removes q's monitor. Unlike a deregister
 // it does NOT broadcast a MonitorCancel: the aware objects keep their
 // installs and continue reporting, which is exactly what a migration
 // wants. It refuses (returns false) while a probe round is in flight —
 // the in-flight replies are addressed to this server and would be lost —
 // so callers retry on a later tick; it also returns false for an
-// unknown query.
-func (s *Server) ExportMonitor(q model.QueryID) (MonitorState, bool) {
+// unknown query. The snapshot leaves Spread empty: which nodes saw the
+// query is the federation's bookkeeping, not the server's. All slices are
+// sorted by id, so the snapshot (and hence its encoding) is
+// deterministic.
+func (s *Server) ExportMonitor(q model.QueryID) (protocol.QueryHandoff, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	mon, ok := s.monitors[q]
 	if !ok || mon.probing {
-		return MonitorState{}, false
+		return protocol.QueryHandoff{}, false
 	}
 	return s.exportLocked(q, mon), true
 }
 
 // exportLocked snapshots mon and removes it from the server's tables.
 // Callers hold s.mu and have already rejected probing monitors.
-func (s *Server) exportLocked(q model.QueryID, mon *monitor) MonitorState {
-	st := MonitorState{
+func (s *Server) exportLocked(q model.QueryID, mon *monitor) protocol.QueryHandoff {
+	st := protocol.QueryHandoff{
 		Query:        mon.query,
-		K:            mon.k,
+		K:            uint32(mon.k),
 		Range:        mon.rng,
 		Addr:         mon.addr,
 		QPos:         mon.qpos,
@@ -101,7 +62,7 @@ func (s *Server) exportLocked(q model.QueryID, mon *monitor) MonitorState {
 	// The rows are in ascending id order, so the three lists are too.
 	for _, r := range mon.tab.rows {
 		if r.known {
-			st.Candidates = append(st.Candidates, CandidateState{ID: r.id, Pos: r.pos})
+			st.Candidates = append(st.Candidates, protocol.CandidateRecord{ID: r.id, Pos: r.pos})
 		}
 		if r.inside {
 			st.Inside = append(st.Inside, r.id)
@@ -121,7 +82,7 @@ func (s *Server) exportLocked(q model.QueryID, mon *monitor) MonitorState {
 // estimate the leave predicate saw, so the caller routes the snapshot
 // without re-deriving the estimate from the (already removed) monitor.
 type ExportedMonitor struct {
-	State MonitorState
+	State protocol.QueryHandoff
 	Est   geo.Point
 }
 
@@ -156,7 +117,8 @@ func (s *Server) ExportMonitorsWhere(now model.Tick, leave func(q model.QueryID,
 // answer sequence continues from the exported value, so the client
 // applies the update as an ordinary re-baseline and never observes the
 // migration. A snapshot for an already-registered query is dropped.
-func (s *Server) ImportMonitor(st MonitorState, now model.Tick) {
+// Spread is the federation's and is ignored here.
+func (s *Server) ImportMonitor(st protocol.QueryHandoff, now model.Tick) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, exists := s.monitors[st.Query]; exists {
@@ -164,7 +126,7 @@ func (s *Server) ImportMonitor(st MonitorState, now model.Tick) {
 	}
 	// The snapshot crossed an inter-node link, which is an open surface
 	// like the radio: apply the register-path sanity bounds.
-	if st.Range < 0 || (st.Range == 0 && (st.K <= 0 || st.K > maxK)) ||
+	if st.Range < 0 || (st.Range == 0 && (st.K == 0 || st.K > maxK)) ||
 		!finitePoint(st.QPos) || !finiteVec(st.QVel) {
 		return
 	}
@@ -174,7 +136,7 @@ func (s *Server) ImportMonitor(st MonitorState, now model.Tick) {
 	if !finite(st.Frontier) || st.Frontier < 0 || !finite(st.Band) || st.Band < 0 {
 		st.Frontier, st.Band = 0, 0
 	}
-	mon := newMonitor(st.Query, st.K, st.Range, st.Addr)
+	mon := newMonitor(st.Query, int(st.K), st.Range, st.Addr)
 	mon.qpos, mon.qvel, mon.qat = st.QPos, st.QVel, st.QAt
 	mon.epoch, mon.installed = st.Epoch, st.Installed
 	mon.answerRadius, mon.radius = st.AnswerRadius, st.Radius
@@ -243,68 +205,4 @@ func (s *Server) QueriesInvolving(id model.ObjectID) []model.QueryID {
 		}
 	}
 	return out
-}
-
-// ExportState converts the snapshot to its wire form.
-func (st MonitorState) ExportState() protocol.QueryHandoff {
-	qh := protocol.QueryHandoff{
-		Query:        st.Query,
-		K:            uint32(st.K),
-		Range:        st.Range,
-		Addr:         st.Addr,
-		QPos:         st.QPos,
-		QVel:         st.QVel,
-		QAt:          st.QAt,
-		Epoch:        st.Epoch,
-		Installed:    st.Installed,
-		AnswerRadius: st.AnswerRadius,
-		Radius:       st.Radius,
-		InstalledAt:  st.InstalledAt,
-		PrevRegion:   st.PrevRegion,
-		AnswerSeq:    st.AnswerSeq,
-		LastProbeAt:  st.LastProbeAt,
-		Frontier:     st.Frontier,
-		Band:         st.Band,
-		Inside:       st.Inside,
-		Sent:         st.Sent,
-	}
-	if len(st.Candidates) > 0 {
-		qh.Candidates = make([]protocol.CandidateRecord, len(st.Candidates))
-		for i, c := range st.Candidates {
-			qh.Candidates[i] = protocol.CandidateRecord{ID: c.ID, Pos: c.Pos}
-		}
-	}
-	return qh
-}
-
-// ImportState converts a wire handoff back to a snapshot.
-func ImportState(qh protocol.QueryHandoff) MonitorState {
-	st := MonitorState{
-		Query:        qh.Query,
-		K:            int(qh.K),
-		Range:        qh.Range,
-		Addr:         qh.Addr,
-		QPos:         qh.QPos,
-		QVel:         qh.QVel,
-		QAt:          qh.QAt,
-		Epoch:        qh.Epoch,
-		Installed:    qh.Installed,
-		AnswerRadius: qh.AnswerRadius,
-		Radius:       qh.Radius,
-		InstalledAt:  qh.InstalledAt,
-		PrevRegion:   qh.PrevRegion,
-		AnswerSeq:    qh.AnswerSeq,
-		LastProbeAt:  qh.LastProbeAt,
-		Frontier:     qh.Frontier,
-		Band:         qh.Band,
-		Inside:       qh.Inside,
-		Sent:         qh.Sent,
-	}
-	if len(qh.Candidates) > 0 {
-		st.Candidates = make([]CandidateState, len(qh.Candidates))
-		for i, c := range qh.Candidates {
-			st.Candidates[i] = CandidateState{ID: c.ID, Pos: c.Pos}
-		}
-	}
-	return st
 }

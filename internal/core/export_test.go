@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -11,12 +12,12 @@ import (
 	"dmknn/internal/protocol"
 )
 
-// randMonitorState draws a structurally valid snapshot: finite track,
+// randHandoff draws a structurally valid snapshot: finite track,
 // admissible (K, Range), and id slices sorted ascending as ExportMonitor
 // guarantees. Values are pushed to awkward corners on purpose — answer
 // sequences near uint32 wraparound, negative prev-region radius (the
 // empty circle), zero-length sets.
-func randMonitorState(rng *rand.Rand) MonitorState {
+func randHandoff(rng *rand.Rand) protocol.QueryHandoff {
 	pt := func() geo.Point {
 		return geo.Pt(rng.Float64()*1000-500, rng.Float64()*1000-500)
 	}
@@ -42,9 +43,9 @@ func randMonitorState(rng *rand.Rand) MonitorState {
 		}
 		return out
 	}
-	st := MonitorState{
+	st := protocol.QueryHandoff{
 		Query:        model.QueryID(1 + rng.Intn(1<<16)),
-		K:            1 + rng.Intn(64),
+		K:            uint32(1 + rng.Intn(64)),
 		Addr:         model.ObjectID(1 + rng.Intn(1<<16)),
 		QPos:         pt(),
 		QVel:         geo.Vector{X: rng.Float64()*20 - 10, Y: rng.Float64()*20 - 10},
@@ -69,22 +70,22 @@ func randMonitorState(rng *rand.Rand) MonitorState {
 	}
 	if n := rng.Intn(9); n > 0 {
 		for _, id := range ids(n) {
-			st.Candidates = append(st.Candidates, CandidateState{ID: id, Pos: pt()})
+			st.Candidates = append(st.Candidates, protocol.CandidateRecord{ID: id, Pos: pt()})
 		}
 	}
 	return st
 }
 
-// Satellite property test: a monitor snapshot survives the full migration
-// encoding unchanged — MonitorState → wire QueryHandoff → binary codec →
-// QueryHandoff → MonitorState is the identity, including nil-vs-empty
-// slice shape and wraparound answer sequences.
-func TestExportStateWireRoundTrip(t *testing.T) {
+// Satellite property test: a monitor snapshot survives the migration
+// encoding unchanged — QueryHandoff → binary codec → QueryHandoff is the
+// identity, including nil slice shape and wraparound answer sequences.
+// An empty non-nil set encodes exactly like a nil one, so the decoder's
+// nil is the only shape an empty set has on the wire.
+func TestQueryHandoffWireRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 500; i++ {
-		st := randMonitorState(rng)
-		qh := st.ExportState()
-		buf := protocol.Encode(nil, qh)
+		st := randHandoff(rng)
+		buf := protocol.Encode(nil, st)
 		m, err := protocol.Decode(buf)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v\nstate %+v", i, err, st)
@@ -93,8 +94,21 @@ func TestExportStateWireRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("case %d: decoded %T, want QueryHandoff", i, m)
 		}
-		if got := ImportState(back); !reflect.DeepEqual(got, st) {
-			t.Fatalf("case %d: round trip diverged\n got %+v\nwant %+v", i, got, st)
+		if !reflect.DeepEqual(back, st) {
+			t.Fatalf("case %d: round trip diverged\n got %+v\nwant %+v", i, back, st)
+		}
+		empty := st
+		if empty.Candidates == nil {
+			empty.Candidates = []protocol.CandidateRecord{}
+		}
+		if empty.Inside == nil {
+			empty.Inside = []model.ObjectID{}
+		}
+		if empty.Sent == nil {
+			empty.Sent = []model.ObjectID{}
+		}
+		if !bytes.Equal(protocol.Encode(nil, empty), buf) {
+			t.Fatalf("case %d: empty and nil sets encode differently", i)
 		}
 	}
 }
@@ -220,13 +234,19 @@ func TestExportRefusesProbingAndUnknown(t *testing.T) {
 func TestImportMonitorRejectsInvalidAndDuplicate(t *testing.T) {
 	srv, _, now := unitServer(t, baseCfg())
 	*now = 1
-	base := MonitorState{Query: 7, K: 2, Addr: 500, QPos: geo.Pt(100, 100)}
+	base := protocol.QueryHandoff{Query: 7, K: 2, Addr: 500, QPos: geo.Pt(100, 100)}
 
 	bad := base
 	bad.K = 0 // kNN monitor with no k
 	srv.ImportMonitor(bad, 1)
 	if srv.HasQuery(7) {
 		t.Fatal("imported a k=0 kNN snapshot")
+	}
+	bad = base
+	bad.K = maxK + 1 // past the register path's bound
+	srv.ImportMonitor(bad, 1)
+	if srv.HasQuery(7) {
+		t.Fatal("imported a k=maxK+1 kNN snapshot")
 	}
 	bad = base
 	bad.QPos = geo.Pt(100, nan())

@@ -707,10 +707,10 @@ func (s *oracleServer) resyncAnswer(mon *oracleMonitor, now model.Tick) {
 	s.sendFullAnswer(mon, s.computeAnswer(mon, now), now)
 }
 
-func (s *oracleServer) exportLocked(q model.QueryID, mon *oracleMonitor) MonitorState {
-	st := MonitorState{
+func (s *oracleServer) exportLocked(q model.QueryID, mon *oracleMonitor) protocol.QueryHandoff {
+	st := protocol.QueryHandoff{
 		Query:        mon.query,
-		K:            mon.k,
+		K:            uint32(mon.k),
 		Range:        mon.rng,
 		Addr:         mon.addr,
 		QPos:         mon.qpos,
@@ -728,12 +728,12 @@ func (s *oracleServer) exportLocked(q model.QueryID, mon *oracleMonitor) Monitor
 		Band:         mon.band,
 	}
 	if n := mon.cands.Len(); n > 0 {
-		st.Candidates = make([]CandidateState, 0, n)
+		st.Candidates = make([]protocol.CandidateRecord, 0, n)
 		mon.cands.Visit(func(id model.ObjectID, p geo.Point) bool {
-			st.Candidates = append(st.Candidates, CandidateState{ID: id, Pos: p})
+			st.Candidates = append(st.Candidates, protocol.CandidateRecord{ID: id, Pos: p})
 			return true
 		})
-		slices.SortFunc(st.Candidates, func(a, b CandidateState) int {
+		slices.SortFunc(st.Candidates, func(a, b protocol.CandidateRecord) int {
 			return int(a.ID) - int(b.ID)
 		})
 	}
@@ -746,11 +746,11 @@ func (s *oracleServer) exportLocked(q model.QueryID, mon *oracleMonitor) Monitor
 	return st
 }
 
-func (s *oracleServer) importMonitor(st MonitorState, now model.Tick) {
+func (s *oracleServer) importMonitor(st protocol.QueryHandoff, now model.Tick) {
 	if _, exists := s.monitors[st.Query]; exists {
 		return
 	}
-	if st.Range < 0 || (st.Range == 0 && (st.K <= 0 || st.K > maxK)) ||
+	if st.Range < 0 || (st.Range == 0 && (st.K == 0 || st.K > maxK)) ||
 		!finitePoint(st.QPos) || !finiteVec(st.QVel) {
 		return
 	}
@@ -759,7 +759,7 @@ func (s *oracleServer) importMonitor(st MonitorState, now model.Tick) {
 	}
 	mon := &oracleMonitor{
 		query:        st.Query,
-		k:            st.K,
+		k:            int(st.K),
 		rng:          st.Range,
 		addr:         st.Addr,
 		qpos:         st.QPos,

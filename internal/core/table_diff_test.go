@@ -272,7 +272,11 @@ func (r *diffRig) migrate(q model.QueryID) {
 	}
 	r.compare()
 	if r.rng.Intn(2) == 0 {
-		st = ImportState(st.ExportState())
+		m, err := protocol.Decode(protocol.Encode(nil, st))
+		if err != nil {
+			r.fail("handoff decode: %v", err)
+		}
+		st = m.(protocol.QueryHandoff)
 	}
 	r.last = fmt.Sprintf("import q%d", q)
 	r.srv.ImportMonitor(st, r.now)

@@ -858,8 +858,8 @@ func (p Profile) Fig20ClusterScaling() *Experiment {
 		ID: "fig20", Title: "Federation scaling: per-node server time, link traffic, handoffs",
 		XLabel:  "N",
 		Metrics: []Metric{MetricServer, MetricLink, MetricHandoff, MetricExact},
-		// Wall-clock metric, and the nodes already tick on parallel
-		// goroutines inside each cell.
+		// Wall-clock metric: parallel sibling cells would contend for
+		// cores and distort it.
 		Serial: true,
 	}
 	for _, n := range p.Nodes {
@@ -880,10 +880,9 @@ func (p Profile) Fig20ClusterScaling() *Experiment {
 // the table is deterministic. The recall column (fig17) says how often
 // the answer is right; this one says how long it takes to become right
 // again after loss knocks it stale. DKNN runs the lossy-deployment
-// configuration. Single-server only: under loss the federation's
-// parallel node ticks enqueue sends in scheduler order, which permutes
-// the loss RNG draws — a lossy federation run is not reproducible, so
-// it has no place in a rendered table.
+// configuration. Single-server by choice: the sweep is about the client's
+// view of radio loss, which the federation's node count does not change
+// (fig 20 covers the federation on its own axis).
 func (p Profile) Fig21Staleness() *Experiment {
 	proto := p.Proto
 	proto.ResyncTicks = 3 * proto.HorizonTicks
@@ -934,8 +933,8 @@ func (p Profile) Fig22AdaptiveBalance() *Experiment {
 		ID: "fig22", Title: "Adaptive partitioning under hotspot skew: load balance vs static strips",
 		XLabel:  "workload",
 		Metrics: []Metric{MetricLoadCV, MetricServLatP99, MetricMoves, MetricExact},
-		// Wall-clock metrics (busy time, latency tail), and the nodes
-		// already tick on parallel goroutines inside each cell.
+		// Wall-clock metrics (busy time, latency tail): parallel sibling
+		// cells would contend for cores and distort them.
 		Serial: true,
 	}
 	for _, n := range p.Nodes {

@@ -129,14 +129,6 @@ func (r Rect) MinDistSq(p Point) float64 {
 	return p.DistSq(r.Clamp(p))
 }
 
-// MaxDist returns the maximum Euclidean distance from p to any point of r,
-// i.e. the distance to the farthest corner.
-func (r Rect) MaxDist(p Point) float64 {
-	dx := math.Max(math.Abs(p.X-r.Min.X), math.Abs(p.X-r.Max.X))
-	dy := math.Max(math.Abs(p.Y-r.Min.Y), math.Abs(p.Y-r.Max.Y))
-	return math.Hypot(dx, dy)
-}
-
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	return fmt.Sprintf("[%s - %s]", r.Min, r.Max)

@@ -293,10 +293,13 @@ func (g *Grid) VisitCellsByMinDist(p geo.Point, visit func(c Cell, minDist float
 	}
 }
 
-// KNN returns the k nearest objects to p in ascending distance order
-// (ties broken by id). Fewer than k results means the index holds fewer
-// than k objects. The skip set, if non-nil, excludes specific ids (used to
-// exclude a query's own focal object).
+// KNN returns the k nearest objects to p in ascending distance order.
+// Among objects tied at the k-th distance, the one kept is the first one
+// visited (the bounded heap rejects an equal priority); only
+// equal-distance runs inside the result are ordered by id. Fewer than k
+// results means the index holds fewer than k objects. The skip set, if
+// non-nil, excludes specific ids (used to exclude a query's own focal
+// object).
 //
 // dst, if non-nil, is a scratch slice the result is appended into
 // (starting at dst[:0]), letting hot callers — the auditor evaluates

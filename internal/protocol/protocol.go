@@ -519,9 +519,10 @@ type CandidateRecord struct {
 }
 
 // QueryHandoff migrates a query monitor to a new home node: the complete
-// server-side state machine (core.MonitorState, flattened) plus Spread,
-// the set of nodes the old home ever forwarded the query's broadcasts
-// to, so the new home can reach them all on teardown.
+// server-side state machine, exactly as core.Server.ExportMonitor
+// snapshots it and ImportMonitor takes it back, plus Spread, the set of
+// nodes the old home ever forwarded the query's broadcasts to, so the new
+// home can reach them all on teardown.
 type QueryHandoff struct {
 	Query        model.QueryID
 	K            uint32

@@ -272,10 +272,10 @@ type Engine struct {
 	chunkAudits []metrics.Audit
 
 	// Observability collectors (Config.Observe). The gap observer is fed
-	// from the trace event stream, which federation nodes may emit from
-	// parallel goroutines, so it carries its own lock; all histogram
-	// samples are integer-valued ticks, keeping the accumulated sums
-	// independent of arrival order.
+	// from the trace event stream, which a sharded server's shards may
+	// emit into from parallel goroutines, so it carries its own lock; all
+	// histogram samples are integer-valued ticks, keeping the accumulated
+	// sums independent of arrival order.
 	stale     *metrics.Histogram
 	gaps      *metrics.Histogram
 	servLatUS *metrics.Histogram
