@@ -609,6 +609,46 @@ func TestDeploymentBatched(t *testing.T) {
 	}
 }
 
+// Stats is read from outside the tick loop — `dknnd -http`'s /stats
+// handler does — while the loop drains, ticks and transmits. Under -race
+// this pins that the batched server's busy time is safe to read then.
+func TestDeploymentBatchedStatsWhileTicking(t *testing.T) {
+	world := Rect{0, 0, 1000, 1000}
+	tick := 10 * time.Millisecond
+	proto := Protocol{HorizonTicks: 4, MinProbeRadius: 100}
+	srv, err := ListenAndServe("127.0.0.1:0", ServerOptions{
+		World: world, GridCols: 10, GridRows: 10, TickInterval: tick,
+		MaxObjectSpeed: 10, MaxQuerySpeed: 10, Protocol: proto,
+		Shards: 2, BatchedIngest: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	copts := ClientOptions{World: world, TickInterval: tick, Protocol: proto}
+	for id, p := range map[ObjectID]Point{1: {510, 500}, 2: {530, 500}, 3: {560, 500}} {
+		oc, err := DialObject(srv.Addr(), id, func() Point { return p }, copts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer oc.Close()
+	}
+	qc, err := DialQuery(srv.Addr(), 100, 7, 2,
+		func() Point { return Point{500, 500} },
+		func() Vector { return Vector{} }, nil, copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qc.Close()
+	for end := time.Now().Add(500 * time.Millisecond); time.Now().Before(end); {
+		srv.Stats()
+		time.Sleep(time.Millisecond)
+	}
+	if st := srv.Stats(); st.Queries != 1 || st.BroadcastMsgs == 0 || st.BusyTime <= 0 {
+		t.Fatalf("stats after 0.5 s of ticks: %+v", st)
+	}
+}
+
 func TestServerAnswerAccessor(t *testing.T) {
 	world := Rect{0, 0, 1000, 1000}
 	srv, err := ListenAndServe("127.0.0.1:0", ServerOptions{World: world, TickInterval: 20 * time.Millisecond})

@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 
+	"dmknn/internal/container"
 	"dmknn/internal/geo"
 	"dmknn/internal/model"
 )
@@ -150,7 +151,18 @@ func (t *memberTable) prune(center geo.Point, radius float64) {
 		}
 		return gone
 	})
+	t.fit()
 }
+
+// minRowCap is the row capacity fit leaves any table, so a small table
+// never churns.
+const minRowCap = 64
+
+// fit gives back the row capacity a probe storm left behind: capacity
+// above max(minRowCap, container.Slack × the rows held) is released. It
+// runs where the table shrinks in bulk, after a prune or an install's
+// rebuild, never on the report path.
+func (t *memberTable) fit() { t.rows = container.Trim(t.rows, minRowCap) }
 
 // rankedAt returns the known inside members ordered by (Dist, ID) from
 // center, re-sorting only when the ranking was built for another centre.

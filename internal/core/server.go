@@ -822,6 +822,7 @@ func (s *Server) install(mon *monitor, now model.Tick, center geo.Point, rk, rad
 		}
 		return true
 	})
+	mon.tab.fit()
 	mon.replies.Clear()
 
 	cover := region

@@ -571,3 +571,69 @@ func TestNonFiniteReportPositionsDropped(t *testing.T) {
 		}
 	})
 }
+
+// A monitor installed from a probe storm gives the storm's row capacity
+// back once refresh installs have pruned its table to the answer buffer.
+func TestMemberTableGivesBackProbeCapacity(t *testing.T) {
+	srv, side, now := unitServer(t, baseCfg()) // k = 2, AnswerSlack 2, δ = 200
+	*now = 1
+	srv.HandleUplink(500, protocol.QueryRegister{Query: 1, K: 2, Pos: geo.Pt(500, 500), At: 1})
+	srv.Tick(1)
+	// Four objects within 4 m form the k+m buffer; 2 000 more fill the
+	// annulus out to 90 m, inside every ring the probe expands to.
+	const crowd = 2000
+	pos := map[model.ObjectID]geo.Point{}
+	for i := 1; i <= 4; i++ {
+		pos[model.ObjectID(i)] = geo.Pt(500+float64(i), 500)
+	}
+	for i := 0; i < crowd; i++ {
+		a := 2 * math.Pi * float64(i) / crowd
+		r := 10 + 80*float64(i%97)/97
+		pos[model.ObjectID(1000+i)] = geo.Pt(500+r*math.Cos(a), 500+r*math.Sin(a))
+	}
+	var inst protocol.MonitorInstall
+	for round := 0; ; round++ {
+		switch m := side.lastBroadcast().(type) {
+		case protocol.ProbeRequest:
+			for id, p := range pos {
+				if m.Region.Contains(p) {
+					srv.HandleUplink(id, protocol.ProbeReply{Query: 1, Seq: m.Seq, Object: id, Pos: p, At: 1})
+				}
+			}
+		case protocol.MonitorInstall:
+			inst = m
+		}
+		if inst.Epoch != 0 {
+			break
+		}
+		if round == 6 || !srv.Finalize(1) {
+			t.Fatalf("no install after %d rounds; last broadcast %T", round, side.lastBroadcast())
+		}
+	}
+	tab := &srv.monitors[1].tab
+	if len(tab.rows) < crowd {
+		t.Fatalf("installed %d rows; the scenario needs the probe's %d", len(tab.rows), crowd)
+	}
+	// The crowd moves out of the monitoring region in two waves, each
+	// reported by exits, and a refresh install prunes each wave.
+	for wave, tick := 0, model.Tick(1); wave < 2; wave++ {
+		for i := wave * crowd / 2; i < (wave+1)*crowd/2; i++ {
+			id := model.ObjectID(1000 + i)
+			srv.HandleUplink(id, protocol.ExitReport{MemberReport: protocol.MemberReport{
+				Query: 1, Epoch: inst.Epoch + uint32(wave), Object: id, Pos: geo.Pt(500, 950), At: tick,
+			}})
+		}
+		tick += model.Tick(baseCfg().HorizonTicks)
+		*now = tick
+		srv.Tick(tick)
+		if m, ok := side.lastBroadcast().(protocol.MonitorInstall); !ok || !m.Refresh {
+			t.Fatalf("wave %d: last broadcast %T, want a refresh install", wave, side.lastBroadcast())
+		}
+		if c, n := cap(tab.rows), len(tab.rows); c > max(64, 4*n) {
+			t.Errorf("wave %d: %d rows in capacity %d, want at most max(64, 4·%d)", wave, n, c, n)
+		}
+	}
+	if n := len(tab.rows); n != 4 {
+		t.Fatalf("%d rows left after both waves, want the 4 of the buffer", n)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dmknn/internal/container"
 	"dmknn/internal/core"
 	"dmknn/internal/geo"
 	"dmknn/internal/model"
@@ -32,11 +33,33 @@ type Options struct {
 
 // ingestQueue is one shard's arrival buffer. Appends are serialized by
 // the mutex (transport goroutines may enqueue concurrently); Drain swaps
-// buf out under the same mutex, so processing never holds it.
+// buf out under the same mutex, so processing never holds it. Every slot
+// past len of buf and proc is the zero Ingest, and window, which only the
+// draining worker touches, bounds their capacity (see consumed).
 type ingestQueue struct {
-	mu   sync.Mutex
-	buf  []core.Ingest
-	proc []core.Ingest
+	mu     sync.Mutex
+	buf    []core.Ingest
+	proc   []core.Ingest
+	window container.Window
+}
+
+// consumed zeroes the processed arrivals, so the retained array pins no
+// message, and ends the queue's round of the capacity rule
+// (container.Window): at a window's end both buffers give back what the
+// window did not need, buf under the lock because arrivals may have
+// landed in it since the swap.
+func (iq *ingestQueue) consumed() {
+	iq.window.Observe(len(iq.proc))
+	clear(iq.proc)
+	iq.proc = iq.proc[:0]
+	keep, due := iq.window.EndRound()
+	if !due {
+		return
+	}
+	iq.proc = container.Trim(iq.proc, keep)
+	iq.mu.Lock()
+	iq.buf = container.Trim(iq.buf, keep)
+	iq.mu.Unlock()
 }
 
 // pendingSend is one deferred transmission captured by a shard's
@@ -129,7 +152,7 @@ func (s *Server) Drain(now model.Tick) bool {
 	for i := range s.queues {
 		iq := &s.queues[i]
 		iq.mu.Lock()
-		iq.buf, iq.proc = iq.proc[:0], iq.buf
+		iq.buf, iq.proc = iq.proc, iq.buf
 		iq.mu.Unlock()
 		if len(iq.proc) > 0 {
 			any = true
@@ -138,30 +161,45 @@ func (s *Server) Drain(now model.Tick) bool {
 	if !any {
 		return false
 	}
-	s.parallelShards(func(i int, sh *core.Server) {
-		side := s.sides[i]
-		side.byQuery = false
-		sh.HandleUplinkBatch(s.queues[i].proc, func(in core.Ingest) { side.key = in.Seq })
-	})
+	s.parallelShards(s.drainStep)
 	s.flushSends()
 	return true
 }
 
-// flushSends merges the shards' captured sends into key order and
-// transmits them on the real medium. The stable sort preserves each
-// shard's emission order within a key, runs of adjacent broadcasts are
-// handed to the medium as one batch when it supports that, and the time
-// spent here is accounted as serialized driver work in BusyTime.
-func (s *Server) flushSends() bool {
-	merged := s.merged[:0]
+// drainShard processes shard i's swapped-out arrivals, its sends keyed by
+// the arrival that triggered them, and then zeroes them (consumed).
+func (s *Server) drainShard(i int, sh *core.Server) {
+	side, iq := s.sides[i], &s.queues[i]
+	side.byQuery = false
+	sh.HandleUplinkBatch(iq.proc, func(in core.Ingest) { side.key = in.Seq })
+	iq.consumed()
+}
+
+// flushSends merges the shards' captured sends and transmits them. Every
+// send buffer is zeroed once its entries are passed on, so no retained
+// array pins a message, and every flush is one round of the capacity rule
+// for all of them (see trimSends).
+func (s *Server) flushSends() {
+	merged := s.merged
 	for _, side := range s.sides {
 		merged = append(merged, side.sends...)
+		clear(side.sends)
 		side.sends = side.sends[:0]
 	}
-	s.merged = merged
-	if len(merged) == 0 {
-		return false
+	if len(merged) > 0 {
+		s.transmit(merged)
+		clear(merged)
 	}
+	s.merged = merged[:0]
+	s.trimSends(len(merged))
+}
+
+// transmit replays merged onto the real medium in key order. The stable
+// sort preserves each shard's emission order within a key, runs of
+// adjacent broadcasts are handed to the medium as one batch when it
+// supports that, and the time spent here is accounted as serialized
+// driver work in BusyTime.
+func (s *Server) transmit(merged []pendingSend) {
 	start := time.Now()
 	slices.SortStableFunc(merged, func(a, b pendingSend) int { return cmp.Compare(a.key, b.key) })
 	for i := 0; i < len(merged); {
@@ -175,12 +213,15 @@ func (s *Server) flushSends() bool {
 			j++
 		}
 		if s.batchOut != nil && j-i > 1 {
-			items := s.items[:0]
+			// The medium copies what it keeps of a batch (transport's
+			// BatchServerSide contract), so items is reusable on return.
+			items := s.items
 			for _, ps := range merged[i:j] {
 				items = append(items, transport.BroadcastItem{Region: ps.region, Msg: ps.msg})
 			}
-			s.items = items
 			s.batchOut.BroadcastBatch(items)
+			clear(items)
+			s.items = items[:0]
 		} else {
 			for _, ps := range merged[i:j] {
 				s.out.Broadcast(ps.region, ps.msg)
@@ -188,8 +229,24 @@ func (s *Server) flushSends() bool {
 		}
 		i = j
 	}
-	s.flushBusy += time.Since(start)
-	return true
+	s.flushBusy.Add(int64(time.Since(start)))
+}
+
+// trimSends ends a flush's round of the capacity rule
+// (container.Window) for the send buffers. A round put n sends through
+// merged, and no side's sends or run of items holds more, so one window
+// bounds them all.
+func (s *Server) trimSends(n int) {
+	s.sendWindow.Observe(n)
+	keep, due := s.sendWindow.EndRound()
+	if !due {
+		return
+	}
+	for _, side := range s.sides {
+		side.sends = container.Trim(side.sends, keep)
+	}
+	s.merged = container.Trim(s.merged, keep)
+	s.items = container.Trim(s.items, keep)
 }
 
 // parallelShards runs fn over every shard on at most s.workers

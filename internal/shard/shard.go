@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dmknn/internal/container"
 	"dmknn/internal/core"
 	"dmknn/internal/model"
 	"dmknn/internal/protocol"
@@ -52,10 +53,16 @@ type Server struct {
 	queues   []ingestQueue
 	seq      atomic.Uint64
 	workers  int
+	// drainStep is s.drainShard, bound once so that a drain allocates
+	// nothing.
+	drainStep func(int, *core.Server)
 
-	merged    []pendingSend
-	items     []transport.BroadcastItem
-	flushBusy time.Duration
+	merged     []pendingSend
+	items      []transport.BroadcastItem
+	sendWindow container.Window
+	// flushBusy is the driver's time in transmit, in nanoseconds; BusyTime
+	// reads it from any goroutine.
+	flushBusy atomic.Int64
 }
 
 // New builds a sharded server with n shards, all configured identically,
@@ -78,6 +85,7 @@ func NewWithOptions(n int, cfg core.Config, deps core.ServerDeps, opts Options) 
 		s.batchOut, _ = deps.Side.(transport.BatchServerSide)
 		s.sides = make([]*batchSide, n)
 		s.queues = make([]ingestQueue, n)
+		s.drainStep = s.drainShard
 		s.workers = opts.Workers
 		if s.workers <= 0 {
 			s.workers = defaultWorkers(n)
@@ -229,7 +237,7 @@ func (s *Server) BusyTime() time.Duration {
 			max = b
 		}
 	}
-	return max + s.flushBusy
+	return max + time.Duration(s.flushBusy.Load())
 }
 
 var (

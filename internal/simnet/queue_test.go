@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"dmknn/internal/container"
 	"dmknn/internal/geo"
 	"dmknn/internal/grid"
 	"dmknn/internal/metrics"
@@ -274,22 +275,22 @@ func TestQueueCapacityFollowsTraffic(t *testing.T) {
 				if got := retainedCap(n); got < burst {
 					t.Fatalf("retained capacity %d right after a burst of %d", got, burst)
 				}
-				// The bound trimQueue enforces: no slice above trimSlack times
-				// the steady round, ring and scratch together.
-				bound := (len(n.buckets) + 1) * trimSlack * steady
-				for i := 0; i < 2*trimWindow; i++ {
+				// The bound trimQueue enforces: no slice above container.Slack
+				// times the steady round, ring and scratch together.
+				bound := (len(n.buckets) + 1) * container.Slack * steady
+				for i := 0; i < 2*container.WindowRounds; i++ {
 					flushOf(steady)
 				}
 				if got := retainedCap(n); got > bound {
-					t.Errorf("%d flushes after the burst the queue retains %d entries, want at most %d", 2*trimWindow, got, bound)
+					t.Errorf("%d flushes after the burst the queue retains %d entries, want at most %d", 2*container.WindowRounds, got, bound)
 				}
 				// Once every bucket has regrown to the steady round, steady
 				// traffic allocates nothing — across trim windows included —
 				// and stays small.
-				for i := 0; i < trimWindow; i++ {
+				for i := 0; i < container.WindowRounds; i++ {
 					flushOf(steady)
 				}
-				if avg := testing.AllocsPerRun(2*trimWindow, func() { flushOf(steady) }); avg != 0 {
+				if avg := testing.AllocsPerRun(2*container.WindowRounds, func() { flushOf(steady) }); avg != 0 {
 					t.Errorf("steady flush allocates %.1f times per run after the trim, want 0", avg)
 				}
 				if got := retainedCap(n); got < steady || got > bound {
@@ -303,10 +304,10 @@ func TestQueueCapacityFollowsTraffic(t *testing.T) {
 	// mark never forgets it, so once the ring has grown to it nothing is
 	// trimmed and nothing reallocated.
 	t.Run("alternation", func(t *testing.T) {
-		const big, small, period = 10000, 250, trimWindow / 4
+		const big, small, period = 10000, 250, container.WindowRounds / 4
 		n, flushOf := world(0)
 		window := func() {
-			for i := 0; i < trimWindow; i++ {
+			for i := 0; i < container.WindowRounds; i++ {
 				if i%period == 0 {
 					flushOf(big)
 				} else {

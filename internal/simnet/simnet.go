@@ -43,6 +43,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"dmknn/internal/container"
 	"dmknn/internal/geo"
 	"dmknn/internal/grid"
 	"dmknn/internal/metrics"
@@ -236,15 +237,15 @@ type Network struct {
 	// round trades it for the due bucket instead of copying (takeDue).
 	// Every slot past len of every bucket and of the scratch is the zero
 	// queued: delivered entries are cleared, so a retained array pins no
-	// message. roundHigh is the largest round of the current window of
-	// trimWindow flushes, flushes how many of them are done (see trimQueue).
+	// message. window applies the capacity rule (container.Window): its
+	// high-water mark is the largest delivery round, and each flush ends
+	// one of its rounds.
 	buckets    [][]queued
 	bucketLow  model.Tick
 	bucketHigh model.Tick
 	pending    int
 	dueScratch []queued
-	roundHigh  int
-	flushes    int
+	window     container.Window
 
 	// Cell-indexed broadcast audience: cells[Geometry.CellIndex(c)] holds
 	// one packed (id, slot) entry per attached client whose last resolved
@@ -564,7 +565,7 @@ func (n *Network) Flush() int {
 			n.trimQueue()
 			return delivered
 		}
-		n.roundHigh = max(n.roundHigh, len(due))
+		n.window.Observe(len(due))
 		for i := range due {
 			delivered += n.deliver(due[i])
 		}
@@ -608,38 +609,17 @@ func (n *Network) takeDue() []queued {
 	return out
 }
 
-// Queue capacity follows traffic with hysteresis. A run's first ticks are
-// a probe storm some twenty times its steady round, so slices sized by the
-// peak would hold most of the live heap for nothing; giving capacity back
-// the moment it is idle would instead reallocate on every recurring burst.
-// So at the end of every window of trimWindow flushes, a bucket or scratch
-// whose capacity exceeds trimSlack times the window's largest round (and
-// what it still holds) is released, to regrow at the size traffic has now.
-// A one-off burst is given back within two windows; steady traffic, or a
-// burst that recurs within a window, never reallocates.
-const (
-	trimWindow = 64
-	trimSlack  = 4
-)
-
-// trimQueue counts one finished flush and, on the window's last, applies
-// the capacity bound above and starts the next window.
+// trimQueue ends a flush's round of the capacity rule and, on a window's
+// last, applies it to every bucket and the scratch.
 func (n *Network) trimQueue() {
-	if n.flushes++; n.flushes < trimWindow {
+	keep, due := n.window.EndRound()
+	if !due {
 		return
 	}
-	keep := trimSlack * n.roundHigh
-	n.flushes, n.roundHigh = 0, 0
-	trim := func(s []queued) []queued {
-		if cap(s) <= max(keep, trimSlack*len(s)) {
-			return s
-		}
-		return append([]queued(nil), s...) // nil when nothing is pending in it
-	}
 	for i, b := range n.buckets {
-		n.buckets[i] = trim(b)
+		n.buckets[i] = container.Trim(b, keep)
 	}
-	n.dueScratch = trim(n.dueScratch)
+	n.dueScratch = container.Trim(n.dueScratch, keep)
 }
 
 // PendingCount returns the number of queued (not yet delivered) entries;
