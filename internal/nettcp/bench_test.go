@@ -14,10 +14,12 @@ import (
 
 // BenchmarkFanout is the server-side cost of one Broadcast — the socket
 // path's stand-in for a cell broadcast, and most of a deployed server's
-// tick — to N loopback connections. The far ends are raw sinks that read
-// and discard, so every allocation counted is the server's. It fails if
-// allocations per Broadcast grow with N: the frame is encoded once and
-// the fan-out allocates nothing per connection.
+// tick — to N loopback connections, timed to completion: until the
+// sender has written the frame to every connection, not only queued it.
+// The far ends are raw sinks that read and discard, so every allocation
+// counted is the server's. It fails unless every Broadcast was written
+// N times, and if allocations per Broadcast grow with N: the frame is
+// encoded once and the fan-out allocates nothing per connection.
 func BenchmarkFanout(b *testing.B) {
 	install := protocol.InfluenceInstall{Install: protocol.MonitorInstall{Query: 3, Epoch: 2,
 		QueryPos: geo.Pt(500, 500), AnswerRadius: 80, Radius: 120, At: 9}, Frontier: 60, Band: 5}
@@ -43,7 +45,10 @@ func BenchmarkFanout(b *testing.B) {
 				}
 				time.Sleep(time.Millisecond)
 			}
-			bcast := func() { s.Side().Broadcast(install.Region(), msg) }
+			bcast := func() {
+				s.Side().Broadcast(install.Region(), msg)
+				s.flush()
+			}
 			allocs[i] = testing.AllocsPerRun(20, bcast) // also warms pool and snapshot
 			sent := s.Counters()
 
@@ -57,6 +62,9 @@ func BenchmarkFanout(b *testing.B) {
 			d := now.Diff(sent)
 			if d.Dropped(metrics.Broadcast) != 0 {
 				b.Fatalf("%d frames dropped", d.Dropped(metrics.Broadcast))
+			}
+			if got := d.Delivered(metrics.Broadcast); got != uint64(n*b.N) {
+				b.Fatalf("%d frames written for %d broadcasts to %d connections", got, b.N, n)
 			}
 			b.ReportMetric(float64(d.Delivered(metrics.Broadcast))/float64(b.N), "frames/op")
 		})

@@ -17,6 +17,13 @@
 // simply ignore them). Accounting still records one transmission per
 // intersecting grid cell, exactly like the simulated medium, so traffic
 // metrics are comparable.
+//
+// Sending never touches a socket: Downlink and Broadcast meter the send,
+// encode the frame once and queue it, and one sender goroutine per
+// Server writes what is queued, each connection's frames in send order
+// with one writev. The query-processing logic calls the send surface
+// under its own lock; a slow or stalled client therefore delays other
+// clients' frames by at most one WriteTimeout, and never that lock.
 package nettcp
 
 import (
@@ -25,10 +32,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"dmknn/internal/container"
 	"dmknn/internal/geo"
 	"dmknn/internal/grid"
 	"dmknn/internal/metrics"
@@ -50,10 +59,10 @@ var ErrBadHandshake = errors.New("nettcp: bad handshake")
 // Config tunes the server's liveness behavior. The zero value takes the
 // defaults below.
 type Config struct {
-	// WriteTimeout bounds every frame write to one client. A connection
-	// whose reader has stalled (full TCP window, dead peer behind a
-	// half-open socket) fails the write at the deadline and is evicted,
-	// instead of head-of-line-blocking every broadcast fan-out behind it.
+	// WriteTimeout bounds every write to one client. A connection whose
+	// reader has stalled (full TCP window, dead peer behind a half-open
+	// socket) fails the write at the deadline and is evicted, instead of
+	// head-of-line-blocking every other client's frames behind it.
 	WriteTimeout time.Duration
 	// HandshakeTimeout bounds how long a fresh connection may take to
 	// present its handshake bytes; a connection that sends nothing is
@@ -186,15 +195,41 @@ type Server struct {
 	metered metrics.Counters
 	closed  bool
 
-	wg sync.WaitGroup
+	// The send queue, in call order, and the sender's previous batch,
+	// emptied, to swap in when the sender takes the queue.
+	queue, spare []outFrame
+	busy         bool      // the sender holds a batch it has not metered
+	work         sync.Cond // on mu: the queue grew, or Close began
+	idle         sync.Cond // on mu: the queue is empty and busy is false
+
+	wg sync.WaitGroup // the sender and the per-connection readers
 }
 
 type serverConn struct {
 	c        net.Conn
-	wm       sync.Mutex   // serializes frame writes
 	lastSeen atomic.Int64 // unix nanos of the last frame read (or handshake)
+	in       uint64       // the sender's: which of a batch's snapshots hold this connection
 	fr       FrameReader
 	rbuf     [60]byte // uplinks are 41-61 bytes framed; see FrameReader
+}
+
+// outFrame is one queued send: a downlink's frame and its connection, or
+// a broadcast's frame and the snapshot of conns it goes to.
+type outFrame struct {
+	frame   *[]byte
+	to      *serverConn
+	targets []*serverConn
+	d       metrics.Direction
+	snap    uint8 // the sender's: the index of targets among the batch's snapshots
+}
+
+// goesTo reports whether f is bound for sc, once the sender has marked
+// the batch's recipients.
+func (f *outFrame) goesTo(sc *serverConn) bool {
+	if f.to != nil {
+		return f.to == sc
+	}
+	return sc.in>>f.snap&1 != 0
 }
 
 // Listen starts a server on addr ("host:port"; ":0" picks a free port)
@@ -210,13 +245,17 @@ func ListenConfig(addr string, geom grid.Geometry, cfg Config) (*Server, error) 
 	if err != nil {
 		return nil, fmt.Errorf("nettcp: listen: %w", err)
 	}
-	return &Server{
+	s := &Server{
 		ln:      ln,
 		geom:    geom,
 		cfg:     cfg.withDefaults(),
 		conns:   make(map[model.ObjectID]*serverConn),
 		pending: make(map[net.Conn]struct{}),
-	}, nil
+	}
+	s.work.L, s.idle.L = &s.mu, &s.mu
+	s.wg.Add(1)
+	go s.send()
+	return s, nil
 }
 
 // Addr returns the bound listen address.
@@ -268,11 +307,15 @@ func (s *Server) Serve() error {
 	}
 }
 
-// Close stops accepting, closes every connection — registered or still
-// in its handshake — and waits for the per-connection readers to finish.
+// Close stops accepting, writes what was queued before it (each write
+// still bounded by WriteTimeout), closes every connection — registered
+// or still in its handshake — and waits for the sender and the
+// per-connection readers to finish. A send after Close is dropped.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
+	s.work.Signal()
+	s.awaitSent()
 	for _, sc := range s.conns {
 		sc.c.Close()
 	}
@@ -409,15 +452,17 @@ type tcpServerSide struct{ s *Server }
 // Downlink implements transport.ServerSide.
 func (t tcpServerSide) Downlink(to model.ObjectID, m protocol.Message) {
 	s := t.s
+	frame := getFrame(m)
 	s.mu.Lock()
+	s.metered.RecordSend(metrics.Downlink, m.Kind(), len(*frame)-4)
 	sc, ok := s.conns[to]
-	s.metered.RecordSend(metrics.Downlink, m.Kind(), protocol.EncodedSize(m))
 	if !ok {
 		s.metered.RecordDrop(metrics.Downlink)
 	}
+	queued := ok && s.push(outFrame{frame: frame, to: sc, d: metrics.Downlink}, 1)
 	s.mu.Unlock()
-	if ok {
-		s.fanout(metrics.Downlink, []*serverConn{sc}, m)
+	if !queued {
+		putFrame(frame)
 	}
 }
 
@@ -431,57 +476,211 @@ func (t tcpServerSide) Broadcast(region geo.Circle, m protocol.Message) {
 	if cells == 0 {
 		return
 	}
+	frame := getFrame(m)
 	s.mu.Lock()
-	size := protocol.EncodedSize(m)
-	for i := 0; i < cells; i++ {
-		s.metered.RecordSend(metrics.Broadcast, m.Kind(), size)
-	}
+	s.metered.RecordSendN(metrics.Broadcast, m.Kind(), len(*frame)-4, cells)
 	if s.targets == nil {
 		s.targets = make([]*serverConn, 0, len(s.conns))
 		for _, sc := range s.conns {
 			s.targets = append(s.targets, sc)
 		}
 	}
-	targets := s.targets // never written again: a change replaces it
+	// The snapshot is never written again (a change replaces it), so the
+	// queue may hold it.
+	queued := s.push(outFrame{frame: frame, targets: s.targets, d: metrics.Broadcast}, len(s.targets))
 	s.mu.Unlock()
-	s.fanout(metrics.Broadcast, targets, m)
+	if !queued {
+		putFrame(frame)
+	}
 }
 
-// fanout encodes m once, sends it to every target with one Write under
-// the connection's write mutex and write deadline, and meters the outcome
-// under one lock acquisition. A client whose reader has stalled (full TCP
-// window) fails the write at the deadline; the connection is closed so the
-// read loop exits and the normal gone path purges the client — without the
-// deadline it would hold wm forever and block every fan-out behind it.
-func (s *Server) fanout(d metrics.Direction, targets []*serverConn, m protocol.Message) {
-	frame := getFrame(m)
-	dropped, evicted := 0, 0
-	for _, sc := range targets {
-		sc.wm.Lock()
-		sc.c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		_, err := sc.c.Write(*frame)
-		sc.c.SetWriteDeadline(time.Time{})
-		sc.wm.Unlock()
-		if err != nil {
-			sc.c.Close()
-			dropped++
-			if isTimeout(err) {
-				evicted++
+// push queues f, bound for n connections, and wakes the sender; once
+// Close has begun it meters f dropped for each of them instead. It
+// reports whether the sender took the frame. The caller holds s.mu.
+func (s *Server) push(f outFrame, n int) bool {
+	if s.closed {
+		for ; n > 0; n-- {
+			s.metered.RecordDrop(f.d)
+		}
+		return false
+	}
+	if n == 0 {
+		return false
+	}
+	s.queue = append(s.queue, f)
+	s.work.Signal()
+	return true
+}
+
+// awaitSent waits until the sender has written and metered everything
+// queued. The caller holds s.mu.
+func (s *Server) awaitSent() {
+	for len(s.queue) > 0 || s.busy {
+		s.idle.Wait()
+	}
+}
+
+// send is the sender goroutine. It takes the whole queue as one batch,
+// writes it, meters what it wrote and repeats; it returns once Close has
+// begun and the queue is empty.
+func (s *Server) send() {
+	defer s.wg.Done()
+	var w sender
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		for len(s.queue) == 0 {
+			s.busy = false
+			s.idle.Broadcast()
+			if s.closed {
+				return
 			}
+			s.work.Wait()
+		}
+		batch := s.queue
+		s.queue, s.busy = s.spare, true
+		s.mu.Unlock()
+		out := w.write(batch, s.cfg.WriteTimeout)
+		for i := range batch {
+			putFrame(batch[i].frame)
+		}
+		clear(batch)
+		s.mu.Lock()
+		out.meter(&s.metered)
+		s.spare = batch[:0]
+		w.win.Observe(len(batch))
+		if keep, due := w.win.EndRound(); due {
+			s.queue, s.spare = container.Trim(s.queue, keep), container.Trim(s.spare, keep)
+			w.run = container.Trim(w.run[:0], keep)
 		}
 	}
-	putFrame(frame)
-	s.mu.Lock()
-	for i := len(targets) - dropped; i > 0; i-- {
-		s.metered.RecordDeliver(d)
+}
+
+// Bits 0 to maxSnaps-1 of serverConn.in say which of a batch's snapshots
+// hold the connection; bit maxSnaps, listed, that the sender has listed it.
+const (
+	maxSnaps = 63
+	listed   = 1 << maxSnaps
+)
+
+// sender is the sender goroutine's scratch; nothing else touches it.
+type sender struct {
+	snaps [][]*serverConn // a batch's distinct broadcast snapshots
+	dirty []*serverConn   // a batch's recipients, in order of first send
+	// run is one connection's frames in send order. bufs is the header a
+	// writev consumes, kept here so that handing it to the connection
+	// does not allocate one per write.
+	run, bufs net.Buffers
+	// Each batch is one round of the container window rule; its entries
+	// are what the queue and run need room for.
+	win container.Window
+}
+
+// tally is a batch's outcome, metered under one acquisition of s.mu.
+type tally struct {
+	delivered, dropped [metrics.Broadcast + 1]int
+	evicted            int
+}
+
+// write sends batch: each connection's frames, in send order, with one
+// writev under one write deadline.
+func (w *sender) write(batch []outFrame, timeout time.Duration) (t tally) {
+	for len(batch) > 0 {
+		n := w.mark(batch)
+		for _, sc := range w.dirty {
+			w.writeRun(sc, batch[:n], timeout, &t)
+			sc.in = 0
+		}
+		clear(w.snaps)
+		clear(w.dirty)
+		w.snaps, w.dirty = w.snaps[:0], w.dirty[:0]
+		batch = batch[n:]
 	}
-	for ; dropped > 0; dropped-- {
-		s.metered.RecordDrop(d)
+	return t
+}
+
+// mark lists the recipients of a prefix of batch in dirty, sets their
+// snapshot bits, and returns the prefix's length: all of batch, unless it
+// holds more than maxSnaps distinct snapshots.
+func (w *sender) mark(batch []outFrame) int {
+	for i := range batch {
+		f := &batch[i]
+		if f.to != nil {
+			w.list(f.to, 0)
+			continue
+		}
+		k := slices.IndexFunc(w.snaps, func(t []*serverConn) bool { return &t[0] == &f.targets[0] })
+		if k < 0 {
+			if k = len(w.snaps); k == maxSnaps {
+				return i
+			}
+			w.snaps = append(w.snaps, f.targets)
+			for _, sc := range f.targets {
+				w.list(sc, 1<<k)
+			}
+		}
+		f.snap = uint8(k)
 	}
-	for ; evicted > 0; evicted-- {
-		s.metered.RecordEviction()
+	return len(batch)
+}
+
+func (w *sender) list(sc *serverConn, bits uint64) {
+	if sc.in == 0 {
+		w.dirty = append(w.dirty, sc)
 	}
-	s.mu.Unlock()
+	sc.in |= bits | listed
+}
+
+// writeRun writes sc's frames of batch with one writev. A frame is
+// delivered only if all its bytes were written. A connection whose write
+// fails is closed, so its read loop exits and the normal gone path purges
+// the client; without the deadline a stalled reader would block the
+// sender forever.
+func (w *sender) writeRun(sc *serverConn, batch []outFrame, timeout time.Duration, t *tally) {
+	w.run = w.run[:0]
+	for i := range batch {
+		if batch[i].goesTo(sc) {
+			w.run = append(w.run, *batch[i].frame)
+		}
+	}
+	w.bufs = w.run
+	sc.c.SetWriteDeadline(time.Now().Add(timeout))
+	left, err := w.bufs.WriteTo(sc.c)
+	clear(w.run)
+	for i := range batch {
+		f := &batch[i]
+		if !f.goesTo(sc) {
+			continue
+		}
+		if size := int64(len(*f.frame)); left >= size {
+			left -= size
+			t.delivered[f.d]++
+		} else {
+			left = 0
+			t.dropped[f.d]++
+		}
+	}
+	if err != nil {
+		sc.c.Close()
+		if isTimeout(err) {
+			t.evicted++
+		}
+	}
+}
+
+// meter records t in c; the caller holds the lock that guards c.
+func (t *tally) meter(c *metrics.Counters) {
+	for d := range t.delivered {
+		for n := t.delivered[d]; n > 0; n-- {
+			c.RecordDeliver(metrics.Direction(d))
+		}
+		for n := t.dropped[d]; n > 0; n-- {
+			c.RecordDrop(metrics.Direction(d))
+		}
+	}
+	for n := t.evicted; n > 0; n-- {
+		c.RecordEviction()
+	}
 }
 
 // ---------------------------------------------------------------------------
