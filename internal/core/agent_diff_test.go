@@ -282,12 +282,14 @@ func (r *agentDiffRig) compare(what string) {
 	// the oracle's report state; the pointer is nil when there are none.
 	var members []memberState
 	for i, q := range r.ora.order {
+		// The row's track is compared by value: rows share records, so
+		// comparing rows with == would compare pointers.
 		om, m := r.ora.monitors[q], held[i]
-		want := agentMonitor{query: q, epoch: om.epoch, qpos: om.qpos, qvel: om.qvel, at: om.at,
-			answerRadius: om.answerRadius, radius: om.radius, rangeMode: om.rangeMode, inside: om.inside,
-			frontier: om.frontier}
-		if m != want {
-			r.t.Fatalf("step %d after %s: slot %d\n table  %+v\n oracle %+v", r.step, what, i, m, want)
+		want := track{epoch: om.epoch, qpos: om.qpos, qvel: om.qvel, at: om.at,
+			answerRadius: om.answerRadius, radius: om.radius, frontier: om.frontier, rangeMode: om.rangeMode}
+		if m.query != q || m.inside != om.inside || *m.tr != want {
+			r.t.Fatalf("step %d after %s: slot %d\n table  query %d inside %v %+v\n oracle query %d inside %v %+v",
+				r.step, what, i, m.query, m.inside, *m.tr, q, om.inside, want)
 		}
 		if om.inside {
 			members = append(members, memberState{query: q, lastSentAt: om.lastSentAt, lastReport: om.lastReport})

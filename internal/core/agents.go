@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"dmknn/internal/geo"
 	"dmknn/internal/model"
@@ -57,7 +58,8 @@ type ObjectAgent struct {
 	mu sync.Mutex
 	// mons is the monitor table in ascending query id, which is also the
 	// send order. Entries are values overwritten in place: hearing a
-	// refresh of a held query and evaluating a tick touch no other memory.
+	// refresh of a held query repoints its row at the install's shared
+	// track, and evaluating a tick reads the tracks and writes only rows.
 	mons []agentMonitor
 	// members has one row, ascending by query, for each monitor with inside
 	// set, and is nil while there is none — which is most agents most of
@@ -80,10 +82,20 @@ func NewObjectAgent(cfg Config, deps AgentDeps) (*ObjectAgent, error) {
 	return &ObjectAgent{deps: deps, theta: cfg.ThetaInside, horizon: model.Tick(cfg.HorizonTicks)}, nil
 }
 
-// agentMonitor is the object's local copy of one installed query monitor:
-// what every tick's evaluation reads, and nothing else.
+// agentMonitor is one installed query monitor as the object holds it: the
+// only per-object state, inside, next to the install's track, which every
+// object of the region holds the same.
 type agentMonitor struct {
-	query        model.QueryID
+	query  model.QueryID
+	inside bool
+	tr     *track
+}
+
+// track is what an install tells every object of its region: the epoch,
+// the advertised query track, the two radii, and the frontier. A record
+// is never written after internTrack publishes it, so any number of
+// agents, on any goroutine, may hold it.
+type track struct {
 	epoch        uint32
 	qpos         geo.Point
 	qvel         geo.Vector
@@ -96,7 +108,34 @@ type agentMonitor struct {
 	// it needs no storage and re-anchors automatically on every report.
 	frontier  float64
 	rangeMode bool
-	inside    bool
+}
+
+// processTracks is the slot of the agents whose medium keeps none (the
+// sockets' clients, which live one fleet to a process).
+var processTracks atomic.Value
+
+// internTrack returns a published record equal to t: the last one
+// published in the agent's slot when it matches, which it does for all
+// but the first of an install's audience — fan-out delivers one broadcast
+// to every recipient back to back — and a new one otherwise. The slot is
+// the medium's (transport.SharingSide), one per simulation, so concurrent
+// simulations never evict each other's record. NaN never matches, which
+// costs only the allocation; +0 matches −0, which no reader of a track
+// can tell apart.
+func (a *ObjectAgent) internTrack(t track) *track {
+	slot := &processTracks
+	if s, ok := a.deps.Side.(transport.SharingSide); ok {
+		slot = s.Shared()
+	}
+	if p, _ := slot.Load().(*track); p != nil && *p == t {
+		return p
+	}
+	// A copy, not &t: taking t's address would move every call's argument
+	// to the heap, hit or miss.
+	p := new(track)
+	*p = t
+	slot.Store(p)
+	return p
 }
 
 // memberState is what the server last heard from the object about a query
@@ -211,7 +250,7 @@ func (a *ObjectAgent) HandleServerMessage(msg protocol.Message) {
 	case protocol.InfluenceInstall:
 		a.handleInstall(v.Install, v.Frontier)
 	case protocol.MonitorCancel:
-		if i, ok := a.find(v.Query); ok && v.Epoch >= a.mons[i].epoch {
+		if i, ok := a.find(v.Query); ok && v.Epoch >= a.mons[i].tr.epoch {
 			a.drop(i)
 		}
 	}
@@ -219,7 +258,7 @@ func (a *ObjectAgent) HandleServerMessage(msg protocol.Message) {
 
 func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall, frontier float64) {
 	i, had := a.find(v.Query)
-	if had && v.Epoch < a.mons[i].epoch {
+	if had && v.Epoch < a.mons[i].tr.epoch {
 		return // stale rebroadcast
 	}
 	// was is our member state under the monitor this install replaces:
@@ -323,8 +362,7 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall, frontier float64)
 	case reported || !v.Refresh:
 		was.lastSentAt, was.lastReport = now, p
 	}
-	mon := agentMonitor{
-		query:        v.Query,
+	mon := agentMonitor{query: v.Query, inside: side, tr: a.internTrack(track{
 		epoch:        v.Epoch,
 		qpos:         v.QueryPos,
 		qvel:         v.QueryVel,
@@ -333,8 +371,7 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall, frontier float64)
 		radius:       v.Radius,
 		frontier:     frontier,
 		rangeMode:    v.RangeMode,
-		inside:       side,
-	}
+	})}
 	if had {
 		a.mons[i] = mon
 	} else {
@@ -365,17 +402,17 @@ func (a *ObjectAgent) Tick(now model.Tick) {
 	mi := 0   // the member row of the next inside monitor: both tables ascend by query
 	for i := range a.mons {
 		mon := &a.mons[i]
-		q := mon.query
-		qhat := geo.DeadReckon(mon.qpos, mon.qvel, float64(now-mon.at)*dt)
+		q, tr := mon.query, mon.tr
+		qhat := geo.DeadReckon(tr.qpos, tr.qvel, float64(now-tr.at)*dt)
 		d := p.Dist(qhat)
-		if d > mon.radius {
+		if d > tr.radius {
 			// Only answer-circle members must announce leaving — the
 			// server tracks membership through them. Annulus objects
 			// drop silently; their stale candidate entries are pruned at
 			// the next refresh.
 			if mon.inside {
 				a.deps.Side.Uplink(protocol.LeaveReport{MemberReport: protocol.MemberReport{
-					Query: q, Epoch: mon.epoch, Object: a.deps.ID, Pos: p, At: now,
+					Query: q, Epoch: tr.epoch, Object: a.deps.ID, Pos: p, At: now,
 				}})
 				a.dropMember(mi)
 				if a.deps.Trace != nil {
@@ -385,11 +422,11 @@ func (a *ObjectAgent) Tick(now model.Tick) {
 			}
 			continue
 		}
-		side := d <= mon.answerRadius
+		side := d <= tr.answerRadius
 		switch {
 		case side && !mon.inside:
 			a.deps.Side.Uplink(protocol.EnterReport{MemberReport: protocol.MemberReport{
-				Query: q, Epoch: mon.epoch, Object: a.deps.ID, Pos: p, At: now,
+				Query: q, Epoch: tr.epoch, Object: a.deps.ID, Pos: p, At: now,
 			}})
 			mon.inside = true
 			a.addMember(mi, memberState{query: q, lastSentAt: now, lastReport: p})
@@ -399,7 +436,7 @@ func (a *ObjectAgent) Tick(now model.Tick) {
 			}
 		case !side && mon.inside:
 			a.deps.Side.Uplink(protocol.ExitReport{MemberReport: protocol.MemberReport{
-				Query: q, Epoch: mon.epoch, Object: a.deps.ID, Pos: p, At: now,
+				Query: q, Epoch: tr.epoch, Object: a.deps.ID, Pos: p, At: now,
 			}})
 			mon.inside = false
 			a.dropMember(mi)
@@ -407,25 +444,25 @@ func (a *ObjectAgent) Tick(now model.Tick) {
 				emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvBoundaryCrossed,
 					Query: q, Object: a.deps.ID, Kind: protocol.KindExitReport, Value: d})
 			}
-		case side && !mon.rangeMode:
+		case side && !tr.rangeMode:
 			ms := &(*a.members)[mi]
 			drift := p.Dist(ms.lastReport)
 			move := false
-			if mon.frontier > 0 {
+			if tr.frontier > 0 {
 				// Influence rule: the server only needs to know our side of
 				// the frontier F. While the drift stays under our slack to F
 				// (|d(lastReport, q̂) − F|) the triangle inequality proves we
 				// cannot have crossed it, so the report is suppressed; the
 				// side test catches the boundary exactly.
 				dSrv := ms.lastReport.Dist(qhat)
-				move = (d <= mon.frontier) != (dSrv <= mon.frontier) ||
-					drift > math.Abs(dSrv-mon.frontier)
+				move = (d <= tr.frontier) != (dSrv <= tr.frontier) ||
+					drift > math.Abs(dSrv-tr.frontier)
 			} else {
 				move = drift > a.theta
 			}
 			if move {
 				a.deps.Side.Uplink(protocol.MoveReport{MemberReport: protocol.MemberReport{
-					Query: q, Epoch: mon.epoch, Object: a.deps.ID, Pos: p, At: now,
+					Query: q, Epoch: tr.epoch, Object: a.deps.ID, Pos: p, At: now,
 				}})
 				ms.lastSentAt, ms.lastReport = now, p
 				if a.deps.Trace != nil {

@@ -67,17 +67,19 @@ func TestRegisterOrderMaintained(t *testing.T) {
 	}
 }
 
-// A simulated run is one ObjectAgent per device, so the three records'
-// sizes are most of its heap: the agent fills a 128-byte size class, a
-// monitor row is what a tick's evaluation reads, and report state is paid
-// only per answer-circle membership.
+// A simulated run is one ObjectAgent per device, so its records' sizes
+// are most of its heap: the agent fills a 128-byte size class, a monitor
+// row is the query, the object's side and a pointer to the install's
+// track, which the install's whole audience shares, and report state is
+// paid only per answer-circle membership.
 func TestAgentFootprint(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		got, want uintptr
 	}{
 		{"ObjectAgent", unsafe.Sizeof(ObjectAgent{}), 128},
-		{"agentMonitor", unsafe.Sizeof(agentMonitor{}), 80},
+		{"agentMonitor", unsafe.Sizeof(agentMonitor{}), 16},
+		{"track", unsafe.Sizeof(track{}), 80},
 		{"memberState", unsafe.Sizeof(memberState{}), 32},
 	} {
 		if c.got > c.want {
@@ -87,42 +89,68 @@ func TestAgentFootprint(t *testing.T) {
 }
 
 // The footprint as the heap sees it, size classes and table slack
-// included: a device that holds two monitors and is inside one of them
-// costs the agent (128 B), a two-row table (160), and a one-row member
-// table behind its slice header (32 + 24).
+// included, of a device that holds two monitors and is inside one of them:
+// the agent (128 B), a two-row table (32), a one-row member table behind
+// its slice header (32 + 24), and the two installs' tracks (80 each).
+//
+// In broadcast order — the whole population hears install A, then install
+// B, as fan-out delivers them — the audience shares each track: 212 B a
+// device. A lone device, which hears both installs interleaved with other
+// devices' and so shares with nobody, pays for both tracks itself: 372 B,
+// the accepted +32 B over rows that each hold their own track.
 func TestObjectAgentHeapPerDevice(t *testing.T) {
-	const n = 10000
-	pos := geo.Pt(500, 505)
-	deps := AgentDeps{
-		Side: nullClientSide{},
-		Now:  func() model.Tick { return 1 },
-		Pos:  func() geo.Point { return pos },
-		DT:   1,
-	}
 	inside, annulus := benchAgentInstall(1, 1, false), benchAnnulusInstall(2, 1, false)
-	agents := make([]*ObjectAgent, n)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := range agents {
-		deps.ID = model.ObjectID(i)
-		a, err := NewObjectAgent(benchCfg(), deps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a.HandleServerMessage(inside)
-		a.HandleServerMessage(annulus)
-		agents[i] = a
+	for _, c := range []struct {
+		name      string
+		broadcast bool
+		limit     float64
+	}{
+		{"broadcast-order", true, 230},
+		{"lone-device", false, 380},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const n = 10000
+			pos := geo.Pt(500, 505)
+			deps := AgentDeps{
+				Side: nullClientSide{},
+				Now:  func() model.Tick { return 1 },
+				Pos:  func() geo.Point { return pos },
+				DT:   1,
+			}
+			agents := make([]*ObjectAgent, n)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := range agents {
+				deps.ID = model.ObjectID(i)
+				a, err := NewObjectAgent(benchCfg(), deps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !c.broadcast {
+					a.HandleServerMessage(inside)
+					a.HandleServerMessage(annulus)
+				}
+				agents[i] = a
+			}
+			if c.broadcast {
+				for _, msg := range []protocol.Message{inside, annulus} {
+					for _, a := range agents {
+						a.HandleServerMessage(msg)
+					}
+				}
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			if a := agents[n-1]; a.MonitorCount() != 2 || len(*a.members) != 1 {
+				t.Fatalf("agent holds %d monitors, want 2 with one member row", a.MonitorCount())
+			}
+			per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+			t.Logf("%.1f B of heap per device", per)
+			if per > c.limit {
+				t.Errorf("%.1f B of heap per device, want at most %.0f", per, c.limit)
+			}
+			runtime.KeepAlive(agents)
+		})
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	if a := agents[n-1]; a.MonitorCount() != 2 || len(*a.members) != 1 {
-		t.Fatalf("agent holds %d monitors, want 2 with one member row", a.MonitorCount())
-	}
-	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
-	t.Logf("%.1f B of heap per device", per)
-	if per > 360 {
-		t.Errorf("%.1f B of heap per device, want at most 360", per)
-	}
-	runtime.KeepAlive(agents)
 }

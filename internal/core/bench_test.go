@@ -147,7 +147,8 @@ func BenchmarkAgentInstallRefresh(b *testing.B) {
 // The per-event paths of the agent's two tables must not touch the heap:
 // a refresh install of a held query — in the annulus, or inside the answer
 // circle with its member row — overwrites its entry in place, and a tick
-// that transmits nothing evaluates the entries where they lie.
+// that transmits nothing evaluates the entries where they lie. An install's
+// audience, hearing it back to back, allocates one track between them.
 func TestAgentTableZeroAlloc(t *testing.T) {
 	agent := benchAgent(t, 10)
 	agent.HandleServerMessage(benchAnnulusInstall(11, 1, false))
@@ -165,6 +166,31 @@ func TestAgentTableZeroAlloc(t *testing.T) {
 	if agent.MonitorCount() != 11 || len(*agent.members) != 10 {
 		t.Fatalf("agent holds %d monitors and %d member rows, want 11 and 10",
 			agent.MonitorCount(), len(*agent.members))
+	}
+
+	audience := make([]*ObjectAgent, 64)
+	for i := range audience {
+		audience[i] = benchAgent(t, 10)
+	}
+	// One fresh epoch per run, boxed beforehand; AllocsPerRun runs the
+	// function once more than asked, to warm up.
+	const runs = 100
+	fresh := make([]protocol.Message, runs+1)
+	for i := range fresh {
+		fresh[i] = benchAgentInstall(5, uint32(2+i), false)
+	}
+	next := 0
+	if avg := testing.AllocsPerRun(runs, func() {
+		for _, a := range audience {
+			a.HandleServerMessage(fresh[next])
+		}
+		next++
+	}); avg > 1 {
+		t.Errorf("64 agents hearing one fresh-epoch install allocate %.1f times, want at most 1", avg)
+	}
+	if first, last := audience[0].held()[4].tr, audience[63].held()[4].tr; first != last || first.epoch != 2+runs {
+		t.Fatalf("audience holds tracks %p and %p at epoch %d, want one record at epoch %d",
+			first, last, first.epoch, 2+runs)
 	}
 }
 

@@ -282,17 +282,17 @@ func TestInfluenceSuppressionStalenessBound(t *testing.T) {
 				for _, a := range m.Agents() {
 					truePos := env.ObjectByID(a.deps.ID).Pos
 					for _, am := range a.held() {
-						q := am.query
-						if !am.inside || am.rangeMode || am.frontier <= 0 {
+						q, tr := am.query, am.tr
+						if !am.inside || tr.rangeMode || tr.frontier <= 0 {
 							continue
 						}
-						qhat := geo.DeadReckon(am.qpos, am.qvel, float64(now-am.at)*env.DT)
+						qhat := geo.DeadReckon(tr.qpos, tr.qvel, float64(now-tr.at)*env.DT)
 						lastReport := a.memberOf(q).lastReport
 						drift := truePos.Dist(lastReport)
-						bound := math.Abs(lastReport.Dist(qhat) - am.frontier)
+						bound := math.Abs(lastReport.Dist(qhat) - tr.frontier)
 						if drift > bound+1e-6 {
 							t.Fatalf("tick %d: object %d query %d: drift %.6f exceeds advertised bound %.6f (F=%.3f)",
-								now, a.deps.ID, q, drift, bound, am.frontier)
+								now, a.deps.ID, q, drift, bound, tr.frontier)
 						}
 						smon := m.Engine().(*Server).monitors[q]
 						if smon == nil {

@@ -106,14 +106,13 @@ func TestStalledReaderEvictedNotBlocking(t *testing.T) {
 		}
 	}()
 
-	waitForLong(t, 20*time.Second, "stalled client evicted", func() bool {
-		return s.ClientCount() == 1 && rec.gone.Load() == 1
+	// The sender closes the stalled connection before it meters the batch,
+	// so the client can be gone a moment before its eviction is counted.
+	waitForLong(t, 20*time.Second, "stalled client evicted and the eviction metered", func() bool {
+		cnt := s.Counters()
+		return s.ClientCount() == 1 && rec.gone.Load() == 1 && cnt.Evictions() > 0
 	})
 	<-done
-	cnt := s.Counters()
-	if cnt.Evictions() == 0 {
-		t.Error("eviction not metered")
-	}
 
 	// The fan-out is unblocked: the healthy client still receives.
 	before := healthy.count()

@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 
 	"dmknn/internal/container"
 	"dmknn/internal/geo"
@@ -265,6 +266,9 @@ type Network struct {
 	// oracle here to run it behind the same queue and loss generators.
 	refBroadcast func(q queued) int
 
+	// shared is the slot the clients' logic shares (clientSide.Shared).
+	shared atomic.Value
+
 	// trace, when non-nil, receives a net-level event per send, per
 	// delivery, and per drop. Tracing draws no randomness and never
 	// touches the loss generators, so an armed trace cannot perturb a
@@ -480,6 +484,10 @@ func (c clientSide) Uplink(m protocol.Message) {
 	}
 	n.enqueue(queued{dir: metrics.Uplink, from: c.id, msg: m})
 }
+
+// Shared implements transport.SharingSide: one slot per network, so the
+// clients of one simulation share it and no other simulation touches it.
+func (c clientSide) Shared() *atomic.Value { return &c.n.shared }
 
 // enqueue stamps the due tick (base latency plus optional jitter) and
 // buckets q, plus an independently jittered copy when the duplication

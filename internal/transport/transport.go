@@ -17,6 +17,8 @@
 package transport
 
 import (
+	"sync/atomic"
+
 	"dmknn/internal/geo"
 	"dmknn/internal/model"
 	"dmknn/internal/protocol"
@@ -55,6 +57,19 @@ type BatchServerSide interface {
 type ClientSide interface {
 	// Uplink sends one unicast message to the server.
 	Uplink(m protocol.Message)
+}
+
+// SharingSide is optionally implemented by a ClientSide whose medium
+// delivers each broadcast to its whole audience in this process, one
+// recipient after another. Shared returns the one slot all clients of
+// that medium reach: client logic may publish there an immutable value it
+// derived from the broadcast being delivered, so the rest of the audience
+// reuses it instead of deriving its own. The slot holds one type, the
+// client logic's; loading and storing it are safe for concurrent use.
+// The sockets, which deliver to each client on its own connection, do not
+// implement it.
+type SharingSide interface {
+	Shared() *atomic.Value
 }
 
 // ServerHandler consumes uplinks at the server.
