@@ -2,7 +2,6 @@ package dmknn
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,7 +12,6 @@ import (
 	"dmknn/internal/metrics"
 	"dmknn/internal/model"
 	"dmknn/internal/nettcp"
-	"dmknn/internal/netudp"
 	"dmknn/internal/obs"
 	"dmknn/internal/protocol"
 	"dmknn/internal/shard"
@@ -50,11 +48,6 @@ type ServerOptions struct {
 	// deployment already tolerates (LatencyTicks is 1). Implies at least
 	// one shard; combine with Shards for parallel drains.
 	BatchedIngest bool
-	// Transport selects the medium: TransportTCP (default; reliable,
-	// framed, with disconnect notifications) or TransportUDP (datagrams
-	// — lossy and unordered, the medium class the protocol was designed
-	// for; silent clients expire after three horizons).
-	Transport string
 	// Trace, when set, receives the query server's structured protocol
 	// events (see internal/obs). The sink is invoked from the tick loop
 	// and the transport's receive goroutines, so it must be safe for
@@ -62,12 +55,6 @@ type ServerOptions struct {
 	// paths then pay one branch per would-be event and nothing else.
 	Trace obs.Sink
 }
-
-// Transport names for ServerOptions/ClientOptions.
-const (
-	TransportTCP = "tcp"
-	TransportUDP = "udp"
-)
 
 func (o ServerOptions) withDefaults() (ServerOptions, error) {
 	if o.World == (Rect{}) {
@@ -88,11 +75,6 @@ func (o ServerOptions) withDefaults() (ServerOptions, error) {
 	if o.MaxQuerySpeed == 0 {
 		o.MaxQuerySpeed = 30
 	}
-	switch o.Transport {
-	case "", TransportTCP, TransportUDP:
-	default:
-		return o, fmt.Errorf("dmknn: unknown transport %q", o.Transport)
-	}
 	return o, nil
 }
 
@@ -111,17 +93,6 @@ type serverCore interface {
 	QueryCount() int
 }
 
-// serverTransport is the common surface of the TCP and UDP endpoints.
-type serverTransport interface {
-	Addr() net.Addr
-	AttachHandler(transport.ServerHandler)
-	Side() transport.ServerSide
-	Serve() error
-	Close() error
-	ClientCount() int
-	Counters() metrics.Counters
-}
-
 // Server is a deployed DKNN query server: a network endpoint that moving
 // objects and query clients connect to.
 type Server struct{ serving }
@@ -134,26 +105,11 @@ func ListenAndServe(addr string, opts ServerOptions) (*Server, error) {
 		return nil, err
 	}
 	world := opts.World.internal()
-	geom := grid.NewGeometry(world, opts.GridCols, opts.GridRows)
-	s := &Server{}
-	if opts.Transport == TransportUDP {
-		liveness := 3 * time.Duration(max(1, opts.Protocol.HorizonTicks)) * opts.TickInterval
-		if opts.Protocol.HorizonTicks == 0 {
-			liveness = 60 * opts.TickInterval
-		}
-		udp, uerr := netudp.Listen(addr, geom, liveness)
-		if uerr != nil {
-			return nil, uerr
-		}
-		s.tcp = udp
-		s.housekeep = func() { udp.ExpireSilent() }
-	} else {
-		t, terr := nettcp.Listen(addr, geom)
-		if terr != nil {
-			return nil, terr
-		}
-		s.tcp = t
+	tcp, err := nettcp.Listen(addr, grid.NewGeometry(world, opts.GridCols, opts.GridRows))
+	if err != nil {
+		return nil, err
 	}
+	s := &Server{serving{tcp: tcp}}
 	cfg := opts.Protocol.internal().WithWorldDefault(world)
 	deps := core.ServerDeps{
 		Side:           s.tcp.Side(),
@@ -189,10 +145,10 @@ func ListenAndServe(addr string, opts ServerOptions) (*Server, error) {
 // endpoint, the engine its uplinks feed, and the one evaluation loop that
 // ticks the engine from the wall clock.
 type serving struct {
-	tcp  serverTransport
+	tcp  *nettcp.Server
 	core serverCore
-	// housekeep, when set, runs at the head of every tick: the medium's
-	// own upkeep (UDP liveness expiry, idle-connection reaping).
+	// housekeep, when set, runs at the head of every tick: the endpoint's
+	// own upkeep (a federation node's idle-connection reaping).
 	housekeep func()
 
 	last    model.Tick // the tick evaluated last; 0 before the first
@@ -313,15 +269,11 @@ func (s *serving) Stats() Stats {
 }
 
 // ClientOptions configures a deployed object or query client. The world,
-// tick interval, transport, and protocol settings must match the
-// server's.
+// tick interval, and protocol settings must match the server's.
 type ClientOptions struct {
 	World        Rect
 	TickInterval time.Duration
 	Protocol     Protocol
-	// Transport must match the server: TransportTCP (default) or
-	// TransportUDP.
-	Transport string
 }
 
 func (o ClientOptions) withDefaults() (ClientOptions, error) {
@@ -331,54 +283,33 @@ func (o ClientOptions) withDefaults() (ClientOptions, error) {
 	if o.TickInterval == 0 {
 		o.TickInterval = time.Second
 	}
-	switch o.Transport {
-	case "", TransportTCP, TransportUDP:
-	default:
-		return o, fmt.Errorf("dmknn: unknown transport %q", o.Transport)
-	}
 	return o, nil
 }
 
-// clientConn is the common surface of the TCP and UDP client sockets.
+// clientConn is the common surface of a single server's client socket and
+// a federation's re-dialing connection.
 type clientConn interface {
 	transport.ClientSide
 	Close() error
 }
 
 // clientDialer is how a deployed client reaches its serving side:
-// everything that differs between a single server and a federation, TCP
-// and UDP.
+// everything that differs between a single server and a federation.
 type clientDialer struct {
 	// dial connects and installs h as the receive handler.
 	dial func(h transport.ClientHandler) (clientConn, error)
 	// latency is the delivery bound, in ticks, the serving side assumes.
 	latency int
-	// keepalive, when > 0, has the tick loop announce the client after
-	// that long without an uplink: a UDP server only knows addresses it
-	// has heard from, and expires silent ones.
-	keepalive time.Duration
 }
 
 // dialer reaches a single server at addr.
-func (o ClientOptions) dialer(addr string, id model.ObjectID) clientDialer {
-	d := clientDialer{
+func dialer(addr string, id model.ObjectID) clientDialer {
+	return clientDialer{
 		dial: func(h transport.ClientHandler) (clientConn, error) {
 			return nettcp.Dial(addr, id, h)
 		},
 		latency: 1, // match the server's assumed delivery bound
 	}
-	if o.Transport == TransportUDP {
-		d.dial = func(h transport.ClientHandler) (clientConn, error) {
-			return netudp.Dial(addr, id, h)
-		}
-		// A third of the server's liveness window.
-		h := o.Protocol.HorizonTicks
-		if h <= 0 {
-			h = 20
-		}
-		d.keepalive = time.Duration(h) * o.TickInterval
-	}
-	return d
 }
 
 // clientAgent is what the connection and the tick loop need of a
@@ -389,11 +320,10 @@ type clientAgent interface {
 }
 
 // client is the part of a deployed client that does not depend on its
-// kind: the connection, which the agent sends through it, and the
-// goroutine that ticks the agent.
+// kind: the connection the agent sends through, and the goroutine that
+// ticks the agent.
 type client struct {
 	conn clientConn
-	last atomic.Int64 // unix nanos of the last uplink
 	// agent is set after the connection exists; the receive loop may
 	// deliver broadcasts before then, which are safely dropped (any
 	// missed install is re-broadcast within a horizon).
@@ -401,14 +331,6 @@ type client struct {
 	ticker *time.Ticker
 	done   chan struct{}
 	wg     sync.WaitGroup
-}
-
-// Uplink implements transport.ClientSide for the client's own agent and
-// tracks the last transmission, so the tick loop can announce the client
-// when it has been silent.
-func (c *client) Uplink(m protocol.Message) {
-	c.last.Store(time.Now().UnixNano())
-	c.conn.Uplink(m)
 }
 
 // start connects through d, has build make the agent that sends through the
@@ -424,13 +346,12 @@ func (c *client) start(id model.ObjectID, pos func() Point, interval time.Durati
 		return err
 	}
 	c.conn = conn
-	sensor := func() geo.Point { return pos().internal() }
 	now := wallClock(interval)
 	agent, err := build(core.AgentDeps{
 		ID:           id,
-		Side:         c,
+		Side:         conn,
 		Now:          now,
-		Pos:          sensor,
+		Pos:          func() geo.Point { return pos().internal() },
 		DT:           interval.Seconds(),
 		LatencyTicks: d.latency,
 	})
@@ -450,9 +371,6 @@ func (c *client) start(id model.ObjectID, pos func() Point, interval time.Durati
 				return
 			case <-c.ticker.C:
 				agent.Tick(now())
-				if d.keepalive > 0 && time.Since(time.Unix(0, c.last.Load())) >= d.keepalive {
-					c.Uplink(protocol.LocationReport{Object: id, Pos: sensor()})
-				}
 			}
 		}
 	}()
@@ -481,7 +399,7 @@ func DialObject(addr string, id ObjectID, pos func() Point, opts ClientOptions) 
 		return nil, err
 	}
 	cfg := opts.Protocol.internal().WithWorldDefault(opts.World.internal())
-	return startObject(model.ObjectID(id), pos, cfg, opts.TickInterval, opts.dialer(addr, model.ObjectID(id)))
+	return startObject(model.ObjectID(id), pos, cfg, opts.TickInterval, dialer(addr, model.ObjectID(id)))
 }
 
 func startObject(id model.ObjectID, pos func() Point, cfg core.Config, interval time.Duration, d clientDialer) (*ObjectClient, error) {
@@ -527,7 +445,7 @@ func dialQuerySpec(addr string, clientID ObjectID, spec model.QuerySpec,
 	}
 	cfg := opts.Protocol.internal().WithWorldDefault(opts.World.internal())
 	return startQuery(model.ObjectID(clientID), spec, pos, vel, onAnswer,
-		cfg, opts.TickInterval, opts.dialer(addr, model.ObjectID(clientID)))
+		cfg, opts.TickInterval, dialer(addr, model.ObjectID(clientID)))
 }
 
 // startQuery's agent registers spec at the focal position pos reports.

@@ -207,12 +207,53 @@ func TestDeploymentEndToEnd(t *testing.T) {
 	}
 }
 
+// Every row is rejected by its options' withDefaults, before a socket is
+// opened; the expected error text pins which check rejected it.
 func TestServerOptionsValidation(t *testing.T) {
-	if _, err := ListenAndServe("127.0.0.1:0", ServerOptions{}); err == nil {
-		t.Fatal("missing world accepted")
+	world := Rect{0, 0, 1, 1}
+	peers := []string{"127.0.0.1:1", "127.0.0.1:2"}
+	origin := func() Point { return Point{} }
+	node := func(o FederationOptions) error {
+		_, err := ListenAndServeNode(o)
+		return err
 	}
-	if _, err := DialObject("127.0.0.1:1", 1, func() Point { return Point{} }, ClientOptions{}); err == nil {
-		t.Fatal("missing world accepted for client")
+	for _, tc := range []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"server without world", func() error {
+			_, err := ListenAndServe("127.0.0.1:0", ServerOptions{})
+			return err
+		}, "ServerOptions.World is required"},
+		{"client without world", func() error {
+			_, err := DialObject("127.0.0.1:1", 1, origin, ClientOptions{})
+			return err
+		}, "ClientOptions.World is required"},
+		{"node without world", func() error {
+			return node(FederationOptions{PeerAddrs: peers, ClientAddrs: peers})
+		}, "FederationOptions.World is required"},
+		{"node without peers", func() error {
+			return node(FederationOptions{World: world})
+		}, "FederationOptions.PeerAddrs is required"},
+		{"node with too few client addresses", func() error {
+			return node(FederationOptions{World: world, PeerAddrs: peers, ClientAddrs: peers[:1]})
+		}, "1 client addresses for 2 nodes"},
+		{"node id below range", func() error {
+			return node(FederationOptions{World: world, Node: -1, PeerAddrs: peers, ClientAddrs: peers})
+		}, "node -1 outside [0,2)"},
+		{"node id above range", func() error {
+			return node(FederationOptions{World: world, Node: 2, PeerAddrs: peers, ClientAddrs: peers})
+		}, "node 2 outside [0,2)"},
+		{"cluster client without world", func() error {
+			_, err := DialObjectCluster(peers, 1, origin, FederationClientOptions{})
+			return err
+		}, "FederationClientOptions.World is required"},
+	} {
+		err := tc.run()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -658,60 +699,5 @@ func TestServerAnswerAccessor(t *testing.T) {
 	defer srv.Close()
 	if a := srv.Answer(42); len(a.Neighbors) != 0 || a.Query != 42 {
 		t.Fatalf("unknown query answer = %v", a)
-	}
-}
-
-// The full deployment loop over UDP: the protocol tolerates the
-// datagram medium end-to-end through the public API.
-func TestDeploymentOverUDP(t *testing.T) {
-	world := Rect{0, 0, 1000, 1000}
-	tick := 20 * time.Millisecond
-	proto := Protocol{HorizonTicks: 8, MinProbeRadius: 100, AnswerSlack: 1}
-	srv, err := ListenAndServe("127.0.0.1:0", ServerOptions{
-		World: world, GridCols: 10, GridRows: 10, TickInterval: tick,
-		MaxObjectSpeed: 10, MaxQuerySpeed: 10, Protocol: proto,
-		Transport: TransportUDP,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	copts := ClientOptions{World: world, TickInterval: tick, Protocol: proto, Transport: TransportUDP}
-	for id, p := range map[ObjectID]Point{1: {510, 500}, 2: {530, 500}} {
-		p := p
-		oc, err := DialObject(srv.Addr(), id, func() Point { return p }, copts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer oc.Close()
-	}
-	qc, err := DialQuery(srv.Addr(), 100, 1, 2,
-		func() Point { return Point{500, 500} },
-		func() Vector { return Vector{} }, nil, copts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer qc.Close()
-	deadline := time.Now().Add(8 * time.Second)
-	for {
-		if a := qc.Answer(); len(a.Neighbors) == 2 && a.Neighbors[0].ID == 1 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no answer over UDP; server view %v", srv.Answer(1))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func TestUnknownTransportRejected(t *testing.T) {
-	if _, err := ListenAndServe("127.0.0.1:0", ServerOptions{
-		World: Rect{0, 0, 1, 1}, Transport: "carrier-pigeon",
-	}); err == nil {
-		t.Fatal("unknown transport accepted")
-	}
-	if _, err := DialObject("127.0.0.1:1", 1, func() Point { return Point{} },
-		ClientOptions{World: Rect{0, 0, 1, 1}, Transport: "x"}); err == nil {
-		t.Fatal("unknown client transport accepted")
 	}
 }

@@ -21,8 +21,8 @@ type MemberDeps struct {
 	// Link carries inter-node messages (a TCPLink in a real deployment).
 	// The Member installs itself as the delivery handler.
 	Link Link
-	// Radio is the node's client-facing send surface (the nettcp/netudp
-	// server side). Broadcasts reach only the clients attached to THIS
+	// Radio is the node's client-facing send surface (the nettcp server
+	// side). Broadcasts reach only the clients attached to THIS
 	// node, which is why attachment must converge to the position owner
 	// (see NodeRedirect below).
 	Radio transport.ServerSide
