@@ -21,8 +21,8 @@
 //	              [-heartbeat 500ms] [-reap 0] [-balance] ...
 //
 // -balance enables adaptive partitioning: node 0 observes every node's
-// load (busy time and population, reported over the link), and when the
-// federation skews it moves one boundary grid column at a time between
+// load (the uplinks its server handled, reported over the link), and when
+// the federation skews it moves one boundary grid column at a time between
 // adjacent strips, migrating the affected monitors live. All nodes of a
 // federation must agree on the -balance flags. The current partition map
 // version and this node's owned-column count appear in /stats and under

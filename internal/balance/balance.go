@@ -2,17 +2,21 @@
 // move a grid-cell column between adjacent nodes to even out load.
 //
 // The decision engine is deliberately pure: callers feed it the current
-// per-column owner array and a per-node load sample, and it returns at
-// most one column move. Applying the move — versioning the partition
-// map, distributing it, migrating monitors and objects — is the
-// cluster's job (internal/cluster); keeping the engine free of transport
-// and server state makes every policy branch unit-testable.
+// per-column owner array and each node's uplink count over the decision
+// window, and it returns at most one column move. Applying the move —
+// versioning the partition map, distributing it, migrating monitors and
+// objects — is the cluster's job (internal/cluster); keeping the engine
+// free of transport and server state makes every policy branch
+// unit-testable.
 //
-// Policy: each node's load score is a weighted sum of its shares of the
-// cluster's total server busy time and total population. The balancer
-// scans every adjacent strip pair and evaluates shifting one boundary
-// column from the heavier to the lighter side, estimating the shifted
-// load as the donor's score spread uniformly over its columns. A move is
+// Policy: each node's load score is its share of the uplinks the whole
+// federation handled over the window. The uplink is the paper's cost
+// unit — a server works because objects report — and a count is exact and
+// the same on every host, so a seeded run repeats its moves bit for bit.
+// The balancer scans every adjacent strip pair and evaluates shifting one
+// boundary column from the heavier to the lighter side, estimating the
+// shifted load as the donor's score spread uniformly over its columns
+// (so a donor of w columns can promise at most a 1/w gain). A move is
 // proposed only if it strictly shrinks the pair's maximum score by at
 // least MinGain (relative), which, together with the decision interval,
 // prevents oscillation: under an unchanged load estimate, moving the
@@ -22,32 +26,15 @@ package balance
 
 import "dmknn/internal/model"
 
-// Load is one node's load sample over the current decision window.
-type Load struct {
-	// Population counts the clients the node currently serves (objects
-	// homed or attached there).
-	Population int
-	// Queries counts the query monitors homed at the node.
-	Queries int
-	// BusyUS is the node's server busy time over the window, microseconds.
-	BusyUS uint64
-}
-
 // Config tunes the balancer. Zero values select the defaults.
 type Config struct {
 	// IntervalTicks is the minimum number of ticks between decisions
-	// (default 16). Load samples are windowed to the same cadence, so a
+	// (default 16). Uplink counts are windowed to the same cadence, so a
 	// longer interval trades reaction speed for steadier estimates.
 	IntervalTicks int
 	// MinGain is the minimum relative reduction of the hotter node's
 	// score a move must promise (default 0.05).
 	MinGain float64
-	// BusyWeight and PopWeight weigh the busy-time and population shares
-	// in the load score (both default 1; set explicitly to use one
-	// signal exclusively — the zero value of the *whole* config keeps
-	// the defaults, a config with one weight set uses it as given).
-	BusyWeight float64
-	PopWeight  float64
 }
 
 func (c Config) withDefaults() Config {
@@ -56,9 +43,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinGain <= 0 {
 		c.MinGain = 0.05
-	}
-	if c.BusyWeight == 0 && c.PopWeight == 0 {
-		c.BusyWeight, c.PopWeight = 1, 1
 	}
 	return c
 }
@@ -103,17 +87,18 @@ func New(cfg Config) *Balancer {
 func (b *Balancer) Stats() Stats { return b.stats }
 
 // Due reports whether a decision interval has elapsed, without consuming
-// it. Callers use it to skip load-sample collection between decisions.
+// it. Callers use it to skip sampling between decisions.
 func (b *Balancer) Due(now model.Tick) bool {
 	return !b.evaluated || now-b.lastEval >= model.Tick(b.cfg.IntervalTicks)
 }
 
 // Decide evaluates one rebalance decision. owners is the per-column
-// owner array (contiguous ascending strips); loads holds one sample per
-// node. It returns at most one move — the adjacent-pair boundary-column
-// shift with the best estimated gain — or false when no move clears
-// MinGain or the decision interval has not elapsed.
-func (b *Balancer) Decide(now model.Tick, owners []int, loads []Load) (Move, bool) {
+// owner array (contiguous ascending strips); uplinks holds each node's
+// uplink count over the window. It returns at most one move — the
+// adjacent-pair boundary-column shift with the best estimated gain — or
+// false when no move clears MinGain, the window carried no uplinks, or
+// the decision interval has not elapsed.
+func (b *Balancer) Decide(now model.Tick, owners []int, uplinks []uint64) (Move, bool) {
 	if !b.Due(now) {
 		return Move{}, false
 	}
@@ -122,13 +107,20 @@ func (b *Balancer) Decide(now model.Tick, owners []int, loads []Load) (Move, boo
 	b.stats.Decisions++
 
 	cfg := b.cfg.withDefaults()
-	scores := b.scores(loads)
-	if scores == nil {
-		return Move{}, false
+	var total uint64
+	for _, u := range uplinks {
+		total += u
+	}
+	if total == 0 {
+		return Move{}, false // no signal
+	}
+	scores := make([]float64, len(uplinks))
+	for i, u := range uplinks {
+		scores[i] = float64(u) / float64(total)
 	}
 
 	// Per-node strip extents and widths.
-	nodes := len(loads)
+	nodes := len(uplinks)
 	first := make([]int, nodes)
 	last := make([]int, nodes)
 	width := make([]int, nodes)
@@ -183,28 +175,4 @@ func (b *Balancer) Decide(now model.Tick, owners []int, loads []Load) (Move, boo
 		b.stats.Merges++
 	}
 	return best, true
-}
-
-// scores computes the per-node load score, or nil when the sample
-// carries no signal at all (all totals zero).
-func (b *Balancer) scores(loads []Load) []float64 {
-	cfg := b.cfg.withDefaults()
-	var totBusy, totPop float64
-	for _, l := range loads {
-		totBusy += float64(l.BusyUS)
-		totPop += float64(l.Population)
-	}
-	if (totBusy == 0 || cfg.BusyWeight == 0) && (totPop == 0 || cfg.PopWeight == 0) {
-		return nil
-	}
-	out := make([]float64, len(loads))
-	for i, l := range loads {
-		if totBusy > 0 {
-			out[i] += cfg.BusyWeight * float64(l.BusyUS) / totBusy
-		}
-		if totPop > 0 {
-			out[i] += cfg.PopWeight * float64(l.Population) / totPop
-		}
-	}
-	return out
 }

@@ -28,13 +28,8 @@ func evenOwners(cols, nodes int) []int {
 func TestHotNodeShedsBoundaryColumn(t *testing.T) {
 	b := New(Config{})
 	owners := evenOwners(16, 4) // 4 columns each
-	loads := []Load{
-		{Population: 800, BusyUS: 8000},
-		{Population: 50, BusyUS: 500},
-		{Population: 50, BusyUS: 500},
-		{Population: 100, BusyUS: 1000},
-	}
-	mv, ok := b.Decide(0, owners, loads)
+	uplinks := []uint64{800, 50, 50, 100}
+	mv, ok := b.Decide(0, owners, uplinks)
 	if !ok {
 		t.Fatal("no move proposed for a 8:1 hot node")
 	}
@@ -53,13 +48,8 @@ func TestHotNodeShedsBoundaryColumn(t *testing.T) {
 func TestHotMiddleNodeShedsToAdjacent(t *testing.T) {
 	b := New(Config{})
 	owners := evenOwners(16, 4)
-	loads := []Load{
-		{Population: 50, BusyUS: 500},
-		{Population: 800, BusyUS: 8000},
-		{Population: 50, BusyUS: 500},
-		{Population: 50, BusyUS: 500},
-	}
-	mv, ok := b.Decide(0, owners, loads)
+	uplinks := []uint64{50, 800, 50, 50}
+	mv, ok := b.Decide(0, owners, uplinks)
 	if !ok {
 		t.Fatal("no move proposed")
 	}
@@ -77,13 +67,8 @@ func TestHotMiddleNodeShedsToAdjacent(t *testing.T) {
 func TestBalancedLoadNoMove(t *testing.T) {
 	b := New(Config{})
 	owners := evenOwners(16, 4)
-	loads := []Load{
-		{Population: 100, BusyUS: 1000},
-		{Population: 100, BusyUS: 1000},
-		{Population: 100, BusyUS: 1000},
-		{Population: 100, BusyUS: 1000},
-	}
-	if mv, ok := b.Decide(0, owners, loads); ok {
+	uplinks := []uint64{100, 100, 100, 100}
+	if mv, ok := b.Decide(0, owners, uplinks); ok {
 		t.Fatalf("balanced load produced move %+v", mv)
 	}
 	if st := b.Stats(); st.Decisions != 1 || st.Moves != 0 {
@@ -93,7 +78,7 @@ func TestBalancedLoadNoMove(t *testing.T) {
 
 func TestZeroLoadNoMove(t *testing.T) {
 	b := New(Config{})
-	if mv, ok := b.Decide(0, evenOwners(8, 2), make([]Load, 2)); ok {
+	if mv, ok := b.Decide(0, evenOwners(8, 2), make([]uint64, 2)); ok {
 		t.Fatalf("zero load produced move %+v", mv)
 	}
 }
@@ -101,7 +86,7 @@ func TestZeroLoadNoMove(t *testing.T) {
 func TestIntervalGatesDecisions(t *testing.T) {
 	b := New(Config{IntervalTicks: 10})
 	owners := evenOwners(8, 2)
-	hot := []Load{{Population: 900}, {Population: 100}}
+	hot := []uint64{900, 100}
 	if _, ok := b.Decide(0, owners, hot); !ok {
 		t.Fatal("first decision gated")
 	}
@@ -127,8 +112,8 @@ func TestIntervalGatesDecisions(t *testing.T) {
 func TestDonorKeepsLastColumn(t *testing.T) {
 	b := New(Config{})
 	owners := []int{0, 1, 1, 1} // node 0 holds a single hot column
-	loads := []Load{{Population: 1000}, {Population: 10}}
-	if mv, ok := b.Decide(0, owners, loads); ok {
+	uplinks := []uint64{1000, 10}
+	if mv, ok := b.Decide(0, owners, uplinks); ok {
 		t.Fatalf("single-column donor shed its strip: %+v", mv)
 	}
 }
@@ -136,8 +121,8 @@ func TestDonorKeepsLastColumn(t *testing.T) {
 func TestMinGainSuppressesMarginalMoves(t *testing.T) {
 	b := New(Config{MinGain: 0.5})
 	owners := evenOwners(8, 2)
-	loads := []Load{{Population: 550}, {Population: 450}}
-	if mv, ok := b.Decide(0, owners, loads); ok {
+	uplinks := []uint64{550, 450}
+	if mv, ok := b.Decide(0, owners, uplinks); ok {
 		t.Fatalf("marginal imbalance cleared MinGain 0.5: %+v", mv)
 	}
 }
@@ -145,11 +130,11 @@ func TestMinGainSuppressesMarginalMoves(t *testing.T) {
 func TestSplitAndMergeCounters(t *testing.T) {
 	b := New(Config{IntervalTicks: 1})
 	// Wide hot strip sheds to a narrow neighbor: a split.
-	if _, ok := b.Decide(0, []int{0, 0, 0, 1}, []Load{{Population: 900}, {Population: 100}}); !ok {
+	if _, ok := b.Decide(0, []int{0, 0, 0, 1}, []uint64{900, 100}); !ok {
 		t.Fatal("wide hot strip did not shed")
 	}
 	// Narrow hot strip sheds to a wide neighbor: a merge.
-	if _, ok := b.Decide(1, []int{0, 0, 1, 1, 1, 1}, []Load{{Population: 900}, {Population: 100}}); !ok {
+	if _, ok := b.Decide(1, []int{0, 0, 1, 1, 1, 1}, []uint64{900, 100}); !ok {
 		t.Fatal("narrow hot strip did not shed")
 	}
 	st := b.Stats()
@@ -158,29 +143,9 @@ func TestSplitAndMergeCounters(t *testing.T) {
 	}
 }
 
-func TestBusyWeightOnlyIgnoresPopulation(t *testing.T) {
-	b := New(Config{BusyWeight: 1})
-	owners := evenOwners(8, 2)
-	// Population says node 1 is hot, busy time says balanced: a
-	// busy-only config must not move.
-	loads := []Load{{Population: 100, BusyUS: 1000}, {Population: 900, BusyUS: 1000}}
-	if mv, ok := b.Decide(0, owners, loads); ok {
-		t.Fatalf("busy-only balancer moved on population skew: %+v", mv)
-	}
-}
-
-func TestPopWeightOnlyIgnoresBusy(t *testing.T) {
-	b := New(Config{PopWeight: 1})
-	owners := evenOwners(8, 2)
-	loads := []Load{{Population: 500, BusyUS: 9000}, {Population: 500, BusyUS: 1000}}
-	if mv, ok := b.Decide(0, owners, loads); ok {
-		t.Fatalf("population-only balancer moved on busy skew: %+v", mv)
-	}
-}
-
 func TestMalformedOwnersNoMove(t *testing.T) {
 	b := New(Config{IntervalTicks: 1})
-	hot := []Load{{Population: 900}, {Population: 100}}
+	hot := []uint64{900, 100}
 	if _, ok := b.Decide(0, []int{0, 0, 5, 0}, hot); ok {
 		t.Fatal("out-of-range owner accepted")
 	}
@@ -191,18 +156,18 @@ func TestMalformedOwnersNoMove(t *testing.T) {
 
 func TestNoImmediateBounceBack(t *testing.T) {
 	// After a move, re-deciding on the same (proportionally shifted)
-	// loads must not move the column back: the oscillation guard.
+	// uplink counts must not move the column back: the oscillation guard.
 	b := New(Config{IntervalTicks: 1})
 	owners := evenOwners(16, 2)
-	loads := []Load{{Population: 700}, {Population: 300}}
-	mv, ok := b.Decide(0, owners, loads)
+	uplinks := []uint64{700, 300}
+	mv, ok := b.Decide(0, owners, uplinks)
 	if !ok {
 		t.Fatal("no initial move")
 	}
 	owners[mv.Col] = mv.To
-	shifted := 700 / 8
-	loads = []Load{{Population: 700 - shifted}, {Population: 300 + shifted}}
-	if mv2, ok := b.Decide(1, owners, loads); ok && mv2.Col == mv.Col && mv2.To == mv.From {
+	const shifted = 700 / 8
+	uplinks = []uint64{700 - shifted, 300 + shifted}
+	if mv2, ok := b.Decide(1, owners, uplinks); ok && mv2.Col == mv.Col && mv2.To == mv.From {
 		t.Fatalf("column %d bounced straight back", mv.Col)
 	}
 }

@@ -102,8 +102,8 @@ type Deps struct {
 // It holds no protocol logic of its own; every message is handled by the
 // Member it addresses. Because nothing runs concurrently, the link's send
 // order, and with it every loss draw, is a function of the seed: static
-// runs repeat bit for bit over a lossy or latent link too. Adaptive runs
-// do not, because the balancer reads wall-clock busy time.
+// runs repeat bit for bit over a lossy or latent link too, and so do
+// adaptive runs: the balancer reads counted uplinks, not the clock.
 //
 // It implements transport.ServerHandler (and DisconnectHandler) as the
 // single uplink surface of the whole federation — the simulated radio does
@@ -126,10 +126,10 @@ type Cluster struct {
 	ref *PartitionRef
 
 	// bal, when non-nil, drives adaptive partitioning at the start of
-	// every tick. balBusyBase holds each node's cumulative busy time at
-	// the last decision, so loads are per-window rates.
+	// every tick. uplinkBase holds each node's cumulative uplink count at
+	// the last decision, so the balancer sees per-window counts.
 	bal         *balance.Balancer
-	balBusyBase []time.Duration
+	uplinkBase  []uint64
 	columnMoves uint64
 }
 
@@ -190,7 +190,7 @@ func (c *Cluster) PartitionRef() *PartitionRef { return c.ref }
 // Call before the first Tick.
 func (c *Cluster) EnableBalancer(cfg balance.Config) {
 	c.bal = balance.New(cfg)
-	c.balBusyBase = make([]time.Duration, len(c.nodes))
+	c.uplinkBase = make([]uint64, len(c.nodes))
 }
 
 // BalancerStats returns the balancer's activity counters (zero when the
@@ -261,8 +261,8 @@ func (c *Cluster) HandleClientGone(id model.ObjectID) {
 // ---------------------------------------------------------------------------
 // Adaptive partitioning
 
-// rebalance runs the balancer before the tick's migrations: sample
-// per-node loads over the decision window, ask for a column move, install
+// rebalance runs the balancer before the tick's migrations: count each
+// node's uplinks over the decision window, ask for a column move, install
 // the versioned new map on every member in one step, and bulk-migrate the
 // monitors the move stranded. Objects need no sweep — each re-homes
 // lazily on its next uplink through the ordinary boundary-detection path,
@@ -276,23 +276,13 @@ func (c *Cluster) rebalance(now model.Tick) {
 	if !c.bal.Due(now) {
 		return
 	}
-	pop := make([]int, len(c.nodes))
-	for _, h := range c.home {
-		pop[h]++
-	}
-	loads := make([]balance.Load, len(c.nodes))
-	busy := make([]time.Duration, len(c.nodes))
+	window := make([]uint64, len(c.nodes))
 	for i, n := range c.nodes {
-		busy[i] = n.server.BusyTime()
-		loads[i] = balance.Load{
-			Population: pop[i],
-			Queries:    len(n.local),
-			BusyUS:     uint64((busy[i] - c.balBusyBase[i]).Microseconds()),
-		}
+		window[i] = n.uplinks - c.uplinkBase[i]
+		c.uplinkBase[i] = n.uplinks // start the next window either way
 	}
 	part := c.ref.Load()
-	mv, ok := c.bal.Decide(now, part.Owners(), loads)
-	copy(c.balBusyBase, busy) // start the next sample window either way
+	mv, ok := c.bal.Decide(now, part.Owners(), window)
 	if !ok {
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"dmknn/internal/balance"
 	"dmknn/internal/core"
 	"dmknn/internal/geo"
 	"dmknn/internal/grid"
@@ -172,8 +173,9 @@ func TestSingleNodeWireIdentity(t *testing.T) {
 // lands on — a function of the seed. Every row runs twice, once at
 // GOMAXPROCS 1, and the two digests must be identical. A latent or lossy
 // link answers late and can strand relays, so those rows pin their
-// exactness and relay drops rather than assert 1 and 0.
-// Adaptive runs stay unpinned: the balancer reads wall-clock busy time.
+// exactness and relay drops rather than assert 1 and 0. The adaptive rows
+// run the balancer under hotspot skew: it counts uplinks rather than
+// reading the clock, so its column moves repeat with everything else.
 func TestFederationWireDigest(t *testing.T) {
 	want := []struct {
 		nodes                                             int
@@ -195,9 +197,9 @@ func TestFederationWireDigest(t *testing.T) {
 		{4, 4, 15873, 587373, 1249, 118655, 9442, 632614, 2694, 168982, 531, 12},
 	}
 	for _, w := range want {
-		checkFederationDigest(t, w.nodes, w.seed, LinkConfig{}, fedDigest{
+		checkFederationDigest(t, fedRun{nodes: w.nodes, seed: w.seed}, fedDigest{
 			w.upMsgs, w.upBytes, w.dnMsgs, w.dnBytes, w.bcMsgs, w.bcBytes,
-			w.linkSent, w.linkBytes, w.objHandoffs, w.qryHandoffs, 0, 1,
+			w.linkSent, w.linkBytes, w.objHandoffs, w.qryHandoffs, 0, 1, 0,
 		})
 	}
 	faulty := []struct {
@@ -207,50 +209,93 @@ func TestFederationWireDigest(t *testing.T) {
 		loss    float64
 		want    fedDigest
 	}{
-		{2, 1, 1, 0, fedDigest{25808, 954976, 1019, 96805, 12252, 818388, 3343, 190947, 325, 7, 0, 0.8979166666666667}},
-		{2, 2, 1, 0, fedDigest{45741, 1692465, 1147, 108965, 16810, 1126270, 11076, 595721, 383, 6, 0, 0.8708333333333333}},
-		{2, 3, 1, 0, fedDigest{32135, 1189075, 970, 92150, 14040, 936416, 3836, 210679, 364, 4, 0, 0.9270833333333334}},
-		{2, 4, 1, 0, fedDigest{32383, 1198243, 1278, 121410, 13957, 935119, 7093, 391431, 380, 7, 0, 0.93125}},
-		{3, 1, 1, 0, fedDigest{35084, 1298188, 1063, 100985, 14935, 996901, 12839, 698696, 683, 12, 0, 0.8489583333333334}},
-		{3, 2, 1, 0, fedDigest{48080, 1779008, 1198, 113810, 19117, 1280839, 20246, 1111027, 688, 12, 0, 0.8072916666666666}},
-		{3, 3, 1, 0, fedDigest{31934, 1181638, 989, 93955, 13895, 926701, 10097, 558743, 623, 9, 0, 0.8927083333333333}},
-		{3, 4, 1, 0, fedDigest{37523, 1388423, 1306, 124070, 14682, 983694, 12316, 678541, 633, 11, 0, 0.9177083333333333}},
-		{4, 1, 1, 0, fedDigest{28357, 1049297, 1065, 101175, 12848, 857072, 9863, 564207, 957, 16, 0, 0.7875}},
-		{4, 2, 1, 0, fedDigest{50367, 1863627, 1178, 111910, 17924, 1200908, 23926, 1287554, 944, 12, 0, 0.7895833333333333}},
-		{4, 3, 1, 0, fedDigest{32694, 1209758, 990, 94050, 14135, 942781, 11761, 637773, 895, 8, 0, 0.8885416666666667}},
-		{4, 4, 1, 0, fedDigest{31468, 1164388, 1287, 122265, 13863, 928821, 10152, 567529, 819, 12, 0, 0.8895833333333333}},
-		{2, 1, 0, 0.2, fedDigest{38143, 1411371, 1003, 95285, 15644, 1048148, 2893, 173589, 396, 7, 26, 0.9947916666666666}},
-		{2, 2, 0, 0.2, fedDigest{28957, 1071457, 1130, 107350, 12587, 843329, 2622, 155782, 334, 6, 7, 0.9614583333333333}},
-		{2, 3, 0, 0.2, fedDigest{21102, 780854, 945, 89775, 10342, 692914, 1610, 93440, 281, 4, 0, 0.96875}},
-		{2, 4, 0, 0.2, fedDigest{24202, 895546, 1239, 117705, 11719, 785173, 3013, 177456, 378, 7, 26, 0.9791666666666666}},
-		{3, 1, 0, 0.2, fedDigest{27094, 1002558, 993, 94335, 14729, 986843, 6546, 384838, 679, 11, 33, 0.9270833333333334}},
-		{3, 2, 0, 0.2, fedDigest{29431, 1088995, 1146, 108870, 14962, 1002454, 6669, 405332, 640, 12, 41, 0.9}},
-		{3, 3, 0, 0.2, fedDigest{21865, 809085, 952, 90440, 11802, 790734, 4302, 263850, 522, 9, 0, 0.9885416666666667}},
-		{3, 4, 0, 0.2, fedDigest{29326, 1085134, 1247, 118465, 14907, 998769, 6466, 384361, 613, 11, 24, 0.971875}},
-		{4, 1, 0, 0.2, fedDigest{26420, 977628, 998, 94810, 14339, 960713, 7621, 474843, 914, 16, 59, 0.9135416666666667}},
-		{4, 2, 0, 0.2, fedDigest{32009, 1184381, 1170, 111150, 19054, 1276618, 9952, 571125, 818, 12, 0, 0.8697916666666666}},
-		{4, 3, 0, 0.2, fedDigest{22623, 837131, 957, 90915, 11586, 776262, 5112, 303666, 660, 8, 20, 0.96875}},
-		{4, 4, 0, 0.2, fedDigest{25532, 944756, 1246, 118370, 13363, 895321, 7494, 455400, 752, 12, 26, 0.9583333333333334}},
+		{2, 1, 1, 0, fedDigest{25808, 954976, 1019, 96805, 12252, 818388, 3343, 190947, 325, 7, 0, 0.8979166666666667, 0}},
+		{2, 2, 1, 0, fedDigest{45741, 1692465, 1147, 108965, 16810, 1126270, 11076, 595721, 383, 6, 0, 0.8708333333333333, 0}},
+		{2, 3, 1, 0, fedDigest{32135, 1189075, 970, 92150, 14040, 936416, 3836, 210679, 364, 4, 0, 0.9270833333333334, 0}},
+		{2, 4, 1, 0, fedDigest{32383, 1198243, 1278, 121410, 13957, 935119, 7093, 391431, 380, 7, 0, 0.93125, 0}},
+		{3, 1, 1, 0, fedDigest{35084, 1298188, 1063, 100985, 14935, 996901, 12839, 698696, 683, 12, 0, 0.8489583333333334, 0}},
+		{3, 2, 1, 0, fedDigest{48080, 1779008, 1198, 113810, 19117, 1280839, 20246, 1111027, 688, 12, 0, 0.8072916666666666, 0}},
+		{3, 3, 1, 0, fedDigest{31934, 1181638, 989, 93955, 13895, 926701, 10097, 558743, 623, 9, 0, 0.8927083333333333, 0}},
+		{3, 4, 1, 0, fedDigest{37523, 1388423, 1306, 124070, 14682, 983694, 12316, 678541, 633, 11, 0, 0.9177083333333333, 0}},
+		{4, 1, 1, 0, fedDigest{28357, 1049297, 1065, 101175, 12848, 857072, 9863, 564207, 957, 16, 0, 0.7875, 0}},
+		{4, 2, 1, 0, fedDigest{50367, 1863627, 1178, 111910, 17924, 1200908, 23926, 1287554, 944, 12, 0, 0.7895833333333333, 0}},
+		{4, 3, 1, 0, fedDigest{32694, 1209758, 990, 94050, 14135, 942781, 11761, 637773, 895, 8, 0, 0.8885416666666667, 0}},
+		{4, 4, 1, 0, fedDigest{31468, 1164388, 1287, 122265, 13863, 928821, 10152, 567529, 819, 12, 0, 0.8895833333333333, 0}},
+		{2, 1, 0, 0.2, fedDigest{38143, 1411371, 1003, 95285, 15644, 1048148, 2893, 173589, 396, 7, 26, 0.9947916666666666, 0}},
+		{2, 2, 0, 0.2, fedDigest{28957, 1071457, 1130, 107350, 12587, 843329, 2622, 155782, 334, 6, 7, 0.9614583333333333, 0}},
+		{2, 3, 0, 0.2, fedDigest{21102, 780854, 945, 89775, 10342, 692914, 1610, 93440, 281, 4, 0, 0.96875, 0}},
+		{2, 4, 0, 0.2, fedDigest{24202, 895546, 1239, 117705, 11719, 785173, 3013, 177456, 378, 7, 26, 0.9791666666666666, 0}},
+		{3, 1, 0, 0.2, fedDigest{27094, 1002558, 993, 94335, 14729, 986843, 6546, 384838, 679, 11, 33, 0.9270833333333334, 0}},
+		{3, 2, 0, 0.2, fedDigest{29431, 1088995, 1146, 108870, 14962, 1002454, 6669, 405332, 640, 12, 41, 0.9, 0}},
+		{3, 3, 0, 0.2, fedDigest{21865, 809085, 952, 90440, 11802, 790734, 4302, 263850, 522, 9, 0, 0.9885416666666667, 0}},
+		{3, 4, 0, 0.2, fedDigest{29326, 1085134, 1247, 118465, 14907, 998769, 6466, 384361, 613, 11, 24, 0.971875, 0}},
+		{4, 1, 0, 0.2, fedDigest{26420, 977628, 998, 94810, 14339, 960713, 7621, 474843, 914, 16, 59, 0.9135416666666667, 0}},
+		{4, 2, 0, 0.2, fedDigest{32009, 1184381, 1170, 111150, 19054, 1276618, 9952, 571125, 818, 12, 0, 0.8697916666666666, 0}},
+		{4, 3, 0, 0.2, fedDigest{22623, 837131, 957, 90915, 11586, 776262, 5112, 303666, 660, 8, 20, 0.96875, 0}},
+		{4, 4, 0, 0.2, fedDigest{25532, 944756, 1246, 118370, 13363, 895321, 7494, 455400, 752, 12, 26, 0.9583333333333334, 0}},
 	}
 	for _, w := range faulty {
 		link := LinkConfig{LatencyTicks: w.latency, Loss: w.loss, Seed: w.seed}
-		checkFederationDigest(t, w.nodes, w.seed, link, w.want)
+		checkFederationDigest(t, fedRun{nodes: w.nodes, seed: w.seed, link: link}, w.want)
 	}
+	adaptive := []struct {
+		nodes int
+		seed  int64
+		want  fedDigest
+	}{
+		{2, 1, fedDigest{20882, 772714, 1229, 116755, 13882, 930094, 2966, 188229, 438, 14, 0, 1, 11}},
+		{2, 2, fedDigest{20585, 761701, 890, 84550, 13977, 936459, 6040, 354310, 271, 22, 0, 1, 12}},
+		{2, 3, fedDigest{20438, 756294, 671, 63745, 15438, 1034346, 4242, 316538, 485, 22, 0, 1, 12}},
+		{2, 4, fedDigest{24219, 896191, 764, 72580, 17022, 1140474, 9298, 531236, 296, 19, 0, 1, 9}},
+		{3, 1, fedDigest{21141, 782297, 1238, 117610, 14038, 934592, 6306, 392253, 601, 24, 0, 1, 11}},
+		{3, 2, fedDigest{20719, 766659, 880, 83600, 14052, 941484, 8758, 512888, 410, 24, 0, 1, 12}},
+		{3, 3, fedDigest{20271, 750115, 686, 65170, 15518, 1039706, 6975, 491073, 688, 32, 0, 1, 14}},
+		{3, 4, fedDigest{24051, 889975, 777, 73815, 16866, 1130022, 13442, 789812, 532, 35, 0, 1, 14}},
+		{4, 1, fedDigest{20748, 767756, 1231, 116945, 13666, 915622, 7381, 475248, 884, 30, 0, 1, 15}},
+		{4, 2, fedDigest{20501, 758593, 880, 83600, 13733, 920111, 9606, 573718, 553, 27, 0, 1, 15}},
+		{4, 3, fedDigest{20473, 757589, 677, 64315, 15420, 1033140, 10442, 695190, 881, 39, 0, 1, 14}},
+		{4, 4, fedDigest{24074, 890826, 784, 74480, 16865, 1129955, 14772, 880774, 765, 38, 0, 1, 13}},
+	}
+	for _, w := range adaptive {
+		checkFederationDigest(t, fedRun{nodes: w.nodes, seed: w.seed, adaptive: true}, w.want)
+	}
+}
+
+// fedRun is one pinned federation configuration: the static partition
+// on the uniform Quick workload, or the balancer on under hotspot skew.
+type fedRun struct {
+	nodes    int
+	seed     int64
+	link     LinkConfig
+	adaptive bool
 }
 
 // fedDigest is one federation run's wire and outcome summary.
 type fedDigest struct {
 	upMsgs, upBytes, dnMsgs, dnBytes, bcMsgs, bcBytes uint64
 	linkSent, linkBytes, objHandoffs, qryHandoffs     float64
-	relayDrops, exactness                             float64
+	relayDrops, exactness, columnMoves                float64
 }
 
-func federationDigest(t *testing.T, nodes int, seed int64, link LinkConfig) fedDigest {
+func federationDigest(t *testing.T, run fedRun) fedDigest {
 	t.Helper()
 	cfg := workload.Quick()
+	var m *Method
+	var err error
+	if run.adaptive {
+		if cfg, err = workload.WithMobility(cfg, workload.ModelHotspot); err != nil {
+			t.Fatal(err)
+		}
+		m, err = NewAdaptiveMethod(run.nodes, proto(), run.link, balance.Config{IntervalTicks: 8, MinGain: 0.02})
+	} else {
+		m, err = NewMethod(run.nodes, proto(), run.link)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.Ticks = 120
-	cfg.Seed = seed
-	res, err := sim.Run(cfg, mustMethod(t, nodes, proto(), link))
+	cfg.Seed = run.seed
+	res, err := sim.Run(cfg, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,23 +307,23 @@ func federationDigest(t *testing.T, nodes int, seed int64, link LinkConfig) fedD
 		linkSent: res.Extra["link_sent"], linkBytes: res.Extra["link_bytes"],
 		objHandoffs: res.Extra["object_handoffs"], qryHandoffs: res.Extra["query_handoffs"],
 		relayDrops: res.Extra["relay_drops"], exactness: res.Audit.Exactness(),
+		columnMoves: res.Extra["column_moves"],
 	}
 }
 
 // checkFederationDigest runs one configuration at the current GOMAXPROCS
 // and again at 1, and requires both runs to equal want.
-func checkFederationDigest(t *testing.T, nodes int, seed int64, link LinkConfig, want fedDigest) {
+func checkFederationDigest(t *testing.T, run fedRun, want fedDigest) {
 	t.Helper()
-	got := federationDigest(t, nodes, seed, link)
+	got := federationDigest(t, run)
 	prev := runtime.GOMAXPROCS(1)
-	again := federationDigest(t, nodes, seed, link)
+	again := federationDigest(t, run)
 	runtime.GOMAXPROCS(prev)
 	if got != again {
-		t.Errorf("nodes=%d seed=%d link=%+v: run does not repeat\n GOMAXPROCS=%d %+v\n GOMAXPROCS=1 %+v",
-			nodes, seed, link, prev, got, again)
+		t.Errorf("%+v: run does not repeat\n GOMAXPROCS=%d %+v\n GOMAXPROCS=1 %+v", run, prev, got, again)
 	}
 	if got != want {
-		t.Errorf("nodes=%d seed=%d link=%+v: wire moved\n got %+v\nwant %+v", nodes, seed, link, got, want)
+		t.Errorf("%+v: wire moved\n got %+v\nwant %+v", run, got, want)
 	}
 }
 

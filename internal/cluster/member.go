@@ -120,17 +120,19 @@ type Member struct {
 
 	stats     Stats
 	redirects uint64
+	// uplinks counts every client uplink this node's server has handled:
+	// the balancer's load signal, windowed by whoever runs the decision.
+	uplinks uint64
 
 	// Adaptive partitioning. Every balance-enabled node reports its load
 	// to the coordinator and applies the versioned maps it distributes;
 	// the decision engine and replication bookkeeping live only on the
 	// coordinator (node 0).
-	balanceOn    bool
-	bal          *balance.Balancer
-	busyBase     time.Duration    // own busy time at the last decision window
-	peerLoads    []nodeLoadSample // coordinator: latest NodeLoad per node
-	peerBusyBase []uint64         // coordinator: cumulative busy-µs at window start
-	pendingPart  *pendingPartition
+	balanceOn   bool
+	bal         *balance.Balancer
+	peerLoads   []nodeLoadSample // coordinator: latest NodeLoad per node (own included)
+	uplinkBase  []uint64         // coordinator: each node's cumulative uplinks at window start
+	pendingPart *pendingPartition
 }
 
 // directory is where a member looks up, and records, which node serves a
@@ -203,13 +205,11 @@ const maxRelayHops = 4
 const coordinatorNode = 0
 
 // nodeLoadSample is the coordinator's record of one peer's latest
-// NodeLoad report (BusyUS cumulative; the coordinator windows it).
+// NodeLoad report (uplinks cumulative; the coordinator windows it).
 type nodeLoadSample struct {
 	seen    bool
 	version uint64
-	pop     int
-	queries int
-	busyUS  uint64
+	uplinks uint64
 }
 
 // pendingPartition is an unacked map distribution: the coordinator
@@ -302,7 +302,7 @@ func (m *Member) EnableBalancer(cfg balance.Config) {
 	if m.id == coordinatorNode {
 		m.bal = balance.New(cfg)
 		m.peerLoads = make([]nodeLoadSample, m.part.Nodes())
-		m.peerBusyBase = make([]uint64, m.part.Nodes())
+		m.uplinkBase = make([]uint64, m.part.Nodes())
 	}
 	if vl, ok := m.deps.Link.(interface{ SetVersion(func() uint64) }); ok {
 		vl.SetVersion(m.PartitionVersion)
@@ -403,15 +403,13 @@ func (m *Member) Tick(now model.Tick) {
 		if m.id == coordinatorNode {
 			m.rebalance(now)
 		} else {
-			// Report cumulative load to the coordinator; it windows the
-			// busy time between decisions.
+			// Report the cumulative uplink count to the coordinator; it
+			// windows the count between decisions.
 			m.deps.Link.Send(m.id, coordinatorNode, protocol.NodeLoad{
-				Node:       uint16(m.id),
-				Version:    m.part.Version(),
-				Population: uint32(len(m.bel.attach)),
-				Queries:    uint32(len(m.local)),
-				BusyUS:     uint64(m.server.BusyTime().Microseconds()),
-				At:         now,
+				Node:    uint16(m.id),
+				Version: m.part.Version(),
+				Uplinks: m.uplinks,
+				At:      now,
 			})
 		}
 	}
@@ -457,6 +455,12 @@ func (m *Member) serves(id model.ObjectID) bool {
 	return known && home == m.id
 }
 
+// ingest hands one uplink to this node's server and counts it.
+func (m *Member) ingest(from model.ObjectID, msg protocol.Message) {
+	m.uplinks++
+	m.server.HandleUplink(from, msg)
+}
+
 // routeUplink processes one client uplink at this node, forwarded hops
 // times so far. Frames at hops 0 arrived on this node's own radio.
 func (m *Member) routeUplink(from model.ObjectID, msg protocol.Message, hops int) {
@@ -487,7 +491,7 @@ func (m *Member) routeUplink(from model.ObjectID, msg protocol.Message, hops int
 			}
 			return
 		}
-		m.server.HandleUplink(from, msg)
+		m.ingest(from, msg)
 		if m.server.HasQuery(reg.Query) {
 			m.local[reg.Query] = true
 		}
@@ -498,12 +502,12 @@ func (m *Member) routeUplink(from model.ObjectID, msg protocol.Message, hops int
 		// Query-less kinds (LocationReport) are not part of this protocol
 		// and only matter for the boundary detection above; the local
 		// server drops them like the single server.
-		m.server.HandleUplink(from, msg)
+		m.ingest(from, msg)
 		return
 	}
 	switch home, known := m.remote[q]; {
 	case m.local[q]:
-		m.server.HandleUplink(from, msg)
+		m.ingest(from, msg)
 		if _, gone := msg.(protocol.QueryDeregister); gone {
 			m.finishTeardown(q)
 		}
@@ -718,34 +722,22 @@ func (m *Member) rebalance(now model.Tick) {
 	if !m.bal.Due(now) {
 		return
 	}
-	loads := make([]balance.Load, m.part.Nodes())
-	for i := range loads {
-		if i == m.id {
-			busy := uint64(m.server.BusyTime().Microseconds())
-			loads[i] = balance.Load{
-				Population: len(m.bel.attach),
-				Queries:    len(m.local),
-				BusyUS:     busy - uint64(m.busyBase.Microseconds()),
-			}
-			continue
-		}
-		s := m.peerLoads[i]
+	m.peerLoads[m.id] = nodeLoadSample{seen: true, version: m.part.Version(), uplinks: m.uplinks}
+	window := make([]uint64, m.part.Nodes())
+	for i, s := range m.peerLoads {
 		if !s.seen || s.version != m.part.Version() {
 			return // wait until every peer has reported on this map
 		}
-		loads[i] = balance.Load{
-			Population: s.pop,
-			Queries:    s.queries,
-			BusyUS:     s.busyUS - m.peerBusyBase[i],
+		base := m.uplinkBase[i]
+		if s.uplinks < base {
+			base = 0 // the peer restarted, and its count with it
 		}
+		window[i] = s.uplinks - base
 	}
-	mv, ok := m.bal.Decide(now, m.part.Owners(), loads)
-	// Restart the busy-time windows whether or not a move was proposed.
-	m.busyBase = m.server.BusyTime()
-	for i := range m.peerLoads {
-		if m.peerLoads[i].seen {
-			m.peerBusyBase[i] = m.peerLoads[i].busyUS
-		}
+	mv, ok := m.bal.Decide(now, m.part.Owners(), window)
+	// Restart the windows whether or not a move was proposed.
+	for i, s := range m.peerLoads {
+		m.uplinkBase[i] = s.uplinks
 	}
 	if !ok {
 		return
@@ -984,13 +976,7 @@ func (m *Member) handleLink(from int, msg protocol.Message) {
 		m.dropAware(v.Object)
 	case protocol.NodeLoad:
 		if m.bal != nil && int(v.Node) < len(m.peerLoads) && int(v.Node) != m.id {
-			m.peerLoads[v.Node] = nodeLoadSample{
-				seen:    true,
-				version: v.Version,
-				pop:     int(v.Population),
-				queries: int(v.Queries),
-				busyUS:  v.BusyUS,
-			}
+			m.peerLoads[v.Node] = nodeLoadSample{seen: true, version: v.Version, uplinks: v.Uplinks}
 		}
 	case protocol.PartitionUpdate:
 		m.handlePartitionUpdate(from, v)

@@ -66,8 +66,8 @@ func (rc *redirectClient) Close() {
 	}
 }
 
-// Two Members over real TCP links with the balancer on: a population
-// hotspot at node 0 (six clients vs four) makes the coordinator hand
+// Two Members over real TCP links with the balancer on: an uplink
+// hotspot at node 0 (the one query's home) makes the coordinator hand
 // boundary column 4 to node 1, which migrates the focal monitor living
 // in that column. The answer must stay exact before, across, and after
 // the move, including an object that then teleports into the moved
@@ -158,15 +158,19 @@ func TestMemberAdaptiveBalanceLiveMigration(t *testing.T) {
 		return links[0].PeerUp(1) && links[1].PeerUp(0)
 	})
 
-	// The static boundary is x=500 (node 0 owns columns 0-4). A node's
-	// population is the clients that have *spoken* to it, so every object
+	// The static boundary is x=500 (node 0 owns columns 0-4). Every object
 	// sits inside the focal's probe region (MinProbeRadius 150 around
-	// (450,500)) and replies to the initial probe: six clients attach at
-	// node 0 (objects 1-5 and the query), four at node 1. With the
-	// balancer weighing population only, the first decision moves column
-	// 4 (x in [400,500)) to node 1 with relative gain 2/15 ≈ 0.13; the
-	// next-best move (column 3) gains only 1/12 < MinGain=0.1, so the map
-	// deterministically settles at version 1 with a 4/6 column split.
+	// (450,500)) and replies to the initial probe: objects 1-5 and the
+	// query attach at node 0, objects 6-9 at node 1. The one query is
+	// homed at node 0, so node 1 relays its objects' reports there and
+	// its server handles none: the first decision window holds every
+	// uplink at node 0. The balancer scores nodes by uplink share, and a
+	// donor of w columns can promise at most a 1/w gain, so the first
+	// decision moves column 4 (x in [400,500)) to node 1 with gain 1/5.
+	// MinGain=0.18 then pins the outcome to that one move: node 1, now 6
+	// columns wide, can promise at most 1/6, and node 0, 4 wide, handles
+	// no uplink once the monitor has left it. The map deterministically
+	// settles at version 1 with a 4/6 column split.
 	var posMu sync.Mutex
 	positions := map[model.ObjectID]geo.Point{
 		1: geo.Pt(430, 500), // d=20 from the focal — in the k=2 answer
@@ -291,7 +295,7 @@ func TestMemberAdaptiveBalanceLiveMigration(t *testing.T) {
 		t.Fatalf("pre-balance partition version = %d, want 0", v)
 	}
 
-	bcfg := balance.Config{IntervalTicks: 3, MinGain: 0.1, PopWeight: 1}
+	bcfg := balance.Config{IntervalTicks: 3, MinGain: 0.18}
 	for _, mb := range members {
 		mb.EnableBalancer(bcfg)
 	}
@@ -390,5 +394,45 @@ func TestMemberAdaptiveBalanceLiveMigration(t *testing.T) {
 	}
 	if n := links[0].Flush(); n != 0 {
 		t.Errorf("push-driven link flushed %d messages, want 0", n)
+	}
+}
+
+// The coordinator windows each peer's cumulative uplink count. A peer
+// that restarts reports a count that starts again from zero; that window
+// must count the new uplinks, not wrap around to a huge load that would
+// make the restarted node shed a column it is not carrying.
+func TestCoordinatorWindowsRestartedPeer(t *testing.T) {
+	world := geo.NewRect(geo.Pt(0, 0), geo.Pt(1000, 1000))
+	part, err := NewPartition(grid.NewGeometry(world, 10, 10), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tick model.Tick
+	now := func() model.Tick { return tick }
+	link := NewMemLink(LinkConfig{}, now)
+	cfg := core.Config{HorizonTicks: 8, MinProbeRadius: 150, AnswerSlack: 1}.WithWorldDefault(world)
+	m, err := NewMember(part, coordinatorNode, cfg, MemberDeps{
+		Link: link, Radio: &recordSide{}, Now: now, DT: 1, MaxObjectSpeed: 10, LatencyTicks: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.EnableBalancer(balance.Config{IntervalTicks: 1, MinGain: 0.05})
+
+	// Equal windows: 1000 uplinks each, no move.
+	m.uplinks = 1000
+	m.HandleLink(1, 0, protocol.NodeLoad{Node: 1, Uplinks: 1000, At: tick})
+	m.Tick(tick)
+	// Node 1 restarts and has handled 10 uplinks since; so has node 0.
+	tick++
+	m.uplinks += 10
+	m.HandleLink(1, 0, protocol.NodeLoad{Node: 1, Uplinks: 10, At: tick})
+	m.Tick(tick)
+
+	if bs := m.BalancerStats(); bs.Decisions != 2 || bs.Moves != 0 {
+		t.Fatalf("balancer stats = %+v, want 2 decisions and no move", bs)
+	}
+	if v := m.PartitionVersion(); v != 0 {
+		t.Fatalf("partition version = %d, want 0", v)
 	}
 }

@@ -906,11 +906,13 @@ func (p Profile) Fig21Staleness() *Experiment {
 // Fig22AdaptiveBalance: adaptive partitioning (internal/balance) against
 // the static even split under hotspot-clustered skew, for each
 // federation size. The static strips leave the hotspot node doing nearly
-// all the work; the balancer shifts boundary columns toward it, so the
-// load-CV column (stddev/mean of per-node busy time) and the server p99
-// tail should both fall — while the exactness column pins the migration
-// invariant: every audited answer stays exact on the very ticks columns
-// move. The link is ideal (zero latency, no loss), matching fig20.
+// all the work; the balancer, which reads each node's uplink count,
+// shifts boundary columns away from it, so the load-CV column
+// (stddev/mean of per-node busy time, which the balancer never reads)
+// and the server p99 tail should both fall — while the exactness column
+// pins the migration invariant: every audited answer stays exact on the
+// very ticks columns move. The link is ideal (zero latency, no loss),
+// matching fig20.
 func (p Profile) Fig22AdaptiveBalance() *Experiment {
 	bcfg := balance.Config{IntervalTicks: 8, MinGain: 0.02}
 	mkStatic := func(n int) MethodSpec {

@@ -7,7 +7,8 @@ import (
 
 // FuzzDecode feeds arbitrary byte strings to the decoder: it must never
 // panic, and anything it accepts must re-encode to the identical bytes
-// (a canonical-form round trip).
+// (a canonical-form round trip) whose length EncodedSize — the third copy
+// of each layout — also reports.
 func FuzzDecode(f *testing.F) {
 	for _, m := range sampleMessages() {
 		f.Add(Encode(nil, m))
@@ -23,6 +24,9 @@ func FuzzDecode(f *testing.F) {
 		re := Encode(nil, m)
 		if !bytes.Equal(re, data) {
 			t.Fatalf("accepted non-canonical encoding:\n in  %x\n out %x", data, re)
+		}
+		if n := EncodedSize(m); n != len(data) {
+			t.Fatalf("%v: EncodedSize %d, wire %d bytes", m.Kind(), n, len(data))
 		}
 	})
 }

@@ -127,9 +127,9 @@ const (
 	// The remaining kinds belong to the adaptive partitioning plane
 	// (internal/balance): load telemetry and partition map distribution.
 
-	// KindNodeLoad reports one node's load sample (population, query
-	// count, cumulative server busy time) to the balance coordinator.
-	// Peer wire.
+	// KindNodeLoad reports one node's load sample (the cumulative count
+	// of uplinks its server handled) to the balance coordinator. Peer
+	// wire.
 	KindNodeLoad
 	// KindPartitionUpdate distributes a new partition map (version plus
 	// the per-column owner array). It travels on the peer wire from the
@@ -615,20 +615,16 @@ func (NodeRedirect) Kind() Kind { return KindNodeRedirect }
 // Adaptive partitioning plane (internal/balance)
 
 // NodeLoad is one node's load sample, sent to the balance coordinator
-// each tick while adaptive partitioning is enabled. Population and
-// Queries are instantaneous counts (attached clients, homed query
-// monitors); BusyUS is the node's cumulative server busy time in
-// microseconds since start, which the coordinator differences between
-// decisions to get a per-window rate. Version is the sender's partition
-// map version, so the coordinator only decides on samples that reflect
-// the current map.
+// each tick while adaptive partitioning is enabled. Uplinks is the
+// cumulative count of client uplinks the node's server has handled since
+// start, which the coordinator differences between decisions to get the
+// window's count. Version is the sender's partition map version, so the
+// coordinator only decides on samples that reflect the current map.
 type NodeLoad struct {
-	Node       uint16
-	Version    uint64
-	Population uint32
-	Queries    uint32
-	BusyUS     uint64
-	At         model.Tick
+	Node    uint16
+	Version uint64
+	Uplinks uint64
+	At      model.Tick
 }
 
 // Kind implements Message.
@@ -875,9 +871,7 @@ func Encode(dst []byte, m Message) []byte {
 	case NodeLoad:
 		dst = appendU16(dst, v.Node)
 		dst = appendU64(dst, v.Version)
-		dst = appendU32(dst, v.Population)
-		dst = appendU32(dst, v.Queries)
-		dst = appendU64(dst, v.BusyUS)
+		dst = appendU64(dst, v.Uplinks)
 		dst = appendTick(dst, v.At)
 	case PartitionUpdate:
 		dst = appendU64(dst, v.Version)
@@ -948,7 +942,7 @@ func EncodedSize(m Message) int {
 	case NodeRedirect:
 		return 1 + 2 + 2 + len(v.Addr)
 	case NodeLoad:
-		return 1 + 2 + 8 + 4 + 4 + 8 + 8
+		return 1 + 2 + 8 + 8 + 8
 	case PartitionUpdate:
 		return 1 + 8 + 2 + len(v.Owners)*2
 	case PartitionAck:
@@ -961,7 +955,10 @@ func EncodedSize(m Message) int {
 const memberReportSize = 4 + 4 + 4 + 16 + 8
 
 // Decode parses one message from buf. The entire buffer must be consumed;
-// trailing bytes are an error, which catches framing bugs early.
+// trailing bytes are an error, which catches framing bugs early. A list
+// count is bounded by the bytes left before anything is allocated for it,
+// and a list-carrying message is boxed only once it decoded whole, so a
+// short frame claiming a long list costs no allocation at all.
 func Decode(buf []byte) (Message, error) {
 	if len(buf) < 1 {
 		return nil, ErrTruncated
@@ -1062,8 +1059,7 @@ func Decode(buf []byte) (Message, error) {
 			At:    r.tick(),
 			QPos:  r.point(),
 		}
-		n := int(r.u16())
-		if !r.failed && n > 0 {
+		if n := r.count(int(r.u16()), 12); n > 0 {
 			au.Neighbors = make([]model.Neighbor, 0, n)
 			for i := 0; i < n; i++ {
 				au.Neighbors = append(au.Neighbors, model.Neighbor{
@@ -1072,15 +1068,16 @@ func Decode(buf []byte) (Message, error) {
 				})
 			}
 		}
-		m = au
+		if !r.failed {
+			m = au
+		}
 	case KindAnswerDelta:
 		ad := AnswerDelta{
 			Query: model.QueryID(r.u32()),
 			Seq:   r.u32(),
 			At:    r.tick(),
 		}
-		na := int(r.u16())
-		if !r.failed && na > 0 {
+		if na := r.count(int(r.u16()), 12); na > 0 {
 			ad.Added = make([]model.Neighbor, 0, na)
 			for i := 0; i < na; i++ {
 				ad.Added = append(ad.Added, model.Neighbor{
@@ -1089,14 +1086,15 @@ func Decode(buf []byte) (Message, error) {
 				})
 			}
 		}
-		nr := int(r.u16())
-		if !r.failed && nr > 0 {
+		if nr := r.count(int(r.u16()), 4); nr > 0 {
 			ad.Removed = make([]model.ObjectID, 0, nr)
 			for i := 0; i < nr; i++ {
 				ad.Removed = append(ad.Removed, model.ObjectID(r.u32()))
 			}
 		}
-		m = ad
+		if !r.failed {
+			m = ad
+		}
 	case KindAnswerResync:
 		m = AnswerResync{
 			Query:   model.QueryID(r.u32()),
@@ -1130,8 +1128,7 @@ func Decode(buf []byte) (Message, error) {
 			Vel:    r.vec(),
 			At:     r.tick(),
 		}
-		n := int(r.u16())
-		if !r.failed && n > 0 {
+		if n := r.count(int(r.u16()), 6); n > 0 {
 			oh.Aware = make([]AwareEntry, 0, n)
 			for i := 0; i < n; i++ {
 				oh.Aware = append(oh.Aware, AwareEntry{
@@ -1140,7 +1137,9 @@ func Decode(buf []byte) (Message, error) {
 				})
 			}
 		}
-		m = oh
+		if !r.failed {
+			m = oh
+		}
 	case KindQueryHandoff:
 		qh := QueryHandoff{
 			Query:        model.QueryID(r.u32()),
@@ -1164,7 +1163,7 @@ func Decode(buf []byte) (Message, error) {
 		if !r.failed && (!validThreshold(qh.Frontier) || !validThreshold(qh.Band)) {
 			return nil, ErrBadThreshold
 		}
-		if nc := r.count32(20); nc > 0 {
+		if nc := r.count(int(r.u32()), 20); nc > 0 {
 			qh.Candidates = make([]CandidateRecord, 0, nc)
 			for i := 0; i < nc; i++ {
 				qh.Candidates = append(qh.Candidates, CandidateRecord{
@@ -1173,26 +1172,27 @@ func Decode(buf []byte) (Message, error) {
 				})
 			}
 		}
-		if ni := r.count32(4); ni > 0 {
+		if ni := r.count(int(r.u32()), 4); ni > 0 {
 			qh.Inside = make([]model.ObjectID, 0, ni)
 			for i := 0; i < ni; i++ {
 				qh.Inside = append(qh.Inside, model.ObjectID(r.u32()))
 			}
 		}
-		if ns := r.count32(4); ns > 0 {
+		if ns := r.count(int(r.u32()), 4); ns > 0 {
 			qh.Sent = make([]model.ObjectID, 0, ns)
 			for i := 0; i < ns; i++ {
 				qh.Sent = append(qh.Sent, model.ObjectID(r.u32()))
 			}
 		}
-		nsp := int(r.u16())
-		if !r.failed && nsp > 0 {
+		if nsp := r.count(int(r.u16()), 2); nsp > 0 {
 			qh.Spread = make([]uint16, 0, nsp)
 			for i := 0; i < nsp; i++ {
 				qh.Spread = append(qh.Spread, r.u16())
 			}
 		}
-		m = qh
+		if !r.failed {
+			m = qh
+		}
 	case KindQueryHandoffAck:
 		m = QueryHandoffAck{Query: model.QueryID(r.u32())}
 	case KindNodeClientGone:
@@ -1204,24 +1204,18 @@ func Decode(buf []byte) (Message, error) {
 	case KindNodeRedirect:
 		m = NodeRedirect{Node: r.u16(), Addr: r.str()}
 	case KindNodeLoad:
-		m = NodeLoad{
-			Node:       r.u16(),
-			Version:    r.u64(),
-			Population: r.u32(),
-			Queries:    r.u32(),
-			BusyUS:     r.u64(),
-			At:         r.tick(),
-		}
+		m = NodeLoad{Node: r.u16(), Version: r.u64(), Uplinks: r.u64(), At: r.tick()}
 	case KindPartitionUpdate:
 		pu := PartitionUpdate{Version: r.u64()}
-		n := int(r.u16())
-		if !r.failed && n > 0 {
+		if n := r.count(int(r.u16()), 2); n > 0 {
 			pu.Owners = make([]uint16, 0, n)
 			for i := 0; i < n; i++ {
 				pu.Owners = append(pu.Owners, r.u16())
 			}
 		}
-		m = pu
+		if !r.failed {
+			m = pu
+		}
 	case KindPartitionAck:
 		m = PartitionAck{Node: r.u16(), Version: r.u64()}
 	default:
@@ -1337,11 +1331,11 @@ func validThreshold(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
 }
 
-// count32 reads a u32 element count and rejects values that could not
-// possibly fit in the remaining buffer (given recordSize bytes per
-// element), so a corrupt count cannot drive a huge allocation.
-func (r *reader) count32(recordSize int) int {
-	n := int(r.u32())
+// count bounds an element count n just read from the frame: a count
+// whose records (recordSize bytes each) could not possibly fit in the
+// remaining buffer fails the reader, so a corrupt count cannot drive a
+// huge allocation.
+func (r *reader) count(n, recordSize int) int {
 	if r.failed {
 		return 0
 	}

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -87,7 +88,7 @@ func sampleMessages() []Message {
 		PeerHeartbeat{Node: 3, At: 47},
 		NodeRedirect{Node: 1, Addr: "127.0.0.1:7708"},
 		NodeRedirect{Node: 0, Addr: ""}, // address-less redirect (peer known to client)
-		NodeLoad{Node: 1, Version: 6, Population: 250, Queries: 12, BusyUS: 123456789, At: 48},
+		NodeLoad{Node: 1, Version: 6, Uplinks: 123456789, At: 48},
 		PartitionUpdate{Version: 7, Owners: []uint16{0, 0, 0, 1, 2, 2, 3, 3}},
 		PartitionUpdate{Version: 1}, // ownerless update (rejected by appliers, wire-legal)
 		PartitionAck{Node: 2, Version: 7},
@@ -155,6 +156,37 @@ func TestDecodeTruncated(t *testing.T) {
 			if _, err := Decode(buf[:cut]); err == nil {
 				t.Fatalf("%v: truncation to %d bytes decoded successfully", m.Kind(), cut)
 			}
+		}
+	}
+}
+
+// A 16-bit list count claiming more records than the frame holds must
+// fail as truncated before anything is allocated for the list: a peer
+// or client could otherwise make every short frame cost up to 1 MiB.
+// Each row encodes the message with empty lists, then raises the count
+// at the given offset from the frame's end to 65 535.
+func TestDecodeBoundsListCounts(t *testing.T) {
+	for _, tc := range []struct {
+		list    string
+		m       Message
+		fromEnd int
+	}{
+		{"answer-update neighbors", AnswerUpdate{Query: 1, Seq: 2, At: 3}, 2},
+		{"answer-delta added", AnswerDelta{Query: 1, Seq: 2, At: 3}, 4},
+		{"answer-delta removed", AnswerDelta{Query: 1, Seq: 2, At: 3}, 2},
+		{"object-handoff aware", ObjectHandoff{Object: 1, At: 3}, 2},
+		{"query-handoff spread", QueryHandoff{Query: 1, K: 2, Addr: 3}, 2},
+		{"partition-update owners", PartitionUpdate{Version: 1}, 2},
+	} {
+		buf := Encode(nil, tc.m)
+		binary.LittleEndian.PutUint16(buf[len(buf)-tc.fromEnd:], 0xFFFF)
+		var err error
+		allocs := testing.AllocsPerRun(10, func() { _, err = Decode(buf) })
+		if !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: err = %v, want ErrTruncated", tc.list, err)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %d-byte frame allocated %v times before failing", tc.list, len(buf), allocs)
 		}
 	}
 }

@@ -214,7 +214,7 @@ func TestQuickPeerFrames(t *testing.T) {
 }
 
 func TestQuickBalanceFrames(t *testing.T) {
-	f := func(node uint16, version, busy uint64, pop, queries uint32, at int64, owners []uint16) bool {
+	f := func(node uint16, version, uplinks uint64, at int64, owners []uint16) bool {
 		if len(owners) > 1<<16-1 {
 			owners = owners[:1<<16-1]
 		}
@@ -222,10 +222,8 @@ func TestQuickBalanceFrames(t *testing.T) {
 		if len(owners) > 0 {
 			pu.Owners = owners
 		}
-		return roundTrips(NodeLoad{
-			Node: node, Version: version, Population: pop, Queries: queries,
-			BusyUS: busy, At: model.Tick(at),
-		}) && roundTrips(pu) && roundTrips(PartitionAck{Node: node, Version: version})
+		return roundTrips(NodeLoad{Node: node, Version: version, Uplinks: uplinks, At: model.Tick(at)}) &&
+			roundTrips(pu) && roundTrips(PartitionAck{Node: node, Version: version})
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
