@@ -20,7 +20,7 @@ import (
 func (s serverSide) BroadcastBatch(items []transport.BroadcastItem) {
 	// Items whose region covers no accepted cell are dropped, as Broadcast
 	// drops them. kept is allocated per call, not taken from a scratch: the
-	// queue (and a duplicate entry, which shares it) holds it until
+	// queue (and a duplicate entry, whose record shares it) holds it until
 	// delivery, and the caller reuses items as soon as this returns.
 	kept := make([]transport.BroadcastItem, 0, len(items))
 	for _, it := range items {
@@ -29,7 +29,9 @@ func (s serverSide) BroadcastBatch(items []transport.BroadcastItem) {
 		}
 	}
 	if len(kept) > 0 {
-		s.n.enqueue(queued{dir: metrics.Broadcast, filter: s.filter, batch: kept})
+		b := s.n.newBcast()
+		b.filter, b.batch = s.filter, kept
+		s.n.enqueue(queued{dir: metrics.Broadcast, b: b})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"dmknn/internal/container"
 	"dmknn/internal/geo"
 	"dmknn/internal/grid"
 	"dmknn/internal/metrics"
@@ -113,12 +114,12 @@ func (w *fanoutWorld) detach(id model.ObjectID) {
 // cell against the region. Membership, handlers and positions come from
 // the world's own books, never from the network's client table.
 func (w *fanoutWorld) deliverLinear(q queued) int {
-	if q.batch == nil {
-		return w.linearFanout(q.region, q.filter, q.msg)
+	if q.b.batch == nil {
+		return w.linearFanout(q.b.region, q.b.filter, q.msg)
 	}
 	delivered := 0
-	for _, it := range q.batch {
-		delivered += w.linearFanout(it.Region, q.filter, it.Msg)
+	for _, it := range q.b.batch {
+		delivered += w.linearFanout(it.Region, q.b.filter, it.Msg)
 	}
 	return delivered
 }
@@ -534,6 +535,47 @@ func TestBroadcastDeliveryDoesNotAllocate(t *testing.T) {
 			t.Errorf("uplink+reply cycle allocates %.1f times per run, want 0", avg)
 		}
 	})
+}
+
+// The audience scratch follows the capacity rule every per-round buffer
+// of the medium follows: one broadcast heard by the whole population grows
+// it to the population, and two windows of small broadcasts later it is
+// back to their size.
+func TestAudienceScratchFollowsTraffic(t *testing.T) {
+	const population, small = 1000, 10
+	w := newFanoutWorld(testConfig(), false)
+	rng := rand.New(rand.NewSource(3))
+	// small clients in the corner cell (0,0), the rest east of x = 200.
+	for id := model.ObjectID(1); id <= population; id++ {
+		p := geo.Pt(200+rng.Float64()*800, rng.Float64()*1000)
+		if id <= small {
+			p = geo.Pt(50, 50)
+		}
+		w.attach(id, p)
+	}
+	var msg protocol.Message = protocol.MonitorCancel{Query: 1}
+	tick := model.Tick(0)
+	flushOf := func(region geo.Circle) {
+		tick++
+		w.net.SetNow(tick)
+		w.net.ServerSide().Broadcast(region, msg)
+		w.net.Flush()
+	}
+	flushOf(geo.Circle{Center: geo.Pt(500, 500), R: 800})
+	if got := cap(w.net.recipients); got < population {
+		t.Fatalf("audience scratch of %d after a broadcast to all %d clients", got, population)
+	}
+	corner := geo.Circle{Center: geo.Pt(50, 50), R: 10}
+	for i := 0; i < 2*container.WindowRounds; i++ {
+		flushOf(corner)
+	}
+	if got, bound := cap(w.net.recipients), container.Slack*small; got > bound {
+		t.Errorf("%d flushes after the world-sized broadcast the audience scratch holds %d entries, want at most %d",
+			2*container.WindowRounds, got, bound)
+	}
+	if got := w.net.Counters().Delivered(metrics.Broadcast); got != population+2*container.WindowRounds*small {
+		t.Errorf("delivered %d receptions, want %d", got, population+2*container.WindowRounds*small)
+	}
 }
 
 // BenchmarkBroadcastFanout measures a flush delivering a burst of

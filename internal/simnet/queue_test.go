@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"dmknn/internal/container"
 	"dmknn/internal/geo"
@@ -17,9 +18,9 @@ import (
 )
 
 // queueSlices lists every slice the delivery queue retains: the ring's
-// buckets, then the scratch.
+// buckets, then the scratch, then the spare.
 func queueSlices(n *Network) [][]queued {
-	return append(slices.Clone(n.buckets), n.dueScratch)
+	return append(slices.Clone(n.buckets), n.dueScratch, n.spare)
 }
 
 // retainedCap is the queue's total retained capacity, in entries.
@@ -39,19 +40,25 @@ func sameArray(a, b []queued) bool {
 }
 
 // checkQueueClean demands that, between flushes, every slot the queue
-// retains beyond a slice's length is the zero queued — no msg, filter or
-// batch reference survives delivery — and that the scratch is empty.
+// retains beyond a slice's length is the zero queued and every free
+// broadcast record is the zero bcast — no msg, filter or batch reference
+// survives delivery — and that the scratch and the spare are empty.
 func checkQueueClean(t *testing.T, n *Network) {
 	t.Helper()
-	if len(n.dueScratch) != 0 {
-		t.Fatalf("scratch holds %d entries between flushes", len(n.dueScratch))
+	if len(n.dueScratch) != 0 || len(n.spare) != 0 {
+		t.Fatalf("scratch holds %d and spare %d entries between flushes", len(n.dueScratch), len(n.spare))
 	}
 	for i, s := range queueSlices(n) {
 		for j, q := range s[len(s):cap(s)] {
 			if !reflect.ValueOf(q).IsZero() {
-				t.Fatalf("slice %d of %d (scratch last): slot %d of cap %d still holds %+v",
-					i, len(n.buckets)+1, len(s)+j, cap(s), q)
+				t.Fatalf("slice %d of %d (scratch and spare last): slot %d of cap %d still holds %+v",
+					i, len(n.buckets)+2, len(s)+j, cap(s), q)
 			}
+		}
+	}
+	for i, b := range n.bfree {
+		if !reflect.ValueOf(*b).IsZero() {
+			t.Fatalf("free broadcast record %d of %d still holds %+v", i, len(n.bfree), *b)
 		}
 	}
 }
@@ -258,11 +265,13 @@ func TestQueueCapacityFollowsTraffic(t *testing.T) {
 		}
 	}
 
-	// The burst lands at every phase of the ring's rotation (the arrays
-	// trade places on every swap, with a period of ring + 1 ticks): under
-	// latency the burst-sized array holds pending entries at the end of some
-	// flushes, and at one phase or another that flush closes a trim window,
-	// so the trim must shrink a slice that is not empty too.
+	// The burst lands at every phase of the arrays' rotation (each round
+	// swaps the due bucket's array into the scratch, a quiescent flush parks
+	// the drained one as the spare, and the next push into an idle slot takes
+	// it, with a period of latency + 2 ticks): under latency the burst-sized
+	// array holds pending entries at the end of some flushes, and at one
+	// phase or another that flush closes a trim window, so the trim must
+	// shrink a slice that is not empty too.
 	for _, c := range []struct{ latency, phases int }{{0, 1}, {2, 9}} {
 		for phase := 0; phase < c.phases; phase++ {
 			t.Run(fmt.Sprintf("burst/latency=%d/phase=%d", c.latency, phase), func(t *testing.T) {
@@ -276,7 +285,8 @@ func TestQueueCapacityFollowsTraffic(t *testing.T) {
 					t.Fatalf("retained capacity %d right after a burst of %d", got, burst)
 				}
 				// The bound trimQueue enforces: no slice above container.Slack
-				// times the steady round, ring and scratch together.
+				// times the steady round, over the ring, the scratch and the
+				// spare, of which at most ring + 1 hold an array.
 				bound := (len(n.buckets) + 1) * container.Slack * steady
 				for i := 0; i < 2*container.WindowRounds; i++ {
 					flushOf(steady)
@@ -377,4 +387,200 @@ func TestRingGrowthKeepsTickFIFO(t *testing.T) {
 			t.Fatalf("tick %d delivered uplink %d after uplink %d: FIFO within a due tick broken", log.at[i], seq, log.seqs[i-1])
 		}
 	}
+}
+
+// The queue's entries and records are most of what the medium holds per
+// message in flight, and the client table is one row per device: an
+// uplink or downlink entry carries no broadcast coverage, and an audience
+// entry is one packed id and slot.
+func TestLayout(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"queued", unsafe.Sizeof(queued{}), 40},
+		{"client", unsafe.Sizeof(client{}), 32},
+		{"entry", unsafe.Sizeof(entry(0)), 8},
+	} {
+		if c.got > c.want {
+			t.Errorf("%s is %d B, want at most %d", c.name, c.got, c.want)
+		}
+	}
+}
+
+// Between flushes the queue holds an array only for what is in flight:
+// at latency 0 the scratch and the spare serve every tick, and at
+// latency 2 the two buckets still pending join them. A ring slot with
+// nothing pending holds none.
+func TestQueueRetainsOnlyInFlightArrays(t *testing.T) {
+	var msg protocol.Message = protocol.QueryDeregister{Query: 1}
+	for _, c := range []struct{ latency, most int }{{0, 2}, {2, 4}} {
+		t.Run(fmt.Sprintf("latency=%d", c.latency), func(t *testing.T) {
+			cfg := testConfig()
+			cfg.LatencyTicks = c.latency
+			n := New(cfg)
+			n.AttachServer(transport.ServerHandlerFunc(func(model.ObjectID, protocol.Message) {}))
+			up := n.ClientSide(1)
+			most := 0
+			for tick := model.Tick(1); tick <= 200; tick++ {
+				n.SetNow(tick)
+				for i := 0; i < 1000; i++ {
+					up.Uplink(msg)
+				}
+				n.Flush()
+				checkQueueClean(t, n)
+				held := 0
+				for _, s := range queueSlices(n) {
+					if cap(s) > 0 {
+						held++
+					}
+				}
+				most = max(most, held)
+			}
+			if most > c.most {
+				t.Errorf("up to %d queue slices hold an array between flushes, want at most %d", most, c.most)
+			}
+		})
+	}
+}
+
+// A duplicated broadcast's copies deliver at different ticks under
+// jitter, and the first copy's record is recycled once it has delivered:
+// here the very next broadcast, to another region with another message,
+// takes it. The second copy must still reach the original region with the
+// original message, as the linear oracle delivers it.
+func TestDuplicateOwnsItsRecord(t *testing.T) {
+	cfg := testConfig()
+	// At seed 1 the first broadcast is duplicated to two different ticks
+	// and the second is not duplicated; the test checks both.
+	cfg.Seed = 1
+	cfg.Faults = FaultConfig{JitterTicks: 3, DuplicateProb: 0.5}
+	// Ten clients in the west column of cells and ten in the east: the two
+	// regions' audiences are disjoint, so what each client hears does not
+	// depend on the order the three deliveries take.
+	west := geo.Circle{Center: geo.Pt(150, 500), R: 100}
+	east := geo.Circle{Center: geo.Pt(850, 500), R: 100}
+	setup := func(w *fanoutWorld) {
+		for i := 0; i < 10; i++ {
+			w.attach(model.ObjectID(i+1), geo.Pt(150, 410+float64(i)*20))
+			w.attach(model.ObjectID(i+11), geo.Pt(850, 410+float64(i)*20))
+		}
+	}
+	w, ref := newFanoutWorld(cfg, false), newFanoutWorld(cfg, false)
+	setup(w)
+	setup(ref)
+	// broadcastEntries returns the pending broadcast entries by due tick.
+	broadcastEntries := func() []queued {
+		var out []queued
+		for tick := w.net.bucketLow; tick < w.net.bucketHigh; tick++ {
+			for _, q := range w.net.buckets[int(tick)&(len(w.net.buckets)-1)] {
+				if q.dir == metrics.Broadcast {
+					out = append(out, q)
+				}
+			}
+		}
+		return out
+	}
+
+	w.net.SetNow(1)
+	w.net.ServerSide().Broadcast(west, protocol.AnswerUpdate{Query: 1})
+	copies := broadcastEntries()
+	if len(copies) != 2 || copies[0].due == copies[1].due {
+		t.Fatalf("seed %d: want one broadcast duplicated to two ticks, got %d entries %+v", cfg.Seed, len(copies), copies)
+	}
+	first := copies[0]
+	for tick := model.Tick(1); tick <= first.due; tick++ {
+		w.net.SetNow(tick)
+		w.net.Flush()
+	}
+	checkQueueClean(t, w.net)
+	w.net.ServerSide().Broadcast(east, protocol.AnswerUpdate{Query: 2})
+	pending := broadcastEntries()
+	if w.net.Duplicated(metrics.Broadcast) != 1 || len(pending) != 2 {
+		t.Fatalf("seed %d: the second broadcast must not be duplicated (%d duplicates, %d pending)",
+			cfg.Seed, w.net.Duplicated(metrics.Broadcast), len(pending))
+	}
+	reused := false
+	for _, q := range pending {
+		reused = reused || q.b == first.b && q.b.region == east
+	}
+	if !reused {
+		t.Fatalf("seed %d: the second broadcast did not take the first copy's freed record", cfg.Seed)
+	}
+	for tick := first.due; tick <= first.due+model.Tick(cfg.Faults.JitterTicks)+1; tick++ {
+		w.net.SetNow(tick)
+		w.net.Flush()
+	}
+	if w.net.PendingCount() != 0 {
+		t.Fatalf("%d entries left pending", w.net.PendingCount())
+	}
+	checkQueueClean(t, w.net)
+
+	ref.linearFanout(west, nil, protocol.AnswerUpdate{Query: 1})
+	ref.linearFanout(west, nil, protocol.AnswerUpdate{Query: 1})
+	ref.linearFanout(east, nil, protocol.AnswerUpdate{Query: 2})
+	for id := model.ObjectID(1); id <= 20; id++ {
+		if got, want := w.rec(id).seen, ref.rec(id).seen; !slices.Equal(got, want) {
+			t.Errorf("client %d heard %v, want %v", id, got, want)
+		}
+	}
+}
+
+// retainedBytes is what the queue holds between flushes: its arrays'
+// capacity and its free broadcast records.
+func retainedBytes(n *Network) int {
+	return retainedCap(n)*int(unsafe.Sizeof(queued{})) +
+		cap(n.bfree)*int(unsafe.Sizeof((*bcast)(nil))) + len(n.bfree)*int(unsafe.Sizeof(bcast{}))
+}
+
+// BenchmarkFlushRound measures one many-query-shaped tick through the
+// queue: 6 000 uplinks and 24 region broadcasts of about 900 recipients
+// each (R = 1 080 m over 20 000 devices in a 10 km world on a 64 × 64
+// grid), then one Flush. queue-B is what the queue retains afterwards
+// (retainedBytes); recipients/bcast is the mean audience.
+func BenchmarkFlushRound(b *testing.B) {
+	const devices, uplinks, broadcasts = 20000, 6000, 24
+	w := newFanoutWorld(Config{
+		Geometry: grid.NewGeometry(geo.NewRect(geo.Pt(0, 0), geo.Pt(10000, 10000)), 64, 64),
+	}, false)
+	rng := rand.New(rand.NewSource(1))
+	for id := model.ObjectID(1); id <= devices; id++ {
+		w.attach(id, geo.Pt(rng.Float64()*10000, rng.Float64()*10000))
+	}
+	w.net.AttachServer(transport.ServerHandlerFunc(func(model.ObjectID, protocol.Message) {}))
+	ups := make([]transport.ClientSide, uplinks)
+	for i := range ups {
+		ups[i] = w.net.ClientSide(model.ObjectID(i + 1))
+	}
+	var report protocol.Message = protocol.LocationReport{Object: 1, Pos: geo.Pt(1, 2)}
+	var install protocol.Message = protocol.MonitorCancel{Query: 1}
+	regions := make([]geo.Circle, broadcasts)
+	for i := range regions {
+		regions[i] = geo.Circle{Center: geo.Pt(1500+rng.Float64()*7000, 1500+rng.Float64()*7000), R: 1080}
+	}
+	side := w.net.ServerSide()
+	tick := model.Tick(0)
+	round := func() {
+		tick++
+		w.net.SetNow(tick)
+		for _, up := range ups {
+			up.Uplink(report)
+		}
+		for _, r := range regions {
+			side.Broadcast(r, install)
+		}
+		w.net.Flush()
+	}
+	for i := 0; i < 2*len(w.net.buckets); i++ {
+		round()
+	}
+	heard := w.net.Counters().Delivered(metrics.Broadcast)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(retainedBytes(w.net)), "queue-B")
+	b.ReportMetric(float64(w.net.Counters().Delivered(metrics.Broadcast)-heard)/float64(b.N*broadcasts), "recipients/bcast")
 }

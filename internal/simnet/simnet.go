@@ -16,9 +16,12 @@
 //     the messages that are actually due; without jitter, due ticks are
 //     monotone in enqueue order and bucket order equals global FIFO
 //     bit-for-bit. With jitter enabled, delivery runs in due-tick order
-//     (FIFO within a tick) — jitter breaks FIFO by design. A round takes
-//     its bucket by swapping it with an empty scratch slice, delivered
-//     entries are zeroed, and capacity a burst left behind is released
+//     (FIFO within a tick) — jitter breaks FIFO by design. An entry is
+//     40 bytes; a broadcast's coverage sits in a record recycled through
+//     a free list. A round takes its bucket by swapping it with an empty
+//     scratch slice, delivered entries and records are zeroed, a slot with
+//     nothing pending holds no array (a quiescent flush parks the drained
+//     one as the spare), and capacity a burst left behind is released
 //     once a whole window of flushes has passed without needing it.
 //   - Broadcasts are cell-granular: a region broadcast is accounted as
 //     one transmission per intersecting grid cell, and is heard by every
@@ -156,22 +159,32 @@ func (f FaultConfig) validate() {
 	}
 }
 
+// queued is one delivery queue entry, 40 bytes: peer is the uplink's
+// sender or the downlink's recipient (a broadcast has neither), and a
+// broadcast's coverage lives in a record of its own, so the uplinks and
+// downlinks that make up most of the queue do not carry it.
 type queued struct {
-	due    model.Tick
-	dir    metrics.Direction
-	from   model.ObjectID // uplink sender
-	to     model.ObjectID // downlink recipient
-	region geo.Circle     // broadcast coverage
+	due  model.Tick
+	peer model.ObjectID
+	dir  metrics.Direction
+	msg  protocol.Message // unused by a batch
+	b    *bcast           // broadcasts only
+}
+
+// bcast is the broadcast-only part of a queue entry. Records are recycled
+// through Network.bfree: a record is taken when a broadcast is queued and
+// returned zeroed once it has been delivered.
+type bcast struct {
+	region geo.Circle
 	// filter restricts a broadcast to the cells it accepts (nil: all
 	// cells). A federated deployment gives each node a filter selecting
 	// the cells it owns, so a node's broadcast only reaches its own
 	// region and sibling nodes cover the rest of the circle.
 	filter func(grid.Cell) bool
-	msg    protocol.Message
-	// batch, when non-nil, makes this entry a broadcast batch: one queue
+	// batch, when non-nil, makes the entry a broadcast batch: one queue
 	// entry carrying a drain's worth of region broadcasts that deliver
-	// back-to-back in item order (see BroadcastBatch in batch.go). dir is
-	// Broadcast and region/msg are unused.
+	// back-to-back in item order (see BroadcastBatch in batch.go); region
+	// and the entry's msg are unused.
 	batch []transport.BroadcastItem
 }
 
@@ -236,16 +249,23 @@ type Network struct {
 	//
 	// dueScratch is the slice the current flush round delivers from; a
 	// round trades it for the due bucket instead of copying (takeDue).
-	// Every slot past len of every bucket and of the scratch is the zero
-	// queued: delivered entries are cleared, so a retained array pins no
-	// message. window applies the capacity rule (container.Window): its
-	// high-water mark is the largest delivery round, and each flush ends
-	// one of its rounds.
+	// spare is the one idle array: a quiescent Flush moves the emptied
+	// array of the now bucket into it, and the next push into a slot with
+	// no array takes it, so a ring slot with nothing pending holds no
+	// array and, at latency 0, the scratch and the spare serve every tick.
+	// Every slot past len of every bucket, the scratch and the spare is
+	// the zero queued: delivered entries are cleared, so a retained array
+	// pins no message. bfree stacks the idle broadcast records, each
+	// zeroed. window applies the capacity rule (container.Window) to all
+	// of them: its high-water mark is the largest delivery round, and each
+	// flush ends one of its rounds.
 	buckets    [][]queued
 	bucketLow  model.Tick
 	bucketHigh model.Tick
 	pending    int
 	dueScratch []queued
+	spare      []queued
+	bfree      []*bcast
 	window     container.Window
 
 	// Cell-indexed broadcast audience: cells[Geometry.CellIndex(c)] holds
@@ -255,10 +275,13 @@ type Network struct {
 	// its slot number. The index is refreshed from the position oracle at
 	// most once per Flush — lazily, when the first broadcast delivers — and
 	// maintained incrementally through attach/detach. recipients is the
-	// per-broadcast scratch the audience is gathered and sorted into.
+	// per-broadcast scratch the audience is gathered and sorted into;
+	// audience applies the capacity rule to it, its high-water mark the
+	// largest audience, each flush one of its rounds.
 	cells      [][]entry
 	indexFresh bool
 	recipients []entry
+	audience   container.Window
 
 	// refBroadcast, when non-nil, delivers broadcast queue entries in
 	// place of the indexed fan-out. Only _test.go assigns it: the
@@ -439,12 +462,14 @@ func (s serverSide) Downlink(to model.ObjectID, m protocol.Message) {
 	if n.trace != nil {
 		n.emit(obs.EvNetSend, metrics.Downlink, to, m.Kind())
 	}
-	n.enqueue(queued{dir: metrics.Downlink, to: to, msg: m})
+	n.enqueue(queued{dir: metrics.Downlink, peer: to, msg: m})
 }
 
 func (s serverSide) Broadcast(region geo.Circle, m protocol.Message) {
 	if s.meterBroadcast(region, m) {
-		s.n.enqueue(queued{dir: metrics.Broadcast, region: region, filter: s.filter, msg: m})
+		b := s.n.newBcast()
+		b.region, b.filter = region, s.filter
+		s.n.enqueue(queued{dir: metrics.Broadcast, msg: m, b: b})
 	}
 }
 
@@ -482,7 +507,7 @@ func (c clientSide) Uplink(m protocol.Message) {
 	if n.trace != nil {
 		n.emit(obs.EvNetSend, metrics.Uplink, c.id, m.Kind())
 	}
-	n.enqueue(queued{dir: metrics.Uplink, from: c.id, msg: m})
+	n.enqueue(queued{dir: metrics.Uplink, peer: c.id, msg: m})
 }
 
 // Shared implements transport.SharingSide: one slot per network, so the
@@ -491,18 +516,43 @@ func (c clientSide) Shared() *atomic.Value { return &c.n.shared }
 
 // enqueue stamps the due tick (base latency plus optional jitter) and
 // buckets q, plus an independently jittered copy when the duplication
-// fault fires. Fault draws happen only when the respective fault is
-// enabled, keeping zero-fault runs bit-identical to the pre-fault
-// network.
+// fault fires. The copy of a broadcast gets a record of its own: it may
+// deliver at another tick, after the original's record was recycled.
+// Fault draws happen only when the respective fault is enabled, keeping
+// zero-fault runs bit-identical to the pre-fault network.
 func (n *Network) enqueue(q queued) {
 	q.due = n.dueTick()
 	n.push(q)
 	if p := n.cfg.Faults.DuplicateProb; p > 0 && n.frng.Float64() < p {
 		d := q
 		d.due = n.dueTick()
+		if q.b != nil {
+			d.b = n.newBcast()
+			*d.b = *q.b
+		}
 		n.push(d)
 		n.dups[q.dir]++
 	}
+}
+
+// newBcast takes a zeroed broadcast record from the free list, or
+// allocates one.
+func (n *Network) newBcast() *bcast {
+	k := len(n.bfree)
+	if k == 0 {
+		return new(bcast)
+	}
+	b := n.bfree[k-1]
+	n.bfree[k-1] = nil
+	n.bfree = n.bfree[:k-1]
+	return b
+}
+
+// freeBcast zeroes a delivered broadcast's record, so it pins no filter
+// or batch, and returns it to the free list.
+func (n *Network) freeBcast(b *bcast) {
+	*b = bcast{}
+	n.bfree = append(n.bfree, b)
 }
 
 func (n *Network) dueTick() model.Tick {
@@ -530,7 +580,11 @@ func (n *Network) push(q queued) {
 		n.growBuckets(span)
 	}
 	idx := int(q.due) & (len(n.buckets) - 1)
-	n.buckets[idx] = append(n.buckets[idx], q)
+	b := n.buckets[idx]
+	if cap(b) == 0 {
+		b, n.spare = n.spare, nil
+	}
+	n.buckets[idx] = append(b, q)
 	n.pending++
 }
 
@@ -570,6 +624,7 @@ func (n *Network) Flush() int {
 		}
 		due := n.takeDue()
 		if len(due) == 0 {
+			n.parkNowBucket()
 			n.trimQueue()
 			return delivered
 		}
@@ -617,9 +672,24 @@ func (n *Network) takeDue() []queued {
 	return out
 }
 
+// parkNowBucket moves the emptied array of the now bucket, which the
+// flush has drained, into the spare when the spare has none, so the slot
+// holds no array until a push lands in it.
+func (n *Network) parkNowBucket() {
+	idx := int(n.now) & (len(n.buckets) - 1)
+	if b := n.buckets[idx]; len(b) == 0 && cap(b) > 0 && cap(n.spare) == 0 {
+		n.spare, n.buckets[idx] = b, nil
+	}
+}
+
 // trimQueue ends a flush's round of the capacity rule and, on a window's
-// last, applies it to every bucket and the scratch.
+// last, applies it to every bucket, the scratch, the spare and the free
+// records — of which it keeps no more than a queue slice's worth — and
+// to the audience scratch under its own window.
 func (n *Network) trimQueue() {
+	if keep, due := n.audience.EndRound(); due {
+		n.recipients = container.Trim(n.recipients[:0], keep)
+	}
 	keep, due := n.window.EndRound()
 	if !due {
 		return
@@ -628,6 +698,12 @@ func (n *Network) trimQueue() {
 		n.buckets[i] = container.Trim(b, keep)
 	}
 	n.dueScratch = container.Trim(n.dueScratch, keep)
+	n.spare = container.Trim(n.spare, keep)
+	if len(n.bfree) > keep {
+		clear(n.bfree[keep:])
+		n.bfree = n.bfree[:keep]
+	}
+	n.bfree = container.Trim(n.bfree, keep)
 }
 
 // PendingCount returns the number of queued (not yet delivered) entries;
@@ -637,31 +713,31 @@ func (n *Network) PendingCount() int { return n.pending }
 func (n *Network) deliver(q queued) int {
 	switch q.dir {
 	case metrics.Uplink:
-		if n.server == nil || n.isDown(q.from) || n.lose(n.cfg.UplinkLoss) || n.geLose(metrics.Uplink) {
+		if n.server == nil || n.isDown(q.peer) || n.lose(n.cfg.UplinkLoss) || n.geLose(metrics.Uplink) {
 			n.counters.RecordDrop(metrics.Uplink)
 			if n.trace != nil {
-				n.emit(obs.EvNetDrop, metrics.Uplink, q.from, q.msg.Kind())
+				n.emit(obs.EvNetDrop, metrics.Uplink, q.peer, q.msg.Kind())
 			}
 			return 0
 		}
 		n.counters.RecordDeliver(metrics.Uplink)
 		if n.trace != nil {
-			n.emit(obs.EvNetDeliver, metrics.Uplink, q.from, q.msg.Kind())
+			n.emit(obs.EvNetDeliver, metrics.Uplink, q.peer, q.msg.Kind())
 		}
-		n.server.HandleUplink(q.from, q.msg)
+		n.server.HandleUplink(q.peer, q.msg)
 		return 1
 	case metrics.Downlink:
-		h := n.handlerOf(q.to)
-		if h == nil || n.isDown(q.to) || n.lose(n.cfg.DownlinkLoss) || n.geLose(metrics.Downlink) {
+		h := n.handlerOf(q.peer)
+		if h == nil || n.isDown(q.peer) || n.lose(n.cfg.DownlinkLoss) || n.geLose(metrics.Downlink) {
 			n.counters.RecordDrop(metrics.Downlink)
 			if n.trace != nil {
-				n.emit(obs.EvNetDrop, metrics.Downlink, q.to, q.msg.Kind())
+				n.emit(obs.EvNetDrop, metrics.Downlink, q.peer, q.msg.Kind())
 			}
 			return 0
 		}
 		n.counters.RecordDeliver(metrics.Downlink)
 		if n.trace != nil {
-			n.emit(obs.EvNetDeliver, metrics.Downlink, q.to, q.msg.Kind())
+			n.emit(obs.EvNetDeliver, metrics.Downlink, q.peer, q.msg.Kind())
 		}
 		h.HandleServerMessage(q.msg)
 		return 1
@@ -669,17 +745,20 @@ func (n *Network) deliver(q queued) int {
 		if n.positions == nil {
 			panic("simnet: broadcast without a position oracle")
 		}
-		if n.refBroadcast != nil {
-			return n.refBroadcast(q)
+		b, delivered := q.b, 0
+		switch {
+		case n.refBroadcast != nil:
+			delivered = n.refBroadcast(q)
+		case b.batch == nil:
+			n.refreshCellIndex()
+			delivered = n.deliverBroadcast(b.region, b.filter, q.msg)
+		default:
+			n.refreshCellIndex()
+			for _, it := range b.batch {
+				delivered += n.deliverBroadcast(it.Region, b.filter, it.Msg)
+			}
 		}
-		n.refreshCellIndex()
-		if q.batch == nil {
-			return n.deliverBroadcast(q.region, q.filter, q.msg)
-		}
-		delivered := 0
-		for _, it := range q.batch {
-			delivered += n.deliverBroadcast(it.Region, q.filter, it.Msg)
-		}
+		n.freeBcast(b)
 		return delivered
 	default:
 		panic("simnet: unknown direction")
@@ -717,6 +796,7 @@ func (n *Network) deliverBroadcast(region geo.Circle, filter func(grid.Cell) boo
 	})
 	slices.Sort(rec)
 	n.recipients = rec
+	n.audience.Observe(len(rec))
 	return n.fanout(rec, msg)
 }
 
