@@ -34,6 +34,7 @@ import (
 	"dmknn/internal/geo"
 	"dmknn/internal/grid"
 	"dmknn/internal/model"
+	"dmknn/internal/obs"
 	"dmknn/internal/protocol"
 	"dmknn/internal/sim"
 	"dmknn/internal/transport"
@@ -163,7 +164,7 @@ func (m *Method) ClientTick(now model.Tick) {
 
 // ServerTick implements sim.Method.
 func (m *Method) ServerTick(now model.Tick) {
-	defer m.track(time.Now())
+	defer m.track(obs.Now())
 	m.server.tick(now)
 }
 
@@ -184,7 +185,7 @@ func (m *Method) Answer(q model.QueryID) model.Answer {
 // ServerTime implements sim.Method.
 func (m *Method) ServerTime() time.Duration { return m.serverTime }
 
-func (m *Method) track(start time.Time) { m.serverTime += time.Since(start) }
+func (m *Method) track(start obs.Stamp) { m.serverTime += start.Elapsed() }
 
 // ---------------------------------------------------------------------------
 // Client side
@@ -317,7 +318,7 @@ func newCentralServer(m *Method, side transport.ServerSide) *centralServer {
 
 // HandleUplink implements transport.ServerHandler.
 func (s *centralServer) HandleUplink(from model.ObjectID, msg protocol.Message) {
-	defer s.m.track(time.Now())
+	defer s.m.track(obs.Now())
 	switch v := msg.(type) {
 	case protocol.LocationReport:
 		if _, ok := s.index.Position(v.Object); ok {
@@ -360,7 +361,7 @@ func (s *centralServer) HandleUplink(from model.ObjectID, msg protocol.Message) 
 // HandleClientGone implements transport.DisconnectHandler: vanished
 // objects leave the index; a vanished focal client takes its query down.
 func (s *centralServer) HandleClientGone(id model.ObjectID) {
-	defer s.m.track(time.Now())
+	defer s.m.track(obs.Now())
 	if _, ok := s.index.Position(id); ok {
 		_ = s.index.Remove(id)
 	}

@@ -33,6 +33,33 @@ func TestReportAnswerPathDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// A candidate from the annulus entering the answer circle below rank k
+// leaves the annulus table once; from then on exit and re-entry flip a
+// flag in place and move one ranking entry. At steady capacity the cycle
+// allocates nothing beside a manyq-sync-sized annulus, and sends nothing.
+func TestEnterExitCycleDoesNotAllocate(t *testing.T) {
+	srv, side, now := benchServer(t)
+	*now = 1
+	inst := benchInstallN(t, srv, side, 10, 20+260, geo.Vector{})
+	benchCheckAnnulus(t, srv, 260)
+	// Object 21 is the annulus's nearest, at 63 m; the answer circle ends
+	// at the 20th replier, 60 m, and rank k = 10 at 30 m.
+	mr := protocol.MemberReport{Query: 1, Epoch: inst.Epoch, Object: 21, Pos: geo.Pt(545, 501), At: 1}
+	var enter protocol.Message = protocol.EnterReport{MemberReport: mr}
+	mr.Pos = geo.Pt(563, 500)
+	var exit protocol.Message = protocol.ExitReport{MemberReport: mr}
+	sends := len(side.broadcasts) + len(side.downlinks)
+	if avg := testing.AllocsPerRun(200, func() {
+		srv.HandleUplink(21, enter)
+		srv.HandleUplink(21, exit)
+	}); avg != 0 {
+		t.Errorf("Enter→Exit cycle allocates %.1f times, want 0", avg)
+	}
+	if n := len(side.broadcasts) + len(side.downlinks) - sends; n != 0 {
+		t.Errorf("the cycle sent %d messages, want none", n)
+	}
+}
+
 // Register must keep s.order sorted via binary-search insert (no full
 // re-sort), and deregister must splice by binary search — out-of-order
 // registration and interleaved removal exercise both.
@@ -71,7 +98,9 @@ func TestRegisterOrderMaintained(t *testing.T) {
 // are most of its heap: the agent fills a 128-byte size class, a monitor
 // row is the query, the object's side and a pointer to the install's
 // track, which the install's whole audience shares, and report state is
-// paid only per answer-circle membership.
+// paid only per answer-circle membership. On the server, a member-table
+// row — an answer-circle row or an annulus candidate — is an id, two
+// flags and a position.
 func TestAgentFootprint(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -81,6 +110,7 @@ func TestAgentFootprint(t *testing.T) {
 		{"agentMonitor", unsafe.Sizeof(agentMonitor{}), 16},
 		{"track", unsafe.Sizeof(track{}), 80},
 		{"memberState", unsafe.Sizeof(memberState{}), 32},
+		{"member", unsafe.Sizeof(member{}), 24},
 	} {
 		if c.got > c.want {
 			t.Errorf("%s is %d B, want at most %d", c.name, c.got, c.want)

@@ -10,37 +10,51 @@ import (
 )
 
 // BenchmarkServerMoveReport measures the server's hottest path: applying
-// an in-boundary position refresh and re-evaluating the answer. At an
-// unchanged query centre that is one entry moved in the ranking; when the
-// centre differs from the previous report's (the first report of a tick,
-// here every report: the clock alternates under a moving query) the
-// ranking is rebuilt and sorted.
+// an in-boundary position refresh and re-evaluating the answer. The report
+// searches only the answer circle's rows, whatever the annulus holds
+// (annulus=260 is about a manyq-sync monitor's 263 candidates). At an
+// unchanged query centre the report shifts one entry of the ranking; when
+// the centre differs from the previous report's (the first report of a
+// tick, here every report: the clock alternates under a moving query) the
+// ranking is re-measured and re-sorted in place.
 func BenchmarkServerMoveReport(b *testing.B) {
 	for _, inside := range []int{20, 40, 200} {
-		for _, moved := range []bool{false, true} {
-			name := fmt.Sprintf("inside=%d/same-centre", inside)
-			if moved {
-				name = fmt.Sprintf("inside=%d/centre-moved", inside)
-			}
-			b.Run(name, func(b *testing.B) {
-				cfg := benchCfg()
-				cfg.AnswerSlack = inside / 2
-				srv, side, now := benchServerCfg(b, cfg)
-				*now = 1
-				inst := benchInstallN(b, srv, side, inside/2, inside+5, geo.Vector{X: 0.5})
-				msg := protocol.MoveReport{MemberReport: protocol.MemberReport{
-					Query: 1, Epoch: inst.Epoch, Object: 3, Pos: geo.Pt(520, 501), At: 1,
-				}}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if moved {
-						*now = 1 + model.Tick(i&1)
-					}
-					srv.HandleUplink(3, msg)
+		for _, annulus := range []int{0, 260} {
+			for _, moved := range []bool{false, true} {
+				centre := "same-centre"
+				if moved {
+					centre = "centre-moved"
 				}
-			})
+				b.Run(fmt.Sprintf("inside=%d/annulus=%d/%s", inside, annulus, centre), func(b *testing.B) {
+					cfg := benchCfg()
+					cfg.AnswerSlack = inside / 2
+					srv, side, now := benchServerCfg(b, cfg)
+					*now = 1
+					inst := benchInstallN(b, srv, side, inside/2, inside+annulus, geo.Vector{X: 0.5})
+					benchCheckAnnulus(b, srv, annulus)
+					msg := protocol.MoveReport{MemberReport: protocol.MemberReport{
+						Query: 1, Epoch: inst.Epoch, Object: 3, Pos: geo.Pt(520, 501), At: 1,
+					}}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if moved {
+							*now = 1 + model.Tick(i&1)
+						}
+						srv.HandleUplink(3, msg)
+					}
+				})
+			}
 		}
+	}
+}
+
+// benchCheckAnnulus fails unless query 1's install left exactly annulus
+// candidates outside its answer circle.
+func benchCheckAnnulus(b testing.TB, srv *Server, annulus int) {
+	b.Helper()
+	if tab := &srv.monitors[1].tab; tab.nKnown-tab.nInside != annulus {
+		b.Fatalf("%d annulus candidates installed, want %d", tab.nKnown-tab.nInside, annulus)
 	}
 }
 
@@ -62,22 +76,28 @@ func TestServerMoveReportZeroAllocTracingOff(t *testing.T) {
 	}
 }
 
-// BenchmarkServerEnterExit measures a membership churn cycle.
+// BenchmarkServerEnterExit measures a membership churn cycle of an
+// object that was not a candidate, beside an annulus of 0 or 260.
 func BenchmarkServerEnterExit(b *testing.B) {
-	srv, side, now := benchServer(b)
-	*now = 1
-	inst := benchInstall(b, srv, side)
-	enter := protocol.EnterReport{MemberReport: protocol.MemberReport{
-		Query: 1, Epoch: inst.Epoch, Object: 99, Pos: geo.Pt(501, 500), At: 1,
-	}}
-	exit := protocol.ExitReport{MemberReport: protocol.MemberReport{
-		Query: 1, Epoch: inst.Epoch, Object: 99, Pos: geo.Pt(900, 900), At: 1,
-	}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		srv.HandleUplink(99, enter)
-		srv.HandleUplink(99, exit)
+	for _, annulus := range []int{0, 260} {
+		b.Run(fmt.Sprintf("annulus=%d", annulus), func(b *testing.B) {
+			srv, side, now := benchServer(b)
+			*now = 1
+			inst := benchInstallN(b, srv, side, 10, 20+annulus, geo.Vector{})
+			benchCheckAnnulus(b, srv, annulus)
+			enter := protocol.EnterReport{MemberReport: protocol.MemberReport{
+				Query: 1, Epoch: inst.Epoch, Object: 999, Pos: geo.Pt(501, 500), At: 1,
+			}}
+			exit := protocol.ExitReport{MemberReport: protocol.MemberReport{
+				Query: 1, Epoch: inst.Epoch, Object: 999, Pos: geo.Pt(900, 900), At: 1,
+			}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				srv.HandleUplink(999, enter)
+				srv.HandleUplink(999, exit)
+			}
+		})
 	}
 }
 

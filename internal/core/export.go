@@ -10,6 +10,7 @@ package core
 // re-baselining AnswerUpdate on the existing resync path.
 
 import (
+	"math"
 	"slices"
 
 	"dmknn/internal/geo"
@@ -59,15 +60,16 @@ func (s *Server) exportLocked(q model.QueryID, mon *monitor) protocol.QueryHando
 		Frontier:     mon.frontier,
 		Band:         mon.band,
 	}
-	// The rows are in ascending id order, so the three lists are too.
-	for _, r := range mon.tab.rows {
+	// The rows are walked in ascending id order, so the three lists are
+	// sorted too.
+	mon.tab.each(func(r *member) {
 		if r.known {
 			st.Candidates = append(st.Candidates, protocol.CandidateRecord{ID: r.id, Pos: r.pos})
 		}
 		if r.inside {
 			st.Inside = append(st.Inside, r.id)
 		}
-	}
+	})
 	if len(mon.tab.sent) > 0 {
 		st.Sent = slices.Clone(mon.tab.sent)
 	}
@@ -154,6 +156,8 @@ func (s *Server) ImportMonitor(st protocol.QueryHandoff, now model.Tick) {
 		r := mon.tab.row(id)
 		mon.tab.setFlags(r, r.known, true)
 	}
+	// File the outside candidates in the annulus table; none is forgotten.
+	mon.tab.prune(st.QPos, math.Inf(1))
 	mon.tab.sent = slices.Clone(st.Sent)
 	slices.Sort(mon.tab.sent)
 	mon.tab.sent = slices.Compact(mon.tab.sent)
@@ -199,7 +203,7 @@ func (s *Server) QueriesInvolving(id model.ObjectID) []model.QueryID {
 	var out []model.QueryID
 	for _, q := range s.order {
 		mon := s.monitors[q]
-		_, row := mon.tab.find(id)
+		_, row := mon.tab.lookup(id)
 		if _, sent := slices.BinarySearch(mon.tab.sent, id); row || sent {
 			out = append(out, q)
 		}

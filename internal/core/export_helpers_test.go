@@ -85,10 +85,6 @@ func (a *ObjectAgent) memberOf(q model.QueryID) memberState {
 // stored is the test view of one member-table row: the position on record
 // for id (if any) and whether the server believes it inside.
 func (mon *monitor) stored(id model.ObjectID) (pos geo.Point, known, inside bool) {
-	i, ok := mon.tab.find(id)
-	if !ok {
-		return geo.Point{}, false, false
-	}
-	r := mon.tab.rows[i]
+	r, _ := mon.tab.lookup(id)
 	return r.pos, r.known, r.inside
 }

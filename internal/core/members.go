@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"math/bits"
 	"slices"
 
 	"dmknn/internal/container"
@@ -10,32 +12,37 @@ import (
 
 // member is one row of a monitor's member table: what the server holds
 // about one object with respect to one query. A row exists while either
-// flag is set.
+// flag is set; an annulus slot with neither is dead.
 type member struct {
 	id     model.ObjectID
 	known  bool      // a position is on record (the candidate set)
 	inside bool      // believed inside the answer circle
 	pos    geo.Point // last reported position; meaningful while known
-	dist   float64   // the Dist stored in ranked, while the row is ranked
 }
 
-// memberTable is a monitor's working state: the rows in ascending id
-// order, and a ranking of the known inside rows by model.CompareNeighbors
-// against one query centre. A report at an unchanged centre moves one
-// entry of the ranking; only a different centre (rankedAt) or a bulk
-// mutation (reset) re-sorts it. Every Dist in the ranking comes from
-// row.pos.Dist(center), so it is the list a rebuild-and-sort yields.
+// memberTable is a monitor's working state, in two tables ascending by
+// id. rows holds every row inside the answer circle, and the outside rows
+// written since the last prune (exits, mostly); cold holds the other
+// candidates, the annulus, which a member's report never searches.
+// Beside rows sits a ranking of the known inside rows by
+// model.CompareNeighbors against one query centre, with each entry's
+// position in rankPos. A report at an unchanged centre moves one entry of
+// the ranking; a different centre (rankedAt) re-sorts it in place, and
+// only a bulk mutation (reset) rebuilds it. Every Dist in the ranking is
+// pos.Dist(center), so it is the list a rebuild-and-sort yields.
 type memberTable struct {
 	rows    []member
+	cold    []member // known, outside rows; dead slots clear known
 	nKnown  int
 	nInside int
 	// cut is how many leading ranks form the answer: k, or every rank
 	// for a range monitor.
 	cut int
 
-	ranked []model.Neighbor
-	center geo.Point
-	rankOK bool
+	ranked  []model.Neighbor
+	rankPos []geo.Point
+	center  geo.Point
+	rankOK  bool
 	// sent holds, ascending, the ids the last answer message named;
 	// sentSpare is the buffer the next list is built in.
 	sent, sentSpare []model.ObjectID
@@ -44,21 +51,42 @@ type memberTable struct {
 	dirty bool
 }
 
-func (t *memberTable) find(id model.ObjectID) (int, bool) {
-	lo, hi := 0, len(t.rows)
+// search returns where id is, or would be, in rows ascending by id.
+func search(rows []member, id model.ObjectID) (int, bool) {
+	lo, hi := 0, len(rows)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if t.rows[mid].id < id {
+		if rows[mid].id < id {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(t.rows) && t.rows[lo].id == id
+	return lo, lo < len(rows) && rows[lo].id == id
 }
 
-// row returns id's row, inserting an empty one if absent. The pointer is
-// valid until the next insertion or removal.
+func (t *memberTable) find(id model.ObjectID) (int, bool) { return search(t.rows, id) }
+
+// findCold returns id's live annulus slot.
+func (t *memberTable) findCold(id model.ObjectID) (int, bool) {
+	i, ok := search(t.cold, id)
+	return i, ok && t.cold[i].known
+}
+
+// lookup returns id's row from either table.
+func (t *memberTable) lookup(id model.ObjectID) (member, bool) {
+	if i, ok := t.find(id); ok {
+		return t.rows[i], true
+	}
+	if i, ok := t.findCold(id); ok {
+		return t.cold[i], true
+	}
+	return member{}, false
+}
+
+// row returns id's row in rows, inserting an empty one if absent; id must
+// have no live annulus slot (ImportMonitor fills rows before it files the
+// annulus). The pointer is valid until the next insertion or removal.
 func (t *memberTable) row(id model.ObjectID) *member {
 	i, ok := t.find(id)
 	if !ok {
@@ -67,14 +95,23 @@ func (t *memberTable) row(id model.ObjectID) *member {
 	return &t.rows[i]
 }
 
+// rankOf returns r's index in the ranking; r must be ranked. Its row's
+// position and the centre are the ones it was ranked under, so the Dist
+// recomputed here is bit for bit the one in the ranking.
+func (t *memberTable) rankOf(r *member) int {
+	i, _ := slices.BinarySearchFunc(t.ranked, model.Neighbor{ID: r.id, Dist: r.pos.Dist(t.center)}, model.CompareNeighbors)
+	return i
+}
+
 // unrank takes r out of the ranking and reports whether it ranked below
 // cut.
 func (t *memberTable) unrank(r *member) bool {
 	if !t.rankOK || !r.known || !r.inside {
 		return false
 	}
-	i, _ := slices.BinarySearchFunc(t.ranked, model.Neighbor{ID: r.id, Dist: r.dist}, model.CompareNeighbors)
+	i := t.rankOf(r)
 	t.ranked = slices.Delete(t.ranked, i, i+1)
+	t.rankPos = slices.Delete(t.rankPos, i, i+1)
 	return i < t.cut
 }
 
@@ -83,11 +120,31 @@ func (t *memberTable) rank(r *member) bool {
 	if !t.rankOK || !r.known || !r.inside {
 		return false
 	}
-	r.dist = r.pos.Dist(t.center)
-	n := model.Neighbor{ID: r.id, Dist: r.dist}
+	n := model.Neighbor{ID: r.id, Dist: r.pos.Dist(t.center)}
 	i, _ := slices.BinarySearchFunc(t.ranked, n, model.CompareNeighbors)
 	t.ranked = slices.Insert(t.ranked, i, n)
+	t.rankPos = slices.Insert(t.rankPos, i, r.pos)
 	return i < t.cut
+}
+
+// move gives ranked row r a new position: one search finds its entry,
+// which then shifts past its neighbours to its new rank.
+func (t *memberTable) move(r *member, pos geo.Point) {
+	i := t.rankOf(r)
+	r.pos = pos
+	n := model.Neighbor{ID: r.id, Dist: pos.Dist(t.center)}
+	rk, rp := t.ranked, t.rankPos
+	j := i
+	for ; j > 0 && model.CompareNeighbors(n, rk[j-1]) < 0; j-- {
+		rk[j], rp[j] = rk[j-1], rp[j-1]
+	}
+	for ; j+1 < len(rk) && model.CompareNeighbors(rk[j+1], n) < 0; j++ {
+		rk[j], rp[j] = rk[j+1], rp[j+1]
+	}
+	rk[j], rp[j] = n, pos
+	if (i < t.cut) != (j < t.cut) {
+		t.dirty = true
+	}
 }
 
 // setFlags sets r's flags, keeping the flag counts.
@@ -107,7 +164,23 @@ func btoi(b bool) int {
 // set records id's reported position and side of the answer circle. The
 // answer's id set changes exactly when id crosses rank cut.
 func (t *memberTable) set(id model.ObjectID, pos geo.Point, inside bool) {
-	r := t.row(id)
+	i, ok := t.find(id)
+	if !ok {
+		if c, live := t.findCold(id); live {
+			if !inside {
+				t.cold[c].pos = pos
+				return
+			}
+			t.cold[c].known = false // entering: the slot dies
+			t.nKnown--
+		}
+		t.rows = slices.Insert(t.rows, i, member{id: id})
+	}
+	r := &t.rows[i]
+	if t.rankOK && r.known && r.inside && inside {
+		t.move(r, pos)
+		return
+	}
 	wasTop := t.unrank(r)
 	t.setFlags(r, true, inside)
 	r.pos = pos
@@ -121,6 +194,11 @@ func (t *memberTable) set(id model.ObjectID, pos geo.Point, inside bool) {
 func (t *memberTable) forget(id model.ObjectID) (found, wasInside bool) {
 	i, found := t.find(id)
 	if !found {
+		if c, live := t.findCold(id); live {
+			t.cold[c].known = false
+			t.nKnown--
+			return true, false
+		}
 		return false, false
 	}
 	r := &t.rows[i]
@@ -136,62 +214,185 @@ func (t *memberTable) forget(id model.ObjectID) (found, wasInside bool) {
 // reset forgets every position and membership. The sent list survives:
 // the next answer is still diffed against the last one.
 func (t *memberTable) reset() {
-	t.rows = t.rows[:0]
+	t.rows, t.cold = t.rows[:0], t.cold[:0]
 	t.nKnown, t.nInside = 0, 0
-	t.ranked, t.rankOK = t.ranked[:0], false
+	t.ranked, t.rankPos, t.rankOK = t.ranked[:0], t.rankPos[:0], false
 }
 
-// prune forgets the known rows outside the answer circle whose position
-// lies beyond radius of center.
-func (t *memberTable) prune(center geo.Point, radius float64) {
-	t.rows = slices.DeleteFunc(t.rows, func(r member) bool {
-		gone := r.known && !r.inside && r.pos.Dist(center) > radius
-		if gone {
-			t.nKnown--
-		}
-		return gone
-	})
+// add appends a known row for an id the table does not hold. A run of
+// adds after a reset ends with sortIDs.
+func (t *memberTable) add(id model.ObjectID, pos geo.Point, inside bool) {
+	r := member{id: id, known: true, inside: inside, pos: pos}
+	t.nKnown++
+	if inside {
+		t.nInside++
+		t.rows = append(t.rows, r)
+	} else {
+		t.cold = append(t.cold, r)
+	}
+}
+
+// sortIDs restores id order to both tables after a run of adds, and
+// gives back the capacity a probe storm left behind.
+func (t *memberTable) sortIDs() {
+	byID := func(a, b member) int { return cmp.Compare(a.id, b.id) }
+	slices.SortFunc(t.rows, byID)
+	slices.SortFunc(t.cold, byID)
 	t.fit()
 }
 
-// minRowCap is the row capacity fit leaves any table, so a small table
-// never churns.
-const minRowCap = 64
+// prune forgets the known rows outside the answer circle whose position
+// lies beyond radius of center, and files the rest of them in cold:
+// dead slots are dropped, and rows' outside rows are merged in.
+func (t *memberTable) prune(center geo.Point, radius float64) {
+	t.cold = slices.DeleteFunc(t.cold, func(r member) bool {
+		if !r.known {
+			return true
+		}
+		gone := r.pos.Dist(center) > radius
+		t.nKnown -= btoi(gone)
+		return gone
+	})
+	n := 0
+	for i := range t.rows {
+		if r := &t.rows[i]; !r.inside {
+			if r.pos.Dist(center) > radius {
+				t.setFlags(r, false, false)
+			} else {
+				n++
+			}
+		}
+	}
+	if n > 0 {
+		// Merge from the back, so cold's rows move at most once.
+		c := len(t.cold)
+		t.cold = slices.Grow(t.cold, n)[:c+n]
+		w := c + n
+		for i := len(t.rows) - 1; i >= 0; i-- {
+			r := t.rows[i]
+			if !r.known || r.inside {
+				continue
+			}
+			for ; c > 0 && t.cold[c-1].id > r.id; c-- {
+				w--
+				t.cold[w] = t.cold[c-1]
+			}
+			w--
+			t.cold[w] = r
+		}
+	}
+	t.rows = slices.DeleteFunc(t.rows, func(r member) bool { return !r.inside })
+	t.fit()
+}
 
-// fit gives back the row capacity a probe storm left behind: capacity
-// above max(minRowCap, container.Slack × the rows held) is released. It
-// runs where the table shrinks in bulk, after a prune or an install's
-// rebuild, never on the report path.
-func (t *memberTable) fit() { t.rows = container.Trim(t.rows, minRowCap) }
+// The capacity floors of the two tables, below which fit never trims, so
+// a small table never churns. Between two prunes the exits a rows table
+// collects take it past 64 rows on many monitors of a dense population
+// (steady-100k), so its floor is higher; the annulus of a sparse one
+// (tcp-300) fills a fraction of even 64.
+const (
+	minRowCap  = 128
+	minColdCap = 64
+)
+
+// fit gives back the capacity a probe storm left behind: a table holding
+// more than container.Slack × its rows, and more than its floor, is
+// copied to its size. It runs where the tables shrink in bulk, after a
+// prune or an install's rebuild, never on the report path.
+func (t *memberTable) fit() {
+	t.rows = container.Trim(t.rows, minRowCap)
+	t.cold = container.Trim(t.cold, minColdCap)
+}
 
 // rankedAt returns the known inside members ordered by (Dist, ID) from
-// center, re-sorting only when the ranking was built for another centre.
-// The slice is the table's own: valid until the next mutation.
+// center: the ranking as it stands when it was made for center, else
+// re-sorted in place. The slice is the table's own: valid until the next
+// mutation.
 func (t *memberTable) rankedAt(center geo.Point) []model.Neighbor {
-	if t.rankOK && t.center == center {
-		return t.ranked
+	switch {
+	case !t.rankOK:
+		t.rankAll(center)
+	case t.center != center:
+		t.resort(center)
 	}
+	return t.ranked
+}
+
+// rankAll builds the ranking at center from rows.
+func (t *memberTable) rankAll(center geo.Point) {
 	t.ranked = t.ranked[:0]
 	for i := range t.rows {
 		if r := &t.rows[i]; r.known && r.inside {
-			r.dist = r.pos.Dist(center)
-			t.ranked = append(t.ranked, model.Neighbor{ID: r.id, Dist: r.dist})
+			t.ranked = append(t.ranked, model.Neighbor{ID: r.id, Dist: r.pos.Dist(center)})
 		}
 	}
 	model.SortNeighbors(t.ranked)
+	t.rankPos = t.rankPos[:0]
+	for _, n := range t.ranked {
+		i, _ := t.find(n.ID)
+		t.rankPos = append(t.rankPos, t.rows[i].pos)
+	}
 	t.center, t.rankOK, t.dirty = center, true, true
-	return t.ranked
+}
+
+// resort re-measures the ranking from center and insertion-sorts it: the
+// last centre's order is nearly this one's. The answer's id set changes
+// exactly when an entry from rank cut or beyond lands above it, so only
+// that raises dirty. A shuffle too deep for insertion falls back to
+// rankAll.
+func (t *memberTable) resort(center geo.Point) {
+	t.center = center
+	rk, rp := t.ranked, t.rankPos
+	for i := range rk {
+		rk[i].Dist = rp[i].Dist(center)
+	}
+	budget := len(rk) * bits.Len(uint(len(rk)))
+	for i := 1; i < len(rk); i++ {
+		n, p := rk[i], rp[i]
+		j := i
+		for ; j > 0 && model.CompareNeighbors(n, rk[j-1]) < 0; j-- {
+			rk[j], rp[j] = rk[j-1], rp[j-1]
+		}
+		rk[j], rp[j] = n, p
+		if j < t.cut && i >= t.cut {
+			t.dirty = true
+		}
+		if budget -= i - j; budget < 0 {
+			t.rankAll(center)
+			return
+		}
+	}
 }
 
 // appendKnown appends the known rows with their distance from center:
 // all of them, or only those outside the answer circle.
 func (t *memberTable) appendKnown(buf []model.Neighbor, center geo.Point, all bool) []model.Neighbor {
-	for i := range t.rows {
-		if r := &t.rows[i]; r.known && (all || !r.inside) {
+	t.each(func(r *member) {
+		if r.known && (all || !r.inside) {
 			buf = append(buf, model.Neighbor{ID: r.id, Dist: r.pos.Dist(center)})
 		}
-	}
+	})
 	return buf
+}
+
+// each calls fn on every row of both tables, in ascending id order,
+// skipping dead annulus slots.
+func (t *memberTable) each(fn func(r *member)) {
+	cold := t.cold
+	for i := range t.rows {
+		r := &t.rows[i]
+		for ; len(cold) > 0 && cold[0].id < r.id; cold = cold[1:] {
+			if cold[0].known {
+				fn(&cold[0])
+			}
+		}
+		fn(r)
+	}
+	for i := range cold {
+		if cold[i].known {
+			fn(&cold[i])
+		}
+	}
 }
 
 // commitSent makes the sent list name exactly acc's ids. It appends to

@@ -152,7 +152,8 @@ func newMonitor(q model.QueryID, k int, rng float64, addr model.ObjectID) *monit
 	return mon
 }
 
-// BusyTime returns the cumulative wall-clock time spent processing.
+// BusyTime returns the cumulative elapsed time spent processing, as the
+// monotonic clock measures it (obs.Stamp).
 func (s *Server) BusyTime() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -166,7 +167,7 @@ func (s *Server) QueryCount() int {
 	return len(s.monitors)
 }
 
-func (s *Server) track(start time.Time) { s.busy += time.Since(start) }
+func (s *Server) track(start obs.Stamp) { s.busy += start.Elapsed() }
 
 // emit marks the node/direction fields unset and records e. Callers
 // guard with s.deps.Trace != nil so the disabled path stays a single
@@ -180,7 +181,7 @@ func (s *Server) emit(e obs.Event) {
 func (s *Server) HandleUplink(from model.ObjectID, msg protocol.Message) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.track(time.Now())
+	defer s.track(obs.Now())
 	s.handleUplinkLocked(from, msg, s.deps.Now())
 }
 
@@ -213,7 +214,7 @@ func (s *Server) HandleUplinkBatch(batch []Ingest, before func(Ingest)) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.track(time.Now())
+	defer s.track(obs.Now())
 	now := s.deps.Now()
 	for _, in := range batch {
 		if before != nil {
@@ -289,7 +290,7 @@ func (s *Server) handleUplinkLocked(from model.ObjectID, msg protocol.Message, n
 func (s *Server) HandleClientGone(id model.ObjectID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.track(time.Now())
+	defer s.track(obs.Now())
 	s.clientGoneLocked(id, s.deps.Now())
 }
 
@@ -430,7 +431,7 @@ func (s *Server) delta() float64 {
 func (s *Server) Tick(now model.Tick) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.track(time.Now())
+	defer s.track(obs.Now())
 	cfg := s.cfg
 	for _, q := range s.order {
 		mon := s.monitors[q]
@@ -692,7 +693,7 @@ func (s *Server) startProbe(mon *monitor, now model.Tick) {
 func (s *Server) Finalize(now model.Tick) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.track(time.Now())
+	defer s.track(obs.Now())
 	sent := false
 	for _, q := range s.order {
 		mon := s.monitors[q]
@@ -818,11 +819,11 @@ func (s *Server) install(mon *monitor, now model.Tick, center geo.Point, rk, rad
 	mon.tab.reset()
 	mon.replies.Visit(func(id model.ObjectID, p geo.Point) bool {
 		if d := p.Dist(center); d <= radius {
-			mon.tab.set(id, p, d <= rk)
+			mon.tab.add(id, p, d <= rk)
 		}
 		return true
 	})
-	mon.tab.fit()
+	mon.tab.sortIDs()
 	mon.replies.Clear()
 
 	cover := region

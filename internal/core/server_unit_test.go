@@ -611,8 +611,8 @@ func TestMemberTableGivesBackProbeCapacity(t *testing.T) {
 		}
 	}
 	tab := &srv.monitors[1].tab
-	if len(tab.rows) < crowd {
-		t.Fatalf("installed %d rows; the scenario needs the probe's %d", len(tab.rows), crowd)
+	if n := len(tab.rows) + len(tab.cold); n < crowd {
+		t.Fatalf("installed %d rows; the scenario needs the probe's %d", n, crowd)
 	}
 	// The crowd moves out of the monitoring region in two waves, each
 	// reported by exits, and a refresh install prunes each wave.
@@ -629,11 +629,16 @@ func TestMemberTableGivesBackProbeCapacity(t *testing.T) {
 		if m, ok := side.lastBroadcast().(protocol.MonitorInstall); !ok || !m.Refresh {
 			t.Fatalf("wave %d: last broadcast %T, want a refresh install", wave, side.lastBroadcast())
 		}
-		if c, n := cap(tab.rows), len(tab.rows); c > max(64, 4*n) {
-			t.Errorf("wave %d: %d rows in capacity %d, want at most max(64, 4·%d)", wave, n, c, n)
+		for _, tt := range []struct {
+			rows  []member
+			floor int
+		}{{tab.rows, minRowCap}, {tab.cold, minColdCap}} {
+			if c, n := cap(tt.rows), len(tt.rows); c > max(tt.floor, 4*n) {
+				t.Errorf("wave %d: %d rows in capacity %d, want at most max(%d, 4·%d)", wave, n, c, tt.floor, n)
+			}
 		}
 	}
-	if n := len(tab.rows); n != 4 {
+	if n := len(tab.rows) + len(tab.cold); n != 4 {
 		t.Fatalf("%d rows left after both waves, want the 4 of the buffer", n)
 	}
 }

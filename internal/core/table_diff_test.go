@@ -45,6 +45,8 @@ type diffRig struct {
 	ids   []model.ObjectID
 	step  int
 	last  string
+	// lossless makes every probe reply arrive.
+	lossless bool
 }
 
 const (
@@ -54,20 +56,10 @@ const (
 )
 
 func newDiffRig(t *testing.T, seed int64, influence, delta bool) *diffRig {
-	r := &diffRig{t: t, rng: rand.New(rand.NewSource(seed)), now: 1,
-		sSide: &logSide{}, oSide: &logSide{}, pos: make(map[model.ObjectID]geo.Point)}
-	cfg := Config{
+	r := newServerPair(t, seed, Config{
 		HorizonTicks: 5, MinProbeRadius: 6, AnswerSlack: 2, ResyncTicks: 17,
 		Influence: influence, DeltaAnswers: delta,
-	}.WithWorldDefault(geo.NewRect(geo.Pt(0, 0), geo.Pt(200, 200)))
-	deps := ServerDeps{Now: func() model.Tick { return r.now }, DT: 1, MaxObjectSpeed: 1, MaxQuerySpeed: 1}
-	sd, od := deps, deps
-	sd.Side, od.Side = r.sSide, r.oSide
-	srv, err := NewServer(cfg, sd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.srv, r.ora = srv, newOracleServer(cfg, od)
+	})
 	// Integer lattice positions around (100,100): distance ties are the
 	// rule, not the exception — (3,4), (5,0), (4,3), (0,5) all lie at 5.
 	for i := 1; i <= diffObjects; i++ {
@@ -78,6 +70,23 @@ func newDiffRig(t *testing.T, seed int64, influence, delta bool) *diffRig {
 	for q := model.QueryID(1); q <= diffQueries; q++ {
 		r.register(q)
 	}
+	return r
+}
+
+// newServerPair returns a rig of the production server and the oracle on
+// a 200 m world, with no object and no query.
+func newServerPair(t *testing.T, seed int64, cfg Config) *diffRig {
+	r := &diffRig{t: t, rng: rand.New(rand.NewSource(seed)), now: 1,
+		sSide: &logSide{}, oSide: &logSide{}, pos: make(map[model.ObjectID]geo.Point)}
+	cfg = cfg.WithWorldDefault(geo.NewRect(geo.Pt(0, 0), geo.Pt(200, 200)))
+	deps := ServerDeps{Now: func() model.Tick { return r.now }, DT: 1, MaxObjectSpeed: 1, MaxQuerySpeed: 1}
+	sd, od := deps, deps
+	sd.Side, od.Side = r.sSide, r.oSide
+	srv, err := NewServer(cfg, sd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.srv, r.ora = srv, newOracleServer(cfg, od)
 	return r
 }
 
@@ -137,16 +146,15 @@ func (r *diffRig) compare() {
 	}
 }
 
-// checkTable asserts the member table's rows are the oracle's maps, and
-// that a ranking still marked valid is what a rebuild would produce.
+// checkTable asserts the member table's two tables are the oracle's maps
+// — rows holding every inside row, cold the rest, no id live in both —
+// and that a ranking still marked valid is what a rebuild would produce.
 func (r *diffRig) checkTable(q model.QueryID, mon *monitor, om *oracleMonitor) {
 	r.t.Helper()
 	t := &mon.tab
 	var ranked []model.Neighbor
-	for i, row := range t.rows {
-		if i > 0 && t.rows[i-1].id >= row.id {
-			r.fail("q%d rows out of order at %d", q, i)
-		}
+	nKnown, nInside := 0, 0
+	check := func(row member) {
 		if !row.known && !row.inside {
 			r.fail("q%d row %d carries no flag", q, row.id)
 		}
@@ -156,14 +164,45 @@ func (r *diffRig) checkTable(q model.QueryID, mon *monitor, om *oracleMonitor) {
 		if om.inside[row.id] != row.inside {
 			r.fail("q%d row %d inside=%v, oracle %v", q, row.id, row.inside, om.inside[row.id])
 		}
+		nKnown += btoi(row.known)
+		nInside += btoi(row.inside)
+	}
+	for i, row := range t.rows {
+		if i > 0 && t.rows[i-1].id >= row.id {
+			r.fail("q%d rows out of order at %d", q, i)
+		}
+		check(row)
 		if row.known && row.inside {
 			ranked = append(ranked, model.Neighbor{ID: row.id, Dist: row.pos.Dist(t.center)})
 		}
+	}
+	for i, row := range t.cold {
+		if i > 0 && t.cold[i-1].id >= row.id {
+			r.fail("q%d annulus out of order at %d", q, i)
+		}
+		if !row.known {
+			continue // a dead slot
+		}
+		if row.inside {
+			r.fail("q%d annulus row %d is inside", q, row.id)
+		}
+		if _, dup := t.find(row.id); dup {
+			r.fail("q%d row %d is live in both tables", q, row.id)
+		}
+		check(row)
+	}
+	if nKnown != om.cands.Len() || nInside != len(om.inside) {
+		r.fail("q%d tables hold %d known, %d inside; oracle %d, %d", q, nKnown, nInside, om.cands.Len(), len(om.inside))
 	}
 	if t.rankOK {
 		model.SortNeighbors(ranked)
 		if !slices.Equal(t.ranked, ranked) {
 			r.fail("q%d ranking %v, rebuild %v", q, t.ranked, ranked)
+		}
+		for i, n := range t.ranked {
+			if p, _ := om.cands.Position(n.ID); t.rankPos[i] != p {
+				r.fail("q%d rank %d position %v, row %v", q, i, t.rankPos[i], p)
+			}
 		}
 	}
 }
@@ -210,7 +249,8 @@ func (r *diffRig) report() {
 }
 
 // answerProbes replies to the probe requests among sends, from the
-// objects truly inside each probed region (a tenth of the replies lost).
+// objects truly inside each probed region (a tenth of the replies lost,
+// unless the rig is lossless).
 func (r *diffRig) answerProbes(sends []loggedSend) {
 	for _, s := range sends {
 		probe, ok := s.msg.(protocol.ProbeRequest)
@@ -218,7 +258,7 @@ func (r *diffRig) answerProbes(sends []loggedSend) {
 			continue
 		}
 		for _, id := range r.ids {
-			if p := r.pos[id]; probe.Region.Contains(p) && r.rng.Intn(10) > 0 {
+			if p := r.pos[id]; probe.Region.Contains(p) && (r.lossless || r.rng.Intn(10) > 0) {
 				r.uplink(id, protocol.ProbeReply{Query: probe.Query, Seq: probe.Seq, Object: id, Pos: p, At: r.now})
 			}
 		}
@@ -234,6 +274,12 @@ func (r *diffRig) tick() {
 			r.pos[id] = geo.Pt(p.X+float64(r.rng.Intn(3)-1), p.Y+float64(r.rng.Intn(3)-1))
 		}
 	}
+	r.settle()
+}
+
+// settle advances the clock and runs the server tick and its finalize
+// rounds on both servers.
+func (r *diffRig) settle() {
 	r.now++
 	r.last = "Tick"
 	r.srv.Tick(r.now)
@@ -337,5 +383,71 @@ func TestRankedTableMatchesRebuild(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// A new query centre re-sorts the ranking in place and raises dirty only
+// when an entry crosses rank k. On an integer lattice with a tie at rank
+// k, a centre step that only reorders the ranks on either side of k sends
+// no answer, and the next step, which lifts an entry over rank k, sends
+// exactly the answer message the rebuild-and-sort oracle sends.
+func TestResortAnswersOnlyOnCrossing(t *testing.T) {
+	for _, delta := range []bool{false, true} {
+		t.Run(fmt.Sprintf("delta=%v", delta), func(t *testing.T) {
+			r := newServerPair(t, 1, Config{HorizonTicks: 50, MinProbeRadius: 6, AnswerSlack: 2, DeltaAnswers: delta})
+			r.lossless = true
+			// Distances from the centres (100,100), (101,100), (102,100):
+			//   1 (100,100)  0      1      2
+			//   2 (101,101)  √2     1      √2
+			//   3 (102,101)  √5     √2     1
+			//   4 ( 99,101)  √2     √5     √10
+			//   5, 6         3      ≥ 3    ≥ 3   (annulus)
+			// At the first centre 2 and 4 tie at rank k = 2 and 2 wins by id.
+			for id, p := range []geo.Point{{X: 100, Y: 100}, {X: 101, Y: 101}, {X: 102, Y: 101},
+				{X: 99, Y: 101}, {X: 97, Y: 100}, {X: 100, Y: 103}} {
+				r.ids = append(r.ids, model.ObjectID(id+1))
+				r.pos[model.ObjectID(id+1)] = p
+			}
+			// The query moves 1 m/tick east and is installed at (100,100)
+			// on tick 2.
+			r.uplink(diffFocal, protocol.QueryRegister{Query: 1, K: 2, Pos: geo.Pt(99, 100), Vel: geo.Vector{X: 1}, At: 1})
+			r.settle()
+			mon := r.srv.monitors[1]
+			if !mon.installed || len(mon.tab.cold) != 2 {
+				t.Fatalf("installed=%v annulus %v, want installed with objects 5 and 6 in the annulus", mon.installed, mon.tab.cold)
+			}
+			for _, step := range []struct {
+				answers int
+				top     []model.ObjectID
+			}{
+				{0, []model.ObjectID{1, 2}}, // 3 passes 4 below rank k
+				{1, []model.ObjectID{3, 2}}, // 3 passes 1 over rank k
+			} {
+				r.now++
+				r.last = fmt.Sprintf("member 1's report at tick %d", r.now)
+				msg := protocol.MoveReport{MemberReport: protocol.MemberReport{
+					Query: 1, Epoch: mon.epoch, Object: 1, Pos: r.pos[1], At: r.now}}
+				r.srv.HandleUplink(1, msg)
+				r.ora.handleUplink(1, msg, r.now)
+				answers := 0
+				for _, s := range r.sSide.log {
+					switch s.msg.(type) {
+					case protocol.AnswerUpdate, protocol.AnswerDelta:
+						answers++
+					}
+				}
+				if answers != step.answers || len(r.sSide.log) != step.answers {
+					r.fail("sent %+v, want %d answer message(s) and nothing else", r.sSide.log, step.answers)
+				}
+				r.compare()
+				var top []model.ObjectID
+				for _, n := range mon.answer {
+					top = append(top, n.ID)
+				}
+				if !slices.Equal(top, step.top) {
+					r.fail("answer %v, want %v", mon.answer, step.top)
+				}
+			}
+		})
 	}
 }

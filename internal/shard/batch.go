@@ -6,12 +6,12 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dmknn/internal/container"
 	"dmknn/internal/core"
 	"dmknn/internal/geo"
 	"dmknn/internal/model"
+	"dmknn/internal/obs"
 	"dmknn/internal/protocol"
 	"dmknn/internal/transport"
 )
@@ -200,7 +200,7 @@ func (s *Server) flushSends() {
 // supports that, and the time spent here is accounted as serialized
 // driver work in BusyTime.
 func (s *Server) transmit(merged []pendingSend) {
-	start := time.Now()
+	start := obs.Now()
 	slices.SortStableFunc(merged, func(a, b pendingSend) int { return cmp.Compare(a.key, b.key) })
 	for i := 0; i < len(merged); {
 		if !merged[i].broadcast {
@@ -229,7 +229,7 @@ func (s *Server) transmit(merged []pendingSend) {
 		}
 		i = j
 	}
-	s.flushBusy.Add(int64(time.Since(start)))
+	s.flushBusy.Add(int64(start.Elapsed()))
 }
 
 // trimSends ends a flush's round of the capacity rule
