@@ -73,7 +73,10 @@ func main() {
 	tick := flag.Duration("tick", time.Second, "evaluation interval")
 	vobj := flag.Float64("vobj", 30, "max object speed, m/s")
 	vqry := flag.Float64("vqry", 30, "max query speed, m/s")
-	horizon := flag.Int("horizon", 20, "monitor refresh horizon, ticks")
+	// The flag keeps a fixed default rather than the derived horizon:
+	// nettcp writes every broadcast to every connection, so the extra
+	// installs of short derived horizons cost each client a frame.
+	horizon := flag.Int("horizon", 20, "monitor refresh horizon, ticks (0 = derive each query's horizon from its answer radius)")
 	slack := flag.Int("slack", 10, "answer buffer size m")
 	theta := flag.Float64("theta", 0, "in-boundary movement threshold, meters")
 	influence := flag.Bool("influence", false, "influence-driven safe regions: advertise per-query frontier thresholds so objects suppress non-answer-changing reports")

@@ -93,7 +93,9 @@ func fromAnswer(a model.Answer) Answer {
 // defaults.
 type Protocol struct {
 	// HorizonTicks is the maximum number of evaluation intervals between
-	// monitor refreshes of one query (default 20).
+	// monitor refreshes of one query. 0 (default) derives each query's
+	// own horizon from its answer radius at every refresh: the fewest
+	// intervals whose safety slack reaches that radius, at most 20.
 	HorizonTicks int
 	// ThetaInside is the in-boundary movement threshold in meters; 0
 	// (default) keeps answers exact under an ideal network.

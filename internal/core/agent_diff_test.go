@@ -107,7 +107,7 @@ func (a *oracleAgent) handleInstall(v protocol.MonitorInstall, frontier float64)
 	reported := false
 	if v.Refresh {
 		affirm := side && had && prev.inside &&
-			now-prev.lastSentAt >= model.Tick(a.cfg.HorizonTicks)
+			now-prev.lastSentAt >= model.Tick(a.cfg.MaxHorizonTicks())
 		switch {
 		case side && (!(had && prev.inside) || affirm):
 			a.deps.Side.Uplink(protocol.EnterReport{MemberReport: protocol.MemberReport{

@@ -71,7 +71,7 @@ type ObjectAgent struct {
 	// agent reads, fits) and the two Config values an object reads.
 	deps    AgentDeps
 	theta   float64    // Config.ThetaInside
-	horizon model.Tick // Config.HorizonTicks
+	horizon model.Tick // Config.MaxHorizonTicks
 }
 
 // NewObjectAgent returns an object-side agent.
@@ -79,7 +79,7 @@ func NewObjectAgent(cfg Config, deps AgentDeps) (*ObjectAgent, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &ObjectAgent{deps: deps, theta: cfg.ThetaInside, horizon: model.Tick(cfg.HorizonTicks)}, nil
+	return &ObjectAgent{deps: deps, theta: cfg.ThetaInside, horizon: model.Tick(cfg.MaxHorizonTicks())}, nil
 }
 
 // agentMonitor is one installed query monitor as the object holds it: the

@@ -178,6 +178,19 @@ func runChaos(t *testing.T, c chaosCase, seed int64, pc Config) {
 // protocol must survive the chaos phase (no panic, no livelock) and
 // re-converge to exact kNN answers once the faults clear.
 func TestChaosSoakMatrix(t *testing.T) {
+	runChaosMatrix(t, chaosProto())
+}
+
+// The same soak at the derived per-monitor horizon (HorizonTicks 0): each
+// monitor's slack and expiry follow its own answer radius, and the
+// protocol must re-converge to exact answers just the same.
+func TestChaosSoakMatrixDerivedHorizon(t *testing.T) {
+	pc := chaosProto()
+	pc.HorizonTicks = 0
+	runChaosMatrix(t, pc)
+}
+
+func runChaosMatrix(t *testing.T, pc Config) {
 	seeds := []int64{1, 2, 3, 4, 5}
 	if testing.Short() {
 		seeds = seeds[:2]
@@ -186,7 +199,7 @@ func TestChaosSoakMatrix(t *testing.T) {
 		for _, seed := range seeds {
 			c, seed := c, seed
 			t.Run(fmt.Sprintf("%s/seed%d", c.name, seed), func(t *testing.T) {
-				runChaos(t, c, seed, chaosProto())
+				runChaos(t, c, seed, pc)
 			})
 		}
 	}

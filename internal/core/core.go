@@ -8,9 +8,10 @@
 //     on every object inside the monitoring region — a circle of radius
 //     R = r_b + δ around the query, where the advertised boundary r_b
 //     encloses the k+m nearest objects (m = AnswerSlack buffer) and the
-//     slack δ = (Vobj + Vqry)·H·Δt guarantees that no object outside R
-//     at install time can become a nearest neighbor within the next H
-//     ticks.
+//     slack δ_q = (Vobj + Vqry)·H_q·Δt guarantees that no object outside
+//     R at install time can become a nearest neighbor within the next H_q
+//     ticks. H_q is the monitor's own horizon: a fixed H, or by default
+//     derived from r_b so that δ_q ≥ r_b.
 //
 //   - Each aware object dead-reckons the query's advertised track locally
 //     every tick and transmits only on events: crossing the advertised
@@ -24,7 +25,7 @@
 //     members. It *refreshes* the monitor without probing (epoch+1,
 //     objects self-report side changes relative to their previous state)
 //     when the query track corrects, when the buffer half-drains or
-//     overflows, or when the safety horizon H expires; it falls back to a
+//     overflows, or when the safety horizon H_q expires; it falls back to a
 //     fresh probe only when fewer than k members remain known.
 //
 // With zero network latency, no loss, θ = 0, and query deviation
@@ -47,6 +48,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"dmknn/internal/geo"
@@ -64,7 +66,9 @@ type Config struct {
 	// HorizonTicks is H: the maximum number of ticks between monitor
 	// reinstalls of one query. Larger H means fewer reinstalls but a
 	// larger monitoring region (more aware objects, more event reports)
-	// — the Fig 12 ablation sweeps it.
+	// — the Fig 12 ablation sweeps it. 0 (the default) derives each
+	// monitor's own horizon H_q at every install from its answer radius
+	// r_b: the fewest ticks whose slack δ_q reaches r_b, at most 20.
 	HorizonTicks int
 	// ThetaInside is θ: an object inside the answer boundary re-reports
 	// after drifting this many meters from its last reported position.
@@ -121,12 +125,43 @@ type Config struct {
 // experiments.
 func DefaultConfig() Config {
 	return Config{
-		HorizonTicks:   20,
+		HorizonTicks:   0,
 		ThetaInside:    0,
 		QueryDeviation: 0,
 		MinProbeRadius: 200,
 		AnswerSlack:    10,
 	}
+}
+
+// maxHorizonTicks caps the derived horizon H_q, and is H_q where there is
+// no motion or no radius to size it from.
+const maxHorizonTicks = 20
+
+// MaxHorizonTicks is the longest reinstall horizon any monitor can have:
+// HorizonTicks when fixed, else the cap of the derived H_q.
+func (c Config) MaxHorizonTicks() int {
+	if c.HorizonTicks > 0 {
+		return c.HorizonTicks
+	}
+	return maxHorizonTicks
+}
+
+// reinstallHorizon is H_q, the reinstall horizon of a monitor whose
+// answer radius is rk: h when positive (a fixed H), else the fewest ticks
+// whose slack δ_q = (vobj + vqry)·H_q·dt reaches rk, clamped to
+// [1, maxHorizonTicks]. An install broadcasts over the cells of rk + δ_q
+// and recurs every H_q ticks, so install cells per tick scale like
+// (rk + δ_q)²/H_q, which is least near δ_q = rk. Without a positive speed
+// step or radius the cap applies.
+func reinstallHorizon(h int, rk, vobj, vqry, dt float64) int {
+	if h > 0 {
+		return h
+	}
+	step := (vobj + vqry) * dt
+	if !(step > 0) || !(rk > 0) {
+		return maxHorizonTicks
+	}
+	return int(min(max(math.Ceil(rk/step), 1), maxHorizonTicks))
 }
 
 // WithWorldDefault returns c with MaxProbeRadius defaulted to the world
@@ -141,8 +176,8 @@ func (c Config) WithWorldDefault(world geo.Rect) Config {
 // Validate reports a descriptive error for unusable configurations.
 func (c Config) Validate() error {
 	switch {
-	case c.HorizonTicks <= 0:
-		return fmt.Errorf("core: non-positive horizon %d", c.HorizonTicks)
+	case c.HorizonTicks < 0:
+		return fmt.Errorf("core: negative horizon %d", c.HorizonTicks)
 	case c.ThetaInside < 0:
 		return fmt.Errorf("core: negative theta %v", c.ThetaInside)
 	case c.QueryDeviation < 0:

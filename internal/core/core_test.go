@@ -14,8 +14,12 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
+	// HorizonTicks 0 selects the derived per-monitor horizon.
+	if err := (Config{HorizonTicks: 0, MinProbeRadius: 100}).Validate(); err != nil {
+		t.Fatalf("derived-horizon config invalid: %v", err)
+	}
 	bad := []Config{
-		{HorizonTicks: 0, MinProbeRadius: 100},
+		{HorizonTicks: -1, MinProbeRadius: 100},
 		{HorizonTicks: 10, ThetaInside: -1, MinProbeRadius: 100},
 		{HorizonTicks: 10, QueryDeviation: -1, MinProbeRadius: 100},
 		{HorizonTicks: 10, MinProbeRadius: 0},

@@ -245,9 +245,13 @@ func (mon *oracleMonitor) qEst(now model.Tick, dt float64) geo.Point {
 	return geo.DeadReckon(mon.qpos, mon.qvel, float64(now-mon.qat)*dt)
 }
 
-func (s *oracleServer) delta() float64 {
+func (s *oracleServer) horizon(rk float64) int {
+	return reinstallHorizon(s.cfg.HorizonTicks, rk, s.deps.MaxObjectSpeed, s.deps.MaxQuerySpeed, s.deps.DT)
+}
+
+func (s *oracleServer) delta(h int) float64 {
 	return geo.SafeRadius(0, s.deps.MaxObjectSpeed, s.deps.MaxQuerySpeed,
-		float64(s.cfg.HorizonTicks)*s.deps.DT)
+		float64(h)*s.deps.DT)
 }
 
 func (s *oracleServer) tick(now model.Tick) {
@@ -261,7 +265,7 @@ func (s *oracleServer) tick(now model.Tick) {
 		if cfg.Influence && mon.rng == 0 && mon.installed && mon.frontier > 0 {
 			s.refreshAnswer(mon, now)
 		}
-		if mon.installed && now-mon.installedAt >= model.Tick(cfg.HorizonTicks) {
+		if mon.installed && now-mon.installedAt >= model.Tick(s.horizon(mon.answerRadius)) {
 			mon.needsReinstall = true
 		}
 		if cfg.ResyncTicks > 0 && mon.installed &&
@@ -313,7 +317,7 @@ func (s *oracleServer) refreshInstall(mon *oracleMonitor, now model.Tick) {
 	if rk > cfg.MaxProbeRadius {
 		rk = cfg.MaxProbeRadius
 	}
-	radius := rk + s.delta()
+	radius := rk + s.delta(s.horizon(rk))
 	if radius > cfg.MaxProbeRadius {
 		radius = cfg.MaxProbeRadius
 	}
@@ -432,10 +436,11 @@ func (s *oracleServer) startProbe(mon *oracleMonitor, now model.Tick) {
 	center := mon.qEst(now, s.deps.DT)
 	radius := cfg.MinProbeRadius
 	if mon.rng > 0 {
-		radius = mon.rng + s.delta()
+		radius = mon.rng + s.delta(s.horizon(mon.rng))
 	} else if mon.cands.Len() >= mon.k {
 		ns := mon.cands.KNN(center, mon.k)
-		if est := ns[len(ns)-1].Dist + s.delta(); est > radius {
+		rk := ns[len(ns)-1].Dist
+		if est := rk + s.delta(s.horizon(rk)); est > radius {
 			radius = est
 		}
 	}
@@ -490,7 +495,7 @@ func (s *oracleServer) concludeProbe(mon *oracleMonitor, now model.Tick) bool {
 	center := mon.qEst(now, s.deps.DT)
 
 	if mon.rng > 0 {
-		radius := mon.rng + s.delta()
+		radius := mon.rng + s.delta(s.horizon(mon.rng))
 		if radius > cfg.MaxProbeRadius {
 			radius = cfg.MaxProbeRadius
 		}
@@ -512,7 +517,7 @@ func (s *oracleServer) concludeProbe(mon *oracleMonitor, now model.Tick) bool {
 	default:
 		rk = mon.probeRadius
 	}
-	radius := rk + s.delta()
+	radius := rk + s.delta(s.horizon(rk))
 	if radius > cfg.MaxProbeRadius {
 		radius = cfg.MaxProbeRadius
 		if rk > radius {

@@ -419,11 +419,17 @@ func (mon *monitor) qEst(now model.Tick, dt float64) geo.Point {
 	return geo.DeadReckon(mon.qpos, mon.qvel, float64(now-mon.qat)*dt)
 }
 
+// horizon is H_q for a monitor whose answer radius is rk.
+func (s *Server) horizon(rk float64) int {
+	return reinstallHorizon(s.cfg.HorizonTicks, rk, s.deps.MaxObjectSpeed, s.deps.MaxQuerySpeed, s.deps.DT)
+}
+
 // delta is the monitoring-region slack: the worst-case relative
-// displacement between query and object over the reinstall horizon.
-func (s *Server) delta() float64 {
+// displacement between query and object over a reinstall horizon of h
+// ticks.
+func (s *Server) delta(h int) float64 {
 	return geo.SafeRadius(0, s.deps.MaxObjectSpeed, s.deps.MaxQuerySpeed,
-		float64(s.cfg.HorizonTicks)*s.deps.DT)
+		float64(h)*s.deps.DT)
 }
 
 // Tick runs the periodic server work: horizon expiry, buffer checks, and
@@ -450,7 +456,9 @@ func (s *Server) Tick(now model.Tick) {
 		if cfg.Influence && mon.rng == 0 && mon.installed && mon.frontier > 0 {
 			s.refreshAnswer(mon, now)
 		}
-		if mon.installed && now-mon.installedAt >= model.Tick(cfg.HorizonTicks) {
+		// H_q depends only on the answer radius, so this is the horizon
+		// the install sized its slack for.
+		if mon.installed && now-mon.installedAt >= model.Tick(s.horizon(mon.answerRadius)) {
 			mon.needsReinstall = true
 		}
 		// Periodic full resynchronization for lossy deployments: a probe
@@ -519,7 +527,7 @@ func (s *Server) refreshInstall(mon *monitor, now model.Tick) {
 	if rk > cfg.MaxProbeRadius {
 		rk = cfg.MaxProbeRadius
 	}
-	radius := rk + s.delta()
+	radius := rk + s.delta(s.horizon(rk))
 	if radius > cfg.MaxProbeRadius {
 		radius = cfg.MaxProbeRadius
 	}
@@ -655,14 +663,15 @@ func (s *Server) startProbe(mon *monitor, now model.Tick) {
 	radius := cfg.MinProbeRadius
 	if mon.rng > 0 {
 		// Range monitors need exactly one probe over the whole region.
-		radius = mon.rng + s.delta()
+		radius = mon.rng + s.delta(s.horizon(mon.rng))
 	} else if mon.tab.nKnown >= mon.k {
 		// If we already track at least k candidates, size the ring from
 		// the k-th known distance plus the safety slack.
 		known := mon.tab.appendKnown(mon.extraBuf[:0], center, true)
 		mon.extraBuf = known
 		model.SortNeighbors(known)
-		if est := known[mon.k-1].Dist + s.delta(); est > radius {
+		rk := known[mon.k-1].Dist
+		if est := rk + s.delta(s.horizon(rk)); est > radius {
 			radius = est
 		}
 	}
@@ -736,7 +745,7 @@ func (s *Server) concludeProbe(mon *monitor, now model.Tick) bool {
 	if mon.rng > 0 {
 		// Range monitor: the probe covered the full monitoring region;
 		// install directly with the fixed boundary.
-		radius := mon.rng + s.delta()
+		radius := mon.rng + s.delta(s.horizon(mon.rng))
 		if radius > cfg.MaxProbeRadius {
 			radius = cfg.MaxProbeRadius
 		}
@@ -765,7 +774,7 @@ func (s *Server) concludeProbe(mon *monitor, now model.Tick) bool {
 		// whole probed area so every object stays aware and fresh.
 		rk = mon.probeRadius
 	}
-	radius := rk + s.delta()
+	radius := rk + s.delta(s.horizon(rk))
 	if radius > cfg.MaxProbeRadius {
 		radius = cfg.MaxProbeRadius
 		if rk > radius {

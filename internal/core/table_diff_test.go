@@ -55,9 +55,9 @@ const (
 	diffFocal   = 500
 )
 
-func newDiffRig(t *testing.T, seed int64, influence, delta bool) *diffRig {
+func newDiffRig(t *testing.T, seed int64, horizon int, influence, delta bool) *diffRig {
 	r := newServerPair(t, seed, Config{
-		HorizonTicks: 5, MinProbeRadius: 6, AnswerSlack: 2, ResyncTicks: 17,
+		HorizonTicks: horizon, MinProbeRadius: 6, AnswerSlack: 2, ResyncTicks: 17,
 		Influence: influence, DeltaAnswers: delta,
 	})
 	// Integer lattice positions around (100,100): distance ties are the
@@ -369,18 +369,25 @@ func (r *diffRig) run(steps int) {
 // monitor, lost probe replies, disconnects, re-registrations and
 // export→import round trips — every send, answer, sent set, frontier and
 // reinstall flag equals what the retained rebuild-and-sort server gives,
-// after every single message.
+// after every single message — at a fixed horizon, and at the derived
+// per-monitor one (HorizonTicks 0, the "derived-horizon" subtests).
 func TestRankedTableMatchesRebuild(t *testing.T) {
-	for _, influence := range []bool{false, true} {
-		for _, delta := range []bool{false, true} {
-			for seed := int64(1); seed <= 6; seed++ {
-				t.Run(fmt.Sprintf("influence=%v/delta=%v/seed=%d", influence, delta, seed), func(t *testing.T) {
-					r := newDiffRig(t, seed, influence, delta)
-					r.run(2500)
-					if r.now < 200 {
-						t.Fatalf("stream advanced only %d ticks", r.now)
-					}
-				})
+	for _, horizon := range []int{5, 0} {
+		prefix := ""
+		if horizon == 0 {
+			prefix = "derived-horizon/"
+		}
+		for _, influence := range []bool{false, true} {
+			for _, delta := range []bool{false, true} {
+				for seed := int64(1); seed <= 6; seed++ {
+					t.Run(fmt.Sprintf("%sinfluence=%v/delta=%v/seed=%d", prefix, influence, delta, seed), func(t *testing.T) {
+						r := newDiffRig(t, seed, horizon, influence, delta)
+						r.run(2500)
+						if r.now < 200 {
+							t.Fatalf("stream advanced only %d ticks", r.now)
+						}
+					})
+				}
 			}
 		}
 	}

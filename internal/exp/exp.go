@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -656,19 +657,25 @@ func (p Profile) Fig11QueryScaling() *Experiment {
 	return e
 }
 
-// Fig12SlackAblation: DKNN uplink and broadcast vs the horizon H.
+// Fig12SlackAblation: DKNN uplink and broadcast vs the horizon H, each
+// fixed H of the sweep beside the derived per-monitor horizon H_q.
 func (p Profile) Fig12SlackAblation() *Experiment {
 	e := &Experiment{
 		ID: "fig12", Title: "DKNN cost vs reinstall horizon H (ablation)",
 		XLabel: "H (ticks)", Metrics: []Metric{MetricUplink, MetricDown},
 	}
 	// Horizon varies the *method*, not the workload: encode each H as a
-	// method column over a single workload point.
-	for _, h := range p.Horizons {
+	// method column over a single workload point. The last column, H = 0,
+	// is the derived horizon.
+	for _, h := range append(slices.Clip(p.Horizons), 0) {
 		proto := p.Proto
 		proto.HorizonTicks = h
+		name := fmt.Sprintf("DKNN(H=%d)", h)
+		if h == 0 {
+			name = "DKNN(H=H_q)"
+		}
 		e.Methods = append(e.Methods, MethodSpec{
-			Name:  fmt.Sprintf("DKNN(H=%d)", h),
+			Name:  name,
 			Build: func() (sim.Method, error) { return core.New(proto) },
 		})
 	}
@@ -755,7 +762,7 @@ func (p Profile) Fig16ShardScaling() *Experiment {
 // with a resync period (the lossy-deployment configuration).
 func (p Profile) Fig17LossRobustness() *Experiment {
 	proto := p.Proto
-	proto.ResyncTicks = 3 * proto.HorizonTicks
+	proto.ResyncTicks = 3 * proto.MaxHorizonTicks()
 	e := &Experiment{
 		ID: "fig17", Title: "Answer quality vs message loss (all directions)",
 		XLabel:  "loss",
@@ -780,7 +787,7 @@ func (p Profile) Fig17LossRobustness() *Experiment {
 // over independent loss (fig17).
 func (p Profile) Fig18BurstLoss() *Experiment {
 	proto := p.Proto
-	proto.ResyncTicks = 3 * proto.HorizonTicks
+	proto.ResyncTicks = 3 * proto.MaxHorizonTicks()
 	proto.DeltaAnswers = true
 	e := &Experiment{
 		ID: "fig18", Title: "Answer quality vs bursty loss (Gilbert–Elliott, all directions)",
@@ -885,7 +892,7 @@ func (p Profile) Fig20ClusterScaling() *Experiment {
 // (fig 20 covers the federation on its own axis).
 func (p Profile) Fig21Staleness() *Experiment {
 	proto := p.Proto
-	proto.ResyncTicks = 3 * proto.HorizonTicks
+	proto.ResyncTicks = 3 * proto.MaxHorizonTicks()
 	e := &Experiment{
 		ID: "fig21", Title: "Answer staleness and report-gap distributions vs message loss",
 		XLabel:  "loss",
