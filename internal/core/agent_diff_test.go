@@ -307,6 +307,9 @@ func (r *agentDiffRig) compare(what string) {
 	if n, c := len(held), cap(held); c-n > 2*growStep(n) || (n == 0 && held != nil) {
 		r.t.Fatalf("step %d after %s: %d monitors in a table of capacity %d", r.step, what, n, c)
 	}
+	if r.agent.holding.Load() != (len(held) > 0) {
+		r.t.Fatalf("step %d after %s: holding flag %v with %d monitors held", r.step, what, r.agent.holding.Load(), len(held))
+	}
 	r.maxHeld = max(r.maxHeld, len(held))
 }
 
@@ -369,7 +372,8 @@ func (r *agentDiffRig) run(steps int) {
 // cancels, probes and ticks that drop several monitors at once, the
 // uplink sequence, every held monitor and the member state of every
 // monitor the object is inside equal the map-based agent's after every
-// event, and the table's slack stays within its bound.
+// event, the table's slack stays within its bound, and the holding flag
+// Tick reads without the lock says whether the table is empty.
 func TestAgentTableMatchesMap(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {

@@ -68,10 +68,16 @@ type ObjectAgent struct {
 
 	// There is one agent per simulated device, so it is sized to a heap
 	// size class, 128 B: deps whole (LatencyTicks, which only the query
-	// agent reads, fits) and the two Config values an object reads.
+	// agent reads, fits), the two Config values an object reads, and the
+	// holding flag in the horizon's spare half word.
 	deps    AgentDeps
-	theta   float64    // Config.ThetaInside
-	horizon model.Tick // Config.MaxHorizonTicks
+	theta   float64 // Config.ThetaInside
+	horizon int32   // Config.MaxHorizonTicks
+	// holding mirrors len(mons) > 0 so that Tick can pass over an agent
+	// that holds no monitor — most of a large population — without taking
+	// mu. It is written under mu, and only where the table turns from
+	// empty to non-empty (insert) or back (shrink), never per message.
+	holding atomic.Bool
 }
 
 // NewObjectAgent returns an object-side agent.
@@ -79,7 +85,8 @@ func NewObjectAgent(cfg Config, deps AgentDeps) (*ObjectAgent, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &ObjectAgent{deps: deps, theta: cfg.ThetaInside, horizon: model.Tick(cfg.MaxHorizonTicks())}, nil
+	horizon := int32(min(cfg.MaxHorizonTicks(), math.MaxInt32))
+	return &ObjectAgent{deps: deps, theta: cfg.ThetaInside, horizon: horizon}, nil
 }
 
 // agentMonitor is one installed query monitor as the object holds it: the
@@ -178,23 +185,28 @@ func (a *ObjectAgent) find(q model.QueryID) (int, bool) {
 // table replaces.
 func growStep(n int) int { return max(2, n/4) }
 
-// insert places mon at index i.
+// insert places mon at index i; the first monitor raises the holding flag.
 func (a *ObjectAgent) insert(i int, mon agentMonitor) {
-	if n := len(a.mons); n == cap(a.mons) {
+	n := len(a.mons)
+	if n == cap(a.mons) {
 		a.mons = append(make([]agentMonitor, 0, n+growStep(n)), a.mons...)
 	}
 	a.mons = slices.Insert(a.mons, i, mon)
+	if n == 0 {
+		a.holding.Store(true)
+	}
 }
 
 // shrink keeps the first n entries, and reallocates the table once its
 // slack exceeds two growth steps, so an agent that crossed a hotspot does
 // not keep its peak footprint and one at a region's edge does not
-// reallocate on every crossing.
+// reallocate on every crossing. Emptying the table lowers the holding flag.
 func (a *ObjectAgent) shrink(n int) {
 	a.mons = a.mons[:n]
 	switch {
 	case n == 0:
 		a.mons = nil
+		a.holding.Store(false)
 	case cap(a.mons)-n > 2*growStep(n):
 		a.mons = slices.Clone(a.mons)
 	}
@@ -300,7 +312,7 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall, frontier float64)
 		// for a full horizon re-affirms its membership — idempotent at
 		// the server, and it heals an enter-report that was lost or
 		// outrun by reinstall epochs in flight.
-		affirm := side && was != nil && now-was.lastSentAt >= a.horizon
+		affirm := side && was != nil && now-was.lastSentAt >= model.Tick(a.horizon)
 		switch {
 		case side && (was == nil || affirm):
 			a.deps.Side.Uplink(protocol.EnterReport{MemberReport: protocol.MemberReport{
@@ -389,8 +401,15 @@ func (a *ObjectAgent) drop(i int) {
 }
 
 // Tick evaluates every installed monitor against the object's current
-// position and transmits crossing/leave/move events.
+// position and transmits crossing/leave/move events. An agent that holds
+// no monitor returns after one load of the holding flag. A stale read is
+// safe: false while an install is being handled orders this tick before
+// the install, as losing the race for mu would, and true while the last
+// monitor drops takes mu and finds the table empty.
 func (a *ObjectAgent) Tick(now model.Tick) {
+	if !a.holding.Load() {
+		return
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if len(a.mons) == 0 {

@@ -15,6 +15,11 @@
 //     distributed protocol to address cell-granular broadcasts in
 //     expanding rings.
 //
+// Geometry.Edges tabulates the cell edges exactly as CellOf draws them, so
+// a caller that remembers a point's cell can tell whether a new point is
+// still in it with four comparisons and no division; the simulated
+// network's once-per-flush re-placement of its clients does.
+//
 // The index is not safe for concurrent mutation, but any number of
 // read-only searches (KNN, Range, VisitCellsByMinDist, Position) may run
 // concurrently as long as no Insert/Update/Remove is in flight; the
@@ -96,6 +101,63 @@ func (g Geometry) CellOf(p geo.Point) Cell {
 		row = g.rows - 1
 	}
 	return Cell{col, row}
+}
+
+// Edges returns the cell edges along each axis exactly as CellOf draws
+// them. For 0 < c < cols, xs[c] is the least finite x that CellOf places in
+// column c or higher; xs[0] is −∞, and xs[cols] is the least finite x above
+// the last column's centre that CellOf no longer places in it — +∞ where
+// the platform's float-to-int conversion saturates, and on amd64 the value
+// at which the quotient overflows it. ys holds the rows the same way. Since
+// CellOf's subtraction and division are monotone,
+//
+//	xs[col] <= p.X && p.X < xs[col+1] && ys[row] <= p.Y && p.Y < ys[row+1]
+//
+// holds exactly when CellOf(p) is (col, row), the clamped area outside the
+// bounds included; NaN and +∞ fail the comparison. A caller that
+// remembers a point's cell can so tell that a new point is still in it
+// with four comparisons, where CellOf divides twice.
+//
+// Every edge is found by bisection over CellOf itself, not computed as
+// Min + c·cellW, which can land an ulp to either side of where CellOf
+// switches. Each call builds new tables.
+func (g Geometry) Edges() (xs, ys []float64) {
+	xs = edges(g.cols, g.bounds.Min.X, g.cellW, func(x float64) int { return g.CellOf(geo.Pt(x, g.bounds.Min.Y)).Col })
+	ys = edges(g.rows, g.bounds.Min.Y, g.cellH, func(y float64) int { return g.CellOf(geo.Pt(g.bounds.Min.X, y)).Row })
+	return xs, ys
+}
+
+// edges returns the edge table of one axis of n cells of width w from
+// start, where cellOf is CellOf's answer along that axis.
+func edges(n int, start, w float64, cellOf func(float64) int) []float64 {
+	centre := func(c int) float64 { return start + (float64(c)+0.5)*w }
+	e := make([]float64, n+1)
+	e[0] = math.Inf(-1)
+	for c := 1; c < n; c++ {
+		e[c] = firstWhere(centre(c-1), centre(c), func(v float64) bool { return cellOf(v) >= c })
+	}
+	e[n] = math.Inf(1)
+	if leaves := func(v float64) bool { return cellOf(v) != n-1 }; leaves(math.MaxFloat64) {
+		e[n] = firstWhere(centre(n-1), math.MaxFloat64, leaves)
+	}
+	return e
+}
+
+// firstWhere returns the least float64 in (a, b] for which pred holds,
+// given pred(a) false, pred(b) true and pred monotone in between: it
+// bisects until a and b are adjacent floats.
+func firstWhere(a, b float64, pred func(float64) bool) float64 {
+	for {
+		mid := a/2 + b/2 // a + (b-a)/2 can overflow
+		if mid <= a || mid >= b {
+			return b
+		}
+		if pred(mid) {
+			b = mid
+		} else {
+			a = mid
+		}
+	}
 }
 
 // CellRect returns the rectangle covered by cell c.

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -181,6 +182,7 @@ type scriptHits struct {
 	unlocated    int // oracle lost a client that sat in a cell
 	downThenLive int // marked down before it was ever attached
 	wideRegion   int // broadcast covering at least 100 cells
+	onEdge       int // client crossed a cell edge between on it and one ulp below
 }
 
 func (h *scriptHits) add(o scriptHits) {
@@ -191,6 +193,7 @@ func (h *scriptHits) add(o scriptHits) {
 	h.unlocated += o.unlocated
 	h.downThenLive += o.downThenLive
 	h.wideRegion += o.wideRegion
+	h.onEdge += o.onEdge
 }
 
 // check is meaningful over a test's full seed list only; a -run filter
@@ -200,7 +203,7 @@ func (h scriptHits) check(t *testing.T, seeds int) {
 	if h.runs < seeds {
 		return
 	}
-	if h.slotReused == 0 || h.movedSlot == 0 || h.midFlush == 0 || h.unlocated == 0 || h.downThenLive == 0 || h.wideRegion == 0 {
+	if h.slotReused == 0 || h.movedSlot == 0 || h.midFlush == 0 || h.unlocated == 0 || h.downThenLive == 0 || h.wideRegion == 0 || h.onEdge == 0 {
 		t.Errorf("scripted scenarios missed an edge case they exist for: %+v", h)
 	}
 }
@@ -226,6 +229,12 @@ func (h scriptHits) check(t *testing.T, seeds int) {
 //     lands in the bystander's slot: the stale entry must still deliver;
 //   - attach a brand-new id on the spot while the index is fresh: later
 //     broadcasts of the same flush must reach it.
+//
+// Every five ticks also walk one client around a cell corner, crossing one
+// edge a tick between exactly on it and one ulp below it — up across the
+// column edge, up across the row edge, then back down across each — where
+// the refresh's comparison against the edges is the only thing that can
+// tell the two cells apart.
 func runFanoutScript(t *testing.T, cfg Config, scriptSeed int64, batched bool) scriptHits {
 	script := rand.New(rand.NewSource(scriptSeed))
 	randPt := func() geo.Point {
@@ -249,6 +258,9 @@ func runFanoutScript(t *testing.T, cfg Config, scriptSeed int64, batched bool) s
 	// Clients a pending hook holds in place until it fires.
 	pinned := make(map[model.ObjectID]bool)
 
+	xs, ys := cfg.Geometry.Edges()
+	cols, rows := cfg.Geometry.Dims()
+	var edgeID model.ObjectID
 	var items []transport.BroadcastItem
 	for tick := model.Tick(1); tick <= 50; tick++ {
 		// Move ~half the population; now and then the oracle loses one.
@@ -343,6 +355,31 @@ func runFanoutScript(t *testing.T, cfg Config, scriptSeed int64, batched bool) s
 			tag := protocol.AnswerUpdate{Query: model.QueryID(tick*100 + model.Tick(j))}
 			items = append(items, transport.BroadcastItem{Region: c, Msg: tag})
 		}
+		// The corner walk (see the function comment), drawn from no
+		// generator, so the rest of the script is what it was. A region
+		// inside the client's cell of this tick delivers at the next
+		// flush, when the client has walked on: only a refresh that left
+		// it in this cell lets it hear the region.
+		k, phase := int(tick-1)/5, int(tick-1)%5
+		e, f := 1+k%(cols-1), 1+k*7%(rows-1)
+		bx, by := math.Nextafter(xs[e], math.Inf(-1)), math.Nextafter(ys[f], math.Inf(-1))
+		walk := [5]geo.Point{{X: bx, Y: by}, {X: xs[e], Y: by}, {X: xs[e], Y: ys[f]}, {X: bx, Y: ys[f]}, {X: bx, Y: by}}
+		if phase == 0 {
+			edgeID = model.ObjectID(1 + k*13%(int(nextID)-1))
+		} else if s, ok := a.net.slotOf[edgeID]; ok && !pinned[edgeID] &&
+			a.net.slots[s].cell == int32(cfg.Geometry.CellIndex(cfg.Geometry.CellOf(walk[phase-1]))) {
+			hits.onEdge++
+		}
+		if !pinned[edgeID] {
+			for _, w := range worlds {
+				w.place(edgeID, walk[phase], true)
+			}
+		}
+		in := cfg.Geometry.CellRect(cfg.Geometry.CellOf(walk[phase]))
+		items = append(items, transport.BroadcastItem{
+			Region: geo.Circle{Center: in.Center(), R: in.Width() / 4},
+			Msg:    protocol.AnswerUpdate{Query: model.QueryID(tick*100 + 98)},
+		})
 		// Every tenth tick adds a many-query-sized region — well over a
 		// hundred cells, most of the population — drawn from no generator,
 		// so the rest of the script is what it was.
@@ -662,24 +699,47 @@ func BenchmarkBroadcastFanout(b *testing.B) {
 }
 
 // BenchmarkCellIndexRefresh measures the once-per-flush re-placement of
-// the whole population on its own, with none and with a tenth of the
-// clients changing cell between consecutive refreshes. The oracle flips
-// between two prepared position tables, so a flush's worth of movement
-// costs the benchmark nothing.
+// the whole population on its own: with nobody moving, with a tenth of the
+// clients teleported to uniform random points between consecutive
+// refreshes, and with every client drifting the way the benchmark's
+// populations move — 5 to 20 m per refresh (bench's speeds × Δt) on the
+// 156 m cells of a 64 × 64 grid over 10 km, so most stay in their cell.
+// The oracle flips between two prepared position tables, so a flush's
+// worth of movement costs the benchmark nothing. It reports the share of
+// clients a refresh finds still in their cell (stayed/client).
 func BenchmarkCellIndexRefresh(b *testing.B) {
 	world := geo.NewRect(geo.Pt(0, 0), geo.Pt(10000, 10000))
+	geom := grid.NewGeometry(world, 64, 64)
+	randPt := func(rng *rand.Rand) geo.Point { return geo.Pt(rng.Float64()*10000, rng.Float64()*10000) }
 	for _, n := range []int{20000, 100000} {
-		for _, movingPct := range []int{0, 10} {
-			b.Run(fmt.Sprintf("N=%d/moving=%d%%", n, movingPct), func(b *testing.B) {
-				w := newFanoutWorld(Config{Geometry: grid.NewGeometry(world, 64, 64)}, false)
+		for _, mv := range []struct {
+			name string
+			move func(rng *rand.Rand, p geo.Point) geo.Point
+		}{
+			{"moving=0%", func(_ *rand.Rand, p geo.Point) geo.Point { return p }},
+			{"moving=10%", func(rng *rand.Rand, p geo.Point) geo.Point {
+				if rng.Intn(100) < 10 {
+					return randPt(rng)
+				}
+				return p
+			}},
+			{"drift", func(rng *rand.Rand, p geo.Point) geo.Point {
+				angle, step := rng.Float64()*2*math.Pi, 5+rng.Float64()*15
+				return p.Add(geo.Vector{X: step * math.Cos(angle), Y: step * math.Sin(angle)})
+			}},
+		} {
+			b.Run(fmt.Sprintf("N=%d/%s", n, mv.name), func(b *testing.B) {
+				w := newFanoutWorld(Config{Geometry: geom}, false)
 				rng := rand.New(rand.NewSource(1))
 				for id := model.ObjectID(1); id <= model.ObjectID(n); id++ {
-					w.attach(id, geo.Pt(rng.Float64()*10000, rng.Float64()*10000))
+					w.attach(id, randPt(rng))
 				}
 				tables := [2][]geo.Point{w.pos, slices.Clone(w.pos)}
+				stayed := 0
 				for id := 1; id <= n; id++ {
-					if rng.Intn(100) < movingPct {
-						tables[1][id] = geo.Pt(rng.Float64()*10000, rng.Float64()*10000)
+					tables[1][id] = mv.move(rng, tables[0][id])
+					if geom.CellOf(tables[0][id]) == geom.CellOf(tables[1][id]) {
+						stayed++
 					}
 				}
 				refresh := func(i int) {
@@ -696,6 +756,7 @@ func BenchmarkCellIndexRefresh(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					refresh(i)
 				}
+				b.ReportMetric(float64(stayed)/float64(n), "stayed/client")
 			})
 		}
 	}

@@ -29,7 +29,9 @@
 //     audience is resolved from an incrementally maintained per-cell
 //     index over a dense client table, so delivery cost scales with the
 //     region's population, not the network's, and the once-per-flush
-//     position refresh is a sequential walk, not a hash-table traversal.
+//     position refresh is a sequential walk, not a hash-table traversal,
+//     in which a client still inside its cell costs one oracle call and
+//     four comparisons against the grid's exact cell edges.
 //   - Loss is independent per recipient with configurable probability per
 //     direction, from a seeded generator: runs are reproducible.
 //   - Faults (optional) compose on top of the independent loss: burst loss
@@ -43,6 +45,7 @@ package simnet
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync/atomic"
@@ -191,13 +194,16 @@ type bcast struct {
 // client is one row of the dense client table. A row with a nil handler
 // is free (its number sits on Network.free); a live row records where the
 // client sits in the cell index: the dense cell it occupies (-1 when the
-// position oracle cannot place it) and its position within that cell's
-// list, for O(1) swap-with-last removal.
+// position oracle cannot place it), that cell's column and row, which the
+// refresh tests the next position against, and its position within the
+// cell's list, for O(1) swap-with-last removal. Column and row fill the
+// padding after id, so a row stays 32 B.
 type client struct {
-	id      model.ObjectID
-	handler transport.ClientHandler
-	cell    int32
-	at      int32
+	id       model.ObjectID
+	col, row int16
+	handler  transport.ClientHandler
+	cell     int32
+	at       int32
 }
 
 // entry is one audience member: a client id packed with its slot number,
@@ -282,6 +288,11 @@ type Network struct {
 	indexFresh bool
 	recipients []entry
 	audience   container.Window
+	// xs and ys are the geometry's cell edges (grid.Geometry.Edges): a
+	// client whose position lies between its cell's edges is still in it.
+	// They are nil for a grid too wide for a row's int16 column or row,
+	// where every refresh resolves the cell with CellOf.
+	xs, ys []float64
 
 	// refBroadcast, when non-nil, delivers broadcast queue entries in
 	// place of the indexed fan-out. Only _test.go assigns it: the
@@ -310,7 +321,7 @@ func New(cfg Config) *Network {
 		}
 	}
 	cfg.Faults.validate()
-	return &Network{
+	n := &Network{
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		frng:    rand.New(rand.NewSource(cfg.Seed ^ faultSeedMix)),
@@ -319,6 +330,10 @@ func New(cfg Config) *Network {
 		buckets: make([][]queued, ringSize(cfg.LatencyTicks+cfg.Faults.JitterTicks+2)),
 		cells:   make([][]entry, cfg.Geometry.NumCells()),
 	}
+	if cols, rows := cfg.Geometry.Dims(); cols <= math.MaxInt16 && rows <= math.MaxInt16 {
+		n.xs, n.ys = cfg.Geometry.Edges()
+	}
+	return n
 }
 
 // ringSize rounds the wanted bucket count up to a power of two (masking
@@ -835,28 +850,49 @@ func (n *Network) fanout(rec []entry, msg protocol.Message) int {
 
 // refreshCellIndex re-resolves every attached client's cell through the
 // position oracle, once per Flush: a sequential walk over the client
-// table that touches a cell list only for the clients that changed cell.
-// Clients the oracle cannot place leave the index.
+// table with one oracle call per client. A placed client whose position
+// still lies between its cell's edges costs four comparisons more;
+// only the others go through CellOf, and only those that changed cell
+// touch a cell list. Clients the oracle cannot place leave the index.
 func (n *Network) refreshCellIndex() {
 	if n.indexFresh {
 		return
 	}
 	n.indexFresh = true
+	xs, ys := n.xs, n.ys
 	for s := range n.slots {
-		if n.slots[s].handler != nil {
-			n.placeSlot(int32(s))
+		c := &n.slots[s]
+		if c.handler == nil {
+			continue
 		}
+		pos, ok := n.positions(c.id)
+		if ok && c.cell >= 0 && xs != nil &&
+			xs[c.col] <= pos.X && pos.X < xs[c.col+1] && ys[c.row] <= pos.Y && pos.Y < ys[c.row+1] {
+			continue
+		}
+		n.placeAt(int32(s), pos, ok)
 	}
 }
 
 // placeSlot moves the client in slot s to the cell of its current oracle
 // position, or out of the index when the oracle cannot place it.
 func (n *Network) placeSlot(s int32) {
-	cell := int32(-1)
+	var pos geo.Point
+	ok := false
 	if n.positions != nil {
-		if pos, ok := n.positions(n.slots[s].id); ok {
-			cell = int32(n.cfg.Geometry.CellIndex(n.cfg.Geometry.CellOf(pos)))
-		}
+		pos, ok = n.positions(n.slots[s].id)
+	}
+	n.placeAt(s, pos, ok)
+}
+
+// placeAt moves the client in slot s to the cell of pos, or out of the
+// index when ok is false (the oracle could not place it).
+func (n *Network) placeAt(s int32, pos geo.Point, ok bool) {
+	cell := int32(-1)
+	var gc grid.Cell
+	if ok {
+		gc = n.cfg.Geometry.CellOf(pos)
+		cell = int32(n.cfg.Geometry.CellIndex(gc))
 	}
 	c := &n.slots[s]
 	if c.cell == cell {
@@ -865,7 +901,7 @@ func (n *Network) placeSlot(s int32) {
 	if c.cell >= 0 {
 		n.removeFromCell(c.cell, c.at)
 	}
-	c.cell = cell
+	c.cell, c.col, c.row = cell, int16(gc.Col), int16(gc.Row)
 	if cell >= 0 {
 		c.at = int32(len(n.cells[cell]))
 		n.cells[cell] = append(n.cells[cell], pack(c.id, s))

@@ -330,3 +330,36 @@ func TestHandlerFuncAdapters(t *testing.T) {
 		t.Fatal("ClientHandlerFunc not invoked")
 	}
 }
+
+// A grid with more columns than a client row's int16 can name keeps no
+// edge tables, and every refresh re-places its clients with CellOf: a
+// client past column 32 767 that moves one column on hears the broadcasts
+// of its new cell and no longer those of its old one.
+func TestWideGridRefreshesWithCellOf(t *testing.T) {
+	geom := grid.NewGeometry(geo.NewRect(geo.Pt(0, 0), geo.Pt(40000, 1)), 40000, 1)
+	n := New(Config{Geometry: geom})
+	if n.xs != nil || n.ys != nil {
+		t.Fatal("a 40000-column grid keeps edge tables")
+	}
+	pos := geo.Pt(35000.5, 0.5)
+	n.SetPositionOracle(func(model.ObjectID) (geo.Point, bool) { return pos, true })
+	rec := &recorder{}
+	n.AttachClient(1, rec)
+	for i, c := range []struct {
+		at, region float64
+		heard      bool
+	}{
+		{35000.5, 35000.5, true},
+		{35001.5, 35000.5, false},
+		{35001.5, 35001.5, true},
+	} {
+		pos = geo.Pt(c.at, 0.5)
+		before := len(rec.msgs)
+		n.SetNow(model.Tick(i))
+		n.ServerSide().Broadcast(geo.Circle{Center: geo.Pt(c.region, 0.5), R: 0.25}, protocol.MonitorCancel{Query: 1})
+		n.Flush()
+		if heard := len(rec.msgs) > before; heard != c.heard {
+			t.Errorf("client at x=%v, broadcast at x=%v: heard %v, want %v", c.at, c.region, heard, c.heard)
+		}
+	}
+}
