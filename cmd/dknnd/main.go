@@ -7,7 +7,7 @@
 //
 //	dknnd [-addr :7707] [-world 10000] [-grid 64] [-tick 1s]
 //	      [-vobj 30] [-vqry 30] [-horizon 20] [-slack 10] [-theta 0]
-//	      [-influence] [-shards 4] [-batched] [-http :8080] [-trace]
+//	      [-influence] [-shards 4] [-http :8080] [-trace]
 //
 // Federation: start one dknnd per node, each with its node id, the full
 // list of peer (inter-node) addresses, and the full list of client
@@ -81,7 +81,6 @@ func main() {
 	theta := flag.Float64("theta", 0, "in-boundary movement threshold, meters")
 	influence := flag.Bool("influence", false, "influence-driven safe regions: advertise per-query frontier thresholds so objects suppress non-answer-changing reports")
 	shards := flag.Int("shards", 1, "parallel query shards (>1 enables interior sharding; standalone mode)")
-	batched := flag.Bool("batched", false, "batched ingest: queue uplinks per shard, drain at each tick (standalone mode)")
 	quiet := flag.Bool("quiet", false, "suppress the periodic status line")
 	httpAddr := flag.String("http", "", "serve operational stats as JSON on this address (e.g. :8080)")
 	trace := flag.Bool("trace", false, "arm a protocol flight recorder (census at /debug/vars with -http)")
@@ -160,7 +159,6 @@ func main() {
 			MaxObjectSpeed: *vobj,
 			MaxQuerySpeed:  *vqry,
 			Shards:         *shards,
-			BatchedIngest:  *batched,
 			Protocol:       proto,
 			Trace:          sink,
 		})

@@ -36,18 +36,12 @@ type ServerOptions struct {
 	// Protocol tunes the DKNN protocol.
 	Protocol Protocol
 	// Shards, when > 1, partitions the server's query state over that
-	// many parallel shards (interior scaling on multicore hosts; the
-	// wire protocol is unchanged).
+	// many parallel shards (interior scaling on multicore hosts). Uplinks
+	// arriving between ticks are then enqueued per shard and drained
+	// shard-parallel at the next tick. The wire protocol is unchanged;
+	// responses to mid-tick arrivals are deferred to the next tick
+	// boundary, which a deployment already tolerates (LatencyTicks is 1).
 	Shards int
-	// BatchedIngest switches the (sharded) server to the batched ingest
-	// pipeline: uplinks arriving between ticks are enqueued per shard
-	// and drained shard-parallel at the next tick, instead of being
-	// processed under the owning shard's lock inside the transport's
-	// receive goroutine. The wire protocol is unchanged; responses to
-	// mid-tick arrivals are deferred to the next tick boundary, which a
-	// deployment already tolerates (LatencyTicks is 1). Implies at least
-	// one shard; combine with Shards for parallel drains.
-	BatchedIngest bool
 	// Trace, when set, receives the query server's structured protocol
 	// events (see internal/obs). The sink is invoked from the tick loop
 	// and the transport's receive goroutines, so it must be safe for
@@ -123,13 +117,11 @@ func ListenAndServe(addr string, opts ServerOptions) (*Server, error) {
 		LatencyTicks: 1,
 		Trace:        opts.Trace,
 	}
-	// The batched pipeline drains the inter-tick arrivals inside Tick, on
-	// the tick goroutine that owns the medium, and again in every
-	// Finalize, so replies landing mid-round still conclude probes this
-	// tick.
-	if opts.Shards > 1 || opts.BatchedIngest {
-		s.core, err = shard.NewWithOptions(max(1, opts.Shards), cfg, deps,
-			shard.Options{Batched: opts.BatchedIngest})
+	// A sharded server drains the inter-tick arrivals inside Tick, on the
+	// tick goroutine that owns the medium, and again in every Finalize, so
+	// replies landing mid-round still conclude probes this tick.
+	if opts.Shards > 1 {
+		s.core, err = shard.NewWithOptions(opts.Shards, cfg, deps, shard.Options{})
 	} else {
 		s.core, err = core.NewServer(cfg, deps)
 	}

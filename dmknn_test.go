@@ -1,6 +1,7 @@
 package dmknn
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -559,108 +560,67 @@ func TestDeploymentChurn(t *testing.T) {
 	}
 }
 
-// A sharded deployed server behaves identically on the wire.
+// A sharded deployed server end to end: uplinks queue per shard between
+// ticks, the tick loop drains them, and the answers are the same as the
+// single server's.
 func TestDeploymentSharded(t *testing.T) {
-	world := Rect{0, 0, 1000, 1000}
-	tick := 20 * time.Millisecond
-	proto := Protocol{HorizonTicks: 8, MinProbeRadius: 100}
-	srv, err := ListenAndServe("127.0.0.1:0", ServerOptions{
-		World: world, GridCols: 10, GridRows: 10, TickInterval: tick,
-		MaxObjectSpeed: 10, MaxQuerySpeed: 10, Protocol: proto, Shards: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	copts := ClientOptions{World: world, TickInterval: tick, Protocol: proto}
-	for id, p := range map[ObjectID]Point{1: {510, 500}, 2: {530, 500}} {
-		p := p
-		oc, err := DialObject(srv.Addr(), id, func() Point { return p }, copts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer oc.Close()
-	}
-	qc, err := DialQuery(srv.Addr(), 100, 7, 2,
-		func() Point { return Point{500, 500} },
-		func() Vector { return Vector{} }, nil, copts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer qc.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if a := qc.Answer(); len(a.Neighbors) == 2 {
-			if a.Neighbors[0].ID != 1 {
-				t.Fatalf("answer = %v", a.Neighbors)
+	for _, shards := range []int{2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			world := Rect{0, 0, 1000, 1000}
+			tick := 20 * time.Millisecond
+			proto := Protocol{HorizonTicks: 8, MinProbeRadius: 100}
+			srv, err := ListenAndServe("127.0.0.1:0", ServerOptions{
+				World: world, GridCols: 10, GridRows: 10, TickInterval: tick,
+				MaxObjectSpeed: 10, MaxQuerySpeed: 10, Protocol: proto, Shards: shards,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no answer from sharded server: %v", srv.Answer(7))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// The batched ingest pipeline deployed end to end: uplinks queue per
-// shard between ticks, the tick loop drains them, and the answers are
-// the same as every other server variant's.
-func TestDeploymentBatched(t *testing.T) {
-	world := Rect{0, 0, 1000, 1000}
-	tick := 20 * time.Millisecond
-	proto := Protocol{HorizonTicks: 8, MinProbeRadius: 100}
-	srv, err := ListenAndServe("127.0.0.1:0", ServerOptions{
-		World: world, GridCols: 10, GridRows: 10, TickInterval: tick,
-		MaxObjectSpeed: 10, MaxQuerySpeed: 10, Protocol: proto,
-		Shards: 4, BatchedIngest: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	copts := ClientOptions{World: world, TickInterval: tick, Protocol: proto}
-	for id, p := range map[ObjectID]Point{1: {510, 500}, 2: {530, 500}} {
-		p := p
-		oc, err := DialObject(srv.Addr(), id, func() Point { return p }, copts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer oc.Close()
-	}
-	qc, err := DialQuery(srv.Addr(), 100, 7, 2,
-		func() Point { return Point{500, 500} },
-		func() Vector { return Vector{} }, nil, copts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer qc.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if a := qc.Answer(); len(a.Neighbors) == 2 {
-			if a.Neighbors[0].ID != 1 {
-				t.Fatalf("answer = %v", a.Neighbors)
+			defer srv.Close()
+			copts := ClientOptions{World: world, TickInterval: tick, Protocol: proto}
+			for id, p := range map[ObjectID]Point{1: {510, 500}, 2: {530, 500}} {
+				p := p
+				oc, err := DialObject(srv.Addr(), id, func() Point { return p }, copts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer oc.Close()
 			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no answer from batched server: %v", srv.Answer(7))
-		}
-		time.Sleep(5 * time.Millisecond)
+			qc, err := DialQuery(srv.Addr(), 100, 7, 2,
+				func() Point { return Point{500, 500} },
+				func() Vector { return Vector{} }, nil, copts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer qc.Close()
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				if a := qc.Answer(); len(a.Neighbors) == 2 {
+					if a.Neighbors[0].ID != 1 {
+						t.Fatalf("answer = %v", a.Neighbors)
+					}
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("no answer from sharded server: %v", srv.Answer(7))
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }
 
 // Stats is read from outside the tick loop — `dknnd -http`'s /stats
 // handler does — while the loop drains, ticks and transmits. Under -race
-// this pins that the batched server's busy time is safe to read then.
-func TestDeploymentBatchedStatsWhileTicking(t *testing.T) {
+// this pins that the sharded server's busy time is safe to read then.
+func TestDeploymentShardedStatsWhileTicking(t *testing.T) {
 	world := Rect{0, 0, 1000, 1000}
 	tick := 10 * time.Millisecond
 	proto := Protocol{HorizonTicks: 4, MinProbeRadius: 100}
 	srv, err := ListenAndServe("127.0.0.1:0", ServerOptions{
 		World: world, GridCols: 10, GridRows: 10, TickInterval: tick,
 		MaxObjectSpeed: 10, MaxQuerySpeed: 10, Protocol: proto,
-		Shards: 2, BatchedIngest: true,
+		Shards: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,7 +35,13 @@ type engineCase struct {
 func singleEngines() []engineCase {
 	return []engineCase{
 		{"core", func(c core.Config) (sim.Method, error) { return core.New(c) }},
-		{"sharded3", func(c core.Config) (sim.Method, error) { return shard.NewMethod(3, c) }},
+		// Three shards drained by one worker: the pipeline's sequential
+		// schedule, beside batched3's parallel one.
+		{"sharded3", func(c core.Config) (sim.Method, error) {
+			return core.NewMethod("dknn-sharded", c, 0, func(c core.Config, deps core.ServerDeps, _ *sim.Env) (core.Engine, error) {
+				return shard.NewWithOptions(3, c, deps, shard.Options{Workers: 1})
+			})
+		}},
 		{"batched3", func(c core.Config) (sim.Method, error) { return shard.NewBatchedMethod(3, c) }},
 	}
 }

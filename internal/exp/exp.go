@@ -732,7 +732,7 @@ func (p Profile) Fig16ShardScaling() *Experiment {
 	mkShard := func(n int) MethodSpec {
 		return MethodSpec{
 			Name:  fmt.Sprintf("DKNN[%d shards]", n),
-			Build: func() (sim.Method, error) { return shard.NewMethod(n, p.Proto) },
+			Build: func() (sim.Method, error) { return shard.NewBatchedMethod(n, p.Proto) },
 		}
 	}
 	e := &Experiment{

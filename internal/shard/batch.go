@@ -16,18 +16,12 @@ import (
 	"dmknn/internal/transport"
 )
 
-// Options selects the server's ingest discipline.
+// Options tunes the server's ingest pipeline.
 type Options struct {
-	// Batched switches the server from synchronous ingest (HandleUplink
-	// processes under the owning shard's lock before returning) to
-	// batch-per-tick ingest: HandleUplink appends to a per-shard queue and
-	// a Drain phase processes all queued arrivals shard-parallel. The
-	// synchronous path is the oracle; the batched pipeline is proven
-	// byte-identical to it on the client wire (see batch_property_test.go
-	// and DESIGN.md).
+	// Deprecated: every Server runs the batched ingest pipeline; the field is ignored.
 	Batched bool
-	// Workers bounds the worker pool Drain/Tick/Finalize run shards on in
-	// batched mode. Zero means min(shards, GOMAXPROCS).
+	// Workers bounds the worker pool Drain/Tick/Finalize run shards on.
+	// Zero means min(shards, GOMAXPROCS).
 	Workers int
 }
 
@@ -64,7 +58,7 @@ func (iq *ingestQueue) consumed() {
 
 // pendingSend is one deferred transmission captured by a shard's
 // batchSide during a drain or tick, tagged with the ordering key that
-// reconstructs the synchronous server's global send order.
+// reconstructs the single server's global send order.
 type pendingSend struct {
 	key       uint64
 	broadcast bool
@@ -73,21 +67,21 @@ type pendingSend struct {
 	msg       protocol.Message
 }
 
-// batchSide is the ServerSide handed to one shard's core server in
-// batched mode: sends are captured, not transmitted. The medium is only
-// touched later by flushSends, on the driver goroutine, after the sends
-// of all shards are merged back into arrival order. Each batchSide
-// belongs to exactly one shard and a shard runs on one worker at a
-// time, so no locking is needed.
+// batchSide is the ServerSide handed to one shard's core server: sends
+// are captured, not transmitted. The medium is only touched later by
+// flushSends, on the driver goroutine, after the sends of all shards are
+// merged back into arrival order. Each batchSide belongs to exactly one
+// shard and a shard runs on one worker at a time, so no locking is
+// needed.
 //
 // Two key regimes cover the two kinds of phases. During Drain, key is
 // stamped per processed arrival with its global ingest sequence number
-// (the before hook of core.HandleUplinkBatch), because the synchronous
+// (the before hook of core.HandleUplinkBatch), because the single
 // server emits sends in arrival order. During Tick/Finalize, byQuery is
 // set and the key is the query id carried by the outgoing message,
-// because the synchronous server iterates its queries in sorted id
-// order and each query id lives on exactly one shard. The two regimes
-// are never merged into one sort: flushSends runs once per phase.
+// because the single server iterates its queries in sorted id order and
+// each query id lives on exactly one shard. The two regimes are never
+// merged into one sort: flushSends runs once per phase.
 type batchSide struct {
 	key     uint64
 	byQuery bool
@@ -112,42 +106,15 @@ func (b *batchSide) Broadcast(region geo.Circle, m protocol.Message) {
 	b.sends = append(b.sends, pendingSend{key: b.sendKey(m), broadcast: true, region: region, msg: m})
 }
 
-// enqueue appends one arrival to the owning shard's queue. The sequence
-// number is taken inside the queue lock so each queue's buffer order is
-// seq-monotone even under concurrent transport goroutines.
-func (s *Server) enqueue(q model.QueryID, from model.ObjectID, msg protocol.Message) {
-	iq := &s.queues[int(uint32(q))%len(s.shards)]
-	iq.mu.Lock()
-	iq.buf = append(iq.buf, core.Ingest{Seq: s.seq.Add(1), From: from, Msg: msg})
-	iq.mu.Unlock()
-}
-
-// enqueueGone appends a disconnect marker to every shard's queue: the
-// vanished client may participate in queries of every shard, and the
-// purge must hold its place in each shard's arrival order so a
-// disconnect racing a drain is never lost (it lands either in the
-// buffer being swapped out or in the fresh one — both get processed).
-func (s *Server) enqueueGone(id model.ObjectID) {
-	for i := range s.queues {
-		iq := &s.queues[i]
-		iq.mu.Lock()
-		iq.buf = append(iq.buf, core.Ingest{Seq: s.seq.Add(1), From: id})
-		iq.mu.Unlock()
-	}
-}
-
 // Drain processes every queued arrival, shard-parallel on the bounded
 // worker pool, then transmits the captured sends merged back into
 // arrival order. It reports whether any arrival was processed. Tick and
 // Finalize call it themselves; a driver that wants the phase timed on
 // its own (bench/) calls it just before, which leaves theirs nothing to
-// do — on empty queues, and in synchronous mode, it returns before
-// touching a shard. Drain must run on the driver goroutine (the one that
-// owns the medium); only the per-shard processing is parallel.
+// do — on empty queues it returns before touching a shard. Drain must
+// run on the driver goroutine (the one that owns the medium); only the
+// per-shard processing is parallel.
 func (s *Server) Drain(now model.Tick) bool {
-	if !s.opts.Batched {
-		return false
-	}
 	any := false
 	for i := range s.queues {
 		iq := &s.queues[i]

@@ -16,8 +16,8 @@ import (
 // wireTrace collects the network-level event stream of one run: every
 // send, delivery, and drop the medium performs, in order. Protocol
 // lifecycle events (Dir < 0) are excluded — the single server emits them
-// and the sharded server does not, and in batched mode the shards would
-// emit them from worker goroutines in nondeterministic relative order.
+// and the sharded server does not, and its shards would emit them from
+// worker goroutines in nondeterministic relative order.
 // The net events are emitted by the medium itself on the engine
 // goroutine, so the stream is a deterministic, complete description of
 // the client wire.

@@ -20,7 +20,7 @@ func newBatchedForTest(t *testing.T, n int) *Server {
 		Side: nullSide{},
 		Now:  func() model.Tick { return 1 },
 		DT:   1, MaxObjectSpeed: 10, MaxQuerySpeed: 10,
-	}, Options{Batched: true})
+	}, Options{})
 	if err != nil {
 		t.Fatalf("NewWithOptions: %v", err)
 	}
@@ -83,46 +83,24 @@ func TestBatchedClientGoneDuringDrainNotLost(t *testing.T) {
 	}
 }
 
-// Synchronous mode still fans a disconnect out to every shard (now in
-// parallel); the behavior TestClientGoneFansToAllShards pins is
-// unchanged.
-func TestBatchedServerReportsMode(t *testing.T) {
-	srv := newBatchedForTest(t, 2)
-	if !srv.Batched() {
-		t.Error("Batched() = false for batched server")
-	}
-	world := geo.NewRect(geo.Pt(0, 0), geo.Pt(1000, 1000))
-	plain, err := New(2, proto().WithWorldDefault(world), core.ServerDeps{
-		Side: nullSide{},
-		Now:  func() model.Tick { return 1 },
-		DT:   1, MaxObjectSpeed: 10, MaxQuerySpeed: 10,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if plain.Batched() {
-		t.Error("Batched() = true for synchronous server")
-	}
-	if plain.Drain(1) {
-		t.Error("Drain on a synchronous server must be a no-op")
-	}
-}
-
 // The batched pipeline must deliver the same exact answers as any other
-// DKNN variant on a clean network.
+// DKNN variant on a clean network, also at the shard counts
+// TestShardedExactness does not run: one shard, and an odd count.
 func TestBatchedExactness(t *testing.T) {
-	cfg := workload.Quick()
-	cfg.Ticks = 60
-	m, err := NewBatchedMethod(4, proto())
-	if err != nil {
-		t.Fatalf("NewBatchedMethod: %v", err)
-	}
-	res, err := sim.Run(cfg, m)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if res.Audit.Exactness() < 1.0 {
-		t.Errorf("batched exactness %.4f, want 1.0", res.Audit.Exactness())
+	for _, shards := range []int{1, 3} {
+		cfg := workload.Quick()
+		cfg.Ticks = 60
+		m, err := NewBatchedMethod(shards, proto())
+		if err != nil {
+			t.Fatalf("NewBatchedMethod(%d): %v", shards, err)
+		}
+		res, err := sim.Run(cfg, m)
+		if err != nil {
+			t.Fatalf("shards=%d: run: %v", shards, err)
+		}
+		if res.Audit.Exactness() < 1.0 {
+			t.Errorf("shards=%d: batched exactness %.4f, want 1.0", shards, res.Audit.Exactness())
+		}
 	}
 }
 

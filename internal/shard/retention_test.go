@@ -27,7 +27,7 @@ func newRetentionServer(t *testing.T) (*Server, *model.Tick) {
 		Side: batchSink{},
 		Now:  func() model.Tick { return *now },
 		DT:   1, MaxObjectSpeed: 10, MaxQuerySpeed: 10,
-	}, Options{Batched: true, Workers: 1})
+	}, Options{Workers: 1})
 	if err != nil {
 		t.Fatalf("NewWithOptions: %v", err)
 	}

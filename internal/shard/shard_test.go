@@ -5,7 +5,6 @@ import (
 
 	"dmknn/internal/core"
 	"dmknn/internal/geo"
-	"dmknn/internal/metrics"
 	"dmknn/internal/model"
 	"dmknn/internal/protocol"
 	"dmknn/internal/sim"
@@ -21,18 +20,20 @@ func proto() core.Config {
 
 func TestNewValidation(t *testing.T) {
 	world := geo.NewRect(geo.Pt(0, 0), geo.Pt(1000, 1000))
-	if _, err := New(0, proto().WithWorldDefault(world), core.ServerDeps{}); err == nil {
+	deps := core.ServerDeps{Side: nullSide{}, Now: func() model.Tick { return 0 }}
+	if _, err := NewWithOptions(0, proto().WithWorldDefault(world), deps, Options{}); err == nil {
 		t.Error("zero shards accepted")
 	}
-	if _, err := NewMethod(0, proto()); err == nil {
-		t.Error("NewMethod accepted zero shards")
+	if _, err := NewWithOptions(4, proto().WithWorldDefault(world), core.ServerDeps{}, Options{}); err == nil {
+		t.Error("nil server side accepted")
 	}
-	if _, err := NewMethod(4, core.Config{}); err == nil {
-		t.Error("NewMethod accepted invalid protocol config")
+	if _, err := NewBatchedMethod(0, proto()); err == nil {
+		t.Error("NewBatchedMethod accepted zero shards")
 	}
-	s, err := New(4, proto().WithWorldDefault(world), core.ServerDeps{
-		Now: func() model.Tick { return 0 },
-	})
+	if _, err := NewBatchedMethod(4, core.Config{}); err == nil {
+		t.Error("NewBatchedMethod accepted invalid protocol config")
+	}
+	s, err := NewWithOptions(4, proto().WithWorldDefault(world), deps, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,12 +42,38 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// The deprecated Options.Batched selects nothing: with or without it the
+// server defers ingest to Drain.
+func TestEveryServerDefersIngest(t *testing.T) {
+	world := geo.NewRect(geo.Pt(0, 0), geo.Pt(1000, 1000))
+	for _, opts := range []Options{{}, {Batched: true}} {
+		s, err := NewWithOptions(2, proto().WithWorldDefault(world), core.ServerDeps{
+			Side: nullSide{},
+			Now:  func() model.Tick { return 1 },
+			DT:   1, MaxObjectSpeed: 10, MaxQuerySpeed: 10,
+		}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.HandleUplink(901, protocol.QueryRegister{Query: 1, K: 1, Pos: geo.Pt(500, 500), At: 1})
+		if got := s.QueryCount(); got != 0 {
+			t.Errorf("%+v: %d queries before Drain, want 0", opts, got)
+		}
+		if !s.Drain(1) {
+			t.Errorf("%+v: Drain processed nothing", opts)
+		}
+		if got := s.QueryCount(); got != 1 {
+			t.Errorf("%+v: %d queries after Drain, want 1", opts, got)
+		}
+	}
+}
+
 // The sharded server must be exact, just like the single server, and
 // distribute queries across shards.
 func TestShardedExactness(t *testing.T) {
 	cfg := workload.Quick()
 	cfg.Ticks = 60
-	m, err := NewMethod(4, proto())
+	m, err := NewBatchedMethod(4, proto())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,47 +100,14 @@ func TestShardedExactness(t *testing.T) {
 	}
 }
 
-// Sharding is an interior change: the wireless traffic must be identical
-// to the single-server method under the same trajectories.
-func TestShardingDoesNotChangeTraffic(t *testing.T) {
-	cfg := workload.Quick()
-	cfg.Ticks = 40
-
-	single, err := core.New(proto())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := sim.Run(cfg, single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := NewMethod(3, proto())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := sim.Run(cfg, sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sends are deterministic per query state machine; shards only change
-	// *interleaving*, which the per-direction totals are insensitive to.
-	for _, d := range metrics.Directions() {
-		if r1.Traffic.Sent(d) != r2.Traffic.Sent(d) {
-			t.Errorf("%v traffic differs: %d vs %d",
-				d, r1.Traffic.Sent(d), r2.Traffic.Sent(d))
-		}
-	}
-}
-
 func TestClientGoneFansToAllShards(t *testing.T) {
 	world := geo.NewRect(geo.Pt(0, 0), geo.Pt(1000, 1000))
 	now := model.Tick(1)
-	side := &lockedSide{side: nullSide{}}
-	s, err := New(3, proto().WithWorldDefault(world), core.ServerDeps{
-		Side: side,
+	s, err := NewWithOptions(3, proto().WithWorldDefault(world), core.ServerDeps{
+		Side: nullSide{},
 		Now:  func() model.Tick { return now },
 		DT:   1, MaxObjectSpeed: 10, MaxQuerySpeed: 10,
-	})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +118,13 @@ func TestClientGoneFansToAllShards(t *testing.T) {
 			Query: q, K: 1, Pos: geo.Pt(500, 500), At: 1,
 		})
 	}
+	s.Drain(now)
 	if s.QueryCount() != 3 {
 		t.Fatalf("QueryCount = %d", s.QueryCount())
 	}
 	// Focal client of query 2 vanishes: only that query dies.
 	s.HandleClientGone(902)
+	s.Drain(now)
 	if s.QueryCount() != 2 {
 		t.Fatalf("QueryCount after gone = %d, want 2", s.QueryCount())
 	}
@@ -137,6 +133,9 @@ func TestClientGoneFansToAllShards(t *testing.T) {
 	}
 	// Unknown-kind uplink is ignored.
 	s.HandleUplink(1, protocol.LocationReport{Object: 1})
+	if s.Drain(now) {
+		t.Error("an uplink without a query id was queued")
+	}
 }
 
 type nullSide struct{}

@@ -40,8 +40,8 @@ type SimConfig struct {
 	// Protocol tunes MethodDKNN.
 	Protocol Protocol
 	// Shards, when > 1, partitions MethodDKNN's server state over that
-	// many parallel shards (interior scaling; wireless traffic
-	// unchanged).
+	// many parallel shards, each tick's arrivals drained shard-parallel
+	// (interior scaling; the wire is byte-identical to one server's).
 	Shards int
 
 	World      Rect
@@ -212,7 +212,7 @@ func (c SimConfig) method() (sim.Method, error) {
 	switch c.Method {
 	case MethodDKNN:
 		if c.Shards > 1 {
-			return shard.NewMethod(c.Shards, c.Protocol.internal())
+			return shard.NewBatchedMethod(c.Shards, c.Protocol.internal())
 		}
 		return core.New(c.Protocol.internal())
 	case MethodCP:
