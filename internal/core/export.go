@@ -54,7 +54,8 @@ func (s *Server) exportLocked(q model.QueryID, mon *monitor) protocol.QueryHando
 		AnswerRadius: mon.answerRadius,
 		Radius:       mon.radius,
 		InstalledAt:  mon.installedAt,
-		PrevRegion:   mon.prevRegion,
+		AdvPos:       mon.advPos,
+		AdvVel:       mon.advVel,
 		AnswerSeq:    mon.answerSeq,
 		LastProbeAt:  mon.lastProbeAt,
 		Frontier:     mon.frontier,
@@ -129,7 +130,8 @@ func (s *Server) ImportMonitor(st protocol.QueryHandoff, now model.Tick) {
 	// The snapshot crossed an inter-node link, which is an open surface
 	// like the radio: apply the register-path sanity bounds.
 	if st.Range < 0 || (st.Range == 0 && (st.K == 0 || st.K > maxK)) ||
-		!finitePoint(st.QPos) || !finiteVec(st.QVel) {
+		!finitePoint(st.QPos) || !finiteVec(st.QVel) ||
+		!finitePoint(st.AdvPos) || !finiteVec(st.AdvVel) {
 		return
 	}
 	// The codec already rejects non-finite thresholds; zero a locally
@@ -142,7 +144,7 @@ func (s *Server) ImportMonitor(st protocol.QueryHandoff, now model.Tick) {
 	mon.qpos, mon.qvel, mon.qat = st.QPos, st.QVel, st.QAt
 	mon.epoch, mon.installed = st.Epoch, st.Installed
 	mon.answerRadius, mon.radius = st.AnswerRadius, st.Radius
-	mon.installedAt, mon.prevRegion = st.InstalledAt, st.PrevRegion
+	mon.installedAt, mon.advPos, mon.advVel = st.InstalledAt, st.AdvPos, st.AdvVel
 	mon.answerSeq, mon.lastProbeAt = st.AnswerSeq, st.LastProbeAt
 	mon.frontier, mon.band = st.Frontier, st.Band
 	// A candidate with a non-finite position would rank first forever

@@ -55,7 +55,8 @@ func randHandoff(rng *rand.Rand) protocol.QueryHandoff {
 		AnswerRadius: rng.Float64() * 100,
 		Radius:       rng.Float64() * 300,
 		InstalledAt:  model.Tick(rng.Intn(10000)),
-		PrevRegion:   geo.Circle{Center: pt(), R: rng.Float64()*200 - 1},
+		AdvPos:       pt(),
+		AdvVel:       geo.Vector{X: rng.Float64()*20 - 10, Y: rng.Float64()*20 - 10},
 		AnswerSeq:    uint32(int64(1<<32) - 3 + int64(rng.Intn(6))), // straddle wraparound
 		LastProbeAt:  model.Tick(rng.Intn(10000)),
 		Inside:       ids(8),
@@ -253,6 +254,12 @@ func TestImportMonitorRejectsInvalidAndDuplicate(t *testing.T) {
 	srv.ImportMonitor(bad, 1)
 	if srv.HasQuery(7) {
 		t.Fatal("imported a non-finite track")
+	}
+	bad = base
+	bad.AdvVel = geo.Vector{X: nan()}
+	srv.ImportMonitor(bad, 1)
+	if srv.HasQuery(7) {
+		t.Fatal("imported a non-finite advertised track")
 	}
 	bad = base
 	bad.Range = -1

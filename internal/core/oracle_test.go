@@ -75,7 +75,7 @@ type oracleMonitor struct {
 	answerRadius float64
 	radius       float64
 	installedAt  model.Tick
-	prevRegion   geo.Circle // last installed region, for covering reinstalls
+	lastInstall  *protocol.MonitorInstall // the install last broadcast; nil before the first
 
 	cands       oraclePositions         // last known positions of aware objects
 	inside      map[model.ObjectID]bool // ids currently inside the answer circle
@@ -116,7 +116,7 @@ func (s *oracleServer) handleUplink(from model.ObjectID, msg protocol.Message, n
 			mon.needsReinstall = true
 		}
 	case protocol.QueryDeregister:
-		s.deregister(v.Query)
+		s.deregister(v.Query, now)
 	case protocol.AnswerResync:
 		if mon, ok := s.monitors[v.Query]; ok && mon.addr == from {
 			s.resyncAnswer(mon, now)
@@ -184,7 +184,7 @@ func (s *oracleServer) clientGone(id model.ObjectID, now model.Tick) {
 		s.refreshAnswer(mon, now)
 	}
 	for _, q := range deadQueries {
-		s.deregister(q)
+		s.deregister(q, now)
 	}
 }
 
@@ -227,13 +227,15 @@ func (s *oracleServer) register(v protocol.QueryRegister, from model.ObjectID) {
 	s.order = slices.Insert(s.order, i, v.Query)
 }
 
-func (s *oracleServer) deregister(q model.QueryID) {
+func (s *oracleServer) deregister(q model.QueryID, now model.Tick) {
 	mon, ok := s.monitors[q]
 	if !ok {
 		return
 	}
 	if mon.installed {
-		s.deps.Side.Broadcast(mon.prevRegion, protocol.MonitorCancel{Query: q, Epoch: mon.epoch})
+		at := now + model.Tick(s.deps.LatencyTicks)
+		s.deps.Side.Broadcast(heldRegion(*mon.lastInstall, at, s.deps.DT),
+			protocol.MonitorCancel{Query: q, Epoch: mon.epoch})
 	}
 	delete(s.monitors, q)
 	if i, found := slices.BinarySearch(s.order, q); found {
@@ -321,8 +323,6 @@ func (s *oracleServer) refreshInstall(mon *oracleMonitor, now model.Tick) {
 	if radius > cfg.MaxProbeRadius {
 		radius = cfg.MaxProbeRadius
 	}
-	region := geo.Circle{Center: center, R: radius}
-
 	mon.epoch++
 	mon.answerRadius = rk
 	mon.radius = radius
@@ -341,18 +341,10 @@ func (s *oracleServer) refreshInstall(mon *oracleMonitor, now model.Tick) {
 		mon.cands.Remove(id)
 	}
 
-	cover := region
-	if mon.prevRegion.R > 0 {
-		if need := center.Dist(mon.prevRegion.Center) + mon.prevRegion.R; need > cover.R {
-			cover.R = need
-		}
-	}
-	mon.prevRegion = region
-
 	if s.cfg.Influence {
 		s.updateFrontier(mon, center, rk)
 	}
-	s.broadcastInstall(cover, mon, protocol.MonitorInstall{
+	s.broadcastInstall(mon, protocol.MonitorInstall{
 		Query:        mon.query,
 		Epoch:        mon.epoch,
 		Refresh:      true,
@@ -421,7 +413,23 @@ func (mon *oracleMonitor) frontierValid(sorted []model.Neighbor) bool {
 	return len(sorted) == mon.k || sorted[mon.k].Dist > mon.frontier
 }
 
-func (s *oracleServer) broadcastInstall(cover geo.Circle, mon *oracleMonitor, inst protocol.MonitorInstall) {
+// heldRegion is the region an object that heard inst holds at tick t.
+func heldRegion(inst protocol.MonitorInstall, t model.Tick, dt float64) geo.Circle {
+	return geo.Circle{Center: geo.DeadReckon(inst.QueryPos, inst.QueryVel, float64(t-inst.At)*dt), R: inst.Radius}
+}
+
+// broadcastInstall sends inst over its own circle, widened to contain the
+// region the previous install's audience holds from inst.At until
+// delivery, and records it as the last install sent.
+func (s *oracleServer) broadcastInstall(mon *oracleMonitor, inst protocol.MonitorInstall) {
+	cover := geo.Circle{Center: inst.QueryPos, R: inst.Radius}
+	if prev := mon.lastInstall; prev != nil {
+		for _, t := range []model.Tick{inst.At, inst.At + model.Tick(s.deps.LatencyTicks)} {
+			held := heldRegion(*prev, t, s.deps.DT)
+			cover.R = max(cover.R, cover.Center.Dist(held.Center)+held.R)
+		}
+	}
+	mon.lastInstall = &inst
 	if s.cfg.Influence {
 		s.deps.Side.Broadcast(cover, protocol.InfluenceInstall{
 			Install: inst, Frontier: mon.frontier, Band: mon.band,
@@ -547,7 +555,6 @@ func (s *oracleServer) expandProbe(mon *oracleMonitor, now model.Tick, radius fl
 }
 
 func (s *oracleServer) install(mon *oracleMonitor, now model.Tick, center geo.Point, rk, radius float64) {
-	region := geo.Circle{Center: center, R: radius}
 	mon.epoch++
 	mon.installed = true
 	mon.answerRadius = rk
@@ -570,18 +577,10 @@ func (s *oracleServer) install(mon *oracleMonitor, now model.Tick, center geo.Po
 	})
 	mon.replies.Clear()
 
-	cover := region
-	if mon.prevRegion.R > 0 {
-		if need := center.Dist(mon.prevRegion.Center) + mon.prevRegion.R; need > cover.R {
-			cover.R = need
-		}
-	}
-	mon.prevRegion = region
-
 	if s.cfg.Influence {
 		s.updateFrontier(mon, center, rk)
 	}
-	s.broadcastInstall(cover, mon, protocol.MonitorInstall{
+	s.broadcastInstall(mon, protocol.MonitorInstall{
 		Query:        mon.query,
 		Epoch:        mon.epoch,
 		RangeMode:    mon.rng > 0,
@@ -726,11 +725,13 @@ func (s *oracleServer) exportLocked(q model.QueryID, mon *oracleMonitor) protoco
 		AnswerRadius: mon.answerRadius,
 		Radius:       mon.radius,
 		InstalledAt:  mon.installedAt,
-		PrevRegion:   mon.prevRegion,
 		AnswerSeq:    mon.answerSeq,
 		LastProbeAt:  mon.lastProbeAt,
 		Frontier:     mon.frontier,
 		Band:         mon.band,
+	}
+	if mon.lastInstall != nil {
+		st.AdvPos, st.AdvVel = mon.lastInstall.QueryPos, mon.lastInstall.QueryVel
 	}
 	if n := mon.cands.Len(); n > 0 {
 		st.Candidates = make([]protocol.CandidateRecord, 0, n)
@@ -756,7 +757,8 @@ func (s *oracleServer) importMonitor(st protocol.QueryHandoff, now model.Tick) {
 		return
 	}
 	if st.Range < 0 || (st.Range == 0 && (st.K == 0 || st.K > maxK)) ||
-		!finitePoint(st.QPos) || !finiteVec(st.QVel) {
+		!finitePoint(st.QPos) || !finiteVec(st.QVel) ||
+		!finitePoint(st.AdvPos) || !finiteVec(st.AdvVel) {
 		return
 	}
 	if !finite(st.Frontier) || st.Frontier < 0 || !finite(st.Band) || st.Band < 0 {
@@ -775,7 +777,6 @@ func (s *oracleServer) importMonitor(st protocol.QueryHandoff, now model.Tick) {
 		answerRadius: st.AnswerRadius,
 		radius:       st.Radius,
 		installedAt:  st.InstalledAt,
-		prevRegion:   st.PrevRegion,
 		answerSeq:    st.AnswerSeq,
 		lastProbeAt:  st.LastProbeAt,
 		frontier:     st.Frontier,
@@ -793,6 +794,10 @@ func (s *oracleServer) importMonitor(st protocol.QueryHandoff, now model.Tick) {
 	}
 	for _, id := range st.Sent {
 		mon.sent[id] = true
+	}
+	if st.Installed {
+		mon.lastInstall = &protocol.MonitorInstall{QueryPos: st.AdvPos, QueryVel: st.AdvVel,
+			Radius: st.Radius, At: st.InstalledAt}
 	}
 	mon.needsReinstall = !st.Installed
 	s.monitors[st.Query] = mon

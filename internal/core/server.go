@@ -76,19 +76,23 @@ type monitor struct {
 	rng   float64        // fixed range; 0 means kNN mode
 	addr  model.ObjectID // focal client's network address
 
-	// Advertised query track: the focal client's last reported position
-	// and velocity. Server and aware objects extrapolate the same line.
+	// Heard query track: the focal client's last reported position and
+	// velocity, from which the server estimates the query.
 	qpos geo.Point
 	qvel geo.Vector
 	qat  model.Tick
 
-	// Install state.
+	// Install state. advPos and advVel are the track the last install
+	// advertised at installedAt: aware objects dead-reckon their region
+	// along it (see frame). It is the heard track's line until a QueryMove
+	// arrives; the next install advertises the heard track again.
 	epoch        uint32
 	installed    bool
 	answerRadius float64
 	radius       float64
 	installedAt  model.Tick
-	prevRegion   geo.Circle // last installed region, for covering reinstalls
+	advPos       geo.Point
+	advVel       geo.Vector
 
 	// Working state maintained from reports: per aware object its last
 	// known position, whether it is inside the answer circle, and whether
@@ -238,7 +242,7 @@ func (s *Server) handleUplinkLocked(from model.ObjectID, msg protocol.Message, n
 			mon.needsReinstall = true
 		}
 	case protocol.QueryDeregister:
-		s.deregister(v.Query)
+		s.deregister(v.Query, now)
 	case protocol.AnswerResync:
 		// Only the query's own focal client may force a re-baseline.
 		if mon, ok := s.monitors[v.Query]; ok && mon.addr == from {
@@ -315,7 +319,7 @@ func (s *Server) clientGoneLocked(id model.ObjectID, now model.Tick) {
 		s.refreshAnswer(mon, now)
 	}
 	for _, q := range deadQueries {
-		s.deregister(q)
+		s.deregister(q, now)
 	}
 }
 
@@ -397,13 +401,16 @@ func (s *Server) register(v protocol.QueryRegister, from model.ObjectID) {
 	}
 }
 
-func (s *Server) deregister(q model.QueryID) {
+// deregister drops q's monitor. The cancel is broadcast over the frame
+// the aware objects hold when it arrives.
+func (s *Server) deregister(q model.QueryID, now model.Tick) {
 	mon, ok := s.monitors[q]
 	if !ok {
 		return
 	}
 	if mon.installed {
-		s.deps.Side.Broadcast(mon.prevRegion, protocol.MonitorCancel{Query: q, Epoch: mon.epoch})
+		s.deps.Side.Broadcast(mon.frame(now+model.Tick(s.deps.LatencyTicks), s.deps.DT),
+			protocol.MonitorCancel{Query: q, Epoch: mon.epoch})
 	}
 	delete(s.monitors, q)
 	if i, found := slices.BinarySearch(s.order, q); found {
@@ -417,6 +424,34 @@ func (s *Server) deregister(q model.QueryID) {
 // qEst extrapolates the advertised query track to now.
 func (mon *monitor) qEst(now model.Tick, dt float64) geo.Point {
 	return geo.DeadReckon(mon.qpos, mon.qvel, float64(now-mon.qat)*dt)
+}
+
+// frame is the monitoring region an object that heard the last install
+// holds at tick t: the installed circle carried along the advertised
+// track.
+func (mon *monitor) frame(t model.Tick, dt float64) geo.Circle {
+	return geo.Circle{Center: geo.DeadReckon(mon.advPos, mon.advVel, float64(t-mon.installedAt)*dt), R: mon.radius}
+}
+
+// installCover is the circle an install of region circle(c, r) at now
+// is broadcast over. Every object aware of the previous install lies in
+// its frame (it drops itself on leaving) and must hear the new epoch, so
+// the circle is widened to contain the frame from now until delivery.
+// The frame's centre sweeps a segment meanwhile, whose farthest point
+// from c is an endpoint. Computed before the install state is
+// overwritten.
+func (s *Server) installCover(mon *monitor, c geo.Point, r float64, now model.Tick) geo.Circle {
+	cover := geo.Circle{Center: c, R: r}
+	if !mon.installed {
+		return cover
+	}
+	for _, t := range [2]model.Tick{now, now + model.Tick(s.deps.LatencyTicks)} {
+		f := mon.frame(t, s.deps.DT)
+		if need := c.Dist(f.Center) + f.R; need > cover.R {
+			cover.R = need
+		}
+	}
+	return cover
 }
 
 // horizon is H_q for a monitor whose answer radius is rk.
@@ -531,26 +566,19 @@ func (s *Server) refreshInstall(mon *monitor, now model.Tick) {
 	if radius > cfg.MaxProbeRadius {
 		radius = cfg.MaxProbeRadius
 	}
-	region := geo.Circle{Center: center, R: radius}
+	cover := s.installCover(mon, center, radius, now)
 
 	mon.epoch++
 	mon.answerRadius = rk
 	mon.radius = radius
 	mon.installedAt = now
+	mon.advPos, mon.advVel = center, mon.qvel
 	mon.needsReinstall = false
 
 	// Objects strictly outside the new circle will exit/drop themselves;
 	// prune candidates whose last known position is already outside so
 	// stale annulus entries do not accumulate.
 	mon.tab.prune(center, radius)
-
-	cover := region
-	if mon.prevRegion.R > 0 {
-		if need := center.Dist(mon.prevRegion.Center) + mon.prevRegion.R; need > cover.R {
-			cover.R = need
-		}
-	}
-	mon.prevRegion = region
 
 	if s.cfg.Influence {
 		s.updateFrontier(mon, center, rk)
@@ -812,15 +840,16 @@ func (s *Server) expandProbe(mon *monitor, now model.Tick, radius float64) {
 
 // install commits a probe result: rebuild the candidate and inside sets
 // from the replies, advance the epoch, and broadcast the install over a
-// region covering both the previous and the new monitoring circles (so
+// region covering the new circle and the previous install's frame (so
 // objects that fell out of the region hear about it and stop monitoring).
 func (s *Server) install(mon *monitor, now model.Tick, center geo.Point, rk, radius float64) {
-	region := geo.Circle{Center: center, R: radius}
+	cover := s.installCover(mon, center, radius, now)
 	mon.epoch++
 	mon.installed = true
 	mon.answerRadius = rk
 	mon.radius = radius
 	mon.installedAt = now
+	mon.advPos, mon.advVel = center, mon.qvel
 	mon.probing = false
 	mon.needsReinstall = false
 	mon.rebaseline = true // next answer message re-baselines delta clients
@@ -834,14 +863,6 @@ func (s *Server) install(mon *monitor, now model.Tick, center geo.Point, rk, rad
 	})
 	mon.tab.sortIDs()
 	mon.replies.Clear()
-
-	cover := region
-	if mon.prevRegion.R > 0 {
-		if need := center.Dist(mon.prevRegion.Center) + mon.prevRegion.R; need > cover.R {
-			cover.R = need
-		}
-	}
-	mon.prevRegion = region
 
 	if s.cfg.Influence {
 		s.updateFrontier(mon, center, rk)

@@ -536,7 +536,8 @@ type QueryHandoff struct {
 	AnswerRadius float64
 	Radius       float64
 	InstalledAt  model.Tick
-	PrevRegion   geo.Circle
+	AdvPos       geo.Point  // position the last install advertised, at InstalledAt
+	AdvVel       geo.Vector // velocity the last install advertised
 	AnswerSeq    uint32
 	LastProbeAt  model.Tick
 	Frontier     float64
@@ -829,8 +830,8 @@ func Encode(dst []byte, m Message) []byte {
 		dst = appendF64(dst, v.AnswerRadius)
 		dst = appendF64(dst, v.Radius)
 		dst = appendTick(dst, v.InstalledAt)
-		dst = appendPoint(dst, v.PrevRegion.Center)
-		dst = appendF64(dst, v.PrevRegion.R)
+		dst = appendPoint(dst, v.AdvPos)
+		dst = appendVec(dst, v.AdvVel)
 		dst = appendU32(dst, v.AnswerSeq)
 		dst = appendTick(dst, v.LastProbeAt)
 		dst = appendF64(dst, v.Frontier)
@@ -928,7 +929,7 @@ func EncodedSize(m Message) int {
 	case ObjectHandoff:
 		return 1 + 4 + 16 + 16 + 8 + 2 + len(v.Aware)*6
 	case QueryHandoff:
-		return 1 + 4 + 4 + 8 + 4 + 16 + 16 + 8 + 4 + 1 + 8 + 8 + 8 + 24 + 4 + 8 + 8 + 8 +
+		return 1 + 4 + 4 + 8 + 4 + 16 + 16 + 8 + 4 + 1 + 8 + 8 + 8 + 16 + 16 + 4 + 8 + 8 + 8 +
 			4 + len(v.Candidates)*20 + 4 + len(v.Inside)*4 + 4 + len(v.Sent)*4 +
 			2 + len(v.Spread)*2
 	case QueryHandoffAck:
@@ -1154,7 +1155,8 @@ func Decode(buf []byte) (Message, error) {
 			AnswerRadius: r.f64(),
 			Radius:       r.f64(),
 			InstalledAt:  r.tick(),
-			PrevRegion:   geo.Circle{Center: r.point(), R: r.f64()},
+			AdvPos:       r.point(),
+			AdvVel:       r.vec(),
 			AnswerSeq:    r.u32(),
 			LastProbeAt:  r.tick(),
 			Frontier:     r.f64(),

@@ -74,7 +74,7 @@ func sampleMessages() []Message {
 		ObjectHandoff{Object: 46, Pos: geo.Pt(0, 0), Vel: geo.Vec(0, 0), At: 42}, // no awareness
 		QueryHandoff{Query: 8, K: 4, Addr: 1001, QPos: geo.Pt(515, 505), QVel: geo.Vec(2, 0), QAt: 43,
 			Epoch: 6, Installed: true, AnswerRadius: 80.5, Radius: 161, InstalledAt: 40,
-			PrevRegion: geo.Circle{Center: geo.Pt(510, 505), R: 150}, AnswerSeq: 15, LastProbeAt: 12,
+			AdvPos: geo.Pt(509, 505), AdvVel: geo.Vec(1.5, 0.25), AnswerSeq: 15, LastProbeAt: 12,
 			Frontier: 70.5, Band: 4.75,
 			Candidates: []CandidateRecord{{ID: 4, Pos: geo.Pt(520, 500)}, {ID: 9, Pos: geo.Pt(500, 510)}},
 			Inside:     []model.ObjectID{4, 9},
