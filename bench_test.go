@@ -200,14 +200,6 @@ func BenchmarkFig22AdaptiveBalance(b *testing.B) {
 	runExperiment(b, func(p exp.Profile) *exp.Experiment { return p.Fig22AdaptiveBalance() })
 }
 
-// BenchmarkFig24InfluenceUplink regenerates Fig 24: uplink per tick with
-// influence-driven frontier thresholds against the fixed-horizon
-// baseline at equal (exact) recall, plus the staleness and report-gap
-// tails the suppressed reports are allowed to spend.
-func BenchmarkFig24InfluenceUplink(b *testing.B) {
-	runExperiment(b, func(p exp.Profile) *exp.Experiment { return p.Fig24InfluenceUplink() })
-}
-
 // BenchmarkTable2Breakdown regenerates Table 2: message breakdown by kind
 // and direction.
 func BenchmarkTable2Breakdown(b *testing.B) {

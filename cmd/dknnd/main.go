@@ -7,7 +7,7 @@
 //
 //	dknnd [-addr :7707] [-world 10000] [-grid 64] [-tick 1s]
 //	      [-vobj 30] [-vqry 30] [-horizon 20] [-slack 10] [-theta 0]
-//	      [-influence] [-shards 4] [-http :8080] [-trace]
+//	      [-shards 4] [-http :8080] [-trace]
 //
 // Federation: start one dknnd per node, each with its node id, the full
 // list of peer (inter-node) addresses, and the full list of client
@@ -79,7 +79,6 @@ func main() {
 	horizon := flag.Int("horizon", 20, "monitor refresh horizon, ticks (0 = derive each query's horizon from its answer radius)")
 	slack := flag.Int("slack", 10, "answer buffer size m")
 	theta := flag.Float64("theta", 0, "in-boundary movement threshold, meters")
-	influence := flag.Bool("influence", false, "influence-driven safe regions: advertise per-query frontier thresholds so objects suppress non-answer-changing reports")
 	shards := flag.Int("shards", 1, "parallel query shards (>1 enables interior sharding; standalone mode)")
 	quiet := flag.Bool("quiet", false, "suppress the periodic status line")
 	httpAddr := flag.String("http", "", "serve operational stats as JSON on this address (e.g. :8080)")
@@ -99,7 +98,6 @@ func main() {
 		HorizonTicks: *horizon,
 		AnswerSlack:  *slack,
 		ThetaInside:  *theta,
-		Influence:    *influence,
 	}
 	var rec *obs.Recorder
 	var sink obs.Sink

@@ -114,9 +114,4 @@ type Protocol struct {
 	// DeltaAnswers delivers answer changes as incremental updates
 	// instead of full answers, cutting downlink bytes (default off).
 	DeltaAnswers bool
-	// Influence enables influential-neighbor-set safe regions: monitor
-	// installs advertise a per-query frontier distance, and objects whose
-	// motion cannot flip their side of the frontier suppress their
-	// reports, cutting uplink traffic further (default off).
-	Influence bool
 }

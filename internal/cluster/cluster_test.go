@@ -173,7 +173,9 @@ func TestSingleNodeWireIdentity(t *testing.T) {
 // lands on — a function of the seed. The broadcast and link columns were
 // re-pinned when installs began to cover the advertised frame instead of
 // the stale install centre; on the ideal-link rows every other column
-// held. Every row runs twice, once at
+// held. Only the link-byte column moved when query-handoff lost its two
+// unused 8-byte threshold fields: 16 B per handoff sent, retries
+// included. Every row runs twice, once at
 // GOMAXPROCS 1, and the two digests must be identical. A latent or lossy
 // link answers late and can strand relays, so those rows pin their
 // exactness and relay drops rather than assert 1 and 0. The adaptive rows
@@ -186,18 +188,18 @@ func TestFederationWireDigest(t *testing.T) {
 		upMsgs, upBytes, dnMsgs, dnBytes, bcMsgs, bcBytes uint64
 		linkSent, linkBytes, objHandoffs, qryHandoffs     float64
 	}{
-		{2, 1, 15539, 575023, 995, 94525, 7336, 491512, 1080, 70653, 217, 7},
-		{2, 2, 15773, 583649, 1130, 107350, 7324, 490708, 1257, 80084, 262, 6},
-		{2, 3, 15472, 572544, 944, 89680, 7141, 478447, 1011, 61471, 192, 4},
-		{2, 4, 15877, 587521, 1242, 117990, 7312, 489904, 1289, 82691, 267, 7},
-		{3, 1, 15482, 572914, 1000, 95000, 7278, 487626, 2063, 130768, 397, 11},
-		{3, 2, 15721, 581725, 1139, 108205, 7334, 491378, 2357, 150202, 415, 12},
-		{3, 3, 15472, 572544, 949, 90155, 7142, 478514, 2218, 136224, 353, 9},
-		{3, 4, 15877, 587521, 1253, 119035, 7312, 489904, 2138, 135914, 406, 11},
-		{4, 1, 15539, 575023, 1014, 96330, 7336, 491512, 3646, 221814, 549, 16},
-		{4, 2, 15773, 583649, 1130, 107350, 7324, 490708, 3481, 209631, 538, 12},
-		{4, 3, 15495, 573395, 957, 90915, 7137, 478179, 2673, 159442, 435, 8},
-		{4, 4, 15873, 587373, 1249, 118655, 7312, 489904, 2684, 167442, 531, 12},
+		{2, 1, 15539, 575023, 995, 94525, 7336, 491512, 1080, 70541, 217, 7},
+		{2, 2, 15773, 583649, 1130, 107350, 7324, 490708, 1257, 79988, 262, 6},
+		{2, 3, 15472, 572544, 944, 89680, 7141, 478447, 1011, 61407, 192, 4},
+		{2, 4, 15877, 587521, 1242, 117990, 7312, 489904, 1289, 82579, 267, 7},
+		{3, 1, 15482, 572914, 1000, 95000, 7278, 487626, 2063, 130592, 397, 11},
+		{3, 2, 15721, 581725, 1139, 108205, 7334, 491378, 2357, 150010, 415, 12},
+		{3, 3, 15472, 572544, 949, 90155, 7142, 478514, 2218, 136080, 353, 9},
+		{3, 4, 15877, 587521, 1253, 119035, 7312, 489904, 2138, 135738, 406, 11},
+		{4, 1, 15539, 575023, 1014, 96330, 7336, 491512, 3646, 221558, 549, 16},
+		{4, 2, 15773, 583649, 1130, 107350, 7324, 490708, 3481, 209439, 538, 12},
+		{4, 3, 15495, 573395, 957, 90915, 7137, 478179, 2673, 159314, 435, 8},
+		{4, 4, 15873, 587373, 1249, 118655, 7312, 489904, 2684, 167250, 531, 12},
 	}
 	for _, w := range want {
 		checkFederationDigest(t, fedRun{nodes: w.nodes, seed: w.seed}, fedDigest{
@@ -212,30 +214,30 @@ func TestFederationWireDigest(t *testing.T) {
 		loss    float64
 		want    fedDigest
 	}{
-		{2, 1, 1, 0, fedDigest{25808, 954976, 1019, 96805, 11000, 734504, 3338, 190493, 325, 7, 0, 0.8979166666666667, 0}},
-		{2, 2, 1, 0, fedDigest{47992, 1775752, 1147, 108965, 16533, 1107711, 11963, 641013, 385, 6, 0, 0.8708333333333333, 0}},
-		{2, 3, 1, 0, fedDigest{32147, 1189519, 970, 92150, 13046, 869818, 3830, 210099, 364, 4, 0, 0.9270833333333334, 0}},
-		{2, 4, 1, 0, fedDigest{32383, 1198243, 1278, 121410, 12446, 833882, 7086, 390773, 380, 7, 0, 0.93125, 0}},
-		{3, 1, 1, 0, fedDigest{35084, 1298188, 1063, 100985, 13786, 919918, 12828, 697666, 683, 12, 0, 0.8489583333333334, 0}},
-		{3, 2, 1, 0, fedDigest{47864, 1771016, 1198, 113810, 18185, 1218395, 20052, 1100838, 684, 12, 0, 0.8072916666666666, 0}},
-		{3, 3, 1, 0, fedDigest{31934, 1181638, 989, 93955, 12893, 859567, 10088, 557897, 623, 9, 0, 0.8927083333333333, 0}},
-		{3, 4, 1, 0, fedDigest{37408, 1384168, 1306, 124070, 13127, 879509, 12190, 671593, 631, 11, 0, 0.9177083333333333, 0}},
-		{4, 1, 1, 0, fedDigest{28359, 1049371, 1066, 101270, 11713, 781027, 9863, 563592, 957, 16, 0, 0.7864583333333334, 0}},
-		{4, 2, 1, 0, fedDigest{48981, 1812345, 1172, 111340, 17976, 1204392, 22900, 1238087, 931, 12, 0, 0.790625, 0}},
-		{4, 3, 1, 0, fedDigest{32807, 1213939, 990, 94050, 13205, 880471, 11822, 640468, 895, 8, 0, 0.8885416666666667, 0}},
-		{4, 4, 1, 0, fedDigest{31580, 1168532, 1287, 122265, 12336, 826512, 10236, 571070, 819, 12, 0, 0.8895833333333333, 0}},
-		{2, 1, 0, 0.2, fedDigest{34884, 1290788, 994, 94430, 12574, 842458, 2789, 171969, 414, 7, 0, 0.9833333333333333, 0}},
-		{2, 2, 0, 0.2, fedDigest{27615, 1021803, 1122, 106590, 10516, 704572, 2237, 135323, 336, 6, 8, 0.953125, 0}},
-		{2, 3, 0, 0.2, fedDigest{21615, 799835, 953, 90535, 9132, 611844, 2156, 127292, 311, 4, 0, 0.9958333333333333, 0}},
-		{2, 4, 0, 0.2, fedDigest{23507, 869831, 1242, 117990, 10483, 702361, 2595, 160633, 365, 7, 15, 0.9854166666666667, 0}},
-		{3, 1, 0, 0.2, fedDigest{26385, 976325, 1005, 95475, 13249, 887683, 6013, 360511, 656, 11, 13, 0.9083333333333333, 0}},
-		{3, 2, 0, 0.2, fedDigest{26668, 986764, 1141, 108395, 13014, 871938, 5927, 346369, 611, 12, 12, 0.9645833333333333, 0}},
-		{3, 3, 0, 0.2, fedDigest{22532, 833764, 966, 91770, 10613, 711071, 4577, 299977, 519, 9, 33, 0.9625, 0}},
-		{3, 4, 0, 0.2, fedDigest{31983, 1183443, 1234, 117230, 14590, 977530, 7892, 449544, 638, 11, 1, 0.91875, 0}},
-		{4, 1, 0, 0.2, fedDigest{29294, 1083958, 1016, 96520, 15559, 1042453, 8513, 536190, 893, 16, 45, 0.921875, 0}},
-		{4, 2, 0, 0.2, fedDigest{30591, 1131915, 1159, 110105, 14990, 1004330, 9759, 562805, 871, 12, 24, 0.9583333333333334, 0}},
-		{4, 3, 0, 0.2, fedDigest{21593, 799021, 966, 91770, 9388, 628996, 4715, 268046, 619, 8, 0, 0.9572916666666667, 0}},
-		{4, 4, 0, 0.2, fedDigest{24786, 917154, 1262, 119890, 11285, 756095, 5819, 349999, 716, 12, 6, 0.95, 0}},
+		{2, 1, 1, 0, fedDigest{25808, 954976, 1019, 96805, 11000, 734504, 3338, 190381, 325, 7, 0, 0.8979166666666667, 0}},
+		{2, 2, 1, 0, fedDigest{47992, 1775752, 1147, 108965, 16533, 1107711, 11963, 640917, 385, 6, 0, 0.8708333333333333, 0}},
+		{2, 3, 1, 0, fedDigest{32147, 1189519, 970, 92150, 13046, 869818, 3830, 210035, 364, 4, 0, 0.9270833333333334, 0}},
+		{2, 4, 1, 0, fedDigest{32383, 1198243, 1278, 121410, 12446, 833882, 7086, 390661, 380, 7, 0, 0.93125, 0}},
+		{3, 1, 1, 0, fedDigest{35084, 1298188, 1063, 100985, 13786, 919918, 12828, 697474, 683, 12, 0, 0.8489583333333334, 0}},
+		{3, 2, 1, 0, fedDigest{47864, 1771016, 1198, 113810, 18185, 1218395, 20052, 1100646, 684, 12, 0, 0.8072916666666666, 0}},
+		{3, 3, 1, 0, fedDigest{31934, 1181638, 989, 93955, 12893, 859567, 10088, 557753, 623, 9, 0, 0.8927083333333333, 0}},
+		{3, 4, 1, 0, fedDigest{37408, 1384168, 1306, 124070, 13127, 879509, 12190, 671417, 631, 11, 0, 0.9177083333333333, 0}},
+		{4, 1, 1, 0, fedDigest{28359, 1049371, 1066, 101270, 11713, 781027, 9863, 563336, 957, 16, 0, 0.7864583333333334, 0}},
+		{4, 2, 1, 0, fedDigest{48981, 1812345, 1172, 111340, 17976, 1204392, 22900, 1237895, 931, 12, 0, 0.790625, 0}},
+		{4, 3, 1, 0, fedDigest{32807, 1213939, 990, 94050, 13205, 880471, 11822, 640340, 895, 8, 0, 0.8885416666666667, 0}},
+		{4, 4, 1, 0, fedDigest{31580, 1168532, 1287, 122265, 12336, 826512, 10236, 570878, 819, 12, 0, 0.8895833333333333, 0}},
+		{2, 1, 0, 0.2, fedDigest{34884, 1290788, 994, 94430, 12574, 842458, 2789, 171777, 414, 7, 0, 0.9833333333333333, 0}},
+		{2, 2, 0, 0.2, fedDigest{27615, 1021803, 1122, 106590, 10516, 704572, 2237, 135211, 336, 6, 8, 0.953125, 0}},
+		{2, 3, 0, 0.2, fedDigest{21615, 799835, 953, 90535, 9132, 611844, 2156, 127180, 311, 4, 0, 0.9958333333333333, 0}},
+		{2, 4, 0, 0.2, fedDigest{23507, 869831, 1242, 117990, 10483, 702361, 2595, 160441, 365, 7, 15, 0.9854166666666667, 0}},
+		{3, 1, 0, 0.2, fedDigest{26385, 976325, 1005, 95475, 13249, 887683, 6013, 360223, 656, 11, 13, 0.9083333333333333, 0}},
+		{3, 2, 0, 0.2, fedDigest{26668, 986764, 1141, 108395, 13014, 871938, 5927, 346145, 611, 12, 12, 0.9645833333333333, 0}},
+		{3, 3, 0, 0.2, fedDigest{22532, 833764, 966, 91770, 10613, 711071, 4577, 299721, 519, 9, 33, 0.9625, 0}},
+		{3, 4, 0, 0.2, fedDigest{31983, 1183443, 1234, 117230, 14590, 977530, 7892, 449352, 638, 11, 1, 0.91875, 0}},
+		{4, 1, 0, 0.2, fedDigest{29294, 1083958, 1016, 96520, 15559, 1042453, 8513, 535774, 893, 16, 45, 0.921875, 0}},
+		{4, 2, 0, 0.2, fedDigest{30591, 1131915, 1159, 110105, 14990, 1004330, 9759, 562485, 871, 12, 24, 0.9583333333333334, 0}},
+		{4, 3, 0, 0.2, fedDigest{21593, 799021, 966, 91770, 9388, 628996, 4715, 267918, 619, 8, 0, 0.9572916666666667, 0}},
+		{4, 4, 0, 0.2, fedDigest{24786, 917154, 1262, 119890, 11285, 756095, 5819, 349727, 716, 12, 6, 0.95, 0}},
 	}
 	for _, w := range faulty {
 		link := LinkConfig{LatencyTicks: w.latency, Loss: w.loss, Seed: w.seed}
@@ -246,18 +248,18 @@ func TestFederationWireDigest(t *testing.T) {
 		seed  int64
 		want  fedDigest
 	}{
-		{2, 1, fedDigest{20882, 772714, 1229, 116755, 11852, 794084, 2955, 187219, 438, 14, 0, 1, 11}},
-		{2, 2, fedDigest{20585, 761701, 890, 84550, 12442, 833614, 6034, 353874, 271, 22, 0, 1, 12}},
-		{2, 3, fedDigest{20438, 756294, 671, 63745, 13869, 929223, 4240, 316510, 485, 22, 0, 1, 12}},
-		{2, 4, fedDigest{24219, 896191, 764, 72580, 15505, 1038835, 9297, 531286, 296, 19, 0, 1, 9}},
-		{3, 1, fedDigest{21141, 782297, 1238, 117610, 12003, 798247, 6291, 390862, 601, 24, 0, 1, 11}},
-		{3, 2, fedDigest{20719, 766659, 880, 83600, 12511, 838237, 8748, 512060, 410, 24, 0, 1, 12}},
-		{3, 3, fedDigest{20271, 750115, 686, 65170, 13933, 933511, 6964, 490207, 688, 32, 0, 1, 14}},
-		{3, 4, fedDigest{24051, 889975, 777, 73815, 15322, 1026574, 13438, 789684, 532, 35, 0, 1, 14}},
-		{4, 1, fedDigest{20748, 767756, 1231, 116945, 11605, 777535, 7378, 474370, 884, 30, 0, 1, 15}},
-		{4, 2, fedDigest{20501, 758593, 880, 83600, 12222, 818874, 9594, 572655, 553, 27, 0, 1, 15}},
-		{4, 3, fedDigest{20473, 757589, 677, 64315, 13850, 927950, 10433, 694584, 881, 39, 0, 1, 14}},
-		{4, 4, fedDigest{24074, 890826, 784, 74480, 15289, 1024363, 14760, 879846, 765, 38, 0, 1, 13}},
+		{2, 1, fedDigest{20882, 772714, 1229, 116755, 11852, 794084, 2955, 186995, 438, 14, 0, 1, 11}},
+		{2, 2, fedDigest{20585, 761701, 890, 84550, 12442, 833614, 6034, 353522, 271, 22, 0, 1, 12}},
+		{2, 3, fedDigest{20438, 756294, 671, 63745, 13869, 929223, 4240, 316158, 485, 22, 0, 1, 12}},
+		{2, 4, fedDigest{24219, 896191, 764, 72580, 15505, 1038835, 9297, 530982, 296, 19, 0, 1, 9}},
+		{3, 1, fedDigest{21141, 782297, 1238, 117610, 12003, 798247, 6291, 390478, 601, 24, 0, 1, 11}},
+		{3, 2, fedDigest{20719, 766659, 880, 83600, 12511, 838237, 8748, 511676, 410, 24, 0, 1, 12}},
+		{3, 3, fedDigest{20271, 750115, 686, 65170, 13933, 933511, 6964, 489695, 688, 32, 0, 1, 14}},
+		{3, 4, fedDigest{24051, 889975, 777, 73815, 15322, 1026574, 13438, 789124, 532, 35, 0, 1, 14}},
+		{4, 1, fedDigest{20748, 767756, 1231, 116945, 11605, 777535, 7378, 473890, 884, 30, 0, 1, 15}},
+		{4, 2, fedDigest{20501, 758593, 880, 83600, 12222, 818874, 9594, 572223, 553, 27, 0, 1, 15}},
+		{4, 3, fedDigest{20473, 757589, 677, 64315, 13850, 927950, 10433, 693960, 881, 39, 0, 1, 14}},
+		{4, 4, fedDigest{24074, 890826, 784, 74480, 15289, 1024363, 14760, 879238, 765, 38, 0, 1, 13}},
 	}
 	for _, w := range adaptive {
 		checkFederationDigest(t, fedRun{nodes: w.nodes, seed: w.seed, adaptive: true}, w.want)

@@ -1214,8 +1214,6 @@ func broadcastQuery(m protocol.Message) (q model.QueryID, cancel, ok bool) {
 		return v.Query, false, true
 	case protocol.MonitorInstall:
 		return v.Query, false, true
-	case protocol.InfluenceInstall:
-		return v.Install.Query, false, true
 	case protocol.MonitorCancel:
 		return v.Query, true, true
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -24,8 +23,7 @@ import (
 // sites only — tick's `side && !rangeMode` arm, reachable only with inside
 // set, and handleInstall's prev.lastReport/prev.lastSentAt, every use
 // under prev.inside — so the oracle's copies on rows outside the answer
-// circle are dead and compare() does not look at them. The install's Band
-// is not stored at all: no agent ever read it.
+// circle are dead and compare() does not look at them.
 
 type oracleAgent struct {
 	cfg  Config
@@ -55,7 +53,6 @@ type oracleAgentMonitor struct {
 	radius       float64
 	rangeMode    bool
 	inside       bool
-	frontier     float64
 
 	lastReport geo.Point
 	lastSentAt model.Tick
@@ -76,9 +73,7 @@ func (a *oracleAgent) handle(msg protocol.Message) {
 			})
 		}
 	case protocol.MonitorInstall:
-		a.handleInstall(v, 0)
-	case protocol.InfluenceInstall:
-		a.handleInstall(v.Install, v.Frontier)
+		a.handleInstall(v)
 	case protocol.MonitorCancel:
 		if mon, ok := a.monitors[v.Query]; ok && v.Epoch >= mon.epoch {
 			a.drop(v.Query)
@@ -86,7 +81,7 @@ func (a *oracleAgent) handle(msg protocol.Message) {
 	}
 }
 
-func (a *oracleAgent) handleInstall(v protocol.MonitorInstall, frontier float64) {
+func (a *oracleAgent) handleInstall(v protocol.MonitorInstall) {
 	prev, had := a.monitors[v.Query]
 	if had && v.Epoch < prev.epoch {
 		return // stale rebroadcast
@@ -120,16 +115,6 @@ func (a *oracleAgent) handleInstall(v protocol.MonitorInstall, frontier float64)
 			}})
 			reported = true
 		}
-		if frontier > 0 && !v.RangeMode && side && had && prev.inside && !reported {
-			dSrv := prev.lastReport.Dist(v.QueryPos)
-			drift := p.Dist(prev.lastReport)
-			if (d <= frontier) != (dSrv <= frontier) || drift > math.Abs(dSrv-frontier) {
-				a.deps.Side.Uplink(protocol.MoveReport{MemberReport: protocol.MemberReport{
-					Query: v.Query, Epoch: v.Epoch, Object: a.deps.ID, Pos: p, At: now,
-				}})
-				reported = true
-			}
-		}
 	}
 	last := p
 	sentAt := now
@@ -150,7 +135,6 @@ func (a *oracleAgent) handleInstall(v protocol.MonitorInstall, frontier float64)
 		radius:       v.Radius,
 		rangeMode:    v.RangeMode,
 		inside:       side,
-		frontier:     frontier,
 		lastReport:   last,
 		lastSentAt:   sentAt,
 	}
@@ -208,15 +192,7 @@ func (a *oracleAgent) tick(now model.Tick) {
 			mon.lastSentAt = now
 		case side && !mon.rangeMode:
 			drift := p.Dist(mon.lastReport)
-			move := false
-			if mon.frontier > 0 {
-				dSrv := mon.lastReport.Dist(qhat)
-				move = (d <= mon.frontier) != (dSrv <= mon.frontier) ||
-					drift > math.Abs(dSrv-mon.frontier)
-			} else {
-				move = drift > theta
-			}
-			if move {
+			if drift > theta {
 				a.deps.Side.Uplink(protocol.MoveReport{MemberReport: protocol.MemberReport{
 					Query: q, Epoch: mon.epoch, Object: a.deps.ID, Pos: p, At: now,
 				}})
@@ -286,7 +262,7 @@ func (r *agentDiffRig) compare(what string) {
 		// comparing rows with == would compare pointers.
 		om, m := r.ora.monitors[q], held[i]
 		want := track{epoch: om.epoch, qpos: om.qpos, qvel: om.qvel, at: om.at,
-			answerRadius: om.answerRadius, radius: om.radius, frontier: om.frontier, rangeMode: om.rangeMode}
+			answerRadius: om.answerRadius, radius: om.radius, rangeMode: om.rangeMode}
 		if m.query != q || m.inside != om.inside || *m.tr != want {
 			r.t.Fatalf("step %d after %s: slot %d\n table  query %d inside %v %+v\n oracle query %d inside %v %+v",
 				r.step, what, i, m.query, m.inside, *m.tr, q, om.inside, want)
@@ -336,11 +312,6 @@ func (r *agentDiffRig) install() {
 		QueryVel:     geo.Vector{X: float64(r.rng.Intn(3) - 1), Y: float64(r.rng.Intn(3) - 1)},
 		AnswerRadius: rk, Radius: rk + 8, At: r.now - model.Tick(r.rng.Intn(2)),
 	}
-	if r.rng.Intn(2) == 0 {
-		r.deliver(protocol.InfluenceInstall{Install: inst,
-			Frontier: float64(r.rng.Intn(int(rk) + 1)), Band: float64(r.rng.Intn(3))})
-		return
-	}
 	r.deliver(inst)
 }
 
@@ -368,7 +339,7 @@ func (r *agentDiffRig) run(steps int) {
 }
 
 // The dense table changes how monitors are stored, not what the agent
-// does: under seeded streams of installs (new, refresh, stale, influence),
+// does: under seeded streams of installs (new, refresh, stale),
 // cancels, probes and ticks that drop several monitors at once, the
 // uplink sequence, every held monitor and the member state of every
 // monitor the object is inside equal the map-based agent's after every

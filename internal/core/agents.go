@@ -99,9 +99,9 @@ type agentMonitor struct {
 }
 
 // track is what an install tells every object of its region: the epoch,
-// the advertised query track, the two radii, and the frontier. A record
-// is never written after internTrack publishes it, so any number of
-// agents, on any goroutine, may hold it.
+// the advertised query track and the two radii. A record is never written
+// after internTrack publishes it, so any number of agents, on any
+// goroutine, may hold it.
 type track struct {
 	epoch        uint32
 	qpos         geo.Point
@@ -109,12 +109,7 @@ type track struct {
 	at           model.Tick
 	answerRadius float64
 	radius       float64
-	// Influence frontier advertised with the install (zero: none — use
-	// the θ drift rule). The object's movement threshold is derived per
-	// tick as its slack to the frontier, |d(lastReport) − frontier|, so
-	// it needs no storage and re-anchors automatically on every report.
-	frontier  float64
-	rangeMode bool
+	rangeMode    bool
 }
 
 // processTracks is the slot of the agents whose medium keeps none (the
@@ -258,9 +253,7 @@ func (a *ObjectAgent) HandleServerMessage(msg protocol.Message) {
 			}
 		}
 	case protocol.MonitorInstall:
-		a.handleInstall(v, 0)
-	case protocol.InfluenceInstall:
-		a.handleInstall(v.Install, v.Frontier)
+		a.handleInstall(v)
 	case protocol.MonitorCancel:
 		if i, ok := a.find(v.Query); ok && v.Epoch >= a.mons[i].tr.epoch {
 			a.drop(i)
@@ -268,7 +261,7 @@ func (a *ObjectAgent) HandleServerMessage(msg protocol.Message) {
 	}
 }
 
-func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall, frontier float64) {
+func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall) {
 	i, had := a.find(v.Query)
 	if had && v.Epoch < a.mons[i].tr.epoch {
 		return // stale rebroadcast
@@ -333,28 +326,6 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall, frontier float64)
 					Query: v.Query, Object: a.deps.ID, Kind: protocol.KindExitReport, Value: d})
 			}
 		}
-		// Influence correction: a refresh advertising a frontier re-tests
-		// the server's (possibly drift-stale) copy of our position against
-		// it. If our true side of F disagrees with what the server's copy
-		// implies, or our accumulated drift exceeds the slack to F, the
-		// server's ranking around the new frontier cannot be trusted —
-		// correct it with a fresh MoveReport. Freshly-reported objects
-		// (drift 0, consistent side) stay silent, so each correction wave
-		// strictly shrinks the stale set and the tick converges.
-		if frontier > 0 && !v.RangeMode && side && was != nil && !reported {
-			dSrv := was.lastReport.Dist(v.QueryPos)
-			drift := p.Dist(was.lastReport)
-			if (d <= frontier) != (dSrv <= frontier) || drift > math.Abs(dSrv-frontier) {
-				a.deps.Side.Uplink(protocol.MoveReport{MemberReport: protocol.MemberReport{
-					Query: v.Query, Epoch: v.Epoch, Object: a.deps.ID, Pos: p, At: now,
-				}})
-				reported = true
-				if a.deps.Trace != nil {
-					emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvReportSent,
-						Query: v.Query, Object: a.deps.ID, Kind: protocol.KindMoveReport, Value: drift})
-				}
-			}
-		}
 	}
 	// lastReport must track what the *server* knows about us. After a
 	// full probe the server rebuilt its state from our reply at the
@@ -381,7 +352,6 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall, frontier float64)
 		at:           v.At,
 		answerRadius: v.AnswerRadius,
 		radius:       v.Radius,
-		frontier:     frontier,
 		rangeMode:    v.RangeMode,
 	})}
 	if had {
@@ -466,20 +436,7 @@ func (a *ObjectAgent) Tick(now model.Tick) {
 		case side && !tr.rangeMode:
 			ms := &(*a.members)[mi]
 			drift := p.Dist(ms.lastReport)
-			move := false
-			if tr.frontier > 0 {
-				// Influence rule: the server only needs to know our side of
-				// the frontier F. While the drift stays under our slack to F
-				// (|d(lastReport, q̂) − F|) the triangle inequality proves we
-				// cannot have crossed it, so the report is suppressed; the
-				// side test catches the boundary exactly.
-				dSrv := ms.lastReport.Dist(qhat)
-				move = (d <= tr.frontier) != (dSrv <= tr.frontier) ||
-					drift > math.Abs(dSrv-tr.frontier)
-			} else {
-				move = drift > a.theta
-			}
-			if move {
+			if drift > a.theta {
 				a.deps.Side.Uplink(protocol.MoveReport{MemberReport: protocol.MemberReport{
 					Query: q, Epoch: tr.epoch, Object: a.deps.ID, Pos: p, At: now,
 				}})
@@ -490,8 +447,7 @@ func (a *ObjectAgent) Tick(now model.Tick) {
 				}
 			} else if a.deps.Trace != nil {
 				// The threshold just saved an uplink: the server's copy is
-				// still close enough (θ rule) or provably on the same side
-				// of the frontier (influence rule).
+				// still close enough.
 				emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvReportSuppressed,
 					Query: q, Object: a.deps.ID, Kind: protocol.KindMoveReport, Value: drift})
 			}

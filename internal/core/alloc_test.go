@@ -108,7 +108,7 @@ func TestAgentFootprint(t *testing.T) {
 	}{
 		{"ObjectAgent", unsafe.Sizeof(ObjectAgent{}), 128},
 		{"agentMonitor", unsafe.Sizeof(agentMonitor{}), 16},
-		{"track", unsafe.Sizeof(track{}), 80},
+		{"track", unsafe.Sizeof(track{}), 72},
 		{"memberState", unsafe.Sizeof(memberState{}), 32},
 		{"member", unsafe.Sizeof(member{}), 24},
 	} {

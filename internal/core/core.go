@@ -105,20 +105,6 @@ type Config struct {
 	// therefore desynchronizes the client's view only until the next
 	// install.
 	DeltaAnswers bool
-	// Influence enables influential-neighbor-set safe regions (INSQ):
-	// after each install the server derives a frontier F — the midpoint
-	// between the k-th and (k+1)-th inside member — and advertises it on
-	// an extended install. Each aware object then derives a private
-	// movement threshold (its slack to F) and suppresses MoveReports
-	// while its accumulated drift provably cannot have changed its side
-	// of the frontier, instead of re-reporting every θ meters. The
-	// server re-validates the frontier on every applied report and
-	// refreshes the install the moment the influence set changes, so
-	// answers stay membership-exact on a clean channel while in-circle
-	// uplink traffic drops to frontier-zone activity. Off (the default)
-	// keeps the classic velocity-worst-case path byte-identical on the
-	// wire.
-	Influence bool
 }
 
 // DefaultConfig returns the parameterization used by the headline

@@ -58,8 +58,6 @@ func (s *Server) exportLocked(q model.QueryID, mon *monitor) protocol.QueryHando
 		AdvVel:       mon.advVel,
 		AnswerSeq:    mon.answerSeq,
 		LastProbeAt:  mon.lastProbeAt,
-		Frontier:     mon.frontier,
-		Band:         mon.band,
 	}
 	// The rows are walked in ascending id order, so the three lists are
 	// sorted too.
@@ -134,19 +132,12 @@ func (s *Server) ImportMonitor(st protocol.QueryHandoff, now model.Tick) {
 		!finitePoint(st.AdvPos) || !finiteVec(st.AdvVel) {
 		return
 	}
-	// The codec already rejects non-finite thresholds; zero a locally
-	// constructed bad value too, so an unusable frontier degrades to the
-	// θ rule instead of poisoning suppression decisions.
-	if !finite(st.Frontier) || st.Frontier < 0 || !finite(st.Band) || st.Band < 0 {
-		st.Frontier, st.Band = 0, 0
-	}
 	mon := newMonitor(st.Query, int(st.K), st.Range, st.Addr)
 	mon.qpos, mon.qvel, mon.qat = st.QPos, st.QVel, st.QAt
 	mon.epoch, mon.installed = st.Epoch, st.Installed
 	mon.answerRadius, mon.radius = st.AnswerRadius, st.Radius
 	mon.installedAt, mon.advPos, mon.advVel = st.InstalledAt, st.AdvPos, st.AdvVel
 	mon.answerSeq, mon.lastProbeAt = st.AnswerSeq, st.LastProbeAt
-	mon.frontier, mon.band = st.Frontier, st.Band
 	// A candidate with a non-finite position would rank first forever
 	// (see handleUplinkLocked); the snapshot may keep its membership.
 	for _, c := range st.Candidates {

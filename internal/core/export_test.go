@@ -64,10 +64,6 @@ func randHandoff(rng *rand.Rand) protocol.QueryHandoff {
 	}
 	if rng.Intn(4) == 0 {
 		st.K, st.Range = 0, 10+rng.Float64()*100 // range monitor
-	} else if rng.Intn(2) == 0 {
-		// Influence-mode snapshot: a live frontier threshold and its band.
-		st.Frontier = 10 + rng.Float64()*200
-		st.Band = rng.Float64() * 20
 	}
 	if n := rng.Intn(9); n > 0 {
 		for _, id := range ids(n) {
@@ -119,20 +115,19 @@ func TestQueryHandoffWireRoundTrip(t *testing.T) {
 // documented import side effects: the re-baselining full AnswerUpdate
 // bumps AnswerSeq by one, and rewrites Sent to the recomputed answer's
 // membership (which at steady state is what the exporter had sent).
+// The subtest names keep the "influence=false" segment of the retired
+// influence on/off loop, so every case keeps the name it has always had.
 func TestExportImportExportFixedPoint(t *testing.T) {
-	for _, influence := range []bool{false, true} {
-		for _, seed := range []int64{1, 2, 3, 4, 5} {
-			t.Run(fmt.Sprintf("influence=%v/seed%d", influence, seed), func(t *testing.T) {
-				testExportImportExportFixedPoint(t, influence, seed)
-			})
-		}
+	for _, seed := range []int64{1, 2, 3, 4, 5} {
+		t.Run(fmt.Sprintf("influence=false/seed%d", seed), func(t *testing.T) {
+			testExportImportExportFixedPoint(t, seed)
+		})
 	}
 }
 
-func testExportImportExportFixedPoint(t *testing.T, influence bool, seed int64) {
+func testExportImportExportFixedPoint(t *testing.T, seed int64) {
 	{
 		cfg := baseCfg()
-		cfg.Influence = influence
 		rng := rand.New(rand.NewSource(seed))
 		srv, side, now := unitServer(t, cfg)
 		*now = 1
@@ -155,12 +150,6 @@ func testExportImportExportFixedPoint(t *testing.T, influence bool, seed int64) 
 		st1, ok := srv.ExportMonitor(1)
 		if !ok {
 			t.Fatalf("seed %d: export refused", seed)
-		}
-		if influence && st1.Frontier <= 0 {
-			t.Fatalf("seed %d: influence-mode export carries no live frontier", seed)
-		}
-		if !influence && (st1.Frontier != 0 || st1.Band != 0) {
-			t.Fatalf("seed %d: influence-off export carries a frontier %v/%v", seed, st1.Frontier, st1.Band)
 		}
 		if srv.HasQuery(1) {
 			t.Fatalf("seed %d: query still registered after export", seed)
@@ -266,26 +255,6 @@ func TestImportMonitorRejectsInvalidAndDuplicate(t *testing.T) {
 	srv.ImportMonitor(bad, 1)
 	if srv.HasQuery(7) {
 		t.Fatal("imported a negative-range snapshot")
-	}
-
-	// A non-finite or negative threshold degrades to the θ rule (frontier
-	// zeroed) rather than poisoning suppression or rejecting the monitor.
-	bad = base
-	bad.Query = 8
-	bad.Frontier, bad.Band = nan(), 5
-	srv.ImportMonitor(bad, 1)
-	if !srv.HasQuery(8) {
-		t.Fatal("a bad frontier rejected the whole snapshot")
-	}
-	if st, ok := srv.ExportMonitor(8); !ok || st.Frontier != 0 || st.Band != 0 {
-		t.Fatalf("bad frontier not zeroed on import: %v/%v", st.Frontier, st.Band)
-	}
-	bad = base
-	bad.Query = 9
-	bad.Frontier, bad.Band = 50, -1
-	srv.ImportMonitor(bad, 1)
-	if st, ok := srv.ExportMonitor(9); !ok || st.Frontier != 0 || st.Band != 0 {
-		t.Fatalf("negative band not zeroed on import: %v/%v", st.Frontier, st.Band)
 	}
 
 	srv.ImportMonitor(base, 1)

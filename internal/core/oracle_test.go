@@ -87,10 +87,6 @@ type oracleMonitor struct {
 
 	needsReinstall bool
 
-	frontier          float64
-	band              float64
-	frontierRefreshes int
-
 	probing     bool
 	probeSeq    uint32
 	probeRadius float64
@@ -260,12 +256,8 @@ func (s *oracleServer) tick(now model.Tick) {
 	cfg := s.cfg
 	for _, q := range s.order {
 		mon := s.monitors[q]
-		mon.frontierRefreshes = 0
 		if mon.probing {
 			continue
-		}
-		if cfg.Influence && mon.rng == 0 && mon.installed && mon.frontier > 0 {
-			s.refreshAnswer(mon, now)
 		}
 		if mon.installed && now-mon.installedAt >= model.Tick(s.horizon(mon.answerRadius)) {
 			mon.needsReinstall = true
@@ -341,9 +333,6 @@ func (s *oracleServer) refreshInstall(mon *oracleMonitor, now model.Tick) {
 		mon.cands.Remove(id)
 	}
 
-	if s.cfg.Influence {
-		s.updateFrontier(mon, center, rk)
-	}
 	s.broadcastInstall(mon, protocol.MonitorInstall{
 		Query:        mon.query,
 		Epoch:        mon.epoch,
@@ -374,45 +363,6 @@ func (s *oracleServer) boundaryFromKnown(mon *oracleMonitor, sorted []model.Neig
 	return est
 }
 
-func (s *oracleServer) updateFrontier(mon *oracleMonitor, center geo.Point, rk float64) {
-	mon.frontier, mon.band = 0, 0
-	if mon.rng > 0 {
-		return
-	}
-	acc := mon.extraBuf[:0]
-	for id := range mon.inside {
-		if p, ok := mon.cands.Position(id); ok {
-			acc = append(acc, model.Neighbor{ID: id, Dist: p.Dist(center)})
-		}
-	}
-	mon.extraBuf = acc
-	if len(acc) < mon.k {
-		return
-	}
-	model.SortNeighbors(acc)
-	dk := acc[mon.k-1].Dist
-	dnext := rk
-	if len(acc) > mon.k {
-		dnext = acc[mon.k].Dist
-	}
-	f := (dk + dnext) / 2
-	if !(dk < f && f < rk) {
-		return
-	}
-	mon.frontier = f
-	mon.band = (dnext - dk) / 2
-}
-
-func (mon *oracleMonitor) frontierValid(sorted []model.Neighbor) bool {
-	if len(sorted) < mon.k {
-		return false
-	}
-	if sorted[mon.k-1].Dist > mon.frontier {
-		return false
-	}
-	return len(sorted) == mon.k || sorted[mon.k].Dist > mon.frontier
-}
-
 // heldRegion is the region an object that heard inst holds at tick t.
 func heldRegion(inst protocol.MonitorInstall, t model.Tick, dt float64) geo.Circle {
 	return geo.Circle{Center: geo.DeadReckon(inst.QueryPos, inst.QueryVel, float64(t-inst.At)*dt), R: inst.Radius}
@@ -430,12 +380,6 @@ func (s *oracleServer) broadcastInstall(mon *oracleMonitor, inst protocol.Monito
 		}
 	}
 	mon.lastInstall = &inst
-	if s.cfg.Influence {
-		s.deps.Side.Broadcast(cover, protocol.InfluenceInstall{
-			Install: inst, Frontier: mon.frontier, Band: mon.band,
-		})
-		return
-	}
 	s.deps.Side.Broadcast(cover, inst)
 }
 
@@ -477,21 +421,6 @@ func (s *oracleServer) finalize(now model.Tick) bool {
 			continue
 		}
 		if s.concludeProbe(mon, now) {
-			sent = true
-		}
-	}
-	if s.cfg.Influence {
-		for _, q := range s.order {
-			mon := s.monitors[q]
-			if !mon.needsReinstall || !mon.installed || mon.probing ||
-				mon.frontierRefreshes >= maxFrontierRefreshes {
-				continue
-			}
-			if mon.rng == 0 && len(mon.inside) < mon.k {
-				continue // under-full circle: next Tick's probe recovers it
-			}
-			mon.frontierRefreshes++
-			s.refreshInstall(mon, now)
 			sent = true
 		}
 	}
@@ -577,9 +506,6 @@ func (s *oracleServer) install(mon *oracleMonitor, now model.Tick, center geo.Po
 	})
 	mon.replies.Clear()
 
-	if s.cfg.Influence {
-		s.updateFrontier(mon, center, rk)
-	}
 	s.broadcastInstall(mon, protocol.MonitorInstall{
 		Query:        mon.query,
 		Epoch:        mon.epoch,
@@ -608,10 +534,6 @@ func (s *oracleServer) computeAnswer(mon *oracleMonitor, now model.Tick) []model
 		}
 	}
 	model.SortNeighbors(acc)
-	if s.cfg.Influence && mon.rng == 0 && mon.installed && !mon.probing &&
-		mon.frontier > 0 && !mon.frontierValid(acc) {
-		mon.needsReinstall = true
-	}
 	if mon.rng > 0 {
 	} else if len(acc) > mon.k {
 		acc = acc[:mon.k]
@@ -727,8 +649,6 @@ func (s *oracleServer) exportLocked(q model.QueryID, mon *oracleMonitor) protoco
 		InstalledAt:  mon.installedAt,
 		AnswerSeq:    mon.answerSeq,
 		LastProbeAt:  mon.lastProbeAt,
-		Frontier:     mon.frontier,
-		Band:         mon.band,
 	}
 	if mon.lastInstall != nil {
 		st.AdvPos, st.AdvVel = mon.lastInstall.QueryPos, mon.lastInstall.QueryVel
@@ -761,9 +681,6 @@ func (s *oracleServer) importMonitor(st protocol.QueryHandoff, now model.Tick) {
 		!finitePoint(st.AdvPos) || !finiteVec(st.AdvVel) {
 		return
 	}
-	if !finite(st.Frontier) || st.Frontier < 0 || !finite(st.Band) || st.Band < 0 {
-		st.Frontier, st.Band = 0, 0
-	}
 	mon := &oracleMonitor{
 		query:        st.Query,
 		k:            int(st.K),
@@ -779,8 +696,6 @@ func (s *oracleServer) importMonitor(st protocol.QueryHandoff, now model.Tick) {
 		installedAt:  st.InstalledAt,
 		answerSeq:    st.AnswerSeq,
 		lastProbeAt:  st.LastProbeAt,
-		frontier:     st.Frontier,
-		band:         st.Band,
 		cands:        oraclePositions{},
 		inside:       make(map[model.ObjectID]bool, len(st.Inside)),
 		sent:         make(map[model.ObjectID]bool, len(st.Sent)),

@@ -117,15 +117,6 @@ type monitor struct {
 
 	needsReinstall bool
 
-	// Influence state (Config.Influence only): the advertised frontier F
-	// and band, zero when no valid frontier exists for the current epoch
-	// (agents then fall back to the θ drift rule). frontierRefreshes
-	// counts the frontier-triggered refreshes issued this tick so a
-	// pathological oscillation cannot keep Finalize from quiescing.
-	frontier          float64
-	band              float64
-	frontierRefreshes int
-
 	// Probe state.
 	probing     bool
 	probeSeq    uint32
@@ -476,20 +467,8 @@ func (s *Server) Tick(now model.Tick) {
 	cfg := s.cfg
 	for _, q := range s.order {
 		mon := s.monitors[q]
-		mon.frontierRefreshes = 0
 		if mon.probing {
 			continue
-		}
-		// Influence mode: the maintained answer ranks stored member
-		// positions against the dead-reckoned query, so it drifts with the
-		// query even on report-free ticks — and suppressed members only
-		// guarantee their side of F relative to that same moving view. A
-		// purely query-motion-driven reordering must therefore be detected
-		// here, not just on applied reports: re-evaluating invalidates the
-		// frontier (computeAnswer re-checks it) and the Finalize sweep's
-		// refresh + correction wave then repairs membership this tick.
-		if cfg.Influence && mon.rng == 0 && mon.installed && mon.frontier > 0 {
-			s.refreshAnswer(mon, now)
 		}
 		// H_q depends only on the answer radius, so this is the horizon
 		// the install sized its slack for.
@@ -580,10 +559,7 @@ func (s *Server) refreshInstall(mon *monitor, now model.Tick) {
 	// stale annulus entries do not accumulate.
 	mon.tab.prune(center, radius)
 
-	if s.cfg.Influence {
-		s.updateFrontier(mon, center, rk)
-	}
-	s.broadcastInstall(cover, mon, protocol.MonitorInstall{
+	s.deps.Side.Broadcast(cover, protocol.MonitorInstall{
 		Query:        mon.query,
 		Epoch:        mon.epoch,
 		Refresh:      true,
@@ -620,68 +596,6 @@ func (s *Server) boundaryFromKnown(mon *monitor, sorted []model.Neighbor) float6
 		est = s.cfg.MaxProbeRadius
 	}
 	return est
-}
-
-// maxFrontierRefreshes caps the frontier-triggered refreshes one monitor
-// may issue per tick. Each correction wave permanently freshens at least
-// one member, so convergence normally takes one or two rounds; the cap
-// guarantees Finalize quiesces even if a report pattern oscillates.
-const maxFrontierRefreshes = 8
-
-// updateFrontier derives the influence frontier for a freshly installed
-// kNN monitor: the midpoint between the k-th and (k+1)-th inside-member
-// distances, with the band as half the gap. The frontier is valid only
-// when it strictly separates the k-th member from the boundary rk —
-// degenerate geometries (ties, fewer than k+1 members hugging rk, range
-// mode) advertise zero and agents fall back to the θ rule.
-func (s *Server) updateFrontier(mon *monitor, center geo.Point, rk float64) {
-	mon.frontier, mon.band = 0, 0
-	if mon.rng > 0 {
-		return
-	}
-	acc := mon.tab.rankedAt(center)
-	if len(acc) < mon.k {
-		return
-	}
-	dk := acc[mon.k-1].Dist
-	dnext := rk
-	if len(acc) > mon.k {
-		dnext = acc[mon.k].Dist
-	}
-	f := (dk + dnext) / 2
-	if !(dk < f && f < rk) {
-		return
-	}
-	mon.frontier = f
-	mon.band = (dnext - dk) / 2
-}
-
-// frontierValid re-checks the advertised frontier against the sorted
-// inside-member distances: it holds exactly when the k-th member is still
-// at or below F and the (k+1)-th (if any) is beyond it. Every applied
-// report re-runs this; a violation means the influence set changed and
-// the monitor must refresh.
-func (mon *monitor) frontierValid(sorted []model.Neighbor) bool {
-	if len(sorted) < mon.k {
-		return false
-	}
-	if sorted[mon.k-1].Dist > mon.frontier {
-		return false
-	}
-	return len(sorted) == mon.k || sorted[mon.k].Dist > mon.frontier
-}
-
-// broadcastInstall sends the monitor (re)install over cover: the classic
-// MonitorInstall, or its influence-extended form carrying the frontier
-// when influence mode is on — keeping the off-mode wire byte-identical.
-func (s *Server) broadcastInstall(cover geo.Circle, mon *monitor, inst protocol.MonitorInstall) {
-	if s.cfg.Influence {
-		s.deps.Side.Broadcast(cover, protocol.InfluenceInstall{
-			Install: inst, Frontier: mon.frontier, Band: mon.band,
-		})
-		return
-	}
-	s.deps.Side.Broadcast(cover, inst)
 }
 
 // startProbe begins a probe round sized from current knowledge.
@@ -738,28 +652,6 @@ func (s *Server) Finalize(now model.Tick) bool {
 			continue
 		}
 		if s.concludeProbe(mon, now) {
-			sent = true
-		}
-	}
-	// Influence mode: reinstall the moment the influence set changes
-	// rather than waiting for the next Tick. Reports applied this round
-	// may have invalidated a frontier; refreshing here lets the agents'
-	// correction reports and the re-derived frontier converge within the
-	// same tick (the driver flushes and calls Finalize again as long as
-	// anything was sent). Capped per monitor per tick so an oscillating
-	// report pattern cannot keep the tick from quiescing.
-	if s.cfg.Influence {
-		for _, q := range s.order {
-			mon := s.monitors[q]
-			if !mon.needsReinstall || !mon.installed || mon.probing ||
-				mon.frontierRefreshes >= maxFrontierRefreshes {
-				continue
-			}
-			if mon.rng == 0 && mon.tab.nInside < mon.k {
-				continue // under-full circle: next Tick's probe recovers it
-			}
-			mon.frontierRefreshes++
-			s.refreshInstall(mon, now)
 			sent = true
 		}
 	}
@@ -864,10 +756,7 @@ func (s *Server) install(mon *monitor, now model.Tick, center geo.Point, rk, rad
 	mon.tab.sortIDs()
 	mon.replies.Clear()
 
-	if s.cfg.Influence {
-		s.updateFrontier(mon, center, rk)
-	}
-	s.broadcastInstall(cover, mon, protocol.MonitorInstall{
+	s.deps.Side.Broadcast(cover, protocol.MonitorInstall{
 		Query:        mon.query,
 		Epoch:        mon.epoch,
 		RangeMode:    mon.rng > 0,
@@ -900,15 +789,6 @@ func (s *Server) install(mon *monitor, now model.Tick, center geo.Point, rk, rad
 func (s *Server) computeAnswer(mon *monitor, now model.Tick) []model.Neighbor {
 	center := mon.qEst(now, s.deps.DT)
 	acc := mon.tab.rankedAt(center)
-	// Influence mode: every applied report re-validates the advertised
-	// frontier. The instant the influence set changes — the k-th member
-	// crossed beyond F, or an annulus member crossed under it — the
-	// monitor is marked for a refresh, which re-derives and re-advertises
-	// the frontier (the Finalize sweep issues it within the same tick).
-	if s.cfg.Influence && mon.rng == 0 && mon.installed && !mon.probing &&
-		mon.frontier > 0 && !mon.frontierValid(acc) {
-		mon.needsReinstall = true
-	}
 	if mon.rng > 0 {
 		// Range monitor: membership is the answer; positions (and hence
 		// the reported distances) are only install-time fresh.

@@ -186,8 +186,6 @@ func installQuery(t *testing.T, srv *Server, side *recSide, now model.Tick) prot
 	switch v := side.lastBroadcast().(type) {
 	case protocol.MonitorInstall:
 		return v
-	case protocol.InfluenceInstall: // influence-mode servers install with this kind
-		return v.Install
 	default:
 		t.Fatalf("no install; last broadcast %T", side.lastBroadcast())
 		return protocol.MonitorInstall{}

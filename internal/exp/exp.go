@@ -43,14 +43,6 @@ func DKNN(cfg core.Config) MethodSpec {
 	return MethodSpec{Name: "DKNN", Build: func() (sim.Method, error) { return core.New(cfg) }}
 }
 
-// DKNNInfluence returns the DKNN spec with influence-driven safe regions
-// switched on: installs advertise frontier thresholds and in-boundary
-// objects suppress reports that cannot change the answer.
-func DKNNInfluence(cfg core.Config) MethodSpec {
-	cfg.Influence = true
-	return MethodSpec{Name: "DKNN-INF", Build: func() (sim.Method, error) { return core.New(cfg) }}
-}
-
 // CP returns the centralized-periodic baseline spec.
 func CP() MethodSpec {
 	return MethodSpec{Name: "CP", Build: func() (sim.Method, error) { return baseline.NewCP(), nil }}
@@ -560,7 +552,6 @@ func Suite(p Profile) []*Experiment {
 		p.Fig20ClusterScaling(),
 		p.Fig21Staleness(),
 		p.Fig22AdaptiveBalance(),
-		p.Fig24InfluenceUplink(),
 		p.Table3Accuracy(),
 		p.Table4Mobility(),
 	}
@@ -896,7 +887,7 @@ func (p Profile) Fig21Staleness() *Experiment {
 	e := &Experiment{
 		ID: "fig21", Title: "Answer staleness and report-gap distributions vs message loss",
 		XLabel:  "loss",
-		Methods: []MethodSpec{DKNN(proto), DKNNInfluence(proto)},
+		Methods: []MethodSpec{DKNN(proto)},
 		Metrics: []Metric{MetricStaleP50, MetricStaleP90, MetricStaleP99, MetricStaleMean, MetricGapP90},
 	}
 	for _, loss := range p.Losses {
@@ -955,29 +946,6 @@ func (p Profile) Fig22AdaptiveBalance() *Experiment {
 	if cfg, err := workload.WithMobility(p.Base, workload.ModelHotspot); err == nil {
 		cfg.Observe = true
 		e.Points = append(e.Points, Point{workload.ModelHotspot, cfg})
-	}
-	return e
-}
-
-// Fig24InfluenceUplink: the payoff of influence-driven safe regions —
-// uplink traffic per tick at equal recall, against the fixed-horizon
-// DKNN across object populations on the clean channel. Both columns run
-// provably exact (the recall columns pin 1.00), so the uplink delta is
-// pure savings: reports whose suppression the advertised frontier
-// threshold guaranteed could not change any answer. Observation is on,
-// so the staleness quantile shows the flip side of the bargain — how old
-// the positions backing an answer may grow while that guarantee holds.
-func (p Profile) Fig24InfluenceUplink() *Experiment {
-	e := &Experiment{
-		ID: "fig24", Title: "Influence thresholds: uplink per tick at equal recall",
-		XLabel:  "N",
-		Methods: []MethodSpec{DKNN(p.Proto), DKNNInfluence(p.Proto)},
-		Metrics: []Metric{MetricUplink, MetricRecall, MetricStaleP90, MetricGapP90},
-	}
-	for _, n := range p.Ns {
-		cfg := workload.WithObjects(p.Base, n)
-		cfg.Observe = true
-		e.Points = append(e.Points, Point{fmt.Sprint(n), cfg})
 	}
 	return e
 }

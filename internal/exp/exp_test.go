@@ -34,8 +34,8 @@ func tiny() Profile {
 
 func TestSuiteStructure(t *testing.T) {
 	suite := Suite(tiny())
-	if len(suite) != 20 {
-		t.Fatalf("suite has %d experiments, want 20", len(suite))
+	if len(suite) != 19 {
+		t.Fatalf("suite has %d experiments, want 19", len(suite))
 	}
 	seen := map[string]bool{}
 	for _, e := range suite {
@@ -55,7 +55,7 @@ func TestSuiteStructure(t *testing.T) {
 			}
 		}
 	}
-	for _, id := range []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "fig24", "table3", "table4"} {
+	for _, id := range []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "table3", "table4"} {
 		if !seen[id] {
 			t.Errorf("missing experiment %q", id)
 		}
@@ -153,58 +153,6 @@ func TestFig21RunShapeAndDeterminism(t *testing.T) {
 	}
 	if tbl.CSV() != again.CSV() {
 		t.Errorf("fig21 not deterministic:\n%s\n---\n%s", tbl.CSV(), again.CSV())
-	}
-}
-
-// Fig24 is the influence-mode payoff table: at test scale both columns
-// must hold recall 1.00 on the clean channel while the influence column
-// spends strictly less uplink than fixed-horizon DKNN at every
-// population — and the table must be deterministic across repeat runs.
-func TestFig24RunShapeAndDeterminism(t *testing.T) {
-	p := tiny()
-	e := p.Fig24InfluenceUplink()
-	tbl, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != len(p.Ns) {
-		t.Fatalf("rows = %d, want %d", len(tbl.Rows), len(p.Ns))
-	}
-	for _, pt := range e.Points {
-		if !pt.Config.Observe {
-			t.Fatalf("point %q does not observe", pt.Label)
-		}
-	}
-	base, ok := tbl.Column("DKNN uplink/tick")
-	if !ok {
-		t.Fatalf("no DKNN uplink column in %v", tbl.Columns)
-	}
-	inf, ok := tbl.Column("DKNN-INF uplink/tick")
-	if !ok {
-		t.Fatalf("no DKNN-INF uplink column in %v", tbl.Columns)
-	}
-	for i := range base {
-		if inf[i] >= base[i] {
-			t.Errorf("row %d: influence uplink %v not below fixed-horizon %v", i, inf[i], base[i])
-		}
-	}
-	for _, col := range []string{"DKNN mean recall", "DKNN-INF mean recall"} {
-		rec, ok := tbl.Column(col)
-		if !ok {
-			t.Fatalf("no %q column in %v", col, tbl.Columns)
-		}
-		for i, v := range rec {
-			if v != 1.0 {
-				t.Errorf("row %d: %s = %v, want 1.00 — not an equal-recall comparison", i, col, v)
-			}
-		}
-	}
-	again, err := p.Fig24InfluenceUplink().Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.CSV() != again.CSV() {
-		t.Errorf("fig24 not deterministic:\n%s\n---\n%s", tbl.CSV(), again.CSV())
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 // N times, and if allocations per Broadcast grow with N: the frame is
 // encoded once and the fan-out allocates nothing per connection.
 func BenchmarkFanout(b *testing.B) {
-	install := protocol.InfluenceInstall{Install: protocol.MonitorInstall{Query: 3, Epoch: 2,
-		QueryPos: geo.Pt(500, 500), AnswerRadius: 80, Radius: 120, At: 9}, Frontier: 60, Band: 5}
+	install := protocol.MonitorInstall{Query: 3, Epoch: 2,
+		QueryPos: geo.Pt(500, 500), AnswerRadius: 80, Radius: 120, At: 9}
 	var msg protocol.Message = install // boxed once, as core hands it over
 	sizes := []int{32, 256}
 	allocs := make([]float64, len(sizes))

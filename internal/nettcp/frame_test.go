@@ -102,8 +102,8 @@ func randomMessage(rng *rand.Rand) protocol.Message {
 		}
 		return protocol.AnswerUpdate{Query: rep.Query, Seq: rng.Uint32(), QPos: pt(), Neighbors: nb}
 	case 3:
-		return protocol.InfluenceInstall{Install: protocol.MonitorInstall{Query: rep.Query,
-			Epoch: rep.Epoch, QueryPos: pt(), AnswerRadius: 10, Radius: 20}, Frontier: 5, Band: 1}
+		return protocol.MonitorInstall{Query: rep.Query,
+			Epoch: rep.Epoch, QueryPos: pt(), AnswerRadius: 10, Radius: 20}
 	case 4:
 		return protocol.NodeRelay{Origin: rep.Object, Hops: 1, Inner: protocol.EnterReport{MemberReport: rep}}
 	default:

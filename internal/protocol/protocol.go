@@ -142,14 +142,10 @@ const (
 	// decision. Peer wire.
 	KindPartitionAck
 
-	// KindInfluenceInstall is a MonitorInstall extended with the
-	// influence-set frontier: a distance threshold F separating the
-	// current k answers from the rest of the monitoring region, plus the
-	// half-gap Band around it. Objects derive a private movement
-	// threshold from F and suppress MoveReports while their motion
-	// cannot change their side of the frontier. Sent instead of
-	// KindMonitorInstall when the server runs in influence mode, so
-	// influence-off deployments never see the kind. Broadcast.
+	// KindInfluenceInstall is reserved: a MonitorInstall extended with
+	// an influence-set frontier, from a removed server mode that let
+	// objects suppress MoveReports. No server sends it and agents ignore
+	// it; the codec still round-trips it. Broadcast.
 	KindInfluenceInstall
 
 	kindEnd // sentinel: all valid kinds are below this
@@ -276,18 +272,9 @@ func (m MonitorInstall) Region() geo.Circle {
 	return geo.Circle{Center: m.QueryPos, R: m.Radius}
 }
 
-// InfluenceInstall is a MonitorInstall carrying the influence frontier.
-//
-// Frontier is the distance F from the query point that separates the k
-// current answer objects (all strictly inside F) from every other
-// candidate (all at or beyond F); Band is the half-width of the gap
-// around F, kept for diagnostics and future per-annulus refinements. An
-// object derives its private movement threshold as the distance from
-// its last reported position's query distance to F: while its
-// accumulated drift stays below that slack it provably cannot have
-// crossed the frontier, so its MoveReports are pure noise and are
-// suppressed. Frontier zero means "no valid frontier this epoch" and
-// objects fall back to the fixed θ drift rule.
+// InfluenceInstall is the reserved KindInfluenceInstall layout: a
+// MonitorInstall followed by a frontier distance F from the query point
+// and the half-width Band of the gap around it. No server sends it.
 //
 // Both fields must be finite and non-negative on the wire; Decode
 // rejects NaN/Inf the way the server rejects non-finite register
@@ -540,8 +527,6 @@ type QueryHandoff struct {
 	AdvVel       geo.Vector // velocity the last install advertised
 	AnswerSeq    uint32
 	LastProbeAt  model.Tick
-	Frontier     float64
-	Band         float64
 	Candidates   []CandidateRecord
 	Inside       []model.ObjectID
 	Sent         []model.ObjectID
@@ -689,11 +674,11 @@ var ErrTruncated = errors.New("protocol: truncated message")
 // ErrUnknownKind is returned by Decode for an unrecognized kind byte.
 var ErrUnknownKind = errors.New("protocol: unknown message kind")
 
-// ErrBadThreshold is returned by Decode when an influence frontier or
-// band field is NaN, infinite, or negative. A non-finite threshold would
-// silently disable (or permanently force) reporting on every object that
-// applied it, so the codec rejects it outright — the same defense the
-// server applies to non-finite register kinematics.
+// ErrBadThreshold is returned by Decode when an InfluenceInstall's
+// frontier or band field is NaN, infinite, or negative. A non-finite
+// threshold would silently disable (or permanently force) reporting on
+// every object that applied it, so the codec rejects it outright — the
+// same defense the server applies to non-finite register kinematics.
 var ErrBadThreshold = errors.New("protocol: non-finite or negative threshold")
 
 // Encode serializes m, appending to dst (which may be nil) and returning
@@ -834,8 +819,6 @@ func Encode(dst []byte, m Message) []byte {
 		dst = appendVec(dst, v.AdvVel)
 		dst = appendU32(dst, v.AnswerSeq)
 		dst = appendTick(dst, v.LastProbeAt)
-		dst = appendF64(dst, v.Frontier)
-		dst = appendF64(dst, v.Band)
 		dst = appendU32(dst, uint32(len(v.Candidates)))
 		for _, c := range v.Candidates {
 			dst = appendU32(dst, uint32(c.ID))
@@ -929,7 +912,7 @@ func EncodedSize(m Message) int {
 	case ObjectHandoff:
 		return 1 + 4 + 16 + 16 + 8 + 2 + len(v.Aware)*6
 	case QueryHandoff:
-		return 1 + 4 + 4 + 8 + 4 + 16 + 16 + 8 + 4 + 1 + 8 + 8 + 8 + 16 + 16 + 4 + 8 + 8 + 8 +
+		return 1 + 4 + 4 + 8 + 4 + 16 + 16 + 8 + 4 + 1 + 8 + 8 + 8 + 16 + 16 + 4 + 8 +
 			4 + len(v.Candidates)*20 + 4 + len(v.Inside)*4 + 4 + len(v.Sent)*4 +
 			2 + len(v.Spread)*2
 	case QueryHandoffAck:
@@ -1159,11 +1142,6 @@ func Decode(buf []byte) (Message, error) {
 			AdvVel:       r.vec(),
 			AnswerSeq:    r.u32(),
 			LastProbeAt:  r.tick(),
-			Frontier:     r.f64(),
-			Band:         r.f64(),
-		}
-		if !r.failed && (!validThreshold(qh.Frontier) || !validThreshold(qh.Band)) {
-			return nil, ErrBadThreshold
 		}
 		if nc := r.count(int(r.u32()), 20); nc > 0 {
 			qh.Candidates = make([]CandidateRecord, 0, nc)

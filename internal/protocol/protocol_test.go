@@ -75,7 +75,6 @@ func sampleMessages() []Message {
 		QueryHandoff{Query: 8, K: 4, Addr: 1001, QPos: geo.Pt(515, 505), QVel: geo.Vec(2, 0), QAt: 43,
 			Epoch: 6, Installed: true, AnswerRadius: 80.5, Radius: 161, InstalledAt: 40,
 			AdvPos: geo.Pt(509, 505), AdvVel: geo.Vec(1.5, 0.25), AnswerSeq: 15, LastProbeAt: 12,
-			Frontier: 70.5, Band: 4.75,
 			Candidates: []CandidateRecord{{ID: 4, Pos: geo.Pt(520, 500)}, {ID: 9, Pos: geo.Pt(500, 510)}},
 			Inside:     []model.ObjectID{4, 9},
 			Sent:       []model.ObjectID{4, 9},
@@ -299,8 +298,8 @@ func TestMonitorInstallRegion(t *testing.T) {
 
 // A NaN, infinite, or negative threshold must be rejected at decode —
 // on an object agent it would silently disable (or permanently force)
-// reporting. The check runs for the bare install, the same install
-// nested in a NodeForward, and the handoff thresholds on the peer wire.
+// reporting. The check runs for the bare install and the same install
+// nested in a NodeForward.
 func TestDecodeBadThreshold(t *testing.T) {
 	install := MonitorInstall{Query: 7, Epoch: 4, QueryPos: geo.Pt(50, 60),
 		AnswerRadius: 80, Radius: 120, At: 19}
@@ -311,8 +310,6 @@ func TestDecodeBadThreshold(t *testing.T) {
 			InfluenceInstall{Install: install, Frontier: 64, Band: v},
 			NodeForward{Home: 1, Region: install.Region(),
 				Inner: InfluenceInstall{Install: install, Frontier: v}},
-			QueryHandoff{Query: 8, K: 4, Addr: 1001, Frontier: v},
-			QueryHandoff{Query: 8, K: 4, Addr: 1001, Frontier: 70, Band: v},
 		} {
 			_, err := Decode(Encode(nil, m))
 			if !errors.Is(err, ErrBadThreshold) {

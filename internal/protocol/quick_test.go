@@ -84,19 +84,6 @@ func TestQuickInfluenceInstall(t *testing.T) {
 	}
 }
 
-func TestQuickQueryHandoffThresholds(t *testing.T) {
-	f := func(q, k, epoch, seq uint32, frontier, band float64, at int64) bool {
-		m := QueryHandoff{
-			Query: model.QueryID(q), K: k, Epoch: epoch, AnswerSeq: seq,
-			QAt: model.Tick(at), Frontier: math.Abs(frontier), Band: math.Abs(band),
-		}
-		return roundTrips(m)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQuickMemberReports(t *testing.T) {
 	f := func(q, epoch, obj uint32, x, y float64, at int64, kind uint8) bool {
 		mr := MemberReport{

@@ -57,11 +57,10 @@ func uplinkDigest(w *wireRun) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// wireDigests pins the client wire with Config.Influence left off, as it
-// stands since installs are covered from the advertised frame. It was
-// first captured before influence-mode safe regions existed (commit
+// wireDigests pins the client wire as it stands since installs are
+// covered from the advertised frame. It was first captured at commit
 // "Adaptive partitioning: load-aware strip rebalancing with live
-// migration") and re-captured when the install cover moved from the
+// migration" and re-captured when the install cover moved from the
 // stale install centre to the frame the objects hold. The engine must
 // keep producing these transcripts byte for byte: same message
 // sequences, same wire bytes, same loss draws, same answers.
@@ -99,16 +98,15 @@ var uplinkDigests = map[string]string{
 	"seed=4/delta-L0": "1ec8fad7e90d489bd9694e71b04e5a7f5e1cfbf24892f1a037b1df64d45e89ce",
 }
 
-// The influence-off identity pin: with Influence off (the zero value),
-// the single server reproduces the pinned wire transcript exactly —
-// across clean, plain-loss, burst-loss, and delta-answer channels and 4
-// seeds — its lossless uplink still matches the pre-re-capture pin, and
-// the batched sharded pipeline still matches it event for event. Any unconditional change the influence path
-// leaks into install timing, message sizing, or RNG consumption breaks
-// a digest here before it can silently shift the goldens.
-func TestInfluenceOffWireIdentity(t *testing.T) {
+// The client wire identity pin: the single server reproduces the pinned
+// wire transcript exactly — across clean, plain-loss, burst-loss, and
+// delta-answer channels and 4 seeds — its lossless uplink still matches
+// the pre-re-capture pin, and the batched sharded pipeline still matches
+// it event for event. Any change that leaks into install timing, message
+// sizing, or RNG consumption breaks a digest here before it can silently
+// shift the goldens.
+func TestClientWireIdentity(t *testing.T) {
 	base := proto()
-	base.Influence = false
 	delta := base
 	delta.DeltaAnswers = true
 	delta.ResyncTicks = 16
@@ -145,17 +143,17 @@ func TestInfluenceOffWireIdentity(t *testing.T) {
 				sc.mut(&cfg)
 				sync := runWire(t, cfg, func() (sim.Method, error) { return core.New(sc.proto) }, ticks)
 				if got, want := wireDigest(sync), wireDigests[key]; got != want {
-					t.Errorf("influence-off wire changed vs pin:\n got  %s\n want %s", got, want)
+					t.Errorf("client wire changed vs pin:\n got  %s\n want %s", got, want)
 				}
 				if want, ok := uplinkDigests[key]; ok {
 					if got := uplinkDigest(sync); got != want {
-						t.Errorf("influence-off uplink changed vs pin:\n got  %s\n want %s", got, want)
+						t.Errorf("client uplink changed vs pin:\n got  %s\n want %s", got, want)
 					}
 				}
 				batched := runWire(t, cfg, func() (sim.Method, error) {
 					return NewBatchedMethod(2, sc.proto)
 				}, ticks)
-				compareWires(t, "influence-off/shards=2", true, sync, batched)
+				compareWires(t, "shards=2", true, sync, batched)
 			})
 		}
 	}

@@ -169,7 +169,6 @@ func (p Protocol) internal() core.Config {
 		cfg.MinProbeRadius = p.MinProbeRadius
 	}
 	cfg.DeltaAnswers = p.DeltaAnswers
-	cfg.Influence = p.Influence
 	return cfg
 }
 
