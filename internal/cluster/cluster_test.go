@@ -175,7 +175,9 @@ func TestSingleNodeWireIdentity(t *testing.T) {
 // the stale install centre; on the ideal-link rows every other column
 // held. Only the link-byte column moved when query-handoff lost its two
 // unused 8-byte threshold fields: 16 B per handoff sent, retries
-// included. Every row runs twice, once at
+// included. Only the downlink columns moved, and fell on every row, when
+// answers began to leave once per query per tick from Finalize instead of
+// once per applied report. Every row runs twice, once at
 // GOMAXPROCS 1, and the two digests must be identical. A latent or lossy
 // link answers late and can strand relays, so those rows pin their
 // exactness and relay drops rather than assert 1 and 0. The adaptive rows
@@ -188,18 +190,18 @@ func TestFederationWireDigest(t *testing.T) {
 		upMsgs, upBytes, dnMsgs, dnBytes, bcMsgs, bcBytes uint64
 		linkSent, linkBytes, objHandoffs, qryHandoffs     float64
 	}{
-		{2, 1, 15539, 575023, 995, 94525, 7336, 491512, 1080, 70541, 217, 7},
-		{2, 2, 15773, 583649, 1130, 107350, 7324, 490708, 1257, 79988, 262, 6},
-		{2, 3, 15472, 572544, 944, 89680, 7141, 478447, 1011, 61407, 192, 4},
-		{2, 4, 15877, 587521, 1242, 117990, 7312, 489904, 1289, 82579, 267, 7},
-		{3, 1, 15482, 572914, 1000, 95000, 7278, 487626, 2063, 130592, 397, 11},
-		{3, 2, 15721, 581725, 1139, 108205, 7334, 491378, 2357, 150010, 415, 12},
-		{3, 3, 15472, 572544, 949, 90155, 7142, 478514, 2218, 136080, 353, 9},
-		{3, 4, 15877, 587521, 1253, 119035, 7312, 489904, 2138, 135738, 406, 11},
-		{4, 1, 15539, 575023, 1014, 96330, 7336, 491512, 3646, 221558, 549, 16},
-		{4, 2, 15773, 583649, 1130, 107350, 7324, 490708, 3481, 209439, 538, 12},
-		{4, 3, 15495, 573395, 957, 90915, 7137, 478179, 2673, 159314, 435, 8},
-		{4, 4, 15873, 587373, 1249, 118655, 7312, 489904, 2684, 167250, 531, 12},
+		{2, 1, 15539, 575023, 497, 47215, 7336, 491512, 1080, 70541, 217, 7},
+		{2, 2, 15773, 583649, 531, 50445, 7324, 490708, 1257, 79988, 262, 6},
+		{2, 3, 15472, 572544, 450, 42750, 7141, 478447, 1011, 61407, 192, 4},
+		{2, 4, 15877, 587521, 574, 54530, 7312, 489904, 1289, 82579, 267, 7},
+		{3, 1, 15482, 572914, 501, 47595, 7278, 487626, 2063, 130592, 397, 11},
+		{3, 2, 15721, 581725, 537, 51015, 7334, 491378, 2357, 150010, 415, 12},
+		{3, 3, 15472, 572544, 455, 43225, 7142, 478514, 2218, 136080, 353, 9},
+		{3, 4, 15877, 587521, 578, 54910, 7312, 489904, 2138, 135738, 406, 11},
+		{4, 1, 15539, 575023, 506, 48070, 7336, 491512, 3646, 221558, 549, 16},
+		{4, 2, 15773, 583649, 537, 51015, 7324, 490708, 3481, 209439, 538, 12},
+		{4, 3, 15495, 573395, 454, 43130, 7137, 478179, 2673, 159314, 435, 8},
+		{4, 4, 15873, 587373, 579, 55005, 7312, 489904, 2684, 167250, 531, 12},
 	}
 	for _, w := range want {
 		checkFederationDigest(t, fedRun{nodes: w.nodes, seed: w.seed}, fedDigest{
@@ -214,30 +216,30 @@ func TestFederationWireDigest(t *testing.T) {
 		loss    float64
 		want    fedDigest
 	}{
-		{2, 1, 1, 0, fedDigest{25808, 954976, 1019, 96805, 11000, 734504, 3338, 190381, 325, 7, 0, 0.8979166666666667, 0}},
-		{2, 2, 1, 0, fedDigest{47992, 1775752, 1147, 108965, 16533, 1107711, 11963, 640917, 385, 6, 0, 0.8708333333333333, 0}},
-		{2, 3, 1, 0, fedDigest{32147, 1189519, 970, 92150, 13046, 869818, 3830, 210035, 364, 4, 0, 0.9270833333333334, 0}},
-		{2, 4, 1, 0, fedDigest{32383, 1198243, 1278, 121410, 12446, 833882, 7086, 390661, 380, 7, 0, 0.93125, 0}},
-		{3, 1, 1, 0, fedDigest{35084, 1298188, 1063, 100985, 13786, 919918, 12828, 697474, 683, 12, 0, 0.8489583333333334, 0}},
-		{3, 2, 1, 0, fedDigest{47864, 1771016, 1198, 113810, 18185, 1218395, 20052, 1100646, 684, 12, 0, 0.8072916666666666, 0}},
-		{3, 3, 1, 0, fedDigest{31934, 1181638, 989, 93955, 12893, 859567, 10088, 557753, 623, 9, 0, 0.8927083333333333, 0}},
-		{3, 4, 1, 0, fedDigest{37408, 1384168, 1306, 124070, 13127, 879509, 12190, 671417, 631, 11, 0, 0.9177083333333333, 0}},
-		{4, 1, 1, 0, fedDigest{28359, 1049371, 1066, 101270, 11713, 781027, 9863, 563336, 957, 16, 0, 0.7864583333333334, 0}},
-		{4, 2, 1, 0, fedDigest{48981, 1812345, 1172, 111340, 17976, 1204392, 22900, 1237895, 931, 12, 0, 0.790625, 0}},
-		{4, 3, 1, 0, fedDigest{32807, 1213939, 990, 94050, 13205, 880471, 11822, 640340, 895, 8, 0, 0.8885416666666667, 0}},
-		{4, 4, 1, 0, fedDigest{31580, 1168532, 1287, 122265, 12336, 826512, 10236, 570878, 819, 12, 0, 0.8895833333333333, 0}},
-		{2, 1, 0, 0.2, fedDigest{34884, 1290788, 994, 94430, 12574, 842458, 2789, 171777, 414, 7, 0, 0.9833333333333333, 0}},
-		{2, 2, 0, 0.2, fedDigest{27615, 1021803, 1122, 106590, 10516, 704572, 2237, 135211, 336, 6, 8, 0.953125, 0}},
-		{2, 3, 0, 0.2, fedDigest{21615, 799835, 953, 90535, 9132, 611844, 2156, 127180, 311, 4, 0, 0.9958333333333333, 0}},
-		{2, 4, 0, 0.2, fedDigest{23507, 869831, 1242, 117990, 10483, 702361, 2595, 160441, 365, 7, 15, 0.9854166666666667, 0}},
-		{3, 1, 0, 0.2, fedDigest{26385, 976325, 1005, 95475, 13249, 887683, 6013, 360223, 656, 11, 13, 0.9083333333333333, 0}},
-		{3, 2, 0, 0.2, fedDigest{26668, 986764, 1141, 108395, 13014, 871938, 5927, 346145, 611, 12, 12, 0.9645833333333333, 0}},
-		{3, 3, 0, 0.2, fedDigest{22532, 833764, 966, 91770, 10613, 711071, 4577, 299721, 519, 9, 33, 0.9625, 0}},
-		{3, 4, 0, 0.2, fedDigest{31983, 1183443, 1234, 117230, 14590, 977530, 7892, 449352, 638, 11, 1, 0.91875, 0}},
-		{4, 1, 0, 0.2, fedDigest{29294, 1083958, 1016, 96520, 15559, 1042453, 8513, 535774, 893, 16, 45, 0.921875, 0}},
-		{4, 2, 0, 0.2, fedDigest{30591, 1131915, 1159, 110105, 14990, 1004330, 9759, 562485, 871, 12, 24, 0.9583333333333334, 0}},
-		{4, 3, 0, 0.2, fedDigest{21593, 799021, 966, 91770, 9388, 628996, 4715, 267918, 619, 8, 0, 0.9572916666666667, 0}},
-		{4, 4, 0, 0.2, fedDigest{24786, 917154, 1262, 119890, 11285, 756095, 5819, 349727, 716, 12, 6, 0.95, 0}},
+		{2, 1, 1, 0, fedDigest{25808, 954976, 497, 47215, 11000, 734504, 3338, 190381, 325, 7, 0, 0.8979166666666667, 0}},
+		{2, 2, 1, 0, fedDigest{47992, 1775752, 525, 49875, 16533, 1107711, 11963, 640917, 385, 6, 0, 0.8708333333333333, 0}},
+		{2, 3, 1, 0, fedDigest{32147, 1189519, 448, 42560, 13046, 869818, 3830, 210035, 364, 4, 0, 0.9270833333333334, 0}},
+		{2, 4, 1, 0, fedDigest{32383, 1198243, 573, 54435, 12446, 833882, 7086, 390661, 380, 7, 0, 0.93125, 0}},
+		{3, 1, 1, 0, fedDigest{35084, 1298188, 504, 47880, 13786, 919918, 12828, 697474, 683, 12, 0, 0.8489583333333334, 0}},
+		{3, 2, 1, 0, fedDigest{47864, 1771016, 535, 50825, 18185, 1218395, 20052, 1100646, 684, 12, 0, 0.8072916666666666, 0}},
+		{3, 3, 1, 0, fedDigest{31934, 1181638, 460, 43700, 12893, 859567, 10088, 557753, 623, 9, 0, 0.8927083333333333, 0}},
+		{3, 4, 1, 0, fedDigest{37408, 1384168, 573, 54435, 13127, 879509, 12190, 671417, 631, 11, 0, 0.9177083333333333, 0}},
+		{4, 1, 1, 0, fedDigest{28359, 1049371, 510, 48450, 11713, 781027, 9863, 563336, 957, 16, 0, 0.7864583333333334, 0}},
+		{4, 2, 1, 0, fedDigest{48981, 1812345, 530, 50350, 17976, 1204392, 22900, 1237895, 931, 12, 0, 0.790625, 0}},
+		{4, 3, 1, 0, fedDigest{32807, 1213939, 446, 42370, 13205, 880471, 11822, 640340, 895, 8, 0, 0.8885416666666667, 0}},
+		{4, 4, 1, 0, fedDigest{31580, 1168532, 569, 54055, 12336, 826512, 10236, 570878, 819, 12, 0, 0.8895833333333333, 0}},
+		{2, 1, 0, 0.2, fedDigest{34884, 1290788, 497, 47215, 12574, 842458, 2789, 171777, 414, 7, 0, 0.9833333333333333, 0}},
+		{2, 2, 0, 0.2, fedDigest{27615, 1021803, 530, 50350, 10516, 704572, 2237, 135211, 336, 6, 8, 0.953125, 0}},
+		{2, 3, 0, 0.2, fedDigest{21615, 799835, 452, 42940, 9132, 611844, 2156, 127180, 311, 4, 0, 0.9958333333333333, 0}},
+		{2, 4, 0, 0.2, fedDigest{23507, 869831, 575, 54625, 10483, 702361, 2595, 160441, 365, 7, 15, 0.9854166666666667, 0}},
+		{3, 1, 0, 0.2, fedDigest{26385, 976325, 516, 49020, 13249, 887683, 6013, 360223, 656, 11, 13, 0.9083333333333333, 0}},
+		{3, 2, 0, 0.2, fedDigest{26668, 986764, 541, 51395, 13014, 871938, 5927, 346145, 611, 12, 12, 0.9645833333333333, 0}},
+		{3, 3, 0, 0.2, fedDigest{22532, 833764, 456, 43320, 10613, 711071, 4577, 299721, 519, 9, 33, 0.9625, 0}},
+		{3, 4, 0, 0.2, fedDigest{31983, 1183443, 581, 55195, 14590, 977530, 7892, 449352, 638, 11, 1, 0.91875, 0}},
+		{4, 1, 0, 0.2, fedDigest{29294, 1083958, 503, 47785, 15559, 1042453, 8513, 535774, 893, 16, 45, 0.921875, 0}},
+		{4, 2, 0, 0.2, fedDigest{30591, 1131915, 536, 50920, 14990, 1004330, 9759, 562485, 871, 12, 24, 0.9583333333333334, 0}},
+		{4, 3, 0, 0.2, fedDigest{21593, 799021, 458, 43510, 9388, 628996, 4715, 267918, 619, 8, 0, 0.9572916666666667, 0}},
+		{4, 4, 0, 0.2, fedDigest{24786, 917154, 589, 55955, 11285, 756095, 5819, 349727, 716, 12, 6, 0.95, 0}},
 	}
 	for _, w := range faulty {
 		link := LinkConfig{LatencyTicks: w.latency, Loss: w.loss, Seed: w.seed}
@@ -248,18 +250,18 @@ func TestFederationWireDigest(t *testing.T) {
 		seed  int64
 		want  fedDigest
 	}{
-		{2, 1, fedDigest{20882, 772714, 1229, 116755, 11852, 794084, 2955, 186995, 438, 14, 0, 1, 11}},
-		{2, 2, fedDigest{20585, 761701, 890, 84550, 12442, 833614, 6034, 353522, 271, 22, 0, 1, 12}},
-		{2, 3, fedDigest{20438, 756294, 671, 63745, 13869, 929223, 4240, 316158, 485, 22, 0, 1, 12}},
-		{2, 4, fedDigest{24219, 896191, 764, 72580, 15505, 1038835, 9297, 530982, 296, 19, 0, 1, 9}},
-		{3, 1, fedDigest{21141, 782297, 1238, 117610, 12003, 798247, 6291, 390478, 601, 24, 0, 1, 11}},
-		{3, 2, fedDigest{20719, 766659, 880, 83600, 12511, 838237, 8748, 511676, 410, 24, 0, 1, 12}},
-		{3, 3, fedDigest{20271, 750115, 686, 65170, 13933, 933511, 6964, 489695, 688, 32, 0, 1, 14}},
-		{3, 4, fedDigest{24051, 889975, 777, 73815, 15322, 1026574, 13438, 789124, 532, 35, 0, 1, 14}},
-		{4, 1, fedDigest{20748, 767756, 1231, 116945, 11605, 777535, 7378, 473890, 884, 30, 0, 1, 15}},
-		{4, 2, fedDigest{20501, 758593, 880, 83600, 12222, 818874, 9594, 572223, 553, 27, 0, 1, 15}},
-		{4, 3, fedDigest{20473, 757589, 677, 64315, 13850, 927950, 10433, 693960, 881, 39, 0, 1, 14}},
-		{4, 4, fedDigest{24074, 890826, 784, 74480, 15289, 1024363, 14760, 879238, 765, 38, 0, 1, 13}},
+		{2, 1, fedDigest{20882, 772714, 542, 51490, 11852, 794084, 2955, 186995, 438, 14, 0, 1, 11}},
+		{2, 2, fedDigest{20585, 761701, 424, 40280, 12442, 833614, 6034, 353522, 271, 22, 0, 1, 12}},
+		{2, 3, fedDigest{20438, 756294, 333, 31635, 13869, 929223, 4240, 316158, 485, 22, 0, 1, 12}},
+		{2, 4, fedDigest{24219, 896191, 367, 34865, 15505, 1038835, 9297, 530982, 296, 19, 0, 1, 9}},
+		{3, 1, fedDigest{21141, 782297, 553, 52535, 12003, 798247, 6291, 390478, 601, 24, 0, 1, 11}},
+		{3, 2, fedDigest{20719, 766659, 426, 40470, 12511, 838237, 8748, 511676, 410, 24, 0, 1, 12}},
+		{3, 3, fedDigest{20271, 750115, 343, 32585, 13933, 933511, 6964, 489695, 688, 32, 0, 1, 14}},
+		{3, 4, fedDigest{24051, 889975, 383, 36385, 15322, 1026574, 13438, 789124, 532, 35, 0, 1, 14}},
+		{4, 1, fedDigest{20748, 767756, 558, 53010, 11605, 777535, 7378, 473890, 884, 30, 0, 1, 15}},
+		{4, 2, fedDigest{20501, 758593, 429, 40755, 12222, 818874, 9594, 572223, 553, 27, 0, 1, 15}},
+		{4, 3, fedDigest{20473, 757589, 350, 33250, 13850, 927950, 10433, 693960, 881, 39, 0, 1, 14}},
+		{4, 4, fedDigest{24074, 890826, 386, 36670, 15289, 1024363, 14760, 879238, 765, 38, 0, 1, 13}},
 	}
 	for _, w := range adaptive {
 		checkFederationDigest(t, fedRun{nodes: w.nodes, seed: w.seed, adaptive: true}, w.want)

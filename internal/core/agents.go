@@ -104,12 +104,12 @@ type agentMonitor struct {
 // goroutine, may hold it.
 type track struct {
 	epoch        uint32
+	rangeMode    bool
 	qpos         geo.Point
 	qvel         geo.Vector
 	at           model.Tick
 	answerRadius float64
 	radius       float64
-	rangeMode    bool
 }
 
 // processTracks is the slot of the agents whose medium keeps none (the

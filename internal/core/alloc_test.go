@@ -36,7 +36,8 @@ func TestReportAnswerPathDoesNotAllocate(t *testing.T) {
 // A candidate from the annulus entering the answer circle below rank k
 // leaves the annulus table once; from then on exit and re-entry flip a
 // flag in place and move one ranking entry. At steady capacity the cycle
-// allocates nothing beside a manyq-sync-sized annulus, and sends nothing.
+// allocates nothing beside a manyq-sync-sized annulus, and the round's
+// end sends nothing.
 func TestEnterExitCycleDoesNotAllocate(t *testing.T) {
 	srv, side, now := benchServer(t)
 	*now = 1
@@ -52,6 +53,7 @@ func TestEnterExitCycleDoesNotAllocate(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, func() {
 		srv.HandleUplink(21, enter)
 		srv.HandleUplink(21, exit)
+		srv.Finalize(1)
 	}); avg != 0 {
 		t.Errorf("Enter→Exit cycle allocates %.1f times, want 0", avg)
 	}
@@ -108,7 +110,7 @@ func TestAgentFootprint(t *testing.T) {
 	}{
 		{"ObjectAgent", unsafe.Sizeof(ObjectAgent{}), 128},
 		{"agentMonitor", unsafe.Sizeof(agentMonitor{}), 16},
-		{"track", unsafe.Sizeof(track{}), 72},
+		{"track", unsafe.Sizeof(track{}), 64},
 		{"memberState", unsafe.Sizeof(memberState{}), 32},
 		{"member", unsafe.Sizeof(member{}), 24},
 	} {
@@ -121,13 +123,13 @@ func TestAgentFootprint(t *testing.T) {
 // The footprint as the heap sees it, size classes and table slack
 // included, of a device that holds two monitors and is inside one of them:
 // the agent (128 B), a two-row table (32), a one-row member table behind
-// its slice header (32 + 24), and the two installs' tracks (80 each).
+// its slice header (32 + 24), and the two installs' tracks (64 each).
 //
 // In broadcast order — the whole population hears install A, then install
 // B, as fan-out delivers them — the audience shares each track: 212 B a
 // device. A lone device, which hears both installs interleaved with other
-// devices' and so shares with nobody, pays for both tracks itself: 372 B,
-// the accepted +32 B over rows that each hold their own track.
+// devices' and so shares with nobody, pays for both tracks itself: 340 B,
+// the accepted +16 B over rows that each hold their own track.
 func TestObjectAgentHeapPerDevice(t *testing.T) {
 	inside, annulus := benchAgentInstall(1, 1, false), benchAnnulusInstall(2, 1, false)
 	for _, c := range []struct {
@@ -136,7 +138,7 @@ func TestObjectAgentHeapPerDevice(t *testing.T) {
 		limit     float64
 	}{
 		{"broadcast-order", true, 230},
-		{"lone-device", false, 380},
+		{"lone-device", false, 348},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			const n = 10000

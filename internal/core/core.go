@@ -22,7 +22,8 @@
 //     server's ranking of the buffered set fresh).
 //
 //   - The server maintains the answer as the k nearest among the buffered
-//     members. It *refreshes* the monitor without probing (epoch+1,
+//     members and sends it once per query per tick, at the end of the
+//     tick's rounds, when its membership changed. It *refreshes* the monitor without probing (epoch+1,
 //     objects self-report side changes relative to their previous state)
 //     when the query track corrects, when the buffer half-drains or
 //     overflows, or when the safety horizon H_q expires; it falls back to a
@@ -190,8 +191,10 @@ func (c Config) Validate() error {
 type Engine interface {
 	transport.ServerHandler
 	Tick(now model.Tick)
-	// Finalize reports whether anything moved; the driver delivers what
-	// was sent and calls again while it does.
+	// Finalize ends one of the tick's rounds: it concludes due probes and
+	// sends each query's pending answer, at most one per query. It
+	// reports whether anything moved; the driver delivers what was sent
+	// and calls again while it does.
 	Finalize(now model.Tick) bool
 	BusyTime() time.Duration
 }

@@ -35,12 +35,16 @@ func (s *Server) ExportMonitor(q model.QueryID) (protocol.QueryHandoff, bool) {
 	if !ok || mon.probing {
 		return protocol.QueryHandoff{}, false
 	}
-	return s.exportLocked(q, mon), true
+	return s.exportLocked(q, mon, s.deps.Now()), true
 }
 
 // exportLocked snapshots mon and removes it from the server's tables.
-// Callers hold s.mu and have already rejected probing monitors.
-func (s *Server) exportLocked(q model.QueryID, mon *monitor) protocol.QueryHandoff {
+// Callers hold s.mu and have already rejected probing monitors. A pending
+// answer is sent first, so the snapshot's AnswerSeq and Sent include it:
+// the importer's re-baseline lands a link delivery later, and the focal
+// client must not wait for it on a stale answer.
+func (s *Server) exportLocked(q model.QueryID, mon *monitor, now model.Tick) protocol.QueryHandoff {
+	s.sendAnswer(mon, now)
 	st := protocol.QueryHandoff{
 		Query:        mon.query,
 		K:            uint32(mon.k),
@@ -108,7 +112,7 @@ func (s *Server) ExportMonitorsWhere(now model.Tick, leave func(q model.QueryID,
 		if !leave(q, est) {
 			continue
 		}
-		out = append(out, ExportedMonitor{State: s.exportLocked(q, mon), Est: est})
+		out = append(out, ExportedMonitor{State: s.exportLocked(q, mon, now), Est: est})
 	}
 	return out
 }

@@ -274,3 +274,35 @@ func nan() float64 {
 	v := 0.0
 	return v / v
 }
+
+// An export sends the monitor's pending answer before it takes the
+// snapshot, so the snapshot's AnswerSeq and Sent count it. The importer's
+// re-baseline reaches the client a link delivery later; until then the
+// client holds the answer the exporter sent.
+func TestExportSendsPendingAnswer(t *testing.T) {
+	srv, side, now := unitServer(t, baseCfg())
+	*now = 1
+	inst := installQuery(t, srv, side, 1)
+	base := len(side.downlinks)
+	*now = 2
+	srv.HandleUplink(4, protocol.EnterReport{MemberReport: protocol.MemberReport{
+		Query: 1, Epoch: inst.Epoch, Object: 4, Pos: geo.Pt(505, 500), At: 2,
+	}})
+	if n := len(side.downlinks) - base; n != 0 {
+		t.Fatalf("the report sent %d answers, want it pending", n)
+	}
+	st, ok := srv.ExportMonitor(1)
+	if !ok {
+		t.Fatal("export refused")
+	}
+	if n := len(side.downlinks) - base; n != 1 {
+		t.Fatalf("the export sent %d answers, want the pending one", n)
+	}
+	au, ok := side.downlinks[base].msg.(protocol.AnswerUpdate)
+	if !ok || au.Seq != 2 || len(au.Neighbors) != 2 || au.Neighbors[0].ID != 4 || au.Neighbors[1].ID != 1 {
+		t.Fatalf("export sent %+v, want seq 2 naming 4 and 1", side.downlinks[base].msg)
+	}
+	if st.AnswerSeq != 2 || !reflect.DeepEqual(st.Sent, []model.ObjectID{1, 4}) {
+		t.Fatalf("snapshot AnswerSeq %d Sent %v, want 2 and [1 4]", st.AnswerSeq, st.Sent)
+	}
+}

@@ -81,6 +81,7 @@ type oracleMonitor struct {
 	inside      map[model.ObjectID]bool // ids currently inside the answer circle
 	answer      []model.Neighbor        // current maintained answer
 	sent        map[model.ObjectID]bool // membership of the last answer message
+	pending     bool                    // answer recomputed since the last answer message
 	rebaseline  bool
 	answerSeq   uint32
 	resyncProbe bool
@@ -413,14 +414,17 @@ func (s *oracleServer) startProbe(mon *oracleMonitor, now model.Tick) {
 	})
 }
 
+// finalize ends a round: per query, a due probe concludes, and then the
+// answer the round left behind goes out if it names other objects than
+// the last one sent.
 func (s *oracleServer) finalize(now model.Tick) bool {
 	sent := false
 	for _, q := range s.order {
 		mon := s.monitors[q]
-		if !mon.probing || now < mon.probeDue {
-			continue
+		if mon.probing && now >= mon.probeDue && s.concludeProbe(mon, now) {
+			sent = true
 		}
-		if s.concludeProbe(mon, now) {
+		if s.sendAnswer(mon, now) {
 			sent = true
 		}
 	}
@@ -575,7 +579,18 @@ func (s *oracleServer) sendFullAnswer(mon *oracleMonitor, acc []model.Neighbor, 
 }
 
 func (s *oracleServer) refreshAnswer(mon *oracleMonitor, now model.Tick) {
-	acc := s.computeAnswer(mon, now)
+	s.computeAnswer(mon, now)
+	mon.pending = true
+}
+
+// sendAnswer downlinks the pending answer when its membership differs
+// from the last one sent, and reports whether it did.
+func (s *oracleServer) sendAnswer(mon *oracleMonitor, now model.Tick) bool {
+	if !mon.pending {
+		return false
+	}
+	mon.pending = false
+	acc := mon.answer
 
 	changed := len(acc) != len(mon.sent)
 	added := mon.addedBuf[:0]
@@ -587,7 +602,7 @@ func (s *oracleServer) refreshAnswer(mon *oracleMonitor, now model.Tick) {
 	}
 	mon.addedBuf = added
 	if !changed {
-		return
+		return false
 	}
 	if s.cfg.DeltaAnswers && !mon.rebaseline {
 		if mon.accSet == nil {
@@ -624,16 +639,20 @@ func (s *oracleServer) refreshAnswer(mon *oracleMonitor, now model.Tick) {
 		s.deps.Side.Downlink(mon.addr, protocol.AnswerDelta{
 			Query: mon.query, Seq: mon.answerSeq, At: now, Added: outAdded, Removed: outRemoved,
 		})
-		return
+		return true
 	}
 	s.sendFullAnswer(mon, acc, now)
+	return true
 }
 
 func (s *oracleServer) resyncAnswer(mon *oracleMonitor, now model.Tick) {
+	mon.pending = false
 	s.sendFullAnswer(mon, s.computeAnswer(mon, now), now)
 }
 
-func (s *oracleServer) exportLocked(q model.QueryID, mon *oracleMonitor) protocol.QueryHandoff {
+// exportLocked sends a pending answer before it takes the snapshot.
+func (s *oracleServer) exportLocked(q model.QueryID, mon *oracleMonitor, now model.Tick) protocol.QueryHandoff {
+	s.sendAnswer(mon, now)
 	st := protocol.QueryHandoff{
 		Query:        mon.query,
 		K:            uint32(mon.k),

@@ -104,11 +104,12 @@ func TestDroppedDeltaDetectedAndRepairedOneRoundTrip(t *testing.T) {
 	}
 
 	// Membership change #1: object 4 enters closest. The server sends an
-	// AnswerDelta — which we deliberately DROP.
+	// AnswerDelta at the end of the round — which we deliberately DROP.
 	*now = 2
 	srv.HandleUplink(4, protocol.EnterReport{MemberReport: protocol.MemberReport{
 		Query: 1, Epoch: inst.Epoch, Object: 4, Pos: geo.Pt(505, 500), At: 2,
 	}})
+	srv.Finalize(2)
 	if len(side.downlinks) != 2 {
 		t.Fatalf("expected a delta downlink, got %d total", len(side.downlinks))
 	}
@@ -121,6 +122,7 @@ func TestDroppedDeltaDetectedAndRepairedOneRoundTrip(t *testing.T) {
 	srv.HandleUplink(5, protocol.EnterReport{MemberReport: protocol.MemberReport{
 		Query: 1, Epoch: inst.Epoch, Object: 5, Pos: geo.Pt(503, 500), At: 2,
 	}})
+	srv.Finalize(2)
 	if len(side.downlinks) != 3 {
 		t.Fatalf("expected a second delta, got %d total", len(side.downlinks))
 	}
@@ -268,9 +270,11 @@ func TestAnswerSeqStrictlyConsecutive(t *testing.T) {
 	srv.HandleUplink(4, protocol.EnterReport{MemberReport: protocol.MemberReport{
 		Query: 1, Epoch: inst.Epoch, Object: 4, Pos: geo.Pt(505, 500), At: 1,
 	}})
+	srv.Finalize(1)
 	srv.HandleUplink(4, protocol.ExitReport{MemberReport: protocol.MemberReport{
 		Query: 1, Epoch: inst.Epoch, Object: 4, Pos: geo.Pt(900, 900), At: 1,
 	}})
+	srv.Finalize(1)
 	srv.HandleUplink(500, protocol.AnswerResync{Query: 1, LastSeq: 1, At: 1})
 
 	var seqs []uint32

@@ -105,6 +105,9 @@ type monitor struct {
 	// rebaseline forces the next answer message to be a full update
 	// (set by installs so delta-mode clients resynchronize).
 	rebaseline bool
+	// answerPending marks an answer recomputed since the last answer
+	// message; Finalize sends it, at most once per query per round.
+	answerPending bool
 	// answerSeq numbers the answer stream: it increments on every answer
 	// message (full or delta) downlinked for this query, letting the focal
 	// client detect lost, duplicated, and reordered answers.
@@ -638,9 +641,13 @@ func (s *Server) startProbe(mon *monitor, now model.Tick) {
 	}
 }
 
-// Finalize completes probe rounds whose replies are in: either expand the
-// ring or install the monitor. It reports whether any message was sent,
-// so the driver flushes and calls again.
+// Finalize is the end of a tick's rounds, and the only place a changed
+// answer leaves the server. Per query, in id order, it first completes a
+// probe round whose replies are in (expand the ring or install the
+// monitor), then downlinks the query's pending answer, so a query gets at
+// most one answer message per round however many reports moved it. It
+// reports whether any message was sent, so the driver flushes and calls
+// again.
 func (s *Server) Finalize(now model.Tick) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -648,10 +655,10 @@ func (s *Server) Finalize(now model.Tick) bool {
 	sent := false
 	for _, q := range s.order {
 		mon := s.monitors[q]
-		if !mon.probing || now < mon.probeDue {
-			continue
+		if mon.probing && now >= mon.probeDue && s.concludeProbe(mon, now) {
+			sent = true
 		}
-		if s.concludeProbe(mon, now) {
+		if s.sendAnswer(mon, now) {
 			sent = true
 		}
 	}
@@ -773,7 +780,7 @@ func (s *Server) install(mon *monitor, now model.Tick, center geo.Point, rk, rad
 	if mon.resyncProbe {
 		// A periodic resync probe exists to heal lost-message divergence;
 		// the focal client gets a full answer even if membership is
-		// unchanged (refreshAnswer would stay silent and leave a desynced
+		// unchanged (sendAnswer would stay silent and leave a desynced
 		// client desynced for another ResyncTicks period).
 		mon.resyncProbe = false
 		s.resyncAnswer(mon, now)
@@ -824,22 +831,37 @@ func (s *Server) sendFullAnswer(mon *monitor, acc []model.Neighbor, now model.Ti
 	}
 }
 
-// refreshAnswer recomputes the maintained answer and downlinks an answer
-// message when membership changed (a delta in delta mode, a full update
-// otherwise or when a rebaseline is due).
+// refreshAnswer recomputes the maintained answer and marks it pending.
+// It sends nothing: reports are applied one at a time, so an answer
+// between two of them may show a state no single instant had. Finalize
+// (or an export) sends the last one.
 func (s *Server) refreshAnswer(mon *monitor, now model.Tick) {
-	acc := s.computeAnswer(mon, now)
+	s.computeAnswer(mon, now)
+	mon.answerPending = true
+}
+
+// sendAnswer downlinks mon's pending answer when its membership differs
+// from the last one sent (a delta in delta mode, a full update otherwise
+// or when a rebaseline is due), and reports whether it sent. The answer
+// is the one the last refreshAnswer computed: every table mutation is
+// followed by one.
+func (s *Server) sendAnswer(mon *monitor, now model.Tick) bool {
+	if !mon.answerPending {
+		return false
+	}
+	mon.answerPending = false
+	acc := mon.answer
 
 	// The common case is "nothing crossed rank k": the table then vouches
 	// that the answer's ids are the sent ones. An annulus-filled answer
 	// draws on rows outside the ranking and is always compared.
 	if !mon.tab.dirty && (mon.rng > 0 || len(mon.tab.ranked) >= mon.k) {
-		return
+		return false
 	}
 	added, removed := mon.tab.commitSent(acc, mon.addedBuf[:0], mon.removedBuf[:0])
 	mon.addedBuf, mon.removedBuf = added, removed
 	if len(added)+len(removed) == 0 {
-		return
+		return false
 	}
 	if s.cfg.DeltaAnswers && !mon.rebaseline {
 		mon.answerSeq++
@@ -861,9 +883,10 @@ func (s *Server) refreshAnswer(mon *monitor, now model.Tick) {
 			s.emit(obs.Event{At: now, Type: obs.EvAnswerDelta, Query: mon.query,
 				Seq: mon.answerSeq, Value: float64(len(outAdded) + len(outRemoved))})
 		}
-		return
+		return true
 	}
 	s.sendFullAnswer(mon, acc, now)
+	return true
 }
 
 // resyncAnswer unconditionally re-baselines the focal client with a full
@@ -873,6 +896,7 @@ func (s *Server) refreshAnswer(mon *monitor, now model.Tick) {
 // from the focal client (client restart), and when a periodic
 // ResyncTicks probe concludes.
 func (s *Server) resyncAnswer(mon *monitor, now model.Tick) {
+	mon.answerPending = false
 	acc := s.computeAnswer(mon, now)
 	mon.addedBuf, mon.removedBuf = mon.tab.commitSent(acc, mon.addedBuf[:0], mon.removedBuf[:0])
 	s.sendFullAnswer(mon, acc, now)

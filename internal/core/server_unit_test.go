@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"dmknn/internal/geo"
@@ -638,5 +640,61 @@ func TestMemberTableGivesBackProbeCapacity(t *testing.T) {
 	}
 	if n := len(tab.rows) + len(tab.cold); n != 4 {
 		t.Fatalf("%d rows left after both waves, want the 4 of the buffer", n)
+	}
+}
+
+// Reports are applied one at a time, so a tick in which one member exits
+// and another enters passes through an answer no instant had: {2, 3}
+// between {1, 2} and {4, 2}. The client hears only the tick's last answer,
+// once, when the round ends: a full update naming {4, 2}, or in delta
+// mode the net change, 4 in and 1 out.
+func TestOneAnswerPerQueryPerTick(t *testing.T) {
+	for _, delta := range []bool{false, true} {
+		t.Run(fmt.Sprintf("delta=%v", delta), func(t *testing.T) {
+			cfg := baseCfg()
+			cfg.DeltaAnswers = delta
+			srv, side, now := unitServer(t, cfg)
+			*now = 1
+			inst := installQuery(t, srv, side, 1)
+			base := len(side.downlinks)
+
+			*now = 2
+			srv.Tick(2)
+			srv.HandleUplink(1, protocol.ExitReport{MemberReport: protocol.MemberReport{
+				Query: 1, Epoch: inst.Epoch, Object: 1, Pos: geo.Pt(900, 900), At: 2,
+			}})
+			srv.HandleUplink(4, protocol.EnterReport{MemberReport: protocol.MemberReport{
+				Query: 1, Epoch: inst.Epoch, Object: 4, Pos: geo.Pt(505, 500), At: 2,
+			}})
+			if n := len(side.downlinks) - base; n != 0 {
+				t.Fatalf("reports sent %d answers before the round ended, want 0", n)
+			}
+			if !srv.Finalize(2) {
+				t.Fatal("Finalize sent nothing")
+			}
+			if srv.Finalize(2) {
+				t.Fatal("a second Finalize round sent again")
+			}
+			if n := len(side.downlinks) - base; n != 1 {
+				t.Fatalf("the tick sent %d answers, want 1", n)
+			}
+			want := []model.Neighbor{{ID: 4, Dist: 5}, {ID: 2, Dist: 30}}
+			switch m := side.downlinks[base].msg.(type) {
+			case protocol.AnswerUpdate:
+				if delta || m.Seq != 2 || !slices.Equal(m.Neighbors, want) {
+					t.Fatalf("answer %+v, want a full update seq 2 naming %v", m, want)
+				}
+			case protocol.AnswerDelta:
+				if !delta || m.Seq != 2 || !slices.Equal(m.Added, want[:1]) ||
+					!slices.Equal(m.Removed, []model.ObjectID{1}) {
+					t.Fatalf("delta %+v, want seq 2 adding 4 and removing 1", m)
+				}
+			default:
+				t.Fatalf("answer is %T", m)
+			}
+			if got := srv.Answer(1).Neighbors; !slices.Equal(got, want) {
+				t.Fatalf("maintained answer %v, want %v", got, want)
+			}
+		})
 	}
 }

@@ -134,11 +134,11 @@ func (r *diffRig) compare() {
 			r.fail("q%d sent %v, oracle %v", q, mon.tab.sent, want)
 		}
 		got := [...]any{mon.epoch, mon.installed, mon.probing, mon.probeSeq, mon.needsReinstall,
-			mon.rebaseline, mon.answerSeq, mon.answerRadius, mon.radius, mon.tab.nInside, mon.tab.nKnown}
+			mon.rebaseline, mon.answerPending, mon.answerSeq, mon.answerRadius, mon.radius, mon.tab.nInside, mon.tab.nKnown}
 		want := [...]any{om.epoch, om.installed, om.probing, om.probeSeq, om.needsReinstall,
-			om.rebaseline, om.answerSeq, om.answerRadius, om.radius, len(om.inside), om.cands.Len()}
+			om.rebaseline, om.pending, om.answerSeq, om.answerRadius, om.radius, len(om.inside), om.cands.Len()}
 		if got != want {
-			r.fail("q%d state (epoch installed probing probeSeq needsReinstall rebaseline answerSeq rk radius inside known)\n table  %v\n oracle %v", q, got, want)
+			r.fail("q%d state (epoch installed probing probeSeq needsReinstall rebaseline pending answerSeq rk radius inside known)\n table  %v\n oracle %v", q, got, want)
 		}
 		r.checkTable(q, mon, om)
 	}
@@ -311,7 +311,7 @@ func (r *diffRig) migrate(q model.QueryID) {
 	if !ok {
 		return
 	}
-	if want := r.ora.exportLocked(q, om); !reflect.DeepEqual(st, want) {
+	if want := r.ora.exportLocked(q, om, r.now); !reflect.DeepEqual(st, want) {
 		r.fail("snapshot\n table  %+v\n oracle %+v", st, want)
 	}
 	r.compare()
@@ -434,6 +434,8 @@ func TestResortAnswersOnlyOnCrossing(t *testing.T) {
 					Query: 1, Epoch: mon.epoch, Object: 1, Pos: r.pos[1], At: r.now}}
 				r.srv.HandleUplink(1, msg)
 				r.ora.handleUplink(1, msg, r.now)
+				r.srv.Finalize(r.now)
+				r.ora.finalize(r.now)
 				answers := 0
 				for _, s := range r.sSide.log {
 					switch s.msg.(type) {

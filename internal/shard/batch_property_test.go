@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"hash"
 	"testing"
 
 	"dmknn/internal/core"
@@ -42,13 +44,16 @@ type wireRun struct {
 	baseBurn  float64
 	faultBurn float64
 	answers   []model.Answer
+	// memberships accumulates, step by step, the answer ids every query's
+	// client ends the step on (see noteMemberships).
+	memberships hash.Hash
 }
 
 // runWire drives a method through ticks steps of the engine and returns
 // its complete wire transcript plus final RNG stream positions.
 func runWire(t *testing.T, cfg sim.Config, mk func() (sim.Method, error), ticks int) *wireRun {
 	t.Helper()
-	w := &wireRun{trace: &wireTrace{}}
+	w := &wireRun{trace: &wireTrace{}, memberships: sha256.New()}
 	cfg.Trace = w.trace
 	method, err := mk()
 	if err != nil {
@@ -62,6 +67,7 @@ func runWire(t *testing.T, cfg sim.Config, mk func() (sim.Method, error), ticks 
 		if err := eng.Step(); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
+		w.noteMemberships(method, cfg.NumQueries, i)
 	}
 	net := eng.Env().Net
 	w.counters = net.Counters()

@@ -4,10 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"testing"
 
 	"dmknn/internal/core"
 	"dmknn/internal/metrics"
+	"dmknn/internal/model"
 	"dmknn/internal/sim"
 	"dmknn/internal/simnet"
 )
@@ -57,30 +59,47 @@ func uplinkDigest(w *wireRun) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// noteMemberships hashes the sorted answer ids of every query's client
+// after one step. Ids only: distances depend on which positions the
+// answer message carried, not on which objects the client holds.
+func (w *wireRun) noteMemberships(m sim.Method, queries, step int) {
+	var ids []model.ObjectID
+	for q := model.QueryID(1); q <= model.QueryID(queries); q++ {
+		ids = ids[:0]
+		for _, n := range m.Answer(q).Neighbors {
+			ids = append(ids, n.ID)
+		}
+		slices.Sort(ids)
+		fmt.Fprintf(w.memberships, "%d|%d|%v\n", step, q, ids)
+	}
+}
+
 // wireDigests pins the client wire as it stands since installs are
 // covered from the advertised frame. It was first captured at commit
 // "Adaptive partitioning: load-aware strip rebalancing with live
 // migration" and re-captured when the install cover moved from the
-// stale install centre to the frame the objects hold. The engine must
+// stale install centre to the frame the objects hold, and again when
+// answers began to leave once per query per tick from Finalize (the
+// uplink and per-step membership pins below held). The engine must
 // keep producing these transcripts byte for byte: same message
 // sequences, same wire bytes, same loss draws, same answers.
 var wireDigests = map[string]string{
-	"seed=1/clean-L0": "8e48070598d93b829b18a68ccd64c55eee3fb7602418c54050deb383ffffa298",
-	"seed=1/loss-L0":  "166a3815ebf8f7de85c0a96bedf41484b75a8256c56ea37b5bd2302928f47826",
-	"seed=1/burst-L0": "29988d82630541cac975af9686addb5ce5e873ee38d7dcd4e077d3c3584d7fc0",
-	"seed=1/delta-L0": "8c0e3e0ac9434d69409e2bc85559723b57a191637446539900551443d78a58e7",
-	"seed=2/clean-L0": "83a48726a287953ef51315d858b9081d79e6e4a625ddc1cd2aec2cc9c1eeb34e",
-	"seed=2/loss-L0":  "6ece34b0e2d04ff04544e52fe5c8229a86881ad16600957b13ed29ca69aaf9a1",
-	"seed=2/burst-L0": "d14ec20ae97ff05e57d871c81f067f4dae06de07b774da4ce390351730c32c4b",
-	"seed=2/delta-L0": "732c228415bb87338098599639d26242e1057877fa3596ad9f9c9e85138f4b95",
-	"seed=3/clean-L0": "b89dc08501717d32e7b87d7abb5c439ccac668eef099e035e19296cb4d13026e",
-	"seed=3/loss-L0":  "e2e0299506e00c85d425a59cce9a7ef19422214dae7b5fe1b3ff93c83d21df9b",
-	"seed=3/burst-L0": "41aa1d02a1283fe94aef3c1b8f422cf2dc3481ea843cab1599521968517c9f25",
-	"seed=3/delta-L0": "c515b6ed3f932add6a16475c9c618390b9c9dc5944e58ecc7397e581e87fc67d",
-	"seed=4/clean-L0": "12fabb5c4845b65d0921ca15727633acf47541add83ae815d31b097e871229ae",
-	"seed=4/loss-L0":  "ccec117e65b1cf7142fd6c747a4bb87b752c15a700cf0e063e567ed20e4cc31c",
-	"seed=4/burst-L0": "1569268e569e3377c9b39a97eafaa415b83804e8c95337ba29b713f9c863f944",
-	"seed=4/delta-L0": "a06e0afb75a32c1ce0852aefba3237d307e68f5befae1d9913942fb5173a6106",
+	"seed=1/clean-L0": "7e115358fcceea419ab4638ba38db7cb085a02d3e47e3a18fcf2c7ba8d873b89",
+	"seed=1/loss-L0":  "fda2d24b5cf59fea9e381c10b1e88691224f7e9190b20efed3e0ad7cfd6a0f91",
+	"seed=1/burst-L0": "8d9fee7635001e94eda02261ef0dd340c57810c9b393886cc5d35ef7bd2f93da",
+	"seed=1/delta-L0": "89f4feac210d9614750230c3a4f3723c5901c061e19ce1b742d4c970f60b841c",
+	"seed=2/clean-L0": "0e7ae68862c4fef6011dbe08f2d2a99e035e175c85e60d60424500e35b2f7689",
+	"seed=2/loss-L0":  "3821c99affde8fe9a941f7bd83006afd40a4eb8931f1ba6bb495726ec3dbd706",
+	"seed=2/burst-L0": "06fbe285073c0e420c068e3df17338cd266290f7117d19ff6758bace79fdfef7",
+	"seed=2/delta-L0": "007fbcf26b26cf8bf28e3b0d2497c4f4587200ac6ac9f097838005b175485312",
+	"seed=3/clean-L0": "e4a008567c3877680ff10369005d0f25d597fe8e4a2623862bb0db1f4b2d279c",
+	"seed=3/loss-L0":  "66b9a467310eaeea67fe23c6e7422cd42c6a2e2140962dc1e6f8b095a4745572",
+	"seed=3/burst-L0": "558c218f42751592da8eb03c2935fe257b3ebec684ffae9c7734be65c7e1699a",
+	"seed=3/delta-L0": "5c19b985747c705e9d31bb70b76c6d394f72464f9d7cbee346fd60003555fa58",
+	"seed=4/clean-L0": "ceb3a98507bf0633139c472f0d9b58306395feb93313a08aa99efedf6ebeb2c8",
+	"seed=4/loss-L0":  "136bce4a3c5286b0f50f79fb5420f2681a21e99a99cf366cd4f40c501573f82d",
+	"seed=4/burst-L0": "f405295b898f2772aa0367e055ab19f7054f6ea132c0c73337c129cdcdbefae7",
+	"seed=4/delta-L0": "07da06beb16acbf8d5798a760a81333f339bf855ffe92c703db5ad9380484974",
 }
 
 // uplinkDigests pins uplinkDigest of the lossless scenarios, captured
@@ -98,11 +117,28 @@ var uplinkDigests = map[string]string{
 	"seed=4/delta-L0": "1ec8fad7e90d489bd9694e71b04e5a7f5e1cfbf24892f1a037b1df64d45e89ce",
 }
 
+// membershipDigests pins, for the lossless scenarios, which objects every
+// query's client holds as its answer at the end of every step. They were
+// captured while the server still downlinked an answer after every
+// applied report, and held when it began to send one per query per tick
+// from Finalize: only the last answer of a tick is ever the one a client
+// ends the tick on.
+var membershipDigests = map[string]string{
+	"seed=1/clean-L0": "23977ebc7d6cda6f1b25634bccf026e7aa453f8f1a7167285b94ca7ec0c51952",
+	"seed=1/delta-L0": "23977ebc7d6cda6f1b25634bccf026e7aa453f8f1a7167285b94ca7ec0c51952",
+	"seed=2/clean-L0": "a68b08fd5633a91cc7dc6eb97a578cf7199598c58da220a65f84c2514b24b0ba",
+	"seed=2/delta-L0": "a68b08fd5633a91cc7dc6eb97a578cf7199598c58da220a65f84c2514b24b0ba",
+	"seed=3/clean-L0": "64e06eba8fd6c1531f9a95d1108df73e4f4a629494de1cccc694756463f16ffa",
+	"seed=3/delta-L0": "64e06eba8fd6c1531f9a95d1108df73e4f4a629494de1cccc694756463f16ffa",
+	"seed=4/clean-L0": "6a5760a7ae5a0a6d0bbca03e7163679c499e15f31f60a92219967c0b1b1f9353",
+	"seed=4/delta-L0": "6a5760a7ae5a0a6d0bbca03e7163679c499e15f31f60a92219967c0b1b1f9353",
+}
+
 // The client wire identity pin: the single server reproduces the pinned
 // wire transcript exactly — across clean, plain-loss, burst-loss, and
-// delta-answer channels and 4 seeds — its lossless uplink still matches
-// the pre-re-capture pin, and the batched sharded pipeline still matches
-// it event for event. Any change that leaks into install timing, message
+// delta-answer channels and 4 seeds — its lossless uplink and per-step
+// answer membership still match their pins, and the batched sharded
+// pipeline still matches it event for event. Any change that leaks into install timing, message
 // sizing, or RNG consumption breaks a digest here before it can silently
 // shift the goldens.
 func TestClientWireIdentity(t *testing.T) {
@@ -148,6 +184,11 @@ func TestClientWireIdentity(t *testing.T) {
 				if want, ok := uplinkDigests[key]; ok {
 					if got := uplinkDigest(sync); got != want {
 						t.Errorf("client uplink changed vs pin:\n got  %s\n want %s", got, want)
+					}
+				}
+				if want, ok := membershipDigests[key]; ok {
+					if got := hex.EncodeToString(sync.memberships.Sum(nil)); got != want {
+						t.Errorf("per-step answer membership changed vs pin:\n got  %s\n want %s", got, want)
 					}
 				}
 				batched := runWire(t, cfg, func() (sim.Method, error) {

@@ -246,7 +246,9 @@ func (r *Result) DownlinkPerTick() float64 {
 // one tick before the engine declares a protocol bug. The batched ingest
 // pipeline (internal/shard) defers each flush generation's responses to
 // the next Finalize round, stretching a probe conversation that the
-// synchronous server completes in k rounds across up to 2k, so the bound
+// synchronous server completes in k rounds across up to 2k. The DKNN
+// server sends a tick's answers from Finalize, so the reports an install
+// provokes are answered one round later: one answer round more. The bound
 // leaves headroom above the deepest cascade the property tests exercise.
 const maxFinalizeRounds = 16
 
