@@ -17,13 +17,16 @@ import (
 // of heap-allocated monitors plus a sorted id slice — kept as the
 // reference TestAgentTableMatchesMap compares the tables against. The
 // protocol logic is the production agent's, statement for statement; the
-// storage is not: every oracle monitor carries lastReport and lastSentAt,
-// inside the answer circle or not, where production keeps them in the
-// member table only while inside is set. Both agents read the pair at two
-// sites only — tick's `side && !rangeMode` arm, reachable only with inside
-// set, and handleInstall's prev.lastReport/prev.lastSentAt, every use
-// under prev.inside — so the oracle's copies on rows outside the answer
-// circle are dead and compare() does not look at them.
+// storage is not: every oracle monitor carries its reported track
+// (lastReport, lastSentAt, lastVel), inside the answer circle or not,
+// where production keeps it in the member table only while inside is set.
+// Both agents read the track only where inside is set — tick's
+// `side && !rangeMode` arm, handleInstall's prev fields, every use under
+// prev.inside, and the Enter velocity, taken from the first monitor in
+// query order that is inside — so the oracle's copies on rows outside the
+// answer circle are dead and compare() does not look at them. A monitor
+// left in a tick stops being inside at once, as production drops its
+// member row at once.
 
 type oracleAgent struct {
 	cfg  Config
@@ -56,6 +59,31 @@ type oracleAgentMonitor struct {
 
 	lastReport geo.Point
 	lastSentAt model.Tick
+	lastVel    geo.Vector
+}
+
+// estimate is the velocity mon's last report and the fix p at now imply.
+func (mon *oracleAgentMonitor) estimate(p geo.Point, now model.Tick, dt float64) geo.Vector {
+	if now == mon.lastSentAt {
+		return mon.lastVel
+	}
+	s := float64(now-mon.lastSentAt) * dt
+	return geo.Vec((p.X-mon.lastReport.X)*(1/s), (p.Y-mon.lastReport.Y)*(1/s))
+}
+
+// enterVel is the estimate of the first monitor, in query order, that the
+// object is inside, or zero; always zero for a range monitor's member,
+// which reports no move.
+func (a *oracleAgent) enterVel(p geo.Point, now model.Tick, rangeMode bool) geo.Vector {
+	if rangeMode {
+		return geo.Vector{}
+	}
+	for _, q := range a.order {
+		if mon := a.monitors[q]; mon.inside {
+			return mon.estimate(p, now, a.deps.DT)
+		}
+	}
+	return geo.Vector{}
 }
 
 func (a *oracleAgent) MonitorCount() int {
@@ -100,14 +128,16 @@ func (a *oracleAgent) handleInstall(v protocol.MonitorInstall) {
 	}
 	side := d <= v.AnswerRadius
 	reported := false
+	var vel geo.Vector // a full install leaves the track at rest
 	if v.Refresh {
 		affirm := side && had && prev.inside &&
 			now-prev.lastSentAt >= model.Tick(a.cfg.MaxHorizonTicks())
 		switch {
 		case side && (!(had && prev.inside) || affirm):
+			vel = a.enterVel(p, now, v.RangeMode)
 			a.deps.Side.Uplink(protocol.EnterReport{MemberReport: protocol.MemberReport{
 				Query: v.Query, Epoch: v.Epoch, Object: a.deps.ID, Pos: p, At: now,
-			}})
+			}, Vel: vel})
 			reported = true
 		case !side && had && prev.inside:
 			a.deps.Side.Uplink(protocol.ExitReport{MemberReport: protocol.MemberReport{
@@ -116,11 +146,9 @@ func (a *oracleAgent) handleInstall(v protocol.MonitorInstall) {
 			reported = true
 		}
 	}
-	last := p
-	sentAt := now
+	last, sentAt := p, now
 	if v.Refresh && had && !reported {
-		last = prev.lastReport
-		sentAt = prev.lastSentAt
+		last, sentAt, vel = prev.lastReport, prev.lastSentAt, prev.lastVel
 	}
 	if !had {
 		a.order = append(a.order, v.Query)
@@ -137,6 +165,7 @@ func (a *oracleAgent) handleInstall(v protocol.MonitorInstall) {
 		inside:       side,
 		lastReport:   last,
 		lastSentAt:   sentAt,
+		lastVel:      vel,
 	}
 }
 
@@ -170,6 +199,7 @@ func (a *oracleAgent) tick(now model.Tick) {
 				a.deps.Side.Uplink(protocol.LeaveReport{MemberReport: protocol.MemberReport{
 					Query: q, Epoch: mon.epoch, Object: a.deps.ID, Pos: p, At: now,
 				}})
+				mon.inside = false
 			}
 			dropped = append(dropped, q)
 			continue
@@ -177,12 +207,12 @@ func (a *oracleAgent) tick(now model.Tick) {
 		side := d <= mon.answerRadius
 		switch {
 		case side && !mon.inside:
+			vel := a.enterVel(p, now, mon.rangeMode)
 			a.deps.Side.Uplink(protocol.EnterReport{MemberReport: protocol.MemberReport{
 				Query: q, Epoch: mon.epoch, Object: a.deps.ID, Pos: p, At: now,
-			}})
+			}, Vel: vel})
 			mon.inside = true
-			mon.lastReport = p
-			mon.lastSentAt = now
+			mon.lastReport, mon.lastSentAt, mon.lastVel = p, now, vel
 		case !side && mon.inside:
 			a.deps.Side.Uplink(protocol.ExitReport{MemberReport: protocol.MemberReport{
 				Query: q, Epoch: mon.epoch, Object: a.deps.ID, Pos: p, At: now,
@@ -191,13 +221,13 @@ func (a *oracleAgent) tick(now model.Tick) {
 			mon.lastReport = p
 			mon.lastSentAt = now
 		case side && !mon.rangeMode:
-			drift := p.Dist(mon.lastReport)
-			if drift > theta {
+			track := geo.DeadReckon(mon.lastReport, mon.lastVel, float64(now-mon.lastSentAt)*dt)
+			if p.Dist(track) > theta+trackEpsilon {
+				vel := mon.estimate(p, now, dt)
 				a.deps.Side.Uplink(protocol.MoveReport{MemberReport: protocol.MemberReport{
 					Query: q, Epoch: mon.epoch, Object: a.deps.ID, Pos: p, At: now,
-				}})
-				mon.lastReport = p
-				mon.lastSentAt = now
+				}, Vel: vel})
+				mon.lastReport, mon.lastSentAt, mon.lastVel = p, now, vel
 			}
 		}
 	}
@@ -214,6 +244,7 @@ type agentDiffRig struct {
 	rng     *rand.Rand
 	now     model.Tick
 	pos     geo.Point
+	vel     geo.Vector // the object's current leg
 	agent   *ObjectAgent
 	ora     *oracleAgent
 	aSide   *recClient
@@ -268,14 +299,14 @@ func (r *agentDiffRig) compare(what string) {
 				r.step, what, i, m.query, m.inside, *m.tr, q, om.inside, want)
 		}
 		if om.inside {
-			members = append(members, memberState{query: q, lastSentAt: om.lastSentAt, lastReport: om.lastReport})
+			members = append(members, memberState{lastSentAt: om.lastSentAt, lastReport: om.lastReport, lastVel: om.lastVel})
 			r.members++
 		}
 	}
-	switch got := r.agent.members; {
+	switch got := r.agent.members.rows(); {
 	case members == nil && got != nil:
-		r.t.Fatalf("step %d after %s: inside no answer circle, member table %+v not released", r.step, what, *got)
-	case members != nil && (got == nil || !slices.Equal(*got, members)):
+		r.t.Fatalf("step %d after %s: inside no answer circle, member table %+v not released", r.step, what, got)
+	case members != nil && !slices.Equal(got, members):
 		r.t.Fatalf("step %d after %s: member table\n table  %+v\n oracle %+v", r.step, what, got, members)
 	}
 	// Growth and release are bounded: never more than two growth steps of
@@ -321,7 +352,11 @@ func (r *agentDiffRig) run(steps int) {
 		case x < 55:
 			r.install()
 		case x < 85:
-			r.pos = geo.Pt(r.pos.X+float64(r.rng.Intn(7)-3), r.pos.Y+float64(r.rng.Intn(7)-3))
+			// Straight legs, so members also stay silent on their tracks.
+			if r.rng.Intn(4) == 0 {
+				r.vel = geo.Vec(float64(r.rng.Intn(7)-3), float64(r.rng.Intn(7)-3))
+			}
+			r.pos = r.pos.Add(r.vel)
 			r.now++
 			before := len(r.ora.order)
 			r.agent.Tick(r.now)

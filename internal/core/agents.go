@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -30,7 +29,8 @@ type AgentDeps struct {
 	Now  func() model.Tick
 	// Pos reads the client's own current position.
 	Pos func() geo.Point
-	// DT is the duration of one tick in seconds.
+	// DT is the duration of one tick in seconds; it must be positive and
+	// finite.
 	DT float64
 	// LatencyTicks is the known one-way delivery delay bound; the query
 	// agent paces answer-resync retries by the round trip it implies.
@@ -64,7 +64,7 @@ type ObjectAgent struct {
 	// members has one row, ascending by query, for each monitor with inside
 	// set, and is nil while there is none — which is most agents most of
 	// the time, so the report state costs them one word.
-	members *[]memberState
+	members *reportTable
 
 	// There is one agent per simulated device, so it is sized to a heap
 	// size class, 128 B: deps whole (LatencyTicks, which only the query
@@ -84,6 +84,9 @@ type ObjectAgent struct {
 func NewObjectAgent(cfg Config, deps AgentDeps) (*ObjectAgent, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if !validDT(deps.DT) {
+		return nil, errBadDT
 	}
 	horizon := int32(min(cfg.MaxHorizonTicks(), math.MaxInt32))
 	return &ObjectAgent{deps: deps, theta: cfg.ThetaInside, horizon: horizon}, nil
@@ -140,16 +143,65 @@ func (a *ObjectAgent) internTrack(t track) *track {
 	return p
 }
 
+func validDT(dt float64) bool { return dt > 0 && !math.IsInf(dt, 1) }
+
 // memberState is what the server last heard from the object about a query
-// whose answer circle it is inside. Nothing reads it for any other monitor,
-// so it lives in its own table, a row exactly while inside is set.
+// whose answer circle it is inside: the track it last reported, position
+// lastReport at lastSentAt moving at lastVel. Nothing reads it for any
+// other monitor, so it lives in its own table, a row exactly while inside
+// is set. The row names no query: the j-th row belongs to the j-th monitor
+// with inside set, as both tables ascend by query.
 type memberState struct {
-	query model.QueryID
 	// lastSentAt is when this monitor last transmitted anything; inside
 	// objects re-affirm membership once per horizon if silent, which
 	// heals a membership report lost (or outrun by epochs) in flight.
 	lastSentAt model.Tick
+	// lastReport is always a true fix; lastVel is zero until a report
+	// that carried a velocity was sent.
 	lastReport geo.Point
+	lastVel    geo.Vector
+}
+
+// reportTable is the member rows, the first held inline: an object inside
+// one answer circle, by far the common case, pays one 64 B record for its
+// report state.
+type reportTable struct {
+	first memberState
+	more  []memberState
+}
+
+// row returns the table's j-th row.
+func (t *reportTable) row(j int) *memberState {
+	if j == 0 {
+		return &t.first
+	}
+	return &t.more[j-1]
+}
+
+// trackAt is where the reported track puts the object at now.
+func (ms *memberState) trackAt(now model.Tick, dt float64) geo.Point {
+	return geo.DeadReckon(ms.lastReport, ms.lastVel, float64(now-ms.lastSentAt)*dt)
+}
+
+// velocity estimates the object's velocity from two of its own fixes: the
+// row's last report and p, its position at now. A row that reported at
+// now already holds the estimate.
+func (ms *memberState) velocity(p geo.Point, now model.Tick, dt float64) geo.Vector {
+	if now == ms.lastSentAt {
+		return ms.lastVel
+	}
+	return p.Sub(ms.lastReport).Scale(1 / (float64(now-ms.lastSentAt) * dt))
+}
+
+// enterVel is the velocity an EnterReport at p carries: the estimate of
+// the object's first member row, or zero while it has none. A range
+// monitor's member never reports its track again (the region is the
+// answer), so it reports one at rest rather than one it does not keep.
+func (a *ObjectAgent) enterVel(p geo.Point, now model.Tick, rangeMode bool) geo.Vector {
+	if a.members == nil || rangeMode {
+		return geo.Vector{}
+	}
+	return a.members.first.velocity(p, now, a.deps.DT)
 }
 
 // MonitorCount reports how many query monitors this agent currently
@@ -207,31 +259,45 @@ func (a *ObjectAgent) shrink(n int) {
 	}
 }
 
-// memberIndex returns the position of q's row in the member table, or
-// where it would be inserted.
-func (a *ObjectAgent) memberIndex(q model.QueryID) int {
-	if a.members == nil {
-		return 0
+// memberIndex returns the member-table position of the monitor at index i
+// of the monitor table, or where its row would be inserted: the number of
+// inside monitors before it.
+func (a *ObjectAgent) memberIndex(i int) int {
+	n := 0
+	for _, mon := range a.mons[:i] {
+		if mon.inside {
+			n++
+		}
 	}
-	i, _ := slices.BinarySearchFunc(*a.members, q, func(m memberState, q model.QueryID) int {
-		return cmp.Compare(m.query, q)
-	})
-	return i
+	return n
 }
 
-// addMember inserts row at index i of the member table.
-func (a *ObjectAgent) addMember(i int, row memberState) {
-	if a.members == nil {
-		a.members = new([]memberState)
+// addMember inserts row at index j of the member table.
+func (a *ObjectAgent) addMember(j int, row memberState) {
+	t := a.members
+	switch {
+	case t == nil:
+		a.members = &reportTable{first: row}
+	case j == 0:
+		t.more = slices.Insert(t.more, 0, t.first)
+		t.first = row
+	default:
+		t.more = slices.Insert(t.more, j-1, row)
 	}
-	*a.members = slices.Insert(*a.members, i, row)
 }
 
-// dropMember removes the member table's row at index i; the table goes
+// dropMember removes the member table's row at index j; the table goes
 // with its last row.
-func (a *ObjectAgent) dropMember(i int) {
-	if *a.members = slices.Delete(*a.members, i, i+1); len(*a.members) == 0 {
+func (a *ObjectAgent) dropMember(j int) {
+	t := a.members
+	switch {
+	case len(t.more) == 0:
 		a.members = nil
+	case j == 0:
+		t.first = t.more[0]
+		t.more = slices.Delete(t.more, 0, 1)
+	default:
+		t.more = slices.Delete(t.more, j-1, j)
 	}
 }
 
@@ -269,9 +335,9 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall) {
 	// was is our member state under the monitor this install replaces:
 	// non-nil exactly when we held the query inside its answer circle.
 	var was *memberState
-	mi := a.memberIndex(v.Query)
+	mi := a.memberIndex(i)
 	if had && a.mons[i].inside {
-		was = &(*a.members)[mi]
+		was = a.members.row(mi)
 	}
 	p := a.deps.Pos()
 	d := p.Dist(v.QueryPos)
@@ -298,6 +364,11 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall) {
 	}
 	side := d <= v.AnswerRadius
 	reported := false
+	// vel is the track's velocity once this install is handled: what an
+	// Enter below sent, else zero. A full install's row is (p, 0) on both
+	// sides: the server rebuilt it from our probe reply, which carries no
+	// velocity.
+	var vel geo.Vector
 	if v.Refresh {
 		// Report only the *change* of side relative to our previous
 		// state; the server's inside set was carried over, so this keeps
@@ -308,9 +379,10 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall) {
 		affirm := side && was != nil && now-was.lastSentAt >= model.Tick(a.horizon)
 		switch {
 		case side && (was == nil || affirm):
+			vel = a.enterVel(p, now, v.RangeMode)
 			a.deps.Side.Uplink(protocol.EnterReport{MemberReport: protocol.MemberReport{
 				Query: v.Query, Epoch: v.Epoch, Object: a.deps.ID, Pos: p, At: now,
-			}})
+			}, Vel: vel})
 			reported = true
 			if a.deps.Trace != nil {
 				emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvBoundaryCrossed,
@@ -327,13 +399,13 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall) {
 			}
 		}
 	}
-	// lastReport must track what the *server* knows about us. After a
+	// The member row must hold the track the *server* knows. After a
 	// full probe the server rebuilt its state from our reply at the
 	// current position, and any report above carried the current
 	// position too; but a silent refresh carried nothing, so the
-	// server's copy is still our previous report — keep baselining
-	// against it or a drift accumulated before this install would never
-	// be transmitted. (Silent and inside implies was: a refresh that finds
+	// server's copy is still our previous track — keep measuring against
+	// it or a drift accumulated before this install would never be
+	// transmitted. (Silent and inside implies was: a refresh that finds
 	// a non-member inside reports the Enter.)
 	switch {
 	case !side:
@@ -341,9 +413,9 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall) {
 			a.dropMember(mi)
 		}
 	case was == nil:
-		a.addMember(mi, memberState{query: v.Query, lastSentAt: now, lastReport: p})
+		a.addMember(mi, memberState{lastSentAt: now, lastReport: p, lastVel: vel})
 	case reported || !v.Refresh:
-		was.lastSentAt, was.lastReport = now, p
+		was.lastSentAt, was.lastReport, was.lastVel = now, p, vel
 	}
 	mon := agentMonitor{query: v.Query, inside: side, tr: a.internTrack(track{
 		epoch:        v.Epoch,
@@ -364,7 +436,7 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall) {
 // drop removes the monitor at index i, and its member row if it has one.
 func (a *ObjectAgent) drop(i int) {
 	if a.mons[i].inside {
-		a.dropMember(a.memberIndex(a.mons[i].query))
+		a.dropMember(a.memberIndex(i))
 	}
 	copy(a.mons[i:], a.mons[i+1:])
 	a.shrink(len(a.mons) - 1)
@@ -414,11 +486,12 @@ func (a *ObjectAgent) Tick(now model.Tick) {
 		side := d <= tr.answerRadius
 		switch {
 		case side && !mon.inside:
+			vel := a.enterVel(p, now, tr.rangeMode)
 			a.deps.Side.Uplink(protocol.EnterReport{MemberReport: protocol.MemberReport{
 				Query: q, Epoch: tr.epoch, Object: a.deps.ID, Pos: p, At: now,
-			}})
+			}, Vel: vel})
 			mon.inside = true
-			a.addMember(mi, memberState{query: q, lastSentAt: now, lastReport: p})
+			a.addMember(mi, memberState{lastSentAt: now, lastReport: p, lastVel: vel})
 			if a.deps.Trace != nil {
 				emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvBoundaryCrossed,
 					Query: q, Object: a.deps.ID, Kind: protocol.KindEnterReport, Value: d})
@@ -434,19 +507,22 @@ func (a *ObjectAgent) Tick(now model.Tick) {
 					Query: q, Object: a.deps.ID, Kind: protocol.KindExitReport, Value: d})
 			}
 		case side && !tr.rangeMode:
-			ms := &(*a.members)[mi]
-			drift := p.Dist(ms.lastReport)
-			if drift > a.theta {
+			// The server dead-reckons the track we last reported; it needs
+			// a new one only once we leave it by more than θ.
+			ms := a.members.row(mi)
+			drift := p.Dist(ms.trackAt(now, dt))
+			if drift > a.theta+trackEpsilon {
+				vel := ms.velocity(p, now, dt)
 				a.deps.Side.Uplink(protocol.MoveReport{MemberReport: protocol.MemberReport{
 					Query: q, Epoch: tr.epoch, Object: a.deps.ID, Pos: p, At: now,
-				}})
-				ms.lastSentAt, ms.lastReport = now, p
+				}, Vel: vel})
+				ms.lastSentAt, ms.lastReport, ms.lastVel = now, p, vel
 				if a.deps.Trace != nil {
 					emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvReportSent,
 						Query: q, Object: a.deps.ID, Kind: protocol.KindMoveReport, Value: drift})
 				}
 			} else if a.deps.Trace != nil {
-				// The threshold just saved an uplink: the server's copy is
+				// The threshold just saved an uplink: the server's track is
 				// still close enough.
 				emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvReportSuppressed,
 					Query: q, Object: a.deps.ID, Kind: protocol.KindMoveReport, Value: drift})
@@ -513,6 +589,9 @@ func NewQueryAgent(cfg Config, spec model.QuerySpec, deps QueryAgentDeps) (*Quer
 	}
 	if err := spec.Validate(); err != nil {
 		return nil, err
+	}
+	if !validDT(deps.DT) {
+		return nil, errBadDT
 	}
 	return &QueryAgent{cfg: cfg, spec: spec, deps: deps}, nil
 }

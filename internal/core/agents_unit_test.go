@@ -161,26 +161,49 @@ func TestAgentTickCrossingEvents(t *testing.T) {
 		t.Fatalf("expected EnterReport, got %T", side.last())
 	}
 
-	// Small move while inside (θ=0): MoveReport.
-	*now = 3
-	*pos = geo.Pt(501, 515)
-	a.Tick(3)
-	if _, ok := side.last().(protocol.MoveReport); !ok {
-		t.Fatalf("expected MoveReport, got %T", side.last())
+	// The Enter reported a track at rest (the object has no other member
+	// row to estimate a velocity from). A small move leaves it (θ=0): a
+	// MoveReport whose velocity is the move, 1 m over 1 tick.
+	step := func(tick model.Tick, p geo.Point) {
+		*now, *pos = tick, p
+		a.Tick(tick)
+	}
+	step(3, geo.Pt(501, 515))
+	if mv, ok := side.last().(protocol.MoveReport); !ok || mv.Vel != geo.Vec(1, 0) {
+		t.Fatalf("expected a MoveReport at 1 m/s east, got %+v", side.last())
 	}
 
-	// No move at all: silent.
+	// Moving on along that track: silent.
 	n := len(side.sent)
-	*now = 4
-	a.Tick(4)
+	step(4, geo.Pt(502, 515))
+	step(5, geo.Pt(503, 515))
 	if len(side.sent) != n {
-		t.Fatal("stationary inside object reported")
+		t.Fatalf("object on its reported track sent %+v", side.sent[n:])
+	}
+
+	// A turn leaves the track: one MoveReport, with the mean velocity
+	// since the last report, 3 m east and 1 m north over 3 ticks.
+	step(6, geo.Pt(504, 516))
+	if mv, ok := side.last().(protocol.MoveReport); !ok || len(side.sent) != n+1 || mv.Vel != geo.Vec(1, 1.0/3) {
+		t.Fatalf("expected one MoveReport at (1, 1/3) m/s, got %+v", side.sent[n:])
+	}
+
+	// Stopping leaves the track too, since the track still has the
+	// object moving: one MoveReport with zero velocity.
+	step(7, geo.Pt(504, 516))
+	if mv, ok := side.last().(protocol.MoveReport); !ok || len(side.sent) != n+2 || mv.Vel != (geo.Vector{}) {
+		t.Fatalf("expected one MoveReport at rest, got %+v", side.sent[n+1:])
+	}
+
+	// Stopped, on its track at rest: silent.
+	step(8, geo.Pt(504, 516))
+	step(9, geo.Pt(504, 516))
+	if len(side.sent) != n+2 {
+		t.Fatalf("stopped inside object reported %+v", side.sent[n+2:])
 	}
 
 	// Leave the region entirely while a member: LeaveReport + drop.
-	*now = 5
-	*pos = geo.Pt(500, 900)
-	a.Tick(5)
+	step(10, geo.Pt(500, 900))
 	if _, ok := side.last().(protocol.LeaveReport); !ok {
 		t.Fatalf("expected LeaveReport, got %T", side.last())
 	}
@@ -349,9 +372,10 @@ func TestNewAgentValidation(t *testing.T) {
 }
 
 // Regression: a refresh install must NOT silently re-baseline the
-// last-reported position of an object that drifted inside the boundary —
-// the server still holds the old position, so the drift has to surface as
-// a MoveReport at the next tick.
+// last-reported track of an object that drifted inside the boundary — the
+// server still holds the old track, so the drift has to surface as a
+// MoveReport at the next tick. Refreshes then leave the reported track in
+// place: on it the object is silent, and stopping leaves it.
 func TestRefreshPreservesLastReportBaseline(t *testing.T) {
 	a, side, pos, now := unitAgent(t)
 	// Inside the boundary at (500,500); server knows this position.
@@ -372,15 +396,37 @@ func TestRefreshPreservesLastReportBaseline(t *testing.T) {
 	if !ok {
 		t.Fatalf("expected MoveReport, got %T", side.last())
 	}
-	if mv.Pos != geo.Pt(520, 500) {
-		t.Fatalf("MoveReport position %v", mv.Pos)
+	if mv.Pos != geo.Pt(520, 500) || mv.Vel != geo.Vec(20, 0) {
+		t.Fatalf("MoveReport track %v at %v, want (520, 500) at (20, 0)", mv.Pos, mv.Vel)
 	}
-	// Once reported, a further refresh + tick stays silent (no drift).
+	// Moving on along the reported track, across a refresh: silent.
 	a.HandleServerMessage(install(3, true, geo.Pt(500, 510), 50, 300, 1))
 	n = len(side.sent)
-	*now = 2
+	*now, *pos = 2, geo.Pt(540, 500)
 	a.Tick(2)
 	if len(side.sent) != n {
-		t.Fatal("spurious report after drift was already transmitted")
+		t.Fatalf("report on the reported track after a refresh: %+v", side.sent[n:])
+	}
+	// A turn, then a stop: one MoveReport each, the second at rest.
+	*now, *pos = 3, geo.Pt(540, 510)
+	a.Tick(3)
+	a.HandleServerMessage(install(4, true, geo.Pt(500, 510), 50, 300, 3))
+	*now = 4
+	a.Tick(4)
+	if len(side.sent) != n+2 {
+		t.Fatalf("turn and stop sent %d uplinks, want 2", len(side.sent)-n)
+	}
+	if turn := side.sent[n].(protocol.MoveReport); turn.Vel != geo.Vec(10, 5) {
+		t.Fatalf("turn reported at %v, want (10, 5): 20 m east, 10 m north over 2 ticks", turn.Vel)
+	}
+	if stop := side.sent[n+1].(protocol.MoveReport); stop.Vel != (geo.Vector{}) {
+		t.Fatalf("stop reported at %v, want at rest", stop.Vel)
+	}
+	// Stopped: a further refresh + tick stays silent.
+	a.HandleServerMessage(install(5, true, geo.Pt(500, 510), 50, 300, 4))
+	*now = 5
+	a.Tick(5)
+	if len(side.sent) != n+2 {
+		t.Fatalf("stopped object reported %+v", side.sent[n+2:])
 	}
 }

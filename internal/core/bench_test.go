@@ -101,6 +101,66 @@ func BenchmarkServerEnterExit(b *testing.B) {
 	}
 }
 
+// BenchmarkServerTick measures the server's per-tick pass over 256
+// installed monitors (about manyq-sync's query count): with no report in
+// between, every answer is re-ranked at the new tick, each of its 20
+// members dead-reckoned along the track it reported. The clock alternates
+// between two ticks, so no horizon expires and every pass re-measures.
+func BenchmarkServerTick(b *testing.B) {
+	srv, now := benchServerQueries(b, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		*now = 2 + model.Tick(i&1)
+		srv.Tick(*now)
+	}
+}
+
+// benchServerQueries installs n k=10 queries at one place over the same
+// 20 repliers, 3 m apart, and gives every member a track heading east at
+// 1 m/s, reported at tick 1.
+func benchServerQueries(b testing.TB, n int) (*Server, *model.Tick) {
+	b.Helper()
+	srv, side, now := benchServer(b)
+	*now = 1
+	for q := 1; q <= n; q++ {
+		srv.HandleUplink(model.ObjectID(1000+q), protocol.QueryRegister{
+			Query: model.QueryID(q), K: 10, Pos: geo.Pt(500, 500), At: 1})
+	}
+	srv.Tick(1)
+	for seen := 0; ; {
+		for _, s := range side.broadcasts[seen:] {
+			probe, ok := s.msg.(protocol.ProbeRequest)
+			if !ok {
+				continue
+			}
+			for i := 1; i <= 20; i++ {
+				if p := geo.Pt(500+float64(i)*3, 500); probe.Region.Contains(p) {
+					srv.HandleUplink(model.ObjectID(i), protocol.ProbeReply{
+						Query: probe.Query, Seq: probe.Seq, Object: model.ObjectID(i), Pos: p, At: 1})
+				}
+			}
+		}
+		seen = len(side.broadcasts)
+		if !srv.Finalize(1) {
+			break
+		}
+	}
+	for q := 1; q <= n; q++ {
+		mon := srv.monitors[model.QueryID(q)]
+		if !mon.installed || mon.tab.nInside != 20 {
+			b.Fatalf("query %d: installed=%v with %d members, want 20", q, mon.installed, mon.tab.nInside)
+		}
+		for i := 1; i <= 20; i++ {
+			srv.HandleUplink(model.ObjectID(i), protocol.MoveReport{MemberReport: protocol.MemberReport{
+				Query: model.QueryID(q), Epoch: mon.epoch, Object: model.ObjectID(i),
+				Pos: geo.Pt(500+float64(i)*3, 500), At: 1}, Vel: geo.Vec(1, 0)})
+		}
+	}
+	srv.Finalize(1)
+	return srv, now
+}
+
 // benchAgent returns an agent at a fixed position holding n monitors it
 // is inside of, none of which it has anything to report to.
 func benchAgent(b testing.TB, n int) *ObjectAgent {
@@ -183,9 +243,9 @@ func TestAgentTableZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, func() { agent.Tick(1) }); avg != 0 {
 		t.Errorf("tick that transmits nothing allocates %.1f/op, want 0", avg)
 	}
-	if agent.MonitorCount() != 11 || len(*agent.members) != 10 {
+	if agent.MonitorCount() != 11 || len(agent.members.rows()) != 10 {
 		t.Fatalf("agent holds %d monitors and %d member rows, want 11 and 10",
-			agent.MonitorCount(), len(*agent.members))
+			agent.MonitorCount(), len(agent.members.rows()))
 	}
 
 	audience := make([]*ObjectAgent, 64)

@@ -18,8 +18,11 @@
 //     boundary inward (EnterReport) or outward (ExitReport), leaving the
 //     monitoring region while being a boundary member (LeaveReport), or —
 //     while inside the boundary — drifting more than the in-circle
-//     threshold θ from its last report (MoveReport, which keeps the
-//     server's ranking of the buffered set fresh).
+//     threshold θ from the track it last reported (MoveReport, which
+//     keeps the server's ranking of the buffered set fresh). Enter and
+//     move reports carry the object's velocity, estimated from its own
+//     fixes, and the server ranks each member at its dead-reckoned
+//     position, so a member on a straight leg stays silent.
 //
 //   - The server maintains the answer as the k nearest among the buffered
 //     members and sends it once per query per tick, at the end of the
@@ -30,9 +33,10 @@
 //     fresh probe only when fewer than k members remain known.
 //
 // With zero network latency, no loss, θ = 0, and query deviation
-// threshold 0, the maintained answers are exact at every tick — a tested
-// invariant. Nonzero thresholds trade bounded answer staleness for fewer
-// messages; latency and loss degrade accuracy gracefully (both are
+// threshold 0, the maintained answers are exact at every tick, up to the
+// one-micrometre tolerance a client allows its dead-reckoned track — a
+// tested invariant. Nonzero thresholds trade bounded answer staleness for
+// fewer messages; latency and loss degrade accuracy gracefully (both are
 // measured experiments, not failure modes).
 //
 // The communication profile is the paper's headline property: uplink
@@ -61,6 +65,10 @@ import (
 // errNoMaxProbeRadius reports a server built without a probe cap.
 var errNoMaxProbeRadius = errors.New("core: MaxProbeRadius must be positive (use Config.WithWorldDefault)")
 
+// errBadDT reports an agent built without a usable tick length: a member
+// divides by it to estimate its velocity.
+var errBadDT = errors.New("core: AgentDeps.DT must be positive and finite")
+
 // Config carries the protocol knobs. The zero value is not usable; use
 // DefaultConfig as a starting point.
 type Config struct {
@@ -72,9 +80,10 @@ type Config struct {
 	// r_b: the fewest ticks whose slack δ_q reaches r_b, at most 20.
 	HorizonTicks int
 	// ThetaInside is θ: an object inside the answer boundary re-reports
-	// after drifting this many meters from its last reported position.
-	// 0 keeps the server's ranking exact; larger values trade accuracy
-	// for fewer MoveReports (the Table 3 ablation).
+	// after drifting this many meters from the track it last reported
+	// (its position then, dead-reckoned at its velocity then). 0 keeps
+	// the server's ranking exact; larger values trade accuracy for fewer
+	// MoveReports (the Table 3 ablation).
 	ThetaInside float64
 	// QueryDeviation is the focal client's dead-reckoning threshold in
 	// meters: it reports QueryMove when its true position deviates this

@@ -65,9 +65,9 @@ func (s *Server) exportLocked(q model.QueryID, mon *monitor, now model.Tick) pro
 	}
 	// The rows are walked in ascending id order, so the three lists are
 	// sorted too.
-	mon.tab.each(func(r *member) {
+	mon.tab.each(func(r member) {
 		if r.known {
-			st.Candidates = append(st.Candidates, protocol.CandidateRecord{ID: r.id, Pos: r.pos})
+			st.Candidates = append(st.Candidates, protocol.CandidateRecord{ID: r.id, Pos: r.pos, Vel: r.vel, At: r.at})
 		}
 		if r.inside {
 			st.Inside = append(st.Inside, r.id)
@@ -136,24 +136,25 @@ func (s *Server) ImportMonitor(st protocol.QueryHandoff, now model.Tick) {
 		!finitePoint(st.AdvPos) || !finiteVec(st.AdvVel) {
 		return
 	}
-	mon := newMonitor(st.Query, int(st.K), st.Range, st.Addr)
+	mon := newMonitor(st.Query, int(st.K), st.Range, st.Addr, s.deps.DT)
 	mon.qpos, mon.qvel, mon.qat = st.QPos, st.QVel, st.QAt
 	mon.epoch, mon.installed = st.Epoch, st.Installed
 	mon.answerRadius, mon.radius = st.AnswerRadius, st.Radius
 	mon.installedAt, mon.advPos, mon.advVel = st.InstalledAt, st.AdvPos, st.AdvVel
 	mon.answerSeq, mon.lastProbeAt = st.AnswerSeq, st.LastProbeAt
-	// A candidate with a non-finite position would rank first forever
-	// (see handleUplinkLocked); the snapshot may keep its membership.
+	// A candidate with a non-finite track would rank first forever (see
+	// handleUplinkLocked); the snapshot may keep its membership.
 	for _, c := range st.Candidates {
-		if finitePoint(c.Pos) {
-			mon.tab.set(c.ID, c.Pos, false)
+		if finitePoint(c.Pos) && finiteVec(c.Vel) {
+			mon.tab.set(c.ID, line{c.Pos, c.Vel, c.At}, false)
 		}
 	}
 	for _, id := range st.Inside {
 		r := mon.tab.row(id)
 		mon.tab.setFlags(r, r.known, true)
 	}
-	// File the outside candidates in the annulus table; none is forgotten.
+	// File the outside candidates in the annulus table, at rest; none is
+	// forgotten.
 	mon.tab.prune(st.QPos, math.Inf(1))
 	mon.tab.sent = slices.Clone(st.Sent)
 	slices.Sort(mon.tab.sent)

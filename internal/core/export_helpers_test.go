@@ -79,7 +79,16 @@ func (a *ObjectAgent) held() []agentMonitor { return a.mons }
 
 // memberOf is the test view of q's member row; the agent must be inside q.
 func (a *ObjectAgent) memberOf(q model.QueryID) memberState {
-	return (*a.members)[a.memberIndex(q)]
+	i, _ := a.find(q)
+	return *a.members.row(a.memberIndex(i))
+}
+
+// rows is the test view of the member table, nil when the agent has none.
+func (t *reportTable) rows() []memberState {
+	if t == nil {
+		return nil
+	}
+	return append([]memberState{t.first}, t.more...)
 }
 
 // stored is the test view of one member-table row: the position on record

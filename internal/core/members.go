@@ -10,38 +10,65 @@ import (
 	"dmknn/internal/model"
 )
 
+// line is a reported track: position pos at tick at, moving at vel. A
+// report without a velocity (exit, probe reply) is a line at rest.
+type line struct {
+	pos geo.Point
+	vel geo.Vector
+	at  model.Tick
+}
+
+// posAt dead-reckons the line to now, dt seconds a tick. It is the
+// expression the object measures its drift against, so both sides agree
+// bit for bit.
+func (l *line) posAt(now model.Tick, dt float64) geo.Point {
+	return geo.DeadReckon(l.pos, l.vel, float64(now-l.at)*dt)
+}
+
 // member is one row of a monitor's member table: what the server holds
 // about one object with respect to one query. A row exists while either
-// flag is set; an annulus slot with neither is dead.
+// flag is set.
 type member struct {
 	id     model.ObjectID
-	known  bool      // a position is on record (the candidate set)
-	inside bool      // believed inside the answer circle
-	pos    geo.Point // last reported position; meaningful while known
+	known  bool // a track is on record (the candidate set)
+	inside bool // believed inside the answer circle
+	line        // last reported track; meaningful while known
+}
+
+// annulus is a candidate outside the answer circle, filed where a
+// member's report never searches. Exits and probe replies carry no
+// velocity, so it holds a position only; a slot with known clear is dead.
+type annulus struct {
+	id    model.ObjectID
+	known bool
+	pos   geo.Point
 }
 
 // memberTable is a monitor's working state, in two tables ascending by
 // id. rows holds every row inside the answer circle, and the outside rows
 // written since the last prune (exits, mostly); cold holds the other
-// candidates, the annulus, which a member's report never searches.
-// Beside rows sits a ranking of the known inside rows by
-// model.CompareNeighbors against one query centre, with each entry's
-// position in rankPos. A report at an unchanged centre moves one entry of
-// the ranking; a different centre (rankedAt) re-sorts it in place, and
-// only a bulk mutation (reset) rebuilds it. Every Dist in the ranking is
-// pos.Dist(center), so it is the list a rebuild-and-sort yields.
+// candidates, the annulus. Beside rows sits a ranking of the known inside
+// rows by model.CompareNeighbors at one (query centre, tick) pair, with
+// each entry's track in rankPos. A report at an unchanged pair moves one
+// entry of the ranking; a different pair (rankedAt) re-measures and
+// re-sorts it in place, and only a bulk mutation (reset) rebuilds it.
+// Every Dist in the ranking is posAt(now).Dist(center), so it is the list
+// a rebuild-and-sort yields.
 type memberTable struct {
 	rows    []member
-	cold    []member // known, outside rows; dead slots clear known
+	cold    []annulus
 	nKnown  int
 	nInside int
 	// cut is how many leading ranks form the answer: k, or every rank
 	// for a range monitor.
 	cut int
+	// dt is the tick length the tracks are dead-reckoned with.
+	dt float64
 
 	ranked  []model.Neighbor
-	rankPos []geo.Point
+	rankPos []line
 	center  geo.Point
+	now     model.Tick
 	rankOK  bool
 	// sent holds, ascending, the ids the last answer message named;
 	// sentSpare is the buffer the next list is built in.
@@ -51,8 +78,9 @@ type memberTable struct {
 	dirty bool
 }
 
-// search returns where id is, or would be, in rows ascending by id.
-func search(rows []member, id model.ObjectID) (int, bool) {
+// find returns where id is, or would be, in rows.
+func (t *memberTable) find(id model.ObjectID) (int, bool) {
+	rows := t.rows
 	lo, hi := 0, len(rows)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -65,13 +93,14 @@ func search(rows []member, id model.ObjectID) (int, bool) {
 	return lo, lo < len(rows) && rows[lo].id == id
 }
 
-func (t *memberTable) find(id model.ObjectID) (int, bool) { return search(t.rows, id) }
-
 // findCold returns id's live annulus slot.
 func (t *memberTable) findCold(id model.ObjectID) (int, bool) {
-	i, ok := search(t.cold, id)
+	i, ok := slices.BinarySearchFunc(t.cold, id, func(c annulus, id model.ObjectID) int { return cmp.Compare(c.id, id) })
 	return i, ok && t.cold[i].known
 }
+
+// asMember is the annulus slot as a row: known, outside, at rest.
+func (c *annulus) asMember() member { return member{id: c.id, known: true, line: line{pos: c.pos}} }
 
 // lookup returns id's row from either table.
 func (t *memberTable) lookup(id model.ObjectID) (member, bool) {
@@ -79,7 +108,7 @@ func (t *memberTable) lookup(id model.ObjectID) (member, bool) {
 		return t.rows[i], true
 	}
 	if i, ok := t.findCold(id); ok {
-		return t.cold[i], true
+		return t.cold[i].asMember(), true
 	}
 	return member{}, false
 }
@@ -95,11 +124,14 @@ func (t *memberTable) row(id model.ObjectID) *member {
 	return &t.rows[i]
 }
 
+// dist measures l at the ranking's (centre, tick) pair.
+func (t *memberTable) dist(l *line) float64 { return l.posAt(t.now, t.dt).Dist(t.center) }
+
 // rankOf returns r's index in the ranking; r must be ranked. Its row's
-// position and the centre are the ones it was ranked under, so the Dist
-// recomputed here is bit for bit the one in the ranking.
+// track and the (centre, tick) pair are the ones it was ranked under, so
+// the Dist recomputed here is bit for bit the one in the ranking.
 func (t *memberTable) rankOf(r *member) int {
-	i, _ := slices.BinarySearchFunc(t.ranked, model.Neighbor{ID: r.id, Dist: r.pos.Dist(t.center)}, model.CompareNeighbors)
+	i, _ := slices.BinarySearchFunc(t.ranked, model.Neighbor{ID: r.id, Dist: t.dist(&r.line)}, model.CompareNeighbors)
 	return i
 }
 
@@ -120,19 +152,19 @@ func (t *memberTable) rank(r *member) bool {
 	if !t.rankOK || !r.known || !r.inside {
 		return false
 	}
-	n := model.Neighbor{ID: r.id, Dist: r.pos.Dist(t.center)}
+	n := model.Neighbor{ID: r.id, Dist: t.dist(&r.line)}
 	i, _ := slices.BinarySearchFunc(t.ranked, n, model.CompareNeighbors)
 	t.ranked = slices.Insert(t.ranked, i, n)
-	t.rankPos = slices.Insert(t.rankPos, i, r.pos)
+	t.rankPos = slices.Insert(t.rankPos, i, r.line)
 	return i < t.cut
 }
 
-// move gives ranked row r a new position: one search finds its entry,
-// which then shifts past its neighbours to its new rank.
-func (t *memberTable) move(r *member, pos geo.Point) {
+// move gives ranked row r a new track: one search finds its entry, which
+// then shifts past its neighbours to its new rank.
+func (t *memberTable) move(r *member, l line) {
 	i := t.rankOf(r)
-	r.pos = pos
-	n := model.Neighbor{ID: r.id, Dist: pos.Dist(t.center)}
+	r.line = l
+	n := model.Neighbor{ID: r.id, Dist: t.dist(&l)}
 	rk, rp := t.ranked, t.rankPos
 	j := i
 	for ; j > 0 && model.CompareNeighbors(n, rk[j-1]) < 0; j-- {
@@ -141,7 +173,7 @@ func (t *memberTable) move(r *member, pos geo.Point) {
 	for ; j+1 < len(rk) && model.CompareNeighbors(rk[j+1], n) < 0; j++ {
 		rk[j], rp[j] = rk[j+1], rp[j+1]
 	}
-	rk[j], rp[j] = n, pos
+	rk[j], rp[j] = n, l
 	if (i < t.cut) != (j < t.cut) {
 		t.dirty = true
 	}
@@ -161,14 +193,18 @@ func btoi(b bool) int {
 	return 0
 }
 
-// set records id's reported position and side of the answer circle. The
-// answer's id set changes exactly when id crosses rank cut.
-func (t *memberTable) set(id model.ObjectID, pos geo.Point, inside bool) {
+// set records id's reported track and side of the answer circle; an
+// annulus slot keeps only the position. A report older than the track on
+// record changes nothing: reports may arrive out of order (a relay is a
+// hop longer than the direct path), and an older one would replace the
+// track the object measures itself against. The answer's id set changes
+// exactly when id crosses rank cut.
+func (t *memberTable) set(id model.ObjectID, l line, inside bool) {
 	i, ok := t.find(id)
 	if !ok {
 		if c, live := t.findCold(id); live {
 			if !inside {
-				t.cold[c].pos = pos
+				t.cold[c].pos = l.pos
 				return
 			}
 			t.cold[c].known = false // entering: the slot dies
@@ -177,13 +213,16 @@ func (t *memberTable) set(id model.ObjectID, pos geo.Point, inside bool) {
 		t.rows = slices.Insert(t.rows, i, member{id: id})
 	}
 	r := &t.rows[i]
+	if r.known && l.at < r.at {
+		return
+	}
 	if t.rankOK && r.known && r.inside && inside {
-		t.move(r, pos)
+		t.move(r, l)
 		return
 	}
 	wasTop := t.unrank(r)
 	t.setFlags(r, true, inside)
-	r.pos = pos
+	r.line = l
 	if t.rank(r) != wasTop {
 		t.dirty = true
 	}
@@ -219,33 +258,33 @@ func (t *memberTable) reset() {
 	t.ranked, t.rankPos, t.rankOK = t.ranked[:0], t.rankPos[:0], false
 }
 
-// add appends a known row for an id the table does not hold. A run of
-// adds after a reset ends with sortIDs.
-func (t *memberTable) add(id model.ObjectID, pos geo.Point, inside bool) {
-	r := member{id: id, known: true, inside: inside, pos: pos}
+// add appends a known row for an id the table does not hold, on track l
+// inside the answer circle or at l.pos in the annulus. A run of adds
+// after a reset ends with sortIDs.
+func (t *memberTable) add(id model.ObjectID, l line, inside bool) {
 	t.nKnown++
 	if inside {
 		t.nInside++
-		t.rows = append(t.rows, r)
+		t.rows = append(t.rows, member{id: id, known: true, inside: true, line: l})
 	} else {
-		t.cold = append(t.cold, r)
+		t.cold = append(t.cold, annulus{id: id, known: true, pos: l.pos})
 	}
 }
 
 // sortIDs restores id order to both tables after a run of adds, and
 // gives back the capacity a probe storm left behind.
 func (t *memberTable) sortIDs() {
-	byID := func(a, b member) int { return cmp.Compare(a.id, b.id) }
-	slices.SortFunc(t.rows, byID)
-	slices.SortFunc(t.cold, byID)
+	slices.SortFunc(t.rows, func(a, b member) int { return cmp.Compare(a.id, b.id) })
+	slices.SortFunc(t.cold, func(a, b annulus) int { return cmp.Compare(a.id, b.id) })
 	t.fit()
 }
 
 // prune forgets the known rows outside the answer circle whose position
-// lies beyond radius of center, and files the rest of them in cold:
-// dead slots are dropped, and rows' outside rows are merged in.
+// lies beyond radius of center, and files the rest of them in cold at
+// their reported position: dead slots are dropped, and rows' outside rows
+// are merged in.
 func (t *memberTable) prune(center geo.Point, radius float64) {
-	t.cold = slices.DeleteFunc(t.cold, func(r member) bool {
+	t.cold = slices.DeleteFunc(t.cold, func(r annulus) bool {
 		if !r.known {
 			return true
 		}
@@ -278,7 +317,7 @@ func (t *memberTable) prune(center geo.Point, radius float64) {
 				t.cold[w] = t.cold[c-1]
 			}
 			w--
-			t.cold[w] = r
+			t.cold[w] = annulus{id: r.id, known: true, pos: r.pos}
 		}
 	}
 	t.rows = slices.DeleteFunc(t.rows, func(r member) bool { return !r.inside })
@@ -305,46 +344,47 @@ func (t *memberTable) fit() {
 }
 
 // rankedAt returns the known inside members ordered by (Dist, ID) from
-// center: the ranking as it stands when it was made for center, else
-// re-sorted in place. The slice is the table's own: valid until the next
-// mutation.
-func (t *memberTable) rankedAt(center geo.Point) []model.Neighbor {
+// center, each at its track's position at now: the ranking as it stands
+// when it was made for that pair, else re-sorted in place. The slice is
+// the table's own: valid until the next mutation.
+func (t *memberTable) rankedAt(center geo.Point, now model.Tick) []model.Neighbor {
 	switch {
 	case !t.rankOK:
-		t.rankAll(center)
-	case t.center != center:
-		t.resort(center)
+		t.rankAll(center, now)
+	case t.center != center || t.now != now:
+		t.resort(center, now)
 	}
 	return t.ranked
 }
 
-// rankAll builds the ranking at center from rows.
-func (t *memberTable) rankAll(center geo.Point) {
+// rankAll builds the ranking at (center, now) from rows.
+func (t *memberTable) rankAll(center geo.Point, now model.Tick) {
+	t.center, t.now = center, now
 	t.ranked = t.ranked[:0]
 	for i := range t.rows {
 		if r := &t.rows[i]; r.known && r.inside {
-			t.ranked = append(t.ranked, model.Neighbor{ID: r.id, Dist: r.pos.Dist(center)})
+			t.ranked = append(t.ranked, model.Neighbor{ID: r.id, Dist: t.dist(&r.line)})
 		}
 	}
 	model.SortNeighbors(t.ranked)
 	t.rankPos = t.rankPos[:0]
 	for _, n := range t.ranked {
 		i, _ := t.find(n.ID)
-		t.rankPos = append(t.rankPos, t.rows[i].pos)
+		t.rankPos = append(t.rankPos, t.rows[i].line)
 	}
-	t.center, t.rankOK, t.dirty = center, true, true
+	t.rankOK, t.dirty = true, true
 }
 
-// resort re-measures the ranking from center and insertion-sorts it: the
-// last centre's order is nearly this one's. The answer's id set changes
+// resort re-measures the ranking at (center, now) and insertion-sorts it:
+// the last pair's order is nearly this one's. The answer's id set changes
 // exactly when an entry from rank cut or beyond lands above it, so only
 // that raises dirty. A shuffle too deep for insertion falls back to
 // rankAll.
-func (t *memberTable) resort(center geo.Point) {
-	t.center = center
+func (t *memberTable) resort(center geo.Point, now model.Tick) {
+	t.center, t.now = center, now
 	rk, rp := t.ranked, t.rankPos
 	for i := range rk {
-		rk[i].Dist = rp[i].Dist(center)
+		rk[i].Dist = t.dist(&rp[i])
 	}
 	budget := len(rk) * bits.Len(uint(len(rk)))
 	for i := 1; i < len(rk); i++ {
@@ -358,39 +398,45 @@ func (t *memberTable) resort(center geo.Point) {
 			t.dirty = true
 		}
 		if budget -= i - j; budget < 0 {
-			t.rankAll(center)
+			t.rankAll(center, now)
 			return
 		}
 	}
 }
 
-// appendKnown appends the known rows with their distance from center:
-// all of them, or only those outside the answer circle.
-func (t *memberTable) appendKnown(buf []model.Neighbor, center geo.Point, all bool) []model.Neighbor {
-	t.each(func(r *member) {
-		if r.known && (all || !r.inside) {
-			buf = append(buf, model.Neighbor{ID: r.id, Dist: r.pos.Dist(center)})
+// appendKnown appends the known rows with their distance from center,
+// each at its track's position at now: all of them, or only those outside
+// the answer circle. The order is the tables', not the neighbor order.
+func (t *memberTable) appendKnown(buf []model.Neighbor, center geo.Point, now model.Tick, all bool) []model.Neighbor {
+	for i := range t.rows {
+		if r := &t.rows[i]; r.known && (all || !r.inside) {
+			buf = append(buf, model.Neighbor{ID: r.id, Dist: r.posAt(now, t.dt).Dist(center)})
 		}
-	})
+	}
+	for i := range t.cold {
+		if c := &t.cold[i]; c.known {
+			buf = append(buf, model.Neighbor{ID: c.id, Dist: c.pos.Dist(center)})
+		}
+	}
 	return buf
 }
 
 // each calls fn on every row of both tables, in ascending id order,
 // skipping dead annulus slots.
-func (t *memberTable) each(fn func(r *member)) {
+func (t *memberTable) each(fn func(r member)) {
 	cold := t.cold
 	for i := range t.rows {
 		r := &t.rows[i]
 		for ; len(cold) > 0 && cold[0].id < r.id; cold = cold[1:] {
 			if cold[0].known {
-				fn(&cold[0])
+				fn(cold[0].asMember())
 			}
 		}
-		fn(r)
+		fn(*r)
 	}
 	for i := range cold {
 		if cold[i].known {
-			fn(&cold[i])
+			fn(cold[i].asMember())
 		}
 	}
 }

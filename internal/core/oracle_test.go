@@ -2,9 +2,10 @@ package core
 
 // The server as it evaluated answers before the member table, kept as the
 // reference TestRankedTableMatchesRebuild compares the table against: per
-// monitor a position map, an inside set and a sent set, and a rebuild and
-// sort of the whole inside set on every applied report. The protocol logic
-// around that evaluation is the production server's, statement for
+// monitor a track map, an inside set and a sent set, and a rebuild and
+// sort of the whole inside set, each member dead-reckoned along its
+// reported track, on every applied report and every tick. The protocol
+// logic around that evaluation is the production server's, statement for
 // statement; a change to the production protocol is mirrored here or the
 // differential test retired with a reason.
 
@@ -35,6 +36,36 @@ func (c oraclePositions) Visit(fn func(model.ObjectID, geo.Point) bool) {
 	for id, p := range c {
 		if !fn(id, p) {
 			return
+		}
+	}
+}
+
+// oracleTrack is a candidate's reported track: position pos at tick at,
+// moving at vel. filed marks a candidate production has filed in its
+// annulus, which keeps a position only: it has no velocity and no tick,
+// so no report is too old for it.
+type oracleTrack struct {
+	pos   geo.Point
+	vel   geo.Vector
+	at    model.Tick
+	filed bool
+}
+
+// posAt extrapolates the track to now.
+func (c oracleTrack) posAt(now model.Tick, dt float64) geo.Point {
+	return geo.DeadReckon(c.pos, c.vel, float64(now-c.at)*dt)
+}
+
+// oracleCands is the candidate set the oracle's monitors keep: the last
+// reported track by object id.
+type oracleCands map[model.ObjectID]oracleTrack
+
+// file moves every candidate outside the inside set to the annulus, at
+// its reported position.
+func (c oracleCands) file(inside map[model.ObjectID]bool) {
+	for id, tr := range c {
+		if !inside[id] {
+			c[id] = oracleTrack{pos: tr.pos, filed: true}
 		}
 	}
 }
@@ -77,7 +108,7 @@ type oracleMonitor struct {
 	installedAt  model.Tick
 	lastInstall  *protocol.MonitorInstall // the install last broadcast; nil before the first
 
-	cands       oraclePositions         // last known positions of aware objects
+	cands       oracleCands             // last reported tracks of aware objects
 	inside      map[model.ObjectID]bool // ids currently inside the answer circle
 	answer      []model.Neighbor        // current maintained answer
 	sent        map[model.ObjectID]bool // membership of the last answer message
@@ -124,14 +155,12 @@ func (s *oracleServer) handleUplink(from model.ObjectID, msg protocol.Message, n
 		}
 	case protocol.EnterReport:
 		if mon := s.current(v.Query, v.Epoch); mon != nil {
-			mon.cands.Set(v.Object, v.Pos)
-			mon.inside[v.Object] = true
+			mon.apply(v.Object, oracleTrack{pos: v.Pos, vel: v.Vel, at: v.At}, true)
 			s.refreshAnswer(mon, now)
 		}
 	case protocol.ExitReport:
 		if mon := s.current(v.Query, v.Epoch); mon != nil {
-			mon.cands.Set(v.Object, v.Pos)
-			delete(mon.inside, v.Object)
+			mon.apply(v.Object, oracleTrack{pos: v.Pos, at: v.At}, false)
 			if mon.rng == 0 && len(mon.inside) < mon.k {
 				mon.needsReinstall = true
 			}
@@ -139,7 +168,7 @@ func (s *oracleServer) handleUplink(from model.ObjectID, msg protocol.Message, n
 		}
 	case protocol.LeaveReport:
 		if mon := s.current(v.Query, v.Epoch); mon != nil {
-			mon.cands.Remove(v.Object)
+			delete(mon.cands, v.Object)
 			if mon.inside[v.Object] {
 				delete(mon.inside, v.Object)
 				if mon.rng == 0 && len(mon.inside) < mon.k {
@@ -150,11 +179,30 @@ func (s *oracleServer) handleUplink(from model.ObjectID, msg protocol.Message, n
 		}
 	case protocol.MoveReport:
 		if mon := s.current(v.Query, v.Epoch); mon != nil {
-			mon.cands.Set(v.Object, v.Pos)
-			mon.inside[v.Object] = true
+			mon.apply(v.Object, oracleTrack{pos: v.Pos, vel: v.Vel, at: v.At}, true)
 			s.refreshAnswer(mon, now)
 		}
 	default:
+	}
+}
+
+// apply records a member report's track and side. A filed candidate that
+// stays outside keeps only the new position; a report older than a
+// track on record changes nothing.
+func (mon *oracleMonitor) apply(id model.ObjectID, tr oracleTrack, inside bool) {
+	old, known := mon.cands[id]
+	switch {
+	case known && old.filed && !inside:
+		mon.cands[id] = oracleTrack{pos: tr.pos, filed: true}
+		return
+	case known && !old.filed && tr.at < old.at:
+		return
+	}
+	mon.cands[id] = tr
+	if inside {
+		mon.inside[id] = true
+	} else {
+		delete(mon.inside, id)
 	}
 }
 
@@ -167,11 +215,11 @@ func (s *oracleServer) clientGone(id model.ObjectID, now model.Tick) {
 			continue
 		}
 		mon.replies.Remove(id)
-		touched := mon.cands.Has(id) || mon.inside[id]
-		if !touched {
+		_, known := mon.cands[id]
+		if !known && !mon.inside[id] {
 			continue
 		}
-		mon.cands.Remove(id)
+		delete(mon.cands, id)
 		if mon.inside[id] {
 			delete(mon.inside, id)
 			if mon.rng == 0 && len(mon.inside) < mon.k {
@@ -213,7 +261,7 @@ func (s *oracleServer) register(v protocol.QueryRegister, from model.ObjectID) {
 		qpos:           v.Pos,
 		qvel:           v.Vel,
 		qat:            v.At,
-		cands:          oraclePositions{},
+		cands:          oracleCands{},
 		inside:         make(map[model.ObjectID]bool),
 		sent:           make(map[model.ObjectID]bool),
 		replies:        oraclePositions{},
@@ -257,6 +305,9 @@ func (s *oracleServer) tick(now model.Tick) {
 	cfg := s.cfg
 	for _, q := range s.order {
 		mon := s.monitors[q]
+		if mon.installed {
+			s.refreshAnswer(mon, now)
+		}
 		if mon.probing {
 			continue
 		}
@@ -295,14 +346,8 @@ func (s *oracleServer) refreshInstall(mon *oracleMonitor, now model.Tick) {
 	if mon.rng > 0 {
 		rk = mon.rng
 	} else {
-		acc := mon.accBuf[:0]
-		for id := range mon.inside {
-			if p, ok := mon.cands.Position(id); ok {
-				acc = append(acc, model.Neighbor{ID: id, Dist: p.Dist(center)})
-			}
-		}
+		acc := mon.insideAt(mon.accBuf[:0], center, now, s.deps.DT)
 		mon.accBuf = acc
-		model.SortNeighbors(acc)
 		if len(acc) < mon.k {
 			s.startProbe(mon, now)
 			return
@@ -323,16 +368,16 @@ func (s *oracleServer) refreshInstall(mon *oracleMonitor, now model.Tick) {
 	mon.needsReinstall = false
 
 	gone := mon.goneBuf[:0]
-	mon.cands.Visit(func(id model.ObjectID, p geo.Point) bool {
-		if p.Dist(center) > radius && !mon.inside[id] {
+	for id, c := range mon.cands {
+		if c.pos.Dist(center) > radius && !mon.inside[id] {
 			gone = append(gone, id)
 		}
-		return true
-	})
+	}
 	mon.goneBuf = gone
 	for _, id := range gone {
-		mon.cands.Remove(id)
+		delete(mon.cands, id)
 	}
+	mon.cands.file(mon.inside)
 
 	s.broadcastInstall(mon, protocol.MonitorInstall{
 		Query:        mon.query,
@@ -390,9 +435,13 @@ func (s *oracleServer) startProbe(mon *oracleMonitor, now model.Tick) {
 	radius := cfg.MinProbeRadius
 	if mon.rng > 0 {
 		radius = mon.rng + s.delta(s.horizon(mon.rng))
-	} else if mon.cands.Len() >= mon.k {
-		ns := mon.cands.KNN(center, mon.k)
-		rk := ns[len(ns)-1].Dist
+	} else if len(mon.cands) >= mon.k {
+		var ns []model.Neighbor
+		for id, c := range mon.cands {
+			ns = append(ns, model.Neighbor{ID: id, Dist: c.posAt(now, s.deps.DT).Dist(center)})
+		}
+		model.SortNeighbors(ns)
+		rk := ns[mon.k-1].Dist
 		if est := rk + s.delta(s.horizon(rk)); est > radius {
 			radius = est
 		}
@@ -497,17 +546,21 @@ func (s *oracleServer) install(mon *oracleMonitor, now model.Tick, center geo.Po
 	mon.needsReinstall = false
 	mon.rebaseline = true // next answer message re-baselines delta clients
 
-	mon.cands.Clear()
+	// Replies carry no velocity: each member is at rest from the tick the
+	// round went out.
+	sentAt := mon.probeDue - model.Tick(2*s.deps.LatencyTicks)
+	clear(mon.cands)
 	clear(mon.inside)
 	mon.replies.Visit(func(id model.ObjectID, p geo.Point) bool {
 		if d := p.Dist(center); d <= radius {
-			mon.cands.Set(id, p)
+			mon.cands[id] = oracleTrack{pos: p, at: sentAt}
 			if d <= rk {
 				mon.inside[id] = true
 			}
 		}
 		return true
 	})
+	mon.cands.file(mon.inside)
 	mon.replies.Clear()
 
 	s.broadcastInstall(mon, protocol.MonitorInstall{
@@ -528,27 +581,32 @@ func (s *oracleServer) install(mon *oracleMonitor, now model.Tick, center geo.Po
 	s.refreshAnswer(mon, now)
 }
 
-func (s *oracleServer) computeAnswer(mon *oracleMonitor, now model.Tick) []model.Neighbor {
-	center := mon.qEst(now, s.deps.DT)
-
-	acc := mon.accBuf[:0]
+// insideAt appends the known inside members, each at its track's
+// position at now, in neighbor order from center.
+func (mon *oracleMonitor) insideAt(acc []model.Neighbor, center geo.Point, now model.Tick, dt float64) []model.Neighbor {
 	for id := range mon.inside {
-		if p, ok := mon.cands.Position(id); ok {
-			acc = append(acc, model.Neighbor{ID: id, Dist: p.Dist(center)})
+		if c, ok := mon.cands[id]; ok {
+			acc = append(acc, model.Neighbor{ID: id, Dist: c.posAt(now, dt).Dist(center)})
 		}
 	}
 	model.SortNeighbors(acc)
+	return acc
+}
+
+func (s *oracleServer) computeAnswer(mon *oracleMonitor, now model.Tick) []model.Neighbor {
+	center := mon.qEst(now, s.deps.DT)
+
+	acc := mon.insideAt(mon.accBuf[:0], center, now, s.deps.DT)
 	if mon.rng > 0 {
 	} else if len(acc) > mon.k {
 		acc = acc[:mon.k]
-	} else if len(acc) < mon.k && mon.cands.Len() > len(acc) {
+	} else if len(acc) < mon.k && len(mon.cands) > len(acc) {
 		extra := mon.extraBuf[:0]
-		mon.cands.Visit(func(id model.ObjectID, p geo.Point) bool {
+		for id, c := range mon.cands {
 			if !mon.inside[id] {
-				extra = append(extra, model.Neighbor{ID: id, Dist: p.Dist(center)})
+				extra = append(extra, model.Neighbor{ID: id, Dist: c.posAt(now, s.deps.DT).Dist(center)})
 			}
-			return true
-		})
+		}
 		mon.extraBuf = extra
 		model.SortNeighbors(extra)
 		need := mon.k - len(acc)
@@ -672,12 +730,11 @@ func (s *oracleServer) exportLocked(q model.QueryID, mon *oracleMonitor, now mod
 	if mon.lastInstall != nil {
 		st.AdvPos, st.AdvVel = mon.lastInstall.QueryPos, mon.lastInstall.QueryVel
 	}
-	if n := mon.cands.Len(); n > 0 {
+	if n := len(mon.cands); n > 0 {
 		st.Candidates = make([]protocol.CandidateRecord, 0, n)
-		mon.cands.Visit(func(id model.ObjectID, p geo.Point) bool {
-			st.Candidates = append(st.Candidates, protocol.CandidateRecord{ID: id, Pos: p})
-			return true
-		})
+		for id, c := range mon.cands {
+			st.Candidates = append(st.Candidates, protocol.CandidateRecord{ID: id, Pos: c.pos, Vel: c.vel, At: c.at})
+		}
 		slices.SortFunc(st.Candidates, func(a, b protocol.CandidateRecord) int {
 			return int(a.ID) - int(b.ID)
 		})
@@ -715,17 +772,20 @@ func (s *oracleServer) importMonitor(st protocol.QueryHandoff, now model.Tick) {
 		installedAt:  st.InstalledAt,
 		answerSeq:    st.AnswerSeq,
 		lastProbeAt:  st.LastProbeAt,
-		cands:        oraclePositions{},
+		cands:        oracleCands{},
 		inside:       make(map[model.ObjectID]bool, len(st.Inside)),
 		sent:         make(map[model.ObjectID]bool, len(st.Sent)),
 		replies:      oraclePositions{},
 	}
 	for _, c := range st.Candidates {
-		mon.cands.Set(c.ID, c.Pos)
+		if finitePoint(c.Pos) && finiteVec(c.Vel) {
+			mon.apply(c.ID, oracleTrack{pos: c.Pos, vel: c.Vel, at: c.At}, false)
+		}
 	}
 	for _, id := range st.Inside {
 		mon.inside[id] = true
 	}
+	mon.cands.file(mon.inside)
 	for _, id := range st.Sent {
 		mon.sent[id] = true
 	}

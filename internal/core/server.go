@@ -140,10 +140,11 @@ type monitor struct {
 }
 
 // newMonitor returns a monitor with empty working state for a kNN query
-// (rng 0) or a range query.
-func newMonitor(q model.QueryID, k int, rng float64, addr model.ObjectID) *monitor {
+// (rng 0) or a range query, whose members' tracks advance dt seconds a
+// tick.
+func newMonitor(q model.QueryID, k int, rng float64, addr model.ObjectID, dt float64) *monitor {
 	mon := &monitor{query: q, k: k, rng: rng, addr: addr, replies: knn.NewCandidateSet()}
-	mon.tab.cut = k
+	mon.tab.cut, mon.tab.dt = k, dt
 	if rng > 0 {
 		mon.tab.cut = math.MaxInt
 	}
@@ -244,19 +245,20 @@ func (s *Server) handleUplinkLocked(from model.ObjectID, msg protocol.Message, n
 		}
 	// A stored non-finite position yields a NaN distance, which the
 	// neighbor order places first: every position-bearing report is
-	// dropped unless its position is finite.
+	// dropped unless its position, and its velocity if it has one, is
+	// finite.
 	case protocol.ProbeReply:
 		if mon, ok := s.monitors[v.Query]; ok && mon.probing && v.Seq == mon.probeSeq && finitePoint(v.Pos) {
 			mon.replies.Set(v.Object, v.Pos)
 		}
 	case protocol.EnterReport:
-		if mon := s.current(v.Query, v.Epoch); mon != nil && finitePoint(v.Pos) {
-			mon.tab.set(v.Object, v.Pos, true)
+		if mon := s.current(v.Query, v.Epoch); mon != nil && finitePoint(v.Pos) && finiteVec(v.Vel) {
+			mon.tab.set(v.Object, line{v.Pos, v.Vel, v.At}, true)
 			s.refreshAnswer(mon, now)
 		}
 	case protocol.ExitReport:
 		if mon := s.current(v.Query, v.Epoch); mon != nil && finitePoint(v.Pos) {
-			mon.tab.set(v.Object, v.Pos, false)
+			mon.tab.set(v.Object, line{pos: v.Pos, at: v.At}, false)
 			mon.noteUnderfull()
 			s.refreshAnswer(mon, now)
 		}
@@ -268,12 +270,12 @@ func (s *Server) handleUplinkLocked(from model.ObjectID, msg protocol.Message, n
 			s.refreshAnswer(mon, now)
 		}
 	case protocol.MoveReport:
-		if mon := s.current(v.Query, v.Epoch); mon != nil && finitePoint(v.Pos) {
+		if mon := s.current(v.Query, v.Epoch); mon != nil && finitePoint(v.Pos) && finiteVec(v.Vel) {
 			// A MoveReport is sent only by objects that believe they are
 			// inside the answer circle, so it doubles as a membership
 			// affirmation — under message loss this heals a lost
-			// EnterReport within one tick.
-			mon.tab.set(v.Object, v.Pos, true)
+			// EnterReport at the member's next report.
+			mon.tab.set(v.Object, line{v.Pos, v.Vel, v.At}, true)
 			s.refreshAnswer(mon, now)
 		}
 	default:
@@ -377,7 +379,7 @@ func (s *Server) register(v protocol.QueryRegister, from model.ObjectID) {
 		(v.Range == 0 && (v.K == 0 || v.K > maxK)) {
 		return
 	}
-	mon := newMonitor(v.Query, int(v.K), v.Range, from)
+	mon := newMonitor(v.Query, int(v.K), v.Range, from, s.deps.DT)
 	mon.qpos, mon.qvel, mon.qat = v.Pos, v.Vel, v.At
 	mon.needsReinstall = true
 	s.monitors[v.Query] = mon
@@ -461,8 +463,9 @@ func (s *Server) delta(h int) float64 {
 		float64(h)*s.deps.DT)
 }
 
-// Tick runs the periodic server work: horizon expiry, buffer checks, and
-// probe initiation for monitors that need a reinstall.
+// Tick runs the periodic server work: the re-ranking of every installed
+// answer, horizon expiry, buffer checks, and probe initiation for
+// monitors that need a reinstall.
 func (s *Server) Tick(now model.Tick) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -470,6 +473,12 @@ func (s *Server) Tick(now model.Tick) {
 	cfg := s.cfg
 	for _, q := range s.order {
 		mon := s.monitors[q]
+		// Members move between their reports, along the tracks they
+		// reported: the answer is re-ranked at this tick whether or not a
+		// report arrived. Finalize sends it only if its membership changed.
+		if mon.installed {
+			s.refreshAnswer(mon, now)
+		}
 		if mon.probing {
 			continue
 		}
@@ -532,7 +541,7 @@ func (s *Server) refreshInstall(mon *monitor, now model.Tick) {
 	if mon.rng > 0 {
 		rk = mon.rng
 	} else {
-		acc := mon.tab.rankedAt(center)
+		acc := mon.tab.rankedAt(center, now)
 		if len(acc) < mon.k {
 			// Positions for some inside ids are missing (cannot happen in
 			// normal operation; defensive): fall back to a probe.
@@ -612,7 +621,7 @@ func (s *Server) startProbe(mon *monitor, now model.Tick) {
 	} else if mon.tab.nKnown >= mon.k {
 		// If we already track at least k candidates, size the ring from
 		// the k-th known distance plus the safety slack.
-		known := mon.tab.appendKnown(mon.extraBuf[:0], center, true)
+		known := mon.tab.appendKnown(mon.extraBuf[:0], center, now, true)
 		mon.extraBuf = known
 		model.SortNeighbors(known)
 		rk := known[mon.k-1].Dist
@@ -741,8 +750,12 @@ func (s *Server) expandProbe(mon *monitor, now model.Tick, radius float64) {
 // from the replies, advance the epoch, and broadcast the install over a
 // region covering the new circle and the previous install's frame (so
 // objects that fell out of the region hear about it and stop monitoring).
+// A reply carries no velocity, so every rebuilt member is at rest — the
+// track each object resets its own row to on hearing a full install —
+// from the tick the round was sent, which no reply predates.
 func (s *Server) install(mon *monitor, now model.Tick, center geo.Point, rk, radius float64) {
 	cover := s.installCover(mon, center, radius, now)
+	sentAt := mon.probeDue - model.Tick(2*s.deps.LatencyTicks)
 	mon.epoch++
 	mon.installed = true
 	mon.answerRadius = rk
@@ -756,7 +769,7 @@ func (s *Server) install(mon *monitor, now model.Tick, center geo.Point, rk, rad
 	mon.tab.reset()
 	mon.replies.Visit(func(id model.ObjectID, p geo.Point) bool {
 		if d := p.Dist(center); d <= radius {
-			mon.tab.add(id, p, d <= rk)
+			mon.tab.add(id, line{pos: p, at: sentAt}, d <= rk)
 		}
 		return true
 	})
@@ -795,7 +808,7 @@ func (s *Server) install(mon *monitor, now model.Tick, center geo.Point, rk, rad
 // stores it in mon.answer.
 func (s *Server) computeAnswer(mon *monitor, now model.Tick) []model.Neighbor {
 	center := mon.qEst(now, s.deps.DT)
-	acc := mon.tab.rankedAt(center)
+	acc := mon.tab.rankedAt(center, now)
 	if mon.rng > 0 {
 		// Range monitor: membership is the answer; positions (and hence
 		// the reported distances) are only install-time fresh.
@@ -804,7 +817,7 @@ func (s *Server) computeAnswer(mon *monitor, now model.Tick) []model.Neighbor {
 	} else if len(acc) < mon.k && mon.tab.nKnown > len(acc) {
 		// Best-effort fill from annulus candidates (stale positions) while
 		// a fallback probe is pending.
-		extra := mon.tab.appendKnown(mon.extraBuf[:0], center, false)
+		extra := mon.tab.appendKnown(mon.extraBuf[:0], center, now, false)
 		mon.extraBuf = extra
 		model.SortNeighbors(extra)
 		acc = append(append(mon.accBuf[:0], acc...), extra[:min(mon.k-len(acc), len(extra))]...)

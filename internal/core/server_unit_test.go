@@ -536,6 +536,31 @@ func TestNonFiniteReportPositionsDropped(t *testing.T) {
 			}
 		})
 	}
+	// Enter and move reports carry a track: a non-finite velocity would
+	// put every later dead-reckoned position of the row at NaN.
+	t.Run("velocity", func(t *testing.T) {
+		srv, side, now := unitServer(t, baseCfg())
+		*now = 1
+		inst := installQuery(t, srv, side, 1)
+		want := srv.Answer(1).Neighbors
+		mon := srv.monitors[1]
+		for _, id := range []model.ObjectID{2, 9} {
+			before, knownBefore, insideBefore := mon.stored(id)
+			for _, v := range []geo.Vector{geo.Vec(math.NaN(), 0), geo.Vec(0, math.Inf(1)), geo.Vec(math.Inf(-1), 1)} {
+				mr := protocol.MemberReport{Query: 1, Epoch: inst.Epoch, Object: id, Pos: geo.Pt(501, 500), At: 1}
+				srv.HandleUplink(id, protocol.EnterReport{MemberReport: mr, Vel: v})
+				srv.HandleUplink(id, protocol.MoveReport{MemberReport: mr, Vel: v})
+			}
+			if pos, known, inside := mon.stored(id); pos != before || known != knownBefore || inside != insideBefore {
+				t.Errorf("object %d: record changed to %v known=%v inside=%v", id, pos, known, inside)
+			}
+		}
+		*now = 2
+		srv.Tick(2)
+		if got := srv.Answer(1).Neighbors; len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+			t.Errorf("answer %v, want %v", got, want)
+		}
+	})
 	t.Run("probe-reply", func(t *testing.T) {
 		srv, side, now := unitServer(t, baseCfg())
 		*now = 1
@@ -560,9 +585,13 @@ func TestNonFiniteReportPositionsDropped(t *testing.T) {
 			t.Fatalf("export ok=%v candidates=%v", ok, st.Candidates)
 		}
 		st.Candidates[0].Pos = geo.Pt(math.NaN(), 500) // object 1, the nearest
+		st.Candidates[1].Vel = geo.Vec(0, math.Inf(1)) // object 2
 		srv.ImportMonitor(st, 1)
 		if _, known, _ := srv.monitors[1].stored(1); known {
 			t.Error("non-finite candidate position imported")
+		}
+		if _, known, _ := srv.monitors[1].stored(2); known {
+			t.Error("non-finite candidate velocity imported")
 		}
 		for _, n := range srv.Answer(1).Neighbors {
 			if math.IsNaN(n.Dist) {
@@ -630,11 +659,11 @@ func TestMemberTableGivesBackProbeCapacity(t *testing.T) {
 			t.Fatalf("wave %d: last broadcast %T, want a refresh install", wave, side.lastBroadcast())
 		}
 		for _, tt := range []struct {
-			rows  []member
+			n, c  int
 			floor int
-		}{{tab.rows, minRowCap}, {tab.cold, minColdCap}} {
-			if c, n := cap(tt.rows), len(tt.rows); c > max(tt.floor, 4*n) {
-				t.Errorf("wave %d: %d rows in capacity %d, want at most max(%d, 4·%d)", wave, n, c, tt.floor, n)
+		}{{len(tab.rows), cap(tab.rows), minRowCap}, {len(tab.cold), cap(tab.cold), minColdCap}} {
+			if tt.c > max(tt.floor, 4*tt.n) {
+				t.Errorf("wave %d: %d rows in capacity %d, want at most max(%d, 4·%d)", wave, tt.n, tt.c, tt.floor, tt.n)
 			}
 		}
 	}

@@ -136,7 +136,7 @@ func (r *diffRig) compare() {
 		got := [...]any{mon.epoch, mon.installed, mon.probing, mon.probeSeq, mon.needsReinstall,
 			mon.rebaseline, mon.answerPending, mon.answerSeq, mon.answerRadius, mon.radius, mon.tab.nInside, mon.tab.nKnown}
 		want := [...]any{om.epoch, om.installed, om.probing, om.probeSeq, om.needsReinstall,
-			om.rebaseline, om.pending, om.answerSeq, om.answerRadius, om.radius, len(om.inside), om.cands.Len()}
+			om.rebaseline, om.pending, om.answerSeq, om.answerRadius, om.radius, len(om.inside), len(om.cands)}
 		if got != want {
 			r.fail("q%d state (epoch installed probing probeSeq needsReinstall rebaseline pending answerSeq rk radius inside known)\n table  %v\n oracle %v", q, got, want)
 		}
@@ -145,33 +145,34 @@ func (r *diffRig) compare() {
 }
 
 // checkTable asserts the member table's two tables are the oracle's maps
-// — rows holding every inside row, cold the rest, no id live in both —
-// and that a ranking still marked valid is what a rebuild would produce.
+// — rows holding every inside row and each unfiled candidate's track,
+// cold the filed candidates' positions, no id live in both — and that a
+// ranking still marked valid is what a rebuild at its (centre, tick)
+// pair would produce.
 func (r *diffRig) checkTable(q model.QueryID, mon *monitor, om *oracleMonitor) {
 	r.t.Helper()
 	t := &mon.tab
 	var ranked []model.Neighbor
 	nKnown, nInside := 0, 0
-	check := func(row member) {
+	for i, row := range t.rows {
+		if i > 0 && t.rows[i-1].id >= row.id {
+			r.fail("q%d rows out of order at %d", q, i)
+		}
 		if !row.known && !row.inside {
 			r.fail("q%d row %d carries no flag", q, row.id)
 		}
-		if p, ok := om.cands.Position(row.id); ok != row.known || (ok && p != row.pos) {
-			r.fail("q%d row %d known=%v pos=%v, oracle %v %v", q, row.id, row.known, row.pos, ok, p)
+		c, ok := om.cands[row.id]
+		if ok != row.known || (ok && (c.filed || c.pos != row.pos || c.vel != row.vel || c.at != row.at)) {
+			r.fail("q%d row %d known=%v track %+v, oracle %v %+v", q, row.id, row.known, row.line, ok, c)
 		}
 		if om.inside[row.id] != row.inside {
 			r.fail("q%d row %d inside=%v, oracle %v", q, row.id, row.inside, om.inside[row.id])
 		}
 		nKnown += btoi(row.known)
 		nInside += btoi(row.inside)
-	}
-	for i, row := range t.rows {
-		if i > 0 && t.rows[i-1].id >= row.id {
-			r.fail("q%d rows out of order at %d", q, i)
-		}
-		check(row)
 		if row.known && row.inside {
-			ranked = append(ranked, model.Neighbor{ID: row.id, Dist: row.pos.Dist(t.center)})
+			p := geo.DeadReckon(row.pos, row.vel, float64(t.now-row.at)*t.dt)
+			ranked = append(ranked, model.Neighbor{ID: row.id, Dist: p.Dist(t.center)})
 		}
 	}
 	for i, row := range t.cold {
@@ -181,16 +182,16 @@ func (r *diffRig) checkTable(q model.QueryID, mon *monitor, om *oracleMonitor) {
 		if !row.known {
 			continue // a dead slot
 		}
-		if row.inside {
-			r.fail("q%d annulus row %d is inside", q, row.id)
-		}
 		if _, dup := t.find(row.id); dup {
 			r.fail("q%d row %d is live in both tables", q, row.id)
 		}
-		check(row)
+		if c, ok := om.cands[row.id]; !ok || !c.filed || c.pos != row.pos || om.inside[row.id] {
+			r.fail("q%d annulus row %d at %v, oracle %v %+v inside=%v", q, row.id, row.pos, ok, c, om.inside[row.id])
+		}
+		nKnown++
 	}
-	if nKnown != om.cands.Len() || nInside != len(om.inside) {
-		r.fail("q%d tables hold %d known, %d inside; oracle %d, %d", q, nKnown, nInside, om.cands.Len(), len(om.inside))
+	if nKnown != len(om.cands) || nInside != len(om.inside) {
+		r.fail("q%d tables hold %d known, %d inside; oracle %d, %d", q, nKnown, nInside, len(om.cands), len(om.inside))
 	}
 	if t.rankOK {
 		model.SortNeighbors(ranked)
@@ -198,8 +199,8 @@ func (r *diffRig) checkTable(q model.QueryID, mon *monitor, om *oracleMonitor) {
 			r.fail("q%d ranking %v, rebuild %v", q, t.ranked, ranked)
 		}
 		for i, n := range t.ranked {
-			if p, _ := om.cands.Position(n.ID); t.rankPos[i] != p {
-				r.fail("q%d rank %d position %v, row %v", q, i, t.rankPos[i], p)
+			if c := om.cands[n.ID]; t.rankPos[i] != (line{c.pos, c.vel, c.at}) {
+				r.fail("q%d rank %d track %+v, oracle %+v", q, i, t.rankPos[i], c)
 			}
 		}
 	}
@@ -207,7 +208,9 @@ func (r *diffRig) checkTable(q model.QueryID, mon *monitor, om *oracleMonitor) {
 
 // report sends one member report for a random (object, query): mostly the
 // kind the object's true position calls for, sometimes any kind, with an
-// epoch that may lag (grace window and beyond) or lead the live one.
+// epoch that may lag (grace window and beyond) or lead the live one, and
+// sometimes stamped a few ticks late, as a relayed report arrives after a
+// direct one. Enter and move reports carry a lattice velocity.
 func (r *diffRig) report() {
 	id := r.ids[r.rng.Intn(len(r.ids))]
 	q := model.QueryID(1 + r.rng.Intn(diffQueries))
@@ -233,12 +236,17 @@ func (r *diffRig) report() {
 	if r.rng.Intn(5) == 0 {
 		epoch = mon.epoch + 1 - uint32(r.rng.Intn(5))
 	}
-	mr := protocol.MemberReport{Query: q, Epoch: epoch, Object: id, Pos: p, At: r.now}
+	at := r.now
+	if r.rng.Intn(4) == 0 {
+		at -= model.Tick(1 + r.rng.Intn(3))
+	}
+	mr := protocol.MemberReport{Query: q, Epoch: epoch, Object: id, Pos: p, At: at}
+	vel := geo.Vector{X: float64(r.rng.Intn(3) - 1), Y: float64(r.rng.Intn(3) - 1)}
 	switch kind {
 	case 0:
-		r.uplink(id, protocol.EnterReport{MemberReport: mr})
+		r.uplink(id, protocol.EnterReport{MemberReport: mr, Vel: vel})
 	case 1:
-		r.uplink(id, protocol.MoveReport{MemberReport: mr})
+		r.uplink(id, protocol.MoveReport{MemberReport: mr, Vel: vel})
 	case 2:
 		r.uplink(id, protocol.ExitReport{MemberReport: mr})
 	default:

@@ -472,6 +472,7 @@ func FullProfile() Profile {
 		Base:        workload.Default(),
 		Proto:       core.DefaultConfig(),
 		CITau:       50,
+		CBTau:       50,
 		Ns:          []int{5000, 10000, 20000, 40000, 80000},
 		LargeNs:     []int{25000, 50000, 100000, 1000000},
 		Ks:          []int{1, 5, 10, 20, 50},

@@ -62,8 +62,14 @@ func TestSuiteStructure(t *testing.T) {
 	}
 }
 
+// The shape is asserted on the golden profile's fig 5 table (4 queries ×
+// 20 ticks), not tiny()'s 2 × 10: members on their reported tracks are
+// silent, and tiny()'s DKNN sample, some 50 to 130 uplinks, is then too
+// small to carry a growth ratio — enter/exit counts alone swing it from
+// 0.78× to 2.38× across seeds 1–5, where the golden table gives 0.88× to
+// 1.44×.
 func TestFig5RunAndShape(t *testing.T) {
-	p := tiny()
+	p := goldenProfile()
 	tbl, err := p.Fig5ObjectScaling().Run()
 	if err != nil {
 		t.Fatal(err)

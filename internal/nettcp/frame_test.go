@@ -197,15 +197,18 @@ func TestFrameReaderLengthLimits(t *testing.T) {
 
 // AppendFrame's bytes, pinned against the parent's writeFrame (client
 // wire) and writePeerFrame (peer wire) output for one message of each
-// direction: hdr|payload is unchanged, wire version stays 1.
+// direction: hdr|payload is unchanged. The member
+// reports' payloads end in the 16-byte velocity that enter and move
+// reports carry.
 func TestAppendFrameGolden(t *testing.T) {
 	rep := protocol.MemberReport{Query: 5, Epoch: 3, Object: 96, Pos: geo.Pt(13, 14), At: 21}
 	for _, tc := range []struct {
 		m   protocol.Message
 		hex string
 	}{
-		{protocol.MoveReport{MemberReport: rep}, // uplink
-			"25000000090500000003000000600000000000000000002a400000000000002c401500000000000000"},
+		{protocol.MoveReport{MemberReport: rep, Vel: geo.Vec(-2.5, 0.75)}, // uplink
+			"35000000090500000003000000600000000000000000002a400000000000002c401500000000000000" +
+				"00000000000004c0000000000000e83f"},
 		{protocol.AnswerUpdate{Query: 8, Seq: 12, At: 31, QPos: geo.Pt(512, 504), // downlink
 			Neighbors: []model.Neighbor{{ID: 4, Dist: 12.5}, {ID: 9, Dist: 13.75}}},
 			"3b0000000d080000000c0000001f0000000000000000000000000080400000000000807f40" +
@@ -215,9 +218,10 @@ func TestAppendFrameGolden(t *testing.T) {
 			"4300000004050000000200000000000000000000005940000000000000694000000000000008c0" +
 				"00000000000010400000000000d052400000000000d062401100000000000000"},
 		{protocol.NodeRelay{Origin: 42, Hops: 1, Inner: protocol.EnterReport{ // peer wire
-			MemberReport: protocol.MemberReport{Query: 5, Epoch: 4, Object: 42, Pos: geo.Pt(5, 6), At: 38}}},
-			"33000000112a0000000100000000000000000605000000040000002a0000000000000000001440" +
-				"00000000000018402600000000000000"},
+			MemberReport: protocol.MemberReport{Query: 5, Epoch: 4, Object: 42, Pos: geo.Pt(5, 6), At: 38},
+			Vel:          geo.Vec(0.5, 2)}},
+			"43000000112a0000000100000000000000000605000000040000002a0000000000000000001440" +
+				"00000000000018402600000000000000" + "000000000000e03f0000000000000040"},
 	} {
 		if got := hex.EncodeToString(AppendFrame(nil, tc.m)); got != tc.hex {
 			t.Errorf("%T framed as\n     %s\nwant %s", tc.m, got, tc.hex)

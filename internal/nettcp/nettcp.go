@@ -48,8 +48,10 @@ import (
 
 var (
 	magic = [4]byte{'D', 'K', 'N', 'N'}
-	// version of the wire protocol.
-	version byte = 1
+	// version of the wire protocol. Version 2 added the velocity that
+	// enter and move reports carry; a version-1 peer is refused at the
+	// handshake instead of failing its first member report.
+	version byte = 2
 )
 
 // ErrBadHandshake reports a connection that did not start with the

@@ -371,7 +371,7 @@ func TestOversizedFrameRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	hello := append([]byte{'D', 'K', 'N', 'N', 1}, 9, 0, 0, 0)
+	hello := append([]byte{'D', 'K', 'N', 'N', version}, 9, 0, 0, 0)
 	if _, err := c.Write(hello); err != nil {
 		t.Fatal(err)
 	}

@@ -300,7 +300,7 @@ type MonitorCancel struct {
 // Kind implements Message.
 func (MonitorCancel) Kind() Kind { return KindMonitorCancel }
 
-// MemberReport is the shared layout of Enter/Exit/Leave reports.
+// MemberReport is the shared layout of the four member reports.
 type MemberReport struct {
 	Query  model.QueryID
 	Epoch  uint32
@@ -310,7 +310,12 @@ type MemberReport struct {
 }
 
 // EnterReport: the object crossed inside the advertised answer radius.
-type EnterReport struct{ MemberReport }
+// Vel is the velocity of the track the object now keeps: the server
+// dead-reckons the member along it until the next report.
+type EnterReport struct {
+	MemberReport
+	Vel geo.Vector
+}
 
 // Kind implements Message.
 func (EnterReport) Kind() Kind { return KindEnterReport }
@@ -327,8 +332,12 @@ type LeaveReport struct{ MemberReport }
 // Kind implements Message.
 func (LeaveReport) Kind() Kind { return KindLeaveReport }
 
-// MoveReport: an object inside the answer circle refreshed its position.
-type MoveReport struct{ MemberReport }
+// MoveReport: an object inside the answer circle left the track it last
+// reported; Pos and Vel are its new track.
+type MoveReport struct {
+	MemberReport
+	Vel geo.Vector
+}
 
 // Kind implements Message.
 func (MoveReport) Kind() Kind { return KindMoveReport }
@@ -498,11 +507,14 @@ type ObjectHandoff struct {
 // Kind implements Message.
 func (ObjectHandoff) Kind() Kind { return KindObjectHandoff }
 
-// CandidateRecord is one (object, position) pair of a migrating
-// monitor's candidate set.
+// CandidateRecord is one candidate of a migrating monitor: the object's
+// reported track, position Pos at tick At moving at Vel. An annulus
+// candidate carries no track: zero Vel and At.
 type CandidateRecord struct {
 	ID  model.ObjectID
 	Pos geo.Point
+	Vel geo.Vector
+	At  model.Tick
 }
 
 // QueryHandoff migrates a query monitor to a new home node: the complete
@@ -730,12 +742,14 @@ func Encode(dst []byte, m Message) []byte {
 		dst = appendU32(dst, v.Epoch)
 	case EnterReport:
 		dst = appendMemberReport(dst, v.MemberReport)
+		dst = appendVec(dst, v.Vel)
 	case ExitReport:
 		dst = appendMemberReport(dst, v.MemberReport)
 	case LeaveReport:
 		dst = appendMemberReport(dst, v.MemberReport)
 	case MoveReport:
 		dst = appendMemberReport(dst, v.MemberReport)
+		dst = appendVec(dst, v.Vel)
 	case QueryRegister:
 		dst = appendU32(dst, uint32(v.Query))
 		dst = appendU32(dst, v.K)
@@ -823,6 +837,8 @@ func Encode(dst []byte, m Message) []byte {
 		for _, c := range v.Candidates {
 			dst = appendU32(dst, uint32(c.ID))
 			dst = appendPoint(dst, c.Pos)
+			dst = appendVec(dst, c.Vel)
+			dst = appendTick(dst, c.At)
 		}
 		dst = appendU32(dst, uint32(len(v.Inside)))
 		for _, id := range v.Inside {
@@ -889,8 +905,10 @@ func EncodedSize(m Message) int {
 		return 1 + 4 + 4 + 1 + 1 + 16 + 16 + 8 + 8 + 8 + 8 + 8
 	case MonitorCancel:
 		return 1 + 4 + 4
-	case EnterReport, ExitReport, LeaveReport, MoveReport:
+	case ExitReport, LeaveReport:
 		return 1 + memberReportSize
+	case EnterReport, MoveReport:
+		return 1 + memberReportSize + 16
 	case QueryRegister:
 		return 1 + 4 + 4 + 8 + 16 + 16 + 8
 	case QueryMove:
@@ -913,7 +931,7 @@ func EncodedSize(m Message) int {
 		return 1 + 4 + 16 + 16 + 8 + 2 + len(v.Aware)*6
 	case QueryHandoff:
 		return 1 + 4 + 4 + 8 + 4 + 16 + 16 + 8 + 4 + 1 + 8 + 8 + 8 + 16 + 16 + 4 + 8 +
-			4 + len(v.Candidates)*20 + 4 + len(v.Inside)*4 + 4 + len(v.Sent)*4 +
+			4 + len(v.Candidates)*candidateSize + 4 + len(v.Inside)*4 + 4 + len(v.Sent)*4 +
 			2 + len(v.Spread)*2
 	case QueryHandoffAck:
 		return 1 + 4
@@ -937,6 +955,9 @@ func EncodedSize(m Message) int {
 }
 
 const memberReportSize = 4 + 4 + 4 + 16 + 8
+
+// candidateSize is the wire size of one CandidateRecord.
+const candidateSize = 4 + 16 + 16 + 8
 
 // Decode parses one message from buf. The entire buffer must be consumed;
 // trailing bytes are an error, which catches framing bugs early. A list
@@ -1011,13 +1032,13 @@ func Decode(buf []byte) (Message, error) {
 			Epoch: r.u32(),
 		}
 	case KindEnterReport:
-		m = EnterReport{r.memberReport()}
+		m = EnterReport{r.memberReport(), r.vec()}
 	case KindExitReport:
 		m = ExitReport{r.memberReport()}
 	case KindLeaveReport:
 		m = LeaveReport{r.memberReport()}
 	case KindMoveReport:
-		m = MoveReport{r.memberReport()}
+		m = MoveReport{r.memberReport(), r.vec()}
 	case KindQueryRegister:
 		m = QueryRegister{
 			Query: model.QueryID(r.u32()),
@@ -1143,12 +1164,14 @@ func Decode(buf []byte) (Message, error) {
 			AnswerSeq:    r.u32(),
 			LastProbeAt:  r.tick(),
 		}
-		if nc := r.count(int(r.u32()), 20); nc > 0 {
+		if nc := r.count(int(r.u32()), candidateSize); nc > 0 {
 			qh.Candidates = make([]CandidateRecord, 0, nc)
 			for i := 0; i < nc; i++ {
 				qh.Candidates = append(qh.Candidates, CandidateRecord{
 					ID:  model.ObjectID(r.u32()),
 					Pos: r.point(),
+					Vel: r.vec(),
+					At:  r.tick(),
 				})
 			}
 		}

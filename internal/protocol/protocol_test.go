@@ -30,10 +30,11 @@ func sampleMessages() []Message {
 		InfluenceInstall{Install: MonitorInstall{Query: 7, Epoch: 5, Refresh: true,
 			QueryPos: geo.Pt(51, 59), AnswerRadius: 82, Radius: 121, At: 20}}, // no valid frontier
 		MonitorCancel{Query: 5, Epoch: 2},
-		EnterReport{MemberReport{Query: 5, Epoch: 2, Object: 99, Pos: geo.Pt(7, 8), At: 18}},
+		EnterReport{MemberReport{Query: 5, Epoch: 2, Object: 99, Pos: geo.Pt(7, 8), At: 18}, geo.Vec(1.25, -0.5)},
+		EnterReport{MemberReport{Query: 5, Epoch: 2, Object: 95, Pos: geo.Pt(3, 4), At: 18}, geo.Vector{}}, // no track yet
 		ExitReport{MemberReport{Query: 5, Epoch: 2, Object: 98, Pos: geo.Pt(9, 10), At: 19}},
 		LeaveReport{MemberReport{Query: 5, Epoch: 3, Object: 97, Pos: geo.Pt(11, 12), At: 20}},
-		MoveReport{MemberReport{Query: 5, Epoch: 3, Object: 96, Pos: geo.Pt(13, 14), At: 21}},
+		MoveReport{MemberReport{Query: 5, Epoch: 3, Object: 96, Pos: geo.Pt(13, 14), At: 21}, geo.Vec(-2.5, 0.75)},
 		QueryRegister{Query: 8, K: 10, Pos: geo.Pt(500, 500), Vel: geo.Vec(1, 1), At: 0},
 		QueryRegister{Query: 9, Range: 250.5, Pos: geo.Pt(10, 10), At: 1},
 		MonitorInstall{Query: 9, Epoch: 1, RangeMode: true, QueryPos: geo.Pt(10, 10),
@@ -63,7 +64,7 @@ func sampleMessages() []Message {
 				AnswerRadius: 80, Radius: 120, At: 19},
 				Frontier: 64.25, Band: 5.5}},
 		NodeRelay{Origin: 42, Hops: 1,
-			Inner: EnterReport{MemberReport{Query: 5, Epoch: 4, Object: 42, Pos: geo.Pt(5, 6), At: 38}}},
+			Inner: EnterReport{MemberReport{Query: 5, Epoch: 4, Object: 42, Pos: geo.Pt(5, 6), At: 38}, geo.Vec(0.5, 2)}},
 		NodeRelay{Origin: 43, Hops: 3, Version: 2,
 			Inner: QueryMove{Query: 8, Pos: geo.Pt(511, 506), Vel: geo.Vec(2, 1), At: 39}},
 		NodeDeliver{To: 44, Version: 3,
@@ -75,10 +76,11 @@ func sampleMessages() []Message {
 		QueryHandoff{Query: 8, K: 4, Addr: 1001, QPos: geo.Pt(515, 505), QVel: geo.Vec(2, 0), QAt: 43,
 			Epoch: 6, Installed: true, AnswerRadius: 80.5, Radius: 161, InstalledAt: 40,
 			AdvPos: geo.Pt(509, 505), AdvVel: geo.Vec(1.5, 0.25), AnswerSeq: 15, LastProbeAt: 12,
-			Candidates: []CandidateRecord{{ID: 4, Pos: geo.Pt(520, 500)}, {ID: 9, Pos: geo.Pt(500, 510)}},
-			Inside:     []model.ObjectID{4, 9},
-			Sent:       []model.ObjectID{4, 9},
-			Spread:     []uint16{0, 2}},
+			Candidates: []CandidateRecord{{ID: 4, Pos: geo.Pt(520, 500), Vel: geo.Vec(-1, 0.5), At: 42},
+				{ID: 9, Pos: geo.Pt(500, 510)}}, // 9 is in the annulus: no track
+			Inside: []model.ObjectID{4, 9},
+			Sent:   []model.ObjectID{4, 9},
+			Spread: []uint16{0, 2}},
 		QueryHandoff{Query: 12, K: 1, Range: 90.5, Addr: 1002, QPos: geo.Pt(1, 1), QAt: 44,
 			Epoch: 1, AnswerRadius: 90.5, Radius: 140}, // probing-era handoff: empty state
 		QueryHandoffAck{Query: 8},

@@ -85,7 +85,7 @@ func TestQuickInfluenceInstall(t *testing.T) {
 }
 
 func TestQuickMemberReports(t *testing.T) {
-	f := func(q, epoch, obj uint32, x, y float64, at int64, kind uint8) bool {
+	f := func(q, epoch, obj uint32, x, y, vx, vy float64, at int64, kind uint8) bool {
 		mr := MemberReport{
 			Query: model.QueryID(q), Epoch: epoch,
 			Object: model.ObjectID(obj), Pos: geo.Pt(x, y), At: model.Tick(at),
@@ -93,13 +93,13 @@ func TestQuickMemberReports(t *testing.T) {
 		var m Message
 		switch kind % 4 {
 		case 0:
-			m = EnterReport{mr}
+			m = EnterReport{mr, geo.Vec(vx, vy)}
 		case 1:
 			m = ExitReport{mr}
 		case 2:
 			m = LeaveReport{mr}
 		default:
-			m = MoveReport{mr}
+			m = MoveReport{mr, geo.Vec(vx, vy)}
 		}
 		return roundTrips(m)
 	}

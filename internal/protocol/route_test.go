@@ -20,10 +20,10 @@ func TestQueryOf(t *testing.T) {
 		MonitorInstall{Query: q},
 		InfluenceInstall{Install: MonitorInstall{Query: q}},
 		MonitorCancel{Query: q},
-		EnterReport{MemberReport{Query: q}},
+		EnterReport{MemberReport: MemberReport{Query: q}},
 		ExitReport{MemberReport{Query: q}},
 		LeaveReport{MemberReport{Query: q}},
-		MoveReport{MemberReport{Query: q}},
+		MoveReport{MemberReport: MemberReport{Query: q}},
 		AnswerUpdate{Query: q},
 		AnswerDelta{Query: q},
 		AnswerResync{Query: q},

@@ -59,6 +59,26 @@ func uplinkDigest(w *wireRun) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// downlinkDigest hashes the downlink and broadcast half of a transcript:
+// every such send, delivery and drop event and both directions'
+// counters. It moves exactly when the server transmits differently.
+func downlinkDigest(w *wireRun) string {
+	h := sha256.New()
+	down, bcast := int8(metrics.Downlink), int8(metrics.Broadcast)
+	for _, e := range w.trace.events {
+		if e.Dir == down || e.Dir == bcast {
+			fmt.Fprintf(h, "e|%d|%d|%d|%d|%d|%d|%d|%g\n",
+				e.At, e.Type, e.Dir, e.Kind, e.Query, e.Object, e.Seq, e.Value)
+		}
+	}
+	for _, dir := range []metrics.Direction{metrics.Downlink, metrics.Broadcast} {
+		fmt.Fprintf(h, "c|%d|%d|%d|%d|%d|%d\n", dir,
+			w.counters.Sent(dir), w.counters.SentBytes(dir),
+			w.counters.Delivered(dir), w.counters.Dropped(dir), w.dups[dir])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // noteMemberships hashes the sorted answer ids of every query's client
 // after one step. Ids only: distances depend on which positions the
 // answer message carried, not on which objects the client holds.
@@ -80,41 +100,61 @@ func (w *wireRun) noteMemberships(m sim.Method, queries, step int) {
 // migration" and re-captured when the install cover moved from the
 // stale install centre to the frame the objects hold, and again when
 // answers began to leave once per query per tick from Finalize (the
-// uplink and per-step membership pins below held). The engine must
+// uplink and per-step membership pins below held), and again when members
+// began to report tracks instead of points (the downlink and per-step
+// membership pins below held). The engine must
 // keep producing these transcripts byte for byte: same message
 // sequences, same wire bytes, same loss draws, same answers.
 var wireDigests = map[string]string{
-	"seed=1/clean-L0": "7e115358fcceea419ab4638ba38db7cb085a02d3e47e3a18fcf2c7ba8d873b89",
-	"seed=1/loss-L0":  "fda2d24b5cf59fea9e381c10b1e88691224f7e9190b20efed3e0ad7cfd6a0f91",
-	"seed=1/burst-L0": "8d9fee7635001e94eda02261ef0dd340c57810c9b393886cc5d35ef7bd2f93da",
-	"seed=1/delta-L0": "89f4feac210d9614750230c3a4f3723c5901c061e19ce1b742d4c970f60b841c",
-	"seed=2/clean-L0": "0e7ae68862c4fef6011dbe08f2d2a99e035e175c85e60d60424500e35b2f7689",
-	"seed=2/loss-L0":  "3821c99affde8fe9a941f7bd83006afd40a4eb8931f1ba6bb495726ec3dbd706",
-	"seed=2/burst-L0": "06fbe285073c0e420c068e3df17338cd266290f7117d19ff6758bace79fdfef7",
-	"seed=2/delta-L0": "007fbcf26b26cf8bf28e3b0d2497c4f4587200ac6ac9f097838005b175485312",
-	"seed=3/clean-L0": "e4a008567c3877680ff10369005d0f25d597fe8e4a2623862bb0db1f4b2d279c",
-	"seed=3/loss-L0":  "66b9a467310eaeea67fe23c6e7422cd42c6a2e2140962dc1e6f8b095a4745572",
-	"seed=3/burst-L0": "558c218f42751592da8eb03c2935fe257b3ebec684ffae9c7734be65c7e1699a",
-	"seed=3/delta-L0": "5c19b985747c705e9d31bb70b76c6d394f72464f9d7cbee346fd60003555fa58",
-	"seed=4/clean-L0": "ceb3a98507bf0633139c472f0d9b58306395feb93313a08aa99efedf6ebeb2c8",
-	"seed=4/loss-L0":  "136bce4a3c5286b0f50f79fb5420f2681a21e99a99cf366cd4f40c501573f82d",
-	"seed=4/burst-L0": "f405295b898f2772aa0367e055ab19f7054f6ea132c0c73337c129cdcdbefae7",
-	"seed=4/delta-L0": "07da06beb16acbf8d5798a760a81333f339bf855ffe92c703db5ad9380484974",
+	"seed=1/clean-L0": "94d3809168b9a034d2763437a188a1e34a97460714ac5581b65ea663ba41acb6",
+	"seed=1/loss-L0":  "3e6c68f4cc6ecd4cfd51d9ea9828e22c42011880c6994d746cb6d6a460f29252",
+	"seed=1/burst-L0": "59f9bce238592db368f4a9711a920fbbb32f266991d0ec8508442fb33642e7a8",
+	"seed=1/delta-L0": "9d8a14a95868ea717f2de85978e75f0d60f212e5c7bd8e222af1d4340c950ae1",
+	"seed=2/clean-L0": "465f965bb39f25b6b1e8f1f7934fbe4affce3c08a3eff38b6874438e5c840d8a",
+	"seed=2/loss-L0":  "9c3d0e4df4dcad1c2abeeb265b393d915d4909f21518e8199e4d7914161cb791",
+	"seed=2/burst-L0": "eb814042a61f498904b5d4f819ca0744d52aa1abf4ec7c00feef8c9b004f75ac",
+	"seed=2/delta-L0": "09c9e079be5c4afecafb279ec8fbff4db6a23606234ff69a64663faddd0f104b",
+	"seed=3/clean-L0": "3dc2d4625167b4f71a7e80e1d4e8b67b5a4782a4cf03eccd9f38dbc7fc04e9d4",
+	"seed=3/loss-L0":  "3fb6b75213fc6a9d32b0231ade1f39db49f9f929b41a0877e91a0e042bf112ad",
+	"seed=3/burst-L0": "6e7697764ecfb6ca1966a796ea9b4b40b789afbb70b4430305ca66fa4e9d7587",
+	"seed=3/delta-L0": "df8e08c1969e6da92c8c88630da8b579c7fd7d5e7c09a86c6bea4a64326a52e4",
+	"seed=4/clean-L0": "7ff62df3d7fdeee0af746783c50946d6a15b171cdb1b02b25854f5506add5d79",
+	"seed=4/loss-L0":  "45e76b97637a41b5e19464bbcd211bed1ce57db6780155e409f28c1e8d53f0a4",
+	"seed=4/burst-L0": "48ee24fdbd87c6c3f35b984f21ac0b2ff460f71b7af7316c33c936548754c579",
+	"seed=4/delta-L0": "109b9395b10598cb54a0e86ecd9cc706f7eff9e73049cb840b2006661103e10a",
 }
 
-// uplinkDigests pins uplinkDigest of the lossless scenarios, captured
-// before the install cover moved to the advertised frame. The move
-// narrowed only broadcasts that no aware object needed, so no client
-// transmits differently: these held across the re-capture above.
+// uplinkDigests pins uplinkDigest of the lossless scenarios. They held
+// when the install cover moved to the advertised frame, which narrowed
+// only broadcasts no aware object needed, and were re-captured when
+// members began to report tracks: an inside member now re-reports only
+// when it leaves the line it last reported, and enter and move reports
+// carry a velocity.
 var uplinkDigests = map[string]string{
-	"seed=1/clean-L0": "6c10d3da4c32d1fab463fc46186a255b17678f1238b8dc4d502477ee0ebacbf4",
-	"seed=1/delta-L0": "2805bdead63fa533d8aca76ee170b6c89f0f00b2cffd922be922077b83e30368",
-	"seed=2/clean-L0": "2e5068c74f7f18ccac066b866e5561c4a5418c0ff1ccd5a3e7b72a6bf5db1bcc",
-	"seed=2/delta-L0": "6b1f93d7271a11a2a79ec8ee483c5db9f2d67b6fdd0c8b8abd7b98ac9bbae7dc",
-	"seed=3/clean-L0": "f43d913b393b4eca8e31b5f46cb0a01ea90110888289c24f450df46036ccb7f5",
-	"seed=3/delta-L0": "4c33d73f642a6332fc18313b11d65cba6c6028b6ac37d0d5960903ad6981cfbf",
-	"seed=4/clean-L0": "2a512786803a260694c61549d773bf2c24a2733549179b3e6e1bc6a53145e9bd",
-	"seed=4/delta-L0": "1ec8fad7e90d489bd9694e71b04e5a7f5e1cfbf24892f1a037b1df64d45e89ce",
+	"seed=1/clean-L0": "9461d0a09cdcbd37ca1a032f296af4b9b61ea901d0e5e009e7ca2017fdddfc6a",
+	"seed=1/delta-L0": "dc9cb3c36299b5978d2545526d727ed6ed1d2c75a77f4530613bc6129b96cf4e",
+	"seed=2/clean-L0": "a4b4d67cab58e7dcdee3f6dc4a49975083f3ebebbf83e0a7ed3a850cdd472a56",
+	"seed=2/delta-L0": "4d7248af8d214d1428b0176568b88bc1d018c813f6959f3adedd12310937eb81",
+	"seed=3/clean-L0": "f9ff30719333912b169b56f139479dbcbf8d980baa09b9e09ae60d5e8f964018",
+	"seed=3/delta-L0": "837d9fbfe79df0a83a6ca15e4a599137b34ac935381889c4ba75cf1eb2623037",
+	"seed=4/clean-L0": "0ad37e84ed192894fe046f1543e46d19d975b7d6a4c732d3f882bed9b5ffecd0",
+	"seed=4/delta-L0": "5ff00986e9ee96839dc5cc7eda1b070cd742cc3a6a5572e61ba8d26f6deeda58",
+}
+
+// downlinkDigests pins downlinkDigest of the lossless scenarios, captured
+// while members still reported a point on every tick they moved. Reports
+// that repeat what the server can extrapolate change nothing it sends, so
+// the server-to-client half of the wire must hold when members report
+// tracks.
+var downlinkDigests = map[string]string{
+	"seed=1/clean-L0": "cb224d5a2c909ece47c42083b603d667c9c5c259252f04cbccd88a0bd95da994",
+	"seed=1/delta-L0": "c3933fcd3a82eb5d9ec63691c4aedf210d08dab8c62b7e139d910e24e8ab294d",
+	"seed=2/clean-L0": "95305106268334025154e57573d3087d8114d0674c1d6865e2f919f45f1dca92",
+	"seed=2/delta-L0": "18ed23ff7122d9556697c6b493f287c98be153743b5d1347273359aa05c588e2",
+	"seed=3/clean-L0": "89588140cb47dded3acf73c4dd902c8d9491429cda264df31ccad3f067d8fb2e",
+	"seed=3/delta-L0": "3acb813be355a085f3bf318830f8e38392ee3fc0bc713d60eb459dd3359f4cef",
+	"seed=4/clean-L0": "1394089ed118698cca6566731221757257ea6fd1e59795771a97d66928f743e3",
+	"seed=4/delta-L0": "f8b1cb9c945718dca16cf87c3247062c8af3130d98c2a6c2f05eaa0de5b8d9b5",
 }
 
 // membershipDigests pins, for the lossless scenarios, which objects every
@@ -184,6 +224,11 @@ func TestClientWireIdentity(t *testing.T) {
 				if want, ok := uplinkDigests[key]; ok {
 					if got := uplinkDigest(sync); got != want {
 						t.Errorf("client uplink changed vs pin:\n got  %s\n want %s", got, want)
+					}
+				}
+				if want, ok := downlinkDigests[key]; ok {
+					if got := downlinkDigest(sync); got != want {
+						t.Errorf("client downlink changed vs pin:\n got  %s\n want %s", got, want)
 					}
 				}
 				if want, ok := membershipDigests[key]; ok {
