@@ -72,7 +72,7 @@ func main() {
 	gridN := flag.Int("grid", 64, "broadcast grid cells per side")
 	tick := flag.Duration("tick", time.Second, "evaluation interval")
 	vobj := flag.Float64("vobj", 30, "max object speed, m/s")
-	vqry := flag.Float64("vqry", 30, "max query speed, m/s")
+	vqry := flag.Float64("vqry", 30, "max query speed, m/s: caps the advertised query speed the slack assumes")
 	// The flag keeps a fixed default rather than the derived horizon:
 	// nettcp writes every broadcast to every connection, so the extra
 	// installs of short derived horizons cost each client a frame.

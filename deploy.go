@@ -29,8 +29,11 @@ type ServerOptions struct {
 	// and clients derive the shared tick number from the wall clock, so
 	// hosts must be clock-synchronized to a fraction of this interval.
 	TickInterval time.Duration
-	// Speed bounds of the population in m/s; the protocol's safety slack
-	// is sized from them (defaults 30/30).
+	// Speed bounds of the population in m/s (defaults 30/30). The
+	// protocol's safety slack is sized from MaxObjectSpeed and from the
+	// speed of the track each query advertises, capped at MaxQuerySpeed;
+	// MaxQuerySpeed also bounds how far a query can stray from a stale
+	// track during the delivery round trip.
 	MaxObjectSpeed float64
 	MaxQuerySpeed  float64
 	// Protocol tunes the DKNN protocol.
@@ -85,6 +88,7 @@ type serverCore interface {
 	core.Engine
 	Answer(model.QueryID) model.Answer
 	QueryCount() int
+	Installs() core.InstallCounts
 }
 
 // Server is a deployed DKNN query server: a network endpoint that moving
@@ -241,7 +245,14 @@ type Stats struct {
 	// TicksSkipped counts the evaluation intervals that passed without an
 	// evaluation because an earlier one overran.
 	TicksSkipped uint64 `json:"ticks_skipped"`
+	// Installs counts the monitor installs sent, by what requested them.
+	Installs InstallCounts `json:"installs"`
 }
+
+// InstallCounts counts a server's monitor installs by cause: a query's
+// first install, horizon expiry, a drained or overflowing answer buffer, a
+// new query track, fewer than k objects inside, and the periodic resync.
+type InstallCounts = core.InstallCounts
 
 // Stats returns current operational counters.
 func (s *serving) Stats() Stats {
@@ -257,6 +268,7 @@ func (s *serving) Stats() Stats {
 		BroadcastBytes: c.SentBytes(metrics.Broadcast),
 		BusyTime:       s.core.BusyTime(),
 		TicksSkipped:   s.skipped.Load(),
+		Installs:       s.core.Installs(),
 	}
 }
 

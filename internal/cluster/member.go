@@ -433,6 +433,9 @@ func (m *Member) QueryCount() int { return m.server.QueryCount() }
 // BusyTime returns the inner server's cumulative tick-processing time.
 func (m *Member) BusyTime() time.Duration { return m.server.BusyTime() }
 
+// Installs returns the inner server's install counts by cause.
+func (m *Member) Installs() core.InstallCounts { return m.server.Installs() }
+
 // ---------------------------------------------------------------------------
 // Radio uplink handling
 

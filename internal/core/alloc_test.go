@@ -37,11 +37,12 @@ func TestReportAnswerPathDoesNotAllocate(t *testing.T) {
 // leaves the annulus table once; from then on exit and re-entry flip a
 // flag in place and move one ranking entry. At steady capacity the cycle
 // allocates nothing beside a manyq-sync-sized annulus, and the round's
-// end sends nothing.
+// end sends nothing. The query advertises Vqry, so its slack is the full
+// (Vobj + Vqry)·H and the region holds all 280 repliers.
 func TestEnterExitCycleDoesNotAllocate(t *testing.T) {
 	srv, side, now := benchServer(t)
 	*now = 1
-	inst := benchInstallN(t, srv, side, 10, 20+260, geo.Vector{})
+	inst := benchInstallN(t, srv, side, 10, 20+260, geo.Vector{X: 20})
 	benchCheckAnnulus(t, srv, 260)
 	// Object 21 is the annulus's nearest, at 63 m; the answer circle ends
 	// at the 20th replier, 60 m, and rank k = 10 at 30 m.

@@ -15,8 +15,9 @@ import (
 // (annulus=260 is about a manyq-sync monitor's 263 candidates). At an
 // unchanged query centre the report shifts one entry of the ranking; when
 // the centre differs from the previous report's (the first report of a
-// tick, here every report: the clock alternates under a moving query) the
-// ranking is re-measured and re-sorted in place.
+// tick, here every report: the clock alternates under a query moving at
+// Vqry, whose slack holds the whole annulus) the ranking is re-measured
+// and re-sorted in place.
 func BenchmarkServerMoveReport(b *testing.B) {
 	for _, inside := range []int{20, 40, 200} {
 		for _, annulus := range []int{0, 260} {
@@ -30,7 +31,7 @@ func BenchmarkServerMoveReport(b *testing.B) {
 					cfg.AnswerSlack = inside / 2
 					srv, side, now := benchServerCfg(b, cfg)
 					*now = 1
-					inst := benchInstallN(b, srv, side, inside/2, inside+annulus, geo.Vector{X: 0.5})
+					inst := benchInstallN(b, srv, side, inside/2, inside+annulus, geo.Vector{X: 20})
 					benchCheckAnnulus(b, srv, annulus)
 					msg := protocol.MoveReport{MemberReport: protocol.MemberReport{
 						Query: 1, Epoch: inst.Epoch, Object: 3, Pos: geo.Pt(520, 501), At: 1,
@@ -77,13 +78,14 @@ func TestServerMoveReportZeroAllocTracingOff(t *testing.T) {
 }
 
 // BenchmarkServerEnterExit measures a membership churn cycle of an
-// object that was not a candidate, beside an annulus of 0 or 260.
+// object that was not a candidate, beside an annulus of 0 or 260 (the
+// query advertises Vqry, so its slack holds the whole annulus).
 func BenchmarkServerEnterExit(b *testing.B) {
 	for _, annulus := range []int{0, 260} {
 		b.Run(fmt.Sprintf("annulus=%d", annulus), func(b *testing.B) {
 			srv, side, now := benchServer(b)
 			*now = 1
-			inst := benchInstallN(b, srv, side, 10, 20+annulus, geo.Vector{})
+			inst := benchInstallN(b, srv, side, 10, 20+annulus, geo.Vector{X: 20})
 			benchCheckAnnulus(b, srv, annulus)
 			enter := protocol.EnterReport{MemberReport: protocol.MemberReport{
 				Query: 1, Epoch: inst.Epoch, Object: 999, Pos: geo.Pt(501, 500), At: 1,

@@ -8,10 +8,13 @@
 //     on every object inside the monitoring region — a circle of radius
 //     R = r_b + δ around the query, where the advertised boundary r_b
 //     encloses the k+m nearest objects (m = AnswerSlack buffer) and the
-//     slack δ_q = (Vobj + Vqry)·H_q·Δt guarantees that no object outside
+//     slack δ_q = (Vobj + s_q)·H_q·Δt guarantees that no object outside
 //     R at install time can become a nearest neighbor within the next H_q
-//     ticks. H_q is the monitor's own horizon: a fixed H, or by default
-//     derived from r_b so that δ_q ≥ r_b.
+//     ticks. The region follows the query's advertised track, whose speed
+//     s_q is capped at Vqry. H_q is the monitor's own horizon: a fixed H,
+//     or by default derived from r_b so that δ_q ≥ r_b. Under a delivery
+//     bound of L ticks the slack also covers the query leaving a stale
+//     track for 2L ticks, at Vqry + s_q.
 //
 //   - Each aware object dead-reckons the query's advertised track locally
 //     every tick and transmits only on events: crossing the advertised
@@ -143,12 +146,12 @@ func (c Config) MaxHorizonTicks() int {
 }
 
 // reinstallHorizon is H_q, the reinstall horizon of a monitor whose
-// answer radius is rk: h when positive (a fixed H), else the fewest ticks
-// whose slack δ_q = (vobj + vqry)·H_q·dt reaches rk, clamped to
-// [1, maxHorizonTicks]. An install broadcasts over the cells of rk + δ_q
-// and recurs every H_q ticks, so install cells per tick scale like
-// (rk + δ_q)²/H_q, which is least near δ_q = rk. Without a positive speed
-// step or radius the cap applies.
+// answer radius is rk and whose region moves at vqry: h when positive (a
+// fixed H), else the fewest ticks whose slack (vobj + vqry)·H_q·dt reaches
+// rk, clamped to [1, maxHorizonTicks]. An install broadcasts over the
+// cells of rk + δ_q and recurs every H_q ticks, so install cells per tick
+// scale like (rk + δ_q)²/H_q, which is least near δ_q = rk. Without a
+// positive speed step or radius the cap applies.
 func reinstallHorizon(h int, rk, vobj, vqry, dt float64) int {
 	if h > 0 {
 		return h

@@ -90,6 +90,34 @@ func TestExactnessAcrossMobilityModels(t *testing.T) {
 	}
 }
 
+// A query that stands still advertises a zero track, so its region is
+// sized for Vobj alone: at Vobj = Vqry = 20 its derived horizon doubles.
+// Every answer must still be exact, at a fixed and at a derived horizon.
+func TestExactnessStandingQueries(t *testing.T) {
+	standing, err := workload.ModelFactory(workload.ModelWaypoint, workload.Quick().World, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, horizon := range []int{8, 0} {
+		cfg := workload.WithObjectSpeed(workload.Quick(), 20)
+		cfg.MaxQuerySpeed = 20
+		cfg.QueryModel = standing
+		proto := quickProto()
+		proto.HorizonTicks = horizon
+		res, err := sim.Run(cfg, mustDKNN(t, proto))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Audit.Evaluations() == 0 {
+			t.Fatal("no audited answers")
+		}
+		if ex := res.Audit.Exactness(); ex != 1.0 {
+			t.Errorf("H = %d: exactness = %v (recall mean %v, worst %v)",
+				horizon, ex, res.Audit.MeanRecall(), res.Audit.WorstRecall())
+		}
+	}
+}
+
 // DKNN uplink traffic must not scale with the object population, while CP
 // scales linearly. This is the headline claim of the paper.
 func TestUplinkScalingShape(t *testing.T) {

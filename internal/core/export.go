@@ -161,7 +161,9 @@ func (s *Server) ImportMonitor(st protocol.QueryHandoff, now model.Tick) {
 	mon.tab.sent = slices.Compact(mon.tab.sent)
 	// A never-installed snapshot (exported between register and first
 	// probe) restarts its bootstrap here.
-	mon.needsReinstall = !st.Installed
+	if !st.Installed {
+		mon.reinstall = causeBootstrap
+	}
 	s.monitors[st.Query] = mon
 	i, _ := slices.BinarySearch(s.order, st.Query)
 	s.order = slices.Insert(s.order, i, st.Query)

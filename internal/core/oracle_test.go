@@ -107,6 +107,7 @@ type oracleMonitor struct {
 	radius       float64
 	installedAt  model.Tick
 	lastInstall  *protocol.MonitorInstall // the install last broadcast; nil before the first
+	advVel       geo.Vector               // the query track the installed region follows
 
 	cands       oracleCands             // last reported tracks of aware objects
 	inside      map[model.ObjectID]bool // ids currently inside the answer circle
@@ -292,13 +293,18 @@ func (mon *oracleMonitor) qEst(now model.Tick, dt float64) geo.Point {
 	return geo.DeadReckon(mon.qpos, mon.qvel, float64(now-mon.qat)*dt)
 }
 
-func (s *oracleServer) horizon(rk float64) int {
-	return reinstallHorizon(s.cfg.HorizonTicks, rk, s.deps.MaxObjectSpeed, s.deps.MaxQuerySpeed, s.deps.DT)
+// horizon is H_q for answer radius rk and a region carried along v at
+// s_q = min(|v|, Vqry).
+func (s *oracleServer) horizon(rk float64, v geo.Vector) int {
+	sq := min(v.Len(), s.deps.MaxQuerySpeed)
+	return reinstallHorizon(s.cfg.HorizonTicks, rk, s.deps.MaxObjectSpeed, sq, s.deps.DT)
 }
 
-func (s *oracleServer) delta(h int) float64 {
-	return geo.SafeRadius(0, s.deps.MaxObjectSpeed, s.deps.MaxQuerySpeed,
-		float64(h)*s.deps.DT)
+// delta is δ_q = (Vobj + s_q)·H_q·Δt + (Vqry + s_q)·2L·Δt.
+func (s *oracleServer) delta(rk float64, v geo.Vector) float64 {
+	sq := min(v.Len(), s.deps.MaxQuerySpeed)
+	return (s.deps.MaxObjectSpeed+sq)*float64(s.horizon(rk, v))*s.deps.DT +
+		(s.deps.MaxQuerySpeed+sq)*float64(2*s.deps.LatencyTicks)*s.deps.DT
 }
 
 func (s *oracleServer) tick(now model.Tick) {
@@ -311,7 +317,7 @@ func (s *oracleServer) tick(now model.Tick) {
 		if mon.probing {
 			continue
 		}
-		if mon.installed && now-mon.installedAt >= model.Tick(s.horizon(mon.answerRadius)) {
+		if mon.installed && now-mon.installedAt >= model.Tick(s.horizon(mon.answerRadius, mon.advVel)) {
 			mon.needsReinstall = true
 		}
 		if cfg.ResyncTicks > 0 && mon.installed &&
@@ -357,7 +363,7 @@ func (s *oracleServer) refreshInstall(mon *oracleMonitor, now model.Tick) {
 	if rk > cfg.MaxProbeRadius {
 		rk = cfg.MaxProbeRadius
 	}
-	radius := rk + s.delta(s.horizon(rk))
+	radius := rk + s.delta(rk, mon.qvel)
 	if radius > cfg.MaxProbeRadius {
 		radius = cfg.MaxProbeRadius
 	}
@@ -425,7 +431,7 @@ func (s *oracleServer) broadcastInstall(mon *oracleMonitor, inst protocol.Monito
 			cover.R = max(cover.R, cover.Center.Dist(held.Center)+held.R)
 		}
 	}
-	mon.lastInstall = &inst
+	mon.lastInstall, mon.advVel = &inst, inst.QueryVel
 	s.deps.Side.Broadcast(cover, inst)
 }
 
@@ -434,7 +440,7 @@ func (s *oracleServer) startProbe(mon *oracleMonitor, now model.Tick) {
 	center := mon.qEst(now, s.deps.DT)
 	radius := cfg.MinProbeRadius
 	if mon.rng > 0 {
-		radius = mon.rng + s.delta(s.horizon(mon.rng))
+		radius = mon.rng + s.delta(mon.rng, mon.qvel)
 	} else if len(mon.cands) >= mon.k {
 		var ns []model.Neighbor
 		for id, c := range mon.cands {
@@ -442,7 +448,7 @@ func (s *oracleServer) startProbe(mon *oracleMonitor, now model.Tick) {
 		}
 		model.SortNeighbors(ns)
 		rk := ns[mon.k-1].Dist
-		if est := rk + s.delta(s.horizon(rk)); est > radius {
+		if est := rk + s.delta(rk, mon.qvel); est > radius {
 			radius = est
 		}
 	}
@@ -485,7 +491,7 @@ func (s *oracleServer) concludeProbe(mon *oracleMonitor, now model.Tick) bool {
 	center := mon.qEst(now, s.deps.DT)
 
 	if mon.rng > 0 {
-		radius := mon.rng + s.delta(s.horizon(mon.rng))
+		radius := mon.rng + s.delta(mon.rng, mon.qvel)
 		if radius > cfg.MaxProbeRadius {
 			radius = cfg.MaxProbeRadius
 		}
@@ -507,7 +513,7 @@ func (s *oracleServer) concludeProbe(mon *oracleMonitor, now model.Tick) bool {
 	default:
 		rk = mon.probeRadius
 	}
-	radius := rk + s.delta(s.horizon(rk))
+	radius := rk + s.delta(rk, mon.qvel)
 	if radius > cfg.MaxProbeRadius {
 		radius = cfg.MaxProbeRadius
 		if rk > radius {
@@ -770,6 +776,7 @@ func (s *oracleServer) importMonitor(st protocol.QueryHandoff, now model.Tick) {
 		answerRadius: st.AnswerRadius,
 		radius:       st.Radius,
 		installedAt:  st.InstalledAt,
+		advVel:       st.AdvVel,
 		answerSeq:    st.AnswerSeq,
 		lastProbeAt:  st.LastProbeAt,
 		cands:        oracleCands{},

@@ -50,7 +50,67 @@ type Server struct {
 	monitors map[model.QueryID]*monitor
 	order    []model.QueryID // sorted, for deterministic iteration
 
-	busy time.Duration
+	busy     time.Duration
+	installs InstallCounts
+}
+
+// InstallCounts counts a server's monitor installs by the cause that
+// requested them. A refresh install counts when Tick sends it, a probed
+// one when its probe concludes; a request made while another is pending
+// rides on the first one's install.
+type InstallCounts struct {
+	Bootstrap  uint64 `json:"bootstrap"`   // a query's first install
+	Horizon    uint64 `json:"horizon"`     // H_q ticks passed since the last install
+	BufferLow  uint64 `json:"buffer_low"`  // the answer buffer half drained
+	BufferHigh uint64 `json:"buffer_high"` // the answer buffer overflowed
+	QueryMove  uint64 `json:"query_move"`  // the focal client advertised a new track
+	Underfull  uint64 `json:"underfull"`   // fewer than k objects stayed inside
+	Resync     uint64 `json:"resync"`      // the periodic ResyncTicks probe
+}
+
+// Plus returns the field-wise sum of c and o.
+func (c InstallCounts) Plus(o InstallCounts) InstallCounts {
+	return InstallCounts{
+		Bootstrap: c.Bootstrap + o.Bootstrap, Horizon: c.Horizon + o.Horizon,
+		BufferLow: c.BufferLow + o.BufferLow, BufferHigh: c.BufferHigh + o.BufferHigh,
+		QueryMove: c.QueryMove + o.QueryMove, Underfull: c.Underfull + o.Underfull,
+		Resync: c.Resync + o.Resync,
+	}
+}
+
+// installCause is why a monitor awaits a (re)install; noReinstall means
+// it does not.
+type installCause uint8
+
+const (
+	noReinstall installCause = iota
+	causeBootstrap
+	causeHorizon
+	causeBufferLow
+	causeBufferHigh
+	causeQueryMove
+	causeUnderfull
+	causeResync
+)
+
+// add counts one install for cause.
+func (c *InstallCounts) add(cause installCause) {
+	switch cause {
+	case causeBootstrap:
+		c.Bootstrap++
+	case causeHorizon:
+		c.Horizon++
+	case causeBufferLow:
+		c.BufferLow++
+	case causeBufferHigh:
+		c.BufferHigh++
+	case causeQueryMove:
+		c.QueryMove++
+	case causeUnderfull:
+		c.Underfull++
+	case causeResync:
+		c.Resync++
+	}
 }
 
 // NewServer returns a DKNN server for the given protocol configuration
@@ -118,7 +178,9 @@ type monitor struct {
 	// any client-side divergence accumulated from lost messages.
 	resyncProbe bool
 
-	needsReinstall bool
+	// reinstall is the cause of the pending (re)install request, or
+	// noReinstall. The first request made stands until the install.
+	reinstall installCause
 
 	// Probe state.
 	probing     bool
@@ -234,7 +296,7 @@ func (s *Server) handleUplinkLocked(from model.ObjectID, msg protocol.Message, n
 	case protocol.QueryMove:
 		if mon, ok := s.monitors[v.Query]; ok && finitePoint(v.Pos) && finiteVec(v.Vel) {
 			mon.qpos, mon.qvel, mon.qat = v.Pos, v.Vel, v.At
-			mon.needsReinstall = true
+			mon.requestReinstall(causeQueryMove)
 		}
 	case protocol.QueryDeregister:
 		s.deregister(v.Query, now)
@@ -335,8 +397,34 @@ const refreshMinGap = 2
 // objects remain inside its answer circle.
 func (mon *monitor) noteUnderfull() {
 	if mon.rng == 0 && mon.tab.nInside < mon.k {
-		mon.needsReinstall = true
+		mon.requestReinstall(causeUnderfull)
 	}
+}
+
+// requestReinstall asks for a (re)install for cause unless one is
+// already pending.
+func (mon *monitor) requestReinstall(cause installCause) {
+	if mon.reinstall == noReinstall {
+		mon.reinstall = cause
+	}
+}
+
+// countInstall files the install being sent under the cause that
+// requested it and clears the request.
+func (s *Server) countInstall(mon *monitor) {
+	cause := mon.reinstall
+	if mon.resyncProbe {
+		cause = causeResync
+	}
+	s.installs.add(cause)
+	mon.reinstall = noReinstall
+}
+
+// Installs returns the server's install counts by cause.
+func (s *Server) Installs() InstallCounts {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.installs
 }
 
 // current returns the monitor for q if the report's epoch is the live one
@@ -381,7 +469,7 @@ func (s *Server) register(v protocol.QueryRegister, from model.ObjectID) {
 	}
 	mon := newMonitor(v.Query, int(v.K), v.Range, from, s.deps.DT)
 	mon.qpos, mon.qvel, mon.qat = v.Pos, v.Vel, v.At
-	mon.needsReinstall = true
+	mon.reinstall = causeBootstrap
 	s.monitors[v.Query] = mon
 	// s.order stays sorted: insert at the binary-search position instead
 	// of re-sorting the whole slice on every registration.
@@ -450,17 +538,28 @@ func (s *Server) installCover(mon *monitor, c geo.Point, r float64, now model.Ti
 	return cover
 }
 
-// horizon is H_q for a monitor whose answer radius is rk.
-func (s *Server) horizon(rk float64) int {
-	return reinstallHorizon(s.cfg.HorizonTicks, rk, s.deps.MaxObjectSpeed, s.deps.MaxQuerySpeed, s.deps.DT)
+// regionSpeed is s_q, the speed of a monitoring region carried along
+// the advertised track v, capped at MaxQuerySpeed: a focal client that
+// advertises an absurd velocity cannot widen the slack past the bound.
+func (s *Server) regionSpeed(v geo.Vector) float64 {
+	return min(v.Len(), s.deps.MaxQuerySpeed)
 }
 
-// delta is the monitoring-region slack: the worst-case relative
-// displacement between query and object over a reinstall horizon of h
-// ticks.
-func (s *Server) delta(h int) float64 {
-	return geo.SafeRadius(0, s.deps.MaxObjectSpeed, s.deps.MaxQuerySpeed,
-		float64(h)*s.deps.DT)
+// horizon is H_q for a monitor whose answer radius is rk and whose region
+// moves along the advertised track v.
+func (s *Server) horizon(rk float64, v geo.Vector) int {
+	return reinstallHorizon(s.cfg.HorizonTicks, rk, s.deps.MaxObjectSpeed, s.regionSpeed(v), s.deps.DT)
+}
+
+// delta is the monitoring-region slack δ_q of that monitor. Relative to a
+// region that follows v, an unaware object closes at no more than
+// Vobj + s_q over the H_q ticks to the next install. Under latency L the
+// aware objects hold a stale track for 2L ticks before a correcting
+// install lands, and the query may leave it at Vqry + s_q meanwhile.
+func (s *Server) delta(rk float64, v geo.Vector) float64 {
+	sq := s.regionSpeed(v)
+	return geo.SafeRadius(0, s.deps.MaxObjectSpeed, sq, float64(s.horizon(rk, v))*s.deps.DT) +
+		(s.deps.MaxQuerySpeed+sq)*float64(2*s.deps.LatencyTicks)*s.deps.DT
 }
 
 // Tick runs the periodic server work: the re-ranking of every installed
@@ -482,10 +581,10 @@ func (s *Server) Tick(now model.Tick) {
 		if mon.probing {
 			continue
 		}
-		// H_q depends only on the answer radius, so this is the horizon
-		// the install sized its slack for.
-		if mon.installed && now-mon.installedAt >= model.Tick(s.horizon(mon.answerRadius)) {
-			mon.needsReinstall = true
+		// H_q depends only on the answer radius and the advertised track,
+		// so this is the horizon the install sized its slack for.
+		if mon.installed && now-mon.installedAt >= model.Tick(s.horizon(mon.answerRadius, mon.advVel)) {
+			mon.requestReinstall(causeHorizon)
 		}
 		// Periodic full resynchronization for lossy deployments: a probe
 		// rebuilds all per-query state from scratch, healing any
@@ -505,12 +604,14 @@ func (s *Server) Tick(now model.Tick) {
 		// follow.
 		if mon.rng == 0 && cfg.AnswerSlack > 0 && mon.installed &&
 			now-mon.installedAt >= refreshMinGap {
-			count, target := mon.tab.nInside, mon.k+cfg.AnswerSlack
-			if count < mon.k+(cfg.AnswerSlack+1)/2 || count > 2*target {
-				mon.needsReinstall = true
+			switch count, target := mon.tab.nInside, mon.k+cfg.AnswerSlack; {
+			case count < mon.k+(cfg.AnswerSlack+1)/2:
+				mon.requestReinstall(causeBufferLow)
+			case count > 2*target:
+				mon.requestReinstall(causeBufferHigh)
 			}
 		}
-		if !mon.needsReinstall {
+		if mon.reinstall == noReinstall {
 			continue
 		}
 		// A refresh reinstall is possible whenever the server still knows
@@ -553,7 +654,7 @@ func (s *Server) refreshInstall(mon *monitor, now model.Tick) {
 	if rk > cfg.MaxProbeRadius {
 		rk = cfg.MaxProbeRadius
 	}
-	radius := rk + s.delta(s.horizon(rk))
+	radius := rk + s.delta(rk, mon.qvel)
 	if radius > cfg.MaxProbeRadius {
 		radius = cfg.MaxProbeRadius
 	}
@@ -564,7 +665,7 @@ func (s *Server) refreshInstall(mon *monitor, now model.Tick) {
 	mon.radius = radius
 	mon.installedAt = now
 	mon.advPos, mon.advVel = center, mon.qvel
-	mon.needsReinstall = false
+	s.countInstall(mon)
 
 	// Objects strictly outside the new circle will exit/drop themselves;
 	// prune candidates whose last known position is already outside so
@@ -617,7 +718,7 @@ func (s *Server) startProbe(mon *monitor, now model.Tick) {
 	radius := cfg.MinProbeRadius
 	if mon.rng > 0 {
 		// Range monitors need exactly one probe over the whole region.
-		radius = mon.rng + s.delta(s.horizon(mon.rng))
+		radius = mon.rng + s.delta(mon.rng, mon.qvel)
 	} else if mon.tab.nKnown >= mon.k {
 		// If we already track at least k candidates, size the ring from
 		// the k-th known distance plus the safety slack.
@@ -625,7 +726,7 @@ func (s *Server) startProbe(mon *monitor, now model.Tick) {
 		mon.extraBuf = known
 		model.SortNeighbors(known)
 		rk := known[mon.k-1].Dist
-		if est := rk + s.delta(s.horizon(rk)); est > radius {
+		if est := rk + s.delta(rk, mon.qvel); est > radius {
 			radius = est
 		}
 	}
@@ -681,7 +782,7 @@ func (s *Server) concludeProbe(mon *monitor, now model.Tick) bool {
 	if mon.rng > 0 {
 		// Range monitor: the probe covered the full monitoring region;
 		// install directly with the fixed boundary.
-		radius := mon.rng + s.delta(s.horizon(mon.rng))
+		radius := mon.rng + s.delta(mon.rng, mon.qvel)
 		if radius > cfg.MaxProbeRadius {
 			radius = cfg.MaxProbeRadius
 		}
@@ -710,7 +811,7 @@ func (s *Server) concludeProbe(mon *monitor, now model.Tick) bool {
 		// whole probed area so every object stays aware and fresh.
 		rk = mon.probeRadius
 	}
-	radius := rk + s.delta(s.horizon(rk))
+	radius := rk + s.delta(rk, mon.qvel)
 	if radius > cfg.MaxProbeRadius {
 		radius = cfg.MaxProbeRadius
 		if rk > radius {
@@ -763,7 +864,7 @@ func (s *Server) install(mon *monitor, now model.Tick, center geo.Point, rk, rad
 	mon.installedAt = now
 	mon.advPos, mon.advVel = center, mon.qvel
 	mon.probing = false
-	mon.needsReinstall = false
+	s.countInstall(mon)
 	mon.rebaseline = true // next answer message re-baselines delta clients
 
 	mon.tab.reset()

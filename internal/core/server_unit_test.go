@@ -161,7 +161,14 @@ func TestProbeExpandsUntilEnoughReplies(t *testing.T) {
 // a k=2 query at (500,500) with two objects and returns the install.
 func installQuery(t *testing.T, srv *Server, side *recSide, now model.Tick) protocol.MonitorInstall {
 	t.Helper()
-	srv.HandleUplink(500, protocol.QueryRegister{Query: 1, K: 2, Pos: geo.Pt(500, 500), At: now})
+	return installMovingQuery(t, srv, side, now, geo.Vector{})
+}
+
+// installMovingQuery is installQuery for a focal client that registers
+// with velocity vel.
+func installMovingQuery(t *testing.T, srv *Server, side *recSide, now model.Tick, vel geo.Vector) protocol.MonitorInstall {
+	t.Helper()
+	srv.HandleUplink(500, protocol.QueryRegister{Query: 1, K: 2, Pos: geo.Pt(500, 500), Vel: vel, At: now})
 	srv.Tick(now)
 	objects := map[model.ObjectID]geo.Point{
 		1: geo.Pt(510, 500),
@@ -531,7 +538,7 @@ func TestNonFiniteReportPositionsDropped(t *testing.T) {
 			if n := len(side.broadcasts) + len(side.downlinks); n != sends {
 				t.Errorf("%d sends triggered", n-sends)
 			}
-			if mon.needsReinstall {
+			if mon.reinstall != noReinstall {
 				t.Error("dropped reports marked the monitor for reinstall")
 			}
 		})

@@ -133,7 +133,7 @@ func (r *diffRig) compare() {
 		if want := oracleSortedIDs(om.sent); !slices.Equal(mon.tab.sent, want) {
 			r.fail("q%d sent %v, oracle %v", q, mon.tab.sent, want)
 		}
-		got := [...]any{mon.epoch, mon.installed, mon.probing, mon.probeSeq, mon.needsReinstall,
+		got := [...]any{mon.epoch, mon.installed, mon.probing, mon.probeSeq, mon.reinstall != noReinstall,
 			mon.rebaseline, mon.answerPending, mon.answerSeq, mon.answerRadius, mon.radius, mon.tab.nInside, mon.tab.nKnown}
 		want := [...]any{om.epoch, om.installed, om.probing, om.probeSeq, om.needsReinstall,
 			om.rebaseline, om.pending, om.answerSeq, om.answerRadius, om.radius, len(om.inside), len(om.cands)}

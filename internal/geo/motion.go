@@ -7,10 +7,11 @@ func DeadReckon(start Point, v Vector, dt float64) Point {
 }
 
 // SafeRadius returns the slack to add to an answer radius so that, given
-// maximum object speed vobj and maximum query speed vqry, no object outside
-// the enlarged circle at install time can enter the true kNN within the
-// next `horizon` time units. This is the monitoring-region sizing rule of
-// the distributed protocol.
+// maximum object speed vobj and the speed vqry at which the monitoring
+// region moves, no object outside the enlarged circle at install time can
+// enter the true kNN within the next `horizon` time units. This is the
+// monitoring-region sizing rule of the distributed protocol; the region
+// follows the query's advertised track, so vqry is that track's speed.
 func SafeRadius(answerRadius, vobj, vqry, horizon float64) float64 {
 	if answerRadius < 0 {
 		answerRadius = 0

@@ -180,6 +180,15 @@ func (s *Server) QueryCount() int {
 	return total
 }
 
+// Installs returns the install counts by cause summed over all shards.
+func (s *Server) Installs() core.InstallCounts {
+	var total core.InstallCounts
+	for _, sh := range s.shards {
+		total = total.Plus(sh.Installs())
+	}
+	return total
+}
+
 // BusyTime returns the *maximum* per-shard processing time — the
 // wall-clock critical path of the parallel server, which is what the
 // scaling experiment measures — plus the serialized driver time spent

@@ -98,6 +98,19 @@ func TestShardedExactness(t *testing.T) {
 	if owners < 2 {
 		t.Errorf("queries concentrated on %d shard(s)", owners)
 	}
+	// The shards install what the single server would, so their summed
+	// install counts are its counts.
+	single, err := core.New(proto())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(cfg, single); err != nil {
+		t.Fatal(err)
+	}
+	want := single.Engine().(*core.Server).Installs()
+	if got := srv.Installs(); got != want || got.Bootstrap != uint64(cfg.NumQueries) {
+		t.Errorf("sharded install counts %+v, single server %+v (%d queries)", got, want, cfg.NumQueries)
+	}
 }
 
 func TestClientGoneFansToAllShards(t *testing.T) {
