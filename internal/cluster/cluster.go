@@ -31,7 +31,9 @@
 // seams separate the two: the Link that carries the inter-node messages
 // (MemLink, TCPLink), and the unexported directory that answers who
 // serves a client — one map every member reads in process, a private
-// per-node belief across processes.
+// per-node belief across processes. Column moves take one path in both:
+// the coordinator member's versioned PartitionUpdate, which every other
+// member applies and acks.
 //
 // With one node the federation is wire-identical to the single server:
 // the restricted broadcast covers every cell and no link traffic exists.
@@ -98,12 +100,13 @@ type Deps struct {
 
 // Cluster is the in-process harness of the federation: it owns one Member
 // per strip and drives them in lockstep from one goroutine — the link's
-// flush points, the server ticks in node order, and a central balancer.
-// It holds no protocol logic of its own; every message is handled by the
-// Member it addresses. Because nothing runs concurrently, the link's send
-// order, and with it every loss draw, is a function of the seed: static
-// runs repeat bit for bit over a lossy or latent link too, and so do
-// adaptive runs: the balancer reads counted uplinks, not the clock.
+// flush points, and the balancer duties and server ticks in node order.
+// It holds no protocol logic of its own, not even the balancer's; every
+// message is handled by the Member it addresses. Because nothing runs
+// concurrently, the link's send order, and with it every loss draw, is a
+// function of the seed: static runs repeat bit for bit over a lossy or
+// latent link too, and so do adaptive runs: the balancer reads counted
+// uplinks, not the clock.
 //
 // It implements transport.ServerHandler (and DisconnectHandler) as the
 // single uplink surface of the whole federation — the simulated radio does
@@ -120,17 +123,9 @@ type Cluster struct {
 	// atomically with the decision, never trailing a lossy link.
 	home map[model.ObjectID]int
 
-	// ref holds the current map, shared with the radio cell filters;
-	// every member's copy is swapped together with it when the balancer
-	// moves a column.
+	// ref holds the coordinator's map for the radio cell filters; Tick
+	// stores it once the tick's PartitionUpdates are delivered.
 	ref *PartitionRef
-
-	// bal, when non-nil, drives adaptive partitioning at the start of
-	// every tick. uplinkBase holds each node's cumulative uplink count at
-	// the last decision, so the balancer sees per-window counts.
-	bal         *balance.Balancer
-	uplinkBase  []uint64
-	columnMoves uint64
 }
 
 // New builds a federation over the partition. Deps.Link and Deps.Radio
@@ -184,22 +179,20 @@ func (c *Cluster) Partition() Partition { return c.ref.Load() }
 // aligned with the cluster's routing.
 func (c *Cluster) PartitionRef() *PartitionRef { return c.ref }
 
-// EnableBalancer turns on adaptive partitioning: every tick first
-// consults the balancer and, when it proposes a column move, installs the
-// versioned new map and bulk-migrates the monitors the move stranded.
-// Call before the first Tick.
+// EnableBalancer turns on adaptive partitioning on every member: the
+// coordinator decides column moves from the others' NodeLoad reports and
+// distributes each versioned map in a PartitionUpdate, retried until every
+// peer acks, exactly as in a deployment. Call before the first Tick.
 func (c *Cluster) EnableBalancer(cfg balance.Config) {
-	c.bal = balance.New(cfg)
-	c.uplinkBase = make([]uint64, len(c.nodes))
+	for _, n := range c.nodes {
+		n.enableBalancer(cfg)
+	}
 }
 
-// BalancerStats returns the balancer's activity counters (zero when the
-// balancer was never enabled).
+// BalancerStats returns the coordinator's decision counters (zero when
+// the balancer was never enabled).
 func (c *Cluster) BalancerStats() balance.Stats {
-	if c.bal == nil {
-		return balance.Stats{}
-	}
-	return c.bal.Stats()
+	return c.nodes[coordinatorNode].BalancerStats()
 }
 
 // Node returns node i's server (for inspection).
@@ -216,10 +209,10 @@ func (c *Cluster) BusyTime() time.Duration {
 	return busiest
 }
 
-// Stats returns the federation event counters: the members' summed, plus
-// the column moves of the cluster's own balancer.
+// Stats returns the members' event counters summed, but the column moves
+// of the coordinator alone: every member applies, and counts, each move.
 func (c *Cluster) Stats() Stats {
-	s := Stats{ColumnMoves: c.columnMoves}
+	s := Stats{ColumnMoves: c.nodes[coordinatorNode].stats.ColumnMoves}
 	for _, n := range c.nodes {
 		s.ObjectHandoffs += n.stats.ObjectHandoffs
 		s.QueryHandoffs += n.stats.QueryHandoffs
@@ -259,62 +252,23 @@ func (c *Cluster) HandleClientGone(id model.ObjectID) {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive partitioning
-
-// rebalance runs the balancer before the tick's migrations: count each
-// node's uplinks over the decision window, ask for a column move, install
-// the versioned new map on every member in one step, and bulk-migrate the
-// monitors the move stranded. Objects need no sweep — each re-homes
-// lazily on its next uplink through the ordinary boundary-detection path,
-// and until then its old home relays for it.
-//
-// A deployment has no serial step across nodes, so there Member runs the
-// same decision engine on a coordinator node and replicates the map over
-// the link (NodeLoad, PartitionUpdate, PartitionAck); both end in
-// Member.migrateOutOfStrip.
-func (c *Cluster) rebalance(now model.Tick) {
-	if !c.bal.Due(now) {
-		return
-	}
-	window := make([]uint64, len(c.nodes))
-	for i, n := range c.nodes {
-		window[i] = n.uplinks - c.uplinkBase[i]
-		c.uplinkBase[i] = n.uplinks // start the next window either way
-	}
-	part := c.ref.Load()
-	mv, ok := c.bal.Decide(now, part.Owners(), window)
-	if !ok {
-		return
-	}
-	np, err := part.MoveColumn(mv.Col, mv.To)
-	if err != nil {
-		return // defense in depth; the balancer only proposes legal moves
-	}
-	// The members' copies and the shared ref the radio cell filters read
-	// swap in this one serial step — no server tick is running — so no
-	// broadcast can clip against one map and forward against another.
-	c.ref.store(np)
-	for _, n := range c.nodes {
-		n.part = np
-	}
-	c.columnMoves++
-	c.nodes[mv.From].emit(obs.Event{Type: obs.EvColumnMoved, Seq: uint32(np.Version()), Value: float64(mv.To)})
-	for _, n := range c.nodes {
-		n.migrateOutOfStrip(now)
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Tick driving
 
 // Tick advances the federation one step: deliver due link messages
-// (their handlers may touch any node), run the balancer, migrate
-// boundary-crossing queries, run every node's server tick in node order,
-// then deliver the link traffic those ticks produced.
+// (their handlers may touch any node), run and deliver every member's
+// balancer duty (on the ideal link a new map reaches every peer here),
+// point the radio at the coordinator's map, migrate boundary-crossing
+// queries, tick every node's server in node order, then deliver the link
+// traffic those ticks produced.
 func (c *Cluster) Tick(now model.Tick) {
 	c.link.Flush()
-	if c.bal != nil {
-		c.rebalance(now)
+	for _, n := range c.nodes {
+		n.balance(now)
+	}
+	c.link.Flush()
+	// Store only on a change: a store allocates.
+	if p := c.nodes[coordinatorNode].part; p.Version() != c.ref.Load().Version() {
+		c.ref.store(p)
 	}
 	for _, n := range c.nodes {
 		n.migrateQueries(now)

@@ -201,8 +201,13 @@ func TestSingleNodeWireIdentity(t *testing.T) {
 // adaptive rows exactness stayed 1 and the broadcast column fell 12–15 %;
 // the balancer counts uplinks, so on five rows its moves shifted, and
 // with them the query handoffs and the downlink re-baselines they send.
-// On the latency-1 rows no exactness fell and three rose. Every row runs
-// twice, once at
+// On the latency-1 rows no exactness fell and three rose. Only the
+// adaptive rows moved, each with exactness 1, when the cluster's central
+// balancer gave way to the members' own coordinator protocol: the
+// coordinator decides on the NodeLoad samples of the previous tick and
+// makes no move until every peer has acked the last one, so the moves
+// shift (163 to 165 over the twelve rows), and every non-coordinator
+// sends one NodeLoad per tick. Every row runs twice, once at
 // GOMAXPROCS 1, and the two digests must be identical. A latent or lossy
 // link answers late and can strand relays, so those rows pin their
 // exactness and relay drops rather than assert 1 and 0. The adaptive rows
@@ -275,18 +280,18 @@ func TestFederationWireDigest(t *testing.T) {
 		seed  int64
 		want  fedDigest
 	}{
-		{2, 1, fedDigest{7612, 362204, 542, 51490, 10416, 697872, 1631, 153841, 346, 14, 0, 1, 11}},
-		{2, 2, fedDigest{6996, 334108, 410, 38950, 10829, 725543, 2260, 165049, 269, 8, 0, 1, 13}},
-		{2, 3, fedDigest{6921, 333605, 332, 31540, 11946, 800382, 1933, 281608, 479, 22, 0, 1, 13}},
-		{2, 4, fedDigest{8317, 391097, 375, 35625, 13030, 873010, 4432, 380841, 331, 27, 0, 1, 13}},
-		{3, 1, fedDigest{7919, 372459, 553, 52535, 10539, 700835, 3473, 308417, 582, 24, 0, 1, 13}},
-		{3, 2, fedDigest{7022, 335150, 426, 40470, 10768, 721456, 3658, 343714, 353, 24, 0, 1, 15}},
-		{3, 3, fedDigest{6726, 324118, 331, 31445, 11913, 798171, 2794, 279334, 623, 21, 0, 1, 15}},
-		{3, 4, fedDigest{8311, 391115, 384, 36480, 13000, 871000, 5708, 514313, 453, 36, 0, 1, 12}},
-		{4, 1, fedDigest{7606, 361742, 557, 52915, 10342, 692914, 3304, 330892, 739, 29, 0, 1, 15}},
-		{4, 2, fedDigest{7102, 339054, 420, 39900, 10686, 715962, 4437, 377778, 606, 19, 0, 1, 15}},
-		{4, 3, fedDigest{6903, 332619, 338, 32110, 11839, 793213, 4675, 452342, 831, 29, 0, 1, 14}},
-		{4, 4, fedDigest{8436, 396268, 382, 36290, 13227, 886209, 6813, 572019, 758, 36, 0, 1, 14}},
+		{2, 1, fedDigest{7565, 359969, 548, 52060, 10447, 699949, 1939, 179253, 414, 20, 0, 1, 14}},
+		{2, 2, fedDigest{7151, 341315, 412, 39140, 10862, 727754, 2807, 202515, 274, 10, 0, 1, 12}},
+		{2, 3, fedDigest{6898, 332434, 332, 31540, 11939, 799913, 2002, 275619, 465, 22, 0, 1, 13}},
+		{2, 4, fedDigest{8439, 396395, 371, 35245, 13200, 884400, 4491, 359033, 295, 23, 0, 1, 13}},
+		{3, 1, fedDigest{7568, 360128, 556, 52820, 10389, 696063, 2854, 276062, 652, 28, 0, 1, 15}},
+		{3, 2, fedDigest{7008, 334488, 423, 40185, 10771, 721657, 3526, 282957, 314, 22, 0, 1, 15}},
+		{3, 3, fedDigest{6853, 330337, 333, 31635, 11931, 799377, 3118, 310811, 640, 22, 0, 1, 13}},
+		{3, 4, fedDigest{8182, 384022, 384, 36480, 13070, 875690, 5764, 515299, 444, 36, 0, 1, 12}},
+		{4, 1, fedDigest{7477, 355657, 557, 52915, 10227, 685209, 3701, 341234, 774, 29, 0, 1, 15}},
+		{4, 2, fedDigest{7112, 339536, 426, 40470, 10843, 726481, 4317, 357858, 527, 24, 0, 1, 15}},
+		{4, 3, fedDigest{6893, 332217, 336, 31920, 11869, 795223, 4407, 406881, 751, 25, 0, 1, 14}},
+		{4, 4, fedDigest{8387, 393767, 383, 36385, 13202, 884534, 7202, 580556, 775, 36, 0, 1, 14}},
 	}
 	for _, w := range adaptive {
 		checkFederationDigest(t, fedRun{nodes: w.nodes, seed: w.seed, adaptive: true}, w.want)

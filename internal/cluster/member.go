@@ -298,6 +298,10 @@ func (m *Member) Partition() Partition {
 func (m *Member) EnableBalancer(cfg balance.Config) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.enableBalancer(cfg)
+}
+
+func (m *Member) enableBalancer(cfg balance.Config) {
 	m.balanceOn = true
 	if m.id == coordinatorNode {
 		m.bal = balance.New(cfg)
@@ -399,22 +403,28 @@ func (m *Member) emit(e obs.Event) {
 func (m *Member) Tick(now model.Tick) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.balanceOn {
-		if m.id == coordinatorNode {
-			m.rebalance(now)
-		} else {
-			// Report the cumulative uplink count to the coordinator; it
-			// windows the count between decisions.
-			m.deps.Link.Send(m.id, coordinatorNode, protocol.NodeLoad{
-				Node:    uint16(m.id),
-				Version: m.part.Version(),
-				Uplinks: m.uplinks,
-				At:      now,
-			})
-		}
-	}
+	m.balance(now)
 	m.migrateQueries(now)
 	m.server.Tick(now)
+}
+
+// balance runs this node's balancer duty for the tick, if enabled: the
+// coordinator decides (or retries an unacked map), every other node
+// reports its cumulative uplink count, which the coordinator windows
+// between decisions.
+func (m *Member) balance(now model.Tick) {
+	switch {
+	case !m.balanceOn:
+	case m.id == coordinatorNode:
+		m.rebalance(now)
+	default:
+		m.deps.Link.Send(m.id, coordinatorNode, protocol.NodeLoad{
+			Node:    uint16(m.id),
+			Version: m.part.Version(),
+			Uplinks: m.uplinks,
+			At:      now,
+		})
+	}
 }
 
 // Finalize settles intra-tick probe conversations.
@@ -704,7 +714,7 @@ func (m *Member) handleObjectHandoff(v protocol.ObjectHandoff) {
 // ---------------------------------------------------------------------------
 // Adaptive partitioning (coordinator decision + replicated application)
 
-// rebalance runs on the coordinator each tick (under the mutex). A
+// rebalance runs on the coordinator each tick, from balance. A
 // pending map distribution blocks further decisions — moves serialize
 // across the federation — and is retried to every silent peer; otherwise,
 // once the interval elapses and every peer has reported a load sample on
@@ -773,13 +783,17 @@ func (m *Member) rebalance(now model.Tick) {
 // new strips, the monitors the change stranded bulk-migrate through the
 // ordinary retried query-handoff path, and attached clients hear the new
 // map so they re-derive their dial targets (a client that misses the
-// broadcast is healed by NodeRedirect on its next report).
+// broadcast is healed by NodeRedirect on its next report). Like redirect,
+// the broadcast needs client addresses: on a positional radio, as under a
+// Cluster, nobody dials.
 func (m *Member) applyPartition(np Partition, now model.Tick) {
 	m.part = np
 	m.stats.ColumnMoves++
 	m.emit(obs.Event{Type: obs.EvColumnMoved, Seq: uint32(np.Version())})
 	m.migrateOutOfStrip(now)
-	m.deps.Radio.Broadcast(worldCircle(m.part.geom.Bounds()), np.update())
+	if len(m.deps.ClientAddrs) > 0 {
+		m.deps.Radio.Broadcast(worldCircle(m.part.geom.Bounds()), np.update())
+	}
 }
 
 // migrateOutOfStrip bulk-exports every monitor a partition change left

@@ -71,9 +71,10 @@ const (
 	// EvRelayDropped: a federation relay exceeded its hop budget or had
 	// no owner and was dropped.
 	EvRelayDropped
-	// EvColumnMoved: the balancer reassigned a grid-cell column between
-	// adjacent federation nodes. Node is the donor, Value the receiver,
-	// Seq the new partition map version.
+	// EvColumnMoved: a federation node applied a new partition map, in
+	// which the balancer reassigned one grid-cell column between adjacent
+	// nodes. Node is the applying node, Seq the new map version; every
+	// node emits one per move, so an N-node run records N per move.
 	EvColumnMoved
 	// EvNetSend: the simulated medium accepted a message for delivery.
 	// Dir is the metrics direction, Kind the message kind.
