@@ -207,7 +207,31 @@ func TestSingleNodeWireIdentity(t *testing.T) {
 // coordinator decides on the NodeLoad samples of the previous tick and
 // makes no move until every peer has acked the last one, so the moves
 // shift (163 to 165 over the twelve rows), and every non-coordinator
-// sends one NodeLoad per tick. Every row runs twice, once at
+// sends one NodeLoad per tick. All 48 rows moved when a member on its
+// track stopped sending the exit the server computes from that track. On
+// the ideal-link rows exactness stayed 1, the broadcast columns held, the
+// uplink fell 26 % over the twelve rows, and the link and object-handoff
+// columns fell with it: a member's uplinks are what the federation reads
+// its position from (uplinkKinematics), so with fewer exits it notices a
+// strip crossing later. The downlink held except on two rows (3 and 4
+// nodes, seed 4), which each send one answer fewer on the tick a query
+// migrates: the exit that changed the answer used to be ingested before
+// the export, which sent the answer, and is now filed in the Tick after
+// it, so the importer's re-baseline alone carries the change. On the
+// latency-1 rows the uplink fell 82 % and the broadcasts 43 %, and mean
+// exactness rose from 0.9425 to 0.9489: at the parent the horizon
+// refreshes of some queries (query 2 on 2 nodes, seed 2) advertised
+// circles of 413 to 989 m, each shrunk by a buffer-overflow refresh two
+// ticks later at 237 to 300 m and each pair drawing a wave of enters and
+// exits, while with crossings filed at the tick the track makes them the
+// same query's installs stay between 220 and 304 m. On the 20 %-loss rows
+// mean exactness went from 0.9164 to 0.9168 (five rows up, seven down):
+// an object that finds an epoch missing at a refresh install states its
+// side outright, which heals the crossings the server judged against a
+// circle the object never held. On the adaptive rows exactness stayed 1
+// and the uplink fell 32 %; the balancer counts uplinks, so its column
+// moves shifted (165 to 163 over the twelve rows), and with them the
+// handoffs and the broadcasts. Every row runs twice, once at
 // GOMAXPROCS 1, and the two digests must be identical. A latent or lossy
 // link answers late and can strand relays, so those rows pin their
 // exactness and relay drops rather than assert 1 and 0. The adaptive rows
@@ -220,18 +244,18 @@ func TestFederationWireDigest(t *testing.T) {
 		upMsgs, upBytes, dnMsgs, dnBytes, bcMsgs, bcBytes uint64
 		linkSent, linkBytes, objHandoffs, qryHandoffs     float64
 	}{
-		{2, 1, 3926, 191118, 497, 47215, 5892, 394764, 659, 61574, 221, 7},
-		{2, 2, 4087, 197987, 531, 50445, 5398, 361666, 772, 66389, 259, 6},
-		{2, 3, 3748, 182660, 449, 42655, 5588, 374396, 595, 47929, 195, 4},
-		{2, 4, 4354, 210354, 574, 54530, 5987, 401129, 823, 72443, 267, 7},
-		{3, 1, 3901, 190033, 501, 47595, 5836, 391012, 1238, 110697, 398, 11},
-		{3, 2, 4087, 197987, 537, 51015, 5413, 362671, 1321, 117340, 419, 12},
-		{3, 3, 3745, 182517, 455, 43225, 5587, 374329, 1198, 102619, 353, 9},
-		{3, 4, 4355, 210407, 577, 54815, 5987, 401129, 1235, 110313, 406, 11},
-		{4, 1, 3926, 191118, 506, 48070, 5892, 394764, 1832, 159140, 549, 16},
-		{4, 2, 4087, 197987, 537, 51015, 5398, 361666, 1833, 150633, 544, 12},
-		{4, 3, 3750, 182734, 453, 43035, 5578, 373726, 1479, 116692, 441, 8},
-		{4, 4, 4352, 210280, 579, 55005, 5988, 401196, 1682, 140290, 536, 12},
+		{2, 1, 2958, 155382, 497, 47215, 5892, 394764, 610, 59045, 208, 7},
+		{2, 2, 2994, 157674, 531, 50445, 5398, 361666, 715, 63666, 244, 6},
+		{2, 3, 2808, 148024, 449, 42655, 5588, 374396, 530, 44632, 192, 4},
+		{2, 4, 3176, 166880, 574, 54530, 5987, 401129, 763, 69783, 253, 7},
+		{3, 1, 2940, 154556, 501, 47595, 5836, 391012, 1124, 104695, 368, 11},
+		{3, 2, 2982, 157134, 537, 51015, 5413, 362671, 1170, 109545, 389, 12},
+		{3, 3, 2806, 147918, 455, 43225, 5587, 374329, 1050, 94969, 330, 9},
+		{3, 4, 3177, 166933, 576, 54720, 5987, 401129, 1125, 105003, 388, 11},
+		{4, 1, 2958, 155382, 506, 48070, 5892, 394764, 1642, 149338, 511, 16},
+		{4, 2, 2994, 157674, 537, 51015, 5398, 361666, 1642, 141122, 511, 12},
+		{4, 3, 2808, 148024, 453, 43035, 5578, 373726, 1326, 108917, 419, 8},
+		{4, 4, 3175, 166843, 578, 54910, 5988, 401196, 1549, 133861, 510, 12},
 	}
 	for _, w := range want {
 		checkFederationDigest(t, fedRun{nodes: w.nodes, seed: w.seed}, fedDigest{
@@ -246,30 +270,30 @@ func TestFederationWireDigest(t *testing.T) {
 		loss    float64
 		want    fedDigest
 	}{
-		{2, 1, 1, 0, fedDigest{7096, 339976, 497, 47215, 8851, 590677, 1914, 149335, 272, 7, 0, 0.925, 0}},
-		{2, 2, 1, 0, fedDigest{25382, 1199982, 529, 50255, 15394, 1031398, 7463, 499145, 382, 6, 0, 0.9177083333333333, 0}},
-		{2, 3, 1, 0, fedDigest{13744, 653952, 447, 42465, 11580, 772558, 2472, 168189, 352, 4, 0, 0.9677083333333333, 0}},
-		{2, 4, 1, 0, fedDigest{14765, 701449, 572, 54340, 12106, 811102, 5030, 357077, 375, 7, 0, 0.9708333333333333, 0}},
-		{3, 1, 1, 0, fedDigest{15004, 715068, 499, 47405, 12327, 822373, 7224, 506899, 691, 12, 0, 0.8979166666666667, 0}},
-		{3, 2, 1, 0, fedDigest{27550, 1299446, 532, 50540, 17551, 1175917, 13875, 966931, 686, 12, 0, 0.9208333333333333, 0}},
-		{3, 3, 1, 0, fedDigest{20212, 957060, 452, 42940, 14584, 973826, 9357, 639187, 644, 9, 0, 0.9625, 0}},
-		{3, 4, 1, 0, fedDigest{19767, 938395, 574, 54530, 13213, 885271, 9085, 638923, 661, 11, 0, 0.9885416666666667, 0}},
-		{4, 1, 1, 0, fedDigest{9288, 445024, 503, 47785, 9793, 652595, 4685, 349208, 899, 16, 0, 0.8989583333333333, 0}},
-		{4, 2, 1, 0, fedDigest{24603, 1161303, 525, 49875, 16666, 1116622, 13401, 927277, 903, 12, 0, 0.9197916666666667, 0}},
-		{4, 3, 1, 0, fedDigest{15613, 742081, 449, 42655, 12630, 842908, 9231, 612662, 898, 8, 0, 0.9625, 0}},
-		{4, 4, 1, 0, fedDigest{14361, 682181, 570, 54150, 11827, 792409, 7719, 552117, 813, 12, 0, 0.978125, 0}},
-		{2, 1, 0, 0.2, fedDigest{26550, 1258030, 492, 46740, 16037, 1074479, 3679, 264087, 419, 7, 0, 0.9552083333333333, 0}},
-		{2, 2, 0, 0.2, fedDigest{13579, 645191, 530, 50350, 9831, 658677, 2445, 179659, 340, 6, 0, 0.9510416666666667, 0}},
-		{2, 3, 0, 0.2, fedDigest{12149, 580953, 448, 42560, 10423, 698341, 2430, 161224, 368, 4, 0, 0.96875, 0}},
-		{2, 4, 0, 0.2, fedDigest{8126, 387598, 567, 53865, 7506, 502902, 1539, 157130, 335, 7, 12, 0.9416666666666667, 0}},
-		{3, 1, 0, 0.2, fedDigest{10745, 513293, 496, 47120, 9659, 647153, 3648, 273093, 627, 11, 3, 0.9135416666666667, 0}},
-		{3, 2, 0, 0.2, fedDigest{13079, 623683, 534, 50730, 9820, 657940, 3244, 280570, 617, 12, 5, 0.921875, 0}},
-		{3, 3, 0, 0.2, fedDigest{8568, 411448, 462, 43890, 9079, 608293, 3016, 296238, 542, 9, 4, 0.9041666666666667, 0}},
-		{3, 4, 0, 0.2, fedDigest{18488, 875008, 575, 54625, 15691, 1051297, 5851, 443692, 640, 11, 1, 0.9239583333333333, 0}},
-		{4, 1, 0, 0.2, fedDigest{16147, 769599, 500, 47500, 14227, 953209, 7637, 604681, 973, 16, 8, 0.8927083333333333, 0}},
-		{4, 2, 0, 0.2, fedDigest{14915, 709439, 542, 51490, 12650, 847550, 5883, 453403, 830, 12, 7, 0.853125, 0}},
-		{4, 3, 0, 0.2, fedDigest{8764, 420012, 460, 43700, 9272, 621224, 3685, 300182, 732, 8, 3, 0.8739583333333333, 0}},
-		{4, 4, 0, 0.2, fedDigest{16423, 779579, 564, 53580, 13482, 903294, 7136, 542383, 848, 12, 3, 0.896875, 0}},
+		{2, 1, 1, 0, fedDigest{3087, 159387, 498, 47310, 7539, 502773, 702, 69728, 213, 7, 0, 0.9354166666666667, 0}},
+		{2, 2, 1, 0, fedDigest{2975, 155979, 526, 49970, 7163, 479921, 794, 72944, 249, 6, 0, 0.934375, 0}},
+		{2, 3, 1, 0, fedDigest{3039, 156075, 447, 42465, 7207, 479567, 642, 55459, 190, 4, 0, 0.9666666666666667, 0}},
+		{2, 4, 1, 0, fedDigest{3237, 169201, 572, 54340, 7971, 534057, 856, 80793, 262, 7, 0, 0.95625, 0}},
+		{3, 1, 1, 0, fedDigest{3232, 165568, 498, 47310, 7523, 500505, 1377, 129806, 386, 12, 0, 0.9385416666666667, 0}},
+		{3, 2, 1, 0, fedDigest{3042, 159082, 527, 50065, 7045, 472015, 1267, 125943, 400, 12, 0, 0.9302083333333333, 0}},
+		{3, 3, 1, 0, fedDigest{3079, 157763, 452, 42940, 7177, 477557, 1269, 116325, 344, 9, 0, 0.959375, 0}},
+		{3, 4, 1, 0, fedDigest{3241, 169221, 576, 54720, 7983, 534861, 1287, 126837, 405, 11, 0, 0.978125, 0}},
+		{4, 1, 1, 0, fedDigest{3292, 168324, 500, 47500, 7887, 524893, 1961, 180544, 524, 16, 0, 0.9260416666666667, 0}},
+		{4, 2, 1, 0, fedDigest{3081, 160893, 524, 49780, 7168, 480256, 1813, 162429, 521, 12, 0, 0.9354166666666667, 0}},
+		{4, 3, 1, 0, fedDigest{3037, 155297, 450, 42750, 7128, 474274, 1577, 129499, 428, 8, 0, 0.9625, 0}},
+		{4, 4, 1, 0, fedDigest{3298, 171778, 571, 54245, 8174, 547658, 1729, 154134, 528, 12, 0, 0.9635416666666666, 0}},
+		{2, 1, 0, 0.2, fedDigest{3242, 167858, 492, 46740, 5815, 389605, 749, 78464, 242, 7, 0, 0.9510416666666667, 0}},
+		{2, 2, 0, 0.2, fedDigest{3117, 162001, 524, 49780, 5149, 344983, 808, 87077, 265, 6, 0, 0.9125, 0}},
+		{2, 3, 0, 0.2, fedDigest{2925, 152449, 449, 42655, 5424, 363408, 604, 50377, 209, 4, 0, 0.9927083333333333, 0}},
+		{2, 4, 0, 0.2, fedDigest{3414, 176166, 566, 53770, 5696, 381632, 954, 93092, 280, 7, 5, 0.9364583333333333, 0}},
+		{3, 1, 0, 0.2, fedDigest{3226, 166146, 500, 47500, 5512, 369304, 1357, 140574, 437, 11, 2, 0.9520833333333333, 0}},
+		{3, 2, 0, 0.2, fedDigest{3270, 168350, 534, 50730, 4998, 334866, 1403, 149595, 426, 12, 2, 0.925, 0}},
+		{3, 3, 0, 0.2, fedDigest{3008, 155632, 454, 43130, 5305, 355435, 1210, 136325, 395, 9, 4, 0.9614583333333333, 0}},
+		{3, 4, 0, 0.2, fedDigest{3611, 183615, 568, 53960, 5487, 367629, 1438, 139520, 456, 11, 0, 0.90625, 0}},
+		{4, 1, 0, 0.2, fedDigest{3382, 172158, 500, 47500, 5474, 366758, 2041, 203999, 619, 16, 10, 0.8479166666666667, 0}},
+		{4, 2, 0, 0.2, fedDigest{3242, 166962, 535, 50825, 5065, 339355, 1836, 176544, 566, 12, 3, 0.7927083333333333, 0}},
+		{4, 3, 0, 0.2, fedDigest{3151, 160475, 455, 43225, 5141, 344447, 1636, 130061, 504, 8, 0, 0.9333333333333333, 0}},
+		{4, 4, 0, 0.2, fedDigest{3762, 188898, 571, 54245, 5404, 362068, 1984, 188496, 585, 12, 4, 0.890625, 0}},
 	}
 	for _, w := range faulty {
 		link := LinkConfig{LatencyTicks: w.latency, Loss: w.loss, Seed: w.seed}
@@ -280,18 +304,18 @@ func TestFederationWireDigest(t *testing.T) {
 		seed  int64
 		want  fedDigest
 	}{
-		{2, 1, fedDigest{7565, 359969, 548, 52060, 10447, 699949, 1939, 179253, 414, 20, 0, 1, 14}},
-		{2, 2, fedDigest{7151, 341315, 412, 39140, 10862, 727754, 2807, 202515, 274, 10, 0, 1, 12}},
-		{2, 3, fedDigest{6898, 332434, 332, 31540, 11939, 799913, 2002, 275619, 465, 22, 0, 1, 13}},
-		{2, 4, fedDigest{8439, 396395, 371, 35245, 13200, 884400, 4491, 359033, 295, 23, 0, 1, 13}},
-		{3, 1, fedDigest{7568, 360128, 556, 52820, 10389, 696063, 2854, 276062, 652, 28, 0, 1, 15}},
-		{3, 2, fedDigest{7008, 334488, 423, 40185, 10771, 721657, 3526, 282957, 314, 22, 0, 1, 15}},
-		{3, 3, fedDigest{6853, 330337, 333, 31635, 11931, 799377, 3118, 310811, 640, 22, 0, 1, 13}},
-		{3, 4, fedDigest{8182, 384022, 384, 36480, 13070, 875690, 5764, 515299, 444, 36, 0, 1, 12}},
-		{4, 1, fedDigest{7477, 355657, 557, 52915, 10227, 685209, 3701, 341234, 774, 29, 0, 1, 15}},
-		{4, 2, fedDigest{7112, 339536, 426, 40470, 10843, 726481, 4317, 357858, 527, 24, 0, 1, 15}},
-		{4, 3, fedDigest{6893, 332217, 336, 31920, 11869, 795223, 4407, 406881, 751, 25, 0, 1, 14}},
-		{4, 4, fedDigest{8387, 393767, 383, 36385, 13202, 884534, 7202, 580556, 775, 36, 0, 1, 14}},
+		{2, 1, fedDigest{5190, 272254, 548, 52060, 10447, 699949, 1521, 157995, 365, 20, 0, 1, 14}},
+		{2, 2, fedDigest{4959, 260771, 417, 39615, 10784, 722528, 1835, 178476, 273, 16, 0, 1, 14}},
+		{2, 3, fedDigest{5011, 262695, 330, 31350, 11939, 799913, 1488, 228128, 390, 20, 0, 1, 11}},
+		{2, 4, fedDigest{5212, 274692, 363, 34485, 13091, 877097, 2841, 254473, 255, 17, 0, 1, 11}},
+		{3, 1, fedDigest{5193, 272429, 554, 52630, 10389, 696063, 2365, 251663, 600, 27, 0, 1, 15}},
+		{3, 2, fedDigest{4956, 260692, 418, 39710, 10919, 731573, 3153, 252949, 387, 16, 0, 1, 14}},
+		{3, 3, fedDigest{4976, 260952, 330, 31350, 11931, 799377, 2699, 280002, 602, 20, 0, 1, 13}},
+		{3, 4, fedDigest{5169, 272461, 382, 36290, 13075, 876025, 3840, 418089, 415, 36, 0, 1, 14}},
+		{4, 1, fedDigest{5173, 271273, 555, 52725, 10387, 695929, 3022, 304388, 720, 28, 0, 1, 15}},
+		{4, 2, fedDigest{4935, 259515, 424, 40280, 10862, 727754, 3249, 298932, 496, 23, 0, 1, 15}},
+		{4, 3, fedDigest{4976, 260952, 343, 32585, 11931, 799377, 3662, 418477, 647, 34, 0, 1, 13}},
+		{4, 4, fedDigest{5319, 280299, 383, 36385, 13202, 884534, 5120, 473624, 686, 36, 0, 1, 14}},
 	}
 	for _, w := range adaptive {
 		checkFederationDigest(t, fedRun{nodes: w.nodes, seed: w.seed, adaptive: true}, w.want)

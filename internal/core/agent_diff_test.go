@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -26,7 +27,10 @@ import (
 // query order that is inside — so the oracle's copies on rows outside the
 // answer circle are dead and compare() does not look at them. A monitor
 // left in a tick stops being inside at once, as production drops its
-// member row at once.
+// member row at once. A kNN member on the track it reported takes its
+// side of the answer circle from the track (trackInside), and sends no
+// ExitReport when the track leaves it: the server files that crossing.
+// A refresh that skips an epoch makes the object state its side outright.
 
 type oracleAgent struct {
 	cfg  Config
@@ -60,6 +64,20 @@ type oracleAgentMonitor struct {
 	lastReport geo.Point
 	lastSentAt model.Tick
 	lastVel    geo.Vector
+}
+
+// trackAt is where mon's last report puts the object at now.
+func (mon *oracleAgentMonitor) trackAt(now model.Tick, dt float64) geo.Point {
+	return geo.DeadReckon(mon.lastReport, mon.lastVel, float64(now-mon.lastSentAt)*dt)
+}
+
+// trackInside reports whether mon's reported track lies within rb of the
+// query track (qpos, qvel, qat) at now.
+func (mon *oracleAgentMonitor) trackInside(now model.Tick, dt float64, qpos geo.Point, qvel geo.Vector, qat model.Tick, rb float64) bool {
+	p := mon.trackAt(now, dt)
+	c := geo.DeadReckon(qpos, qvel, float64(now-qat)*dt)
+	dx, dy := p.X-c.X, p.Y-c.Y
+	return math.Sqrt(float64(dx*dx)+float64(dy*dy)) <= rb
 }
 
 // estimate is the velocity mon's last report and the fix p at now imply.
@@ -117,8 +135,16 @@ func (a *oracleAgent) handleInstall(v protocol.MonitorInstall) {
 	p := a.deps.Pos()
 	d := p.Dist(v.QueryPos)
 	now := a.deps.Now()
+	side := d <= v.AnswerRadius
+	missed := v.Refresh && had && v.Epoch > prev.epoch+1 // an install was lost: report the side outright
+	silent := false                                      // a crossing out of the circle the server files itself
+	if v.Refresh && had && prev.inside && !v.RangeMode && !missed &&
+		p.Dist(prev.trackAt(now, a.deps.DT)) <= a.cfg.ThetaInside+trackEpsilon {
+		side = prev.trackInside(now, a.deps.DT, v.QueryPos, v.QueryVel, v.At, v.AnswerRadius)
+		silent = !side
+	}
 	if d > v.Radius {
-		if v.Refresh && had && prev.inside {
+		if v.Refresh && had && (prev.inside || missed) && !silent {
 			a.deps.Side.Uplink(protocol.ExitReport{MemberReport: protocol.MemberReport{
 				Query: v.Query, Epoch: v.Epoch, Object: a.deps.ID, Pos: p, At: now,
 			}})
@@ -126,12 +152,11 @@ func (a *oracleAgent) handleInstall(v protocol.MonitorInstall) {
 		a.drop(v.Query)
 		return
 	}
-	side := d <= v.AnswerRadius
 	reported := false
 	var vel geo.Vector // a full install leaves the track at rest
 	if v.Refresh {
 		affirm := side && had && prev.inside &&
-			now-prev.lastSentAt >= model.Tick(a.cfg.MaxHorizonTicks())
+			(missed || now-prev.lastSentAt >= model.Tick(a.cfg.MaxHorizonTicks()))
 		switch {
 		case side && (!(had && prev.inside) || affirm):
 			vel = a.enterVel(p, now, v.RangeMode)
@@ -139,7 +164,7 @@ func (a *oracleAgent) handleInstall(v protocol.MonitorInstall) {
 				Query: v.Query, Epoch: v.Epoch, Object: a.deps.ID, Pos: p, At: now,
 			}, Vel: vel})
 			reported = true
-		case !side && had && prev.inside:
+		case !side && had && (prev.inside || missed) && !silent:
 			a.deps.Side.Uplink(protocol.ExitReport{MemberReport: protocol.MemberReport{
 				Query: v.Query, Epoch: v.Epoch, Object: a.deps.ID, Pos: p, At: now,
 			}})
@@ -205,7 +230,12 @@ func (a *oracleAgent) tick(now model.Tick) {
 			continue
 		}
 		side := d <= mon.answerRadius
+		onTrack := mon.inside && !mon.rangeMode && p.Dist(mon.trackAt(now, dt)) <= theta+trackEpsilon
 		switch {
+		case onTrack:
+			if !mon.trackInside(now, dt, mon.qpos, mon.qvel, mon.at, mon.answerRadius) {
+				mon.inside = false
+			}
 		case side && !mon.inside:
 			vel := a.enterVel(p, now, mon.rangeMode)
 			a.deps.Side.Uplink(protocol.EnterReport{MemberReport: protocol.MemberReport{
@@ -221,14 +251,11 @@ func (a *oracleAgent) tick(now model.Tick) {
 			mon.lastReport = p
 			mon.lastSentAt = now
 		case side && !mon.rangeMode:
-			track := geo.DeadReckon(mon.lastReport, mon.lastVel, float64(now-mon.lastSentAt)*dt)
-			if p.Dist(track) > theta+trackEpsilon {
-				vel := mon.estimate(p, now, dt)
-				a.deps.Side.Uplink(protocol.MoveReport{MemberReport: protocol.MemberReport{
-					Query: q, Epoch: mon.epoch, Object: a.deps.ID, Pos: p, At: now,
-				}, Vel: vel})
-				mon.lastReport, mon.lastSentAt, mon.lastVel = p, now, vel
-			}
+			vel := mon.estimate(p, now, dt)
+			a.deps.Side.Uplink(protocol.MoveReport{MemberReport: protocol.MemberReport{
+				Query: q, Epoch: mon.epoch, Object: a.deps.ID, Pos: p, At: now,
+			}, Vel: vel})
+			mon.lastReport, mon.lastSentAt, mon.lastVel = p, now, vel
 		}
 	}
 	for _, q := range dropped {
@@ -292,14 +319,14 @@ func (r *agentDiffRig) compare(what string) {
 		// The row's track is compared by value: rows share records, so
 		// comparing rows with == would compare pointers.
 		om, m := r.ora.monitors[q], held[i]
-		want := track{epoch: om.epoch, qpos: om.qpos, qvel: om.qvel, at: om.at,
+		want := track{epoch: om.epoch, adv: line{om.qpos, om.qvel, om.at},
 			answerRadius: om.answerRadius, radius: om.radius, rangeMode: om.rangeMode}
 		if m.query != q || m.inside != om.inside || *m.tr != want {
 			r.t.Fatalf("step %d after %s: slot %d\n table  query %d inside %v %+v\n oracle query %d inside %v %+v",
 				r.step, what, i, m.query, m.inside, *m.tr, q, om.inside, want)
 		}
 		if om.inside {
-			members = append(members, memberState{lastSentAt: om.lastSentAt, lastReport: om.lastReport, lastVel: om.lastVel})
+			members = append(members, memberState{line{om.lastReport, om.lastVel, om.lastSentAt}})
 			r.members++
 		}
 	}

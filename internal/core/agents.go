@@ -108,9 +108,7 @@ type agentMonitor struct {
 type track struct {
 	epoch        uint32
 	rangeMode    bool
-	qpos         geo.Point
-	qvel         geo.Vector
-	at           model.Tick
+	adv          line // the advertised query track
 	answerRadius float64
 	radius       float64
 }
@@ -146,20 +144,19 @@ func (a *ObjectAgent) internTrack(t track) *track {
 func validDT(dt float64) bool { return dt > 0 && !math.IsInf(dt, 1) }
 
 // memberState is what the server last heard from the object about a query
-// whose answer circle it is inside: the track it last reported, position
-// lastReport at lastSentAt moving at lastVel. Nothing reads it for any
-// other monitor, so it lives in its own table, a row exactly while inside
-// is set. The row names no query: the j-th row belongs to the j-th monitor
-// with inside set, as both tables ascend by query.
+// whose answer circle it is inside: the track it last reported, the line
+// the server's member row holds. Nothing reads it for any other monitor,
+// so it lives in its own table, a row exactly while inside is set. The
+// row names no query: the j-th row belongs to the j-th monitor with
+// inside set, as both tables ascend by query.
+//
+// The line's pos is always a true fix and its vel zero until a report
+// that carried a velocity was sent. Its at is when this monitor last
+// transmitted anything: inside objects re-affirm membership once per
+// horizon if silent, which heals a membership report lost (or outrun by
+// epochs) in flight.
 type memberState struct {
-	// lastSentAt is when this monitor last transmitted anything; inside
-	// objects re-affirm membership once per horizon if silent, which
-	// heals a membership report lost (or outrun by epochs) in flight.
-	lastSentAt model.Tick
-	// lastReport is always a true fix; lastVel is zero until a report
-	// that carried a velocity was sent.
-	lastReport geo.Point
-	lastVel    geo.Vector
+	line
 }
 
 // reportTable is the member rows, the first held inline: an object inside
@@ -178,19 +175,14 @@ func (t *reportTable) row(j int) *memberState {
 	return &t.more[j-1]
 }
 
-// trackAt is where the reported track puts the object at now.
-func (ms *memberState) trackAt(now model.Tick, dt float64) geo.Point {
-	return geo.DeadReckon(ms.lastReport, ms.lastVel, float64(now-ms.lastSentAt)*dt)
-}
-
 // velocity estimates the object's velocity from two of its own fixes: the
 // row's last report and p, its position at now. A row that reported at
 // now already holds the estimate.
 func (ms *memberState) velocity(p geo.Point, now model.Tick, dt float64) geo.Vector {
-	if now == ms.lastSentAt {
-		return ms.lastVel
+	if now == ms.at {
+		return ms.vel
 	}
-	return p.Sub(ms.lastReport).Scale(1 / (float64(now-ms.lastSentAt) * dt))
+	return p.Sub(ms.pos).Scale(1 / (float64(now-ms.at) * dt))
 }
 
 // enterVel is the velocity an EnterReport at p carries: the estimate of
@@ -342,27 +334,41 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall) {
 	p := a.deps.Pos()
 	d := p.Dist(v.QueryPos)
 	now := a.deps.Now()
+	adv := line{v.QueryPos, v.QueryVel, v.At}
+	side := d <= v.AnswerRadius
+	// A refresh that skips an epoch says one was lost on the way: the
+	// server has since judged our side against a circle we never held, so
+	// we state our side outright, an Enter or an Exit, whatever we held.
+	missed := v.Refresh && had && v.Epoch > a.mons[i].tr.epoch+1
+	// Otherwise a kNN member still on the track it reported takes its side
+	// of a refreshed answer circle from that track, as the server does
+	// (trackInside), so a crossing out of it is the server's to file:
+	// silent marks one.
+	silent := false
+	var drift float64
+	if v.Refresh && was != nil && !v.RangeMode && !missed {
+		if drift = p.Dist(was.posAt(now, a.deps.DT)); drift <= a.theta+trackEpsilon {
+			side = trackInside(&was.line, &adv, v.AnswerRadius, now, a.deps.DT)
+			silent = !side
+		}
+	}
+	if silent {
+		a.traceSilentExit(v.Query, now, drift)
+	}
 	if d > v.Radius {
 		// The install reached us (cell-granular broadcast covers more
 		// than the region) but we are outside the monitoring region. On
 		// a refresh install the server kept its inside set, so if it
 		// believed we were an answer member we must correct it before
 		// forgetting the query.
-		if v.Refresh && was != nil {
-			a.deps.Side.Uplink(protocol.ExitReport{MemberReport: protocol.MemberReport{
-				Query: v.Query, Epoch: v.Epoch, Object: a.deps.ID, Pos: p, At: now,
-			}})
-			if a.deps.Trace != nil {
-				emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvBoundaryCrossed,
-					Query: v.Query, Object: a.deps.ID, Kind: protocol.KindExitReport, Value: d})
-			}
+		if v.Refresh && (was != nil || missed) && !silent {
+			a.exit(v.Query, v.Epoch, p, now, d)
 		}
 		if had {
 			a.drop(i)
 		}
 		return
 	}
-	side := d <= v.AnswerRadius
 	reported := false
 	// vel is the track's velocity once this install is handled: what an
 	// Enter below sent, else zero. A full install's row is (p, 0) on both
@@ -376,7 +382,7 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall) {
 		// for a full horizon re-affirms its membership — idempotent at
 		// the server, and it heals an enter-report that was lost or
 		// outrun by reinstall epochs in flight.
-		affirm := side && was != nil && now-was.lastSentAt >= model.Tick(a.horizon)
+		affirm := side && was != nil && (missed || now-was.at >= model.Tick(a.horizon))
 		switch {
 		case side && (was == nil || affirm):
 			vel = a.enterVel(p, now, v.RangeMode)
@@ -388,15 +394,9 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall) {
 				emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvBoundaryCrossed,
 					Query: v.Query, Object: a.deps.ID, Kind: protocol.KindEnterReport, Value: d})
 			}
-		case !side && was != nil:
-			a.deps.Side.Uplink(protocol.ExitReport{MemberReport: protocol.MemberReport{
-				Query: v.Query, Epoch: v.Epoch, Object: a.deps.ID, Pos: p, At: now,
-			}})
+		case !side && (was != nil || missed) && !silent:
+			a.exit(v.Query, v.Epoch, p, now, d)
 			reported = true
-			if a.deps.Trace != nil {
-				emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvBoundaryCrossed,
-					Query: v.Query, Object: a.deps.ID, Kind: protocol.KindExitReport, Value: d})
-			}
 		}
 	}
 	// The member row must hold the track the *server* knows. After a
@@ -413,15 +413,13 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall) {
 			a.dropMember(mi)
 		}
 	case was == nil:
-		a.addMember(mi, memberState{lastSentAt: now, lastReport: p, lastVel: vel})
+		a.addMember(mi, memberState{line{p, vel, now}})
 	case reported || !v.Refresh:
-		was.lastSentAt, was.lastReport, was.lastVel = now, p, vel
+		was.line = line{p, vel, now}
 	}
 	mon := agentMonitor{query: v.Query, inside: side, tr: a.internTrack(track{
 		epoch:        v.Epoch,
-		qpos:         v.QueryPos,
-		qvel:         v.QueryVel,
-		at:           v.At,
+		adv:          adv,
 		answerRadius: v.AnswerRadius,
 		radius:       v.Radius,
 		rangeMode:    v.RangeMode,
@@ -430,6 +428,27 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall) {
 		a.mons[i] = mon
 	} else {
 		a.insert(i, mon)
+	}
+}
+
+// exit uplinks an ExitReport for query q at the object's position p, d
+// from the query.
+func (a *ObjectAgent) exit(q model.QueryID, epoch uint32, p geo.Point, now model.Tick, d float64) {
+	a.deps.Side.Uplink(protocol.ExitReport{MemberReport: protocol.MemberReport{
+		Query: q, Epoch: epoch, Object: a.deps.ID, Pos: p, At: now,
+	}})
+	if a.deps.Trace != nil {
+		emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvBoundaryCrossed,
+			Query: q, Object: a.deps.ID, Kind: protocol.KindExitReport, Value: d})
+	}
+}
+
+// traceSilentExit records an exit the object did not send: its track,
+// drift from its true position, crossed r_b, which the server files too.
+func (a *ObjectAgent) traceSilentExit(q model.QueryID, now model.Tick, drift float64) {
+	if a.deps.Trace != nil {
+		emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvReportSuppressed,
+			Query: q, Object: a.deps.ID, Kind: protocol.KindExitReport, Value: drift})
 	}
 }
 
@@ -464,8 +483,7 @@ func (a *ObjectAgent) Tick(now model.Tick) {
 	for i := range a.mons {
 		mon := &a.mons[i]
 		q, tr := mon.query, mon.tr
-		qhat := geo.DeadReckon(tr.qpos, tr.qvel, float64(now-tr.at)*dt)
-		d := p.Dist(qhat)
+		d := p.Dist(tr.adv.posAt(now, dt))
 		if d > tr.radius {
 			// Only answer-circle members must announce leaving — the
 			// server tracks membership through them. Annulus objects
@@ -491,42 +509,48 @@ func (a *ObjectAgent) Tick(now model.Tick) {
 				Query: q, Epoch: tr.epoch, Object: a.deps.ID, Pos: p, At: now,
 			}, Vel: vel})
 			mon.inside = true
-			a.addMember(mi, memberState{lastSentAt: now, lastReport: p, lastVel: vel})
+			a.addMember(mi, memberState{line{p, vel, now}})
 			if a.deps.Trace != nil {
 				emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvBoundaryCrossed,
 					Query: q, Object: a.deps.ID, Kind: protocol.KindEnterReport, Value: d})
 			}
-		case !side && mon.inside:
-			a.deps.Side.Uplink(protocol.ExitReport{MemberReport: protocol.MemberReport{
-				Query: q, Epoch: tr.epoch, Object: a.deps.ID, Pos: p, At: now,
-			}})
-			mon.inside = false
-			a.dropMember(mi)
-			if a.deps.Trace != nil {
-				emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvBoundaryCrossed,
-					Query: q, Object: a.deps.ID, Kind: protocol.KindExitReport, Value: d})
-			}
-		case side && !tr.rangeMode:
+		case mon.inside && !tr.rangeMode:
 			// The server dead-reckons the track we last reported; it needs
-			// a new one only once we leave it by more than θ.
+			// a new one only once we leave it by more than θ. While we are
+			// on it, it decides our side (trackInside) on both ends, so a
+			// crossing out is the server's to file.
 			ms := a.members.row(mi)
-			drift := p.Dist(ms.trackAt(now, dt))
-			if drift > a.theta+trackEpsilon {
+			switch drift := p.Dist(ms.posAt(now, dt)); {
+			case drift <= a.theta+trackEpsilon:
+				if !trackInside(&ms.line, &tr.adv, tr.answerRadius, now, dt) {
+					mon.inside = false
+					a.dropMember(mi)
+					a.traceSilentExit(q, now, drift)
+				} else if a.deps.Trace != nil {
+					// The threshold just saved an uplink: the server's track
+					// is still close enough.
+					emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvReportSuppressed,
+						Query: q, Object: a.deps.ID, Kind: protocol.KindMoveReport, Value: drift})
+				}
+			case !side:
+				a.exit(q, tr.epoch, p, now, d)
+				mon.inside = false
+				a.dropMember(mi)
+			default:
 				vel := ms.velocity(p, now, dt)
 				a.deps.Side.Uplink(protocol.MoveReport{MemberReport: protocol.MemberReport{
 					Query: q, Epoch: tr.epoch, Object: a.deps.ID, Pos: p, At: now,
 				}, Vel: vel})
-				ms.lastSentAt, ms.lastReport, ms.lastVel = now, p, vel
+				ms.line = line{p, vel, now}
 				if a.deps.Trace != nil {
 					emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvReportSent,
 						Query: q, Object: a.deps.ID, Kind: protocol.KindMoveReport, Value: drift})
 				}
-			} else if a.deps.Trace != nil {
-				// The threshold just saved an uplink: the server's track is
-				// still close enough.
-				emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvReportSuppressed,
-					Query: q, Object: a.deps.ID, Kind: protocol.KindMoveReport, Value: drift})
 			}
+		case !side && mon.inside:
+			a.exit(q, tr.epoch, p, now, d)
+			mon.inside = false
+			a.dropMember(mi)
 		}
 		if mon.inside {
 			mi++

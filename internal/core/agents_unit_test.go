@@ -103,7 +103,7 @@ func TestAgentInstallOutsideRegionDropsMonitor(t *testing.T) {
 }
 
 func TestAgentRefreshReportsSideChanges(t *testing.T) {
-	a, side, _, _ := unitAgent(t)
+	a, side, pos, _ := unitAgent(t)
 	// Baseline: inside region, outside boundary (d=10 > rk=5).
 	a.HandleServerMessage(install(1, false, geo.Pt(500, 510), 5, 100, 0))
 	// Refresh with a larger boundary: we are now inside -> EnterReport.
@@ -111,31 +111,49 @@ func TestAgentRefreshReportsSideChanges(t *testing.T) {
 	if _, ok := side.last().(protocol.EnterReport); !ok {
 		t.Fatalf("expected EnterReport, got %T", side.last())
 	}
-	// Refresh shrinking the boundary below us -> ExitReport.
+	// Refresh shrinking the boundary below our reported track: the server
+	// holds that track and files the exit itself -> silent, and outside.
+	n := len(side.sent)
 	a.HandleServerMessage(install(3, true, geo.Pt(500, 510), 5, 100, 0))
-	if _, ok := side.last().(protocol.ExitReport); !ok {
-		t.Fatalf("expected ExitReport, got %T", side.last())
+	if len(side.sent) != n || a.held()[0].inside {
+		t.Fatalf("on-track exit: sent %+v, inside %v; want nothing sent and outside", side.sent[n:], a.held()[0].inside)
 	}
 	// Refresh with no side change -> silent.
-	n := len(side.sent)
 	a.HandleServerMessage(install(4, true, geo.Pt(500, 510), 5, 100, 0))
 	if len(side.sent) != n {
 		t.Fatal("refresh without side change sent a report")
 	}
-}
-
-func TestAgentRefreshExitWhenPushedOutOfRegion(t *testing.T) {
-	a, side, _, _ := unitAgent(t)
-	// Inside the boundary initially.
-	a.HandleServerMessage(install(1, false, geo.Pt(500, 510), 20, 100, 0))
-	// The region moves away entirely; we were a member -> ExitReport and
-	// drop.
-	a.HandleServerMessage(install(2, true, geo.Pt(0, 0), 20, 100, 0))
+	// Inside again, then off the reported track when the boundary
+	// shrinks below us -> ExitReport: the server's track is not ours.
+	a.HandleServerMessage(install(5, true, geo.Pt(500, 510), 20, 100, 0))
+	if _, ok := side.last().(protocol.EnterReport); !ok {
+		t.Fatalf("expected EnterReport, got %T", side.last())
+	}
+	*pos = geo.Pt(501, 500)
+	a.HandleServerMessage(install(6, true, geo.Pt(500, 510), 5, 100, 0))
 	if _, ok := side.last().(protocol.ExitReport); !ok {
 		t.Fatalf("expected ExitReport, got %T", side.last())
 	}
-	if a.MonitorCount() != 0 {
-		t.Fatal("monitor not dropped")
+}
+
+func TestAgentRefreshExitWhenPushedOutOfRegion(t *testing.T) {
+	for _, moved := range []bool{false, true} {
+		a, side, pos, _ := unitAgent(t)
+		// Inside the boundary initially.
+		a.HandleServerMessage(install(1, false, geo.Pt(500, 510), 20, 100, 0))
+		if moved {
+			*pos = geo.Pt(501, 500)
+		}
+		// The region moves away entirely; we were a member -> drop. On the
+		// track the server holds, the exit is the server's to file; off
+		// it, an ExitReport corrects the server.
+		a.HandleServerMessage(install(2, true, geo.Pt(0, 0), 20, 100, 0))
+		if _, ok := side.last().(protocol.ExitReport); ok != moved {
+			t.Fatalf("moved %v: last uplink %T, want an ExitReport exactly when moved", moved, side.last())
+		}
+		if a.MonitorCount() != 0 {
+			t.Fatal("monitor not dropped")
+		}
 	}
 }
 
@@ -276,11 +294,13 @@ func TestAgentDeadReckonsMovingQuery(t *testing.T) {
 		AnswerRadius: 25, Radius: 300, At: 0,
 	})
 	// Two ticks later the query is predicted at (500,540): d=40 > 25 even
-	// though we never moved -> ExitReport.
+	// though we never moved -> outside. We are still on the track the
+	// server holds (at rest), so the server computes the same exit and
+	// nothing is sent.
 	*now = 2
 	a.Tick(2)
-	if _, ok := side.last().(protocol.ExitReport); !ok {
-		t.Fatalf("expected ExitReport from dead-reckoned query motion, got %T", side.last())
+	if len(side.sent) != 0 || a.held()[0].inside {
+		t.Fatalf("dead-reckoned exit: sent %+v, inside %v; want nothing sent and outside", side.sent, a.held()[0].inside)
 	}
 }
 

@@ -83,8 +83,9 @@ func TestServerTickDoesNotAllocate(t *testing.T) {
 	if n := len(side.broadcasts) + len(side.downlinks) - sends; n != 0 {
 		t.Errorf("steady-state ticks sent %d messages, want none", n)
 	}
-	if mon := srv.monitors[1]; mon.tab.now != *now || !mon.answerPending {
-		t.Fatalf("query 1 ranked at tick %d (pending %v), want re-ranked at %d", mon.tab.now, mon.answerPending, *now)
+	if mon := srv.monitors[1]; mon.tab.now != *now || !mon.answerPending || mon.tab.nInside != 20 {
+		t.Fatalf("query 1 ranked at tick %d (pending %v) with %d members, want re-ranked at %d with all 20",
+			mon.tab.now, mon.answerPending, mon.tab.nInside, *now)
 	}
 }
 

@@ -119,8 +119,9 @@ func BenchmarkServerTick(b *testing.B) {
 }
 
 // benchServerQueries installs n k=10 queries at one place over the same
-// 20 repliers, 3 m apart, and gives every member a track heading east at
-// 1 m/s, reported at tick 1.
+// 20 repliers, 3 m apart, and gives every member a track heading west at
+// 1 m/s, reported at tick 1: toward the query, so that no track leaves
+// the answer circle, whose edge is the farthest member.
 func benchServerQueries(b testing.TB, n int) (*Server, *model.Tick) {
 	b.Helper()
 	srv, side, now := benchServer(b)
@@ -156,7 +157,7 @@ func benchServerQueries(b testing.TB, n int) (*Server, *model.Tick) {
 		for i := 1; i <= 20; i++ {
 			srv.HandleUplink(model.ObjectID(i), protocol.MoveReport{MemberReport: protocol.MemberReport{
 				Query: model.QueryID(q), Epoch: mon.epoch, Object: model.ObjectID(i),
-				Pos: geo.Pt(500+float64(i)*3, 500), At: 1}, Vel: geo.Vec(1, 0)})
+				Pos: geo.Pt(500+float64(i)*3, 500), At: 1}, Vel: geo.Vec(-1, 0)})
 		}
 	}
 	srv.Finalize(1)

@@ -25,7 +25,11 @@
 //     keeps the server's ranking of the buffered set fresh). Enter and
 //     move reports carry the object's velocity, estimated from its own
 //     fixes, and the server ranks each member at its dead-reckoned
-//     position, so a member on a straight leg stays silent.
+//     position, so a member on a straight leg stays silent. A crossing
+//     the server can compute is not sent: a kNN member still on its
+//     track takes its side of the boundary from that track, and the
+//     server, holding the same track and the same advertised query
+//     track, files the same exit itself (trackInside).
 //
 //   - The server maintains the answer as the k nearest among the buffered
 //     members and sends it once per query per tick, at the end of the

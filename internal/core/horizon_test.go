@@ -97,6 +97,7 @@ func TestDerivedHorizonInstallAndExpiry(t *testing.T) {
 			*now = 1
 			inst := installMovingQuery(t, srv, side, 1, geo.Vector{X: row.speed})
 			checkFirstInstall(t, inst, row.h, row.slack)
+			travelWithQuery(srv, inst, 1)
 
 			pre := len(side.broadcasts)
 			for tick := model.Tick(2); tick < 1+model.Tick(row.h); tick++ {
@@ -127,7 +128,9 @@ func TestDerivedHorizonSurvivesHandoff(t *testing.T) {
 			srv, side, now := unitServer(t, derivedCfg())
 			*now = 1
 			vel := geo.Vector{X: row.speed}
-			checkFirstInstall(t, installMovingQuery(t, srv, side, 1, vel), row.h, row.slack)
+			inst := installMovingQuery(t, srv, side, 1, vel)
+			checkFirstInstall(t, inst, row.h, row.slack)
+			travelWithQuery(srv, inst, 1)
 
 			*now = 2
 			srv.Tick(2)
@@ -180,6 +183,17 @@ func checkDerivedSlack(t *testing.T, inst protocol.MonitorInstall) (int, float64
 
 // checkFirstInstall asserts installQuery's first install against a row of
 // derivedRows.
+// travelWithQuery has installQuery's three members report, at now, tracks
+// that move with the query's advertised track, so none leaves the answer
+// circle before the horizon reinstall.
+func travelWithQuery(srv *Server, inst protocol.MonitorInstall, now model.Tick) {
+	for id, x := range []float64{510, 530, 560} {
+		srv.HandleUplink(model.ObjectID(id+1), protocol.MoveReport{MemberReport: protocol.MemberReport{
+			Query: 1, Epoch: inst.Epoch, Object: model.ObjectID(id + 1), Pos: geo.Pt(x, 500), At: now,
+		}, Vel: inst.QueryVel})
+	}
+}
+
 func checkFirstInstall(t *testing.T, inst protocol.MonitorInstall, wantH int, wantSlack float64) {
 	t.Helper()
 	if h, slack := checkDerivedSlack(t, inst); h != wantH || math.Abs(slack-wantSlack) > 1e-9 {

@@ -56,7 +56,7 @@ func TestFullInstallZeroesTrack(t *testing.T) {
 	a.Tick(2)
 	n := len(side.sent)
 	a.HandleServerMessage(install(2, false, geo.Pt(500, 510), 50, 300, 2))
-	if got, want := a.memberOf(1), (memberState{lastSentAt: 2, lastReport: geo.Pt(520, 500)}); got != want {
+	if got, want := a.memberOf(1), (memberState{line{pos: geo.Pt(520, 500), at: 2}}); got != want {
 		t.Fatalf("member row after a full install %+v, want %+v", got, want)
 	}
 	if len(side.sent) != n {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -18,11 +19,47 @@ type line struct {
 	at  model.Tick
 }
 
-// posAt dead-reckons the line to now, dt seconds a tick. It is the
-// expression the object measures its drift against, so both sides agree
-// bit for bit.
+// posAt dead-reckons the line to now, dt seconds a tick. The object
+// measures its drift against it, and both sides place a member with it.
 func (l *line) posAt(now model.Tick, dt float64) geo.Point {
 	return geo.DeadReckon(l.pos, l.vel, float64(now-l.at)*dt)
+}
+
+// trackInside reports whether track m lies inside the answer circle at
+// tick t: within rb of the advertised query track adv there. It is the
+// one rule that moves a member on its track across r_b. The object
+// changes side by it without a report, and the server files the same
+// crossing from the same two tracks, so it must come out alike on any two
+// machines (see circle.holds).
+func trackInside(m, adv *line, rb float64, t model.Tick, dt float64) bool {
+	c := circleAt(adv, rb, t, dt)
+	return c.holds(m)
+}
+
+// circle is an install's answer circle at one tick: where the advertised
+// query track puts its centre then, and r_b. The server places it once
+// per monitor and tests every member row against it.
+type circle struct {
+	center geo.Point
+	rb     float64
+	t      model.Tick
+	dt     float64
+}
+
+// circleAt is the answer circle of radius rb around track adv at tick t.
+func circleAt(adv *line, rb float64, t model.Tick, dt float64) circle {
+	return circle{adv.posAt(t, dt), rb, t, dt}
+}
+
+// holds reports whether track m lies inside c at c's tick. The distance
+// is the square root of a sum of rounded products, not math.Hypot: amd64
+// runs an assembly Hypot, other architectures a portable one in which Go
+// may fuse a multiply-add.
+func (c *circle) holds(m *line) bool {
+	p := m.posAt(c.t, c.dt)
+	p.X -= c.center.X
+	p.Y -= c.center.Y
+	return math.Sqrt(float64(p.X*p.X)+float64(p.Y*p.Y)) <= c.rb
 }
 
 // member is one row of a monitor's member table: what the server holds
@@ -226,6 +263,37 @@ func (t *memberTable) set(id model.ObjectID, l line, inside bool) {
 	if t.rank(r) != wasTop {
 		t.dirty = true
 	}
+}
+
+// exitOffCircle files every known inside row whose track lies outside
+// the answer circle of (adv, rb) at now, as the object decides the same
+// crossing without a report, and reports how many it filed. A row leaves
+// as an ExitReport leaves it: outside, at rest at its track's point. It
+// keeps its report tick, so a report the object sent before the crossing
+// still applies when it lands late. The ranking holds exactly the known
+// inside rows' tracks, in the arrays the re-rank reads next, so the pass
+// walks it, from the back so that an exit's removal moves nothing still
+// to be read. An installed monitor's table is always ranked: an install
+// or an import ranks it before the server lock is released.
+func (t *memberTable) exitOffCircle(adv *line, rb float64, now model.Tick) int {
+	n := 0
+	c := circleAt(adv, rb, now, t.dt) // trackInside, placed once
+	for i := len(t.rankPos) - 1; i >= 0; i-- {
+		if c.holds(&t.rankPos[i]) {
+			continue
+		}
+		j, _ := t.find(t.ranked[i].ID)
+		t.ranked = slices.Delete(t.ranked, i, i+1)
+		t.rankPos = slices.Delete(t.rankPos, i, i+1)
+		if i < t.cut {
+			t.dirty = true
+		}
+		r := &t.rows[j]
+		t.setFlags(r, true, false)
+		r.line = line{pos: r.posAt(now, t.dt), at: r.at}
+		n++
+	}
+	return n
 }
 
 // forget drops id's row. It reports whether there was one, and whether

@@ -108,6 +108,9 @@ type oracleMonitor struct {
 	installedAt  model.Tick
 	lastInstall  *protocol.MonitorInstall // the install last broadcast; nil before the first
 	advVel       geo.Vector               // the query track the installed region follows
+	// heldBefore is the install before lastInstall when lastInstall is a
+	// refresh: its audience holds it until lastInstall lands.
+	heldBefore *protocol.MonitorInstall
 
 	cands       oracleCands             // last reported tracks of aware objects
 	inside      map[model.ObjectID]bool // ids currently inside the answer circle
@@ -312,6 +315,7 @@ func (s *oracleServer) tick(now model.Tick) {
 	for _, q := range s.order {
 		mon := s.monitors[q]
 		if mon.installed {
+			s.exitOffCircle(mon, now)
 			s.refreshAnswer(mon, now)
 		}
 		if mon.probing {
@@ -396,7 +400,43 @@ func (s *oracleServer) refreshInstall(mon *oracleMonitor, now model.Tick) {
 		Radius:       radius,
 		At:           now,
 	})
+	s.exitOffCircle(mon, now)
 	s.refreshAnswer(mon, now)
+}
+
+// exitOffCircle moves every inside candidate whose reported track lies
+// outside the answer circle its audience holds to the outside, at rest at
+// the track's point with the track's report tick, as the object leaves
+// without reporting. The audience holds the last install, or for the L
+// ticks it is in flight the one before it, if the last was a refresh; the
+// server judges nothing while a full install is in flight.
+func (s *oracleServer) exitOffCircle(mon *oracleMonitor, now model.Tick) {
+	held := mon.lastInstall
+	if now-mon.installedAt < model.Tick(s.deps.LatencyTicks) {
+		held = mon.heldBefore
+	}
+	if mon.rng > 0 || held == nil {
+		return
+	}
+	dt := s.deps.DT
+	c := geo.DeadReckon(held.QueryPos, held.QueryVel, float64(now-held.At)*dt)
+	exited := false
+	for id := range mon.inside {
+		tr, ok := mon.cands[id]
+		if !ok {
+			continue
+		}
+		p := tr.posAt(now, dt)
+		dx, dy := p.X-c.X, p.Y-c.Y
+		if math.Sqrt(float64(dx*dx)+float64(dy*dy)) > held.AnswerRadius {
+			delete(mon.inside, id)
+			mon.cands[id] = oracleTrack{pos: p, at: tr.at}
+			exited = true
+		}
+	}
+	if exited && len(mon.inside) < mon.k {
+		mon.needsReinstall = true
+	}
 }
 
 func (s *oracleServer) boundaryFromKnown(mon *oracleMonitor, sorted []model.Neighbor) float64 {
@@ -430,6 +470,10 @@ func (s *oracleServer) broadcastInstall(mon *oracleMonitor, inst protocol.Monito
 			held := heldRegion(*prev, t, s.deps.DT)
 			cover.R = max(cover.R, cover.Center.Dist(held.Center)+held.R)
 		}
+	}
+	mon.heldBefore = nil
+	if inst.Refresh {
+		mon.heldBefore = mon.lastInstall
 	}
 	mon.lastInstall, mon.advVel = &inst, inst.QueryVel
 	s.deps.Side.Broadcast(cover, inst)
@@ -798,7 +842,7 @@ func (s *oracleServer) importMonitor(st protocol.QueryHandoff, now model.Tick) {
 	}
 	if st.Installed {
 		mon.lastInstall = &protocol.MonitorInstall{QueryPos: st.AdvPos, QueryVel: st.AdvVel,
-			Radius: st.Radius, At: st.InstalledAt}
+			AnswerRadius: st.AnswerRadius, Radius: st.Radius, At: st.InstalledAt}
 	}
 	mon.needsReinstall = !st.Installed
 	s.monitors[st.Query] = mon

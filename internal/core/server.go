@@ -153,6 +153,13 @@ type monitor struct {
 	installedAt  model.Tick
 	advPos       geo.Point
 	advVel       geo.Vector
+	// prevAdv and prevRB are the advertised track and r_b of the install
+	// before the last, which the aware objects hold for the L ticks the
+	// last one takes to reach them; prevOK is set only when the last
+	// install was a refresh (see heldFrame).
+	prevAdv line
+	prevRB  float64
+	prevOK  bool
 
 	// Working state maintained from reports: per aware object its last
 	// known position, whether it is inside the answer circle, and whether
@@ -517,6 +524,42 @@ func (mon *monitor) frame(t model.Tick, dt float64) geo.Circle {
 	return geo.Circle{Center: geo.DeadReckon(mon.advPos, mon.advVel, float64(t-mon.installedAt)*dt), R: mon.radius}
 }
 
+// heldFrame returns the advertised track and r_b of the install the
+// aware objects of an installed monitor hold at now: the last one, or the
+// one before it while the last is still in flight. It reports false while
+// a full install is in flight: the rows it rebuilt from probe replies are
+// not the tracks the objects measure themselves against.
+func (s *Server) heldFrame(mon *monitor, now model.Tick) (line, float64, bool) {
+	if now-mon.installedAt >= model.Tick(s.deps.LatencyTicks) {
+		return line{mon.advPos, mon.advVel, mon.installedAt}, mon.answerRadius, true
+	}
+	return mon.prevAdv, mon.prevRB, mon.prevOK
+}
+
+// exitOffCircle files the crossings of r_b that members on their tracks
+// make without a report (trackInside): every kNN member whose track lies
+// outside the answer circle the objects hold leaves it, as an ExitReport
+// would have left it.
+func (s *Server) exitOffCircle(mon *monitor, now model.Tick) {
+	if mon.rng > 0 {
+		return // a range member reports its own crossings
+	}
+	adv, rb, ok := s.heldFrame(mon, now)
+	if ok && mon.tab.exitOffCircle(&adv, rb, now) > 0 {
+		mon.noteUnderfull()
+	}
+}
+
+// noteInstall records the frame the aware objects hold until the install
+// being sent reaches them; refresh says whether it is a refresh install,
+// which only an installed monitor sends. It runs before the install state
+// is overwritten.
+func (mon *monitor) noteInstall(refresh bool) {
+	mon.prevAdv = line{mon.advPos, mon.advVel, mon.installedAt}
+	mon.prevRB = mon.answerRadius
+	mon.prevOK = refresh
+}
+
 // installCover is the circle an install of region circle(c, r) at now
 // is broadcast over. Every object aware of the previous install lies in
 // its frame (it drops itself on leaving) and must hear the new epoch, so
@@ -573,9 +616,11 @@ func (s *Server) Tick(now model.Tick) {
 	for _, q := range s.order {
 		mon := s.monitors[q]
 		// Members move between their reports, along the tracks they
-		// reported: the answer is re-ranked at this tick whether or not a
+		// reported: a member whose track left the answer circle leaves it
+		// here, and the answer is re-ranked at this tick whether or not a
 		// report arrived. Finalize sends it only if its membership changed.
 		if mon.installed {
+			s.exitOffCircle(mon, now)
 			s.refreshAnswer(mon, now)
 		}
 		if mon.probing {
@@ -659,6 +704,7 @@ func (s *Server) refreshInstall(mon *monitor, now model.Tick) {
 		radius = cfg.MaxProbeRadius
 	}
 	cover := s.installCover(mon, center, radius, now)
+	mon.noteInstall(true)
 
 	mon.epoch++
 	mon.answerRadius = rk
@@ -669,8 +715,10 @@ func (s *Server) refreshInstall(mon *monitor, now model.Tick) {
 
 	// Objects strictly outside the new circle will exit/drop themselves;
 	// prune candidates whose last known position is already outside so
-	// stale annulus entries do not accumulate.
+	// stale annulus entries do not accumulate. Members on their tracks
+	// take their side of the new answer circle silently, once they hold it.
 	mon.tab.prune(center, radius)
+	s.exitOffCircle(mon, now)
 
 	s.deps.Side.Broadcast(cover, protocol.MonitorInstall{
 		Query:        mon.query,
@@ -856,6 +904,7 @@ func (s *Server) expandProbe(mon *monitor, now model.Tick, radius float64) {
 // from the tick the round was sent, which no reply predates.
 func (s *Server) install(mon *monitor, now model.Tick, center geo.Point, rk, radius float64) {
 	cover := s.installCover(mon, center, radius, now)
+	mon.noteInstall(false)
 	sentAt := mon.probeDue - model.Tick(2*s.deps.LatencyTicks)
 	mon.epoch++
 	mon.installed = true

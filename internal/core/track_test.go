@@ -30,11 +30,11 @@ func TestSharedTrackNewEpoch(t *testing.T) {
 	e2.QueryPos, e2.QueryVel, e2.At = geo.Pt(510, 500), geo.Vector{X: 1}, 1
 	a.HandleServerMessage(e2)
 
-	want := track{epoch: 1, qpos: geo.Pt(500, 500), answerRadius: 50, radius: 200}
+	want := track{epoch: 1, adv: line{pos: geo.Pt(500, 500)}, answerRadius: 50, radius: 200}
 	if got := b.held()[0].tr; got != shared || *got != want {
 		t.Fatalf("B's track after A heard epoch 2: %p %+v, want %p %+v", got, *got, shared, want)
 	}
-	want = track{epoch: 2, qpos: geo.Pt(510, 500), qvel: geo.Vector{X: 1}, at: 1, answerRadius: 50, radius: 200}
+	want = track{epoch: 2, adv: line{geo.Pt(510, 500), geo.Vector{X: 1}, 1}, answerRadius: 50, radius: 200}
 	if got := a.held()[0].tr; got == shared || *got != want {
 		t.Fatalf("A's track after epoch 2: %p %+v, want a new record %+v", got, *got, want)
 	}

@@ -230,3 +230,29 @@ func TestStringers(t *testing.T) {
 		t.Error("empty Circle string")
 	}
 }
+
+// DeadReckon rounds each product before it adds it, so a client and a
+// server dead-reckon one track to the same bits whatever they run on. On
+// inputs where a fused multiply-add rounds differently, it gives the
+// rounded sum, not the fused one. The test tells the two apart on arm64,
+// where Go fuses x + v·dt unless the product is converted; CI runs it
+// there.
+func TestDeadReckonRoundsProduct(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	fused := 0
+	for i := 0; i < 10000 && fused < 20; i++ {
+		start := Pt(rng.Float64()*1000, rng.Float64()*1000)
+		v := Vec(rng.Float64()*20-10, rng.Float64()*20-10)
+		dt := rng.Float64() * 30
+		want := Pt(start.X+float64(v.X*dt), start.Y+float64(v.Y*dt))
+		if got := DeadReckon(start, v, dt); got != want {
+			t.Fatalf("DeadReckon(%v, %v, %v) = %v, want the rounded %v", start, v, dt, got, want)
+		}
+		if math.FMA(v.X, dt, start.X) != want.X || math.FMA(v.Y, dt, start.Y) != want.Y {
+			fused++
+		}
+	}
+	if fused == 0 {
+		t.Fatal("no input where a fused multiply-add rounds differently")
+	}
+}

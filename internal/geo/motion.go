@@ -1,9 +1,13 @@
 package geo
 
 // DeadReckon returns the position reached from start after moving with
-// constant velocity v for dt time units.
+// constant velocity v for dt time units. Each product is rounded before
+// it is added: Go may fuse x + v·dt into one multiply-add on some
+// architectures (arm64) and not on others (amd64), and a client and a
+// server that dead-reckon the same track must agree on it bit for bit
+// whatever each runs on.
 func DeadReckon(start Point, v Vector, dt float64) Point {
-	return start.Add(v.Scale(dt))
+	return Point{start.X + float64(v.X*dt), start.Y + float64(v.Y*dt)}
 }
 
 // SafeRadius returns the slack to add to an answer radius so that, given

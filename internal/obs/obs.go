@@ -53,7 +53,9 @@ const (
 	// (move/enter/exit/leave/probe-reply), Value the reported distance.
 	EvReportSent
 	// EvReportSuppressed: an in-circle object drifted but stayed under
-	// the report threshold, so no uplink was spent. Value is the drift.
+	// the report threshold, so no uplink was spent (Kind move), or its
+	// reported track left the answer circle, a crossing the server files
+	// itself (Kind exit). Value is the drift.
 	EvReportSuppressed
 	// EvBoundaryCrossed: an object crossed the advertised answer-circle
 	// boundary (Kind distinguishes enter from exit).

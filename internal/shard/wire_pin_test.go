@@ -105,26 +105,28 @@ func (w *wireRun) noteMemberships(m sim.Method, queries, step int) {
 // membership pins below held), and again when the monitoring slack began
 // to follow the advertised query track, which lengthens the horizon of a
 // slow query and so spaces its reinstalls (the per-step membership pins
-// below held). The engine must
+// below held), and again when a member on its track stopped reporting
+// the exit the server computes from that track (the downlink and per-step
+// membership pins below held). The engine must
 // keep producing these transcripts byte for byte: same message
 // sequences, same wire bytes, same loss draws, same answers.
 var wireDigests = map[string]string{
-	"seed=1/clean-L0": "f82bdc73abecaa63eac00902df0fe4a51100c255f49ee3156eacf9392382242e",
-	"seed=1/loss-L0":  "d59ec4f7d6f5350611ed59d6e230c10116fa8dee2578ef69dff7313c6b28e5c3",
-	"seed=1/burst-L0": "7b9e04d3e1b6829386c6fe6971bfdae94ebab177dfe6660878ed95eae8e11a54",
-	"seed=1/delta-L0": "983a63eb3da1467424e858bac36230ad8cc63a13da62034834c427ff253f8dc5",
-	"seed=2/clean-L0": "43439da9449def5f2b8ec832f059ca58a5541486f8f44529c1238119f0cbff92",
-	"seed=2/loss-L0":  "d6278984cf49a46651ec561bac6cffe728461ee568753d3bca2b9ce280c9f26c",
-	"seed=2/burst-L0": "c930d2c5524408c6a29453539b9ea096e19ec27055e866d4bb00a94c10b629f3",
-	"seed=2/delta-L0": "7211727b1a4a2d2143b3a3c5e2bc24117c726429224c43f26e6e38ddb77cc96c",
-	"seed=3/clean-L0": "72278004a6e2b149d4d1cb7663fcf1bc5178e5bbebc8a8cc7b1203ea5840c320",
-	"seed=3/loss-L0":  "ee1f96058d7d92e371ad0622345a852ffab1cce342bb26f625d9a1f5c7c4139f",
-	"seed=3/burst-L0": "4644719beac26851ccbb85c6024de044f3b46bf1567f1468fb12313cefd98578",
-	"seed=3/delta-L0": "2e666d0f839a62a8b66c0dec9252550c6a63247da3a2f890aae55e1d2594fc61",
-	"seed=4/clean-L0": "b9eeed355b42da357594b353bf8417a1ee4393805aa4bcd8fdc8476d03f77034",
-	"seed=4/loss-L0":  "5393d39d4ae552024b5d9a4fe1cb2bdc6a0bfbe9d9084edfe93792a10339e82d",
-	"seed=4/burst-L0": "13eeade75df52d1375f364b45eb206583e7a79f65733ebcc3e2b581fc13bd692",
-	"seed=4/delta-L0": "7e6ead7c74dc39941af5b013df20d8304404c65479c13bfcc758842b127ab632",
+	"seed=1/clean-L0": "ab21d12f8fe62a0d63bf9eea4ca40d1fa9b7cc5cd3d3e6f5cdc1ead385b4b3d9",
+	"seed=1/loss-L0":  "c40919b7edf28f25970cf10e158f8942501f4fca24c435acdd0fe253eef8c353",
+	"seed=1/burst-L0": "d84f262baf2f25a7c857248de08a7ce44f8f009e26661b084f401a09c883faa2",
+	"seed=1/delta-L0": "2cb43a9be50248f1ec755881d117e915d797af3a4df26248a34dc323d2ebb419",
+	"seed=2/clean-L0": "fa849d93ddb1e8a3e07bf78b47c99c5980d98bbaa862689ad033124c165f0c29",
+	"seed=2/loss-L0":  "8fc7bfb2f0aa66e01b4144c001393b3939e4722c6330660ecda20cb7bef53fe9",
+	"seed=2/burst-L0": "a7ee7d80d04f9cdc745e04ff62a22063f0d3848434dafdb9091cf1610138bc1e",
+	"seed=2/delta-L0": "d1d9efe913d119a297cafcd2dadead9fbaf9af9395fff283430f3775a1aa64cb",
+	"seed=3/clean-L0": "d77c248d913f7994f511464b58f6b6ff2c82c3f272759ca8a826244cbf0a41e5",
+	"seed=3/loss-L0":  "773c7d427295781ac1012b5ca7f2ff71b58ad14fb2a969904f20374f637edd82",
+	"seed=3/burst-L0": "8ac2d6859d38f0981d45bb9527fdcbbb0ea6a8ca14d4744696b5b4c961b55102",
+	"seed=3/delta-L0": "de2cce8faeb8939c6db98cb1bd338fbe28dceb2203c7bdc3af89e51d7fd54707",
+	"seed=4/clean-L0": "7a591ca1a4014c91d734403d50af072cf1227e73f0d8e6e3b8453810d680759b",
+	"seed=4/loss-L0":  "d750d7d944431a73b7237ad2d43ea69b81d397864dcef986bfc4201f388974c7",
+	"seed=4/burst-L0": "b7a15c050a7c1aea47e8a75d899229845ec9f45a612546fe7fa4a0bbe853ee33",
+	"seed=4/delta-L0": "43d22467607d2153238b9ef2b00e42245992c1efa7252fc4241dea8989269b99",
 }
 
 // uplinkDigests pins uplinkDigest of the lossless scenarios. They held
@@ -134,16 +136,20 @@ var wireDigests = map[string]string{
 // when it leaves the line it last reported, and enter and move reports
 // carry a velocity. They were re-captured again when the slack began to
 // follow the advertised query track: fewer reinstalls draw fewer side
-// reports.
+// reports. They were re-captured again when members on their tracks
+// began to leave the answer circle without an ExitReport: the server
+// files the crossing from the track it holds, at a tick or a refresh
+// install, so the exits left are those of members off their track, and
+// the uplink shrinks by those messages alone.
 var uplinkDigests = map[string]string{
-	"seed=1/clean-L0": "2e39f666bc012c1e1d8ffbeac5b2d8271d1cc03fce6f147428a1c8713b1a7110",
-	"seed=1/delta-L0": "ce87fdba385e641f904df82c4f7fea6a6ae8dbc8aa39c3a9e4c403383de047d4",
-	"seed=2/clean-L0": "0e6abc35d25feb1b1351ae1dd203770fc973661ba65a484aa66a628f66978148",
-	"seed=2/delta-L0": "b45876837833c5bba687f0afa691871da67b40c6b61aefa5688575b8f6652daa",
-	"seed=3/clean-L0": "8dda2edabe1b49e3027fc1086344f6d1f4826a1c30ff32d1050a62bd9a53a6f5",
-	"seed=3/delta-L0": "bccdeb9046b91bed89f3eb6aadd81d381b33423288b6d1c78083e956cf96ca54",
-	"seed=4/clean-L0": "55b90214da23827ffb28765f1c58969ba52226fe08eaa9555661053cd6698292",
-	"seed=4/delta-L0": "506d580d271c1477df2a4923c09a2a06d05cce48e656195fefc7bbe5dcb7a047",
+	"seed=1/clean-L0": "c86f8c72d2a812d2d0cbbe1cc4e83e78e4bd96e6c470eae0966d81b4b11c810c",
+	"seed=1/delta-L0": "2833a7e7cd958c4c5a7e06ef35978c02191a944d58fe8343667af6133f90f7f9",
+	"seed=2/clean-L0": "1422cd0c8b56053a7a6617413089ef1ace309ed6154fb4a9e4533f3e83be5ec5",
+	"seed=2/delta-L0": "a727349232de8dc6b4beb376ebe058af2e63ecdf93668aa0db1c73466189a6e5",
+	"seed=3/clean-L0": "680fac8008fc804816bcfdd0f176fc0f8bca49d23f8f7d868704ad314cd05104",
+	"seed=3/delta-L0": "fa12455bd52700b1a482c050d7dc61262c561bf6b103a7b6359ce41dc6d1adc6",
+	"seed=4/clean-L0": "6304720897f28e45fbef575bc6c76eaf25c26a604919af5b261f691891ef286a",
+	"seed=4/delta-L0": "7494b916dff5be8510276ab1e3e91c749cd4ac97787fef0a42da0450e2e94c80",
 }
 
 // downlinkDigests pins downlinkDigest of the lossless scenarios. They
