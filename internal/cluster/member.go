@@ -510,11 +510,12 @@ func (m *Member) routeUplink(from model.ObjectID, msg protocol.Message, hops int
 		}
 		return
 	}
-	q, ok := uplinkQuery(msg)
-	if !ok {
-		// Query-less kinds (LocationReport) are not part of this protocol
-		// and only matter for the boundary detection above; the local
-		// server drops them like the single server.
+	q, ok := protocol.QueryOf(msg)
+	if !ok || !protocol.Relayable(msg.Kind()) {
+		// Kinds no relay carries (a LocationReport, which matters only for
+		// the boundary detection above, or a server-to-client kind sent
+		// back up) are not uplinks of this protocol; the local server
+		// drops them like the single server.
 		m.ingest(from, msg)
 		return
 	}
@@ -1196,31 +1197,6 @@ func uplinkKinematics(m protocol.Message) (geo.Point, geo.Vector, model.Tick, bo
 		return v.Pos, v.Vel, v.At, true
 	}
 	return geo.Point{}, geo.Vector{}, 0, false
-}
-
-// uplinkQuery extracts the query id an uplink addresses.
-func uplinkQuery(m protocol.Message) (model.QueryID, bool) {
-	switch v := m.(type) {
-	case protocol.ProbeReply:
-		return v.Query, true
-	case protocol.EnterReport:
-		return v.Query, true
-	case protocol.ExitReport:
-		return v.Query, true
-	case protocol.LeaveReport:
-		return v.Query, true
-	case protocol.MoveReport:
-		return v.Query, true
-	case protocol.QueryRegister:
-		return v.Query, true
-	case protocol.QueryMove:
-		return v.Query, true
-	case protocol.QueryDeregister:
-		return v.Query, true
-	case protocol.AnswerResync:
-		return v.Query, true
-	}
-	return 0, false
 }
 
 // broadcastQuery extracts the query id a broadcast concerns and whether

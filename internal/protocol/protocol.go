@@ -660,8 +660,9 @@ func validForwardInner(k Kind) bool {
 	return false
 }
 
-// validRelayInner reports whether k may ride inside a NodeRelay.
-func validRelayInner(k Kind) bool {
+// Relayable reports whether k may ride inside a NodeRelay: the client
+// uplinks of the query protocol, each of which names its query.
+func Relayable(k Kind) bool {
 	switch k {
 	case KindProbeReply, KindEnterReport, KindExitReport, KindLeaveReport,
 		KindMoveReport, KindQueryRegister, KindQueryMove,
@@ -1120,7 +1121,7 @@ func Decode(buf []byte) (Message, error) {
 			Hops:    r.u8(),
 			Version: r.u64(),
 		}
-		nr.Inner = r.nested(validRelayInner)
+		nr.Inner = r.nested(Relayable)
 		m = nr
 	case KindNodeDeliver:
 		nd := NodeDeliver{To: model.ObjectID(r.u32()), Version: r.u64()}
