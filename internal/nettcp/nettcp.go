@@ -49,9 +49,10 @@ import (
 var (
 	magic = [4]byte{'D', 'K', 'N', 'N'}
 	// version of the wire protocol. Version 2 added the velocity that
-	// enter and move reports carry; a version-1 peer is refused at the
-	// handshake instead of failing its first member report.
-	version byte = 2
+	// enter and move reports carry; version 3 retired the leave-report,
+	// which no longer decodes. An older peer is refused at the handshake
+	// instead of failing its first member report.
+	version byte = 3
 )
 
 // ErrBadHandshake reports a connection that did not start with the
