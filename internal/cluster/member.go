@@ -512,10 +512,9 @@ func (m *Member) routeUplink(from model.ObjectID, msg protocol.Message, hops int
 	}
 	q, ok := protocol.QueryOf(msg)
 	if !ok || !protocol.Relayable(msg.Kind()) {
-		// Kinds no relay carries (a LocationReport, which matters only for
-		// the boundary detection above, or a server-to-client kind sent
-		// back up) are not uplinks of this protocol; the local server
-		// drops them like the single server.
+		// Kinds no relay carries (LocationReport, which only the boundary
+		// detection above reads, or a downlink kind sent up) are not this
+		// protocol's uplinks; the local server drops them.
 		m.ingest(from, msg)
 		return
 	}
@@ -579,15 +578,14 @@ func (m *Member) redirect(id model.ObjectID, to int) {
 // ---------------------------------------------------------------------------
 // Awareness bookkeeping
 
-// noteAware updates the awareness map from a relayed membership report:
-// Enter/Exit/Move prove the object carries monitor state for q, Leave
-// proves it dropped it.
+// noteAware updates the awareness map from a relayed membership report,
+// which proves the object carries monitor state for q. Nothing a client
+// sends says it dropped one: its awareness goes with the client or the
+// query.
 func (m *Member) noteAware(id model.ObjectID, q model.QueryID, home int, msg protocol.Message) {
 	switch msg.(type) {
 	case protocol.EnterReport, protocol.ExitReport, protocol.MoveReport:
 		m.setAware(id, q, home)
-	case protocol.LeaveReport:
-		m.clearAware(id, q)
 	}
 }
 
@@ -1186,8 +1184,6 @@ func uplinkKinematics(m protocol.Message) (geo.Point, geo.Vector, model.Tick, bo
 	case protocol.EnterReport:
 		return v.Pos, geo.Vector{}, v.At, true
 	case protocol.ExitReport:
-		return v.Pos, geo.Vector{}, v.At, true
-	case protocol.LeaveReport:
 		return v.Pos, geo.Vector{}, v.At, true
 	case protocol.MoveReport:
 		return v.Pos, geo.Vector{}, v.At, true

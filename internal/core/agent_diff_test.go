@@ -27,10 +27,14 @@ import (
 // query order that is inside — so the oracle's copies on rows outside the
 // answer circle are dead and compare() does not look at them. A monitor
 // left in a tick stops being inside at once, as production drops its
-// member row at once. A kNN member on the track it reported takes its
-// side of the answer circle from the track (trackInside), and sends no
-// ExitReport when the track leaves it: the server files that crossing.
-// A refresh that skips an epoch makes the object state its side outright.
+// member row at once. Every distance from the query is measured from its
+// advertised track dead-reckoned to now, as a rounded-product root. A kNN
+// member on the track it reported takes its side of the answer circle
+// from the track (trackInside) and leaves it silently: the server files
+// that crossing. Off it, or out of the region on a track still inside,
+// it reports its new track as a MoveReport, whichever side that lands
+// on; no kNN object sends an ExitReport. A refresh that skips an epoch
+// makes the object state its side outright.
 
 type oracleAgent struct {
 	cfg  Config
@@ -75,9 +79,13 @@ func (mon *oracleAgentMonitor) trackAt(now model.Tick, dt float64) geo.Point {
 // query track (qpos, qvel, qat) at now.
 func (mon *oracleAgentMonitor) trackInside(now model.Tick, dt float64, qpos geo.Point, qvel geo.Vector, qat model.Tick, rb float64) bool {
 	p := mon.trackAt(now, dt)
-	c := geo.DeadReckon(qpos, qvel, float64(now-qat)*dt)
+	return oracleDist(p, geo.DeadReckon(qpos, qvel, float64(now-qat)*dt)) <= rb
+}
+
+// oracleDist is p's distance from c, from rounded products.
+func oracleDist(p, c geo.Point) float64 {
 	dx, dy := p.X-c.X, p.Y-c.Y
-	return math.Sqrt(float64(dx*dx)+float64(dy*dy)) <= rb
+	return math.Sqrt(float64(dx*dx) + float64(dy*dy))
 }
 
 // estimate is the velocity mon's last report and the fix p at now imply.
@@ -133,43 +141,51 @@ func (a *oracleAgent) handleInstall(v protocol.MonitorInstall) {
 		return // stale rebroadcast
 	}
 	p := a.deps.Pos()
-	d := p.Dist(v.QueryPos)
 	now := a.deps.Now()
+	d := oracleDist(p, geo.DeadReckon(v.QueryPos, v.QueryVel, float64(now-v.At)*a.deps.DT))
 	side := d <= v.AnswerRadius
-	missed := v.Refresh && had && v.Epoch > prev.epoch+1 // an install was lost: report the side outright
-	silent := false                                      // a crossing out of the circle the server files itself
-	if v.Refresh && had && prev.inside && !v.RangeMode && !missed &&
-		p.Dist(prev.trackAt(now, a.deps.DT)) <= a.cfg.ThetaInside+trackEpsilon {
-		side = prev.trackInside(now, a.deps.DT, v.QueryPos, v.QueryVel, v.At, v.AnswerRadius)
-		silent = !side
-	}
-	if d > v.Radius {
-		if v.Refresh && had && (prev.inside || missed) && !silent {
-			a.deps.Side.Uplink(protocol.ExitReport{MemberReport: protocol.MemberReport{
-				Query: v.Query, Epoch: v.Epoch, Object: a.deps.ID, Pos: p, At: now,
-			}})
-		}
-		a.drop(v.Query)
-		return
-	}
+	held := d <= v.Radius
 	reported := false
 	var vel geo.Vector // a full install leaves the track at rest
 	if v.Refresh {
+		missed := had && v.Epoch > prev.epoch+1 // an install was lost: report the side outright
+		onTrack := false                        // the side is the reported track's
+		if had && prev.inside && !v.RangeMode && !missed &&
+			p.Dist(prev.trackAt(now, a.deps.DT)) <= a.cfg.ThetaInside+trackEpsilon {
+			if in := prev.trackInside(now, a.deps.DT, v.QueryPos, v.QueryVel, v.At, v.AnswerRadius); held || !in {
+				side, onTrack = in, true
+			}
+		}
 		affirm := side && had && prev.inside &&
 			(missed || now-prev.lastSentAt >= model.Tick(a.cfg.MaxHorizonTicks()))
 		switch {
-		case side && (!(had && prev.inside) || affirm):
+		case side && (!(had && prev.inside) || affirm) && d <= v.AnswerRadius:
 			vel = a.enterVel(p, now, v.RangeMode)
 			a.deps.Side.Uplink(protocol.EnterReport{MemberReport: protocol.MemberReport{
 				Query: v.Query, Epoch: v.Epoch, Object: a.deps.ID, Pos: p, At: now,
 			}, Vel: vel})
 			reported = true
-		case !side && had && (prev.inside || missed) && !silent:
+		case side && affirm: // on a track inside, from a position outside
+			vel = a.enterVel(p, now, v.RangeMode)
+			a.deps.Side.Uplink(protocol.MoveReport{MemberReport: protocol.MemberReport{
+				Query: v.Query, Epoch: v.Epoch, Object: a.deps.ID, Pos: p, At: now,
+			}, Vel: vel})
+			side, reported = false, true
+		case !side && had && (prev.inside || missed) && !onTrack && v.RangeMode:
 			a.deps.Side.Uplink(protocol.ExitReport{MemberReport: protocol.MemberReport{
 				Query: v.Query, Epoch: v.Epoch, Object: a.deps.ID, Pos: p, At: now,
 			}})
 			reported = true
+		case !side && had && (prev.inside || missed) && !onTrack:
+			a.deps.Side.Uplink(protocol.MoveReport{MemberReport: protocol.MemberReport{
+				Query: v.Query, Epoch: v.Epoch, Object: a.deps.ID, Pos: p, At: now,
+			}, Vel: a.enterVel(p, now, false)})
+			reported = true
 		}
+	}
+	if !held {
+		a.drop(v.Query)
+		return
 	}
 	last, sentAt := p, now
 	if v.Refresh && had && !reported {
@@ -218,22 +234,22 @@ func (a *oracleAgent) tick(now model.Tick) {
 	for _, q := range a.order {
 		mon := a.monitors[q]
 		qhat := geo.DeadReckon(mon.qpos, mon.qvel, float64(now-mon.at)*dt)
-		d := p.Dist(qhat)
-		if d > mon.radius {
-			if mon.inside {
-				a.deps.Side.Uplink(protocol.LeaveReport{MemberReport: protocol.MemberReport{
-					Query: q, Epoch: mon.epoch, Object: a.deps.ID, Pos: p, At: now,
-				}})
-				mon.inside = false
-			}
-			dropped = append(dropped, q)
-			continue
-		}
+		d := oracleDist(p, qhat)
+		held := d <= mon.radius
 		side := d <= mon.answerRadius
-		onTrack := mon.inside && !mon.rangeMode && p.Dist(mon.trackAt(now, dt)) <= theta+trackEpsilon
 		switch {
-		case onTrack:
-			if !mon.trackInside(now, dt, mon.qpos, mon.qvel, mon.at, mon.answerRadius) {
+		case mon.inside && !mon.rangeMode:
+			in := mon.trackInside(now, dt, mon.qpos, mon.qvel, mon.at, mon.answerRadius)
+			if drift := p.Dist(mon.trackAt(now, dt)); drift <= theta+trackEpsilon && (held || !in) {
+				side = in
+			} else {
+				vel := mon.estimate(p, now, dt)
+				a.deps.Side.Uplink(protocol.MoveReport{MemberReport: protocol.MemberReport{
+					Query: q, Epoch: mon.epoch, Object: a.deps.ID, Pos: p, At: now,
+				}, Vel: vel})
+				mon.lastReport, mon.lastSentAt, mon.lastVel = p, now, vel
+			}
+			if !side {
 				mon.inside = false
 			}
 		case side && !mon.inside:
@@ -250,12 +266,9 @@ func (a *oracleAgent) tick(now model.Tick) {
 			mon.inside = false
 			mon.lastReport = p
 			mon.lastSentAt = now
-		case side && !mon.rangeMode:
-			vel := mon.estimate(p, now, dt)
-			a.deps.Side.Uplink(protocol.MoveReport{MemberReport: protocol.MemberReport{
-				Query: q, Epoch: mon.epoch, Object: a.deps.ID, Pos: p, At: now,
-			}, Vel: vel})
-			mon.lastReport, mon.lastSentAt, mon.lastVel = p, now, vel
+		}
+		if !held {
+			dropped = append(dropped, q)
 		}
 	}
 	for _, q := range dropped {

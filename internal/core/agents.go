@@ -185,11 +185,12 @@ func (ms *memberState) velocity(p geo.Point, now model.Tick, dt float64) geo.Vec
 	return p.Sub(ms.pos).Scale(1 / (float64(now-ms.at) * dt))
 }
 
-// enterVel is the velocity an EnterReport at p carries: the estimate of
-// the object's first member row, or zero while it has none. A range
-// monitor's member never reports its track again (the region is the
-// answer), so it reports one at rest rather than one it does not keep.
-func (a *ObjectAgent) enterVel(p geo.Point, now model.Tick, rangeMode bool) geo.Vector {
+// trackVel is the velocity a track report at p carries when it is not a
+// member's own re-report: the estimate of the object's first member row,
+// or zero while it has none. A range monitor's member never reports its
+// track again (the region is the answer), so it reports one at rest
+// rather than one it does not keep.
+func (a *ObjectAgent) trackVel(p geo.Point, now model.Tick, rangeMode bool) geo.Vector {
 	if a.members == nil || rangeMode {
 		return geo.Vector{}
 	}
@@ -332,43 +333,17 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall) {
 		was = a.members.row(mi)
 	}
 	p := a.deps.Pos()
-	d := p.Dist(v.QueryPos)
 	now := a.deps.Now()
-	adv := line{v.QueryPos, v.QueryVel, v.At}
-	side := d <= v.AnswerRadius
-	// A refresh that skips an epoch says one was lost on the way: the
-	// server has since judged our side against a circle we never held, so
-	// we state our side outright, an Enter or an Exit, whatever we held.
-	missed := v.Refresh && had && v.Epoch > a.mons[i].tr.epoch+1
-	// Otherwise a kNN member still on the track it reported takes its side
-	// of a refreshed answer circle from that track, as the server does
-	// (trackInside), so a crossing out of it is the server's to file:
-	// silent marks one.
-	silent := false
-	var drift float64
-	if v.Refresh && was != nil && !v.RangeMode && !missed {
-		if drift = p.Dist(was.posAt(now, a.deps.DT)); drift <= a.theta+trackEpsilon {
-			side = trackInside(&was.line, &adv, v.AnswerRadius, now, a.deps.DT)
-			silent = !side
-		}
+	tr := track{
+		epoch:        v.Epoch,
+		adv:          line{v.QueryPos, v.QueryVel, v.At},
+		answerRadius: v.AnswerRadius,
+		radius:       v.Radius,
+		rangeMode:    v.RangeMode,
 	}
-	if silent {
-		a.traceSilentExit(v.Query, now, drift)
-	}
-	if d > v.Radius {
-		// The install reached us (cell-granular broadcast covers more
-		// than the region) but we are outside the monitoring region. On
-		// a refresh install the server kept its inside set, so if it
-		// believed we were an answer member we must correct it before
-		// forgetting the query.
-		if v.Refresh && (was != nil || missed) && !silent {
-			a.exit(v.Query, v.Epoch, p, now, d)
-		}
-		if had {
-			a.drop(i)
-		}
-		return
-	}
+	c := circleAt(&tr.adv, tr.answerRadius, now, a.deps.DT)
+	d := c.dist(p)
+	side := d <= tr.answerRadius
 	reported := false
 	// vel is the track's velocity once this install is handled: what an
 	// Enter below sent, else zero. A full install's row is (p, 0) on both
@@ -378,26 +353,42 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall) {
 	if v.Refresh {
 		// Report only the *change* of side relative to our previous
 		// state; the server's inside set was carried over, so this keeps
-		// it exact by induction. An inside member that has been silent
-		// for a full horizon re-affirms its membership — idempotent at
-		// the server, and it heals an enter-report that was lost or
-		// outrun by reinstall epochs in flight.
+		// it exact by induction. A refresh that skips an epoch says one
+		// was lost on the way: the server has since judged our side
+		// against a circle we never held, so we state it outright.
+		missed := had && v.Epoch > a.mons[i].tr.epoch+1
+		onTrack := false
+		if was != nil && !v.RangeMode && !missed {
+			drift := p.Dist(was.posAt(now, a.deps.DT))
+			side, onTrack = a.trackSide(v.Query, was, &c, drift, now, d <= tr.radius, side)
+		}
+		// An inside member that has been silent for a full horizon
+		// re-affirms its membership — idempotent at the server, and it
+		// heals an enter-report that was lost or outrun by reinstall
+		// epochs in flight.
 		affirm := side && was != nil && (missed || now-was.at >= model.Tick(a.horizon))
 		switch {
-		case side && (was == nil || affirm):
-			vel = a.enterVel(p, now, v.RangeMode)
-			a.deps.Side.Uplink(protocol.EnterReport{MemberReport: protocol.MemberReport{
-				Query: v.Query, Epoch: v.Epoch, Object: a.deps.ID, Pos: p, At: now,
-			}, Vel: vel})
+		case v.RangeMode && !side && (was != nil || missed):
+			a.exit(v.Query, v.Epoch, p, now, d) // a range member keeps no track
 			reported = true
-			if a.deps.Trace != nil {
-				emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvBoundaryCrossed,
-					Query: v.Query, Object: a.deps.ID, Kind: protocol.KindEnterReport, Value: d})
-			}
-		case !side && (was != nil || missed) && !silent:
-			a.exit(v.Query, v.Epoch, p, now, d)
+		case side && (was == nil || affirm), !side && (was != nil || missed) && !onTrack:
+			// An Enter, a member's re-affirmation or a kNN object's way
+			// out: each reports the track we are on now, which decides our
+			// side as it does the server's. So a member affirming from its
+			// old track's side while its own position is beyond r_b leaves.
+			vel = a.trackVel(p, now, v.RangeMode)
+			side = d <= tr.answerRadius
+			a.sendTrack(v.Query, v.Epoch, line{p, vel, now}, side, d)
 			reported = true
 		}
+	}
+	if d > tr.radius {
+		// Outside the region (cell-granular broadcast covers more): the
+		// side we held is settled above, and the query is forgotten.
+		if had {
+			a.drop(i)
+		}
+		return
 	}
 	// The member row must hold the track the *server* knows. After a
 	// full probe the server rebuilt its state from our reply at the
@@ -417,13 +408,7 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall) {
 	case reported || !v.Refresh:
 		was.line = line{p, vel, now}
 	}
-	mon := agentMonitor{query: v.Query, inside: side, tr: a.internTrack(track{
-		epoch:        v.Epoch,
-		adv:          adv,
-		answerRadius: v.AnswerRadius,
-		radius:       v.Radius,
-		rangeMode:    v.RangeMode,
-	})}
+	mon := agentMonitor{query: v.Query, inside: side, tr: a.internTrack(tr)}
 	if had {
 		a.mons[i] = mon
 	} else {
@@ -431,8 +416,50 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall) {
 	}
 }
 
-// exit uplinks an ExitReport for query q at the object's position p, d
-// from the query.
+// trackSide gives a kNN member on the track ms it last reported (drift
+// within θ) its side of c by that track, as the server places it, and
+// traces a crossing out, which is the server's to file. It returns side
+// unchanged and onTrack false off the track, or out of the region (held
+// false) on a track still inside: those members report a new track.
+func (a *ObjectAgent) trackSide(q model.QueryID, ms *memberState, c *circle, drift float64, now model.Tick, held, side bool) (bool, bool) {
+	if drift > a.theta+trackEpsilon {
+		return side, false
+	}
+	in := c.holds(&ms.line)
+	if !held && in {
+		return side, false
+	}
+	if a.deps.Trace != nil {
+		// A silent exit, or a move the threshold just saved: the server's
+		// track is still close enough.
+		kind := protocol.KindMoveReport
+		if !in {
+			kind = protocol.KindExitReport
+		}
+		emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvReportSuppressed,
+			Query: q, Object: a.deps.ID, Kind: kind, Value: drift})
+	}
+	return in, true
+}
+
+// sendTrack uplinks track l for query q: an EnterReport (a boundary
+// crossed inward, traced with the distance v) if enter, else a MoveReport
+// (traced with v, the drift or distance).
+func (a *ObjectAgent) sendTrack(q model.QueryID, epoch uint32, l line, enter bool, v float64) {
+	r := protocol.MemberReport{Query: q, Epoch: epoch, Object: a.deps.ID, Pos: l.pos, At: l.at}
+	ev := obs.Event{At: l.at, Type: obs.EvReportSent, Query: q, Object: a.deps.ID, Kind: protocol.KindMoveReport, Value: v}
+	if enter {
+		a.deps.Side.Uplink(protocol.EnterReport{MemberReport: r, Vel: l.vel})
+		ev.Type, ev.Kind = obs.EvBoundaryCrossed, protocol.KindEnterReport
+	} else {
+		a.deps.Side.Uplink(protocol.MoveReport{MemberReport: r, Vel: l.vel})
+	}
+	if a.deps.Trace != nil {
+		emitAgent(a.deps.Trace, ev)
+	}
+}
+
+// exit uplinks an ExitReport for range query q at p, d out.
 func (a *ObjectAgent) exit(q model.QueryID, epoch uint32, p geo.Point, now model.Tick, d float64) {
 	a.deps.Side.Uplink(protocol.ExitReport{MemberReport: protocol.MemberReport{
 		Query: q, Epoch: epoch, Object: a.deps.ID, Pos: p, At: now,
@@ -440,15 +467,6 @@ func (a *ObjectAgent) exit(q model.QueryID, epoch uint32, p geo.Point, now model
 	if a.deps.Trace != nil {
 		emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvBoundaryCrossed,
 			Query: q, Object: a.deps.ID, Kind: protocol.KindExitReport, Value: d})
-	}
-}
-
-// traceSilentExit records an exit the object did not send: its track,
-// drift from its true position, crossed r_b, which the server files too.
-func (a *ObjectAgent) traceSilentExit(q model.QueryID, now model.Tick, drift float64) {
-	if a.deps.Trace != nil {
-		emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvReportSuppressed,
-			Query: q, Object: a.deps.ID, Kind: protocol.KindExitReport, Value: drift})
 	}
 }
 
@@ -462,11 +480,11 @@ func (a *ObjectAgent) drop(i int) {
 }
 
 // Tick evaluates every installed monitor against the object's current
-// position and transmits crossing/leave/move events. An agent that holds
-// no monitor returns after one load of the holding flag. A stale read is
-// safe: false while an install is being handled orders this tick before
-// the install, as losing the race for mu would, and true while the last
-// monitor drops takes mu and finds the table empty.
+// position and transmits the events the protocol defines. An agent that
+// holds no monitor returns after one load of the holding flag. A stale
+// read is safe: false while an install is being handled orders this tick
+// before the install, as losing the race for mu would, and true while the
+// last monitor drops takes mu and finds the table empty.
 func (a *ObjectAgent) Tick(now model.Tick) {
 	if !a.holding.Load() {
 		return
@@ -483,74 +501,40 @@ func (a *ObjectAgent) Tick(now model.Tick) {
 	for i := range a.mons {
 		mon := &a.mons[i]
 		q, tr := mon.query, mon.tr
-		d := p.Dist(tr.adv.posAt(now, dt))
-		if d > tr.radius {
-			// Only answer-circle members must announce leaving — the
-			// server tracks membership through them. Annulus objects
-			// drop silently; their stale candidate entries are pruned at
-			// the next refresh.
-			if mon.inside {
-				a.deps.Side.Uplink(protocol.LeaveReport{MemberReport: protocol.MemberReport{
-					Query: q, Epoch: tr.epoch, Object: a.deps.ID, Pos: p, At: now,
-				}})
-				a.dropMember(mi)
-				if a.deps.Trace != nil {
-					emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvReportSent,
-						Query: q, Object: a.deps.ID, Kind: protocol.KindLeaveReport, Value: d})
-				}
-			}
-			continue
-		}
+		c := circleAt(&tr.adv, tr.answerRadius, now, dt)
+		d := c.dist(p)
+		held := d <= tr.radius
 		side := d <= tr.answerRadius
 		switch {
-		case side && !mon.inside:
-			vel := a.enterVel(p, now, tr.rangeMode)
-			a.deps.Side.Uplink(protocol.EnterReport{MemberReport: protocol.MemberReport{
-				Query: q, Epoch: tr.epoch, Object: a.deps.ID, Pos: p, At: now,
-			}, Vel: vel})
-			mon.inside = true
-			a.addMember(mi, memberState{line{p, vel, now}})
-			if a.deps.Trace != nil {
-				emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvBoundaryCrossed,
-					Query: q, Object: a.deps.ID, Kind: protocol.KindEnterReport, Value: d})
-			}
 		case mon.inside && !tr.rangeMode:
 			// The server dead-reckons the track we last reported; it needs
-			// a new one only once we leave it by more than θ. While we are
-			// on it, it decides our side (trackInside) on both ends, so a
-			// crossing out is the server's to file.
+			// a new one only once we leave it by more than θ, or leave the
+			// region while it is still inside. Whichever track it holds
+			// then decides our side, on both ends.
 			ms := a.members.row(mi)
-			switch drift := p.Dist(ms.posAt(now, dt)); {
-			case drift <= a.theta+trackEpsilon:
-				if !trackInside(&ms.line, &tr.adv, tr.answerRadius, now, dt) {
-					mon.inside = false
-					a.dropMember(mi)
-					a.traceSilentExit(q, now, drift)
-				} else if a.deps.Trace != nil {
-					// The threshold just saved an uplink: the server's track
-					// is still close enough.
-					emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvReportSuppressed,
-						Query: q, Object: a.deps.ID, Kind: protocol.KindMoveReport, Value: drift})
-				}
-			case !side:
-				a.exit(q, tr.epoch, p, now, d)
-				mon.inside = false
-				a.dropMember(mi)
-			default:
-				vel := ms.velocity(p, now, dt)
-				a.deps.Side.Uplink(protocol.MoveReport{MemberReport: protocol.MemberReport{
-					Query: q, Epoch: tr.epoch, Object: a.deps.ID, Pos: p, At: now,
-				}, Vel: vel})
-				ms.line = line{p, vel, now}
-				if a.deps.Trace != nil {
-					emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvReportSent,
-						Query: q, Object: a.deps.ID, Kind: protocol.KindMoveReport, Value: drift})
-				}
+			drift := p.Dist(ms.posAt(now, dt))
+			onTrack := false
+			if side, onTrack = a.trackSide(q, ms, &c, drift, now, held, side); !onTrack {
+				ms.line = line{p, ms.velocity(p, now, dt), now}
+				a.sendTrack(q, tr.epoch, ms.line, false, drift)
 			}
+		case side && !mon.inside:
+			l := line{p, a.trackVel(p, now, tr.rangeMode), now}
+			a.sendTrack(q, tr.epoch, l, true, d)
+			mon.inside = true
+			a.addMember(mi, memberState{l})
 		case !side && mon.inside:
 			a.exit(q, tr.epoch, p, now, d)
+		}
+		if mon.inside && !side {
 			mon.inside = false
 			a.dropMember(mi)
+		}
+		if !held {
+			// Out of the region, and so outside the answer circle: the
+			// monitor is dropped. An annulus object drops it silently; its
+			// stale candidate entry is pruned at the next refresh.
+			continue
 		}
 		if mon.inside {
 			mi++

@@ -124,15 +124,16 @@ func TestAgentRefreshReportsSideChanges(t *testing.T) {
 		t.Fatal("refresh without side change sent a report")
 	}
 	// Inside again, then off the reported track when the boundary
-	// shrinks below us -> ExitReport: the server's track is not ours.
+	// shrinks below us -> a MoveReport: the server's track is not ours,
+	// so we send the one it places outside.
 	a.HandleServerMessage(install(5, true, geo.Pt(500, 510), 20, 100, 0))
 	if _, ok := side.last().(protocol.EnterReport); !ok {
 		t.Fatalf("expected EnterReport, got %T", side.last())
 	}
 	*pos = geo.Pt(501, 500)
 	a.HandleServerMessage(install(6, true, geo.Pt(500, 510), 5, 100, 0))
-	if _, ok := side.last().(protocol.ExitReport); !ok {
-		t.Fatalf("expected ExitReport, got %T", side.last())
+	if mv, ok := side.last().(protocol.MoveReport); !ok || mv.Pos != *pos || a.held()[0].inside {
+		t.Fatalf("expected a MoveReport from %v and outside, got %+v", *pos, side.last())
 	}
 }
 
@@ -146,10 +147,10 @@ func TestAgentRefreshExitWhenPushedOutOfRegion(t *testing.T) {
 		}
 		// The region moves away entirely; we were a member -> drop. On the
 		// track the server holds, the exit is the server's to file; off
-		// it, an ExitReport corrects the server.
+		// it, a MoveReport gives the server the track it places outside.
 		a.HandleServerMessage(install(2, true, geo.Pt(0, 0), 20, 100, 0))
-		if _, ok := side.last().(protocol.ExitReport); ok != moved {
-			t.Fatalf("moved %v: last uplink %T, want an ExitReport exactly when moved", moved, side.last())
+		if _, ok := side.last().(protocol.MoveReport); ok != moved {
+			t.Fatalf("moved %v: last uplink %T, want a MoveReport exactly when moved", moved, side.last())
 		}
 		if a.MonitorCount() != 0 {
 			t.Fatal("monitor not dropped")
@@ -163,12 +164,13 @@ func TestAgentTickCrossingEvents(t *testing.T) {
 	// d=10: inside.
 	a.HandleServerMessage(install(1, false, geo.Pt(500, 510), 20, 100, 0))
 
-	// Move to d=30: exit.
+	// Move to d=30, off the track at rest the full install left: the new
+	// track, reported as a MoveReport, lies outside.
 	*now = 1
 	*pos = geo.Pt(500, 540)
 	a.Tick(1)
-	if _, ok := side.last().(protocol.ExitReport); !ok {
-		t.Fatalf("expected ExitReport, got %T", side.last())
+	if _, ok := side.last().(protocol.MoveReport); !ok || a.held()[0].inside {
+		t.Fatalf("expected a MoveReport and outside, got %T", side.last())
 	}
 
 	// Move back to d=5: enter.
@@ -220,10 +222,11 @@ func TestAgentTickCrossingEvents(t *testing.T) {
 		t.Fatalf("stopped inside object reported %+v", side.sent[n+2:])
 	}
 
-	// Leave the region entirely while a member: LeaveReport + drop.
+	// Leave the region entirely while a member: off its track, it reports
+	// the new one, which the server files outside, and drops the monitor.
 	step(10, geo.Pt(500, 900))
-	if _, ok := side.last().(protocol.LeaveReport); !ok {
-		t.Fatalf("expected LeaveReport, got %T", side.last())
+	if mv, ok := side.last().(protocol.MoveReport); !ok || len(side.sent) != n+3 || mv.Pos != geo.Pt(500, 900) {
+		t.Fatalf("expected one MoveReport at (500, 900), got %+v", side.sent[n+2:])
 	}
 	if a.MonitorCount() != 0 {
 		t.Fatal("monitor retained after leave")

@@ -18,18 +18,18 @@
 //
 //   - Each aware object dead-reckons the query's advertised track locally
 //     every tick and transmits only on events: crossing the advertised
-//     boundary inward (EnterReport) or outward (ExitReport), leaving the
-//     monitoring region while being a boundary member (LeaveReport), or —
-//     while inside the boundary — drifting more than the in-circle
-//     threshold θ from the track it last reported (MoveReport, which
-//     keeps the server's ranking of the buffered set fresh). Enter and
-//     move reports carry the object's velocity, estimated from its own
-//     fixes, and the server ranks each member at its dead-reckoned
-//     position, so a member on a straight leg stays silent. A crossing
-//     the server can compute is not sent: a kNN member still on its
-//     track takes its side of the boundary from that track, and the
-//     server, holding the same track and the same advertised query
-//     track, files the same exit itself (trackInside).
+//     boundary inward (EnterReport), or — while inside the boundary —
+//     drifting more than the in-circle threshold θ from the track it last
+//     reported (MoveReport, which keeps the server's ranking of the
+//     buffered set fresh). Enter and move reports carry the object's
+//     track: its position and its velocity, estimated from its own
+//     fixes. One rule, trackInside, places a kNN member's track on its
+//     side of the boundary on both ends: the server ranks each member at
+//     its dead-reckoned position and files the crossing out of a member
+//     on its track itself, so a member on a straight leg stays silent; a
+//     member off its track reports its new one, placed by the same rule.
+//     Only a range query's member, which keeps no track, reports leaving
+//     (ExitReport).
 //
 //   - The server maintains the answer as the k nearest among the buffered
 //     members and sends it once per query per tick, at the end of the

@@ -64,7 +64,7 @@ func TestInstallCoverContainsFrameAfterQueryMove(t *testing.T) {
 			if probe {
 				// Both answer members leave, so the reinstall must probe.
 				for _, id := range []model.ObjectID{1, 2} {
-					srv.HandleUplink(id, protocol.LeaveReport{MemberReport: protocol.MemberReport{
+					srv.HandleUplink(id, protocol.MoveReport{MemberReport: protocol.MemberReport{
 						Query: 1, Epoch: before.Epoch, Object: id, Pos: geo.Pt(900, 900), At: 6}})
 				}
 				srv.Tick(6)

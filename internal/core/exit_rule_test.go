@@ -64,46 +64,14 @@ func TestTrackInsideOnTheBoundary(t *testing.T) {
 	}
 }
 
-// exitWatch is an object's radio, counted by kind. It mirrors the track
-// the server holds for each of the object's memberships, from the
-// snapshot taken after the last step and the reports sent since, and
-// counts every ExitReport sent by a kNN member still on that track.
-type exitWatch struct {
+// kindWatch is an object's radio, its uplinks counted by kind.
+type kindWatch struct {
 	transport.ClientSide
-	w  *exitRig
-	id model.ObjectID
+	kinds map[protocol.Kind]int
 }
 
-type memberKey struct {
-	id model.ObjectID
-	q  model.QueryID
-}
-
-type exitRig struct {
-	dt      float64
-	theta   float64
-	kinds   map[protocol.Kind]int
-	tracks  map[memberKey]line // kNN memberships only
-	onTrack int                // ExitReports sent by members on their track
-}
-
-func (x *exitWatch) Uplink(m protocol.Message) {
-	w := x.w
-	w.kinds[m.Kind()]++
-	switch v := m.(type) {
-	case protocol.EnterReport:
-		w.tracks[memberKey{x.id, v.Query}] = line{v.Pos, v.Vel, v.At}
-	case protocol.MoveReport:
-		w.tracks[memberKey{x.id, v.Query}] = line{v.Pos, v.Vel, v.At}
-	case protocol.ExitReport:
-		key := memberKey{x.id, v.Query}
-		if l, ok := w.tracks[key]; ok && v.Pos.Dist(l.posAt(v.At, w.dt)) <= w.theta+trackEpsilon {
-			w.onTrack++
-		}
-		delete(w.tracks, key)
-	case protocol.LeaveReport:
-		delete(w.tracks, memberKey{x.id, v.Query})
-	}
+func (x *kindWatch) Uplink(m protocol.Message) {
+	x.kinds[m.Kind()]++
 	x.ClientSide.Uplink(m)
 }
 
@@ -116,13 +84,14 @@ func (s *silentExits) Record(e obs.Event) {
 	}
 }
 
-// A crossing the server can compute is not sent. Real agents and a server
+// A kNN member's side has one rule on both ends. Real agents and a server
 // run over the simulated radio at zero latency, every object on straight
 // waypoint legs. After every tick's last Finalize, each monitor's inside
 // set on the server is exactly the set of objects holding it inside — the
-// exits nobody sent included — and no member still on the track the
-// server holds has sent an ExitReport. Members that leave the circle
-// without a report must be common, or the test shows nothing.
+// exits nobody sent and the tracks the server placed outside included —
+// and no object has sent an ExitReport or a LeaveReport. Members that
+// leave the circle without a report must be common, or the test shows
+// nothing.
 func TestComputedExitsMatchAgents(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -140,11 +109,11 @@ func TestComputedExitsMatchAgents(t *testing.T) {
 				t.Fatal(err)
 			}
 			env := eng.Env()
-			rig := &exitRig{dt: env.DT, theta: pc.ThetaInside, kinds: map[protocol.Kind]int{}, tracks: map[memberKey]line{}}
+			kinds := map[protocol.Kind]int{}
 			for i := range m.agents {
 				id := model.ObjectID(i + 1)
 				deps := m.agentDeps(id, func() geo.Point { return env.Objects[i].Pos })
-				deps.Side = &exitWatch{ClientSide: deps.Side, w: rig, id: id}
+				deps.Side = &kindWatch{ClientSide: deps.Side, kinds: kinds}
 				a, err := NewObjectAgent(m.cfg, deps)
 				if err != nil {
 					t.Fatal(err)
@@ -159,16 +128,10 @@ func TestComputedExitsMatchAgents(t *testing.T) {
 					t.Fatal(err)
 				}
 				held := map[model.QueryID][]model.ObjectID{}
-				clear(rig.tracks)
 				for i, a := range m.agents {
-					id := model.ObjectID(i + 1)
 					for _, mon := range a.held() {
-						if !mon.inside {
-							continue
-						}
-						held[mon.query] = append(held[mon.query], id)
-						if !mon.tr.rangeMode {
-							rig.tracks[memberKey{id, mon.query}] = a.memberOf(mon.query).line
+						if mon.inside {
+							held[mon.query] = append(held[mon.query], model.ObjectID(i+1))
 						}
 					}
 				}
@@ -184,14 +147,65 @@ func TestComputedExitsMatchAgents(t *testing.T) {
 					}
 				}
 			}
-			if rig.onTrack > 0 {
-				t.Errorf("%d ExitReports sent by members on their track", rig.onTrack)
+			if n, l := kinds[protocol.KindExitReport], kinds[protocol.KindLeaveReport]; n+l > 0 {
+				t.Errorf("kNN members sent %d ExitReports and %d LeaveReports", n, l)
 			}
 			if n := silent.n.Load(); n < 50 {
 				t.Errorf("only %d members left the answer circle without a report", n)
 			}
-			t.Logf("%d silent exits; uplink by kind %v", silent.n.Load(), rig.kinds)
+			t.Logf("%d silent exits; uplink by kind %v", silent.n.Load(), kinds)
 		})
+	}
+}
+
+// The server places a member's track report by the rule the object
+// decided its side with, at the report's tick against the install it
+// names: a MoveReport whose track lies outside is filed outside, at rest
+// at its point, and the monitor left with fewer than k inside asks for a
+// reinstall. One whose track is inside stays a member, even when it lands
+// after its track has left: that crossing is the server's Tick to file.
+func TestTrackReportOutsideFiledOutside(t *testing.T) {
+	srv, side, now := unitServer(t, baseCfg())
+	*now = 1
+	inst := installQuery(t, srv, side, 1)
+	mon := srv.monitors[1]
+	rb := inst.AnswerRadius
+	move := func(id model.ObjectID, p geo.Point, vel geo.Vector, at model.Tick) {
+		srv.HandleUplink(id, protocol.MoveReport{MemberReport: protocol.MemberReport{
+			Query: 1, Epoch: inst.Epoch, Object: id, Pos: p, At: at,
+		}, Vel: vel})
+	}
+	// Object 1 turns inside: still a member, on its new track.
+	move(1, geo.Pt(505, 500), geo.Vec(0, 1), 1)
+	if pos, _, inside := mon.stored(1); !inside || pos != geo.Pt(505, 500) {
+		t.Fatalf("object 1 at %v inside %v, want (505, 500) inside", pos, inside)
+	}
+	// Object 3 reports at its point, 10 m beyond r_b: outside there. Two
+	// members are left, k of them, so no reinstall yet.
+	p3 := geo.Pt(500+rb+10, 500)
+	move(3, p3, geo.Vec(1, 0), 1)
+	if pos, known, inside := mon.stored(3); inside || !known || pos != p3 {
+		t.Fatalf("object 3 at %v known %v inside %v, want %v outside", pos, known, inside, p3)
+	}
+	if mon.reinstall != noReinstall {
+		t.Fatalf("reinstall %v requested with k members inside", mon.reinstall)
+	}
+	// Object 2's report, sent at tick 1 from just inside r_b heading out
+	// at 10 m a tick, lands at tick 2, when its track is outside: the
+	// object was inside when it sent it, and so is its row.
+	*now = 2
+	move(2, geo.Pt(500+rb-5, 500), geo.Vec(10, 0), 1)
+	if _, _, inside := mon.stored(2); !inside {
+		t.Fatal("object 2's report from inside filed outside")
+	}
+	// Its next report, from beyond r_b at tick 2, leaves one member.
+	p2 := geo.Pt(500+rb+5, 500)
+	move(2, p2, geo.Vec(10, 0), 2)
+	if pos, _, inside := mon.stored(2); inside || pos != p2 {
+		t.Fatalf("object 2 at %v inside %v, want %v outside", pos, inside, p2)
+	}
+	if mon.reinstall != causeUnderfull {
+		t.Fatalf("reinstall %v, want underfull", mon.reinstall)
 	}
 }
 
@@ -218,22 +232,23 @@ func TestLateMoveReportAfterComputedExit(t *testing.T) {
 	if _, _, inside := mon.stored(3); inside || mon.epoch != inst.Epoch {
 		t.Fatalf("tick 3: object 3 inside %v at epoch %d; want its exit filed under epoch %d", inside, mon.epoch, inst.Epoch)
 	}
-	// The object had turned back at tick 2 and said so; the report arrives
-	// only now, after the exit the server computed at tick 3.
+	// The object had turned back at tick 2, still inside, and said so;
+	// the report arrives only now, after the exit the server computed at
+	// tick 3.
 	srv.HandleUplink(3, protocol.MoveReport{MemberReport: protocol.MemberReport{
-		Query: 1, Epoch: inst.Epoch, Object: 3, Pos: geo.Pt(570, 500), At: 2,
+		Query: 1, Epoch: inst.Epoch, Object: 3, Pos: geo.Pt(565, 500), At: 2,
 	}, Vel: geo.Vec(-10, 0)})
-	if pos, _, inside := mon.stored(3); !inside || pos != geo.Pt(570, 500) {
-		t.Fatalf("late MoveReport from tick 2: object 3 at %v inside %v, want (570, 500) inside", pos, inside)
+	if pos, _, inside := mon.stored(3); !inside || pos != geo.Pt(565, 500) {
+		t.Fatalf("late MoveReport from tick 2: object 3 at %v inside %v, want (565, 500) inside", pos, inside)
 	}
 }
 
 // A refresh that skips an epoch tells the object one was lost, and the
 // server has since judged its side against a circle the object never
 // held. So the object states its side outright whatever it held: an
-// on-track member that the new circle leaves outside sends the exit it
-// would otherwise leave to the server, an object that was outside says so
-// again, and a member still inside re-affirms.
+// on-track member that the new circle leaves outside sends the track it
+// would otherwise leave to the server to place, an object that was
+// outside re-sends its track, and a member still inside re-affirms.
 func TestMissedEpochStatesSide(t *testing.T) {
 	q := geo.Pt(500, 510)
 	for _, c := range []struct {
@@ -243,8 +258,8 @@ func TestMissedEpochStatesSide(t *testing.T) {
 		want       protocol.Kind
 		wantInside bool
 	}{
-		{"member left outside", true, 5, protocol.KindExitReport, false},
-		{"outsider stays outside", false, 5, protocol.KindExitReport, false},
+		{"member left outside", true, 5, protocol.KindMoveReport, false},
+		{"outsider stays outside", false, 5, protocol.KindMoveReport, false},
 		{"member stays inside", true, 20, protocol.KindEnterReport, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {

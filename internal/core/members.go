@@ -51,15 +51,16 @@ func circleAt(adv *line, rb float64, t model.Tick, dt float64) circle {
 	return circle{adv.posAt(t, dt), rb, t, dt}
 }
 
-// holds reports whether track m lies inside c at c's tick. The distance
-// is the square root of a sum of rounded products, not math.Hypot: amd64
-// runs an assembly Hypot, other architectures a portable one in which Go
-// may fuse a multiply-add.
-func (c *circle) holds(m *line) bool {
-	p := m.posAt(c.t, c.dt)
+// holds reports whether track m lies inside c at c's tick.
+func (c *circle) holds(m *line) bool { return c.dist(m.posAt(c.t, c.dt)) <= c.rb }
+
+// dist is p's distance from c's centre, by which an object also measures
+// itself: the root of a sum of rounded products, not math.Hypot, which is
+// assembly on amd64 and elsewhere portable code Go may fuse.
+func (c *circle) dist(p geo.Point) float64 {
 	p.X -= c.center.X
 	p.Y -= c.center.Y
-	return math.Sqrt(float64(p.X*p.X)+float64(p.Y*p.Y)) <= c.rb
+	return math.Sqrt(float64(p.X*p.X) + float64(p.Y*p.Y))
 }
 
 // member is one row of a monitor's member table: what the server holds
@@ -268,9 +269,9 @@ func (t *memberTable) set(id model.ObjectID, l line, inside bool) {
 // exitOffCircle files every known inside row whose track lies outside
 // the answer circle of (adv, rb) at now, as the object decides the same
 // crossing without a report, and reports how many it filed. A row leaves
-// as an ExitReport leaves it: outside, at rest at its track's point. It
-// keeps its report tick, so a report the object sent before the crossing
-// still applies when it lands late. The ranking holds exactly the known
+// as a track reported outside leaves it: at rest at its track's point.
+// It keeps its report tick, so a report the object sent before the
+// crossing still applies when it lands late. The ranking holds exactly the known
 // inside rows' tracks, in the arrays the re-rank reads next, so the pass
 // walks it, from the back so that an exit's removal moves nothing still
 // to be read. An installed monitor's table is always ranked: an install

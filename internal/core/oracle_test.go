@@ -108,8 +108,10 @@ type oracleMonitor struct {
 	installedAt  model.Tick
 	lastInstall  *protocol.MonitorInstall // the install last broadcast; nil before the first
 	advVel       geo.Vector               // the query track the installed region follows
-	// heldBefore is the install before lastInstall when lastInstall is a
-	// refresh: its audience holds it until lastInstall lands.
+	// past holds the installs before lastInstall, newest first, as far
+	// back as a report may lag; heldBefore is past[0] when lastInstall is
+	// a refresh: its audience holds it until lastInstall lands.
+	past       [epochGrace]*protocol.MonitorInstall
 	heldBefore *protocol.MonitorInstall
 
 	cands       oracleCands             // last reported tracks of aware objects
@@ -158,10 +160,9 @@ func (s *oracleServer) handleUplink(from model.ObjectID, msg protocol.Message, n
 			mon.replies.Set(v.Object, v.Pos)
 		}
 	case protocol.EnterReport:
-		if mon := s.current(v.Query, v.Epoch); mon != nil {
-			mon.apply(v.Object, oracleTrack{pos: v.Pos, vel: v.Vel, at: v.At}, true)
-			s.refreshAnswer(mon, now)
-		}
+		s.placeTrack(v.MemberReport, v.Vel, now)
+	case protocol.MoveReport:
+		s.placeTrack(v.MemberReport, v.Vel, now)
 	case protocol.ExitReport:
 		if mon := s.current(v.Query, v.Epoch); mon != nil {
 			mon.apply(v.Object, oracleTrack{pos: v.Pos, at: v.At}, false)
@@ -170,24 +171,36 @@ func (s *oracleServer) handleUplink(from model.ObjectID, msg protocol.Message, n
 			}
 			s.refreshAnswer(mon, now)
 		}
-	case protocol.LeaveReport:
-		if mon := s.current(v.Query, v.Epoch); mon != nil {
-			delete(mon.cands, v.Object)
-			if mon.inside[v.Object] {
-				delete(mon.inside, v.Object)
-				if mon.rng == 0 && len(mon.inside) < mon.k {
-					mon.needsReinstall = true
-				}
-			}
-			s.refreshAnswer(mon, now)
-		}
-	case protocol.MoveReport:
-		if mon := s.current(v.Query, v.Epoch); mon != nil {
-			mon.apply(v.Object, oracleTrack{pos: v.Pos, vel: v.Vel, at: v.At}, true)
-			s.refreshAnswer(mon, now)
-		}
 	default:
 	}
+}
+
+// placeTrack applies an Enter or a Move: inside for a range monitor; for
+// a kNN monitor inside unless, at its report tick, the track lies outside
+// the answer circle of the install the report names, when it goes
+// outside at rest at the reported point, with the report tick, as
+// exitOffCircle moves one.
+func (s *oracleServer) placeTrack(r protocol.MemberReport, vel geo.Vector, now model.Tick) {
+	mon := s.current(r.Query, r.Epoch)
+	if mon == nil {
+		return
+	}
+	var named *protocol.MonitorInstall
+	for _, inst := range append([]*protocol.MonitorInstall{mon.lastInstall}, mon.past[:]...) {
+		if inst != nil && inst.Epoch == r.Epoch {
+			named = inst
+		}
+	}
+	tr := oracleTrack{pos: r.Pos, vel: vel, at: r.At}
+	if p, out := s.outside(mon, named, tr, r.At); out {
+		mon.apply(r.Object, oracleTrack{pos: p, at: tr.at}, false)
+		if len(mon.inside) < mon.k {
+			mon.needsReinstall = true
+		}
+	} else {
+		mon.apply(r.Object, tr, true)
+	}
+	s.refreshAnswer(mon, now)
 }
 
 // apply records a member report's track and side. A filed candidate that
@@ -415,20 +428,13 @@ func (s *oracleServer) exitOffCircle(mon *oracleMonitor, now model.Tick) {
 	if now-mon.installedAt < model.Tick(s.deps.LatencyTicks) {
 		held = mon.heldBefore
 	}
-	if mon.rng > 0 || held == nil {
-		return
-	}
-	dt := s.deps.DT
-	c := geo.DeadReckon(held.QueryPos, held.QueryVel, float64(now-held.At)*dt)
 	exited := false
 	for id := range mon.inside {
 		tr, ok := mon.cands[id]
 		if !ok {
 			continue
 		}
-		p := tr.posAt(now, dt)
-		dx, dy := p.X-c.X, p.Y-c.Y
-		if math.Sqrt(float64(dx*dx)+float64(dy*dy)) > held.AnswerRadius {
+		if p, out := s.outside(mon, held, tr, now); out {
 			delete(mon.inside, id)
 			mon.cands[id] = oracleTrack{pos: p, at: tr.at}
 			exited = true
@@ -437,6 +443,18 @@ func (s *oracleServer) exitOffCircle(mon *oracleMonitor, now model.Tick) {
 	if exited && len(mon.inside) < mon.k {
 		mon.needsReinstall = true
 	}
+}
+
+// outside reports whether track tr lies outside the answer circle of
+// kNN monitor mon's install held at tick t, and where the track is then.
+func (s *oracleServer) outside(mon *oracleMonitor, held *protocol.MonitorInstall, tr oracleTrack, t model.Tick) (geo.Point, bool) {
+	if mon.rng > 0 || held == nil {
+		return geo.Point{}, false
+	}
+	dt := s.deps.DT
+	c := geo.DeadReckon(held.QueryPos, held.QueryVel, float64(t-held.At)*dt)
+	p := tr.posAt(t, dt)
+	return p, oracleDist(p, c) > held.AnswerRadius
 }
 
 func (s *oracleServer) boundaryFromKnown(mon *oracleMonitor, sorted []model.Neighbor) float64 {
@@ -471,7 +489,8 @@ func (s *oracleServer) broadcastInstall(mon *oracleMonitor, inst protocol.Monito
 			cover.R = max(cover.R, cover.Center.Dist(held.Center)+held.R)
 		}
 	}
-	mon.heldBefore = nil
+	copy(mon.past[1:], mon.past[:])
+	mon.past[0], mon.heldBefore = mon.lastInstall, nil
 	if inst.Refresh {
 		mon.heldBefore = mon.lastInstall
 	}
@@ -587,6 +606,15 @@ func (s *oracleServer) expandProbe(mon *oracleMonitor, now model.Tick, radius fl
 }
 
 func (s *oracleServer) install(mon *oracleMonitor, now model.Tick, center geo.Point, rk, radius float64) {
+	// r_b encloses, by the rounded-product rule, every reply within it by
+	// geo.Dist.
+	if mon.rng == 0 {
+		for _, p := range mon.replies {
+			if p.Dist(center) <= rk {
+				rk = max(rk, oracleDist(p, center))
+			}
+		}
+	}
 	mon.epoch++
 	mon.installed = true
 	mon.answerRadius = rk
@@ -602,7 +630,7 @@ func (s *oracleServer) install(mon *oracleMonitor, now model.Tick, center geo.Po
 	clear(mon.cands)
 	clear(mon.inside)
 	mon.replies.Visit(func(id model.ObjectID, p geo.Point) bool {
-		if d := p.Dist(center); d <= radius {
+		if d := oracleDist(p, center); d <= radius {
 			mon.cands[id] = oracleTrack{pos: p, at: sentAt}
 			if d <= rk {
 				mon.inside[id] = true
@@ -841,7 +869,7 @@ func (s *oracleServer) importMonitor(st protocol.QueryHandoff, now model.Tick) {
 		mon.sent[id] = true
 	}
 	if st.Installed {
-		mon.lastInstall = &protocol.MonitorInstall{QueryPos: st.AdvPos, QueryVel: st.AdvVel,
+		mon.lastInstall = &protocol.MonitorInstall{Epoch: st.Epoch, QueryPos: st.AdvPos, QueryVel: st.AdvVel,
 			AnswerRadius: st.AnswerRadius, Radius: st.Radius, At: st.InstalledAt}
 	}
 	mon.needsReinstall = !st.Installed

@@ -153,13 +153,12 @@ type monitor struct {
 	installedAt  model.Tick
 	advPos       geo.Point
 	advVel       geo.Vector
-	// prevAdv and prevRB are the advertised track and r_b of the install
-	// before the last, which the aware objects hold for the L ticks the
-	// last one takes to reach them; prevOK is set only when the last
-	// install was a refresh (see heldFrame).
-	prevAdv line
-	prevRB  float64
-	prevOK  bool
+	// past holds the installs before the last, newest first, as far back
+	// as a report may lag (epoch 0: none). The aware objects hold past[0]
+	// for the L ticks the last install takes to reach them; prevOK is set
+	// only when the last install was a refresh (see heldFrame).
+	past   [epochGrace]track
+	prevOK bool
 
 	// Working state maintained from reports: per aware object its last
 	// known position, whether it is inside the answer circle, and whether
@@ -321,36 +320,40 @@ func (s *Server) handleUplinkLocked(from model.ObjectID, msg protocol.Message, n
 			mon.replies.Set(v.Object, v.Pos)
 		}
 	case protocol.EnterReport:
-		if mon := s.current(v.Query, v.Epoch); mon != nil && finitePoint(v.Pos) && finiteVec(v.Vel) {
-			mon.tab.set(v.Object, line{v.Pos, v.Vel, v.At}, true)
-			s.refreshAnswer(mon, now)
-		}
-	case protocol.ExitReport:
-		if mon := s.current(v.Query, v.Epoch); mon != nil && finitePoint(v.Pos) {
-			mon.tab.set(v.Object, line{pos: v.Pos, at: v.At}, false)
-			mon.noteUnderfull()
-			s.refreshAnswer(mon, now)
-		}
-	case protocol.LeaveReport:
-		if mon := s.current(v.Query, v.Epoch); mon != nil && finitePoint(v.Pos) {
-			if _, wasInside := mon.tab.forget(v.Object); wasInside {
-				mon.noteUnderfull()
-			}
-			s.refreshAnswer(mon, now)
-		}
+		s.place(v.MemberReport, v.Vel, true, now)
 	case protocol.MoveReport:
-		if mon := s.current(v.Query, v.Epoch); mon != nil && finitePoint(v.Pos) && finiteVec(v.Vel) {
-			// A MoveReport is sent only by objects that believe they are
-			// inside the answer circle, so it doubles as a membership
-			// affirmation — under message loss this heals a lost
-			// EnterReport at the member's next report.
-			mon.tab.set(v.Object, line{v.Pos, v.Vel, v.At}, true)
-			s.refreshAnswer(mon, now)
-		}
+		s.place(v.MemberReport, v.Vel, true, now)
+	case protocol.ExitReport:
+		s.place(v.MemberReport, geo.Vector{}, false, now)
 	default:
 		// Other kinds (e.g. LocationReport) are not part of this
 		// protocol; ignore rather than fail, as a real server must.
 	}
+}
+
+// place files a member report: an exit (a range member's) outside, a
+// track report (an Enter or a Move) inside or, for a kNN query, on the side
+// trackInside gives it at its tick against the install it names, as its
+// object decided; an install the server no longer knows counts as inside.
+// A row outside is at rest at its point, as exitOffCircle files one; a
+// track inside affirms membership, which heals a lost Enter.
+func (s *Server) place(r protocol.MemberReport, vel geo.Vector, inside bool, now model.Tick) {
+	mon := s.current(r.Query, r.Epoch)
+	if mon == nil || !finitePoint(r.Pos) || !finiteVec(vel) {
+		return
+	}
+	l := line{r.Pos, vel, r.At}
+	if f, ok := mon.frameOf(r.Epoch); inside && ok && mon.rng == 0 {
+		inside = trackInside(&l, &f.adv, f.answerRadius, r.At, s.deps.DT)
+	}
+	if !inside {
+		l.vel = geo.Vector{}
+	}
+	mon.tab.set(r.Object, l, inside)
+	if !inside {
+		mon.noteUnderfull()
+	}
+	s.refreshAnswer(mon, now)
 }
 
 // HandleClientGone implements transport.DisconnectHandler: a vanished
@@ -524,28 +527,50 @@ func (mon *monitor) frame(t model.Tick, dt float64) geo.Circle {
 	return geo.Circle{Center: geo.DeadReckon(mon.advPos, mon.advVel, float64(t-mon.installedAt)*dt), R: mon.radius}
 }
 
-// heldFrame returns the advertised track and r_b of the install the
-// aware objects of an installed monitor hold at now: the last one, or the
-// one before it while the last is still in flight. It reports false while
-// a full install is in flight: the rows it rebuilt from probe replies are
-// not the tracks the objects measure themselves against.
-func (s *Server) heldFrame(mon *monitor, now model.Tick) (line, float64, bool) {
-	if now-mon.installedAt >= model.Tick(s.deps.LatencyTicks) {
-		return line{mon.advPos, mon.advVel, mon.installedAt}, mon.answerRadius, true
+// held is the last install as its audience holds it: its epoch, the
+// advertised query track and r_b.
+func (mon *monitor) held() track {
+	return track{epoch: mon.epoch, adv: line{mon.advPos, mon.advVel, mon.installedAt}, answerRadius: mon.answerRadius}
+}
+
+// frameOf returns install e as its audience holds it, when the server
+// still knows it: the last install or one in past.
+func (mon *monitor) frameOf(e uint32) (track, bool) {
+	if !mon.installed || e == 0 {
+		return track{}, false
 	}
-	return mon.prevAdv, mon.prevRB, mon.prevOK
+	if e == mon.epoch {
+		return mon.held(), true
+	}
+	for _, f := range mon.past {
+		if f.epoch == e {
+			return f, true
+		}
+	}
+	return track{}, false
+}
+
+// heldFrame returns the install the aware objects of an installed
+// monitor hold at now: the last one, or the one before it while the last
+// is still in flight. It reports false while a full install is in
+// flight: the rows it rebuilt from probe replies are not the tracks the
+// objects measure themselves against.
+func (s *Server) heldFrame(mon *monitor, now model.Tick) (track, bool) {
+	if now-mon.installedAt >= model.Tick(s.deps.LatencyTicks) {
+		return mon.held(), true
+	}
+	return mon.past[0], mon.prevOK
 }
 
 // exitOffCircle files the crossings of r_b that members on their tracks
 // make without a report (trackInside): every kNN member whose track lies
-// outside the answer circle the objects hold leaves it, as an ExitReport
-// would have left it.
+// outside the answer circle the objects hold leaves it, as place files a
+// track reported outside it.
 func (s *Server) exitOffCircle(mon *monitor, now model.Tick) {
 	if mon.rng > 0 {
 		return // a range member reports its own crossings
 	}
-	adv, rb, ok := s.heldFrame(mon, now)
-	if ok && mon.tab.exitOffCircle(&adv, rb, now) > 0 {
+	if f, ok := s.heldFrame(mon, now); ok && mon.tab.exitOffCircle(&f.adv, f.answerRadius, now) > 0 {
 		mon.noteUnderfull()
 	}
 }
@@ -555,8 +580,8 @@ func (s *Server) exitOffCircle(mon *monitor, now model.Tick) {
 // which only an installed monitor sends. It runs before the install state
 // is overwritten.
 func (mon *monitor) noteInstall(refresh bool) {
-	mon.prevAdv = line{mon.advPos, mon.advVel, mon.installedAt}
-	mon.prevRB = mon.answerRadius
+	copy(mon.past[1:], mon.past[:])
+	mon.past[0] = mon.held() // epoch 0 before the first install
 	mon.prevOK = refresh
 }
 
@@ -903,6 +928,18 @@ func (s *Server) expandProbe(mon *monitor, now model.Tick, radius float64) {
 // track each object resets its own row to on hearing a full install —
 // from the tick the round was sent, which no reply predates.
 func (s *Server) install(mon *monitor, now model.Tick, center geo.Point, rk, radius float64) {
+	// Replies are placed as their objects place themselves (circle.dist).
+	// A kNN r_b is the (k+m)-th reply's geo.Dist, which that rule may put
+	// an ulp short of: r_b widens to enclose every reply it enclosed.
+	c := circle{center: center}
+	if mon.rng == 0 {
+		mon.replies.Visit(func(_ model.ObjectID, p geo.Point) bool {
+			if p.Dist(center) <= rk {
+				rk = max(rk, c.dist(p))
+			}
+			return true
+		})
+	}
 	cover := s.installCover(mon, center, radius, now)
 	mon.noteInstall(false)
 	sentAt := mon.probeDue - model.Tick(2*s.deps.LatencyTicks)
@@ -918,7 +955,7 @@ func (s *Server) install(mon *monitor, now model.Tick, center geo.Point, rk, rad
 
 	mon.tab.reset()
 	mon.replies.Visit(func(id model.ObjectID, p geo.Point) bool {
-		if d := p.Dist(center); d <= radius {
+		if d := c.dist(p); d <= radius {
 			mon.tab.add(id, line{pos: p, at: sentAt}, d <= rk)
 		}
 		return true

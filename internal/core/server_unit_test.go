@@ -297,7 +297,7 @@ func TestBufferDrainTriggersProbe(t *testing.T) {
 	// All three known objects leave: fewer than k=2 inside -> a probe, not
 	// a refresh.
 	for obj := model.ObjectID(1); obj <= 3; obj++ {
-		srv.HandleUplink(obj, protocol.LeaveReport{MemberReport: protocol.MemberReport{
+		srv.HandleUplink(obj, protocol.MoveReport{MemberReport: protocol.MemberReport{
 			Query: 1, Epoch: inst.Epoch, Object: obj, Pos: geo.Pt(950, 950), At: 1,
 		}})
 	}
@@ -505,7 +505,6 @@ func TestNonFiniteReportPositionsDropped(t *testing.T) {
 	wrap := map[string]func(protocol.MemberReport) protocol.Message{
 		"enter": func(mr protocol.MemberReport) protocol.Message { return protocol.EnterReport{MemberReport: mr} },
 		"exit":  func(mr protocol.MemberReport) protocol.Message { return protocol.ExitReport{MemberReport: mr} },
-		"leave": func(mr protocol.MemberReport) protocol.Message { return protocol.LeaveReport{MemberReport: mr} },
 		"move":  func(mr protocol.MemberReport) protocol.Message { return protocol.MoveReport{MemberReport: mr} },
 	}
 	bad := []geo.Point{

@@ -220,17 +220,17 @@ func (r *diffRig) report() {
 	}
 	p := r.pos[id]
 	d := p.Dist(mon.qEst(r.now, 1))
-	kind := 0 // enter, move, exit, leave
+	kind := 0 // enter, move, exit
 	switch {
 	case d <= mon.answerRadius:
 		kind = r.rng.Intn(2)
-	case d <= mon.radius:
+	case mon.rng > 0:
 		kind = 2
 	default:
-		kind = 3
+		kind = 1 // a kNN object outside reports its track
 	}
 	if r.rng.Intn(6) == 0 {
-		kind = r.rng.Intn(4)
+		kind = r.rng.Intn(3)
 	}
 	epoch := mon.epoch
 	if r.rng.Intn(5) == 0 {
@@ -247,10 +247,8 @@ func (r *diffRig) report() {
 		r.uplink(id, protocol.EnterReport{MemberReport: mr, Vel: vel})
 	case 1:
 		r.uplink(id, protocol.MoveReport{MemberReport: mr, Vel: vel})
-	case 2:
-		r.uplink(id, protocol.ExitReport{MemberReport: mr})
 	default:
-		r.uplink(id, protocol.LeaveReport{MemberReport: mr})
+		r.uplink(id, protocol.ExitReport{MemberReport: mr})
 	}
 }
 

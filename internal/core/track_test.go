@@ -55,7 +55,9 @@ func TestSharedTrackAcrossQueries(t *testing.T) {
 		to     geo.Point
 		report func(protocol.MemberReport) protocol.Message
 	}{
-		{geo.Pt(500, 480), func(r protocol.MemberReport) protocol.Message { return protocol.ExitReport{MemberReport: r} }},
+		{geo.Pt(500, 480), func(r protocol.MemberReport) protocol.Message {
+			return protocol.MoveReport{MemberReport: r, Vel: geo.Vec(0, -20)}
+		}},
 		{geo.Pt(500, 505), func(r protocol.MemberReport) protocol.Message { return protocol.EnterReport{MemberReport: r} }},
 	} {
 		side.sent = nil

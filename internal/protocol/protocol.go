@@ -51,11 +51,14 @@ const (
 	// KindEnterReport tells the server an aware object moved inside the
 	// advertised answer radius. Uplink.
 	KindEnterReport
-	// KindExitReport tells the server an answer object moved outside the
-	// advertised answer radius. Uplink.
+	// KindExitReport tells the server a range query's member moved
+	// outside the query's range. Uplink.
 	KindExitReport
-	// KindLeaveReport tells the server an aware object left the monitoring
-	// region and stopped monitoring. Uplink.
+	// KindLeaveReport is reserved: an aware object's report that it left
+	// the monitoring region, from before the server placed every kNN
+	// member's track report itself. No message has it and Decode rejects
+	// it (ErrUnknownKind); the number stays taken so that no later kind
+	// reuses it.
 	KindLeaveReport
 	// KindMoveReport refreshes the position of an object inside the
 	// advertised answer circle after it drifted more than the in-circle
@@ -191,11 +194,14 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Kinds returns every valid kind in ascending order, for metric tables.
+// Kinds returns every kind a message has, in ascending order, for metric
+// tables.
 func Kinds() []Kind {
-	out := make([]Kind, 0, int(kindEnd)-1)
+	out := make([]Kind, 0, int(kindEnd)-2)
 	for k := KindLocationReport; k < kindEnd; k++ {
-		out = append(out, k)
+		if k != KindLeaveReport {
+			out = append(out, k)
+		}
 	}
 	return out
 }
@@ -300,7 +306,7 @@ type MonitorCancel struct {
 // Kind implements Message.
 func (MonitorCancel) Kind() Kind { return KindMonitorCancel }
 
-// MemberReport is the shared layout of the four member reports.
+// MemberReport is the shared layout of the three member reports.
 type MemberReport struct {
 	Query  model.QueryID
 	Epoch  uint32
@@ -320,17 +326,13 @@ type EnterReport struct {
 // Kind implements Message.
 func (EnterReport) Kind() Kind { return KindEnterReport }
 
-// ExitReport: an answer object crossed outside the advertised radius.
+// ExitReport: a range query's member crossed outside the range. A kNN
+// member reports its track instead (EnterReport, MoveReport), and the
+// server places it on its side of the answer circle.
 type ExitReport struct{ MemberReport }
 
 // Kind implements Message.
 func (ExitReport) Kind() Kind { return KindExitReport }
-
-// LeaveReport: an aware object left the monitoring region entirely.
-type LeaveReport struct{ MemberReport }
-
-// Kind implements Message.
-func (LeaveReport) Kind() Kind { return KindLeaveReport }
 
 // MoveReport: an object inside the answer circle left the track it last
 // reported; Pos and Vel are its new track.
@@ -664,8 +666,7 @@ func validForwardInner(k Kind) bool {
 // uplinks of the query protocol, each of which names its query.
 func Relayable(k Kind) bool {
 	switch k {
-	case KindProbeReply, KindEnterReport, KindExitReport, KindLeaveReport,
-		KindMoveReport, KindQueryRegister, KindQueryMove,
+	case KindProbeReply, KindEnterReport, KindExitReport, KindMoveReport, KindQueryRegister, KindQueryMove,
 		KindQueryDeregister, KindAnswerResync:
 		return true
 	}
@@ -745,8 +746,6 @@ func Encode(dst []byte, m Message) []byte {
 		dst = appendMemberReport(dst, v.MemberReport)
 		dst = appendVec(dst, v.Vel)
 	case ExitReport:
-		dst = appendMemberReport(dst, v.MemberReport)
-	case LeaveReport:
 		dst = appendMemberReport(dst, v.MemberReport)
 	case MoveReport:
 		dst = appendMemberReport(dst, v.MemberReport)
@@ -906,7 +905,7 @@ func EncodedSize(m Message) int {
 		return 1 + 4 + 4 + 1 + 1 + 16 + 16 + 8 + 8 + 8 + 8 + 8
 	case MonitorCancel:
 		return 1 + 4 + 4
-	case ExitReport, LeaveReport:
+	case ExitReport:
 		return 1 + memberReportSize
 	case EnterReport, MoveReport:
 		return 1 + memberReportSize + 16
@@ -1036,8 +1035,6 @@ func Decode(buf []byte) (Message, error) {
 		m = EnterReport{r.memberReport(), r.vec()}
 	case KindExitReport:
 		m = ExitReport{r.memberReport()}
-	case KindLeaveReport:
-		m = LeaveReport{r.memberReport()}
 	case KindMoveReport:
 		m = MoveReport{r.memberReport(), r.vec()}
 	case KindQueryRegister:

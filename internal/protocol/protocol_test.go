@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dmknn/internal/geo"
@@ -33,7 +34,6 @@ func sampleMessages() []Message {
 		EnterReport{MemberReport{Query: 5, Epoch: 2, Object: 99, Pos: geo.Pt(7, 8), At: 18}, geo.Vec(1.25, -0.5)},
 		EnterReport{MemberReport{Query: 5, Epoch: 2, Object: 95, Pos: geo.Pt(3, 4), At: 18}, geo.Vector{}}, // no track yet
 		ExitReport{MemberReport{Query: 5, Epoch: 2, Object: 98, Pos: geo.Pt(9, 10), At: 19}},
-		LeaveReport{MemberReport{Query: 5, Epoch: 3, Object: 97, Pos: geo.Pt(11, 12), At: 20}},
 		MoveReport{MemberReport{Query: 5, Epoch: 3, Object: 96, Pos: geo.Pt(13, 14), At: 21}, geo.Vec(-2.5, 0.75)},
 		QueryRegister{Query: 8, K: 10, Pos: geo.Pt(500, 500), Vel: geo.Vec(1, 1), At: 0},
 		QueryRegister{Query: 9, Range: 250.5, Pos: geo.Pt(10, 10), At: 1},
@@ -197,6 +197,22 @@ func TestDecodeTrailingBytes(t *testing.T) {
 	buf = append(buf, 0x00)
 	if _, err := Decode(buf); err == nil {
 		t.Fatal("trailing byte accepted")
+	}
+}
+
+// The retired leave-report kind no longer decodes: a frame laid out as
+// one, a kind byte and a member report, is an unknown kind, and Kinds
+// does not list it.
+func TestLeaveReportRetired(t *testing.T) {
+	buf := appendMemberReport([]byte{byte(KindLeaveReport)}, MemberReport{Query: 5, Epoch: 3, Object: 97, Pos: geo.Pt(11, 12), At: 20})
+	if _, err := Decode(buf); !errors.Is(err, ErrUnknownKind) {
+		t.Fatalf("leave-report frame: err = %v, want ErrUnknownKind", err)
+	}
+	if slices.Contains(Kinds(), KindLeaveReport) {
+		t.Fatal("Kinds lists the retired leave-report kind")
+	}
+	if KindLeaveReport.String() != "leave-report" {
+		t.Fatalf("reserved kind named %q", KindLeaveReport.String())
 	}
 }
 

@@ -91,13 +91,11 @@ func TestQuickMemberReports(t *testing.T) {
 			Object: model.ObjectID(obj), Pos: geo.Pt(x, y), At: model.Tick(at),
 		}
 		var m Message
-		switch kind % 4 {
+		switch kind % 3 {
 		case 0:
 			m = EnterReport{mr, geo.Vec(vx, vy)}
 		case 1:
 			m = ExitReport{mr}
-		case 2:
-			m = LeaveReport{mr}
 		default:
 			m = MoveReport{mr, geo.Vec(vx, vy)}
 		}

@@ -31,8 +31,6 @@ func QueryOf(m Message) (model.QueryID, bool) {
 		return v.Query, true
 	case ExitReport:
 		return v.Query, true
-	case LeaveReport:
-		return v.Query, true
 	case MoveReport:
 		return v.Query, true
 	case AnswerUpdate:

@@ -22,7 +22,6 @@ func TestQueryOf(t *testing.T) {
 		MonitorCancel{Query: q},
 		EnterReport{MemberReport: MemberReport{Query: q}},
 		ExitReport{MemberReport{Query: q}},
-		LeaveReport{MemberReport{Query: q}},
 		MoveReport{MemberReport: MemberReport{Query: q}},
 		AnswerUpdate{Query: q},
 		AnswerDelta{Query: q},

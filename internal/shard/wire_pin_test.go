@@ -107,26 +107,29 @@ func (w *wireRun) noteMemberships(m sim.Method, queries, step int) {
 // slow query and so spaces its reinstalls (the per-step membership pins
 // below held), and again when a member on its track stopped reporting
 // the exit the server computes from that track (the downlink and per-step
-// membership pins below held). The engine must
+// membership pins below held), and again when a kNN member stopped
+// sending exits at all and reports its track instead, which the server
+// places on its side of r_b (the downlink and per-step membership pins
+// below held). The engine must
 // keep producing these transcripts byte for byte: same message
 // sequences, same wire bytes, same loss draws, same answers.
 var wireDigests = map[string]string{
-	"seed=1/clean-L0": "ab21d12f8fe62a0d63bf9eea4ca40d1fa9b7cc5cd3d3e6f5cdc1ead385b4b3d9",
-	"seed=1/loss-L0":  "c40919b7edf28f25970cf10e158f8942501f4fca24c435acdd0fe253eef8c353",
-	"seed=1/burst-L0": "d84f262baf2f25a7c857248de08a7ce44f8f009e26661b084f401a09c883faa2",
-	"seed=1/delta-L0": "2cb43a9be50248f1ec755881d117e915d797af3a4df26248a34dc323d2ebb419",
-	"seed=2/clean-L0": "fa849d93ddb1e8a3e07bf78b47c99c5980d98bbaa862689ad033124c165f0c29",
-	"seed=2/loss-L0":  "8fc7bfb2f0aa66e01b4144c001393b3939e4722c6330660ecda20cb7bef53fe9",
-	"seed=2/burst-L0": "a7ee7d80d04f9cdc745e04ff62a22063f0d3848434dafdb9091cf1610138bc1e",
-	"seed=2/delta-L0": "d1d9efe913d119a297cafcd2dadead9fbaf9af9395fff283430f3775a1aa64cb",
-	"seed=3/clean-L0": "d77c248d913f7994f511464b58f6b6ff2c82c3f272759ca8a826244cbf0a41e5",
-	"seed=3/loss-L0":  "773c7d427295781ac1012b5ca7f2ff71b58ad14fb2a969904f20374f637edd82",
-	"seed=3/burst-L0": "8ac2d6859d38f0981d45bb9527fdcbbb0ea6a8ca14d4744696b5b4c961b55102",
-	"seed=3/delta-L0": "de2cce8faeb8939c6db98cb1bd338fbe28dceb2203c7bdc3af89e51d7fd54707",
-	"seed=4/clean-L0": "7a591ca1a4014c91d734403d50af072cf1227e73f0d8e6e3b8453810d680759b",
-	"seed=4/loss-L0":  "d750d7d944431a73b7237ad2d43ea69b81d397864dcef986bfc4201f388974c7",
-	"seed=4/burst-L0": "b7a15c050a7c1aea47e8a75d899229845ec9f45a612546fe7fa4a0bbe853ee33",
-	"seed=4/delta-L0": "43d22467607d2153238b9ef2b00e42245992c1efa7252fc4241dea8989269b99",
+	"seed=1/clean-L0": "37c40af2fcd83e8389be3486ed838078a9430198ca71ded5b929d4e990d081d1",
+	"seed=1/loss-L0":  "4517b49db23c59fe42d68be15044b5252972e8e6c5c9c6614ff1b6f99c5e9c3c",
+	"seed=1/burst-L0": "dee85069a6a1dc902ec0b88690076655b60e5ac9015153885b67f00e2f6af1d1",
+	"seed=1/delta-L0": "c3fbe4f6d0b102fd81e55ff5e536a2fec2b4e5104385248f8679e93634dc4cc3",
+	"seed=2/clean-L0": "3adace469d41261784b3ffdf365cdffef1dfc70da7a268566641b4ae6b1933e2",
+	"seed=2/loss-L0":  "af7d8f6cfc0641b1a031727a9a573fbc2efd2e1bdb2885da4f1527822e66be3e",
+	"seed=2/burst-L0": "7a68dd367f4997464390b01e64394bafa4164ef763b1e3d51a7020562fc4d7b9",
+	"seed=2/delta-L0": "636a24f0606057a92b5e66f3f4e97206861192584aaca279c08692bcc33ab1dd",
+	"seed=3/clean-L0": "7fe59c7194a7bcd58e1a7d7709277d56bfa0fcbe93441ba07666db3316599bea",
+	"seed=3/loss-L0":  "bed9d0ed05ae2f35c9e12eb263141fcdc5d9e41e2dd2571c9748092d31ed1664",
+	"seed=3/burst-L0": "0d6b81027f07e216e36e030a92097802b19aadcdf35ab113eadeca23bdcaca85",
+	"seed=3/delta-L0": "4b0c3712812e8e5e6466e9be952928c85deb539be779694298af27d2ee21468a",
+	"seed=4/clean-L0": "09782f3ec4180f3bcc09b5d6bffae618c4427cd87c5e1e424f3a0574e4e58f07",
+	"seed=4/loss-L0":  "82981ec0395d181018502ac87c2ec9fca0ea32eb7c01d09491ccb735795bcff4",
+	"seed=4/burst-L0": "0e54b2719359db44a82b8d445dd17fb4b154e546ba9c9f0e55dec45fcd0b5da1",
+	"seed=4/delta-L0": "0ee0199aa6d6256e0d1f6bb23f36139f95daf9534e9b2dd667aae0eca7382549",
 }
 
 // uplinkDigests pins uplinkDigest of the lossless scenarios. They held
@@ -140,16 +143,20 @@ var wireDigests = map[string]string{
 // began to leave the answer circle without an ExitReport: the server
 // files the crossing from the track it holds, at a tick or a refresh
 // install, so the exits left are those of members off their track, and
-// the uplink shrinks by those messages alone.
+// the uplink shrinks by those messages alone. They were re-captured again
+// when a kNN member's side got one rule on both ends: each of those exits
+// is now a MoveReport carrying the member's track (37 → 53 B), which the
+// server places outside r_b, and a member re-affirming from outside r_b on
+// a track still inside it reports a Move and leaves.
 var uplinkDigests = map[string]string{
-	"seed=1/clean-L0": "c86f8c72d2a812d2d0cbbe1cc4e83e78e4bd96e6c470eae0966d81b4b11c810c",
-	"seed=1/delta-L0": "2833a7e7cd958c4c5a7e06ef35978c02191a944d58fe8343667af6133f90f7f9",
-	"seed=2/clean-L0": "1422cd0c8b56053a7a6617413089ef1ace309ed6154fb4a9e4533f3e83be5ec5",
-	"seed=2/delta-L0": "a727349232de8dc6b4beb376ebe058af2e63ecdf93668aa0db1c73466189a6e5",
-	"seed=3/clean-L0": "680fac8008fc804816bcfdd0f176fc0f8bca49d23f8f7d868704ad314cd05104",
-	"seed=3/delta-L0": "fa12455bd52700b1a482c050d7dc61262c561bf6b103a7b6359ce41dc6d1adc6",
-	"seed=4/clean-L0": "6304720897f28e45fbef575bc6c76eaf25c26a604919af5b261f691891ef286a",
-	"seed=4/delta-L0": "7494b916dff5be8510276ab1e3e91c749cd4ac97787fef0a42da0450e2e94c80",
+	"seed=1/clean-L0": "8d1f6114d42364bb080d38e2283fa1b79ac8c335c7062b874d84a35b02744d4c",
+	"seed=1/delta-L0": "0f453b3deeb9a33bd325079ee16a2f38c083cf52e17ed7cc1c340baa7fd4c566",
+	"seed=2/clean-L0": "cc604d30178455661009abac47c9c5180f4ab0b824ce809c627ace3de72426e7",
+	"seed=2/delta-L0": "9ca23e925ad430541c31000c355211887cf4c6ca6a532b9636cd346fe2c512f1",
+	"seed=3/clean-L0": "74e00599bd28f3a6e0325dd7831eb53e1b3e661763562c109f3b1bc7d5398fca",
+	"seed=3/delta-L0": "a0bb3c5aa2bc4b311e60dc10a34b32f14e5dce7d021cdd581ed0733eb512de8c",
+	"seed=4/clean-L0": "5fe6390a7571c85cf54f50a0c21c041976bee55de6dbfca6cce20c32d7f62777",
+	"seed=4/delta-L0": "6f16e9fe15e45a8d57b8f0dbef7cb29aba8cf32055072bdd20c758e1d4a147f1",
 }
 
 // downlinkDigests pins downlinkDigest of the lossless scenarios. They
