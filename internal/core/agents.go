@@ -429,15 +429,9 @@ func (a *ObjectAgent) trackSide(q model.QueryID, ms *memberState, c *circle, dri
 	if !held && in {
 		return side, false
 	}
-	if a.deps.Trace != nil {
-		// A silent exit, or a move the threshold just saved: the server's
-		// track is still close enough.
-		kind := protocol.KindMoveReport
-		if !in {
-			kind = protocol.KindExitReport
-		}
+	if !in && a.deps.Trace != nil {
 		emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvReportSuppressed,
-			Query: q, Object: a.deps.ID, Kind: kind, Value: drift})
+			Query: q, Object: a.deps.ID, Kind: protocol.KindExitReport, Value: drift})
 	}
 	return in, true
 }
@@ -517,6 +511,11 @@ func (a *ObjectAgent) Tick(now model.Tick) {
 			if side, onTrack = a.trackSide(q, ms, &c, drift, now, held, side); !onTrack {
 				ms.line = line{p, ms.velocity(p, now, dt), now}
 				a.sendTrack(q, tr.epoch, ms.line, false, drift)
+			} else if side && a.deps.Trace != nil {
+				// The threshold just saved an uplink: the server's track is
+				// still close enough.
+				emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvReportSuppressed,
+					Query: q, Object: a.deps.ID, Kind: protocol.KindMoveReport, Value: drift})
 			}
 		case side && !mon.inside:
 			l := line{p, a.trackVel(p, now, tr.rangeMode), now}
@@ -524,7 +523,7 @@ func (a *ObjectAgent) Tick(now model.Tick) {
 			mon.inside = true
 			a.addMember(mi, memberState{l})
 		case !side && mon.inside:
-			a.exit(q, tr.epoch, p, now, d)
+			a.exit(q, tr.epoch, p, now, d) // a range member
 		}
 		if mon.inside && !side {
 			mon.inside = false

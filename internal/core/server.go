@@ -343,7 +343,7 @@ func (s *Server) place(r protocol.MemberReport, vel geo.Vector, inside bool, now
 		return
 	}
 	l := line{r.Pos, vel, r.At}
-	if f, ok := mon.frameOf(r.Epoch); inside && ok && mon.rng == 0 {
+	if f, ok := mon.installOf(r.Epoch); inside && ok && mon.rng == 0 {
 		inside = trackInside(&l, &f.adv, f.answerRadius, r.At, s.deps.DT)
 	}
 	if !inside {
@@ -533,9 +533,9 @@ func (mon *monitor) held() track {
 	return track{epoch: mon.epoch, adv: line{mon.advPos, mon.advVel, mon.installedAt}, answerRadius: mon.answerRadius}
 }
 
-// frameOf returns install e as its audience holds it, when the server
+// installOf returns install e as its audience holds it, when the server
 // still knows it: the last install or one in past.
-func (mon *monitor) frameOf(e uint32) (track, bool) {
+func (mon *monitor) installOf(e uint32) (track, bool) {
 	if !mon.installed || e == 0 {
 		return track{}, false
 	}

@@ -50,7 +50,7 @@ const (
 	// applied seq.
 	EvResyncRequested
 	// EvReportSent: an object sent an uplink report. Kind says which
-	// (move/enter/exit/leave/probe-reply), Value the reported distance.
+	// (move/enter/exit/probe-reply), Value the reported distance.
 	EvReportSent
 	// EvReportSuppressed: an in-circle object drifted but stayed under
 	// the report threshold, so no uplink was spent (Kind move), or its
