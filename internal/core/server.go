@@ -689,7 +689,7 @@ func (s *Server) Tick(now model.Tick) {
 		// positions: no probe, no mass replies — objects self-report side
 		// changes relative to their previous monitor state. The full
 		// expanding-ring probe remains for bootstrap and for recovery
-		// when exits/leaves dropped the inside count below k. Range
+		// when exits dropped the inside count below k. Range
 		// monitors always refresh once installed (membership is
 		// self-maintaining at any population).
 		if mon.installed && (mon.rng > 0 || mon.tab.nInside >= mon.k) {
@@ -738,7 +738,7 @@ func (s *Server) refreshInstall(mon *monitor, now model.Tick) {
 	mon.advPos, mon.advVel = center, mon.qvel
 	s.countInstall(mon)
 
-	// Objects strictly outside the new circle will exit/drop themselves;
+	// Objects strictly outside the new circle will leave and drop it;
 	// prune candidates whose last known position is already outside so
 	// stale annulus entries do not accumulate. Members on their tracks
 	// take their side of the new answer circle silently, once they hold it.
