@@ -16,6 +16,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
 	f.Add([]byte{0xFF, 1, 2, 3})
+	// The retired leave-report kind, laid out as a member report: rejected.
+	f.Add(appendMemberReport([]byte{byte(KindLeaveReport)}, MemberReport{Query: 5, Epoch: 3, Object: 97, At: 20}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
 		if err != nil {
