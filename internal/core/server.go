@@ -449,8 +449,9 @@ func (s *Server) current(q model.QueryID, epoch uint32) *monitor {
 
 // maxK bounds the accepted kNN parameter: a wire-supplied k feeds
 // allocation sizes, so an absurd value is a denial-of-service attempt,
-// not a query.
-const maxK = 1 << 16
+// not a query. An answer's neighbor count travels as a u16, so no larger
+// k could be answered either.
+const maxK = math.MaxUint16
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 

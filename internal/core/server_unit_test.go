@@ -101,6 +101,26 @@ func TestRegisterStartsProbe(t *testing.T) {
 	}
 }
 
+// k is bounded by what an answer can carry: an AnswerUpdate counts its
+// neighbors in a u16, so k = 65 536 is refused at registration and
+// k = 65 535 is accepted, and an answer that large still decodes.
+func TestRegisterBoundsKByAnswerCount(t *testing.T) {
+	srv, _, now := unitServer(t, baseCfg())
+	*now = 1
+	srv.HandleUplink(500, protocol.QueryRegister{Query: 1, K: 1 << 16, Pos: geo.Pt(500, 500), At: 1})
+	if srv.HasQuery(1) {
+		t.Fatal("registered k = 65536, more neighbors than an answer-update can count")
+	}
+	srv.HandleUplink(500, protocol.QueryRegister{Query: 2, K: 1<<16 - 1, Pos: geo.Pt(500, 500), At: 1})
+	if !srv.HasQuery(2) {
+		t.Fatal("refused k = 65535, the largest answer-update count")
+	}
+	full := protocol.AnswerUpdate{Query: 2, Neighbors: make([]model.Neighbor, maxK)}
+	if _, err := protocol.Decode(protocol.Encode(nil, full)); err != nil {
+		t.Fatalf("answer-update with maxK neighbors: %v", err)
+	}
+}
+
 func TestProbeExpandsUntilEnoughReplies(t *testing.T) {
 	srv, side, now := unitServer(t, baseCfg())
 	*now = 1

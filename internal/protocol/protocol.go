@@ -14,9 +14,10 @@
 //   - broadcast: server → all clients inside a set of grid cells
 //     (cell-granular wireless broadcast).
 //
-// Wire format: one kind byte followed by fixed-layout little-endian
-// fields; AnswerUpdate carries a 16-bit count plus that many neighbor
-// records. Encode never fails; Decode validates length and kind.
+// Wire format: one kind byte followed by little-endian fields; a list is
+// a u16 or u32 count plus that many fixed-size records. Each kind's
+// layout is written once (codec.message), and Encode, EncodedSize and
+// Decode all walk it. Encode never fails; Decode validates length and kind.
 package protocol
 
 import (
@@ -698,632 +699,40 @@ var ErrBadThreshold = errors.New("protocol: non-finite or negative threshold")
 // Encode serializes m, appending to dst (which may be nil) and returning
 // the extended buffer.
 func Encode(dst []byte, m Message) []byte {
-	dst = append(dst, byte(m.Kind()))
-	switch v := m.(type) {
-	case LocationReport:
-		dst = appendU32(dst, uint32(v.Object))
-		dst = appendPoint(dst, v.Pos)
-		dst = appendVec(dst, v.Vel)
-		dst = appendTick(dst, v.At)
-	case ProbeRequest:
-		dst = appendU32(dst, uint32(v.Query))
-		dst = appendU32(dst, v.Seq)
-		dst = appendPoint(dst, v.Region.Center)
-		dst = appendF64(dst, v.Region.R)
-		dst = appendTick(dst, v.At)
-	case ProbeReply:
-		dst = appendU32(dst, uint32(v.Query))
-		dst = appendU32(dst, v.Seq)
-		dst = appendU32(dst, uint32(v.Object))
-		dst = appendPoint(dst, v.Pos)
-		dst = appendTick(dst, v.At)
-	case MonitorInstall:
-		dst = appendU32(dst, uint32(v.Query))
-		dst = appendU32(dst, v.Epoch)
-		dst = appendBool(dst, v.Refresh)
-		dst = appendBool(dst, v.RangeMode)
-		dst = appendPoint(dst, v.QueryPos)
-		dst = appendVec(dst, v.QueryVel)
-		dst = appendF64(dst, v.AnswerRadius)
-		dst = appendF64(dst, v.Radius)
-		dst = appendTick(dst, v.At)
-	case InfluenceInstall:
-		dst = appendU32(dst, uint32(v.Install.Query))
-		dst = appendU32(dst, v.Install.Epoch)
-		dst = appendBool(dst, v.Install.Refresh)
-		dst = appendBool(dst, v.Install.RangeMode)
-		dst = appendPoint(dst, v.Install.QueryPos)
-		dst = appendVec(dst, v.Install.QueryVel)
-		dst = appendF64(dst, v.Install.AnswerRadius)
-		dst = appendF64(dst, v.Install.Radius)
-		dst = appendTick(dst, v.Install.At)
-		dst = appendF64(dst, v.Frontier)
-		dst = appendF64(dst, v.Band)
-	case MonitorCancel:
-		dst = appendU32(dst, uint32(v.Query))
-		dst = appendU32(dst, v.Epoch)
-	case EnterReport:
-		dst = appendMemberReport(dst, v.MemberReport)
-		dst = appendVec(dst, v.Vel)
-	case ExitReport:
-		dst = appendMemberReport(dst, v.MemberReport)
-	case MoveReport:
-		dst = appendMemberReport(dst, v.MemberReport)
-		dst = appendVec(dst, v.Vel)
-	case QueryRegister:
-		dst = appendU32(dst, uint32(v.Query))
-		dst = appendU32(dst, v.K)
-		dst = appendF64(dst, v.Range)
-		dst = appendPoint(dst, v.Pos)
-		dst = appendVec(dst, v.Vel)
-		dst = appendTick(dst, v.At)
-	case QueryMove:
-		dst = appendU32(dst, uint32(v.Query))
-		dst = appendPoint(dst, v.Pos)
-		dst = appendVec(dst, v.Vel)
-		dst = appendTick(dst, v.At)
-	case QueryDeregister:
-		dst = appendU32(dst, uint32(v.Query))
-	case AnswerUpdate:
-		dst = appendU32(dst, uint32(v.Query))
-		dst = appendU32(dst, v.Seq)
-		dst = appendTick(dst, v.At)
-		dst = appendPoint(dst, v.QPos)
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(v.Neighbors)))
-		for _, n := range v.Neighbors {
-			dst = appendU32(dst, uint32(n.ID))
-			dst = appendF64(dst, n.Dist)
-		}
-	case AnswerDelta:
-		dst = appendU32(dst, uint32(v.Query))
-		dst = appendU32(dst, v.Seq)
-		dst = appendTick(dst, v.At)
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(v.Added)))
-		for _, n := range v.Added {
-			dst = appendU32(dst, uint32(n.ID))
-			dst = appendF64(dst, n.Dist)
-		}
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(v.Removed)))
-		for _, id := range v.Removed {
-			dst = appendU32(dst, uint32(id))
-		}
-	case AnswerResync:
-		dst = appendU32(dst, uint32(v.Query))
-		dst = appendU32(dst, v.LastSeq)
-		dst = appendTick(dst, v.At)
-	case NodeForward:
-		dst = appendU16(dst, v.Home)
-		dst = appendU64(dst, v.Version)
-		dst = appendPoint(dst, v.Region.Center)
-		dst = appendF64(dst, v.Region.R)
-		dst = Encode(dst, v.Inner) // nested: consumes the remainder
-	case NodeRelay:
-		dst = appendU32(dst, uint32(v.Origin))
-		dst = append(dst, v.Hops)
-		dst = appendU64(dst, v.Version)
-		dst = Encode(dst, v.Inner)
-	case NodeDeliver:
-		dst = appendU32(dst, uint32(v.To))
-		dst = appendU64(dst, v.Version)
-		dst = Encode(dst, v.Inner)
-	case ObjectHandoff:
-		dst = appendU32(dst, uint32(v.Object))
-		dst = appendPoint(dst, v.Pos)
-		dst = appendVec(dst, v.Vel)
-		dst = appendTick(dst, v.At)
-		dst = appendU16(dst, uint16(len(v.Aware)))
-		for _, a := range v.Aware {
-			dst = appendU32(dst, uint32(a.Query))
-			dst = appendU16(dst, a.Home)
-		}
-	case QueryHandoff:
-		dst = appendU32(dst, uint32(v.Query))
-		dst = appendU32(dst, v.K)
-		dst = appendF64(dst, v.Range)
-		dst = appendU32(dst, uint32(v.Addr))
-		dst = appendPoint(dst, v.QPos)
-		dst = appendVec(dst, v.QVel)
-		dst = appendTick(dst, v.QAt)
-		dst = appendU32(dst, v.Epoch)
-		dst = appendBool(dst, v.Installed)
-		dst = appendF64(dst, v.AnswerRadius)
-		dst = appendF64(dst, v.Radius)
-		dst = appendTick(dst, v.InstalledAt)
-		dst = appendPoint(dst, v.AdvPos)
-		dst = appendVec(dst, v.AdvVel)
-		dst = appendU32(dst, v.AnswerSeq)
-		dst = appendTick(dst, v.LastProbeAt)
-		dst = appendU32(dst, uint32(len(v.Candidates)))
-		for _, c := range v.Candidates {
-			dst = appendU32(dst, uint32(c.ID))
-			dst = appendPoint(dst, c.Pos)
-			dst = appendVec(dst, c.Vel)
-			dst = appendTick(dst, c.At)
-		}
-		dst = appendU32(dst, uint32(len(v.Inside)))
-		for _, id := range v.Inside {
-			dst = appendU32(dst, uint32(id))
-		}
-		dst = appendU32(dst, uint32(len(v.Sent)))
-		for _, id := range v.Sent {
-			dst = appendU32(dst, uint32(id))
-		}
-		dst = appendU16(dst, uint16(len(v.Spread)))
-		for _, n := range v.Spread {
-			dst = appendU16(dst, n)
-		}
-	case QueryHandoffAck:
-		dst = appendU32(dst, uint32(v.Query))
-	case NodeClientGone:
-		dst = appendU32(dst, uint32(v.Object))
-	case PeerHello:
-		dst = appendU16(dst, v.Node)
-		dst = appendU16(dst, v.Nodes)
-		dst = appendU64(dst, v.Version)
-		dst = appendTick(dst, v.At)
-	case PeerHeartbeat:
-		dst = appendU16(dst, v.Node)
-		dst = appendTick(dst, v.At)
-	case NodeRedirect:
-		dst = appendU16(dst, v.Node)
-		dst = appendU16(dst, uint16(len(v.Addr)))
-		dst = append(dst, v.Addr...)
-	case NodeLoad:
-		dst = appendU16(dst, v.Node)
-		dst = appendU64(dst, v.Version)
-		dst = appendU64(dst, v.Uplinks)
-		dst = appendTick(dst, v.At)
-	case PartitionUpdate:
-		dst = appendU64(dst, v.Version)
-		dst = appendU16(dst, uint16(len(v.Owners)))
-		for _, o := range v.Owners {
-			dst = appendU16(dst, o)
-		}
-	case PartitionAck:
-		dst = appendU16(dst, v.Node)
-		dst = appendU64(dst, v.Version)
-	default:
-		panic(fmt.Sprintf("protocol: Encode of unknown type %T", m))
-	}
-	return dst
+	c := codec{mode: encoding, buf: append(dst, byte(m.Kind()))}
+	c.message(m.Kind(), m)
+	return c.buf
 }
 
 // EncodedSize returns the wire size of m in bytes.
 func EncodedSize(m Message) int {
-	// Small messages: encoding is cheap enough that sizing via Encode
-	// would be acceptable, but the fixed layouts let us answer directly.
-	switch v := m.(type) {
-	case LocationReport:
-		return 1 + 4 + 16 + 16 + 8
-	case ProbeRequest:
-		return 1 + 4 + 4 + 16 + 8 + 8
-	case ProbeReply:
-		return 1 + 4 + 4 + 4 + 16 + 8
-	case MonitorInstall:
-		return 1 + 4 + 4 + 1 + 1 + 16 + 16 + 8 + 8 + 8
-	case InfluenceInstall:
-		return 1 + 4 + 4 + 1 + 1 + 16 + 16 + 8 + 8 + 8 + 8 + 8
-	case MonitorCancel:
-		return 1 + 4 + 4
-	case ExitReport:
-		return 1 + memberReportSize
-	case EnterReport, MoveReport:
-		return 1 + memberReportSize + 16
-	case QueryRegister:
-		return 1 + 4 + 4 + 8 + 16 + 16 + 8
-	case QueryMove:
-		return 1 + 4 + 16 + 16 + 8
-	case QueryDeregister:
-		return 1 + 4
-	case AnswerUpdate:
-		return 1 + 4 + 4 + 8 + 16 + 2 + len(v.Neighbors)*12
-	case AnswerDelta:
-		return 1 + 4 + 4 + 8 + 2 + len(v.Added)*12 + 2 + len(v.Removed)*4
-	case AnswerResync:
-		return 1 + 4 + 4 + 8
-	case NodeForward:
-		return 1 + 2 + 8 + 16 + 8 + EncodedSize(v.Inner)
-	case NodeRelay:
-		return 1 + 4 + 1 + 8 + EncodedSize(v.Inner)
-	case NodeDeliver:
-		return 1 + 4 + 8 + EncodedSize(v.Inner)
-	case ObjectHandoff:
-		return 1 + 4 + 16 + 16 + 8 + 2 + len(v.Aware)*6
-	case QueryHandoff:
-		return 1 + 4 + 4 + 8 + 4 + 16 + 16 + 8 + 4 + 1 + 8 + 8 + 8 + 16 + 16 + 4 + 8 +
-			4 + len(v.Candidates)*candidateSize + 4 + len(v.Inside)*4 + 4 + len(v.Sent)*4 +
-			2 + len(v.Spread)*2
-	case QueryHandoffAck:
-		return 1 + 4
-	case NodeClientGone:
-		return 1 + 4
-	case PeerHello:
-		return 1 + 2 + 2 + 8 + 8
-	case PeerHeartbeat:
-		return 1 + 2 + 8
-	case NodeRedirect:
-		return 1 + 2 + 2 + len(v.Addr)
-	case NodeLoad:
-		return 1 + 2 + 8 + 8 + 8
-	case PartitionUpdate:
-		return 1 + 8 + 2 + len(v.Owners)*2
-	case PartitionAck:
-		return 1 + 2 + 8
-	default:
-		panic(fmt.Sprintf("protocol: EncodedSize of unknown type %T", m))
-	}
+	c := codec{mode: sizing, n: 1}
+	c.message(m.Kind(), m)
+	return c.n
 }
-
-const memberReportSize = 4 + 4 + 4 + 16 + 8
-
-// candidateSize is the wire size of one CandidateRecord.
-const candidateSize = 4 + 16 + 16 + 8
 
 // Decode parses one message from buf. The entire buffer must be consumed;
 // trailing bytes are an error, which catches framing bugs early. A list
 // count is bounded by the bytes left before anything is allocated for it,
-// and a list-carrying message is boxed only once it decoded whole, so a
-// short frame claiming a long list costs no allocation at all.
+// and a message is boxed only once it decoded whole, so a short frame
+// claiming a long list costs no allocation at all.
 func Decode(buf []byte) (Message, error) {
 	if len(buf) < 1 {
 		return nil, ErrTruncated
 	}
 	k := Kind(buf[0])
-	r := reader{buf: buf[1:]}
-	var m Message
-	switch k {
-	case KindLocationReport:
-		m = LocationReport{
-			Object: model.ObjectID(r.u32()),
-			Pos:    r.point(),
-			Vel:    r.vec(),
-			At:     r.tick(),
-		}
-	case KindProbeRequest:
-		m = ProbeRequest{
-			Query:  model.QueryID(r.u32()),
-			Seq:    r.u32(),
-			Region: geo.Circle{Center: r.point(), R: r.f64()},
-			At:     r.tick(),
-		}
-	case KindProbeReply:
-		m = ProbeReply{
-			Query:  model.QueryID(r.u32()),
-			Seq:    r.u32(),
-			Object: model.ObjectID(r.u32()),
-			Pos:    r.point(),
-			At:     r.tick(),
-		}
-	case KindMonitorInstall:
-		m = MonitorInstall{
-			Query:        model.QueryID(r.u32()),
-			Epoch:        r.u32(),
-			Refresh:      r.bool(),
-			RangeMode:    r.bool(),
-			QueryPos:     r.point(),
-			QueryVel:     r.vec(),
-			AnswerRadius: r.f64(),
-			Radius:       r.f64(),
-			At:           r.tick(),
-		}
-	case KindInfluenceInstall:
-		ii := InfluenceInstall{
-			Install: MonitorInstall{
-				Query:        model.QueryID(r.u32()),
-				Epoch:        r.u32(),
-				Refresh:      r.bool(),
-				RangeMode:    r.bool(),
-				QueryPos:     r.point(),
-				QueryVel:     r.vec(),
-				AnswerRadius: r.f64(),
-				Radius:       r.f64(),
-				At:           r.tick(),
-			},
-			Frontier: r.f64(),
-			Band:     r.f64(),
-		}
-		if !r.failed && (!validThreshold(ii.Frontier) || !validThreshold(ii.Band)) {
-			return nil, ErrBadThreshold
-		}
-		m = ii
-	case KindMonitorCancel:
-		m = MonitorCancel{
-			Query: model.QueryID(r.u32()),
-			Epoch: r.u32(),
-		}
-	case KindEnterReport:
-		m = EnterReport{r.memberReport(), r.vec()}
-	case KindExitReport:
-		m = ExitReport{r.memberReport()}
-	case KindMoveReport:
-		m = MoveReport{r.memberReport(), r.vec()}
-	case KindQueryRegister:
-		m = QueryRegister{
-			Query: model.QueryID(r.u32()),
-			K:     r.u32(),
-			Range: r.f64(),
-			Pos:   r.point(),
-			Vel:   r.vec(),
-			At:    r.tick(),
-		}
-	case KindQueryMove:
-		m = QueryMove{
-			Query: model.QueryID(r.u32()),
-			Pos:   r.point(),
-			Vel:   r.vec(),
-			At:    r.tick(),
-		}
-	case KindQueryDeregister:
-		m = QueryDeregister{Query: model.QueryID(r.u32())}
-	case KindAnswerUpdate:
-		au := AnswerUpdate{
-			Query: model.QueryID(r.u32()),
-			Seq:   r.u32(),
-			At:    r.tick(),
-			QPos:  r.point(),
-		}
-		if n := r.count(int(r.u16()), 12); n > 0 {
-			au.Neighbors = make([]model.Neighbor, 0, n)
-			for i := 0; i < n; i++ {
-				au.Neighbors = append(au.Neighbors, model.Neighbor{
-					ID:   model.ObjectID(r.u32()),
-					Dist: r.f64(),
-				})
-			}
-		}
-		if !r.failed {
-			m = au
-		}
-	case KindAnswerDelta:
-		ad := AnswerDelta{
-			Query: model.QueryID(r.u32()),
-			Seq:   r.u32(),
-			At:    r.tick(),
-		}
-		if na := r.count(int(r.u16()), 12); na > 0 {
-			ad.Added = make([]model.Neighbor, 0, na)
-			for i := 0; i < na; i++ {
-				ad.Added = append(ad.Added, model.Neighbor{
-					ID:   model.ObjectID(r.u32()),
-					Dist: r.f64(),
-				})
-			}
-		}
-		if nr := r.count(int(r.u16()), 4); nr > 0 {
-			ad.Removed = make([]model.ObjectID, 0, nr)
-			for i := 0; i < nr; i++ {
-				ad.Removed = append(ad.Removed, model.ObjectID(r.u32()))
-			}
-		}
-		if !r.failed {
-			m = ad
-		}
-	case KindAnswerResync:
-		m = AnswerResync{
-			Query:   model.QueryID(r.u32()),
-			LastSeq: r.u32(),
-			At:      r.tick(),
-		}
-	case KindNodeForward:
-		nf := NodeForward{
-			Home:    r.u16(),
-			Version: r.u64(),
-			Region:  geo.Circle{Center: r.point(), R: r.f64()},
-		}
-		nf.Inner = r.nested(validForwardInner)
-		m = nf
-	case KindNodeRelay:
-		nr := NodeRelay{
-			Origin:  model.ObjectID(r.u32()),
-			Hops:    r.u8(),
-			Version: r.u64(),
-		}
-		nr.Inner = r.nested(Relayable)
-		m = nr
-	case KindNodeDeliver:
-		nd := NodeDeliver{To: model.ObjectID(r.u32()), Version: r.u64()}
-		nd.Inner = r.nested(validDeliverInner)
-		m = nd
-	case KindObjectHandoff:
-		oh := ObjectHandoff{
-			Object: model.ObjectID(r.u32()),
-			Pos:    r.point(),
-			Vel:    r.vec(),
-			At:     r.tick(),
-		}
-		if n := r.count(int(r.u16()), 6); n > 0 {
-			oh.Aware = make([]AwareEntry, 0, n)
-			for i := 0; i < n; i++ {
-				oh.Aware = append(oh.Aware, AwareEntry{
-					Query: model.QueryID(r.u32()),
-					Home:  r.u16(),
-				})
-			}
-		}
-		if !r.failed {
-			m = oh
-		}
-	case KindQueryHandoff:
-		qh := QueryHandoff{
-			Query:        model.QueryID(r.u32()),
-			K:            r.u32(),
-			Range:        r.f64(),
-			Addr:         model.ObjectID(r.u32()),
-			QPos:         r.point(),
-			QVel:         r.vec(),
-			QAt:          r.tick(),
-			Epoch:        r.u32(),
-			Installed:    r.bool(),
-			AnswerRadius: r.f64(),
-			Radius:       r.f64(),
-			InstalledAt:  r.tick(),
-			AdvPos:       r.point(),
-			AdvVel:       r.vec(),
-			AnswerSeq:    r.u32(),
-			LastProbeAt:  r.tick(),
-		}
-		if nc := r.count(int(r.u32()), candidateSize); nc > 0 {
-			qh.Candidates = make([]CandidateRecord, 0, nc)
-			for i := 0; i < nc; i++ {
-				qh.Candidates = append(qh.Candidates, CandidateRecord{
-					ID:  model.ObjectID(r.u32()),
-					Pos: r.point(),
-					Vel: r.vec(),
-					At:  r.tick(),
-				})
-			}
-		}
-		if ni := r.count(int(r.u32()), 4); ni > 0 {
-			qh.Inside = make([]model.ObjectID, 0, ni)
-			for i := 0; i < ni; i++ {
-				qh.Inside = append(qh.Inside, model.ObjectID(r.u32()))
-			}
-		}
-		if ns := r.count(int(r.u32()), 4); ns > 0 {
-			qh.Sent = make([]model.ObjectID, 0, ns)
-			for i := 0; i < ns; i++ {
-				qh.Sent = append(qh.Sent, model.ObjectID(r.u32()))
-			}
-		}
-		if nsp := r.count(int(r.u16()), 2); nsp > 0 {
-			qh.Spread = make([]uint16, 0, nsp)
-			for i := 0; i < nsp; i++ {
-				qh.Spread = append(qh.Spread, r.u16())
-			}
-		}
-		if !r.failed {
-			m = qh
-		}
-	case KindQueryHandoffAck:
-		m = QueryHandoffAck{Query: model.QueryID(r.u32())}
-	case KindNodeClientGone:
-		m = NodeClientGone{Object: model.ObjectID(r.u32())}
-	case KindPeerHello:
-		m = PeerHello{Node: r.u16(), Nodes: r.u16(), Version: r.u64(), At: r.tick()}
-	case KindPeerHeartbeat:
-		m = PeerHeartbeat{Node: r.u16(), At: r.tick()}
-	case KindNodeRedirect:
-		m = NodeRedirect{Node: r.u16(), Addr: r.str()}
-	case KindNodeLoad:
-		m = NodeLoad{Node: r.u16(), Version: r.u64(), Uplinks: r.u64(), At: r.tick()}
-	case KindPartitionUpdate:
-		pu := PartitionUpdate{Version: r.u64()}
-		if n := r.count(int(r.u16()), 2); n > 0 {
-			pu.Owners = make([]uint16, 0, n)
-			for i := 0; i < n; i++ {
-				pu.Owners = append(pu.Owners, r.u16())
-			}
-		}
-		if !r.failed {
-			m = pu
-		}
-	case KindPartitionAck:
-		m = PartitionAck{Node: r.u16(), Version: r.u64()}
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, uint8(k))
+	c := codec{mode: decoding, buf: buf[1:]}
+	m := c.message(k, nil)
+	if c.err != nil {
+		return nil, c.err
 	}
-	if r.failed {
-		if r.err != nil {
-			return nil, r.err
-		}
-		return nil, ErrTruncated
+	if ii, ok := m.(InfluenceInstall); ok && !(validThreshold(ii.Frontier) && validThreshold(ii.Band)) {
+		return nil, ErrBadThreshold
 	}
-	if len(r.buf) != 0 {
-		return nil, fmt.Errorf("protocol: %d trailing bytes after %v", len(r.buf), k)
+	if len(c.buf) != 0 {
+		return nil, fmt.Errorf("protocol: %d trailing bytes after %v", len(c.buf), k)
 	}
 	return m, nil
-}
-
-// reader consumes little-endian fields, latching failure on underflow so
-// call sites stay linear. err carries a more specific decode error than
-// the default ErrTruncated when one is known (a nested message's own
-// decode failure).
-type reader struct {
-	buf    []byte
-	failed bool
-	err    error
-}
-
-func (r *reader) take(n int) []byte {
-	if r.failed || len(r.buf) < n {
-		r.failed = true
-		return nil
-	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
-	return b
-}
-
-func (r *reader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *reader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *reader) f64() float64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
-
-func (r *reader) tick() model.Tick {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return model.Tick(binary.LittleEndian.Uint64(b))
-}
-
-func (r *reader) bool() bool {
-	b := r.take(1)
-	if b == nil {
-		return false
-	}
-	// Strict: only 0 and 1 are valid bool encodings, so every accepted
-	// message has exactly one byte representation.
-	if b[0] > 1 {
-		r.failed = true
-		return false
-	}
-	return b[0] == 1
-}
-
-// str reads a u16 length prefix and that many bytes as a string.
-func (r *reader) str() string {
-	n := int(r.u16())
-	b := r.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-func (r *reader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
 }
 
 // validThreshold reports whether v is usable as an influence frontier or
@@ -1332,100 +741,468 @@ func validThreshold(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
 }
 
-// count bounds an element count n just read from the frame: a count
-// whose records (recordSize bytes each) could not possibly fit in the
-// remaining buffer fails the reader, so a corrupt count cannot drive a
-// huge allocation.
-func (r *reader) count(n, recordSize int) int {
-	if r.failed {
-		return 0
-	}
-	if n*recordSize > len(r.buf) {
-		r.failed = true
-		return 0
-	}
-	return n
+// A codec walks one message's fields in wire order, in one of three
+// modes: encoding appends each field to buf, decoding consumes it from
+// buf into the field, and sizing adds its width to n. Each kind's layout
+// is stated once, in message, so the bytes simnet meters are the bytes a
+// deployment sends. Encoding and sizing only read the fields: one message
+// may be encoded on several goroutines at once.
+type codec struct {
+	mode mode
+	buf  []byte
+	n    int
+	err  error // decoding: the first failure; every later field reads zero
 }
 
-// nested consumes the remainder of the buffer as one embedded message.
-// The inner kind is validated *before* recursing, and every valid inner
+type mode uint8
+
+const (
+	encoding mode = iota
+	decoding
+	sizing
+)
+
+// message walks the fields of kind k after its kind byte: those of m when
+// encoding or sizing, those of a new message it returns when decoding.
+func (c *codec) message(k Kind, m Message) Message {
+	switch k {
+	case KindLocationReport:
+		v := as[LocationReport](m)
+		u32(c, &v.Object)
+		point(c, &v.Pos)
+		vec(c, &v.Vel)
+		u64(c, &v.At)
+		return decoded(c, v)
+	case KindProbeRequest:
+		v := as[ProbeRequest](m)
+		u32(c, &v.Query)
+		u32(c, &v.Seq)
+		circle(c, &v.Region)
+		u64(c, &v.At)
+		return decoded(c, v)
+	case KindProbeReply:
+		v := as[ProbeReply](m)
+		u32(c, &v.Query)
+		u32(c, &v.Seq)
+		u32(c, &v.Object)
+		point(c, &v.Pos)
+		u64(c, &v.At)
+		return decoded(c, v)
+	case KindMonitorInstall:
+		v := as[MonitorInstall](m)
+		monitorInstall(c, &v)
+		return decoded(c, v)
+	case KindInfluenceInstall:
+		v := as[InfluenceInstall](m)
+		monitorInstall(c, &v.Install)
+		f64(c, &v.Frontier)
+		f64(c, &v.Band)
+		return decoded(c, v)
+	case KindMonitorCancel:
+		v := as[MonitorCancel](m)
+		u32(c, &v.Query)
+		u32(c, &v.Epoch)
+		return decoded(c, v)
+	case KindEnterReport:
+		v := as[EnterReport](m)
+		memberReport(c, &v.MemberReport)
+		vec(c, &v.Vel)
+		return decoded(c, v)
+	case KindExitReport:
+		v := as[ExitReport](m)
+		memberReport(c, &v.MemberReport)
+		return decoded(c, v)
+	case KindMoveReport:
+		v := as[MoveReport](m)
+		memberReport(c, &v.MemberReport)
+		vec(c, &v.Vel)
+		return decoded(c, v)
+	case KindQueryRegister:
+		v := as[QueryRegister](m)
+		u32(c, &v.Query)
+		u32(c, &v.K)
+		f64(c, &v.Range)
+		point(c, &v.Pos)
+		vec(c, &v.Vel)
+		u64(c, &v.At)
+		return decoded(c, v)
+	case KindQueryMove:
+		v := as[QueryMove](m)
+		u32(c, &v.Query)
+		point(c, &v.Pos)
+		vec(c, &v.Vel)
+		u64(c, &v.At)
+		return decoded(c, v)
+	case KindQueryDeregister:
+		v := as[QueryDeregister](m)
+		u32(c, &v.Query)
+		return decoded(c, v)
+	case KindAnswerUpdate:
+		v := as[AnswerUpdate](m)
+		u32(c, &v.Query)
+		u32(c, &v.Seq)
+		u64(c, &v.At)
+		point(c, &v.QPos)
+		list[uint16](c, &v.Neighbors)
+		return decoded(c, v)
+	case KindAnswerDelta:
+		v := as[AnswerDelta](m)
+		u32(c, &v.Query)
+		u32(c, &v.Seq)
+		u64(c, &v.At)
+		list[uint16](c, &v.Added)
+		list[uint16](c, &v.Removed)
+		return decoded(c, v)
+	case KindAnswerResync:
+		v := as[AnswerResync](m)
+		u32(c, &v.Query)
+		u32(c, &v.LastSeq)
+		u64(c, &v.At)
+		return decoded(c, v)
+	case KindNodeForward:
+		v := as[NodeForward](m)
+		u16(c, &v.Home)
+		u64(c, &v.Version)
+		circle(c, &v.Region)
+		nested(c, &v.Inner, validForwardInner)
+		return decoded(c, v)
+	case KindNodeRelay:
+		v := as[NodeRelay](m)
+		u32(c, &v.Origin)
+		u8(c, &v.Hops)
+		u64(c, &v.Version)
+		nested(c, &v.Inner, Relayable)
+		return decoded(c, v)
+	case KindNodeDeliver:
+		v := as[NodeDeliver](m)
+		u32(c, &v.To)
+		u64(c, &v.Version)
+		nested(c, &v.Inner, validDeliverInner)
+		return decoded(c, v)
+	case KindObjectHandoff:
+		v := as[ObjectHandoff](m)
+		u32(c, &v.Object)
+		point(c, &v.Pos)
+		vec(c, &v.Vel)
+		u64(c, &v.At)
+		list[uint16](c, &v.Aware)
+		return decoded(c, v)
+	case KindQueryHandoff:
+		v := as[QueryHandoff](m)
+		u32(c, &v.Query)
+		u32(c, &v.K)
+		f64(c, &v.Range)
+		u32(c, &v.Addr)
+		point(c, &v.QPos)
+		vec(c, &v.QVel)
+		u64(c, &v.QAt)
+		u32(c, &v.Epoch)
+		boolean(c, &v.Installed)
+		f64(c, &v.AnswerRadius)
+		f64(c, &v.Radius)
+		u64(c, &v.InstalledAt)
+		point(c, &v.AdvPos)
+		vec(c, &v.AdvVel)
+		u32(c, &v.AnswerSeq)
+		u64(c, &v.LastProbeAt)
+		list[uint32](c, &v.Candidates)
+		list[uint32](c, &v.Inside)
+		list[uint32](c, &v.Sent)
+		list[uint16](c, &v.Spread)
+		return decoded(c, v)
+	case KindQueryHandoffAck:
+		v := as[QueryHandoffAck](m)
+		u32(c, &v.Query)
+		return decoded(c, v)
+	case KindNodeClientGone:
+		v := as[NodeClientGone](m)
+		u32(c, &v.Object)
+		return decoded(c, v)
+	case KindPeerHello:
+		v := as[PeerHello](m)
+		u16(c, &v.Node)
+		u16(c, &v.Nodes)
+		u64(c, &v.Version)
+		u64(c, &v.At)
+		return decoded(c, v)
+	case KindPeerHeartbeat:
+		v := as[PeerHeartbeat](m)
+		u16(c, &v.Node)
+		u64(c, &v.At)
+		return decoded(c, v)
+	case KindNodeRedirect:
+		v := as[NodeRedirect](m)
+		u16(c, &v.Node)
+		str(c, &v.Addr)
+		return decoded(c, v)
+	case KindNodeLoad:
+		v := as[NodeLoad](m)
+		u16(c, &v.Node)
+		u64(c, &v.Version)
+		u64(c, &v.Uplinks)
+		u64(c, &v.At)
+		return decoded(c, v)
+	case KindPartitionUpdate:
+		v := as[PartitionUpdate](m)
+		u64(c, &v.Version)
+		list[uint16](c, &v.Owners)
+		return decoded(c, v)
+	case KindPartitionAck:
+		v := as[PartitionAck](m)
+		u16(c, &v.Node)
+		u64(c, &v.Version)
+		return decoded(c, v)
+	}
+	if c.mode != decoding {
+		panic(fmt.Sprintf("protocol: no wire layout for %T", m))
+	}
+	c.fail(fmt.Errorf("%w: %d", ErrUnknownKind, uint8(k)))
+	return nil
+}
+
+func monitorInstall(c *codec, v *MonitorInstall) {
+	u32(c, &v.Query)
+	u32(c, &v.Epoch)
+	boolean(c, &v.Refresh)
+	boolean(c, &v.RangeMode)
+	point(c, &v.QueryPos)
+	vec(c, &v.QueryVel)
+	f64(c, &v.AnswerRadius)
+	f64(c, &v.Radius)
+	u64(c, &v.At)
+}
+
+func memberReport(c *codec, v *MemberReport) {
+	u32(c, &v.Query)
+	u32(c, &v.Epoch)
+	u32(c, &v.Object)
+	point(c, &v.Pos)
+	u64(c, &v.At)
+}
+
+// record walks one list record, or a list's count: its type states its
+// layout.
+func record[T any](c *codec, r *T) {
+	switch r := any(r).(type) {
+	case *uint16:
+		u16(c, r)
+	case *uint32:
+		u32(c, r)
+	case *model.ObjectID:
+		u32(c, r)
+	case *model.Neighbor:
+		u32(c, &r.ID)
+		f64(c, &r.Dist)
+	case *AwareEntry:
+		u32(c, &r.Query)
+		u16(c, &r.Home)
+	case *CandidateRecord:
+		u32(c, &r.ID)
+		point(c, &r.Pos)
+		vec(c, &r.Vel)
+		u64(c, &r.At)
+	default:
+		panic("protocol: list of a type with no record layout")
+	}
+}
+
+// as returns the message to walk: m itself when encoding or sizing, a
+// zero T to fill when decoding (m is nil then).
+func as[T Message](m Message) T {
+	if m == nil {
+		var zero T
+		return zero
+	}
+	return m.(T)
+}
+
+// decoded boxes v once it decoded whole; encoding and sizing return nil.
+func decoded[T Message](c *codec, v T) Message {
+	if c.mode != decoding || c.err != nil {
+		return nil
+	}
+	return v
+}
+
+// fail records the decode's first failure and drops the unread bytes,
+// so that every later field fails to fit.
+func (c *codec) fail(err error) {
+	if c.err == nil {
+		c.err, c.buf = err, nil
+	}
+}
+
+// take consumes the next n bytes, or fails the decode as truncated.
+func (c *codec) take(n int) []byte {
+	if len(c.buf) < n {
+		c.fail(ErrTruncated)
+		return nil
+	}
+	b := c.buf[:n]
+	c.buf = c.buf[n:]
+	return b
+}
+
+func u8(c *codec, v *uint8) {
+	switch c.mode {
+	case encoding:
+		c.buf = append(c.buf, *v)
+	case decoding:
+		if b := c.take(1); b != nil {
+			*v = b[0]
+		}
+	default:
+		c.n++
+	}
+}
+
+func u16(c *codec, v *uint16) {
+	switch c.mode {
+	case encoding:
+		c.buf = binary.LittleEndian.AppendUint16(c.buf, *v)
+	case decoding:
+		if b := c.take(2); b != nil {
+			*v = binary.LittleEndian.Uint16(b)
+		}
+	default:
+		c.n += 2
+	}
+}
+
+func u32[T ~uint32](c *codec, v *T) {
+	switch c.mode {
+	case encoding:
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(*v))
+	case decoding:
+		if b := c.take(4); b != nil {
+			*v = T(binary.LittleEndian.Uint32(b))
+		}
+	default:
+		c.n += 4
+	}
+}
+
+// u64 walks an 8-byte integer: a version, a counter, or a tick.
+func u64[T ~uint64 | ~int64](c *codec, v *T) {
+	switch c.mode {
+	case encoding:
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*v))
+	case decoding:
+		if b := c.take(8); b != nil {
+			*v = T(binary.LittleEndian.Uint64(b))
+		}
+	default:
+		c.n += 8
+	}
+}
+
+func f64(c *codec, v *float64) {
+	switch c.mode {
+	case encoding:
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(*v))
+	case decoding:
+		if b := c.take(8); b != nil {
+			*v = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		}
+	default:
+		c.n += 8
+	}
+}
+
+// boolean is strict: only 0 and 1 decode, so every accepted message has
+// exactly one byte representation.
+func boolean(c *codec, v *bool) {
+	var b uint8
+	if *v {
+		b = 1
+	}
+	u8(c, &b)
+	if b > 1 {
+		c.fail(ErrTruncated)
+	}
+	if c.mode == decoding {
+		*v = b == 1
+	}
+}
+
+// str walks a string as a u16 length and that many bytes.
+func str(c *codec, s *string) {
+	n := uint16(len(*s))
+	u16(c, &n)
+	switch c.mode {
+	case encoding:
+		c.buf = append(c.buf, *s...)
+	case decoding:
+		if b := c.take(int(n)); b != nil {
+			*s = string(b)
+		}
+	default:
+		c.n += len(*s)
+	}
+}
+
+func point(c *codec, p *geo.Point) {
+	f64(c, &p.X)
+	f64(c, &p.Y)
+}
+
+// vec walks a vector in a point's layout.
+func vec(c *codec, v *geo.Vector) { point(c, (*geo.Point)(v)) }
+
+func circle(c *codec, r *geo.Circle) {
+	point(c, &r.Center)
+	f64(c, &r.R)
+}
+
+// list walks a slice as its record count, an N, and then its records.
+// Decoding bounds the count by the bytes left before it allocates, so a
+// corrupt count fails as truncated instead of driving a huge
+// allocation; an empty list decodes as nil.
+func list[N uint16 | uint32, T any](c *codec, s *[]T) {
+	n := N(len(*s))
+	record(c, &n)
+	var zero T
+	one := codec{mode: sizing}
+	record(&one, &zero)
+	switch c.mode {
+	case sizing:
+		c.n += len(*s) * one.n
+		return
+	case decoding:
+		if n == 0 {
+			return
+		}
+		if int(n)*one.n > len(c.buf) {
+			c.fail(ErrTruncated)
+			return
+		}
+		*s = make([]T, n)
+	}
+	for i := range *s {
+		record(c, &(*s)[i])
+	}
+}
+
+// nested walks the message that fills the rest of an envelope. Decoding
+// validates the inner kind *before* recursing, and every valid inner
 // kind is a leaf, so decoding depth is bounded at two. The recursive
 // Decode enforces full consumption, which keeps nested framing
 // canonical: the envelope ends exactly where the inner message does.
-func (r *reader) nested(valid func(Kind) bool) Message {
-	if r.failed {
-		return nil
+func nested(c *codec, inner *Message, valid func(Kind) bool) {
+	switch c.mode {
+	case encoding:
+		c.buf = Encode(c.buf, *inner)
+	case sizing:
+		c.n += EncodedSize(*inner)
+	default:
+		if len(c.buf) == 0 || !valid(Kind(c.buf[0])) {
+			c.fail(ErrTruncated)
+			return
+		}
+		m, err := Decode(c.buf)
+		c.buf, *inner = nil, m
+		if err != nil {
+			c.fail(err)
+		}
 	}
-	if len(r.buf) == 0 || !valid(Kind(r.buf[0])) {
-		r.failed = true
-		return nil
-	}
-	b := r.buf
-	r.buf = nil
-	in, err := Decode(b)
-	if err != nil {
-		r.failed = true
-		r.err = err
-		return nil
-	}
-	return in
-}
-
-func (r *reader) point() geo.Point { return geo.Pt(r.f64(), r.f64()) }
-
-func (r *reader) vec() geo.Vector { return geo.Vec(r.f64(), r.f64()) }
-
-func (r *reader) memberReport() MemberReport {
-	return MemberReport{
-		Query:  model.QueryID(r.u32()),
-		Epoch:  r.u32(),
-		Object: model.ObjectID(r.u32()),
-		Pos:    r.point(),
-		At:     r.tick(),
-	}
-}
-
-func appendU16(dst []byte, v uint16) []byte {
-	return binary.LittleEndian.AppendUint16(dst, v)
-}
-
-func appendU32(dst []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(dst, v)
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, v)
-}
-
-func appendBool(dst []byte, v bool) []byte {
-	if v {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
-}
-
-func appendF64(dst []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-}
-
-func appendTick(dst []byte, t model.Tick) []byte {
-	return binary.LittleEndian.AppendUint64(dst, uint64(t))
-}
-
-func appendPoint(dst []byte, p geo.Point) []byte {
-	dst = appendF64(dst, p.X)
-	return appendF64(dst, p.Y)
-}
-
-func appendVec(dst []byte, v geo.Vector) []byte {
-	dst = appendF64(dst, v.X)
-	return appendF64(dst, v.Y)
-}
-
-func appendMemberReport(dst []byte, m MemberReport) []byte {
-	dst = appendU32(dst, uint32(m.Query))
-	dst = appendU32(dst, m.Epoch)
-	dst = appendU32(dst, uint32(m.Object))
-	dst = appendPoint(dst, m.Pos)
-	return appendTick(dst, m.At)
 }

@@ -204,7 +204,8 @@ func TestDecodeTrailingBytes(t *testing.T) {
 // one, a kind byte and a member report, is an unknown kind, and Kinds
 // does not list it.
 func TestLeaveReportRetired(t *testing.T) {
-	buf := appendMemberReport([]byte{byte(KindLeaveReport)}, MemberReport{Query: 5, Epoch: 3, Object: 97, Pos: geo.Pt(11, 12), At: 20})
+	buf := Encode(nil, ExitReport{MemberReport{Query: 5, Epoch: 3, Object: 97, Pos: geo.Pt(11, 12), At: 20}})
+	buf[0] = byte(KindLeaveReport)
 	if _, err := Decode(buf); !errors.Is(err, ErrUnknownKind) {
 		t.Fatalf("leave-report frame: err = %v, want ErrUnknownKind", err)
 	}
@@ -370,6 +371,50 @@ func BenchmarkDecodeLocationReport(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Decode(buf); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// Sizing is what simnet pays for every message it meters.
+func BenchmarkEncodedSize(b *testing.B) {
+	var m Message = MoveReport{MemberReport{Query: 5, Epoch: 3, Object: 96, Pos: geo.Pt(13, 14), At: 21}, geo.Vec(-2.5, 0.75)}
+	n := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n += EncodedSize(m)
+	}
+	if n == 0 {
+		b.Fatal("no bytes sized")
+	}
+}
+
+// One op encodes every sample message once, into a reused buffer.
+func BenchmarkEncodeSamples(b *testing.B) {
+	msgs := sampleMessages()
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, m := range msgs {
+			buf = Encode(buf[:0], m)
+		}
+	}
+}
+
+// One op decodes every sample message once.
+func BenchmarkDecodeSamples(b *testing.B) {
+	var frames [][]byte
+	for _, m := range sampleMessages() {
+		frames = append(frames, Encode(nil, m))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range frames {
+			if _, err := Decode(f); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
