@@ -631,6 +631,12 @@ func (s *Server) delta(rk float64, v geo.Vector) float64 {
 		(s.deps.MaxQuerySpeed+sq)*float64(2*s.deps.LatencyTicks)*s.deps.DT
 }
 
+// region is the monitoring radius of a monitor whose answer radius is
+// rk: rk + δ_q, capped at MaxProbeRadius.
+func (s *Server) region(mon *monitor, rk float64) float64 {
+	return min(rk+s.delta(rk, mon.qvel), s.cfg.MaxProbeRadius)
+}
+
 // Tick runs the periodic server work: the re-ranking of every installed
 // answer, horizon expiry, buffer checks, and probe initiation for
 // monitors that need a reinstall.
@@ -706,13 +712,9 @@ func (s *Server) Tick(now model.Tick) {
 // k+AnswerSlack buffer; agents' side-change reports (same tick under zero
 // latency) then resynchronize membership exactly.
 func (s *Server) refreshInstall(mon *monitor, now model.Tick) {
-	cfg := s.cfg
 	center := mon.qEst(now, s.deps.DT)
-
-	var rk float64
-	if mon.rng > 0 {
-		rk = mon.rng
-	} else {
+	rk := mon.rng
+	if mon.rng == 0 {
 		acc := mon.tab.rankedAt(center, now)
 		if len(acc) < mon.k {
 			// Positions for some inside ids are missing (cannot happen in
@@ -722,22 +724,9 @@ func (s *Server) refreshInstall(mon *monitor, now model.Tick) {
 		}
 		rk = s.boundaryFromKnown(mon, acc)
 	}
-	if rk > cfg.MaxProbeRadius {
-		rk = cfg.MaxProbeRadius
-	}
-	radius := rk + s.delta(rk, mon.qvel)
-	if radius > cfg.MaxProbeRadius {
-		radius = cfg.MaxProbeRadius
-	}
-	cover := s.installCover(mon, center, radius, now)
-	mon.noteInstall(true)
-
-	mon.epoch++
-	mon.answerRadius = rk
-	mon.radius = radius
-	mon.installedAt = now
-	mon.advPos, mon.advVel = center, mon.qvel
-	s.countInstall(mon)
+	rk = min(rk, s.cfg.MaxProbeRadius)
+	radius := s.region(mon, rk)
+	s.advertise(mon, now, center, rk, radius, true)
 
 	// Objects strictly outside the new circle will leave and drop it;
 	// prune candidates whose last known position is already outside so
@@ -745,22 +734,6 @@ func (s *Server) refreshInstall(mon *monitor, now model.Tick) {
 	// take their side of the new answer circle silently, once they hold it.
 	mon.tab.prune(center, radius)
 	s.exitOffCircle(mon, now)
-
-	s.deps.Side.Broadcast(cover, protocol.MonitorInstall{
-		Query:        mon.query,
-		Epoch:        mon.epoch,
-		Refresh:      true,
-		RangeMode:    mon.rng > 0,
-		QueryPos:     center,
-		QueryVel:     mon.qvel,
-		AnswerRadius: rk,
-		Radius:       radius,
-		At:           now,
-	})
-	if s.deps.Trace != nil {
-		s.emit(obs.Event{At: now, Type: obs.EvInstalled, Query: mon.query,
-			Seq: mon.epoch, Value: radius})
-	}
 	s.refreshAnswer(mon, now)
 }
 
@@ -787,36 +760,36 @@ func (s *Server) boundaryFromKnown(mon *monitor, sorted []model.Neighbor) float6
 
 // startProbe begins a probe round sized from current knowledge.
 func (s *Server) startProbe(mon *monitor, now model.Tick) {
-	cfg := s.cfg
 	center := mon.qEst(now, s.deps.DT)
-	radius := cfg.MinProbeRadius
+	radius := s.cfg.MinProbeRadius
 	if mon.rng > 0 {
 		// Range monitors need exactly one probe over the whole region.
-		radius = mon.rng + s.delta(mon.rng, mon.qvel)
+		radius = s.region(mon, mon.rng)
 	} else if mon.tab.nKnown >= mon.k {
 		// If we already track at least k candidates, size the ring from
 		// the k-th known distance plus the safety slack.
 		known := mon.tab.appendKnown(mon.extraBuf[:0], center, now, true)
 		mon.extraBuf = known
 		model.SortNeighbors(known)
-		rk := known[mon.k-1].Dist
-		if est := rk + s.delta(rk, mon.qvel); est > radius {
-			radius = est
-		}
+		radius = max(radius, s.region(mon, known[mon.k-1].Dist))
 	}
-	if radius > cfg.MaxProbeRadius {
-		radius = cfg.MaxProbeRadius
-	}
+	mon.lastProbeAt = now
+	s.probe(mon, now, center, min(radius, s.cfg.MaxProbeRadius))
+}
+
+// probe broadcasts a new probe round over circle(center, radius) and
+// clears the replies of the last one.
+func (s *Server) probe(mon *monitor, now model.Tick, center geo.Point, radius float64) {
 	mon.probing = true
 	mon.probeSeq++
 	mon.probeRadius = radius
 	mon.probeDue = now + model.Tick(2*s.deps.LatencyTicks)
-	mon.lastProbeAt = now
 	mon.replies.Clear()
-	s.deps.Side.Broadcast(geo.Circle{Center: center, R: radius}, protocol.ProbeRequest{
+	region := geo.Circle{Center: center, R: radius}
+	s.deps.Side.Broadcast(region, protocol.ProbeRequest{
 		Query:  mon.query,
 		Seq:    mon.probeSeq,
-		Region: geo.Circle{Center: center, R: radius},
+		Region: region,
 		At:     now,
 	})
 	if s.deps.Trace != nil {
@@ -850,28 +823,23 @@ func (s *Server) Finalize(now model.Tick) bool {
 }
 
 func (s *Server) concludeProbe(mon *monitor, now model.Tick) bool {
-	cfg := s.cfg
 	center := mon.qEst(now, s.deps.DT)
 
 	if mon.rng > 0 {
 		// Range monitor: the probe covered the full monitoring region;
 		// install directly with the fixed boundary.
-		radius := mon.rng + s.delta(mon.rng, mon.qvel)
-		if radius > cfg.MaxProbeRadius {
-			radius = cfg.MaxProbeRadius
-		}
-		s.install(mon, now, center, mon.rng, radius)
+		s.install(mon, now, center, mon.rng, s.region(mon, mon.rng))
 		return true
 	}
 
-	if mon.replies.Len() < mon.k && mon.probeRadius < cfg.MaxProbeRadius {
+	maxR := s.cfg.MaxProbeRadius
+	if mon.replies.Len() < mon.k && mon.probeRadius < maxR {
 		// Not enough objects inside the ring: double it.
-		s.expandProbe(mon, now, min(2*mon.probeRadius, cfg.MaxProbeRadius))
+		s.probe(mon, now, center, min(2*mon.probeRadius, maxR))
 		return true
 	}
 
-	target := mon.k + cfg.AnswerSlack
-	ns := mon.replies.KNN(center, target)
+	ns := mon.replies.KNN(center, mon.k+s.cfg.AnswerSlack)
 	var rk float64
 	switch {
 	case len(ns) >= mon.k:
@@ -885,49 +853,24 @@ func (s *Server) concludeProbe(mon *monitor, now model.Tick) bool {
 		// whole probed area so every object stays aware and fresh.
 		rk = mon.probeRadius
 	}
-	radius := rk + s.delta(rk, mon.qvel)
-	if radius > cfg.MaxProbeRadius {
-		radius = cfg.MaxProbeRadius
-		if rk > radius {
-			rk = radius
-		}
-	}
+	rk = min(rk, maxR)
+	radius := s.region(mon, rk)
 	if radius > mon.probeRadius {
 		// The safety region exceeds the probed area; one more ring makes
 		// the candidate set complete. rk can only shrink with a larger
 		// ring, so this converges.
-		s.expandProbe(mon, now, radius)
+		s.probe(mon, now, center, radius)
 		return true
 	}
 	s.install(mon, now, center, rk, radius)
 	return true
 }
 
-func (s *Server) expandProbe(mon *monitor, now model.Tick, radius float64) {
-	center := mon.qEst(now, s.deps.DT)
-	mon.probeSeq++
-	mon.probeRadius = radius
-	mon.probeDue = now + model.Tick(2*s.deps.LatencyTicks)
-	mon.replies.Clear()
-	s.deps.Side.Broadcast(geo.Circle{Center: center, R: radius}, protocol.ProbeRequest{
-		Query:  mon.query,
-		Seq:    mon.probeSeq,
-		Region: geo.Circle{Center: center, R: radius},
-		At:     now,
-	})
-	if s.deps.Trace != nil {
-		s.emit(obs.Event{At: now, Type: obs.EvProbe, Query: mon.query,
-			Seq: mon.probeSeq, Value: radius})
-	}
-}
-
 // install commits a probe result: rebuild the candidate and inside sets
-// from the replies, advance the epoch, and broadcast the install over a
-// region covering the new circle and the previous install's frame (so
-// objects that fell out of the region hear about it and stop monitoring).
-// A reply carries no velocity, so every rebuilt member is at rest — the
-// track each object resets its own row to on hearing a full install —
-// from the tick the round was sent, which no reply predates.
+// from the replies and advertise the new install. A reply carries no
+// velocity, so every rebuilt member is at rest — the track each object
+// resets its own row to on hearing a full install — from the tick the
+// round was sent, which no reply predates.
 func (s *Server) install(mon *monitor, now model.Tick, center geo.Point, rk, radius float64) {
 	// Replies are placed as their objects place themselves (circle.dist).
 	// A kNN r_b is the (k+m)-th reply's geo.Dist, which that rule may put
@@ -941,18 +884,10 @@ func (s *Server) install(mon *monitor, now model.Tick, center geo.Point, rk, rad
 			return true
 		})
 	}
-	cover := s.installCover(mon, center, radius, now)
-	mon.noteInstall(false)
 	sentAt := mon.probeDue - model.Tick(2*s.deps.LatencyTicks)
-	mon.epoch++
-	mon.installed = true
-	mon.answerRadius = rk
-	mon.radius = radius
-	mon.installedAt = now
-	mon.advPos, mon.advVel = center, mon.qvel
 	mon.probing = false
-	s.countInstall(mon)
 	mon.rebaseline = true // next answer message re-baselines delta clients
+	s.advertise(mon, now, center, rk, radius, false)
 
 	mon.tab.reset()
 	mon.replies.Visit(func(id model.ObjectID, p geo.Point) bool {
@@ -964,9 +899,35 @@ func (s *Server) install(mon *monitor, now model.Tick, center geo.Point, rk, rad
 	mon.tab.sortIDs()
 	mon.replies.Clear()
 
+	if mon.resyncProbe {
+		// A periodic resync probe exists to heal lost-message divergence;
+		// the focal client gets a full answer even if membership is
+		// unchanged (sendAnswer would stay silent and leave a desynced
+		// client desynced for another ResyncTicks period).
+		mon.resyncProbe = false
+		s.resyncAnswer(mon, now)
+		return
+	}
+	s.refreshAnswer(mon, now)
+}
+
+// advertise makes circle(center, radius), answer radius rk, mon's next
+// install at now, full or refresh, and broadcasts it over a region
+// covering the new circle and the previous install's frame (so objects
+// that fell out of the region hear about it and stop monitoring).
+func (s *Server) advertise(mon *monitor, now model.Tick, center geo.Point, rk, radius float64, refresh bool) {
+	cover := s.installCover(mon, center, radius, now)
+	mon.noteInstall(refresh)
+	mon.epoch++
+	mon.installed = true
+	mon.answerRadius, mon.radius = rk, radius
+	mon.installedAt = now
+	mon.advPos, mon.advVel = center, mon.qvel
+	s.countInstall(mon)
 	s.deps.Side.Broadcast(cover, protocol.MonitorInstall{
 		Query:        mon.query,
 		Epoch:        mon.epoch,
+		Refresh:      refresh,
 		RangeMode:    mon.rng > 0,
 		QueryPos:     center,
 		QueryVel:     mon.qvel,
@@ -978,16 +939,6 @@ func (s *Server) install(mon *monitor, now model.Tick, center geo.Point, rk, rad
 		s.emit(obs.Event{At: now, Type: obs.EvInstalled, Query: mon.query,
 			Seq: mon.epoch, Value: radius})
 	}
-	if mon.resyncProbe {
-		// A periodic resync probe exists to heal lost-message divergence;
-		// the focal client gets a full answer even if membership is
-		// unchanged (sendAnswer would stay silent and leave a desynced
-		// client desynced for another ResyncTicks period).
-		mon.resyncProbe = false
-		s.resyncAnswer(mon, now)
-		return
-	}
-	s.refreshAnswer(mon, now)
 }
 
 // computeAnswer re-evaluates the maintained answer at the query's
