@@ -342,7 +342,7 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall) {
 		rangeMode:    v.RangeMode,
 	}
 	c := circleAt(&tr.adv, tr.answerRadius, now, a.deps.DT)
-	d := c.dist(p)
+	d := p.Dist(c.center)
 	side := d <= tr.answerRadius
 	reported := false
 	// vel is the track's velocity once this install is handled: what an
@@ -496,7 +496,7 @@ func (a *ObjectAgent) Tick(now model.Tick) {
 		mon := &a.mons[i]
 		q, tr := mon.query, mon.tr
 		c := circleAt(&tr.adv, tr.answerRadius, now, dt)
-		d := c.dist(p)
+		d := p.Dist(c.center)
 		held := d <= tr.radius
 		side := d <= tr.answerRadius
 		switch {

@@ -21,8 +21,8 @@ import (
 // a member 5 m out (a 3-4-5 triangle, exact in binary) is inside a circle
 // of radius 5 and of the next float above, and outside the next float
 // below. On inputs where a fused multiply-add would round the distance
-// differently, the rule switches at the rounded one, on every
-// architecture.
+// differently, the rule switches at the rounded one, geo.Point.Dist, on
+// every architecture.
 func TestTrackInsideOnTheBoundary(t *testing.T) {
 	// The member moves (1.5, 2) a tick from the origin; the query's track
 	// is at rest there. At tick 2 the member is at (3, 4).

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -30,7 +29,8 @@ func (l *line) posAt(now model.Tick, dt float64) geo.Point {
 // one rule that moves a member on its track across r_b. The object
 // changes side by it without a report, and the server files the same
 // crossing from the same two tracks, so it must come out alike on any two
-// machines (see circle.holds).
+// machines: both measure by geo.Point.Dist, the one distance, which ranks
+// members and sizes r_b too.
 func trackInside(m, adv *line, rb float64, t model.Tick, dt float64) bool {
 	c := circleAt(adv, rb, t, dt)
 	return c.holds(m)
@@ -52,16 +52,7 @@ func circleAt(adv *line, rb float64, t model.Tick, dt float64) circle {
 }
 
 // holds reports whether track m lies inside c at c's tick.
-func (c *circle) holds(m *line) bool { return c.dist(m.posAt(c.t, c.dt)) <= c.rb }
-
-// dist is p's distance from c's centre, by which an object also measures
-// itself: the root of a sum of rounded products, not math.Hypot, which is
-// assembly on amd64 and elsewhere portable code Go may fuse.
-func (c *circle) dist(p geo.Point) float64 {
-	p.X -= c.center.X
-	p.Y -= c.center.Y
-	return math.Sqrt(float64(p.X*p.X) + float64(p.Y*p.Y))
-}
+func (c *circle) holds(m *line) bool { return m.posAt(c.t, c.dt).Dist(c.center) <= c.rb }
 
 // member is one row of a monitor's member table: what the server holds
 // about one object with respect to one query. A row exists while either

@@ -606,15 +606,6 @@ func (s *oracleServer) expandProbe(mon *oracleMonitor, now model.Tick, radius fl
 }
 
 func (s *oracleServer) install(mon *oracleMonitor, now model.Tick, center geo.Point, rk, radius float64) {
-	// r_b encloses, by the rounded-product rule, every reply within it by
-	// geo.Dist.
-	if mon.rng == 0 {
-		for _, p := range mon.replies {
-			if p.Dist(center) <= rk {
-				rk = max(rk, oracleDist(p, center))
-			}
-		}
-	}
 	mon.epoch++
 	mon.installed = true
 	mon.answerRadius = rk

@@ -709,8 +709,10 @@ func (s *Server) Tick(now model.Tick) {
 
 // refreshInstall reinstalls the monitor around the current query estimate
 // without probing. The advertised boundary is sized to enclose the
-// k+AnswerSlack buffer; agents' side-change reports (same tick under zero
-// latency) then resynchronize membership exactly.
+// k+AnswerSlack buffer: r_b is the (k+m)-th member's distance, measured
+// as the side rule measures it, so that member stays inside. Agents'
+// side-change reports (same tick under zero latency) then resynchronize
+// membership exactly.
 func (s *Server) refreshInstall(mon *monitor, now model.Tick) {
 	center := mon.qEst(now, s.deps.DT)
 	rk := mon.rng
@@ -867,23 +869,13 @@ func (s *Server) concludeProbe(mon *monitor, now model.Tick) bool {
 }
 
 // install commits a probe result: rebuild the candidate and inside sets
-// from the replies and advertise the new install. A reply carries no
-// velocity, so every rebuilt member is at rest — the track each object
-// resets its own row to on hearing a full install — from the tick the
-// round was sent, which no reply predates.
+// from the replies and advertise the new install. Each reply is placed by
+// geo.Point.Dist, as its object places itself, so a kNN r_b, the (k+m)-th
+// reply's distance, holds that reply. A reply carries no velocity, so
+// every rebuilt member is at rest — the track each object resets its own
+// row to on hearing a full install — from the tick the round was sent,
+// which no reply predates.
 func (s *Server) install(mon *monitor, now model.Tick, center geo.Point, rk, radius float64) {
-	// Replies are placed as their objects place themselves (circle.dist).
-	// A kNN r_b is the (k+m)-th reply's geo.Dist, which that rule may put
-	// an ulp short of: r_b widens to enclose every reply it enclosed.
-	c := circle{center: center}
-	if mon.rng == 0 {
-		mon.replies.Visit(func(_ model.ObjectID, p geo.Point) bool {
-			if p.Dist(center) <= rk {
-				rk = max(rk, c.dist(p))
-			}
-			return true
-		})
-	}
 	sentAt := mon.probeDue - model.Tick(2*s.deps.LatencyTicks)
 	mon.probing = false
 	mon.rebaseline = true // next answer message re-baselines delta clients
@@ -891,7 +883,7 @@ func (s *Server) install(mon *monitor, now model.Tick, center geo.Point, rk, rad
 
 	mon.tab.reset()
 	mon.replies.Visit(func(id model.ObjectID, p geo.Point) bool {
-		if d := c.dist(p); d <= radius {
+		if d := p.Dist(center); d <= radius {
 			mon.tab.add(id, line{pos: p, at: sentAt}, d <= rk)
 		}
 		return true

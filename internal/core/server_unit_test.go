@@ -753,3 +753,62 @@ func TestOneAnswerPerQueryPerTick(t *testing.T) {
 		})
 	}
 }
+
+// A refresh install's r_b is its (k+m)-th member's distance, and the
+// same distance places that member inside it. The boundary member stands
+// where math.Hypot rounds its distance an ulp below the rounded-product
+// root that decides sides; a refresh at horizon expiry must still hold
+// all k+m members inside, not file the (k+m)-th outside at its own
+// install.
+func TestRefreshInstallKeepsBoundaryMember(t *testing.T) {
+	cfg := baseCfg()
+	srv, side, now := unitServer(t, cfg)
+	center := geo.Pt(500, 500)
+	var edge geo.Point
+	for i := 0; ; i++ {
+		if i == 100000 {
+			t.Fatal("no offset where math.Hypot rounds below the rounded-product root")
+		}
+		edge = geo.Pt(530+float64(i%97)*0.137, 530+float64(i/97)*0.113)
+		dx, dy := edge.X-center.X, edge.Y-center.Y
+		if math.Hypot(dx, dy) < math.Sqrt(float64(dx*dx)+float64(dy*dy)) {
+			break
+		}
+	}
+	// Three members nearer than the edge one, two beyond it: k+m+2.
+	pos := []geo.Point{geo.Pt(510, 500), geo.Pt(500, 520), geo.Pt(470, 500), edge, geo.Pt(580, 500), geo.Pt(500, 410)}
+	k := 2
+	want := k + cfg.AnswerSlack
+
+	*now = 1
+	srv.HandleUplink(500, protocol.QueryRegister{Query: 1, K: uint32(k), Pos: center, At: 1})
+	srv.Tick(1)
+	for {
+		probe, ok := side.lastBroadcast().(protocol.ProbeRequest)
+		if !ok {
+			break
+		}
+		for i, p := range pos {
+			id := model.ObjectID(i + 1)
+			srv.HandleUplink(id, protocol.ProbeReply{Query: 1, Seq: probe.Seq, Object: id, Pos: p, At: 1})
+		}
+		srv.Finalize(1)
+	}
+	mon := srv.monitors[1]
+	if !mon.installed || mon.tab.nInside != want {
+		t.Fatalf("full install: installed %v, %d inside, want %d", mon.installed, mon.tab.nInside, want)
+	}
+
+	*now = 1 + model.Tick(cfg.HorizonTicks)
+	srv.Tick(*now)
+	inst, ok := side.lastBroadcast().(protocol.MonitorInstall)
+	if !ok || !inst.Refresh || inst.At != *now {
+		t.Fatalf("horizon expiry sent %+v, want a refresh install", side.lastBroadcast())
+	}
+	if inst.AnswerRadius != edge.Dist(center) {
+		t.Fatalf("refresh r_b %v, want the edge member's distance %v", inst.AnswerRadius, edge.Dist(center))
+	}
+	if mon.tab.nInside != want {
+		t.Errorf("after the refresh install %d members inside, want %d: the (k+m)-th was filed outside its own r_b", mon.tab.nInside, want)
+	}
+}

@@ -38,9 +38,15 @@ func (p Point) Add(v Vector) Point { return Point{p.X + v.X, p.Y + v.Y} }
 // Sub returns the vector from q to p.
 func (p Point) Sub(q Point) Vector { return Vector{p.X - q.X, p.Y - q.Y} }
 
-// Dist returns the Euclidean distance between p and q.
+// Dist returns the Euclidean distance between p and q: the square root
+// of a sum of rounded products. It is the one distance an object and the
+// server measure an answer circle's boundary by, so it must come out bit
+// for bit alike on any two machines: not math.Hypot, which is assembly on
+// amd64 and portable code elsewhere, and no product Go may fuse into a
+// multiply-add (it does on arm64).
 func (p Point) Dist(q Point) float64 {
-	return math.Hypot(p.X-q.X, p.Y-q.Y)
+	dx, dy := p.X-q.X, p.Y-q.Y
+	return math.Sqrt(float64(dx*dx) + float64(dy*dy))
 }
 
 // DistSq returns the squared Euclidean distance between p and q. It is the

@@ -256,3 +256,53 @@ func TestDeadReckonRoundsProduct(t *testing.T) {
 		t.Fatal("no input where a fused multiply-add rounds differently")
 	}
 }
+
+// Dist is the square root of a sum of rounded products, bit for bit: an
+// object and the server both measure the answer circle's boundary by it.
+// The first inputs are ones where math.Hypot (assembly on amd64) rounds
+// the distance an ulp apart from that root, the next ones where a fused
+// multiply-add would; the random sweep then meets fused inputs of its
+// own. The expected values are literals, so the test pins the same bits
+// on every architecture; CI runs it on arm64 too.
+func TestDistRoundsProducts(t *testing.T) {
+	for _, c := range []struct {
+		p, q Point
+		want float64
+	}{
+		// Hypot differs on amd64.
+		{Pt(424.637, 686.823), Pt(65.637, 156.519), 640.3931077205625},
+		{Pt(214.264, 380.657), Pt(318.058, 468.89), 136.22869273761674},
+		{Pt(293.114, 297.083), Pt(752.573, 206.583), 468.28711564701416},
+		{Pt(865.335, 696.719), Pt(523.82, 28.303), 750.6080497043714},
+		// A fused multiply-add differs.
+		{Pt(572.087, 588.576), Pt(411.763, 552.58), 164.31523663981986},
+		{Pt(570.852, 512.782), Pt(684.175, 653.04), 180.31752242364018},
+		{Pt(645.039, 428.688), Pt(339.597, 887.448), 551.1402298544356},
+	} {
+		dx, dy := c.p.X-c.q.X, c.p.Y-c.q.Y
+		if root := math.Sqrt(float64(dx*dx) + float64(dy*dy)); root != c.want {
+			t.Fatalf("%v to %v: the rounded-product root is %v here, want %v", c.p, c.q, root, c.want)
+		}
+		if got := c.p.Dist(c.q); got != c.want {
+			t.Errorf("Dist(%v, %v) = %v, want the rounded-product root %v", c.p, c.q, got, c.want)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	fused := 0
+	for i := 0; i < 10000; i++ {
+		p := Pt(rng.Float64()*1000, rng.Float64()*1000)
+		q := Pt(rng.Float64()*1000, rng.Float64()*1000)
+		dx, dy := p.X-q.X, p.Y-q.Y
+		want := math.Sqrt(float64(dx*dx) + float64(dy*dy))
+		if got := p.Dist(q); got != want {
+			t.Fatalf("Dist(%v, %v) = %v, want the rounded-product root %v", p, q, got, want)
+		}
+		if math.Sqrt(math.FMA(dx, dx, float64(dy*dy))) != want {
+			fused++
+		}
+	}
+	if fused == 0 {
+		t.Fatal("no input where a fused multiply-add rounds the distance differently")
+	}
+}

@@ -110,26 +110,28 @@ func (w *wireRun) noteMemberships(m sim.Method, queries, step int) {
 // membership pins below held), and again when a kNN member stopped
 // sending exits at all and reports its track instead, which the server
 // places on its side of r_b (the downlink and per-step membership pins
+// below held), and again when r_b and the side rule began to measure by
+// one distance, geo.Point.Dist (the downlink and per-step membership pins
 // below held). The engine must
 // keep producing these transcripts byte for byte: same message
 // sequences, same wire bytes, same loss draws, same answers.
 var wireDigests = map[string]string{
-	"seed=1/clean-L0": "37c40af2fcd83e8389be3486ed838078a9430198ca71ded5b929d4e990d081d1",
-	"seed=1/loss-L0":  "4517b49db23c59fe42d68be15044b5252972e8e6c5c9c6614ff1b6f99c5e9c3c",
-	"seed=1/burst-L0": "dee85069a6a1dc902ec0b88690076655b60e5ac9015153885b67f00e2f6af1d1",
-	"seed=1/delta-L0": "c3fbe4f6d0b102fd81e55ff5e536a2fec2b4e5104385248f8679e93634dc4cc3",
-	"seed=2/clean-L0": "3adace469d41261784b3ffdf365cdffef1dfc70da7a268566641b4ae6b1933e2",
-	"seed=2/loss-L0":  "af7d8f6cfc0641b1a031727a9a573fbc2efd2e1bdb2885da4f1527822e66be3e",
-	"seed=2/burst-L0": "7a68dd367f4997464390b01e64394bafa4164ef763b1e3d51a7020562fc4d7b9",
-	"seed=2/delta-L0": "636a24f0606057a92b5e66f3f4e97206861192584aaca279c08692bcc33ab1dd",
-	"seed=3/clean-L0": "7fe59c7194a7bcd58e1a7d7709277d56bfa0fcbe93441ba07666db3316599bea",
-	"seed=3/loss-L0":  "bed9d0ed05ae2f35c9e12eb263141fcdc5d9e41e2dd2571c9748092d31ed1664",
-	"seed=3/burst-L0": "0d6b81027f07e216e36e030a92097802b19aadcdf35ab113eadeca23bdcaca85",
-	"seed=3/delta-L0": "4b0c3712812e8e5e6466e9be952928c85deb539be779694298af27d2ee21468a",
-	"seed=4/clean-L0": "09782f3ec4180f3bcc09b5d6bffae618c4427cd87c5e1e424f3a0574e4e58f07",
-	"seed=4/loss-L0":  "82981ec0395d181018502ac87c2ec9fca0ea32eb7c01d09491ccb735795bcff4",
-	"seed=4/burst-L0": "0e54b2719359db44a82b8d445dd17fb4b154e546ba9c9f0e55dec45fcd0b5da1",
-	"seed=4/delta-L0": "0ee0199aa6d6256e0d1f6bb23f36139f95daf9534e9b2dd667aae0eca7382549",
+	"seed=1/clean-L0": "64be940479d5a01aa0a336aff9910565545167ad5baaab055ab503a77a2510e5",
+	"seed=1/loss-L0":  "a9052d23d5f458b604dc7e1ddffe2f1ab3849c5658a38af8acec9b71d6b86e77",
+	"seed=1/burst-L0": "9eb73da9e0d50893dbdd89a6bab83d97612c14bb2e9372f9721af9f3766c5fe7",
+	"seed=1/delta-L0": "eea153286fdda64bec87361b52aa86851e0140be3bf7d3203a30896a425c5fd6",
+	"seed=2/clean-L0": "25483079c217b8a548180871a5c8e2d058e3e39b57b696824a9121de6bd63375",
+	"seed=2/loss-L0":  "c42102d6afb0b8887748220de20509fcd5694ad220a3c4b703c4770d8a91d402",
+	"seed=2/burst-L0": "1eff92a3b88cade07fc2d0962b9de0614f34f4df5f76384b88560b69547088f1",
+	"seed=2/delta-L0": "98711fd9745acaf93e0ab8f091a1e2473a725a16a9700c0ba3534ed15d9d8ef2",
+	"seed=3/clean-L0": "c00db2442f4185d2a6e26c465f7e0aeb4091de0968498fab836ba806c3ffa974",
+	"seed=3/loss-L0":  "1e5d6c572ed3d9680d8b06a0fb3f22ffbed9cc5f68cfad0ffe4bc900a3d29416",
+	"seed=3/burst-L0": "8a4d88f233ed10b812ca192bdad1b3a8aa7134f0207e07a230d825ee3f51b722",
+	"seed=3/delta-L0": "ea11722e547d532b89aa6689ad9e5a40acaef40fc0fdddc0708edfe7fda430ce",
+	"seed=4/clean-L0": "69b5c2ebf20ab10921ab88627085110bd99640e8aadee9a52ace8f853eda3fcc",
+	"seed=4/loss-L0":  "b79852846f20529d2c83b2c4e2b974352f797960d86f9d7561545fe8455f7f51",
+	"seed=4/burst-L0": "d476d37471f69d62de4602823310fb65997bfe2431c06a30e093aded201c77a4",
+	"seed=4/delta-L0": "3dc98ca589cd01a72f72e48f7d3e81f3bd6a1ab73564cc7fa506ecf7cbade59b",
 }
 
 // uplinkDigests pins uplinkDigest of the lossless scenarios. They held
@@ -147,16 +149,20 @@ var wireDigests = map[string]string{
 // when a kNN member's side got one rule on both ends: each of those exits
 // is now a MoveReport carrying the member's track (37 → 53 B), which the
 // server places outside r_b, and a member re-affirming from outside r_b on
-// a track still inside it reports a Move and leaves.
+// a track still inside it reports a Move and leaves. They were re-captured
+// again when r_b and the side rule began to measure by one distance: a
+// refresh's (k+m)-th member no longer lands an ulp outside the r_b it
+// sized, which changes what members report after a refresh
+// (seed=2/delta-L0 held).
 var uplinkDigests = map[string]string{
-	"seed=1/clean-L0": "8d1f6114d42364bb080d38e2283fa1b79ac8c335c7062b874d84a35b02744d4c",
-	"seed=1/delta-L0": "0f453b3deeb9a33bd325079ee16a2f38c083cf52e17ed7cc1c340baa7fd4c566",
-	"seed=2/clean-L0": "cc604d30178455661009abac47c9c5180f4ab0b824ce809c627ace3de72426e7",
+	"seed=1/clean-L0": "274030fd11626286ed2f6d8e12192a03e3f0fcef7207cf07200ff9bb10d8807b",
+	"seed=1/delta-L0": "ccd1d5052cd70e314eb2bf2f227acc113166e22fc9d70e2254dd2e4d0e8a51a2",
+	"seed=2/clean-L0": "3ce8ad1fc72aedb41095caaa14d100e7d5311df96acd71c33f6b36897a6d6953",
 	"seed=2/delta-L0": "9ca23e925ad430541c31000c355211887cf4c6ca6a532b9636cd346fe2c512f1",
-	"seed=3/clean-L0": "74e00599bd28f3a6e0325dd7831eb53e1b3e661763562c109f3b1bc7d5398fca",
-	"seed=3/delta-L0": "a0bb3c5aa2bc4b311e60dc10a34b32f14e5dce7d021cdd581ed0733eb512de8c",
-	"seed=4/clean-L0": "5fe6390a7571c85cf54f50a0c21c041976bee55de6dbfca6cce20c32d7f62777",
-	"seed=4/delta-L0": "6f16e9fe15e45a8d57b8f0dbef7cb29aba8cf32055072bdd20c758e1d4a147f1",
+	"seed=3/clean-L0": "a107e074506e1a6402a3f9fc656dbfbb5400ec6c17a4c15e0d503955f7585d93",
+	"seed=3/delta-L0": "8a7a5e1c4c23fad0c1bd4f9d54265f79d001a1270010c189bde9df33f928fbeb",
+	"seed=4/clean-L0": "1965619586dc484f1682af620504f38c2617b067930378394a7ca03812cc22db",
+	"seed=4/delta-L0": "52c34866a832331460aed377497aa01b7a1edd3975520de179d592dc3f0a2cb5",
 }
 
 // downlinkDigests pins downlinkDigest of the lossless scenarios. They
