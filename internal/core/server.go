@@ -787,11 +787,11 @@ func (s *Server) probe(mon *monitor, now model.Tick, center geo.Point, radius fl
 	mon.probeRadius = radius
 	mon.probeDue = now + model.Tick(2*s.deps.LatencyTicks)
 	mon.replies.Clear()
-	region := geo.Circle{Center: center, R: radius}
-	s.deps.Side.Broadcast(region, protocol.ProbeRequest{
+	ring := geo.Circle{Center: center, R: radius}
+	s.deps.Side.Broadcast(ring, protocol.ProbeRequest{
 		Query:  mon.query,
 		Seq:    mon.probeSeq,
-		Region: region,
+		Region: ring,
 		At:     now,
 	})
 	if s.deps.Trace != nil {
