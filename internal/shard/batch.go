@@ -13,7 +13,6 @@ import (
 	"dmknn/internal/model"
 	"dmknn/internal/obs"
 	"dmknn/internal/protocol"
-	"dmknn/internal/transport"
 )
 
 // Options tunes the server's ingest pipeline.
@@ -161,48 +160,27 @@ func (s *Server) flushSends() {
 	s.trimSends(len(merged))
 }
 
-// transmit replays merged onto the real medium in key order. The stable
-// sort preserves each shard's emission order within a key, runs of
-// adjacent broadcasts are handed to the medium as one batch when it
-// supports that, and the time spent here is accounted as serialized
-// driver work in BusyTime.
+// transmit replays merged onto the real medium in key order, one
+// Downlink or Broadcast per send, exactly the calls the single server
+// makes. The stable sort preserves each shard's emission order within a
+// key, and the time spent here is accounted as serialized driver work in
+// BusyTime.
 func (s *Server) transmit(merged []pendingSend) {
 	start := obs.Now()
 	slices.SortStableFunc(merged, func(a, b pendingSend) int { return cmp.Compare(a.key, b.key) })
-	for i := 0; i < len(merged); {
-		if !merged[i].broadcast {
-			s.out.Downlink(merged[i].to, merged[i].msg)
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(merged) && merged[j].broadcast {
-			j++
-		}
-		if s.batchOut != nil && j-i > 1 {
-			// The medium copies what it keeps of a batch (transport's
-			// BatchServerSide contract), so items is reusable on return.
-			items := s.items
-			for _, ps := range merged[i:j] {
-				items = append(items, transport.BroadcastItem{Region: ps.region, Msg: ps.msg})
-			}
-			s.batchOut.BroadcastBatch(items)
-			clear(items)
-			s.items = items[:0]
+	for _, ps := range merged {
+		if ps.broadcast {
+			s.out.Broadcast(ps.region, ps.msg)
 		} else {
-			for _, ps := range merged[i:j] {
-				s.out.Broadcast(ps.region, ps.msg)
-			}
+			s.out.Downlink(ps.to, ps.msg)
 		}
-		i = j
 	}
 	s.flushBusy.Add(int64(start.Elapsed()))
 }
 
 // trimSends ends a flush's round of the capacity rule
 // (container.Window) for the send buffers. A round put n sends through
-// merged, and no side's sends or run of items holds more, so one window
-// bounds them all.
+// merged, and no side's sends hold more, so one window bounds them all.
 func (s *Server) trimSends(n int) {
 	s.sendWindow.Observe(n)
 	keep, due := s.sendWindow.EndRound()
@@ -213,7 +191,6 @@ func (s *Server) trimSends(n int) {
 		side.sends = container.Trim(side.sends, keep)
 	}
 	s.merged = container.Trim(s.merged, keep)
-	s.items = container.Trim(s.items, keep)
 }
 
 // parallelShards runs fn over every shard on at most s.workers

@@ -186,13 +186,15 @@ func propertyBase(seed int64) sim.Config {
 // shard counts 1, 2, and 8 — is byte-identical on the client wire to the
 // synchronous single server, across 8 seeds and a matrix of network
 // conditions: zero and one tick of latency, plain loss on every
-// direction, Gilbert–Elliott burst loss, and delta answers. Sequences,
-// counters, and RNG stream positions must all match.
+// direction, Gilbert–Elliott burst loss, message duplication (alone and
+// with loss), and delta answers. Sequences, counters, and RNG stream
+// positions must all match. Duplication is inside identity because the
+// pipeline hands the medium one Broadcast or Downlink per send, exactly
+// the calls the single server makes, so every send takes its own
+// duplication draw in the same order.
 //
-// Jitter and duplication are deliberately out of scope: both draw
-// faults at enqueue time, where a broadcast batch is one queue entry
-// against the loop's many, and a jitter-delayed uplink's response is
-// emitted at the next drain rather than mid-flush. Delta answers are
+// Jitter is deliberately out of scope: a jitter-delayed uplink's response
+// is emitted at the next drain rather than mid-flush. Delta answers are
 // paired with zero loss because a delta-sequence gap makes the client
 // uplink an AnswerResync synchronously from its downlink handler — the
 // one message the queued pipeline processes a phase later than the
@@ -222,6 +224,14 @@ func TestBatchedPipelineWireIdentity(t *testing.T) {
 			c.Faults.UplinkGE = simnet.BurstLoss(0.1, 3)
 		}},
 		{name: "delta-L0", strict: true, proto: delta, mut: func(c *sim.Config) {}},
+		{name: "dup-L0", strict: true, proto: proto, mut: func(c *sim.Config) {
+			c.Faults.DuplicateProb = 0.1
+		}},
+		{name: "dup-loss-L0", strict: true, proto: proto, mut: func(c *sim.Config) {
+			c.Faults.DuplicateProb = 0.1
+			c.UplinkLoss = 0.05
+			c.BroadcastLoss = 0.1
+		}},
 		{name: "clean-L1", strict: false, proto: proto, mut: func(c *sim.Config) {
 			c.LatencyTicks = 1
 		}},

@@ -9,22 +9,16 @@ import (
 	"dmknn/internal/geo"
 	"dmknn/internal/model"
 	"dmknn/internal/protocol"
-	"dmknn/internal/transport"
 )
 
-// batchSink is a medium that accepts broadcast batches and keeps nothing.
-type batchSink struct{ nullSide }
-
-func (batchSink) BroadcastBatch([]transport.BroadcastItem) {}
-
 // newRetentionServer returns a two-shard batched server on one worker
-// over batchSink, and the clock its shards read.
+// over nullSide, and the clock its shards read.
 func newRetentionServer(t *testing.T) (*Server, *model.Tick) {
 	t.Helper()
 	now := new(model.Tick)
 	world := geo.NewRect(geo.Pt(0, 0), geo.Pt(1000, 1000))
 	s, err := NewWithOptions(2, proto().WithWorldDefault(world), core.ServerDeps{
-		Side: batchSink{},
+		Side: nullSide{},
 		Now:  func() model.Tick { return *now },
 		DT:   1, MaxObjectSpeed: 10, MaxQuerySpeed: 10,
 	}, Options{Workers: 1})
@@ -47,8 +41,8 @@ func zeroFrom[T any](t *testing.T, name string, s []T, from int) {
 
 // checkNothingRetained demands that between phases no buffer of the
 // pipeline holds or pins an entry: the ingest queues' processed buffers,
-// the capture sides, the merge and the batch items are empty and zero up
-// to their capacity, and past its length so is each arrival buffer.
+// the capture sides and the merge are empty and zero up to their
+// capacity, and past its length so is each arrival buffer.
 func checkNothingRetained(t *testing.T, s *Server) {
 	t.Helper()
 	for i := range s.queues {
@@ -58,7 +52,6 @@ func checkNothingRetained(t *testing.T, s *Server) {
 		zeroFrom(t, "side sends", s.sides[i].sends, 0)
 	}
 	zeroFrom(t, "merged", s.merged, 0)
-	zeroFrom(t, "items", s.items, 0)
 }
 
 // Once Drain, Tick and Finalize have passed their entries on, the
@@ -95,9 +88,9 @@ func TestBatchedBuffersHoldNothingDelivered(t *testing.T) {
 	*now = 2
 	s.Tick(2)
 	checkNothingRetained(t, s)
-	if cap(s.merged) == 0 || cap(s.items) == 0 || cap(s.queues[0].proc)+cap(s.queues[0].buf) == 0 {
-		t.Fatalf("the scenario exists to fill every buffer: merged cap %d, items cap %d, queue caps %d/%d",
-			cap(s.merged), cap(s.items), cap(s.queues[0].buf), cap(s.queues[0].proc))
+	if cap(s.merged) == 0 || cap(s.queues[0].proc)+cap(s.queues[0].buf) == 0 {
+		t.Fatalf("the scenario exists to fill every buffer: merged cap %d, queue caps %d/%d",
+			cap(s.merged), cap(s.queues[0].buf), cap(s.queues[0].proc))
 	}
 }
 
@@ -137,8 +130,8 @@ func TestBatchedBuffersFollowTraffic(t *testing.T) {
 	s, now := newRetentionServer(t)
 	*now = 1
 	// A round enqueues k arrivals per shard, for queries no shard holds, and
-	// captures m sends per side — two broadcasts to a downlink, so merged
-	// runs of broadcasts go out as batches — then drains.
+	// captures m sends per side — two broadcasts to a downlink — then
+	// drains.
 	var (
 		reply0, reply1 protocol.Message = protocol.ProbeReply{Query: 1000}, protocol.ProbeReply{Query: 1001}
 		cancel         protocol.Message = protocol.MonitorCancel{Query: 1}
@@ -185,8 +178,8 @@ func TestBatchedBuffersFollowTraffic(t *testing.T) {
 				t.Errorf("side %d retains capacity %d, want at most %d", i, c, container.Slack*2*m)
 			}
 		}
-		if c := max(cap(s.merged), cap(s.items)); c > container.Slack*2*m {
-			t.Errorf("merge and items retain capacity %d, want at most %d", c, container.Slack*2*m)
+		if c := cap(s.merged); c > container.Slack*2*m {
+			t.Errorf("merge retains capacity %d, want at most %d", c, container.Slack*2*m)
 		}
 	}
 	inBound()

@@ -42,18 +42,16 @@ type Server struct {
 	// capture side instead, and flushSends replays the merged sends onto
 	// out from the driver goroutine. seq numbers arrivals globally so the
 	// merge can reconstruct arrival order across queues.
-	out      transport.ServerSide
-	batchOut transport.BatchServerSide
-	sides    []*batchSide
-	queues   []ingestQueue
-	seq      atomic.Uint64
-	workers  int
+	out     transport.ServerSide
+	sides   []*batchSide
+	queues  []ingestQueue
+	seq     atomic.Uint64
+	workers int
 	// drainStep is s.drainShard, bound once so that a drain allocates
 	// nothing.
 	drainStep func(int, *core.Server)
 
 	merged     []pendingSend
-	items      []transport.BroadcastItem
 	sendWindow container.Window
 	// flushBusy is the driver's time in transmit, in nanoseconds; BusyTime
 	// reads it from any goroutine.
@@ -76,7 +74,6 @@ func NewWithOptions(n int, cfg core.Config, deps core.ServerDeps, opts Options) 
 		queues:  make([]ingestQueue, n),
 		workers: opts.Workers,
 	}
-	s.batchOut, _ = deps.Side.(transport.BatchServerSide)
 	s.drainStep = s.drainShard
 	if s.workers <= 0 {
 		s.workers = defaultWorkers(n)

@@ -115,14 +115,7 @@ func (w *fanoutWorld) detach(id model.ObjectID) {
 // cell against the region. Membership, handlers and positions come from
 // the world's own books, never from the network's client table.
 func (w *fanoutWorld) deliverLinear(q queued) int {
-	if q.b.batch == nil {
-		return w.linearFanout(q.b.region, q.b.filter, q.msg)
-	}
-	delivered := 0
-	for _, it := range q.b.batch {
-		delivered += w.linearFanout(it.Region, q.b.filter, it.Msg)
-	}
-	return delivered
+	return w.linearFanout(q.b.region, q.b.filter, q.msg)
 }
 
 func (w *fanoutWorld) linearFanout(region geo.Circle, filter func(grid.Cell) bool, msg protocol.Message) int {
@@ -208,13 +201,19 @@ func (h scriptHits) check(t *testing.T, seeds int) {
 	}
 }
 
+// fanoutItem is one region broadcast of a scripted tick.
+type fanoutItem struct {
+	region geo.Circle
+	msg    protocol.Message
+}
+
 // runFanoutScript drives an indexed and a linear-oracle network through
 // the same scripted random scenario and demands they be indistinguishable:
 // identical per-client delivery sequences, identical counters per
 // direction, identical duplication counts, and identical consumption of
 // both the base-loss and fault RNG streams. The script draws from its own
 // generator, so both worlds perform identical operations in identical
-// order. batched sends each tick's broadcasts as one BroadcastBatch.
+// order.
 //
 // Besides random movement, attach/detach and down/up churn between
 // flushes, the script plants one-shot hooks that act from inside a
@@ -235,7 +234,7 @@ func (h scriptHits) check(t *testing.T, seeds int) {
 // column edge, up across the row edge, then back down across each — where
 // the refresh's comparison against the edges is the only thing that can
 // tell the two cells apart.
-func runFanoutScript(t *testing.T, cfg Config, scriptSeed int64, batched bool) scriptHits {
+func runFanoutScript(t *testing.T, cfg Config, scriptSeed int64) scriptHits {
 	script := rand.New(rand.NewSource(scriptSeed))
 	randPt := func() geo.Point {
 		return geo.Pt(script.Float64()*1000, script.Float64()*1000)
@@ -261,7 +260,7 @@ func runFanoutScript(t *testing.T, cfg Config, scriptSeed int64, batched bool) s
 	xs, ys := cfg.Geometry.Edges()
 	cols, rows := cfg.Geometry.Dims()
 	var edgeID model.ObjectID
-	var items []transport.BroadcastItem
+	var items []fanoutItem
 	for tick := model.Tick(1); tick <= 50; tick++ {
 		// Move ~half the population; now and then the oracle loses one.
 		for id := model.ObjectID(1); id < nextID; id++ {
@@ -353,7 +352,7 @@ func runFanoutScript(t *testing.T, cfg Config, scriptSeed int64, batched bool) s
 			r := script.Float64()*300 - 10
 			c := geo.Circle{Center: randPt(), R: r}
 			tag := protocol.AnswerUpdate{Query: model.QueryID(tick*100 + model.Tick(j))}
-			items = append(items, transport.BroadcastItem{Region: c, Msg: tag})
+			items = append(items, fanoutItem{c, tag})
 		}
 		// The corner walk (see the function comment), drawn from no
 		// generator, so the rest of the script is what it was. A region
@@ -376,27 +375,23 @@ func runFanoutScript(t *testing.T, cfg Config, scriptSeed int64, batched bool) s
 			}
 		}
 		in := cfg.Geometry.CellRect(cfg.Geometry.CellOf(walk[phase]))
-		items = append(items, transport.BroadcastItem{
-			Region: geo.Circle{Center: in.Center(), R: in.Width() / 4},
-			Msg:    protocol.AnswerUpdate{Query: model.QueryID(tick*100 + 98)},
+		items = append(items, fanoutItem{
+			geo.Circle{Center: in.Center(), R: in.Width() / 4},
+			protocol.AnswerUpdate{Query: model.QueryID(tick*100 + 98)},
 		})
 		// Every tenth tick adds a many-query-sized region — well over a
 		// hundred cells, most of the population — drawn from no generator,
 		// so the rest of the script is what it was.
 		if tick%10 == 0 {
 			c := geo.Circle{Center: geo.Pt(500, 500), R: 400}
-			items = append(items, transport.BroadcastItem{Region: c, Msg: protocol.AnswerUpdate{Query: model.QueryID(tick*100 + 99)}})
+			items = append(items, fanoutItem{c, protocol.AnswerUpdate{Query: model.QueryID(tick*100 + 99)}})
 			if len(cfg.Geometry.CellsIntersecting(c)) >= 100 {
 				hits.wideRegion++
 			}
 		}
 		for _, w := range worlds {
-			if batched {
-				w.net.ServerSide().(transport.BatchServerSide).BroadcastBatch(items)
-				continue
-			}
 			for _, it := range items {
-				w.net.ServerSide().Broadcast(it.Region, it.Msg)
+				w.net.ServerSide().Broadcast(it.region, it.msg)
 			}
 		}
 		// A few downlinks keep the bucketed queue mixing directions.
@@ -474,7 +469,7 @@ func TestIndexedFanoutMatchesLinear(t *testing.T) {
 					JitterTicks:   2,
 					DuplicateProb: 0.25,
 				},
-			}, seed*7919, false))
+			}, seed*7919))
 		})
 	}
 	hits.check(t, 8)
@@ -617,8 +612,7 @@ func TestAudienceScratchFollowsTraffic(t *testing.T) {
 
 // BenchmarkBroadcastFanout measures a flush delivering a burst of
 // fixed-radius region broadcasts, sent one by one on the indexed
-// (production) path, as one BroadcastBatch on the same path, and one by
-// one against the linear oracle. The indexed path pays one position
+// (production) path and against the linear oracle. The indexed path pays one position
 // re-resolution per client per flush plus work proportional to the
 // regions' populations; the oracle scans every client once per broadcast.
 //
@@ -644,7 +638,7 @@ func BenchmarkBroadcastFanout(b *testing.B) {
 		{"manyq/N=20000", 20000, 1000, 16, 10},
 	}
 	for _, c := range cases {
-		for _, mode := range []string{"indexed", "batch", "linear"} {
+		for _, mode := range []string{"indexed", "linear"} {
 			b.Run(c.name+"/"+mode, func(b *testing.B) {
 				w := newFanoutWorld(Config{
 					Geometry: grid.NewGeometry(world, 64, 64),
@@ -662,24 +656,17 @@ func BenchmarkBroadcastFanout(b *testing.B) {
 					}
 				}
 				var msg protocol.Message = protocol.MonitorCancel{Query: 1}
-				items := make([]transport.BroadcastItem, c.perFlush)
-				for i := range items {
-					items[i] = transport.BroadcastItem{Msg: msg, Region: geo.Circle{
-						Center: geo.Pt(rng.Float64()*10000, rng.Float64()*10000),
-						R:      c.r,
-					}}
+				regions := make([]geo.Circle, c.perFlush)
+				for i := range regions {
+					regions[i] = geo.Circle{Center: geo.Pt(rng.Float64()*10000, rng.Float64()*10000), R: c.r}
 				}
 				tick := model.Tick(0)
 				flushBurst := func() {
 					tick++
 					w.pos = tables[tick&1]
 					w.net.SetNow(tick)
-					if mode == "batch" {
-						w.net.ServerSide().(transport.BatchServerSide).BroadcastBatch(items)
-					} else {
-						for _, it := range items {
-							w.net.ServerSide().Broadcast(it.Region, it.Msg)
-						}
+					for _, region := range regions {
+						w.net.ServerSide().Broadcast(region, msg)
 					}
 					w.net.Flush()
 				}

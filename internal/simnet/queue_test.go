@@ -41,7 +41,7 @@ func sameArray(a, b []queued) bool {
 
 // checkQueueClean demands that, between flushes, every slot the queue
 // retains beyond a slice's length is the zero queued and every free
-// broadcast record is the zero bcast — no msg, filter or batch reference
+// broadcast record is the zero bcast — no msg or filter reference
 // survives delivery — and that the scratch and the spare are empty.
 func checkQueueClean(t *testing.T, n *Network) {
 	t.Helper()
@@ -64,8 +64,8 @@ func checkQueueClean(t *testing.T, n *Network) {
 }
 
 // chattyServer answers every uplink from inside the round that delivers
-// it, with every kind of entry the queue can hold: a downlink, a filtered
-// broadcast and a filtered two-item batch. Before sending it checks that
+// it, with every kind of entry the queue can hold: a downlink and three
+// filtered broadcasts. Before sending it checks that
 // the bucket its replies land in is not the slice the round is iterating.
 type chattyServer struct {
 	t     *testing.T
@@ -83,10 +83,9 @@ func (s *chattyServer) HandleUplink(from model.ObjectID, _ protocol.Message) {
 	region := geo.Circle{Center: geo.Pt(500, 500), R: 300}
 	tag := protocol.AnswerUpdate{Query: model.QueryID(from)}
 	s.side.Downlink(from, tag)
-	s.side.Broadcast(region, tag)
-	s.side.(transport.BatchServerSide).BroadcastBatch([]transport.BroadcastItem{
-		{Region: region, Msg: tag}, {Region: region, Msg: tag},
-	})
+	for range 3 {
+		s.side.Broadcast(region, tag)
+	}
 }
 
 // replyOnce uplinks once, on the first downlink addressed to its client.
@@ -108,7 +107,7 @@ func (c *replyOnce) HandleServerMessage(m protocol.Message) {
 func TestQueueHoldsNoDeliveredEntry(t *testing.T) {
 	// The swap path, with handlers enqueueing into the bucket the round was
 	// taken from: zero latency, a four-round cascade (uplinks; downlinks,
-	// broadcasts and batches; the clients' second uplinks; their answers),
+	// broadcasts; the clients' second uplinks; their answers),
 	// every broadcast carrying a filter.
 	t.Run("swap", func(t *testing.T) {
 		n := New(testConfig())
@@ -143,8 +142,8 @@ func TestQueueHoldsNoDeliveredEntry(t *testing.T) {
 		if n.PendingCount() != 0 {
 			t.Fatalf("%d entries left pending", n.PendingCount())
 		}
-		// 160 uplinks, each answered by a downlink, a broadcast and a
-		// two-item batch heard by all 40 clients.
+		// 160 uplinks, each answered by a downlink and three broadcasts
+		// heard by all 40 clients.
 		c := n.Counters()
 		if got := c.Delivered(metrics.Downlink); got != 160 {
 			t.Errorf("delivered %d downlinks, want 160", got)
@@ -178,11 +177,8 @@ func TestQueueHoldsNoDeliveredEntry(t *testing.T) {
 					n.ClientSide(1).Uplink(tag)
 				case 1:
 					n.ServerSide().Downlink(1, tag)
-				case 2:
+				case 2, 3:
 					n.ServerSide().Broadcast(region, tag)
-				case 3:
-					n.ServerSide().(transport.BatchServerSide).BroadcastBatch(
-						[]transport.BroadcastItem{{Region: region, Msg: tag}})
 				}
 			}
 			n.Flush()

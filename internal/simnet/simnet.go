@@ -170,8 +170,8 @@ type queued struct {
 	due  model.Tick
 	peer model.ObjectID
 	dir  metrics.Direction
-	msg  protocol.Message // unused by a batch
-	b    *bcast           // broadcasts only
+	msg  protocol.Message
+	b    *bcast // broadcasts only
 }
 
 // bcast is the broadcast-only part of a queue entry. Records are recycled
@@ -184,11 +184,6 @@ type bcast struct {
 	// the cells it owns, so a node's broadcast only reaches its own
 	// region and sibling nodes cover the rest of the circle.
 	filter func(grid.Cell) bool
-	// batch, when non-nil, makes the entry a broadcast batch: one queue
-	// entry carrying a drain's worth of region broadcasts that deliver
-	// back-to-back in item order (see BroadcastBatch in batch.go); region
-	// and the entry's msg are unused.
-	batch []transport.BroadcastItem
 }
 
 // client is one row of the dense client table. A row with a nil handler
@@ -376,6 +371,15 @@ func (n *Network) SetClientDown(id model.ObjectID, isDown bool) {
 // sent + duplicated == delivered + dropped for unicast directions.
 func (n *Network) Duplicated(dir metrics.Direction) uint64 { return n.dups[dir] }
 
+// RNGBurn draws and returns one value from the base-loss generator and
+// one from the fault generator. It exists for equivalence tests, which
+// call it once at the end of two runs to assert both pairs of streams
+// sit at the same position; the draws advance the streams, so production
+// code must never call it.
+func (n *Network) RNGBurn() (base, fault float64) {
+	return n.rng.Float64(), n.frng.Float64()
+}
+
 // Counters returns the live traffic counters.
 func (n *Network) Counters() *metrics.Counters { return &n.counters }
 
@@ -480,19 +484,10 @@ func (s serverSide) Downlink(to model.ObjectID, m protocol.Message) {
 	n.enqueue(queued{dir: metrics.Downlink, peer: to, msg: m})
 }
 
+// Broadcast accounts one region broadcast at send time — one cell-level
+// transmission per accepted cell the region covers — and queues it; a
+// broadcast that reaches no cell is neither traced nor queued.
 func (s serverSide) Broadcast(region geo.Circle, m protocol.Message) {
-	if s.meterBroadcast(region, m) {
-		b := s.n.newBcast()
-		b.region, b.filter = region, s.filter
-		s.n.enqueue(queued{dir: metrics.Broadcast, msg: m, b: b})
-	}
-}
-
-// meterBroadcast accounts one region broadcast at send time — one
-// cell-level transmission per accepted cell the region covers — and
-// reports whether it covers any: a broadcast that reaches no cell is
-// neither traced nor queued.
-func (s serverSide) meterBroadcast(region geo.Circle, m protocol.Message) bool {
 	n := s.n
 	cells := 0
 	n.cfg.Geometry.VisitCellsIntersecting(region, func(c grid.Cell) bool {
@@ -502,13 +497,15 @@ func (s serverSide) meterBroadcast(region geo.Circle, m protocol.Message) bool {
 		return true
 	})
 	if cells == 0 {
-		return false
+		return
 	}
 	n.counters.RecordSendN(metrics.Broadcast, m.Kind(), protocol.EncodedSize(m), cells)
 	if n.trace != nil {
 		n.emit(obs.EvNetSend, metrics.Broadcast, 0, m.Kind())
 	}
-	return true
+	b := n.newBcast()
+	b.region, b.filter = region, s.filter
+	n.enqueue(queued{dir: metrics.Broadcast, msg: m, b: b})
 }
 
 type clientSide struct {
@@ -563,8 +560,8 @@ func (n *Network) newBcast() *bcast {
 	return b
 }
 
-// freeBcast zeroes a delivered broadcast's record, so it pins no filter
-// or batch, and returns it to the free list.
+// freeBcast zeroes a delivered broadcast's record, so it pins no filter,
+// and returns it to the free list.
 func (n *Network) freeBcast(b *bcast) {
 	*b = bcast{}
 	n.bfree = append(n.bfree, b)
@@ -760,20 +757,14 @@ func (n *Network) deliver(q queued) int {
 		if n.positions == nil {
 			panic("simnet: broadcast without a position oracle")
 		}
-		b, delivered := q.b, 0
-		switch {
-		case n.refBroadcast != nil:
+		var delivered int
+		if n.refBroadcast != nil {
 			delivered = n.refBroadcast(q)
-		case b.batch == nil:
+		} else {
 			n.refreshCellIndex()
-			delivered = n.deliverBroadcast(b.region, b.filter, q.msg)
-		default:
-			n.refreshCellIndex()
-			for _, it := range b.batch {
-				delivered += n.deliverBroadcast(it.Region, b.filter, it.Msg)
-			}
+			delivered = n.deliverBroadcast(q.b.region, q.b.filter, q.msg)
 		}
-		n.freeBcast(b)
+		n.freeBcast(q.b)
 		return delivered
 	default:
 		panic("simnet: unknown direction")
@@ -795,8 +786,7 @@ func (n *Network) handlerOf(id model.ObjectID) transport.ClientHandler {
 func (n *Network) isDown(id model.ObjectID) bool { return len(n.down) > 0 && n.down[id] }
 
 // deliverBroadcast fans msg out to every client whose cell intersects the
-// region and passes the filter: the one gather behind both a single
-// broadcast and each item of a batch. The audience comes from the per-cell
+// region and passes the filter. The audience comes from the per-cell
 // index — only the region's cells are visited, so cost is output-sensitive
 // — and is sorted by id (packed entries order by their id half) so the
 // fan-out order, and with it the per-recipient loss-RNG draw order, is

@@ -33,22 +33,17 @@ type ServerSide interface {
 	Broadcast(region geo.Circle, m protocol.Message)
 }
 
-// BroadcastItem is one region-scoped message inside a broadcast batch.
+// BroadcastItem and BatchServerSide are the former broadcast-batch
+// surface. No medium implements BatchServerSide any more and no server
+// calls it: every broadcast goes through ServerSide.Broadcast. They stay
+// declared only because the repository's benchmark harness (bench/) still
+// names them; they go when it is next revised.
 type BroadcastItem struct {
 	Region geo.Circle
 	Msg    protocol.Message
 }
 
-// BatchServerSide is optionally implemented by a ServerSide whose medium
-// can accept a whole tick's broadcasts in one call. Semantically
-// BroadcastBatch(items) is exactly the loop
-//
-//	for _, it := range items { side.Broadcast(it.Region, it.Msg) }
-//
-// — same per-item metering, same recipients, same delivery order — but
-// the medium may share per-cell audience work across the items instead
-// of redoing it per call. Callers must treat the items slice as borrowed:
-// the medium copies what it keeps before returning.
+// BatchServerSide: see BroadcastItem.
 type BatchServerSide interface {
 	BroadcastBatch(items []BroadcastItem)
 }
