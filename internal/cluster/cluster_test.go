@@ -623,7 +623,7 @@ func TestClientGonePurgesFederation(t *testing.T) {
 		if n.server.HasQuery(q) {
 			t.Errorf("node %d still has the monitor", i)
 		}
-		if _, routed := n.remote[q]; routed || n.local[q] {
+		if _, routed := n.remote[q]; routed || n.server.HasQuery(q) {
 			t.Errorf("node %d still routes query %d", i, q)
 		}
 		if len(n.spread[q]) > 0 {

@@ -93,8 +93,9 @@ type Member struct {
 	dir directory
 	bel *belief
 
-	// local marks queries homed here (this node runs their monitors).
-	local map[model.QueryID]bool
+	// The queries homed here are the ones the inner server holds
+	// (server.HasQuery): its monitor table is the one record of ownership.
+	//
 	// remote maps queries whose broadcasts this node rebroadcast to the
 	// home node to relay reports to. Entries persist until an explicit
 	// cancel: a Leave report can arrive long after the region stopped
@@ -254,7 +255,6 @@ func newMember(part Partition, id int, cfg core.Config, deps MemberDeps, dir dir
 		id:       id,
 		deps:     deps,
 		dir:      dir,
-		local:    make(map[model.QueryID]bool),
 		remote:   make(map[model.QueryID]int),
 		spread:   make(map[model.QueryID]map[int]bool),
 		aware:    make(map[model.ObjectID]map[model.QueryID]int),
@@ -375,11 +375,7 @@ func (m *Member) AttachedCount() int {
 }
 
 // LocalQueries returns how many query monitors are homed at this node.
-func (m *Member) LocalQueries() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.local)
-}
+func (m *Member) LocalQueries() int { return m.server.QueryCount() }
 
 // emit records one federation-level event stamped with this node, from
 // uplink routing, link delivery and the migration scan.
@@ -505,9 +501,6 @@ func (m *Member) routeUplink(from model.ObjectID, msg protocol.Message, hops int
 			return
 		}
 		m.ingest(from, msg)
-		if m.server.HasQuery(reg.Query) {
-			m.local[reg.Query] = true
-		}
 		return
 	}
 	q, ok := protocol.QueryOf(msg)
@@ -519,7 +512,7 @@ func (m *Member) routeUplink(from model.ObjectID, msg protocol.Message, hops int
 		return
 	}
 	switch home, known := m.remote[q]; {
-	case m.local[q]:
+	case m.server.HasQuery(q):
 		m.ingest(from, msg)
 		if _, gone := msg.(protocol.QueryDeregister); gone {
 			m.finishTeardown(q)
@@ -653,7 +646,6 @@ func (m *Member) finishTeardown(q model.QueryID) {
 		})
 	}
 	delete(m.spread, q)
-	delete(m.local, q)
 	delete(m.pending, q)
 	// Awareness entries for q may survive from an era when this node
 	// relayed for it as a remote (before the monitor migrated here).
@@ -703,7 +695,7 @@ func (m *Member) handleObjectHandoff(v protocol.ObjectHandoff) {
 	for _, a := range v.Aware {
 		// An entry homed here whose query is local resolves through the
 		// local table, not a relay; record only true remotes.
-		if int(a.Home) == m.id && m.local[a.Query] {
+		if int(a.Home) == m.id && m.server.HasQuery(a.Query) {
 			continue
 		}
 		m.setAware(v.Object, a.Query, int(a.Home))
@@ -795,11 +787,12 @@ func (m *Member) applyPartition(np Partition, now model.Tick) {
 	}
 }
 
-// migrateOutOfStrip bulk-exports every monitor a partition change left
-// outside this node's strip and ships each to its new owner through the
-// ordinary query-handoff machinery — retried until acked, re-baselined on
-// import — so a column move is exactly as safe as a focal client walking
-// across the old boundary.
+// migrateOutOfStrip bulk-exports every monitor whose dead-reckoned focal
+// track lies outside this node's strip — because the focal client walked
+// across the boundary or because a partition change moved the boundary —
+// and ships each to its new owner through the ordinary query-handoff
+// machinery, retried until acked and re-baselined on import. A monitor
+// mid-probe stays until a later scan.
 func (m *Member) migrateOutOfStrip(now model.Tick) {
 	exported := m.server.ExportMonitorsWhere(now, func(q model.QueryID, est geo.Point) bool {
 		return m.part.NodeOf(est) != m.id
@@ -859,27 +852,11 @@ func worldCircle(b geo.Rect) geo.Circle {
 // ---------------------------------------------------------------------------
 // Query migration
 
-// migrateQueries runs before the server tick: any local query whose
-// dead-reckoned focal track left this strip is exported and shipped to
-// the owner, the focal client is redirected there, and unacked exports
-// are retried.
+// migrateQueries runs before the server tick: the monitors that left
+// this strip are shipped to their owners (migrateOutOfStrip), and
+// unacked exports are retried.
 func (m *Member) migrateQueries(now model.Tick) {
-	for _, q := range sortedKeys(m.local) {
-		est, ok := m.server.QueryEstimate(q, now)
-		if !ok {
-			delete(m.local, q)
-			continue
-		}
-		dest := m.part.NodeOf(est)
-		if dest == m.id {
-			continue
-		}
-		st, ok := m.server.ExportMonitor(q)
-		if !ok {
-			continue // probe in flight; retry next tick
-		}
-		m.shipMonitor(st, dest, now)
-	}
+	m.migrateOutOfStrip(now)
 	for _, q := range sortedKeys(m.pending) {
 		p := m.pending[q]
 		if now-p.sentAt >= m.retryGap {
@@ -891,9 +868,7 @@ func (m *Member) migrateQueries(now model.Tick) {
 
 // shipMonitor sends an exported monitor snapshot to its new home node,
 // installs the retry and relay bookkeeping, and steers the focal client
-// there. The per-tick migration scan and a partition change's bulk
-// migration share it, so both paths give a migrated monitor identical
-// lossy-link protection.
+// there.
 func (m *Member) shipMonitor(qh protocol.QueryHandoff, dest int, now model.Tick) {
 	q := qh.Query
 	for _, peer := range sortedKeys(m.spread[q]) {
@@ -901,7 +876,6 @@ func (m *Member) shipMonitor(qh protocol.QueryHandoff, dest int, now model.Tick)
 			qh.Spread = append(qh.Spread, uint16(peer))
 		}
 	}
-	delete(m.local, q)
 	delete(m.spread, q)
 	// Late reports for q still arrive here (aware objects in this strip
 	// keep reporting to their own home node — this one); relay them
@@ -919,7 +893,7 @@ func (m *Member) shipMonitor(qh protocol.QueryHandoff, dest int, now model.Tick)
 
 func (m *Member) handleQueryHandoff(from int, v protocol.QueryHandoff) {
 	q := v.Query
-	if m.local[q] {
+	if m.server.HasQuery(q) {
 		// Duplicate of a handoff already applied (the retry raced the
 		// ack, or the ack was lost). Re-affirm the focal client's home
 		// before acking again: a handoff flap in the other direction may
@@ -935,7 +909,6 @@ func (m *Member) handleQueryHandoff(from int, v protocol.QueryHandoff) {
 		// are handled locally now, and QueriesInvolving supersedes the
 		// relay bookkeeping.
 		m.purgeQuery(q)
-		m.local[q] = true
 		m.dir.adopt(v.Addr)
 		for _, peer := range v.Spread {
 			if int(peer) != m.id {
@@ -1019,7 +992,7 @@ func (m *Member) handleForward(from int, v protocol.NodeForward) {
 		return // decode layer prevents this; defense in depth
 	case cancel:
 		m.purgeQuery(q)
-	case !m.local[q]:
+	case !m.server.HasQuery(q):
 		m.remote[q] = from
 	}
 	if v.Region.R >= 0 {
@@ -1082,8 +1055,9 @@ func (m *Member) purgeClient(id model.ObjectID) {
 	}
 	m.server.HandleClientGone(id)
 	// If id was a focal client, its queries just deregistered without a
-	// radio uplink; complete their federation teardown.
-	for _, q := range sortedKeys(m.local) {
+	// radio uplink; complete their federation teardown. Only a query that
+	// reached a peer has any to complete.
+	for _, q := range sortedKeys(m.spread) {
 		if !m.server.HasQuery(q) {
 			m.finishTeardown(q)
 		}

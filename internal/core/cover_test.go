@@ -148,7 +148,7 @@ func TestHandoffCarriesAdvertisedFrame(t *testing.T) {
 	wantCover, wantInst := lastRegion[protocol.MonitorInstall](t, exSide)
 
 	src, _, _ := script()
-	st, ok := src.ExportMonitor(1)
+	st, ok := exportOne(src, 1)
 	if !ok {
 		t.Fatal("export refused")
 	}

@@ -18,28 +18,8 @@ import (
 	"dmknn/internal/protocol"
 )
 
-// ExportMonitor snapshots and removes q's monitor. Unlike a deregister
-// it does NOT broadcast a MonitorCancel: the aware objects keep their
-// installs and continue reporting, which is exactly what a migration
-// wants. It refuses (returns false) while a probe round is in flight —
-// the in-flight replies are addressed to this server and would be lost —
-// so callers retry on a later tick; it also returns false for an
-// unknown query. The snapshot leaves Spread empty: which nodes saw the
-// query is the federation's bookkeeping, not the server's. All slices are
-// sorted by id, so the snapshot (and hence its encoding) is
-// deterministic.
-func (s *Server) ExportMonitor(q model.QueryID) (protocol.QueryHandoff, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mon, ok := s.monitors[q]
-	if !ok || mon.probing {
-		return protocol.QueryHandoff{}, false
-	}
-	return s.exportLocked(q, mon, s.deps.Now()), true
-}
-
 // exportLocked snapshots mon and removes it from the server's tables.
-// Callers hold s.mu and have already rejected probing monitors. A pending
+// Callers hold s.mu and have already skipped probing monitors. A pending
 // answer is sent first, so the snapshot's AnswerSeq and Sent include it:
 // the importer's re-baseline lands a link delivery later, and the focal
 // client must not wait for it on a stale answer.
@@ -91,25 +71,30 @@ type ExportedMonitor struct {
 	Est   geo.Point
 }
 
-// ExportMonitorsWhere bulk-exports every monitor whose dead-reckoned
-// focal estimate at now satisfies leave, under a single lock acquisition
-// — the column-migration path of an adaptive partition, where one map
-// change moves many monitors at once. Monitors are visited in query-id
-// order, so the export sequence (and hence the wire traffic it produces)
-// is deterministic. Probing monitors are skipped exactly like
-// ExportMonitor refuses them; the caller's next sweep picks them up.
+// ExportMonitorsWhere snapshots and removes every monitor whose
+// dead-reckoned focal estimate at now satisfies leave, under a single lock
+// acquisition: a federation migrates the monitors whose focal client left
+// its strip, whether the client walked or the strip's boundary moved.
+// Unlike a deregister an export does NOT broadcast a MonitorCancel: the
+// aware objects keep their installs and continue reporting, which is
+// exactly what a migration wants. A monitor with a probe round in flight
+// is skipped — the in-flight replies are addressed to this server and
+// would be lost — so the caller's next sweep picks it up. Monitors are
+// visited in query-id order and every snapshot's slices are sorted by id,
+// so the export sequence (and hence the wire traffic it produces) is
+// deterministic. A snapshot leaves Spread empty: which nodes saw the
+// query is the federation's bookkeeping, not the server's.
 func (s *Server) ExportMonitorsWhere(now model.Tick, leave func(q model.QueryID, est geo.Point) bool) []ExportedMonitor {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []ExportedMonitor
-	// exportLocked mutates s.order; walk a snapshot of it.
-	for _, q := range slices.Clone(s.order) {
+	// exportLocked deletes s.order[i]; the next monitor then sits at i.
+	for i := 0; i < len(s.order); {
+		q := s.order[i]
 		mon := s.monitors[q]
-		if mon.probing {
-			continue
-		}
 		est := mon.qEst(now, s.deps.DT)
-		if !leave(q, est) {
+		if mon.probing || !leave(q, est) {
+			i++
 			continue
 		}
 		out = append(out, ExportedMonitor{State: s.exportLocked(q, mon, now), Est: est})
@@ -178,19 +163,6 @@ func (s *Server) HasQuery(q model.QueryID) bool {
 	defer s.mu.Unlock()
 	_, ok := s.monitors[q]
 	return ok
-}
-
-// QueryEstimate extrapolates q's advertised track to now. It is how a
-// federation detects that a focal client drifted out of this server's
-// region and the monitor should migrate.
-func (s *Server) QueryEstimate(q model.QueryID, now model.Tick) (geo.Point, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mon, ok := s.monitors[q]
-	if !ok {
-		return geo.Point{}, false
-	}
-	return mon.qEst(now, s.deps.DT), true
 }
 
 // QueriesInvolving returns the sorted ids of the queries whose monitor

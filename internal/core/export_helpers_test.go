@@ -8,18 +8,39 @@ import (
 	"dmknn/internal/protocol"
 )
 
-// The federation-facing read helpers: the track estimate a cluster uses
-// to decide when a monitor should migrate, and the involvement index it
-// transfers on object handoff.
+// exportOne exports q alone through ExportMonitorsWhere at the server's
+// clock. It reports false when the server holds no q or q is mid-probe.
+func exportOne(srv *Server, q model.QueryID) (protocol.QueryHandoff, bool) {
+	ex := srv.ExportMonitorsWhere(srv.deps.Now(), func(id model.QueryID, _ geo.Point) bool { return id == q })
+	if len(ex) == 0 {
+		return protocol.QueryHandoff{}, false
+	}
+	return ex[0].State, true
+}
+
+// The federation-facing reads: the track estimate ExportMonitorsWhere
+// hands its predicate, by which a cluster decides that a monitor should
+// migrate, and the involvement index it transfers on object handoff.
 func TestFederationReadHelpers(t *testing.T) {
 	srv, side, now := unitServer(t, baseCfg())
 	*now = 1
 	installQuery(t, srv, side, 1)
 
-	if _, ok := srv.QueryEstimate(99, 1); ok {
+	// estimate reads q's estimate at tick at from the predicate and
+	// exports nothing.
+	estimate := func(q model.QueryID, at model.Tick) (est geo.Point, seen bool) {
+		srv.ExportMonitorsWhere(at, func(id model.QueryID, e geo.Point) bool {
+			if id == q {
+				est, seen = e, true
+			}
+			return false
+		})
+		return est, seen
+	}
+	if _, ok := estimate(99, 1); ok {
 		t.Error("estimate for an unknown query")
 	}
-	est, ok := srv.QueryEstimate(1, 1)
+	est, ok := estimate(1, 1)
 	if !ok || est.Dist(geo.Pt(500, 500)) > 1e-9 {
 		t.Fatalf("estimate = %v ok=%v, want the registered position", est, ok)
 	}
@@ -28,8 +49,11 @@ func TestFederationReadHelpers(t *testing.T) {
 	srv.HandleUplink(500, protocol.QueryMove{
 		Query: 1, Pos: geo.Pt(500, 500), Vel: geo.Vector{X: 10}, At: 1,
 	})
-	if est, _ := srv.QueryEstimate(1, 3); est.Dist(geo.Pt(520, 500)) > 1e-9 {
+	if est, _ := estimate(1, 3); est.Dist(geo.Pt(520, 500)) > 1e-9 {
 		t.Fatalf("dead-reckoned estimate = %v, want (520,500)", est)
+	}
+	if !srv.HasQuery(1) {
+		t.Fatal("a predicate that returns false exported the monitor")
 	}
 
 	// Objects 1..3 participated in the install; a stranger did not.
@@ -41,9 +65,8 @@ func TestFederationReadHelpers(t *testing.T) {
 	}
 }
 
-// ExportMonitorsWhere is the column-migration bulk path: it must honor
-// the predicate, skip probing monitors exactly like ExportMonitor, and
-// remove what it exports.
+// ExportMonitorsWhere is the migration path: it must honor the
+// predicate, skip probing monitors, and remove what it exports.
 func TestExportMonitorsWhere(t *testing.T) {
 	srv, side, now := unitServer(t, baseCfg())
 	*now = 1

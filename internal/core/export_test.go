@@ -13,7 +13,7 @@ import (
 )
 
 // randHandoff draws a structurally valid snapshot: finite track,
-// admissible (K, Range), and id slices sorted ascending as ExportMonitor
+// admissible (K, Range), and id slices sorted ascending as ExportMonitorsWhere
 // guarantees. Values are pushed to awkward corners on purpose — answer
 // sequences near uint32 wraparound, negative prev-region radius (the
 // empty circle), zero-length sets.
@@ -35,7 +35,7 @@ func randHandoff(rng *rand.Rand) protocol.QueryHandoff {
 				out = append(out, id)
 			}
 		}
-		// Match ExportMonitor's sorted-by-id invariant.
+		// Match the export's sorted-by-id invariant.
 		for i := 1; i < len(out); i++ {
 			for j := i; j > 0 && out[j] < out[j-1]; j-- {
 				out[j], out[j-1] = out[j-1], out[j]
@@ -147,14 +147,14 @@ func testExportImportExportFixedPoint(t *testing.T, seed int64) {
 			srv.Finalize(tick)
 		}
 
-		st1, ok := srv.ExportMonitor(1)
+		st1, ok := exportOne(srv, 1)
 		if !ok {
 			t.Fatalf("seed %d: export refused", seed)
 		}
 		if srv.HasQuery(1) {
 			t.Fatalf("seed %d: query still registered after export", seed)
 		}
-		if _, ok := srv.ExportMonitor(1); ok {
+		if _, ok := exportOne(srv, 1); ok {
 			t.Fatalf("seed %d: second export of a removed monitor succeeded", seed)
 		}
 
@@ -181,7 +181,7 @@ func testExportImportExportFixedPoint(t *testing.T, seed int64) {
 				seed, resync.Seq, st1.AnswerSeq)
 		}
 
-		st2, ok := srv2.ExportMonitor(1)
+		st2, ok := exportOne(srv2, 1)
 		if !ok {
 			t.Fatalf("seed %d: re-export refused", seed)
 		}
@@ -203,17 +203,17 @@ func testExportImportExportFixedPoint(t *testing.T, seed int64) {
 	}
 }
 
-// ExportMonitor must refuse while a probe round is in flight (the replies
+// An export must refuse while a probe round is in flight (the replies
 // are addressed to the exporting server) and for unknown queries.
 func TestExportRefusesProbingAndUnknown(t *testing.T) {
 	srv, _, now := unitServer(t, baseCfg())
 	*now = 1
-	if _, ok := srv.ExportMonitor(99); ok {
+	if _, ok := exportOne(srv, 99); ok {
 		t.Fatal("exported an unknown query")
 	}
 	srv.HandleUplink(500, protocol.QueryRegister{Query: 1, K: 2, Pos: geo.Pt(500, 500), At: 1})
 	srv.Tick(1) // probe now in flight, no replies yet
-	if _, ok := srv.ExportMonitor(1); ok {
+	if _, ok := exportOne(srv, 1); ok {
 		t.Fatal("exported a monitor mid-probe")
 	}
 }
@@ -264,7 +264,7 @@ func TestImportMonitorRejectsInvalidAndDuplicate(t *testing.T) {
 	dup := base
 	dup.K = 5
 	srv.ImportMonitor(dup, 1)
-	st, ok := srv.ExportMonitor(7)
+	st, ok := exportOne(srv, 7)
 	if !ok || st.K != 2 {
 		t.Fatalf("duplicate import overwrote the registered monitor: k=%d ok=%v", st.K, ok)
 	}
@@ -291,7 +291,7 @@ func TestExportSendsPendingAnswer(t *testing.T) {
 	if n := len(side.downlinks) - base; n != 0 {
 		t.Fatalf("the report sent %d answers, want it pending", n)
 	}
-	st, ok := srv.ExportMonitor(1)
+	st, ok := exportOne(srv, 1)
 	if !ok {
 		t.Fatal("export refused")
 	}

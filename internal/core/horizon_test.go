@@ -134,7 +134,7 @@ func TestDerivedHorizonSurvivesHandoff(t *testing.T) {
 
 			*now = 2
 			srv.Tick(2)
-			st, ok := srv.ExportMonitor(1)
+			st, ok := exportOne(srv, 1)
 			if !ok {
 				t.Fatal("export refused")
 			}

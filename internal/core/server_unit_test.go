@@ -606,7 +606,7 @@ func TestNonFiniteReportPositionsDropped(t *testing.T) {
 		srv, side, now := unitServer(t, baseCfg())
 		*now = 1
 		installQuery(t, srv, side, 1)
-		st, ok := srv.ExportMonitor(1)
+		st, ok := exportOne(srv, 1)
 		if !ok || len(st.Candidates) != 3 {
 			t.Fatalf("export ok=%v candidates=%v", ok, st.Candidates)
 		}

@@ -309,10 +309,10 @@ func (r *diffRig) settle() {
 // imports them back — directly or through the wire form.
 func (r *diffRig) migrate(q model.QueryID) {
 	r.last = fmt.Sprintf("export q%d", q)
-	st, ok := r.srv.ExportMonitor(q)
+	st, ok := exportOne(r.srv, q)
 	om := r.ora.monitors[q]
 	if wantOK := om != nil && !om.probing; ok != wantOK {
-		r.fail("ExportMonitor ok=%v, oracle %v", ok, wantOK)
+		r.fail("export ok=%v, oracle %v", ok, wantOK)
 	}
 	if !ok {
 		return

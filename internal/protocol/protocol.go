@@ -521,7 +521,7 @@ type CandidateRecord struct {
 }
 
 // QueryHandoff migrates a query monitor to a new home node: the complete
-// server-side state machine, exactly as core.Server.ExportMonitor
+// server-side state machine, exactly as core.Server.ExportMonitorsWhere
 // snapshots it and ImportMonitor takes it back, plus Spread, the set of
 // nodes the old home ever forwarded the query's broadcasts to, so the new
 // home can reach them all on teardown.
