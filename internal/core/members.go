@@ -88,8 +88,8 @@ type memberTable struct {
 	cold    []annulus
 	nKnown  int
 	nInside int
-	// cut is how many leading ranks form the answer: k, or every rank
-	// for a range monitor.
+	// cut is how many leading ranks form the answer: k, or maxK (the
+	// most an answer's u16 count names) for a range monitor.
 	cut int
 	// dt is the tick length the tracks are dead-reckoned with.
 	dt float64

@@ -214,7 +214,7 @@ func newMonitor(q model.QueryID, k int, rng float64, addr model.ObjectID, dt flo
 	mon := &monitor{query: q, k: k, rng: rng, addr: addr, replies: knn.NewCandidateSet()}
 	mon.tab.cut, mon.tab.dt = k, dt
 	if rng > 0 {
-		mon.tab.cut = math.MaxInt
+		mon.tab.cut = maxK
 	}
 	return mon
 }
@@ -450,7 +450,8 @@ func (s *Server) current(q model.QueryID, epoch uint32) *monitor {
 // maxK bounds the accepted kNN parameter: a wire-supplied k feeds
 // allocation sizes, so an absurd value is a denial-of-service attempt,
 // not a query. An answer's neighbor count travels as a u16, so no larger
-// k could be answered either.
+// k could be answered either, and a range answer names at most its
+// nearest maxK members.
 const maxK = math.MaxUint16
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
@@ -940,12 +941,12 @@ func (s *Server) advertise(mon *monitor, now model.Tick, center geo.Point, rk, r
 func (s *Server) computeAnswer(mon *monitor, now model.Tick) []model.Neighbor {
 	center := mon.qEst(now, s.deps.DT)
 	acc := mon.tab.rankedAt(center, now)
-	if mon.rng > 0 {
-		// Range monitor: membership is the answer; positions (and hence
-		// the reported distances) are only install-time fresh.
-	} else if len(acc) > mon.k {
-		acc = acc[:mon.k]
-	} else if len(acc) < mon.k && mon.tab.nKnown > len(acc) {
+	// A range monitor's membership is its answer (positions, and hence
+	// the reported distances, are only install-time fresh), cut at the
+	// nearest maxK members, the most an answer's u16 count can name.
+	if len(acc) > mon.tab.cut {
+		acc = acc[:mon.tab.cut]
+	} else if mon.rng == 0 && len(acc) < mon.k && mon.tab.nKnown > len(acc) {
 		// Best-effort fill from annulus candidates (stale positions) while
 		// a fallback probe is pending.
 		extra := mon.tab.appendKnown(mon.extraBuf[:0], center, now, false)

@@ -812,3 +812,55 @@ func TestRefreshInstallKeepsBoundaryMember(t *testing.T) {
 		t.Errorf("after the refresh install %d members inside, want %d: the (k+m)-th was filed outside its own r_b", mon.tab.nInside, want)
 	}
 }
+
+// An answer's neighbor count travels as a u16, and a range answer has no
+// other bound: a range monitor answers with the nearest 65 535 members,
+// and that answer decodes. With the whole membership the count wrapped to
+// 0 and every receiver rejected the message as trailing bytes.
+func TestRangeAnswerFitsItsCount(t *testing.T) {
+	srv, side, now := unitServer(t, baseCfg())
+	*now = 1
+	center := geo.Pt(500, 500)
+	srv.HandleUplink(500, protocol.QueryRegister{Query: 1, Range: 300, Pos: center, At: 1})
+	srv.Tick(1)
+	// One member more than a count holds, at distinct distances inside
+	// the range; the last is the farthest.
+	const members = math.MaxUint16 + 1
+	pos := make([]geo.Point, members)
+	for i := range pos {
+		r, a := 290*math.Sqrt(float64(i+1)/members), float64(i)*2.399963229728653
+		pos[i] = geo.Pt(center.X+r*math.Cos(a), center.Y+r*math.Sin(a))
+	}
+	for range 4 {
+		probe, ok := side.lastBroadcast().(protocol.ProbeRequest)
+		if !ok {
+			break
+		}
+		for i, p := range pos {
+			id := model.ObjectID(i + 1)
+			srv.HandleUplink(id, protocol.ProbeReply{Query: 1, Seq: probe.Seq, Object: id, Pos: p, At: 1})
+		}
+		srv.Finalize(1)
+	}
+	var answer protocol.AnswerUpdate
+	for _, d := range side.downlinks {
+		if a, ok := d.msg.(protocol.AnswerUpdate); ok && d.to == 500 {
+			answer = a
+		}
+	}
+	if len(answer.Neighbors) != math.MaxUint16 {
+		t.Fatalf("answer names %d members, want the nearest %d", len(answer.Neighbors), math.MaxUint16)
+	}
+	for _, n := range answer.Neighbors {
+		if n.ID == members {
+			t.Fatal("the answer names the farthest member")
+		}
+	}
+	got, err := protocol.Decode(protocol.Encode(nil, answer))
+	if err != nil {
+		t.Fatalf("the answer does not decode: %v", err)
+	}
+	if n := len(got.(protocol.AnswerUpdate).Neighbors); n != math.MaxUint16 {
+		t.Fatalf("decoded %d members, want %d", n, math.MaxUint16)
+	}
+}
