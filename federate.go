@@ -233,7 +233,7 @@ func (s *NodeServer) Stats() NodeStats {
 		Node:           s.node,
 		PeersUp:        s.link.ConnectedCount(),
 		Attached:       s.member.AttachedCount(),
-		LocalQueries:   s.member.LocalQueries(),
+		LocalQueries:   s.member.QueryCount(),
 		ObjectHandoffs: fed.ObjectHandoffs,
 		QueryHandoffs:  fed.QueryHandoffs,
 		RelayDrops:     fed.RelayDrops,

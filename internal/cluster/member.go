@@ -84,7 +84,9 @@ type Member struct {
 	id   int
 	deps MemberDeps
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// server runs this node's monitors; the queries it holds (HasQuery)
+	// are the queries homed here.
 	server *core.Server
 
 	// dir answers who serves a client. bel is the same value when the
@@ -93,9 +95,6 @@ type Member struct {
 	dir directory
 	bel *belief
 
-	// The queries homed here are the ones the inner server holds
-	// (server.HasQuery): its monitor table is the one record of ownership.
-	//
 	// remote maps queries whose broadcasts this node rebroadcast to the
 	// home node to relay reports to. Entries persist until an explicit
 	// cancel: a Leave report can arrive long after the region stopped
@@ -373,9 +372,6 @@ func (m *Member) AttachedCount() int {
 	defer m.mu.Unlock()
 	return len(m.bel.attach)
 }
-
-// LocalQueries returns how many query monitors are homed at this node.
-func (m *Member) LocalQueries() int { return m.server.QueryCount() }
 
 // emit records one federation-level event stamped with this node, from
 // uplink routing, link delivery and the migration scan.

@@ -150,7 +150,7 @@ func TestMemberAdaptiveBalanceLiveMigration(t *testing.T) {
 		}
 		for i, mb := range members {
 			t.Logf("node %d at tick %d: partition version %d, %d local queries, %d attached clients, %d redirects\n  stats %+v\n  balancer %+v\n  link %+v",
-				i, now(), mb.PartitionVersion(), mb.LocalQueries(), mb.AttachedCount(), mb.Redirects(),
+				i, now(), mb.PartitionVersion(), mb.QueryCount(), mb.AttachedCount(), mb.Redirects(),
 				mb.Stats(), mb.BalancerStats(), links[i].Stats())
 		}
 	})
@@ -288,8 +288,8 @@ func TestMemberAdaptiveBalanceLiveMigration(t *testing.T) {
 	// node 0 when the move strands it — the migration must ship live
 	// monitor state, not re-register a fresh query.
 	waitAnswer("static map", 10*time.Second, 1, 2)
-	if members[0].LocalQueries() != 1 {
-		t.Fatalf("query homed at node %v, want 0", members[1].LocalQueries())
+	if members[0].QueryCount() != 1 {
+		t.Fatalf("query homed at node %v, want 0", members[1].QueryCount())
 	}
 	if v := members[0].PartitionVersion(); v != 0 {
 		t.Fatalf("pre-balance partition version = %d, want 0", v)
@@ -332,7 +332,7 @@ func TestMemberAdaptiveBalanceLiveMigration(t *testing.T) {
 	// the query client still attached at node 0 and stays exact.
 	waitCond(t, 15*time.Second, "monitor to migrate to node 1", func() bool {
 		step()
-		return members[1].LocalQueries() == 1 && members[0].LocalQueries() == 0
+		return members[1].QueryCount() == 1 && members[0].QueryCount() == 0
 	})
 	waitAnswer("across the migration", 15*time.Second, 1, 2)
 	if a := members[1].Answer(1); len(a.Neighbors) != 2 {

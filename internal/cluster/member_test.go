@@ -188,7 +188,7 @@ func TestMemberCrossStripExactness(t *testing.T) {
 			t.Fatalf("answer = %v, want objects {1,2} (2 lives across the strip boundary)", a.Neighbors)
 		}
 	}
-	if members[0].LocalQueries() != 1 {
+	if members[0].QueryCount() != 1 {
 		t.Errorf("query not homed at node 0")
 	}
 

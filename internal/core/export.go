@@ -91,13 +91,13 @@ func (s *Server) ExportMonitorsWhere(now model.Tick, leave func(q model.QueryID,
 	// exportLocked deletes s.order[i]; the next monitor then sits at i.
 	for i := 0; i < len(s.order); {
 		q := s.order[i]
-		mon := s.monitors[q]
-		est := mon.qEst(now, s.deps.DT)
-		if mon.probing || !leave(q, est) {
-			i++
-			continue
+		if mon := s.monitors[q]; !mon.probing {
+			if est := mon.qEst(now, s.deps.DT); leave(q, est) {
+				out = append(out, ExportedMonitor{State: s.exportLocked(q, mon, now), Est: est})
+				continue
+			}
 		}
-		out = append(out, ExportedMonitor{State: s.exportLocked(q, mon, now), Est: est})
+		i++
 	}
 	return out
 }
