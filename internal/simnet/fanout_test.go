@@ -612,9 +612,10 @@ func TestAudienceScratchFollowsTraffic(t *testing.T) {
 
 // BenchmarkBroadcastFanout measures a flush delivering a burst of
 // fixed-radius region broadcasts, sent one by one on the indexed
-// (production) path and against the linear oracle. The indexed path pays one position
-// re-resolution per client per flush plus work proportional to the
-// regions' populations; the oracle scans every client once per broadcast.
+// (production) path and against the linear oracle. The indexed path pays
+// one position re-resolution per client per flush plus work proportional
+// to the regions' populations; the oracle scans every client once per
+// broadcast.
 //
 // The N= cases are small monitoring circles (R = 250 m, 9–16 cells of
 // the 64 × 64 grid over 10 km) at rest. The manyq case is the many-query
