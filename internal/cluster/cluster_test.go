@@ -252,7 +252,21 @@ func TestSingleNodeWireIdentity(t *testing.T) {
 // Every ideal and adaptive row stayed exact, and every ideal row kept its
 // downlink and broadcast counts. Mean exactness moved from 0.94887 to
 // 0.95260 on the latency-1 rows and from 0.91684 to 0.91120 on the
-// 20 %-loss rows (0.91464 to 0.91340 over nodes 2-4 and seeds 1-12). Every
+// 20 %-loss rows (0.91464 to 0.91340 over nodes 2-4 and seeds 1-12). All
+// 48 rows moved again when every track report began to carry the velocity
+// of the object's one fix: an Enter no longer reports a track at rest that
+// the object corrects with a MoveReport a tick later. The uplink fell 28 %
+// on the ideal rows (35 698 to 25 703), 27 % on the latency-1 rows, 23 %
+// on the 20 %-loss rows and 26 % on the adaptive rows, and the link and
+// object-handoff columns fell with it. Every ideal and adaptive row stayed
+// exact; the ideal rows kept their broadcast counts, and all but four
+// their downlink counts, which fell by one answer (2 nodes seed 1, 3
+// nodes seed 4) or two (3 nodes seed 2, 4 nodes seed 1). Mean exactness moved from 0.9526 to
+// 0.9548 on the latency-1 rows and from 0.9112 to 0.8336 on the 20 %-loss
+// rows: the Move that followed each velocity-less Enter was also that
+// Enter's retransmission, and a lost Enter now heals only at a
+// re-affirmation, a deviation from the track or a resync probe
+// (TestLossyFederationFloors holds both means). Every
 // row runs twice, once at GOMAXPROCS 1, and the two digests must be identical. A latent or lossy
 // link answers late and can strand relays, so those rows pin their
 // exactness and relay drops rather than assert 1 and 0. The adaptive rows
@@ -265,18 +279,18 @@ func TestFederationWireDigest(t *testing.T) {
 		upMsgs, upBytes, dnMsgs, dnBytes, bcMsgs, bcBytes uint64
 		linkSent, linkBytes, objHandoffs, qryHandoffs     float64
 	}{
-		{2, 1, 2953, 156429, 497, 47215, 5892, 394764, 610, 59173, 208, 7},
-		{2, 2, 2985, 158157, 531, 50445, 5398, 361666, 711, 63536, 244, 6},
-		{2, 3, 2800, 148320, 449, 42655, 5588, 374396, 530, 44648, 192, 4},
-		{2, 4, 3169, 167885, 574, 54530, 5987, 401129, 763, 69971, 253, 7},
-		{3, 1, 2936, 155528, 501, 47595, 5836, 391012, 1127, 105088, 368, 11},
-		{3, 2, 2980, 157892, 537, 51015, 5413, 362671, 1170, 109721, 389, 12},
-		{3, 3, 2798, 148214, 455, 43225, 5587, 374329, 1051, 95116, 330, 9},
-		{3, 4, 3170, 167938, 576, 54720, 5987, 401129, 1124, 105080, 388, 11},
-		{4, 1, 2953, 156429, 506, 48070, 5892, 394764, 1640, 149444, 511, 16},
-		{4, 2, 2985, 158157, 537, 51015, 5398, 361666, 1636, 140970, 511, 12},
-		{4, 3, 2801, 148373, 453, 43035, 5578, 373726, 1324, 108847, 419, 8},
-		{4, 4, 3168, 167832, 578, 54910, 5988, 401196, 1548, 134068, 510, 12},
+		{2, 1, 2109, 111697, 496, 47120, 5892, 394764, 550, 55155, 207, 7},
+		{2, 2, 2132, 112948, 531, 50445, 5398, 361666, 643, 59020, 242, 6},
+		{2, 3, 2137, 113181, 449, 42655, 5588, 374396, 499, 42573, 191, 4},
+		{2, 4, 2196, 116316, 574, 54530, 5987, 401129, 692, 65232, 253, 7},
+		{3, 1, 2097, 111061, 501, 47595, 5836, 391012, 1025, 98266, 365, 11},
+		{3, 2, 2123, 112471, 535, 50825, 5413, 362671, 1060, 102355, 388, 12},
+		{3, 3, 2135, 113075, 455, 43225, 5587, 374329, 952, 88489, 327, 9},
+		{3, 4, 2196, 116316, 575, 54625, 5987, 401129, 1030, 98814, 386, 11},
+		{4, 1, 2109, 111697, 504, 47880, 5892, 394764, 1452, 136848, 508, 16},
+		{4, 2, 2132, 112948, 537, 51015, 5398, 361666, 1442, 127984, 511, 12},
+		{4, 3, 2140, 113340, 453, 43035, 5578, 373726, 1228, 102465, 415, 8},
+		{4, 4, 2197, 116369, 578, 54910, 5988, 401196, 1396, 123936, 507, 12},
 	}
 	for _, w := range want {
 		checkFederationDigest(t, fedRun{nodes: w.nodes, seed: w.seed}, fedDigest{
@@ -291,30 +305,30 @@ func TestFederationWireDigest(t *testing.T) {
 		loss    float64
 		want    fedDigest
 	}{
-		{2, 1, 1, 0, fedDigest{3076, 160500, 498, 47310, 7539, 502773, 689, 69327, 211, 7, 0, 0.9354166666666667, 0}},
-		{2, 2, 1, 0, fedDigest{2954, 156514, 526, 49970, 7163, 479921, 779, 72587, 248, 6, 0, 0.934375, 0}},
-		{2, 3, 1, 0, fedDigest{3028, 156516, 447, 42465, 7207, 479567, 638, 55463, 191, 4, 0, 0.9666666666666667, 0}},
-		{2, 4, 1, 0, fedDigest{3216, 170376, 570, 54150, 7964, 533588, 857, 81542, 264, 7, 0, 0.971875, 0}},
-		{3, 1, 1, 0, fedDigest{3199, 165947, 498, 47310, 7519, 500237, 1348, 128787, 382, 12, 0, 0.9385416666666667, 0}},
-		{3, 2, 1, 0, fedDigest{3027, 160383, 527, 50065, 7045, 472015, 1255, 126073, 398, 12, 0, 0.9302083333333333, 0}},
-		{3, 3, 1, 0, fedDigest{3058, 158154, 452, 42940, 7177, 477557, 1255, 116007, 342, 9, 0, 0.959375, 0}},
-		{3, 4, 1, 0, fedDigest{3174, 168150, 575, 54625, 7920, 530640, 1252, 125699, 402, 11, 0, 0.9916666666666667, 0}},
-		{4, 1, 1, 0, fedDigest{3235, 167831, 500, 47500, 7818, 520270, 1895, 177166, 509, 16, 0, 0.9270833333333334, 0}},
-		{4, 2, 1, 0, fedDigest{3052, 161708, 524, 49780, 7168, 480256, 1786, 161742, 518, 12, 0, 0.9354166666666667, 0}},
-		{4, 3, 1, 0, fedDigest{3010, 155594, 450, 42750, 7066, 470120, 1553, 128390, 424, 8, 0, 0.9614583333333333, 0}},
-		{4, 4, 1, 0, fedDigest{3264, 172920, 569, 54055, 8167, 547189, 1715, 154586, 528, 12, 0, 0.9791666666666666, 0}},
-		{2, 1, 0, 0.2, fedDigest{3233, 171269, 492, 46740, 5815, 389605, 749, 80160, 242, 7, 0, 0.9510416666666667, 0}},
-		{2, 2, 0, 0.2, fedDigest{3114, 164994, 523, 49685, 5198, 348266, 785, 89581, 255, 6, 1, 0.8885416666666667, 0}},
-		{2, 3, 0, 0.2, fedDigest{2916, 154468, 449, 42655, 5424, 363408, 604, 51689, 209, 4, 0, 0.9927083333333333, 0}},
-		{2, 4, 0, 0.2, fedDigest{3407, 180499, 566, 53770, 5696, 381632, 954, 95740, 280, 7, 5, 0.9364583333333333, 0}},
-		{3, 1, 0, 0.2, fedDigest{3227, 170951, 495, 47025, 5484, 367428, 1304, 157761, 436, 11, 0, 0.9354166666666667, 0}},
-		{3, 2, 0, 0.2, fedDigest{3331, 176495, 535, 50825, 4961, 332387, 1459, 153088, 447, 12, 1, 0.9114583333333334, 0}},
-		{3, 3, 0, 0.2, fedDigest{2997, 158761, 454, 43130, 5265, 352755, 1201, 133569, 393, 9, 4, 0.9614583333333333, 0}},
-		{3, 4, 0, 0.2, fedDigest{3600, 190728, 570, 54150, 5487, 367629, 1437, 143773, 456, 11, 0, 0.9072916666666667, 0}},
-		{4, 1, 0, 0.2, fedDigest{3306, 175130, 495, 47025, 5295, 354765, 1993, 200517, 597, 16, 3, 0.8166666666666667, 0}},
-		{4, 2, 0, 0.2, fedDigest{3297, 174693, 531, 50445, 5031, 337077, 1879, 176318, 576, 12, 3, 0.809375, 0}},
-		{4, 3, 0, 0.2, fedDigest{3148, 166764, 455, 43225, 5141, 344447, 1636, 134941, 504, 8, 0, 0.9333333333333333, 0}},
-		{4, 4, 0, 0.2, fedDigest{3757, 199049, 571, 54245, 5404, 362068, 1984, 195616, 585, 12, 4, 0.890625, 0}},
+		{2, 1, 1, 0, fedDigest{2226, 115450, 498, 47310, 7539, 502773, 607, 63837, 210, 7, 0, 0.9395833333333333, 0}},
+		{2, 2, 1, 0, fedDigest{2107, 111623, 526, 49970, 7155, 479385, 699, 67077, 248, 6, 0, 0.9354166666666667, 0}},
+		{2, 3, 1, 0, fedDigest{2352, 120688, 447, 42465, 7207, 479567, 595, 52570, 191, 4, 0, 0.9666666666666667, 0}},
+		{2, 4, 1, 0, fedDigest{2232, 118224, 569, 54055, 7964, 533588, 761, 75172, 262, 7, 0, 0.9760416666666667, 0}},
+		{3, 1, 1, 0, fedDigest{2332, 119996, 498, 47310, 7511, 499701, 1231, 121022, 378, 12, 0, 0.9395833333333333, 0}},
+		{3, 2, 1, 0, fedDigest{2156, 114220, 527, 50065, 7043, 471881, 1118, 116928, 401, 12, 0, 0.934375, 0}},
+		{3, 3, 1, 0, fedDigest{2371, 121743, 449, 42655, 7203, 479299, 1145, 108608, 342, 9, 0, 0.9552083333333333, 0}},
+		{3, 4, 1, 0, fedDigest{2224, 117800, 573, 54435, 7920, 530640, 1130, 117541, 399, 11, 0, 0.9958333333333333, 0}},
+		{4, 1, 1, 0, fedDigest{2368, 121880, 500, 47500, 7687, 511493, 1626, 158337, 504, 16, 0, 0.93125, 0}},
+		{4, 2, 1, 0, fedDigest{2185, 115757, 526, 49970, 7165, 480055, 1550, 145888, 519, 12, 0, 0.9375, 0}},
+		{4, 3, 1, 0, fedDigest{2366, 121462, 450, 42750, 7136, 474810, 1451, 121927, 427, 8, 0, 0.9625, 0}},
+		{4, 4, 1, 0, fedDigest{2281, 120821, 567, 53865, 8133, 544911, 1514, 141241, 524, 12, 0, 0.9833333333333333, 0}},
+		{2, 1, 0, 0.2, fedDigest{2285, 121025, 494, 46930, 5913, 396171, 657, 83224, 223, 7, 3, 0.8833333333333333, 0}},
+		{2, 2, 0, 0.2, fedDigest{2373, 125721, 514, 48830, 5178, 346926, 755, 78910, 273, 6, 1, 0.8895833333333333, 0}},
+		{2, 3, 0, 0.2, fedDigest{2278, 120654, 445, 42275, 5494, 368098, 609, 57564, 216, 4, 0, 0.9427083333333334, 0}},
+		{2, 4, 0, 0.2, fedDigest{2489, 131845, 566, 53770, 5869, 393223, 892, 108393, 283, 7, 1, 0.9, 0}},
+		{3, 1, 0, 0.2, fedDigest{2659, 140847, 492, 46740, 5569, 373123, 1464, 168130, 490, 11, 2, 0.7697916666666667, 0}},
+		{3, 2, 0, 0.2, fedDigest{2575, 136427, 535, 50825, 5069, 339623, 1358, 151259, 448, 12, 0, 0.8635416666666667, 0}},
+		{3, 3, 0, 0.2, fedDigest{2484, 131572, 453, 43035, 5224, 350008, 1176, 150546, 394, 9, 0, 0.85625, 0}},
+		{3, 4, 0, 0.2, fedDigest{2618, 138682, 568, 53960, 5612, 376004, 1335, 121991, 454, 11, 0, 0.8552083333333333, 0}},
+		{4, 1, 0, 0.2, fedDigest{2684, 142164, 488, 46360, 5436, 364212, 1960, 214515, 657, 16, 8, 0.7677083333333333, 0}},
+		{4, 2, 0, 0.2, fedDigest{2627, 139183, 535, 50825, 5104, 341968, 1744, 165500, 607, 12, 2, 0.7145833333333333, 0}},
+		{4, 3, 0, 0.2, fedDigest{2592, 137296, 449, 42655, 5232, 350544, 1550, 139625, 518, 8, 1, 0.7958333333333333, 0}},
+		{4, 4, 0, 0.2, fedDigest{2593, 137357, 567, 53865, 5640, 377880, 1650, 150620, 546, 12, 0, 0.7645833333333333, 0}},
 	}
 	for _, w := range faulty {
 		link := LinkConfig{LatencyTicks: w.latency, Loss: w.loss, Seed: w.seed}
@@ -325,21 +339,52 @@ func TestFederationWireDigest(t *testing.T) {
 		seed  int64
 		want  fedDigest
 	}{
-		{2, 1, fedDigest{5180, 274460, 548, 52060, 10447, 699949, 1517, 157881, 367, 20, 0, 1, 14}},
-		{2, 2, fedDigest{4948, 262188, 417, 39615, 10784, 722528, 1833, 178768, 273, 16, 0, 1, 14}},
-		{2, 3, fedDigest{5007, 265283, 329, 31255, 11939, 799913, 1483, 228001, 390, 20, 0, 1, 11}},
-		{2, 4, fedDigest{5210, 276042, 363, 34485, 13091, 877097, 2839, 255063, 255, 17, 0, 1, 11}},
-		{3, 1, fedDigest{5182, 274566, 554, 52630, 10389, 696063, 2366, 252172, 602, 27, 0, 1, 15}},
-		{3, 2, fedDigest{4945, 262029, 418, 39710, 10919, 731573, 3145, 253117, 387, 16, 0, 1, 14}},
-		{3, 3, fedDigest{4973, 263481, 330, 31350, 11931, 799377, 2695, 280486, 602, 20, 0, 1, 13}},
-		{3, 4, fedDigest{5166, 273710, 382, 36290, 13075, 876025, 3839, 418692, 415, 36, 0, 1, 14}},
-		{4, 1, fedDigest{5162, 273506, 555, 52725, 10387, 695929, 3019, 304739, 720, 28, 0, 1, 15}},
-		{4, 2, fedDigest{4923, 260863, 420, 39900, 10862, 727754, 3087, 270015, 463, 19, 0, 1, 15}},
-		{4, 3, fedDigest{4973, 263481, 343, 32585, 11931, 799377, 3660, 419259, 647, 34, 0, 1, 13}},
-		{4, 4, fedDigest{5317, 281713, 383, 36385, 13202, 884534, 5117, 474369, 686, 36, 0, 1, 14}},
+		{2, 1, fedDigest{3620, 191780, 544, 51680, 10445, 699815, 1184, 124476, 304, 16, 0, 1, 13}},
+		{2, 2, fedDigest{3547, 187935, 412, 39140, 10862, 727754, 1647, 137311, 254, 10, 0, 1, 12}},
+		{2, 3, fedDigest{3571, 189175, 329, 31255, 11939, 799913, 1325, 217507, 373, 20, 0, 1, 11}},
+		{2, 4, fedDigest{4170, 220922, 368, 34960, 13200, 884400, 2418, 238292, 259, 21, 0, 1, 13}},
+		{3, 1, fedDigest{3621, 191833, 553, 52535, 10389, 696063, 2125, 239157, 585, 28, 0, 1, 15}},
+		{3, 2, fedDigest{3572, 189260, 417, 39615, 10919, 731573, 2570, 214873, 374, 16, 0, 1, 13}},
+		{3, 3, fedDigest{3571, 189175, 332, 31540, 11939, 799913, 2413, 283469, 620, 25, 0, 1, 15}},
+		{3, 4, fedDigest{4149, 219809, 375, 35625, 13191, 883797, 3447, 349367, 429, 30, 0, 1, 14}},
+		{4, 1, fedDigest{3760, 196464, 553, 52535, 10327, 689595, 3264, 294892, 690, 26, 0, 1, 15}},
+		{4, 2, fedDigest{3547, 187935, 419, 39805, 10862, 727754, 2676, 248110, 465, 20, 0, 1, 15}},
+		{4, 3, fedDigest{3546, 187850, 345, 32775, 11931, 799377, 3192, 382315, 642, 36, 0, 1, 13}},
+		{4, 4, fedDigest{4166, 220710, 383, 36385, 13202, 884534, 4385, 438135, 673, 38, 0, 1, 14}},
 	}
 	for _, w := range adaptive {
 		checkFederationDigest(t, fedRun{nodes: w.nodes, seed: w.seed, adaptive: true}, w.want)
+	}
+}
+
+// The faulty rows of TestFederationWireDigest may be re-pinned when the
+// protocol changes, but their exactness may not slide with them unseen:
+// the mean over the twelve latency-1 rows and over the twelve 20 %-loss
+// rows (nodes 2-4, seeds 1-4) each stays above a floor set just under its
+// value when an Enter began to carry the object's own velocity (0.9548 and
+// 0.8336; 0.9526 and 0.9112 before, when the Move that followed each Enter
+// a tick later also retransmitted it).
+func TestLossyFederationFloors(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		link  func(seed int64) LinkConfig
+		floor float64
+	}{
+		{"latency-1", func(seed int64) LinkConfig { return LinkConfig{LatencyTicks: 1, Seed: seed} }, 0.95},
+		{"loss-20%", func(seed int64) LinkConfig { return LinkConfig{Loss: 0.2, Seed: seed} }, 0.83},
+	} {
+		sum, n := 0.0, 0
+		for nodes := 2; nodes <= 4; nodes++ {
+			for seed := int64(1); seed <= 4; seed++ {
+				sum += federationDigest(t, fedRun{nodes: nodes, seed: seed, link: c.link(seed)}).exactness
+				n++
+			}
+		}
+		mean := sum / float64(n)
+		t.Logf("%s: mean exactness %.4f over %d rows", c.name, mean, n)
+		if mean < c.floor {
+			t.Errorf("%s: mean exactness %.4f over %d rows, below the floor %.2f", c.name, mean, n, c.floor)
+		}
 	}
 }
 

@@ -22,10 +22,12 @@ import (
 // (lastReport, lastSentAt, lastVel), inside the answer circle or not,
 // where production keeps it in the member table only while inside is set.
 // Both agents read the track only where inside is set — tick's
-// `side && !rangeMode` arm, handleInstall's prev fields, every use under
-// prev.inside, and the Enter velocity, taken from the first monitor in
-// query order that is inside — so the oracle's copies on rows outside the
-// answer circle are dead and compare() does not look at them. A monitor
+// `side && !rangeMode` arm, handleInstall's prev fields and every use
+// under prev.inside — so the oracle's copies on rows outside the answer
+// circle are dead and compare() does not look at them. Every track report
+// carries the velocity of the object's one fix, which a tick of a holding
+// agent and every install write: the displacement from the fix a tick
+// older, zero after a longer gap, and zero for a range monitor's member. A monitor
 // left in a tick stops being inside at once, as production drops its
 // member row at once. Every distance from the query is measured from its
 // advertised track dead-reckoned to now, as a rounded-product root. A kNN
@@ -42,6 +44,11 @@ type oracleAgent struct {
 
 	monitors map[model.QueryID]*oracleAgentMonitor
 	order    []model.QueryID // sorted, for deterministic send order
+
+	fixed  bool // a fix was taken
+	fixPos geo.Point
+	fixVel geo.Vector
+	fixAt  model.Tick
 }
 
 func newOracleAgent(cfg Config, deps AgentDeps) (*oracleAgent, error) {
@@ -88,28 +95,27 @@ func oracleDist(p, c geo.Point) float64 {
 	return math.Sqrt(float64(dx*dx) + float64(dy*dy))
 }
 
-// estimate is the velocity mon's last report and the fix p at now imply.
-func (mon *oracleAgentMonitor) estimate(p geo.Point, now model.Tick, dt float64) geo.Vector {
-	if now == mon.lastSentAt {
-		return mon.lastVel
+// observe takes the fix p at now, unless one was taken at now, and
+// returns the fix's velocity.
+func (a *oracleAgent) observe(p geo.Point, now model.Tick) geo.Vector {
+	if a.fixed && a.fixAt == now {
+		return a.fixVel
 	}
-	s := float64(now-mon.lastSentAt) * dt
-	return geo.Vec((p.X-mon.lastReport.X)*(1/s), (p.Y-mon.lastReport.Y)*(1/s))
+	a.fixVel = geo.Vector{}
+	if a.fixed && a.fixAt == now-1 {
+		a.fixVel = geo.Vec((p.X-a.fixPos.X)*(1/a.deps.DT), (p.Y-a.fixPos.Y)*(1/a.deps.DT))
+	}
+	a.fixed, a.fixPos, a.fixAt = true, p, now
+	return a.fixVel
 }
 
-// enterVel is the estimate of the first monitor, in query order, that the
-// object is inside, or zero; always zero for a range monitor's member,
-// which reports no move.
-func (a *oracleAgent) enterVel(p geo.Point, now model.Tick, rangeMode bool) geo.Vector {
+// enterVel is the velocity a track report carries: the fix's, or zero for
+// a range monitor's member, which reports no move.
+func (a *oracleAgent) enterVel(rangeMode bool) geo.Vector {
 	if rangeMode {
 		return geo.Vector{}
 	}
-	for _, q := range a.order {
-		if mon := a.monitors[q]; mon.inside {
-			return mon.estimate(p, now, a.deps.DT)
-		}
-	}
-	return geo.Vector{}
+	return a.fixVel
 }
 
 func (a *oracleAgent) MonitorCount() int {
@@ -142,6 +148,7 @@ func (a *oracleAgent) handleInstall(v protocol.MonitorInstall) {
 	}
 	p := a.deps.Pos()
 	now := a.deps.Now()
+	a.observe(p, now)
 	d := oracleDist(p, geo.DeadReckon(v.QueryPos, v.QueryVel, float64(now-v.At)*a.deps.DT))
 	side := d <= v.AnswerRadius
 	held := d <= v.Radius
@@ -160,13 +167,13 @@ func (a *oracleAgent) handleInstall(v protocol.MonitorInstall) {
 			(missed || now-prev.lastSentAt >= model.Tick(a.cfg.MaxHorizonTicks()))
 		switch {
 		case side && (!(had && prev.inside) || affirm) && d <= v.AnswerRadius:
-			vel = a.enterVel(p, now, v.RangeMode)
+			vel = a.enterVel(v.RangeMode)
 			a.deps.Side.Uplink(protocol.EnterReport{MemberReport: protocol.MemberReport{
 				Query: v.Query, Epoch: v.Epoch, Object: a.deps.ID, Pos: p, At: now,
 			}, Vel: vel})
 			reported = true
 		case side && affirm: // on a track inside, from a position outside
-			vel = a.enterVel(p, now, v.RangeMode)
+			vel = a.enterVel(v.RangeMode)
 			a.deps.Side.Uplink(protocol.MoveReport{MemberReport: protocol.MemberReport{
 				Query: v.Query, Epoch: v.Epoch, Object: a.deps.ID, Pos: p, At: now,
 			}, Vel: vel})
@@ -179,7 +186,7 @@ func (a *oracleAgent) handleInstall(v protocol.MonitorInstall) {
 		case !side && had && (prev.inside || missed) && !onTrack:
 			a.deps.Side.Uplink(protocol.MoveReport{MemberReport: protocol.MemberReport{
 				Query: v.Query, Epoch: v.Epoch, Object: a.deps.ID, Pos: p, At: now,
-			}, Vel: a.enterVel(p, now, false)})
+			}, Vel: a.enterVel(false)})
 			reported = true
 		}
 	}
@@ -228,6 +235,7 @@ func (a *oracleAgent) tick(now model.Tick) {
 		return
 	}
 	p := a.deps.Pos()
+	a.observe(p, now)
 	dt := a.deps.DT
 	theta := a.cfg.ThetaInside
 	var dropped []model.QueryID
@@ -243,7 +251,7 @@ func (a *oracleAgent) tick(now model.Tick) {
 			if drift := p.Dist(mon.trackAt(now, dt)); drift <= theta+trackEpsilon && (held || !in) {
 				side = in
 			} else {
-				vel := mon.estimate(p, now, dt)
+				vel := a.fixVel
 				a.deps.Side.Uplink(protocol.MoveReport{MemberReport: protocol.MemberReport{
 					Query: q, Epoch: mon.epoch, Object: a.deps.ID, Pos: p, At: now,
 				}, Vel: vel})
@@ -253,7 +261,7 @@ func (a *oracleAgent) tick(now model.Tick) {
 				mon.inside = false
 			}
 		case side && !mon.inside:
-			vel := a.enterVel(p, now, mon.rangeMode)
+			vel := a.enterVel(mon.rangeMode)
 			a.deps.Side.Uplink(protocol.EnterReport{MemberReport: protocol.MemberReport{
 				Query: q, Epoch: mon.epoch, Object: a.deps.ID, Pos: p, At: now,
 			}, Vel: vel})

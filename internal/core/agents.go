@@ -33,7 +33,8 @@ type AgentDeps struct {
 	// finite.
 	DT float64
 	// LatencyTicks is the known one-way delivery delay bound; the query
-	// agent paces answer-resync retries by the round trip it implies.
+	// agent paces answer-resync retries by the round trip it implies. An
+	// object agent does not read it and does not keep it.
 	LatencyTicks int
 	// Trace, when non-nil, receives an event per client-side protocol
 	// action (report sent or suppressed, boundary crossed, resync
@@ -42,7 +43,7 @@ type AgentDeps struct {
 }
 
 // emitAgent marks the node/direction fields unset and records e; call
-// sites guard with deps.Trace != nil.
+// sites guard with a nil check on the sink.
 func emitAgent(tr obs.Sink, e obs.Event) {
 	e.Node, e.Dir = -1, -1
 	tr.Record(e)
@@ -67,17 +68,64 @@ type ObjectAgent struct {
 	members *reportTable
 
 	// There is one agent per simulated device, so it is sized to a heap
-	// size class, 128 B: deps whole (LatencyTicks, which only the query
-	// agent reads, fits), the two Config values an object reads, and the
-	// holding flag in the horizon's spare half word.
-	deps    AgentDeps
-	theta   float64 // Config.ThetaInside
-	horizon int32   // Config.MaxHorizonTicks
+	// size class, 128 B: the bindings of AgentDeps an object reads, one
+	// pointer to the values it shares with every agent built alike, the
+	// object's last fix, and the holding flag.
+	id    model.ObjectID
+	fixAt int32 // the fix's tick; noFix before the first
+	side  transport.ClientSide
+	now   func() model.Tick
+	pos   func() geo.Point
+	c     *agentConsts
+	// fixPos and fixVel are the object's last fix: its position at fixAt,
+	// and the velocity measured from its position the tick before, zero
+	// when it had none. Every track report carries fixVel.
+	fixPos geo.Point
+	fixVel geo.Vector
 	// holding mirrors len(mons) > 0 so that Tick can pass over an agent
 	// that holds no monitor — most of a large population — without taking
 	// mu. It is written under mu, and only where the table turns from
 	// empty to non-empty (insert) or back (shrink), never per message.
 	holding atomic.Bool
+}
+
+// noFix is the fix tick of an agent that has observed nothing yet: no
+// tick is one after it.
+const noFix = math.MinInt32
+
+// agentConsts are the values an object agent reads and never writes.
+type agentConsts struct {
+	dt      float64 // AgentDeps.DT
+	theta   float64 // Config.ThetaInside
+	horizon int32   // Config.MaxHorizonTicks
+	trace   obs.Sink
+}
+
+// sharedConsts holds one record per distinct untraced agentConsts, so a
+// population built from one Config and one tick length shares one record.
+// A traced agent keeps its own: a sink need not be comparable (obs.Tee's
+// is a slice, an obs.SinkFunc a function), so it cannot be a map key.
+var sharedConsts struct {
+	sync.Mutex
+	m map[agentConsts]*agentConsts
+}
+
+// constsFor returns a record equal to c.
+func constsFor(c agentConsts) *agentConsts {
+	if c.trace != nil || c != c { // a NaN θ would never find its record
+		return &c
+	}
+	sharedConsts.Lock()
+	defer sharedConsts.Unlock()
+	if p, ok := sharedConsts.m[c]; ok {
+		return p
+	}
+	if sharedConsts.m == nil {
+		sharedConsts.m = make(map[agentConsts]*agentConsts)
+	}
+	p := &c
+	sharedConsts.m[c] = p
+	return p
 }
 
 // NewObjectAgent returns an object-side agent.
@@ -88,8 +136,30 @@ func NewObjectAgent(cfg Config, deps AgentDeps) (*ObjectAgent, error) {
 	if !validDT(deps.DT) {
 		return nil, errBadDT
 	}
-	horizon := int32(min(cfg.MaxHorizonTicks(), math.MaxInt32))
-	return &ObjectAgent{deps: deps, theta: cfg.ThetaInside, horizon: horizon}, nil
+	c := constsFor(agentConsts{
+		dt:      deps.DT,
+		theta:   cfg.ThetaInside,
+		horizon: int32(min(cfg.MaxHorizonTicks(), math.MaxInt32)),
+		trace:   deps.Trace,
+	})
+	return &ObjectAgent{id: deps.ID, fixAt: noFix, side: deps.Side, now: deps.Now, pos: deps.Pos, c: c}, nil
+}
+
+// observe makes p the object's fix at now and returns the fix's velocity:
+// p's displacement from a fix one tick older, or zero after a longer gap.
+// The first fix of a tick stands for the whole tick.
+func (a *ObjectAgent) observe(p geo.Point, now model.Tick) geo.Vector {
+	t := int32(now)
+	switch a.fixAt {
+	case t:
+		return a.fixVel
+	case t - 1:
+		a.fixVel = p.Sub(a.fixPos).Scale(1 / a.c.dt)
+	default:
+		a.fixVel = geo.Vector{}
+	}
+	a.fixPos, a.fixAt = p, t
+	return a.fixVel
 }
 
 // agentMonitor is one installed query monitor as the object holds it: the
@@ -127,7 +197,7 @@ var processTracks atomic.Value
 // can tell apart.
 func (a *ObjectAgent) internTrack(t track) *track {
 	slot := &processTracks
-	if s, ok := a.deps.Side.(transport.SharingSide); ok {
+	if s, ok := a.side.(transport.SharingSide); ok {
 		slot = s.Shared()
 	}
 	if p, _ := slot.Load().(*track); p != nil && *p == t {
@@ -143,6 +213,16 @@ func (a *ObjectAgent) internTrack(t track) *track {
 
 func validDT(dt float64) bool { return dt > 0 && !math.IsInf(dt, 1) }
 
+// reportVel is the velocity a track report carries: the fix's, vel. A
+// range monitor's member never reports its track again (the region is the
+// answer), so it reports one at rest rather than one it does not keep.
+func reportVel(vel geo.Vector, rangeMode bool) geo.Vector {
+	if rangeMode {
+		return geo.Vector{}
+	}
+	return vel
+}
+
 // memberState is what the server last heard from the object about a query
 // whose answer circle it is inside: the track it last reported, the line
 // the server's member row holds. Nothing reads it for any other monitor,
@@ -150,11 +230,11 @@ func validDT(dt float64) bool { return dt > 0 && !math.IsInf(dt, 1) }
 // row names no query: the j-th row belongs to the j-th monitor with
 // inside set, as both tables ascend by query.
 //
-// The line's pos is always a true fix and its vel zero until a report
-// that carried a velocity was sent. Its at is when this monitor last
-// transmitted anything: inside objects re-affirm membership once per
-// horizon if silent, which heals a membership report lost (or outrun by
-// epochs) in flight.
+// The line is the object's fix when the monitor last transmitted
+// anything, with the fix's velocity, or at rest where the server rebuilt
+// the row from a probe reply. Its at is that tick: inside objects
+// re-affirm membership once per horizon if silent, which heals a
+// membership report lost (or outrun by epochs) in flight.
 type memberState struct {
 	line
 }
@@ -173,28 +253,6 @@ func (t *reportTable) row(j int) *memberState {
 		return &t.first
 	}
 	return &t.more[j-1]
-}
-
-// velocity estimates the object's velocity from two of its own fixes: the
-// row's last report and p, its position at now. A row that reported at
-// now already holds the estimate.
-func (ms *memberState) velocity(p geo.Point, now model.Tick, dt float64) geo.Vector {
-	if now == ms.at {
-		return ms.vel
-	}
-	return p.Sub(ms.pos).Scale(1 / (float64(now-ms.at) * dt))
-}
-
-// trackVel is the velocity a track report at p carries when it is not a
-// member's own re-report: the estimate of the object's first member row,
-// or zero while it has none. A range monitor's member never reports its
-// track again (the region is the answer), so it reports one at rest
-// rather than one it does not keep.
-func (a *ObjectAgent) trackVel(p geo.Point, now model.Tick, rangeMode bool) geo.Vector {
-	if a.members == nil || rangeMode {
-		return geo.Vector{}
-	}
-	return a.members.first.velocity(p, now, a.deps.DT)
 }
 
 // MonitorCount reports how many query monitors this agent currently
@@ -300,15 +358,15 @@ func (a *ObjectAgent) HandleServerMessage(msg protocol.Message) {
 	defer a.mu.Unlock()
 	switch v := msg.(type) {
 	case protocol.ProbeRequest:
-		if p := a.deps.Pos(); v.Region.Contains(p) {
-			now := a.deps.Now()
-			a.deps.Side.Uplink(protocol.ProbeReply{
-				Query: v.Query, Seq: v.Seq, Object: a.deps.ID, Pos: p,
+		if p := a.pos(); v.Region.Contains(p) {
+			now := a.now()
+			a.side.Uplink(protocol.ProbeReply{
+				Query: v.Query, Seq: v.Seq, Object: a.id, Pos: p,
 				At: now,
 			})
-			if a.deps.Trace != nil {
-				emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvReportSent,
-					Query: v.Query, Object: a.deps.ID, Kind: protocol.KindProbeReply, Seq: v.Seq})
+			if tr := a.c.trace; tr != nil {
+				emitAgent(tr, obs.Event{At: now, Type: obs.EvReportSent,
+					Query: v.Query, Object: a.id, Kind: protocol.KindProbeReply, Seq: v.Seq})
 			}
 		}
 	case protocol.MonitorInstall:
@@ -332,8 +390,9 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall) {
 	if had && a.mons[i].inside {
 		was = a.members.row(mi)
 	}
-	p := a.deps.Pos()
-	now := a.deps.Now()
+	p := a.pos()
+	now := a.now()
+	fixVel := a.observe(p, now)
 	tr := track{
 		epoch:        v.Epoch,
 		adv:          line{v.QueryPos, v.QueryVel, v.At},
@@ -341,7 +400,7 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall) {
 		radius:       v.Radius,
 		rangeMode:    v.RangeMode,
 	}
-	c := circleAt(&tr.adv, tr.answerRadius, now, a.deps.DT)
+	c := circleAt(&tr.adv, tr.answerRadius, now, a.c.dt)
 	d := p.Dist(c.center)
 	side := d <= tr.answerRadius
 	reported := false
@@ -359,14 +418,14 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall) {
 		missed := had && v.Epoch > a.mons[i].tr.epoch+1
 		onTrack := false
 		if was != nil && !v.RangeMode && !missed {
-			drift := p.Dist(was.posAt(now, a.deps.DT))
+			drift := p.Dist(was.posAt(now, a.c.dt))
 			side, onTrack = a.trackSide(v.Query, was, &c, drift, now, d <= tr.radius, side)
 		}
 		// An inside member that has been silent for a full horizon
 		// re-affirms its membership — idempotent at the server, and it
 		// heals an enter-report that was lost or outrun by reinstall
 		// epochs in flight.
-		affirm := side && was != nil && (missed || now-was.at >= model.Tick(a.horizon))
+		affirm := side && was != nil && (missed || now-was.at >= model.Tick(a.c.horizon))
 		switch {
 		case v.RangeMode && !side && (was != nil || missed):
 			a.exit(v.Query, v.Epoch, p, now, d) // a range member keeps no track
@@ -376,7 +435,7 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall) {
 			// out: each reports the track we are on now, which decides our
 			// side as it does the server's. So a member affirming from its
 			// old track's side while its own position is beyond r_b leaves.
-			vel = a.trackVel(p, now, v.RangeMode)
+			vel = reportVel(fixVel, v.RangeMode)
 			side = d <= tr.answerRadius
 			a.sendTrack(v.Query, v.Epoch, line{p, vel, now}, side, d)
 			reported = true
@@ -422,16 +481,16 @@ func (a *ObjectAgent) handleInstall(v protocol.MonitorInstall) {
 // unchanged and onTrack false off the track, or out of the region (held
 // false) on a track still inside: those members report a new track.
 func (a *ObjectAgent) trackSide(q model.QueryID, ms *memberState, c *circle, drift float64, now model.Tick, held, side bool) (bool, bool) {
-	if drift > a.theta+trackEpsilon {
+	if drift > a.c.theta+trackEpsilon {
 		return side, false
 	}
 	in := c.holds(&ms.line)
 	if !held && in {
 		return side, false
 	}
-	if !in && a.deps.Trace != nil {
-		emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvReportSuppressed,
-			Query: q, Object: a.deps.ID, Kind: protocol.KindExitReport, Value: drift})
+	if tr := a.c.trace; !in && tr != nil {
+		emitAgent(tr, obs.Event{At: now, Type: obs.EvReportSuppressed,
+			Query: q, Object: a.id, Kind: protocol.KindExitReport, Value: drift})
 	}
 	return in, true
 }
@@ -440,27 +499,27 @@ func (a *ObjectAgent) trackSide(q model.QueryID, ms *memberState, c *circle, dri
 // crossed inward, traced with the distance v) if enter, else a MoveReport
 // (traced with v, the drift or distance).
 func (a *ObjectAgent) sendTrack(q model.QueryID, epoch uint32, l line, enter bool, v float64) {
-	r := protocol.MemberReport{Query: q, Epoch: epoch, Object: a.deps.ID, Pos: l.pos, At: l.at}
-	ev := obs.Event{At: l.at, Type: obs.EvReportSent, Query: q, Object: a.deps.ID, Kind: protocol.KindMoveReport, Value: v}
+	r := protocol.MemberReport{Query: q, Epoch: epoch, Object: a.id, Pos: l.pos, At: l.at}
+	ev := obs.Event{At: l.at, Type: obs.EvReportSent, Query: q, Object: a.id, Kind: protocol.KindMoveReport, Value: v}
 	if enter {
-		a.deps.Side.Uplink(protocol.EnterReport{MemberReport: r, Vel: l.vel})
+		a.side.Uplink(protocol.EnterReport{MemberReport: r, Vel: l.vel})
 		ev.Type, ev.Kind = obs.EvBoundaryCrossed, protocol.KindEnterReport
 	} else {
-		a.deps.Side.Uplink(protocol.MoveReport{MemberReport: r, Vel: l.vel})
+		a.side.Uplink(protocol.MoveReport{MemberReport: r, Vel: l.vel})
 	}
-	if a.deps.Trace != nil {
-		emitAgent(a.deps.Trace, ev)
+	if tr := a.c.trace; tr != nil {
+		emitAgent(tr, ev)
 	}
 }
 
 // exit uplinks an ExitReport for range query q at p, d out.
 func (a *ObjectAgent) exit(q model.QueryID, epoch uint32, p geo.Point, now model.Tick, d float64) {
-	a.deps.Side.Uplink(protocol.ExitReport{MemberReport: protocol.MemberReport{
-		Query: q, Epoch: epoch, Object: a.deps.ID, Pos: p, At: now,
+	a.side.Uplink(protocol.ExitReport{MemberReport: protocol.MemberReport{
+		Query: q, Epoch: epoch, Object: a.id, Pos: p, At: now,
 	}})
-	if a.deps.Trace != nil {
-		emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvBoundaryCrossed,
-			Query: q, Object: a.deps.ID, Kind: protocol.KindExitReport, Value: d})
+	if tr := a.c.trace; tr != nil {
+		emitAgent(tr, obs.Event{At: now, Type: obs.EvBoundaryCrossed,
+			Query: q, Object: a.id, Kind: protocol.KindExitReport, Value: d})
 	}
 }
 
@@ -473,8 +532,8 @@ func (a *ObjectAgent) drop(i int) {
 	a.shrink(len(a.mons) - 1)
 }
 
-// Tick evaluates every installed monitor against the object's current
-// position and transmits the events the protocol defines. An agent that
+// Tick takes the object's fix and evaluates every installed monitor
+// against it, transmitting the events the protocol defines. An agent that
 // holds no monitor returns after one load of the holding flag. A stale
 // read is safe: false while an install is being handled orders this tick
 // before the install, as losing the race for mu would, and true while the
@@ -488,8 +547,9 @@ func (a *ObjectAgent) Tick(now model.Tick) {
 	if len(a.mons) == 0 {
 		return
 	}
-	p := a.deps.Pos()
-	dt := a.deps.DT
+	p := a.pos()
+	vel := a.observe(p, now)
+	dt := a.c.dt
 	kept := 0 // monitors still held are compacted to the front in place
 	mi := 0   // the member row of the next inside monitor: both tables ascend by query
 	for i := range a.mons {
@@ -509,16 +569,16 @@ func (a *ObjectAgent) Tick(now model.Tick) {
 			drift := p.Dist(ms.posAt(now, dt))
 			onTrack := false
 			if side, onTrack = a.trackSide(q, ms, &c, drift, now, held, side); !onTrack {
-				ms.line = line{p, ms.velocity(p, now, dt), now}
+				ms.line = line{p, vel, now}
 				a.sendTrack(q, tr.epoch, ms.line, false, drift)
-			} else if side && a.deps.Trace != nil {
+			} else if side && a.c.trace != nil {
 				// The threshold just saved an uplink: the server's track is
 				// still close enough.
-				emitAgent(a.deps.Trace, obs.Event{At: now, Type: obs.EvReportSuppressed,
-					Query: q, Object: a.deps.ID, Kind: protocol.KindMoveReport, Value: drift})
+				emitAgent(a.c.trace, obs.Event{At: now, Type: obs.EvReportSuppressed,
+					Query: q, Object: a.id, Kind: protocol.KindMoveReport, Value: drift})
 			}
 		case side && !mon.inside:
-			l := line{p, a.trackVel(p, now, tr.rangeMode), now}
+			l := line{p, reportVel(vel, tr.rangeMode), now}
 			a.sendTrack(q, tr.epoch, l, true, d)
 			mon.inside = true
 			a.addMember(mi, memberState{l})

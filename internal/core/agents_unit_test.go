@@ -173,17 +173,18 @@ func TestAgentTickCrossingEvents(t *testing.T) {
 		t.Fatalf("expected a MoveReport and outside, got %T", side.last())
 	}
 
-	// Move back to d=5: enter.
+	// Move back to d=5: enter, on the track of the last tick's move, 25 m
+	// south.
 	*now = 2
 	*pos = geo.Pt(500, 515)
 	a.Tick(2)
-	if _, ok := side.last().(protocol.EnterReport); !ok {
-		t.Fatalf("expected EnterReport, got %T", side.last())
+	if en, ok := side.last().(protocol.EnterReport); !ok || en.Vel != geo.Vec(0, -25) {
+		t.Fatalf("expected an EnterReport at 25 m/s south, got %+v", side.last())
 	}
 
-	// The Enter reported a track at rest (the object has no other member
-	// row to estimate a velocity from). A small move leaves it (θ=0): a
-	// MoveReport whose velocity is the move, 1 m over 1 tick.
+	// The object stops short and moves 1 m east instead, which leaves the
+	// track (θ=0): a MoveReport whose velocity is the move, 1 m over 1
+	// tick.
 	step := func(tick model.Tick, p geo.Point) {
 		*now, *pos = tick, p
 		a.Tick(tick)
@@ -201,11 +202,11 @@ func TestAgentTickCrossingEvents(t *testing.T) {
 		t.Fatalf("object on its reported track sent %+v", side.sent[n:])
 	}
 
-	// A turn leaves the track: one MoveReport, with the mean velocity
-	// since the last report, 3 m east and 1 m north over 3 ticks.
+	// A turn leaves the track: one MoveReport, with the velocity of the
+	// last tick's move, 1 m east and 1 m north.
 	step(6, geo.Pt(504, 516))
-	if mv, ok := side.last().(protocol.MoveReport); !ok || len(side.sent) != n+1 || mv.Vel != geo.Vec(1, 1.0/3) {
-		t.Fatalf("expected one MoveReport at (1, 1/3) m/s, got %+v", side.sent[n:])
+	if mv, ok := side.last().(protocol.MoveReport); !ok || len(side.sent) != n+1 || mv.Vel != geo.Vec(1, 1) {
+		t.Fatalf("expected one MoveReport at (1, 1) m/s, got %+v", side.sent[n:])
 	}
 
 	// Stopping leaves the track too, since the track still has the
@@ -439,8 +440,8 @@ func TestRefreshPreservesLastReportBaseline(t *testing.T) {
 	if len(side.sent) != n+2 {
 		t.Fatalf("turn and stop sent %d uplinks, want 2", len(side.sent)-n)
 	}
-	if turn := side.sent[n].(protocol.MoveReport); turn.Vel != geo.Vec(10, 5) {
-		t.Fatalf("turn reported at %v, want (10, 5): 20 m east, 10 m north over 2 ticks", turn.Vel)
+	if turn := side.sent[n].(protocol.MoveReport); turn.Vel != geo.Vec(0, 10) {
+		t.Fatalf("turn reported at %v, want (0, 10): the last tick's 10 m north", turn.Vel)
 	}
 	if stop := side.sent[n+1].(protocol.MoveReport); stop.Vel != (geo.Vector{}) {
 		t.Fatalf("stop reported at %v, want at rest", stop.Vel)

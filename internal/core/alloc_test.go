@@ -124,13 +124,16 @@ func TestRegisterOrderMaintained(t *testing.T) {
 }
 
 // A simulated run is one ObjectAgent per device, so its records' sizes
-// are most of its heap: the agent fills a 128-byte size class, a monitor
-// row is the query, the object's side and a pointer to the install's
-// track, which the install's whole audience shares, and report state —
-// the track the object last reported — is paid only per answer-circle
-// membership, the first row inline in its table's record. On the server, an answer-circle row is an id, two flags and
-// that track; an annulus candidate, which reports no velocity, is an id,
-// a flag and a position.
+// are most of its heap: the agent fills a 128-byte size class with its
+// bindings, the object's one fix (position, velocity and an int32 tick
+// beside the id) and a pointer to the constants every agent built alike
+// shares (tick length, θ, horizon, trace sink); a monitor row is the
+// query, the object's side and a pointer to the install's track, which
+// the install's whole audience shares; and report state — the track the
+// object last reported — is paid only per answer-circle membership, the
+// first row inline in its table's record. On the server, an answer-circle
+// row is an id, two flags and that track; an annulus candidate, which
+// reports no velocity, is an id, a flag and a position.
 func TestAgentFootprint(t *testing.T) {
 	for _, c := range []struct {
 		name      string

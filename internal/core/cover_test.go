@@ -338,10 +338,10 @@ func soakInstallCoherence(t *testing.T, pc Config, seed int64) {
 				switch {
 				case mon == nil:
 					t.Fatalf("tick %d: object %d holds query %d, which the server does not have",
-						eng.Now(), a.deps.ID, am.query)
+						eng.Now(), a.id, am.query)
 				case am.tr.epoch != mon.epoch:
 					t.Fatalf("tick %d: object %d holds query %d at epoch %d, the server is at %d",
-						eng.Now(), a.deps.ID, am.query, am.tr.epoch, mon.epoch)
+						eng.Now(), a.id, am.query, am.tr.epoch, mon.epoch)
 				}
 			}
 		}

@@ -42,6 +42,8 @@ func TestSharedTrackNewEpoch(t *testing.T) {
 
 // Two queries whose installs carry the same track values share one record;
 // the query id is the row's, so every report still names its own query.
+// Both reports carry the object's one fix: 20 m south over the first
+// tick, 25 m north over the second.
 func TestSharedTrackAcrossQueries(t *testing.T) {
 	a, side, pos, now := unitAgent(t)
 	inst := install(1, false, geo.Pt(500, 510), 20, 100, 0)
@@ -58,7 +60,9 @@ func TestSharedTrackAcrossQueries(t *testing.T) {
 		{geo.Pt(500, 480), func(r protocol.MemberReport) protocol.Message {
 			return protocol.MoveReport{MemberReport: r, Vel: geo.Vec(0, -20)}
 		}},
-		{geo.Pt(500, 505), func(r protocol.MemberReport) protocol.Message { return protocol.EnterReport{MemberReport: r} }},
+		{geo.Pt(500, 505), func(r protocol.MemberReport) protocol.Message {
+			return protocol.EnterReport{MemberReport: r, Vel: geo.Vec(0, 25)}
+		}},
 	} {
 		side.sent = nil
 		*pos = c.to

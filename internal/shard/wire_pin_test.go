@@ -112,26 +112,28 @@ func (w *wireRun) noteMemberships(m sim.Method, queries, step int) {
 // places on its side of r_b (the downlink and per-step membership pins
 // below held), and again when r_b and the side rule began to measure by
 // one distance, geo.Point.Dist (the downlink and per-step membership pins
-// below held). The engine must
+// below held), and again when an Enter began to carry the velocity of the
+// object's own last fix (the downlink and per-step membership pins below
+// held). The engine must
 // keep producing these transcripts byte for byte: same message
 // sequences, same wire bytes, same loss draws, same answers.
 var wireDigests = map[string]string{
-	"seed=1/clean-L0": "64be940479d5a01aa0a336aff9910565545167ad5baaab055ab503a77a2510e5",
-	"seed=1/loss-L0":  "a9052d23d5f458b604dc7e1ddffe2f1ab3849c5658a38af8acec9b71d6b86e77",
-	"seed=1/burst-L0": "9eb73da9e0d50893dbdd89a6bab83d97612c14bb2e9372f9721af9f3766c5fe7",
-	"seed=1/delta-L0": "eea153286fdda64bec87361b52aa86851e0140be3bf7d3203a30896a425c5fd6",
-	"seed=2/clean-L0": "25483079c217b8a548180871a5c8e2d058e3e39b57b696824a9121de6bd63375",
-	"seed=2/loss-L0":  "c42102d6afb0b8887748220de20509fcd5694ad220a3c4b703c4770d8a91d402",
-	"seed=2/burst-L0": "1eff92a3b88cade07fc2d0962b9de0614f34f4df5f76384b88560b69547088f1",
-	"seed=2/delta-L0": "98711fd9745acaf93e0ab8f091a1e2473a725a16a9700c0ba3534ed15d9d8ef2",
-	"seed=3/clean-L0": "c00db2442f4185d2a6e26c465f7e0aeb4091de0968498fab836ba806c3ffa974",
-	"seed=3/loss-L0":  "1e5d6c572ed3d9680d8b06a0fb3f22ffbed9cc5f68cfad0ffe4bc900a3d29416",
-	"seed=3/burst-L0": "8a4d88f233ed10b812ca192bdad1b3a8aa7134f0207e07a230d825ee3f51b722",
-	"seed=3/delta-L0": "ea11722e547d532b89aa6689ad9e5a40acaef40fc0fdddc0708edfe7fda430ce",
-	"seed=4/clean-L0": "69b5c2ebf20ab10921ab88627085110bd99640e8aadee9a52ace8f853eda3fcc",
-	"seed=4/loss-L0":  "b79852846f20529d2c83b2c4e2b974352f797960d86f9d7561545fe8455f7f51",
-	"seed=4/burst-L0": "d476d37471f69d62de4602823310fb65997bfe2431c06a30e093aded201c77a4",
-	"seed=4/delta-L0": "3dc98ca589cd01a72f72e48f7d3e81f3bd6a1ab73564cc7fa506ecf7cbade59b",
+	"seed=1/clean-L0": "1c4f9a8882336050e8f6af2bac6a314565cda51fcc82509074ab5c12b6a56037",
+	"seed=1/loss-L0":  "5feee770205bd5be0a22bd514e1d12b2078f75e442b309c6a80cf5722de94a28",
+	"seed=1/burst-L0": "b1ec9421a7469daf7147dcf1587c41ddc282ed6909254ab7c9b15aed84a5eae6",
+	"seed=1/delta-L0": "00c989ff8a3f0daa8a5880eab82a30a5a1312124a76053aeb8a4a249b59fdb9c",
+	"seed=2/clean-L0": "7d78c4ebe2054c43d173b7b9456ebfc5a95aba4e1fc1d55b4ec205c62824b1a4",
+	"seed=2/loss-L0":  "34c0168a113509bdf784846153648ebc4d96ca25daad4d10536a93f7689d70f9",
+	"seed=2/burst-L0": "23d4f20b152853cd4afeb31078236aef94f92f5c5ecdd8b866f36c38a52d5758",
+	"seed=2/delta-L0": "8675907c69e9f81e50e4a8c54853f9655b978742bf1efa5d2a5efbe3ac29ad3c",
+	"seed=3/clean-L0": "9c1801677c0815c0a008c9bdb9ea174276c09ea4c762cfe45aa7e9244e4c2eb2",
+	"seed=3/loss-L0":  "fe4d26662ac0a73e34b5c3b588360cf142fa980f96d2702b0c824bd20df5bcab",
+	"seed=3/burst-L0": "acf5d7edd14759fbd65a57ebf9ca012b2f89f6fd6651a47fcc54410db345b59e",
+	"seed=3/delta-L0": "36abe259d3beed0d6b0c3d7d7d474676a1448daa2b2dd538d31c4cb37ce2e4ae",
+	"seed=4/clean-L0": "5dfff5f2095f69e6ab821455962dca994406a40cc11038ff78364e35f8b4275d",
+	"seed=4/loss-L0":  "08d5eee5c829dab9ad5711947c23c27305e0f59336835d6922e920f96441df59",
+	"seed=4/burst-L0": "f70d3824ab4e7fe44afb2bd87ebdbfac3ce1f70fc09540f063020130bebc94b2",
+	"seed=4/delta-L0": "70315edb971a675be0c5d6fe0c0bcd916918b701ac296c3404e8b3936bcd153b",
 }
 
 // uplinkDigests pins uplinkDigest of the lossless scenarios. They held
@@ -153,16 +155,21 @@ var wireDigests = map[string]string{
 // again when r_b and the side rule began to measure by one distance: a
 // refresh's (k+m)-th member no longer lands an ulp outside the r_b it
 // sized, which changes what members report after a refresh
-// (seed=2/delta-L0 held).
+// (seed=2/delta-L0 held). They were re-captured again when every track
+// report began to carry the velocity of the object's one fix: an Enter
+// carries the displacement since the tick before, so an object on a
+// straight leg no longer sends a MoveReport a tick after entering, and a
+// Move carries the last tick's displacement rather than the mean since
+// the member's last report.
 var uplinkDigests = map[string]string{
-	"seed=1/clean-L0": "274030fd11626286ed2f6d8e12192a03e3f0fcef7207cf07200ff9bb10d8807b",
-	"seed=1/delta-L0": "ccd1d5052cd70e314eb2bf2f227acc113166e22fc9d70e2254dd2e4d0e8a51a2",
-	"seed=2/clean-L0": "3ce8ad1fc72aedb41095caaa14d100e7d5311df96acd71c33f6b36897a6d6953",
-	"seed=2/delta-L0": "9ca23e925ad430541c31000c355211887cf4c6ca6a532b9636cd346fe2c512f1",
-	"seed=3/clean-L0": "a107e074506e1a6402a3f9fc656dbfbb5400ec6c17a4c15e0d503955f7585d93",
-	"seed=3/delta-L0": "8a7a5e1c4c23fad0c1bd4f9d54265f79d001a1270010c189bde9df33f928fbeb",
-	"seed=4/clean-L0": "1965619586dc484f1682af620504f38c2617b067930378394a7ca03812cc22db",
-	"seed=4/delta-L0": "52c34866a832331460aed377497aa01b7a1edd3975520de179d592dc3f0a2cb5",
+	"seed=1/clean-L0": "66bf972f26dd24c00ec75aca554ba71661be6a821320b5c8a7fbea8728303fe6",
+	"seed=1/delta-L0": "aae9afeae30537bce8b2bebd121babfdaf471e7a79ba5b0613b83395c1438a97",
+	"seed=2/clean-L0": "7be0983f79762d3e118efd1aa80915d1b559dc22bf9190aa300431ab209ef7a6",
+	"seed=2/delta-L0": "5c9871f065dc2493ab164604ab48d75c996529e9f222dc676c9f384f2ef686cf",
+	"seed=3/clean-L0": "4ddf87f6071c7b6fcb7105b4c4e6a9fe832c4af200502b63eba94da268af8c28",
+	"seed=3/delta-L0": "06f81c22f0c9deae0fe5e9df013328b31cf7b12f491cd1842abb2d706d3bb826",
+	"seed=4/clean-L0": "cadefdc912f318f79e8e0a3fdc0688153bb36254fc6367d82b431dd59c61658e",
+	"seed=4/delta-L0": "8926c2670bf4d601758089c7f4fcd7d3a5e0210a32599d6ceaf5e28eb7c92bbc",
 }
 
 // downlinkDigests pins downlinkDigest of the lossless scenarios. They
