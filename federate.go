@@ -51,7 +51,8 @@ type FederationOptions struct {
 	ClientAddrs []string
 
 	// Heartbeat is the peer keepalive cadence (default 500ms; a peer
-	// silent for 3 heartbeats is redialed).
+	// silent for 3 heartbeats is redialed). The peer link derives its
+	// dial backoff and write timeout from it.
 	Heartbeat time.Duration
 	// BalanceInterval, when > 0, enables adaptive partitioning with a
 	// decision at most every that many ticks: node 0 coordinates
@@ -135,7 +136,6 @@ func ListenAndServeNode(opts FederationOptions) (*NodeServer, error) {
 		Node:      opts.Node,
 		Addrs:     opts.PeerAddrs,
 		Heartbeat: opts.Heartbeat,
-		Now:       now,
 	})
 	if err != nil {
 		tcp.Close()

@@ -236,8 +236,6 @@ type centralQueryClient struct {
 
 	registered bool
 	lastPos    geo.Point
-	lastVel    geo.Vector
-	lastAt     model.Tick
 
 	answer model.Answer
 }
@@ -251,14 +249,14 @@ func (qc *centralQueryClient) tick(now model.Tick) {
 			Pos: st.Pos, Vel: st.Vel, At: now,
 		})
 		qc.registered = true
-		qc.lastPos, qc.lastVel, qc.lastAt = st.Pos, st.Vel, now
+		qc.lastPos = st.Pos
 		return
 	}
 	// The focal position is precious: stream it every tick under the
 	// periodic policy, else when it moved beyond the query threshold.
 	if qc.m.cfg.Mode == ModePeriodic || st.Pos.Dist(qc.lastPos) > qc.m.cfg.QueryThreshold {
 		qc.side.Uplink(protocol.QueryMove{Query: rt.Spec.ID, Pos: st.Pos, Vel: st.Vel, At: now})
-		qc.lastPos, qc.lastVel, qc.lastAt = st.Pos, st.Vel, now
+		qc.lastPos = st.Pos
 	}
 }
 

@@ -14,8 +14,8 @@
 //     Leave/Move reports it receives back to it (NodeRelay); the home
 //     node remains the single answer authority.
 //   - Object handoff: a client whose report places it in another node's
-//     strip is transferred (ObjectHandoff: kinematics plus the per-query
-//     awareness map) and its uplink routing flips to the new owner, so
+//     strip is transferred (ObjectHandoff: the per-query awareness map)
+//     and its uplink routing flips to the new owner, so
 //     no report is lost and no uplink is ever double-counted.
 //   - Query handoff: when a focal client's advertised track leaves its
 //     home strip, the whole monitor state machine (epoch, candidate and

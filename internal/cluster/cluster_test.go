@@ -212,7 +212,7 @@ func TestSingleNodeWireIdentity(t *testing.T) {
 // the ideal-link rows exactness stayed 1, the broadcast columns held, the
 // uplink fell 26 % over the twelve rows, and the link and object-handoff
 // columns fell with it: a member's uplinks are what the federation reads
-// its position from (uplinkKinematics), so with fewer exits it notices a
+// its position from (uplinkPos), so with fewer exits it notices a
 // strip crossing later. The downlink held except on two rows (3 and 4
 // nodes, seed 4), which each send one answer fewer on the tick a query
 // migrates: the exit that changed the answer used to be ingested before
@@ -266,7 +266,11 @@ func TestSingleNodeWireIdentity(t *testing.T) {
 // rows: the Move that followed each velocity-less Enter was also that
 // Enter's retransmission, and a lost Enter now heals only at a
 // re-affirmation, a deviation from the track or a resync probe
-// (TestLossyFederationFloors holds both means). Every
+// (TestLossyFederationFloors holds both means). Only the link-byte column
+// moved on all 48 rows, and the broadcast-byte column on seven, when the
+// fields no receiver read left the wire: the routed envelopes' map version
+// (8 B each, 10 B with node-forward's home), object-handoff's kinematics
+// (40 B), node-load's tick (8 B) and probe-request's tick (8 B). Every
 // row runs twice, once at GOMAXPROCS 1, and the two digests must be identical. A latent or lossy
 // link answers late and can strand relays, so those rows pin their
 // exactness and relay drops rather than assert 1 and 0. The adaptive rows
@@ -279,18 +283,18 @@ func TestFederationWireDigest(t *testing.T) {
 		upMsgs, upBytes, dnMsgs, dnBytes, bcMsgs, bcBytes uint64
 		linkSent, linkBytes, objHandoffs, qryHandoffs     float64
 	}{
-		{2, 1, 2109, 111697, 496, 47120, 5892, 394764, 550, 55155, 207, 7},
-		{2, 2, 2132, 112948, 531, 50445, 5398, 361666, 643, 59020, 242, 6},
-		{2, 3, 2137, 113181, 449, 42655, 5588, 374396, 499, 42573, 191, 4},
-		{2, 4, 2196, 116316, 574, 54530, 5987, 401129, 692, 65232, 253, 7},
-		{3, 1, 2097, 111061, 501, 47595, 5836, 391012, 1025, 98266, 365, 11},
-		{3, 2, 2123, 112471, 535, 50825, 5413, 362671, 1060, 102355, 388, 12},
-		{3, 3, 2135, 113075, 455, 43225, 5587, 374329, 952, 88489, 327, 9},
-		{3, 4, 2196, 116316, 575, 54625, 5987, 401129, 1030, 98814, 386, 11},
-		{4, 1, 2109, 111697, 504, 47880, 5892, 394764, 1452, 136848, 508, 16},
-		{4, 2, 2132, 112948, 537, 51015, 5398, 361666, 1442, 127984, 511, 12},
-		{4, 3, 2140, 113340, 453, 43035, 5578, 373726, 1228, 102465, 415, 8},
-		{4, 4, 2197, 116369, 578, 54910, 5988, 401196, 1396, 123936, 507, 12},
+		{2, 1, 2109, 111697, 496, 47120, 5892, 394764, 550, 44119, 207, 7},
+		{2, 2, 2132, 112948, 531, 50445, 5398, 361666, 643, 46074, 242, 6},
+		{2, 3, 2137, 113181, 449, 42655, 5588, 374396, 499, 32401, 191, 4},
+		{2, 4, 2196, 116316, 574, 54530, 5987, 401129, 692, 51522, 253, 7},
+		{3, 1, 2097, 111061, 501, 47595, 5836, 391012, 1025, 78294, 365, 11},
+		{3, 2, 2123, 112471, 535, 50825, 5413, 362671, 1060, 81381, 388, 12},
+		{3, 3, 2135, 113075, 455, 43225, 5587, 374329, 952, 70309, 327, 9},
+		{3, 4, 2196, 116316, 575, 54625, 5987, 401129, 1030, 78092, 386, 11},
+		{4, 1, 2109, 111697, 504, 47880, 5892, 394764, 1452, 108868, 508, 16},
+		{4, 2, 2132, 112948, 537, 51015, 5398, 361666, 1442, 99936, 511, 12},
+		{4, 3, 2140, 113340, 453, 43035, 5578, 373726, 1228, 79123, 415, 8},
+		{4, 4, 2197, 116369, 578, 54910, 5988, 401196, 1396, 96336, 507, 12},
 	}
 	for _, w := range want {
 		checkFederationDigest(t, fedRun{nodes: w.nodes, seed: w.seed}, fedDigest{
@@ -305,30 +309,30 @@ func TestFederationWireDigest(t *testing.T) {
 		loss    float64
 		want    fedDigest
 	}{
-		{2, 1, 1, 0, fedDigest{2226, 115450, 498, 47310, 7539, 502773, 607, 63837, 210, 7, 0, 0.9395833333333333, 0}},
-		{2, 2, 1, 0, fedDigest{2107, 111623, 526, 49970, 7155, 479385, 699, 67077, 248, 6, 0, 0.9354166666666667, 0}},
-		{2, 3, 1, 0, fedDigest{2352, 120688, 447, 42465, 7207, 479567, 595, 52570, 191, 4, 0, 0.9666666666666667, 0}},
-		{2, 4, 1, 0, fedDigest{2232, 118224, 569, 54055, 7964, 533588, 761, 75172, 262, 7, 0, 0.9760416666666667, 0}},
-		{3, 1, 1, 0, fedDigest{2332, 119996, 498, 47310, 7511, 499701, 1231, 121022, 378, 12, 0, 0.9395833333333333, 0}},
-		{3, 2, 1, 0, fedDigest{2156, 114220, 527, 50065, 7043, 471881, 1118, 116928, 401, 12, 0, 0.934375, 0}},
-		{3, 3, 1, 0, fedDigest{2371, 121743, 449, 42655, 7203, 479299, 1145, 108608, 342, 9, 0, 0.9552083333333333, 0}},
-		{3, 4, 1, 0, fedDigest{2224, 117800, 573, 54435, 7920, 530640, 1130, 117541, 399, 11, 0, 0.9958333333333333, 0}},
-		{4, 1, 1, 0, fedDigest{2368, 121880, 500, 47500, 7687, 511493, 1626, 158337, 504, 16, 0, 0.93125, 0}},
-		{4, 2, 1, 0, fedDigest{2185, 115757, 526, 49970, 7165, 480055, 1550, 145888, 519, 12, 0, 0.9375, 0}},
-		{4, 3, 1, 0, fedDigest{2366, 121462, 450, 42750, 7136, 474810, 1451, 121927, 427, 8, 0, 0.9625, 0}},
-		{4, 4, 1, 0, fedDigest{2281, 120821, 567, 53865, 8133, 544911, 1514, 141241, 524, 12, 0, 0.9833333333333333, 0}},
-		{2, 1, 0, 0.2, fedDigest{2285, 121025, 494, 46930, 5913, 396171, 657, 83224, 223, 7, 3, 0.8833333333333333, 0}},
-		{2, 2, 0, 0.2, fedDigest{2373, 125721, 514, 48830, 5178, 346926, 755, 78910, 273, 6, 1, 0.8895833333333333, 0}},
-		{2, 3, 0, 0.2, fedDigest{2278, 120654, 445, 42275, 5494, 368098, 609, 57564, 216, 4, 0, 0.9427083333333334, 0}},
-		{2, 4, 0, 0.2, fedDigest{2489, 131845, 566, 53770, 5869, 393223, 892, 108393, 283, 7, 1, 0.9, 0}},
-		{3, 1, 0, 0.2, fedDigest{2659, 140847, 492, 46740, 5569, 373123, 1464, 168130, 490, 11, 2, 0.7697916666666667, 0}},
-		{3, 2, 0, 0.2, fedDigest{2575, 136427, 535, 50825, 5069, 339623, 1358, 151259, 448, 12, 0, 0.8635416666666667, 0}},
-		{3, 3, 0, 0.2, fedDigest{2484, 131572, 453, 43035, 5224, 350008, 1176, 150546, 394, 9, 0, 0.85625, 0}},
-		{3, 4, 0, 0.2, fedDigest{2618, 138682, 568, 53960, 5612, 376004, 1335, 121991, 454, 11, 0, 0.8552083333333333, 0}},
-		{4, 1, 0, 0.2, fedDigest{2684, 142164, 488, 46360, 5436, 364212, 1960, 214515, 657, 16, 8, 0.7677083333333333, 0}},
-		{4, 2, 0, 0.2, fedDigest{2627, 139183, 535, 50825, 5104, 341968, 1744, 165500, 607, 12, 2, 0.7145833333333333, 0}},
-		{4, 3, 0, 0.2, fedDigest{2592, 137296, 449, 42655, 5232, 350544, 1550, 139625, 518, 8, 1, 0.7958333333333333, 0}},
-		{4, 4, 0, 0.2, fedDigest{2593, 137357, 567, 53865, 5640, 377880, 1650, 150620, 546, 12, 0, 0.7645833333333333, 0}},
+		{2, 1, 1, 0, fedDigest{2226, 115450, 498, 47310, 7539, 502053, 607, 52187, 210, 7, 0, 0.9395833333333333, 0}},
+		{2, 2, 1, 0, fedDigest{2107, 111623, 526, 49970, 7155, 479385, 699, 53445, 248, 6, 0, 0.9354166666666667, 0}},
+		{2, 3, 1, 0, fedDigest{2352, 120688, 447, 42465, 7207, 478551, 595, 41588, 191, 4, 0, 0.9666666666666667, 0}},
+		{2, 4, 1, 0, fedDigest{2232, 118224, 569, 54055, 7964, 533588, 761, 60604, 262, 7, 0, 0.9760416666666667, 0}},
+		{3, 1, 1, 0, fedDigest{2332, 119996, 498, 47310, 7511, 498613, 1231, 98928, 378, 12, 0, 0.9395833333333333, 0}},
+		{3, 2, 1, 0, fedDigest{2156, 114220, 527, 50065, 7043, 471881, 1118, 95012, 401, 12, 0, 0.934375, 0}},
+		{3, 3, 1, 0, fedDigest{2371, 121743, 449, 42655, 7203, 478283, 1145, 88328, 342, 9, 0, 0.9552083333333333, 0}},
+		{3, 4, 1, 0, fedDigest{2224, 117800, 573, 54435, 7920, 530640, 1130, 95561, 399, 11, 0, 0.9958333333333333, 0}},
+		{4, 1, 1, 0, fedDigest{2368, 121880, 500, 47500, 7687, 510405, 1626, 128827, 504, 16, 0, 0.93125, 0}},
+		{4, 2, 1, 0, fedDigest{2185, 115757, 526, 49970, 7165, 480055, 1550, 116640, 519, 12, 0, 0.9375, 0}},
+		{4, 3, 1, 0, fedDigest{2366, 121462, 450, 42750, 7136, 473794, 1451, 96335, 427, 8, 0, 0.9625, 0}},
+		{4, 4, 1, 0, fedDigest{2281, 120821, 567, 53865, 8133, 544911, 1514, 112051, 524, 12, 0, 0.9833333333333333, 0}},
+		{2, 1, 0, 0.2, fedDigest{2285, 121025, 494, 46930, 5913, 396171, 657, 70902, 223, 7, 3, 0.8833333333333333, 0}},
+		{2, 2, 0, 0.2, fedDigest{2373, 125721, 514, 48830, 5178, 346926, 755, 64130, 273, 6, 1, 0.8895833333333333, 0}},
+		{2, 3, 0, 0.2, fedDigest{2278, 120654, 445, 42275, 5494, 368098, 609, 45752, 216, 4, 0, 0.9427083333333334, 0}},
+		{2, 4, 0, 0.2, fedDigest{2489, 131845, 566, 53770, 5869, 393223, 892, 92231, 283, 7, 1, 0.9, 0}},
+		{3, 1, 0, 0.2, fedDigest{2659, 140847, 492, 46740, 5569, 373123, 1464, 140788, 490, 11, 2, 0.7697916666666667, 0}},
+		{3, 2, 0, 0.2, fedDigest{2575, 136427, 535, 50825, 5069, 339623, 1358, 126107, 448, 12, 0, 0.8635416666666667, 0}},
+		{3, 3, 0, 0.2, fedDigest{2484, 131572, 453, 43035, 5224, 350008, 1176, 128624, 394, 9, 0, 0.85625, 0}},
+		{3, 4, 0, 0.2, fedDigest{2618, 138682, 568, 53960, 5612, 376004, 1335, 96663, 454, 11, 0, 0.8552083333333333, 0}},
+		{4, 1, 0, 0.2, fedDigest{2684, 142164, 488, 46360, 5436, 364212, 1960, 177833, 657, 16, 8, 0.7677083333333333, 0}},
+		{4, 2, 0, 0.2, fedDigest{2627, 139183, 535, 50825, 5104, 341968, 1744, 132028, 607, 12, 2, 0.7145833333333333, 0}},
+		{4, 3, 0, 0.2, fedDigest{2592, 137296, 449, 42655, 5232, 350544, 1550, 110467, 518, 8, 1, 0.7958333333333333, 0}},
+		{4, 4, 0, 0.2, fedDigest{2593, 137357, 567, 53865, 5640, 377880, 1650, 119778, 546, 12, 0, 0.7645833333333333, 0}},
 	}
 	for _, w := range faulty {
 		link := LinkConfig{LatencyTicks: w.latency, Loss: w.loss, Seed: w.seed}
@@ -339,18 +343,18 @@ func TestFederationWireDigest(t *testing.T) {
 		seed  int64
 		want  fedDigest
 	}{
-		{2, 1, fedDigest{3620, 191780, 544, 51680, 10445, 699815, 1184, 124476, 304, 16, 0, 1, 13}},
-		{2, 2, fedDigest{3547, 187935, 412, 39140, 10862, 727754, 1647, 137311, 254, 10, 0, 1, 12}},
-		{2, 3, fedDigest{3571, 189175, 329, 31255, 11939, 799913, 1325, 217507, 373, 20, 0, 1, 11}},
-		{2, 4, fedDigest{4170, 220922, 368, 34960, 13200, 884400, 2418, 238292, 259, 21, 0, 1, 13}},
-		{3, 1, fedDigest{3621, 191833, 553, 52535, 10389, 696063, 2125, 239157, 585, 28, 0, 1, 15}},
-		{3, 2, fedDigest{3572, 189260, 417, 39615, 10919, 731573, 2570, 214873, 374, 16, 0, 1, 13}},
-		{3, 3, fedDigest{3571, 189175, 332, 31540, 11939, 799913, 2413, 283469, 620, 25, 0, 1, 15}},
-		{3, 4, fedDigest{4149, 219809, 375, 35625, 13191, 883797, 3447, 349367, 429, 30, 0, 1, 14}},
-		{4, 1, fedDigest{3760, 196464, 553, 52535, 10327, 689595, 3264, 294892, 690, 26, 0, 1, 15}},
-		{4, 2, fedDigest{3547, 187935, 419, 39805, 10862, 727754, 2676, 248110, 465, 20, 0, 1, 15}},
-		{4, 3, fedDigest{3546, 187850, 345, 32775, 11931, 799377, 3192, 382315, 642, 36, 0, 1, 13}},
-		{4, 4, fedDigest{4166, 220710, 383, 36385, 13202, 884534, 4385, 438135, 673, 38, 0, 1, 14}},
+		{2, 1, fedDigest{3620, 191780, 544, 51680, 10445, 699815, 1184, 105520, 304, 16, 0, 1, 13}},
+		{2, 2, fedDigest{3547, 187935, 412, 39140, 10862, 727754, 1647, 116143, 254, 10, 0, 1, 12}},
+		{2, 3, fedDigest{3571, 189175, 329, 31255, 11939, 799913, 1325, 195179, 373, 20, 0, 1, 11}},
+		{2, 4, fedDigest{4170, 220922, 368, 34960, 13200, 884400, 2418, 210902, 259, 21, 0, 1, 13}},
+		{3, 1, fedDigest{3621, 191833, 553, 52535, 10389, 696063, 2125, 203937, 585, 28, 0, 1, 15}},
+		{3, 2, fedDigest{3572, 189260, 417, 39615, 10919, 731573, 2570, 182695, 374, 16, 0, 1, 13}},
+		{3, 3, fedDigest{3571, 189175, 332, 31540, 11939, 799913, 2413, 244683, 620, 25, 0, 1, 15}},
+		{3, 4, fedDigest{4149, 219809, 375, 35625, 13191, 883797, 3447, 308355, 429, 30, 0, 1, 14}},
+		{4, 1, fedDigest{3760, 196464, 553, 52535, 10327, 688883, 3264, 247220, 690, 26, 0, 1, 15}},
+		{4, 2, fedDigest{3547, 187935, 419, 39805, 10862, 727754, 2676, 212374, 465, 20, 0, 1, 15}},
+		{4, 3, fedDigest{3546, 187850, 345, 32775, 11931, 799377, 3192, 336689, 642, 36, 0, 1, 13}},
+		{4, 4, fedDigest{4166, 220710, 383, 36385, 13202, 884534, 4385, 381843, 673, 38, 0, 1, 14}},
 	}
 	for _, w := range adaptive {
 		checkFederationDigest(t, fedRun{nodes: w.nodes, seed: w.seed, adaptive: true}, w.want)

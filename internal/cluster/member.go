@@ -61,7 +61,7 @@ type MemberDeps struct {
 //     and dial it directly (and re-dial when their own movement crosses a
 //     strip boundary, flushing a final report on the old connection so
 //     the old node hands their state off before the disconnect);
-//   - any uplink whose kinematics place the sender in another node's
+//   - any uplink whose position places the sender in another node's
 //     strip triggers an ObjectHandoff to the owner plus a NodeRedirect
 //     downlink carrying the owner's client address;
 //   - a query monitor that migrates (QueryHandoff) redirects its focal
@@ -414,7 +414,6 @@ func (m *Member) balance(now model.Tick) {
 			Node:    uint16(m.id),
 			Version: m.part.Version(),
 			Uplinks: m.uplinks,
-			At:      now,
 		})
 	}
 }
@@ -477,9 +476,9 @@ func (m *Member) routeUplink(from model.ObjectID, msg protocol.Message, hops int
 	// belongs to another node's radio, and a relay that was in flight
 	// while its sender crossed carries the old position — it would hand
 	// the client straight back.
-	if pos, vel, at, ok := uplinkKinematics(msg); ok && hops == 0 && m.serves(from) {
+	if pos, ok := uplinkPos(msg); ok && hops == 0 && m.serves(from) {
 		if owner := m.part.NodeOf(pos); owner != m.id {
-			m.handoffObject(from, owner, pos, vel, at)
+			m.handoffObject(from, owner)
 			m.redirect(from, owner)
 		}
 	}
@@ -528,7 +527,7 @@ func (m *Member) routeUplink(from model.ObjectID, msg protocol.Message, hops int
 	default:
 		// Unknown query: if the report itself names a position in
 		// another strip, that node (or its remote table) knows more.
-		if pos, _, _, ok := uplinkKinematics(msg); ok && hops < maxRelayHops {
+		if pos, ok := uplinkPos(msg); ok && hops < maxRelayHops {
 			if owner := m.part.NodeOf(pos); owner != m.id {
 				m.relay(owner, from, msg, hops)
 				return
@@ -541,12 +540,7 @@ func (m *Member) routeUplink(from model.ObjectID, msg protocol.Message, hops int
 
 // relay forwards a client uplink to another node.
 func (m *Member) relay(to int, origin model.ObjectID, msg protocol.Message, hops int) {
-	m.deps.Link.Send(m.id, to, protocol.NodeRelay{
-		Origin:  origin,
-		Hops:    uint8(hops + 1),
-		Version: m.part.Version(),
-		Inner:   msg,
-	})
+	m.deps.Link.Send(m.id, to, protocol.NodeRelay{Origin: origin, Hops: uint8(hops + 1), Inner: msg})
 }
 
 // redirect steers an attached client to the node owning its position.
@@ -635,10 +629,8 @@ func (m *Member) finishTeardown(q model.QueryID) {
 	}
 	for _, peer := range sortedKeys(m.spread[q]) {
 		m.deps.Link.Send(m.id, peer, protocol.NodeForward{
-			Home:    uint16(m.id),
-			Version: m.part.Version(),
-			Region:  geo.Circle{R: -1},
-			Inner:   protocol.MonitorCancel{Query: q},
+			Region: geo.Circle{R: -1},
+			Inner:  protocol.MonitorCancel{Query: q},
 		})
 	}
 	delete(m.spread, q)
@@ -651,15 +643,15 @@ func (m *Member) finishTeardown(q model.QueryID) {
 // ---------------------------------------------------------------------------
 // Object handoff
 
-// handoffObject migrates a client's connection to the node owning pos:
-// the directory flips immediately (so routing is consistent even if the
-// state transfer is lost) and the accumulated awareness state travels in
-// an ObjectHandoff message.
-func (m *Member) handoffObject(id model.ObjectID, to int, pos geo.Point, vel geo.Vector, at model.Tick) {
+// handoffObject migrates a client's connection to node to, which owns
+// its position: the directory flips immediately (so routing is
+// consistent even if the state transfer is lost) and the accumulated
+// awareness state travels in an ObjectHandoff message.
+func (m *Member) handoffObject(id model.ObjectID, to int) {
 	m.dir.setHome(id, to)
 	m.stats.ObjectHandoffs++
 	m.emit(obs.Event{Type: obs.EvObjectHandoffBegun, Object: id, Value: float64(to)})
-	oh := protocol.ObjectHandoff{Object: id, Pos: pos, Vel: vel, At: at}
+	oh := protocol.ObjectHandoff{Object: id}
 	// Awareness accumulated from relays, plus the local queries whose
 	// monitors currently involve the object — their home is this node.
 	for q, home := range m.aware[id] {
@@ -1083,7 +1075,7 @@ func (s memberSide) Downlink(to model.ObjectID, msg protocol.Message) {
 	m := s.m
 	if !m.dir.here(to) {
 		if home, known := m.dir.home(to); known && home != m.id {
-			m.deps.Link.Send(m.id, home, protocol.NodeDeliver{To: to, Version: m.part.Version(), Inner: msg})
+			m.deps.Link.Send(m.id, home, protocol.NodeDeliver{To: to, Inner: msg})
 			return
 		}
 		// Not attached and no better belief: send on the radio anyway
@@ -1118,12 +1110,7 @@ func (s memberSide) Broadcast(region geo.Circle, msg protocol.Message) {
 		delete(m.spread, q)
 	}
 	for _, peer := range targets {
-		m.deps.Link.Send(m.id, peer, protocol.NodeForward{
-			Home:    uint16(m.id),
-			Version: m.part.Version(),
-			Region:  region,
-			Inner:   msg,
-		})
+		m.deps.Link.Send(m.id, peer, protocol.NodeForward{Region: region, Inner: msg})
 		if !cancel {
 			m.noteSpread(q, peer)
 		}
@@ -1143,26 +1130,26 @@ func (m *Member) noteSpread(q model.QueryID, peer int) {
 // ---------------------------------------------------------------------------
 // Message introspection helpers
 
-// uplinkKinematics extracts the position (and, where carried, velocity)
-// a client uplink reports, for boundary detection.
-func uplinkKinematics(m protocol.Message) (geo.Point, geo.Vector, model.Tick, bool) {
+// uplinkPos extracts the position a client uplink reports, for boundary
+// detection.
+func uplinkPos(m protocol.Message) (geo.Point, bool) {
 	switch v := m.(type) {
 	case protocol.LocationReport:
-		return v.Pos, v.Vel, v.At, true
+		return v.Pos, true
 	case protocol.ProbeReply:
-		return v.Pos, geo.Vector{}, v.At, true
+		return v.Pos, true
 	case protocol.EnterReport:
-		return v.Pos, geo.Vector{}, v.At, true
+		return v.Pos, true
 	case protocol.ExitReport:
-		return v.Pos, geo.Vector{}, v.At, true
+		return v.Pos, true
 	case protocol.MoveReport:
-		return v.Pos, geo.Vector{}, v.At, true
+		return v.Pos, true
 	case protocol.QueryRegister:
-		return v.Pos, v.Vel, v.At, true
+		return v.Pos, true
 	case protocol.QueryMove:
-		return v.Pos, v.Vel, v.At, true
+		return v.Pos, true
 	}
-	return geo.Point{}, geo.Vector{}, 0, false
+	return geo.Point{}, false
 }
 
 // broadcastQuery extracts the query id a broadcast concerns and whether

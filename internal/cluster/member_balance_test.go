@@ -115,13 +115,7 @@ func TestMemberAdaptiveBalanceLiveMigration(t *testing.T) {
 		clientAddrs[i] = rd.Addr().String()
 	}
 	for i := 0; i < 2; i++ {
-		l, err := NewTCPLink(TCPConfig{
-			Node:           i,
-			Addrs:          peerAddrs,
-			Heartbeat:      50 * time.Millisecond,
-			DialBackoffMin: 10 * time.Millisecond,
-			Now:            now,
-		})
+		l, err := NewTCPLink(TCPConfig{Node: i, Addrs: peerAddrs, Heartbeat: 50 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,12 +415,12 @@ func TestCoordinatorWindowsRestartedPeer(t *testing.T) {
 
 	// Equal windows: 1000 uplinks each, no move.
 	m.uplinks = 1000
-	m.HandleLink(1, 0, protocol.NodeLoad{Node: 1, Uplinks: 1000, At: tick})
+	m.HandleLink(1, 0, protocol.NodeLoad{Node: 1, Uplinks: 1000})
 	m.Tick(tick)
 	// Node 1 restarts and has handled 10 uplinks since; so has node 0.
 	tick++
 	m.uplinks += 10
-	m.HandleLink(1, 0, protocol.NodeLoad{Node: 1, Uplinks: 10, At: tick})
+	m.HandleLink(1, 0, protocol.NodeLoad{Node: 1, Uplinks: 10})
 	m.Tick(tick)
 
 	if bs := m.BalancerStats(); bs.Decisions != 2 || bs.Moves != 0 {

@@ -53,13 +53,7 @@ func TestMemberCrossStripExactness(t *testing.T) {
 		clientAddrs[i] = r.Addr().String()
 	}
 	for i := 0; i < 2; i++ {
-		l, err := NewTCPLink(TCPConfig{
-			Node:           i,
-			Addrs:          peerAddrs,
-			Heartbeat:      50 * time.Millisecond,
-			DialBackoffMin: 10 * time.Millisecond,
-			Now:            now,
-		})
+		l, err := NewTCPLink(TCPConfig{Node: i, Addrs: peerAddrs, Heartbeat: 50 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,13 +242,12 @@ func TestRelayedReportRecordsAwareness(t *testing.T) {
 	here := geo.Pt(650, 450) // node 2 owns x in [600, 900)
 	// Node 0 homes q, and its monitoring region reaches into this strip.
 	m.HandleLink(0, 2, protocol.NodeForward{
-		Home:   0,
 		Region: geo.Circle{Center: geo.Pt(450, 450), R: 300},
 		Inner:  protocol.MonitorInstall{Query: q, Epoch: 1, QueryPos: geo.Pt(450, 450), AnswerRadius: 250, Radius: 300, At: 1},
 	})
 	// The client walks in from node 1's strip: node 1 hands it off, then
 	// relays the very report that crossed to the position's owner.
-	m.HandleLink(1, 2, protocol.ObjectHandoff{Object: obj, Pos: here, At: 1})
+	m.HandleLink(1, 2, protocol.ObjectHandoff{Object: obj})
 	m.HandleLink(1, 2, protocol.NodeRelay{Origin: obj, Hops: 1, Inner: protocol.EnterReport{
 		MemberReport: protocol.MemberReport{Query: q, Epoch: 1, Object: obj, Pos: here, At: 1},
 	}})

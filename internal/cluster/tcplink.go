@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"dmknn/internal/model"
 	"dmknn/internal/nettcp"
 	"dmknn/internal/protocol"
 )
@@ -21,50 +20,37 @@ type TCPConfig struct {
 	// port). len(Addrs) is the cluster size.
 	Addrs []string
 	// Heartbeat is the keepalive cadence on an idle peer connection; a
-	// peer silent for 3 heartbeats is declared dead and redialed.
-	// Defaults to DefaultHeartbeat.
+	// peer silent for 3 heartbeats is declared dead and redialed, and the
+	// link's other timings follow from it. Defaults to DefaultHeartbeat.
 	Heartbeat time.Duration
-	// DialBackoffMin/Max bound the reconnect backoff (exponential,
-	// doubling from Min to Max). Default 50ms..2s.
-	DialBackoffMin time.Duration
-	DialBackoffMax time.Duration
-	// WriteTimeout bounds each frame write, like nettcp's: a peer whose
-	// reader stalled fails the write and is redialed instead of blocking
-	// the federation's send path. Defaults to DefaultPeerWriteTimeout.
-	WriteTimeout time.Duration
-	// Now supplies the tick stamped into PeerHello frames (diagnostic
-	// only). Nil means tick zero.
-	Now func() model.Tick
 }
 
-// Peer-wire liveness defaults.
-const (
-	DefaultHeartbeat        = 500 * time.Millisecond
-	DefaultPeerWriteTimeout = 5 * time.Second
-)
+// DefaultHeartbeat is the peer keepalive cadence when TCPConfig leaves it
+// zero.
+const DefaultHeartbeat = 500 * time.Millisecond
 
 func (c TCPConfig) withDefaults() TCPConfig {
 	if c.Heartbeat == 0 {
 		c.Heartbeat = DefaultHeartbeat
 	}
-	if c.DialBackoffMin == 0 {
-		c.DialBackoffMin = 50 * time.Millisecond
-	}
-	if c.DialBackoffMax == 0 {
-		c.DialBackoffMax = 2 * time.Second
-	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = DefaultPeerWriteTimeout
-	}
 	return c
 }
+
+// A dial gives up after 3 heartbeats, a redial backs off from a tenth of
+// one, doubling, up to 4 (50 ms to 2 s at the default), and a frame write
+// times out after 10, so a peer whose reader stalled is redialed instead
+// of blocking the federation's send path.
+func (c TCPConfig) dialBackoffMin() time.Duration { return c.Heartbeat / 10 }
+func (c TCPConfig) dialBackoffMax() time.Duration { return 4 * c.Heartbeat }
+func (c TCPConfig) writeTimeout() time.Duration   { return 10 * c.Heartbeat }
 
 // TCPLink carries inter-node messages over real TCP connections, one per
 // peer pair: the lower-numbered node dials, the higher-numbered accepts,
 // so exactly one connection exists per pair and a simultaneous-open race
 // cannot happen. Connections open with a PeerHello exchange validating
-// node id and cluster size, stay alive under PeerHeartbeat keepalives,
-// and redial with exponential backoff when they drop.
+// peer-wire version, node id and cluster size, stay alive under
+// PeerHeartbeat keepalives, and redial with exponential backoff when they
+// drop.
 //
 // Unlike MemLink there is no queue: Send writes the frame immediately
 // (delivery is push-driven from the peer's read goroutine), a send to a
@@ -199,7 +185,7 @@ func (l *TCPLink) Send(from, to int, m protocol.Message) {
 		l.drop()
 		return
 	}
-	if err := l.peers[to].write(m, l.cfg.WriteTimeout); err != nil {
+	if err := l.peers[to].write(m, l.cfg.writeTimeout()); err != nil {
 		l.drop()
 		return
 	}
@@ -275,11 +261,7 @@ func (l *TCPLink) drop() {
 }
 
 func (l *TCPLink) hello() protocol.PeerHello {
-	var at model.Tick
-	if l.cfg.Now != nil {
-		at = l.cfg.Now()
-	}
-	h := protocol.PeerHello{Node: uint16(l.cfg.Node), Nodes: uint16(len(l.cfg.Addrs)), At: at}
+	h := protocol.PeerHello{Wire: protocol.PeerWireVersion, Node: uint16(l.cfg.Node), Nodes: uint16(len(l.cfg.Addrs))}
 	l.mu.Lock()
 	ver := l.version
 	l.mu.Unlock()
@@ -293,8 +275,9 @@ func (l *TCPLink) hello() protocol.PeerHello {
 // Connection establishment
 
 // acceptLoop serves the listener: each accepted connection must open with
-// a valid PeerHello from a lower-numbered node (the dial policy), is
-// answered with our own hello, and becomes that peer's session.
+// a valid PeerHello of this build's peer-wire version from a
+// lower-numbered node (the dial policy), is answered with our own hello,
+// and becomes that peer's session.
 func (l *TCPLink) acceptLoop() {
 	defer l.wg.Done()
 	for {
@@ -326,10 +309,10 @@ func (l *TCPLink) acceptHandshake(r *peerReader) (int, uint64, error) {
 		return 0, 0, fmt.Errorf("cluster: peer opened with %v, want peer-hello", m.Kind())
 	}
 	peer := int(hello.Node)
-	if int(hello.Nodes) != len(l.cfg.Addrs) || peer >= l.cfg.Node || peer < 0 {
-		return 0, 0, fmt.Errorf("cluster: bad peer hello node=%d nodes=%d", hello.Node, hello.Nodes)
+	if hello.Wire != protocol.PeerWireVersion || int(hello.Nodes) != len(l.cfg.Addrs) || peer >= l.cfg.Node || peer < 0 {
+		return 0, 0, fmt.Errorf("cluster: bad peer hello wire=%d node=%d nodes=%d", hello.Wire, hello.Node, hello.Nodes)
 	}
-	if err := writePeer(r.c, l.hello(), l.cfg.WriteTimeout); err != nil {
+	if err := writePeer(r.c, l.hello(), l.cfg.writeTimeout()); err != nil {
 		return 0, 0, err
 	}
 	return peer, hello.Version, nil
@@ -339,17 +322,15 @@ func (l *TCPLink) acceptHandshake(r *peerReader) (int, uint64, error) {
 // handshake, serve until the connection dies, back off, redial.
 func (l *TCPLink) dialLoop(peer int) {
 	defer l.wg.Done()
-	backoff := l.cfg.DialBackoffMin
+	backoff := l.cfg.dialBackoffMin()
 	for !l.isClosed() {
 		r, ver, err := l.dialHandshake(peer)
 		if err != nil {
 			time.Sleep(backoff)
-			if backoff *= 2; backoff > l.cfg.DialBackoffMax {
-				backoff = l.cfg.DialBackoffMax
-			}
+			backoff = min(2*backoff, l.cfg.dialBackoffMax())
 			continue
 		}
-		backoff = l.cfg.DialBackoffMin
+		backoff = l.cfg.dialBackoffMin()
 		l.runSession(peer, ver, r)
 	}
 }
@@ -359,7 +340,7 @@ func (l *TCPLink) dialHandshake(peer int) (*peerReader, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := writePeer(c, l.hello(), l.cfg.WriteTimeout); err != nil {
+	if err := writePeer(c, l.hello(), l.cfg.writeTimeout()); err != nil {
 		c.Close()
 		return nil, 0, err
 	}
@@ -370,7 +351,7 @@ func (l *TCPLink) dialHandshake(peer int) (*peerReader, uint64, error) {
 		return nil, 0, err
 	}
 	hello, ok := m.(protocol.PeerHello)
-	if !ok || int(hello.Node) != peer || int(hello.Nodes) != len(l.cfg.Addrs) {
+	if !ok || hello.Wire != protocol.PeerWireVersion || int(hello.Node) != peer || int(hello.Nodes) != len(l.cfg.Addrs) {
 		c.Close()
 		return nil, 0, fmt.Errorf("cluster: bad hello reply from peer %d: %#v", peer, m)
 	}
@@ -413,11 +394,7 @@ func (l *TCPLink) runSession(peer int, ver uint64, r *peerReader) {
 			case <-stop:
 				return
 			case <-t.C:
-				var at model.Tick
-				if l.cfg.Now != nil {
-					at = l.cfg.Now()
-				}
-				if p.write(protocol.PeerHeartbeat{Node: uint16(l.cfg.Node), At: at}, l.cfg.WriteTimeout) != nil {
+				if p.write(protocol.PeerHeartbeat{}, l.cfg.writeTimeout()) != nil {
 					return
 				}
 			}

@@ -34,13 +34,7 @@ func reservePorts(t *testing.T, n int) []string {
 }
 
 func testTCPConfig(node int, addrs []string) TCPConfig {
-	return TCPConfig{
-		Node:           node,
-		Addrs:          addrs,
-		Heartbeat:      50 * time.Millisecond,
-		DialBackoffMin: 10 * time.Millisecond,
-		DialBackoffMax: 100 * time.Millisecond,
-	}
+	return TCPConfig{Node: node, Addrs: addrs, Heartbeat: 50 * time.Millisecond}
 }
 
 // linkRecorder collects deliveries thread-safely.
@@ -127,7 +121,6 @@ func TestTCPLinkFullMesh(t *testing.T) {
 
 	// A structured federation message round-trips intact.
 	fw := protocol.NodeForward{
-		Home:   1,
 		Region: geo.Circle{Center: geo.Pt(10, 20), R: 30},
 		Inner:  protocol.MonitorInstall{Query: 7, Epoch: 2, QueryPos: geo.Pt(10, 20), Radius: 30},
 	}
@@ -137,7 +130,7 @@ func TestTCPLinkFullMesh(t *testing.T) {
 	last := recs[0].msgs[len(recs[0].msgs)-1]
 	recs[0].mu.Unlock()
 	got, ok := last.(protocol.NodeForward)
-	if !ok || got.Home != fw.Home || got.Region != fw.Region {
+	if !ok || got.Region != fw.Region {
 		t.Fatalf("forward = %#v, want %#v", last, fw)
 	}
 	if inner, ok := got.Inner.(protocol.MonitorInstall); !ok || inner.Query != 7 || inner.Epoch != 2 {
@@ -194,9 +187,9 @@ func TestTCPLinkReconnectAfterPeerDeath(t *testing.T) {
 	waitCond(t, 5*time.Second, "post-reconnect delivery", func() bool { return rec1b.count() == 1 })
 }
 
-// A connection that is not a valid peer (wrong opening frame, wrong
-// cluster size, or an id that violates the lower-dials-higher policy)
-// never becomes a session.
+// A connection that is not a valid peer (wrong opening frame, another
+// peer-wire version, wrong cluster size, or an id that violates the
+// lower-dials-higher policy) never becomes a session.
 func TestTCPLinkRejectsBadHello(t *testing.T) {
 	addrs := reservePorts(t, 2)
 	// Only node 1 runs; we impersonate node 0 (and invalid ids) at it.
@@ -219,12 +212,17 @@ func TestTCPLinkRejectsBadHello(t *testing.T) {
 		return err
 	}
 
-	// Wrong cluster size: rejected (connection closed, no hello reply).
-	if err := try(protocol.PeerHello{Node: 0, Nodes: 9}); err == nil {
+	const wire = protocol.PeerWireVersion
+	// Another build's peer wire: rejected (connection closed, no reply).
+	if err := try(protocol.PeerHello{Wire: wire - 1, Node: 0, Nodes: 2}); err == nil {
+		t.Error("hello of another peer-wire version accepted")
+	}
+	// Wrong cluster size: rejected.
+	if err := try(protocol.PeerHello{Wire: wire, Node: 0, Nodes: 9}); err == nil {
 		t.Error("wrong cluster size accepted")
 	}
 	// Higher id dialing a lower one violates the dial policy.
-	if err := try(protocol.PeerHello{Node: 1, Nodes: 2}); err == nil {
+	if err := try(protocol.PeerHello{Wire: wire, Node: 1, Nodes: 2}); err == nil {
 		t.Error("self-id hello accepted")
 	}
 	// A non-hello opening frame is rejected.
@@ -232,8 +230,61 @@ func TestTCPLinkRejectsBadHello(t *testing.T) {
 		t.Error("non-hello opening frame accepted")
 	}
 	// The real node 0 is accepted.
-	if err := try(protocol.PeerHello{Node: 0, Nodes: 2}); err != nil {
+	if err := try(protocol.PeerHello{Wire: wire, Node: 0, Nodes: 2}); err != nil {
 		t.Errorf("valid hello rejected: %v", err)
+	}
+}
+
+// The dialing side refuses an acceptor that answers with another
+// peer-wire version, before it installs a session.
+func TestTCPLinkDialRefusesOtherWire(t *testing.T) {
+	addrs := reservePorts(t, 2)
+	ln, err := net.Listen("tcp", addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() { // an acceptor of another build: answers every hello
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				if _, err := (&peerReader{c: c}).next(time.Second); err == nil {
+					writePeer(c, protocol.PeerHello{Wire: protocol.PeerWireVersion + 1, Node: 1, Nodes: 2}, time.Second)
+				}
+				c.Read(make([]byte, 1)) // hold the connection until the dialer drops it
+			}()
+		}
+	}()
+	l0, err := NewTCPLink(testTCPConfig(0, addrs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l0.Close()
+	if _, _, err := l0.dialHandshake(1); err == nil {
+		t.Error("hello reply of another peer-wire version accepted")
+	}
+	if l0.PeerUp(1) {
+		t.Error("session installed with a peer of another peer-wire version")
+	}
+}
+
+// Every timing of the link follows from its heartbeat.
+func TestTCPLinkTimingsFollowHeartbeat(t *testing.T) {
+	for _, tc := range []struct {
+		heartbeat, backoffMin, backoffMax, write time.Duration
+	}{
+		{0, 50 * time.Millisecond, 2 * time.Second, 5 * time.Second}, // DefaultHeartbeat
+		{50 * time.Millisecond, 5 * time.Millisecond, 200 * time.Millisecond, 500 * time.Millisecond},
+	} {
+		c := TCPConfig{Heartbeat: tc.heartbeat}.withDefaults()
+		if got := [3]time.Duration{c.dialBackoffMin(), c.dialBackoffMax(), c.writeTimeout()}; got != [3]time.Duration{tc.backoffMin, tc.backoffMax, tc.write} {
+			t.Errorf("heartbeat %v: backoff %v..%v, write timeout %v; want %v..%v, %v",
+				c.Heartbeat, got[0], got[1], got[2], tc.backoffMin, tc.backoffMax, tc.write)
+		}
 	}
 }
 
@@ -250,7 +301,7 @@ func TestTCPLinkCloseRefusesLateSession(t *testing.T) {
 	ours, theirs := net.Pipe()
 	defer theirs.Close()
 	go func() { // a live peer: heartbeats until its connection is cut
-		for writePeer(theirs, protocol.PeerHeartbeat{Node: 0}, time.Second) == nil {
+		for writePeer(theirs, protocol.PeerHeartbeat{}, time.Second) == nil {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}()

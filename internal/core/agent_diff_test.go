@@ -415,7 +415,7 @@ func (r *agentDiffRig) run(steps int) {
 			q := model.QueryID(1 + r.rng.Intn(24))
 			r.deliver(protocol.MonitorCancel{Query: q, Epoch: r.epoch[q] - uint32(r.rng.Intn(2))})
 		default:
-			r.deliver(protocol.ProbeRequest{Query: 1, Seq: uint32(i), At: r.now,
+			r.deliver(protocol.ProbeRequest{Query: 1, Seq: uint32(i),
 				Region: geo.Circle{Center: geo.Pt(100, 100), R: float64(r.rng.Intn(40))}})
 		}
 	}

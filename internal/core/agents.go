@@ -712,11 +712,7 @@ func (qc *QueryAgent) resyncRetryGap() model.Tick {
 
 // sendResync uplinks an answer-resync request. Caller holds the lock.
 func (qc *QueryAgent) sendResync(now model.Tick) {
-	qc.deps.Side.Uplink(protocol.AnswerResync{
-		Query:   qc.spec.ID,
-		LastSeq: qc.answerSeq,
-		At:      now,
-	})
+	qc.deps.Side.Uplink(protocol.AnswerResync{Query: qc.spec.ID})
 	qc.resyncPending = true
 	qc.resyncSentAt = now
 	if qc.deps.Trace != nil {

@@ -53,7 +53,7 @@ func install(epoch uint32, refresh bool, q geo.Point, rk, radius float64, at mod
 func TestAgentAnswersProbeOnlyInsideRegion(t *testing.T) {
 	a, side, _, _ := unitAgent(t)
 	a.HandleServerMessage(protocol.ProbeRequest{
-		Query: 1, Seq: 3, Region: geo.Circle{Center: geo.Pt(500, 520), R: 50}, At: 0,
+		Query: 1, Seq: 3, Region: geo.Circle{Center: geo.Pt(500, 520), R: 50},
 	})
 	rep, ok := side.last().(protocol.ProbeReply)
 	if !ok {

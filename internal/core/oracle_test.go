@@ -528,7 +528,6 @@ func (s *oracleServer) startProbe(mon *oracleMonitor, now model.Tick) {
 		Query:  mon.query,
 		Seq:    mon.probeSeq,
 		Region: geo.Circle{Center: center, R: radius},
-		At:     now,
 	})
 }
 
@@ -601,7 +600,6 @@ func (s *oracleServer) expandProbe(mon *oracleMonitor, now model.Tick, radius fl
 		Query:  mon.query,
 		Seq:    mon.probeSeq,
 		Region: geo.Circle{Center: center, R: radius},
-		At:     now,
 	})
 }
 

@@ -141,8 +141,8 @@ func TestDroppedDeltaDetectedAndRepairedOneRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatalf("gap uplinked %T, want AnswerResync", qside.last())
 	}
-	if rs.Query != 1 || rs.LastSeq != base.Seq {
-		t.Fatalf("resync = %+v, want LastSeq %d", rs, base.Seq)
+	if rs.Query != 1 {
+		t.Fatalf("resync = %+v, want query 1", rs)
 	}
 
 	// Server half of the round trip: the resync request yields exactly one
@@ -176,15 +176,15 @@ func TestAnswerResyncRequiresFocalClient(t *testing.T) {
 	*now = 1
 	installQuery(t, srv, side, 1)
 	pre := len(side.downlinks)
-	srv.HandleUplink(666, protocol.AnswerResync{Query: 1, LastSeq: 0, At: 1})
+	srv.HandleUplink(666, protocol.AnswerResync{Query: 1})
 	if len(side.downlinks) != pre {
 		t.Fatal("resync from a non-focal client was honored")
 	}
-	srv.HandleUplink(500, protocol.AnswerResync{Query: 77, LastSeq: 0, At: 1})
+	srv.HandleUplink(500, protocol.AnswerResync{Query: 77})
 	if len(side.downlinks) != pre {
 		t.Fatal("resync for an unknown query sent something")
 	}
-	srv.HandleUplink(500, protocol.AnswerResync{Query: 1, LastSeq: 0, At: 1})
+	srv.HandleUplink(500, protocol.AnswerResync{Query: 1})
 	if len(side.downlinks) != pre+1 {
 		t.Fatalf("focal resync produced %d downlinks, want 1", len(side.downlinks)-pre)
 	}
@@ -275,7 +275,7 @@ func TestAnswerSeqStrictlyConsecutive(t *testing.T) {
 		Query: 1, Epoch: inst.Epoch, Object: 4, Pos: geo.Pt(900, 900), At: 1,
 	}})
 	srv.Finalize(1)
-	srv.HandleUplink(500, protocol.AnswerResync{Query: 1, LastSeq: 1, At: 1})
+	srv.HandleUplink(500, protocol.AnswerResync{Query: 1})
 
 	var seqs []uint32
 	for _, d := range side.downlinks {
@@ -530,12 +530,8 @@ func TestQueryAgentDeltaBeforeBaselineTriggersResync(t *testing.T) {
 	*now = 1
 	qa.HandleServerMessage(protocol.AnswerDelta{Query: 1, Seq: 1, At: 1,
 		Added: []model.Neighbor{{ID: 2, Dist: 1}}})
-	rs, ok := side.last().(protocol.AnswerResync)
-	if !ok {
-		t.Fatalf("baseline-less delta uplinked %T, want AnswerResync", side.last())
-	}
-	if rs.LastSeq != 0 {
-		t.Fatalf("LastSeq = %d, want 0 (no answer applied yet)", rs.LastSeq)
+	if rs, ok := side.last().(protocol.AnswerResync); !ok || rs.Query != 1 {
+		t.Fatalf("baseline-less delta uplinked %+v, want an AnswerResync for query 1", side.last())
 	}
 	if len(qa.Answer().Neighbors) != 0 {
 		t.Fatal("baseline-less delta was applied")

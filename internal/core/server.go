@@ -793,7 +793,6 @@ func (s *Server) probe(mon *monitor, now model.Tick, center geo.Point, radius fl
 		Query:  mon.query,
 		Seq:    mon.probeSeq,
 		Region: ring,
-		At:     now,
 	})
 	if s.deps.Trace != nil {
 		s.emit(obs.Event{At: now, Type: obs.EvProbe, Query: mon.query,

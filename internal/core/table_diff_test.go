@@ -353,7 +353,7 @@ func (r *diffRig) run(steps int) {
 			r.ora.clientGone(id, r.now)
 			r.compare()
 		case x < 94:
-			r.uplink(diffFocal+model.ObjectID(q), protocol.AnswerResync{Query: q, At: r.now})
+			r.uplink(diffFocal+model.ObjectID(q), protocol.AnswerResync{Query: q})
 		case x < 96:
 			r.register(q) // a duplicate re-baselines, a vanished query returns
 		case x < 97:

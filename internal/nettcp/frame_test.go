@@ -199,7 +199,8 @@ func TestFrameReaderLengthLimits(t *testing.T) {
 // wire) and writePeerFrame (peer wire) output for one message of each
 // direction: hdr|payload is unchanged. The member
 // reports' payloads end in the 16-byte velocity that enter and move
-// reports carry.
+// reports carry; the node-relay envelope no longer carries an 8-byte map
+// version after its hop count.
 func TestAppendFrameGolden(t *testing.T) {
 	rep := protocol.MemberReport{Query: 5, Epoch: 3, Object: 96, Pos: geo.Pt(13, 14), At: 21}
 	for _, tc := range []struct {
@@ -220,7 +221,7 @@ func TestAppendFrameGolden(t *testing.T) {
 		{protocol.NodeRelay{Origin: 42, Hops: 1, Inner: protocol.EnterReport{ // peer wire
 			MemberReport: protocol.MemberReport{Query: 5, Epoch: 4, Object: 42, Pos: geo.Pt(5, 6), At: 38},
 			Vel:          geo.Vec(0.5, 2)}},
-			"43000000112a0000000100000000000000000605000000040000002a0000000000000000001440" +
+			"3b000000112a000000010605000000040000002a0000000000000000001440" +
 				"00000000000018402600000000000000" + "000000000000e03f0000000000000040"},
 	} {
 		if got := hex.EncodeToString(AppendFrame(nil, tc.m)); got != tc.hex {

@@ -21,7 +21,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, protocol.QueryRegister{Query: 1, K: 5, Pos: geo.Pt(10, 20), At: 7}))
 	f.Add(AppendFrame(nil, protocol.AnswerUpdate{Query: 1, Seq: 42, At: 9}))
 	f.Add(AppendFrame(nil, protocol.ProbeRequest{
-		Query: 3, Seq: 2, Region: geo.Circle{Center: geo.Pt(5, 5), R: 50}, At: 4,
+		Query: 3, Seq: 2, Region: geo.Circle{Center: geo.Pt(5, 5), R: 50},
 	}))
 	// Malformed shapes the decoder must reject cleanly.
 	f.Add([]byte{})                            // empty stream

@@ -48,11 +48,11 @@ import (
 
 var (
 	magic = [4]byte{'D', 'K', 'N', 'N'}
-	// version of the wire protocol. Version 2 added the velocity that
-	// enter and move reports carry; version 3 retired the leave-report,
-	// which no longer decodes. An older peer is refused at the handshake
-	// instead of failing its first member report.
-	version byte = 3
+	// version of the wire protocol: 2 added the velocity of enter and move
+	// reports, 3 retired the leave-report, 4 dropped the probe request's
+	// tick and the answer resync's sequence and tick. An older peer is
+	// refused at the handshake instead of failing mid-session.
+	version byte = 4
 )
 
 // ErrBadHandshake reports a connection that did not start with the

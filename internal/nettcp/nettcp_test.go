@@ -160,9 +160,9 @@ func TestDownlinkToAbsentClientIsDropped(t *testing.T) {
 	}
 }
 
-// An agent of wire version 2, which could still send a leave-report, is
-// refused at the handshake and never becomes a client, while a current
-// one beside it stays connected.
+// An agent of wire version 3, whose answer resyncs carry a sequence and
+// a tick, is refused at the handshake and never becomes a client, while
+// a current one beside it stays connected.
 func TestBadHandshakeRejected(t *testing.T) {
 	s := startServer(t)
 	cl, err := Dial(s.Addr().String(), 5, nil)
@@ -176,15 +176,15 @@ func TestBadHandshakeRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	if _, err := raw.Write([]byte{'D', 'K', 'N', 'N', 2, 6, 0, 0, 0}); err != nil {
+	if _, err := raw.Write([]byte{'D', 'K', 'N', 'N', 3, 6, 0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	raw.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := raw.Read(make([]byte, 1)); err == nil || isTimeout(err) {
-		t.Fatalf("server kept a version-2 connection open (read: %v)", err)
+		t.Fatalf("server kept a version-3 connection open (read: %v)", err)
 	}
 	if n := s.ClientCount(); n != 1 {
-		t.Fatalf("%d clients after a version-2 hello, want the good one only", n)
+		t.Fatalf("%d clients after a version-3 hello, want the good one only", n)
 	}
 }
 

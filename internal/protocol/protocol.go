@@ -98,8 +98,8 @@ const (
 	// node to the node currently serving the focal client's region.
 	KindNodeDeliver
 	// KindObjectHandoff transfers an object that crossed a partition
-	// boundary: its last reported kinematic state plus the per-query
-	// awareness map used to purge remote monitor state on disconnect.
+	// boundary: the per-query awareness map used to purge remote monitor
+	// state on disconnect.
 	KindObjectHandoff
 	// KindQueryHandoff migrates a whole query monitor (candidate set,
 	// inside set, epoch, answer sequence) to a new home node after the
@@ -116,9 +116,10 @@ const (
 	// federation: control frames exchanged on the node-to-node TCP
 	// connections (and one downlink steering clients between nodes).
 
-	// KindPeerHello opens a peer connection: it carries the sender's node
-	// id and its view of the cluster size, so a misconfigured peer is
-	// rejected at handshake time instead of corrupting routing later.
+	// KindPeerHello opens a peer connection: it carries the sender's
+	// peer-wire version, node id and view of the cluster size, so a peer
+	// of another build or configuration is rejected at handshake time
+	// instead of corrupting routing later.
 	KindPeerHello
 	// KindPeerHeartbeat keeps an idle peer connection verifiably alive.
 	// Each side sends one per cadence interval; missing several in a row
@@ -229,7 +230,6 @@ type ProbeRequest struct {
 	Query  model.QueryID
 	Seq    uint32
 	Region geo.Circle
-	At     model.Tick
 }
 
 // Kind implements Message.
@@ -427,12 +427,9 @@ func (AnswerDelta) Kind() Kind { return KindAnswerDelta }
 // AnswerResync asks the server to re-baseline the query client with a
 // full AnswerUpdate. The focal client sends it when the answer stream
 // shows a sequence gap (a lost AnswerDelta) or when it restarts without
-// state; LastSeq is the last sequence it applied (0 if none), which the
-// server may use for diagnostics.
+// state.
 type AnswerResync struct {
-	Query   model.QueryID
-	LastSeq uint32
-	At      model.Tick
+	Query model.QueryID
 }
 
 // Kind implements Message.
@@ -441,20 +438,16 @@ func (AnswerResync) Kind() Kind { return KindAnswerResync }
 // ---------------------------------------------------------------------------
 // Inter-node messages (internal/cluster link)
 
-// NodeForward wraps a broadcast for a neighbor node. Home identifies the
-// sending node (the query's answer authority) so the receiver knows where
-// to relay the reports the rebroadcast provokes. Region is the broadcast
-// region as known at the home node — MonitorCancel does not carry one on
-// the radio, so the envelope is authoritative for all three inner kinds.
-// Version is the sender's partition map version at routing time; a
-// receiver on a newer map treats the envelope as a stale-route hint
-// rather than a routing error. Inner must be a ProbeRequest,
-// MonitorInstall, or MonitorCancel.
+// NodeForward wraps a broadcast for a neighbor node, which rebroadcasts
+// it in its own cells; the link's sender is the query's home node, where
+// the receiver relays the reports the rebroadcast provokes. Region is the
+// broadcast region as known at the home node — MonitorCancel does not
+// carry one on the radio, so the envelope is authoritative for all three
+// inner kinds. Inner must be a ProbeRequest, MonitorInstall, or
+// MonitorCancel.
 type NodeForward struct {
-	Home    uint16
-	Version uint64
-	Region  geo.Circle
-	Inner   Message
+	Region geo.Circle
+	Inner  Message
 }
 
 // Kind implements Message.
@@ -462,26 +455,22 @@ func (NodeForward) Kind() Kind { return KindNodeForward }
 
 // NodeRelay wraps a client uplink being forwarded between nodes. Origin
 // is the client that sent it; Hops bounds forwarding chains so routing
-// bugs cannot loop a message forever. Version is the sender's partition
-// map version at routing time. Inner must be an uplink kind (probe
+// bugs cannot loop a message forever. Inner must be an uplink kind (probe
 // reply, membership report, or query lifecycle message).
 type NodeRelay struct {
-	Origin  model.ObjectID
-	Hops    uint8
-	Version uint64
-	Inner   Message
+	Origin model.ObjectID
+	Hops   uint8
+	Inner  Message
 }
 
 // Kind implements Message.
 func (NodeRelay) Kind() Kind { return KindNodeRelay }
 
 // NodeDeliver wraps a downlink for a client whose region belongs to
-// another node. Version is the sender's partition map version at routing
-// time. Inner must be an AnswerUpdate or AnswerDelta.
+// another node. Inner must be an AnswerUpdate or AnswerDelta.
 type NodeDeliver struct {
-	To      model.ObjectID
-	Version uint64
-	Inner   Message
+	To    model.ObjectID
+	Inner Message
 }
 
 // Kind implements Message.
@@ -495,15 +484,11 @@ type AwareEntry struct {
 }
 
 // ObjectHandoff transfers ownership of an object that crossed a
-// partition boundary. Pos/Vel/At are the object's last reported
-// kinematics; Aware is the per-query awareness state the old node
-// accumulated, which the new node needs to purge remote monitors when
-// the client later disconnects.
+// partition boundary. Aware is the per-query awareness state the old
+// node accumulated, which the new node needs to purge remote monitors
+// when the client later disconnects.
 type ObjectHandoff struct {
 	Object model.ObjectID
-	Pos    geo.Point
-	Vel    geo.Vector
-	At     model.Tick
 	Aware  []AwareEntry
 }
 
@@ -571,30 +556,32 @@ func (NodeClientGone) Kind() Kind { return KindNodeClientGone }
 // ---------------------------------------------------------------------------
 // Peer wire (multi-process federation)
 
+// PeerWireVersion numbers the peer wire's layouts (PROTOCOL.md lists
+// them). Both ends of a peer connection refuse a PeerHello of another, so
+// mixed builds fail at the handshake instead of on their first envelope.
+const PeerWireVersion = 2
+
 // PeerHello is the first frame on a node-to-node TCP connection, sent by
-// the dialing side after the raw transport handshake. Node identifies the
-// sender; Nodes is its configured cluster size, which the acceptor checks
-// against its own so two differently-partitioned deployments cannot be
-// cross-wired. Version is the sender's partition map version — the
-// map-version handshake: a peer that reconnects with an older version is
-// healed with a PartitionUpdate by the newer side. At is the sender's
-// current tick, a coarse clock-skew sanity signal.
+// the dialing side after the raw transport handshake. Wire is the
+// sender's PeerWireVersion. Node identifies the sender; Nodes is its
+// configured cluster size, which the acceptor checks against its own so
+// two differently-partitioned deployments cannot be cross-wired. Version
+// is the sender's partition map version — the map-version handshake: a
+// peer that reconnects with an older version is healed with a
+// PartitionUpdate by the newer side.
 type PeerHello struct {
+	Wire    uint8
 	Node    uint16
 	Nodes   uint16
 	Version uint64
-	At      model.Tick
 }
 
 // Kind implements Message.
 func (PeerHello) Kind() Kind { return KindPeerHello }
 
-// PeerHeartbeat proves a peer connection alive between data frames. At is
-// the sender's current tick.
-type PeerHeartbeat struct {
-	Node uint16
-	At   model.Tick
-}
+// PeerHeartbeat proves a peer connection alive between data frames: the
+// kind byte alone, since the connection names its sender.
+type PeerHeartbeat struct{}
 
 // Kind implements Message.
 func (PeerHeartbeat) Kind() Kind { return KindPeerHeartbeat }
@@ -625,7 +612,6 @@ type NodeLoad struct {
 	Node    uint16
 	Version uint64
 	Uplinks uint64
-	At      model.Tick
 }
 
 // Kind implements Message.
@@ -778,7 +764,6 @@ func (c *codec) message(k Kind, m Message) Message {
 		u32(c, &v.Query)
 		u32(c, &v.Seq)
 		circle(c, &v.Region)
-		u64(c, &v.At)
 		return decoded(c, v)
 	case KindProbeReply:
 		v := as[ProbeReply](m)
@@ -856,13 +841,9 @@ func (c *codec) message(k Kind, m Message) Message {
 	case KindAnswerResync:
 		v := as[AnswerResync](m)
 		u32(c, &v.Query)
-		u32(c, &v.LastSeq)
-		u64(c, &v.At)
 		return decoded(c, v)
 	case KindNodeForward:
 		v := as[NodeForward](m)
-		u16(c, &v.Home)
-		u64(c, &v.Version)
 		circle(c, &v.Region)
 		nested(c, &v.Inner, validForwardInner)
 		return decoded(c, v)
@@ -870,21 +851,16 @@ func (c *codec) message(k Kind, m Message) Message {
 		v := as[NodeRelay](m)
 		u32(c, &v.Origin)
 		u8(c, &v.Hops)
-		u64(c, &v.Version)
 		nested(c, &v.Inner, Relayable)
 		return decoded(c, v)
 	case KindNodeDeliver:
 		v := as[NodeDeliver](m)
 		u32(c, &v.To)
-		u64(c, &v.Version)
 		nested(c, &v.Inner, validDeliverInner)
 		return decoded(c, v)
 	case KindObjectHandoff:
 		v := as[ObjectHandoff](m)
 		u32(c, &v.Object)
-		point(c, &v.Pos)
-		vec(c, &v.Vel)
-		u64(c, &v.At)
 		list[uint16](c, &v.Aware)
 		return decoded(c, v)
 	case KindQueryHandoff:
@@ -920,16 +896,13 @@ func (c *codec) message(k Kind, m Message) Message {
 		return decoded(c, v)
 	case KindPeerHello:
 		v := as[PeerHello](m)
+		u8(c, &v.Wire)
 		u16(c, &v.Node)
 		u16(c, &v.Nodes)
 		u64(c, &v.Version)
-		u64(c, &v.At)
 		return decoded(c, v)
 	case KindPeerHeartbeat:
-		v := as[PeerHeartbeat](m)
-		u16(c, &v.Node)
-		u64(c, &v.At)
-		return decoded(c, v)
+		return decoded(c, as[PeerHeartbeat](m))
 	case KindNodeRedirect:
 		v := as[NodeRedirect](m)
 		u16(c, &v.Node)
@@ -940,7 +913,6 @@ func (c *codec) message(k Kind, m Message) Message {
 		u16(c, &v.Node)
 		u64(c, &v.Version)
 		u64(c, &v.Uplinks)
-		u64(c, &v.At)
 		return decoded(c, v)
 	case KindPartitionUpdate:
 		v := as[PartitionUpdate](m)

@@ -19,7 +19,7 @@ import (
 func sampleMessages() []Message {
 	return []Message{
 		LocationReport{Object: 7, Pos: geo.Pt(1.5, -2.25), Vel: geo.Vec(0.5, 9), At: 42},
-		ProbeRequest{Query: 3, Seq: 9, Region: geo.Circle{Center: geo.Pt(10, 20), R: 55.5}, At: 1},
+		ProbeRequest{Query: 3, Seq: 9, Region: geo.Circle{Center: geo.Pt(10, 20), R: 55.5}},
 		ProbeReply{Query: 3, Seq: 9, Object: 12, Pos: geo.Pt(-1, -2), At: 2},
 		MonitorInstall{Query: 5, Epoch: 2, QueryPos: geo.Pt(100, 200), QueryVel: geo.Vec(-3, 4),
 			AnswerRadius: 75.25, Radius: 150.5, At: 17},
@@ -50,29 +50,28 @@ func sampleMessages() []Message {
 			Added:   []model.Neighbor{{ID: 5, Dist: 7.5}},
 			Removed: []model.ObjectID{3, 4}},
 		AnswerDelta{Query: 10, Seq: 2, At: 34}, // empty delta
-		AnswerResync{Query: 9, LastSeq: 13, At: 35},
-		NodeForward{Home: 2, Version: 5, Region: geo.Circle{Center: geo.Pt(300, 400), R: 120.5},
-			Inner: ProbeRequest{Query: 3, Seq: 9, Region: geo.Circle{Center: geo.Pt(300, 400), R: 120.5}, At: 36}},
-		NodeForward{Home: 0, Region: geo.Circle{Center: geo.Pt(1, 2), R: 3},
+		AnswerResync{Query: 9},
+		NodeForward{Region: geo.Circle{Center: geo.Pt(300, 400), R: 120.5},
+			Inner: ProbeRequest{Query: 3, Seq: 9, Region: geo.Circle{Center: geo.Pt(300, 400), R: 120.5}}},
+		NodeForward{Region: geo.Circle{Center: geo.Pt(1, 2), R: 3},
 			Inner: MonitorInstall{Query: 5, Epoch: 4, QueryPos: geo.Pt(1, 2), QueryVel: geo.Vec(0.5, -0.5),
 				AnswerRadius: 2, Radius: 3, At: 37}},
-		NodeForward{Home: 7, Region: geo.Circle{Center: geo.Pt(9, 9), R: -1},
+		NodeForward{Region: geo.Circle{Center: geo.Pt(9, 9), R: -1},
 			Inner: MonitorCancel{Query: 5, Epoch: 4}},
-		NodeForward{Home: 3, Version: 6, Region: geo.Circle{Center: geo.Pt(50, 60), R: 120},
+		NodeForward{Region: geo.Circle{Center: geo.Pt(50, 60), R: 120},
 			Inner: InfluenceInstall{Install: MonitorInstall{Query: 7, Epoch: 4,
 				QueryPos: geo.Pt(50, 60), QueryVel: geo.Vec(1, -1),
 				AnswerRadius: 80, Radius: 120, At: 19},
 				Frontier: 64.25, Band: 5.5}},
 		NodeRelay{Origin: 42, Hops: 1,
 			Inner: EnterReport{MemberReport{Query: 5, Epoch: 4, Object: 42, Pos: geo.Pt(5, 6), At: 38}, geo.Vec(0.5, 2)}},
-		NodeRelay{Origin: 43, Hops: 3, Version: 2,
+		NodeRelay{Origin: 43, Hops: 3,
 			Inner: QueryMove{Query: 8, Pos: geo.Pt(511, 506), Vel: geo.Vec(2, 1), At: 39}},
-		NodeDeliver{To: 44, Version: 3,
+		NodeDeliver{To: 44,
 			Inner: AnswerUpdate{Query: 8, Seq: 14, At: 40, QPos: geo.Pt(513, 505),
 				Neighbors: []model.Neighbor{{ID: 4, Dist: 11.25}}}},
-		ObjectHandoff{Object: 45, Pos: geo.Pt(640, 320), Vel: geo.Vec(-1.5, 2.5), At: 41,
-			Aware: []AwareEntry{{Query: 5, Home: 1}, {Query: 8, Home: 3}}},
-		ObjectHandoff{Object: 46, Pos: geo.Pt(0, 0), Vel: geo.Vec(0, 0), At: 42}, // no awareness
+		ObjectHandoff{Object: 45, Aware: []AwareEntry{{Query: 5, Home: 1}, {Query: 8, Home: 3}}},
+		ObjectHandoff{Object: 46}, // no awareness
 		QueryHandoff{Query: 8, K: 4, Addr: 1001, QPos: geo.Pt(515, 505), QVel: geo.Vec(2, 0), QAt: 43,
 			Epoch: 6, Installed: true, AnswerRadius: 80.5, Radius: 161, InstalledAt: 40,
 			AdvPos: geo.Pt(509, 505), AdvVel: geo.Vec(1.5, 0.25), AnswerSeq: 15, LastProbeAt: 12,
@@ -85,11 +84,11 @@ func sampleMessages() []Message {
 			Epoch: 1, AnswerRadius: 90.5, Radius: 140}, // probing-era handoff: empty state
 		QueryHandoffAck{Query: 8},
 		NodeClientGone{Object: 45},
-		PeerHello{Node: 2, Nodes: 4, Version: 6, At: 46},
-		PeerHeartbeat{Node: 3, At: 47},
+		PeerHello{Wire: PeerWireVersion, Node: 2, Nodes: 4, Version: 6},
+		PeerHeartbeat{},
 		NodeRedirect{Node: 1, Addr: "127.0.0.1:7708"},
 		NodeRedirect{Node: 0, Addr: ""}, // address-less redirect (peer known to client)
-		NodeLoad{Node: 1, Version: 6, Uplinks: 123456789, At: 48},
+		NodeLoad{Node: 1, Version: 6, Uplinks: 123456789},
 		PartitionUpdate{Version: 7, Owners: []uint16{0, 0, 0, 1, 2, 2, 3, 3}},
 		PartitionUpdate{Version: 1}, // ownerless update (rejected by appliers, wire-legal)
 		PartitionAck{Node: 2, Version: 7},
@@ -175,7 +174,7 @@ func TestDecodeBoundsListCounts(t *testing.T) {
 		{"answer-update neighbors", AnswerUpdate{Query: 1, Seq: 2, At: 3}, 2},
 		{"answer-delta added", AnswerDelta{Query: 1, Seq: 2, At: 3}, 4},
 		{"answer-delta removed", AnswerDelta{Query: 1, Seq: 2, At: 3}, 2},
-		{"object-handoff aware", ObjectHandoff{Object: 1, At: 3}, 2},
+		{"object-handoff aware", ObjectHandoff{Object: 1}, 2},
 		{"query-handoff spread", QueryHandoff{Query: 1, K: 2, Addr: 3}, 2},
 		{"partition-update owners", PartitionUpdate{Version: 1}, 2},
 	} {
@@ -236,10 +235,10 @@ func TestDecodeUnknownKind(t *testing.T) {
 // envelope is invalid, which bounds decode recursion at depth two.
 func TestDecodeNestedKindRestrictions(t *testing.T) {
 	bad := []Message{
-		NodeForward{Home: 1, Region: geo.Circle{Center: geo.Pt(1, 2), R: 3},
+		NodeForward{Region: geo.Circle{Center: geo.Pt(1, 2), R: 3},
 			Inner: QueryDeregister{Query: 5}},
-		NodeForward{Home: 1, Region: geo.Circle{Center: geo.Pt(1, 2), R: 3},
-			Inner: NodeForward{Home: 2, Region: geo.Circle{Center: geo.Pt(1, 2), R: 3},
+		NodeForward{Region: geo.Circle{Center: geo.Pt(1, 2), R: 3},
+			Inner: NodeForward{Region: geo.Circle{Center: geo.Pt(1, 2), R: 3},
 				Inner: MonitorCancel{Query: 5, Epoch: 1}}},
 		NodeRelay{Origin: 7, Hops: 1, Inner: AnswerUpdate{Query: 5, Seq: 1, At: 2}},
 		NodeRelay{Origin: 7, Hops: 1, Inner: NodeRelay{Origin: 8, Hops: 2,
@@ -327,7 +326,7 @@ func TestDecodeBadThreshold(t *testing.T) {
 		for _, m := range []Message{
 			InfluenceInstall{Install: install, Frontier: v, Band: 1},
 			InfluenceInstall{Install: install, Frontier: 64, Band: v},
-			NodeForward{Home: 1, Region: install.Region(),
+			NodeForward{Region: install.Region(),
 				Inner: InfluenceInstall{Install: install, Frontier: v}},
 		} {
 			_, err := Decode(Encode(nil, m))

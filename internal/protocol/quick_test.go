@@ -159,12 +159,8 @@ func TestQuickAnswerDelta(t *testing.T) {
 }
 
 func TestQuickAnswerResync(t *testing.T) {
-	f := func(q, last uint32, at int64) bool {
-		return roundTrips(AnswerResync{
-			Query:   model.QueryID(q),
-			LastSeq: last,
-			At:      model.Tick(at),
-		})
+	f := func(q uint32) bool {
+		return roundTrips(AnswerResync{Query: model.QueryID(q)})
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -176,7 +172,6 @@ func TestQuickProbePair(t *testing.T) {
 		return roundTrips(ProbeRequest{
 			Query: model.QueryID(q), Seq: seq,
 			Region: geo.Circle{Center: geo.Pt(cx, cy), R: r},
-			At:     model.Tick(at),
 		}) && roundTrips(ProbeReply{
 			Query: model.QueryID(q), Seq: seq,
 			Object: model.ObjectID(obj), Pos: geo.Pt(px, py),
@@ -189,9 +184,9 @@ func TestQuickProbePair(t *testing.T) {
 }
 
 func TestQuickPeerFrames(t *testing.T) {
-	f := func(node, nodes uint16, version uint64, at int64) bool {
-		return roundTrips(PeerHello{Node: node, Nodes: nodes, Version: version, At: model.Tick(at)}) &&
-			roundTrips(PeerHeartbeat{Node: node, At: model.Tick(at)})
+	f := func(wire uint8, node, nodes uint16, version uint64) bool {
+		return roundTrips(PeerHello{Wire: wire, Node: node, Nodes: nodes, Version: version}) &&
+			roundTrips(PeerHeartbeat{})
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -199,7 +194,7 @@ func TestQuickPeerFrames(t *testing.T) {
 }
 
 func TestQuickBalanceFrames(t *testing.T) {
-	f := func(node uint16, version, uplinks uint64, at int64, owners []uint16) bool {
+	f := func(node uint16, version, uplinks uint64, owners []uint16) bool {
 		if len(owners) > 1<<16-1 {
 			owners = owners[:1<<16-1]
 		}
@@ -207,7 +202,7 @@ func TestQuickBalanceFrames(t *testing.T) {
 		if len(owners) > 0 {
 			pu.Owners = owners
 		}
-		return roundTrips(NodeLoad{Node: node, Version: version, Uplinks: uplinks, At: model.Tick(at)}) &&
+		return roundTrips(NodeLoad{Node: node, Version: version, Uplinks: uplinks}) &&
 			roundTrips(pu) && roundTrips(PartitionAck{Node: node, Version: version})
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -114,26 +114,28 @@ func (w *wireRun) noteMemberships(m sim.Method, queries, step int) {
 // one distance, geo.Point.Dist (the downlink and per-step membership pins
 // below held), and again when an Enter began to carry the velocity of the
 // object's own last fix (the downlink and per-step membership pins below
-// held). The engine must
+// held), and again when probe requests stopped carrying a tick and answer
+// resyncs a sequence and a tick (the uplink and per-step membership pins
+// below held). The engine must
 // keep producing these transcripts byte for byte: same message
 // sequences, same wire bytes, same loss draws, same answers.
 var wireDigests = map[string]string{
-	"seed=1/clean-L0": "1c4f9a8882336050e8f6af2bac6a314565cda51fcc82509074ab5c12b6a56037",
-	"seed=1/loss-L0":  "5feee770205bd5be0a22bd514e1d12b2078f75e442b309c6a80cf5722de94a28",
-	"seed=1/burst-L0": "b1ec9421a7469daf7147dcf1587c41ddc282ed6909254ab7c9b15aed84a5eae6",
-	"seed=1/delta-L0": "00c989ff8a3f0daa8a5880eab82a30a5a1312124a76053aeb8a4a249b59fdb9c",
-	"seed=2/clean-L0": "7d78c4ebe2054c43d173b7b9456ebfc5a95aba4e1fc1d55b4ec205c62824b1a4",
-	"seed=2/loss-L0":  "34c0168a113509bdf784846153648ebc4d96ca25daad4d10536a93f7689d70f9",
-	"seed=2/burst-L0": "23d4f20b152853cd4afeb31078236aef94f92f5c5ecdd8b866f36c38a52d5758",
-	"seed=2/delta-L0": "8675907c69e9f81e50e4a8c54853f9655b978742bf1efa5d2a5efbe3ac29ad3c",
-	"seed=3/clean-L0": "9c1801677c0815c0a008c9bdb9ea174276c09ea4c762cfe45aa7e9244e4c2eb2",
-	"seed=3/loss-L0":  "fe4d26662ac0a73e34b5c3b588360cf142fa980f96d2702b0c824bd20df5bcab",
-	"seed=3/burst-L0": "acf5d7edd14759fbd65a57ebf9ca012b2f89f6fd6651a47fcc54410db345b59e",
-	"seed=3/delta-L0": "36abe259d3beed0d6b0c3d7d7d474676a1448daa2b2dd538d31c4cb37ce2e4ae",
-	"seed=4/clean-L0": "5dfff5f2095f69e6ab821455962dca994406a40cc11038ff78364e35f8b4275d",
-	"seed=4/loss-L0":  "08d5eee5c829dab9ad5711947c23c27305e0f59336835d6922e920f96441df59",
-	"seed=4/burst-L0": "f70d3824ab4e7fe44afb2bd87ebdbfac3ce1f70fc09540f063020130bebc94b2",
-	"seed=4/delta-L0": "70315edb971a675be0c5d6fe0c0bcd916918b701ac296c3404e8b3936bcd153b",
+	"seed=1/clean-L0": "9a0a4246ca3e5765fdd2d48035ce25e0a3895e4c583b69887300c81bda5f6c9b",
+	"seed=1/loss-L0":  "b63a6167d47dfcc14a3f70a2f6ceb6cc2491456b0da6aa6340c0921bc6da52d7",
+	"seed=1/burst-L0": "c5e46dcfbbf7cc2bce6f6bf8a90e857e8d99e40e7afbb691ac7d8b6c40531cfc",
+	"seed=1/delta-L0": "1cd2c68718250e46cd87122b38f8d65c3b22402c340d17415ac32b2f57d016ae",
+	"seed=2/clean-L0": "69f1eb096b7b2b5c1fd4e81891c5184b38403292a6b495d02e4a6882a1ad4029",
+	"seed=2/loss-L0":  "a9371e95c31fccf98f4d11240de996457898e4fce0e496402957e5784a6060e3",
+	"seed=2/burst-L0": "3796454d79e0f87b6c0edb529b348d39cc3dc6cea9cf24b3c33d83c9b8fb29d7",
+	"seed=2/delta-L0": "01c964c654cc8fc17de87bdf5dccd7efd33d675f3250ee1a8d5baf04bfa45b01",
+	"seed=3/clean-L0": "443ea9cdb732315e864bfb84b95f4eb9938c062f020a9fa4c02be3f12e6ded92",
+	"seed=3/loss-L0":  "3da5e1819d0d8eb2d2b7578253e1ebf631658a1fb99dfbbc834be1e065c78562",
+	"seed=3/burst-L0": "1637a860e5dbc07796b49eef6df579215a6c7ebe04bba431a0576dab28237db8",
+	"seed=3/delta-L0": "633b2a3ebb50767b10a491335f68dd980f7e634b5143a5e81c2fb1fa4a9bcda5",
+	"seed=4/clean-L0": "a6781b6f6ea57a9c5579f8f2aa7cb8d8aeac7565bf8b31fa4c9c955eb01d751e",
+	"seed=4/loss-L0":  "af3efac9c18cf09f388a0a000eedbd1df9513880e4fb0e4d4ec9b8260a8f7d28",
+	"seed=4/burst-L0": "f825e523fc4a70186673d05205c33f950b76c42585ecfd99ee271b2c0e163279",
+	"seed=4/delta-L0": "ec9522ee2f6897f1935fac5157460ea6f8d3d64a731dd24220c3c7d04ac6e7f9",
 }
 
 // uplinkDigests pins uplinkDigest of the lossless scenarios. They held
@@ -177,16 +179,17 @@ var uplinkDigests = map[string]string{
 // what the server can extrapolate change nothing it sends, and were
 // re-captured when the slack began to follow the advertised query track:
 // a slow query's region and horizon are sized from the speed it moves at,
-// so its reinstalls are broadcast less often.
+// so its reinstalls are broadcast less often, and again when probe
+// requests stopped carrying a tick (41 → 33 B each).
 var downlinkDigests = map[string]string{
-	"seed=1/clean-L0": "63e95a92047446d55307f4e3a074ec86fafcbb8960a6085f150d79c287e231ba",
-	"seed=1/delta-L0": "dce0aedf1d64a0a27650c3079315576e18534335660a185cd0b8e8e5ecf3db34",
-	"seed=2/clean-L0": "04a2c26fdae82f23dc6d19fb5da91fda94d6460ca0b1813a7b90394bb5916f83",
-	"seed=2/delta-L0": "60a8f61c6fa398f7d5871cb918deeec544b303edffa6d8a2135c09f85dbb75b8",
-	"seed=3/clean-L0": "a31ba90cb345bc4e47413cb3f388686470d9676728ff954c930d5d767f7766db",
-	"seed=3/delta-L0": "aa257f74c6447a7460b5ef62c4450f20a44d11684c791d51bc77910ca509f886",
-	"seed=4/clean-L0": "3d3bddc4b25338ec042e29029534c9fede69c1c1cd3786a3f0cc09bab097ca0f",
-	"seed=4/delta-L0": "82d7fdc345d2cef667d28850773f36579db7739e0098e1732e12a8ac29764d77",
+	"seed=1/clean-L0": "34dbe1821e547b73599a91fdb8b3b01ea3a342e15bc3009f6555dcc33207ff52",
+	"seed=1/delta-L0": "1a7541dca9f2234dbb054303d58b1ba1739afd05d76bfa054764774a89cb0e7b",
+	"seed=2/clean-L0": "95b507e45f6ed9c96d9b17cac02afb5923d685a1f9c5a1bd9e4979861f0a70cb",
+	"seed=2/delta-L0": "3e845626f4ed9ab282e7b9f3853da394445c668741c09142337aae16e57331a6",
+	"seed=3/clean-L0": "c25cb0d7b73a43a427b249f080f41cc4fc4f07682cfa59fe117c9f5cbda3cd2a",
+	"seed=3/delta-L0": "a4e99c99c381d2728ea7b47ef57afd758b6844bb475170f7ebc174c7049c1369",
+	"seed=4/clean-L0": "9664e59f67aacc4662847d71df7375e05a82ece334dddb4ebce9fd2823757173",
+	"seed=4/delta-L0": "cfcf241cdaa48b3017152eec99087b5cdc7223cb14b0f39e365a7e5a7e2286f3",
 }
 
 // membershipDigests pins, for the lossless scenarios, which objects every

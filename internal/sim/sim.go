@@ -254,15 +254,14 @@ const maxFinalizeRounds = 16
 
 // Engine drives one (config, method) run.
 type Engine struct {
-	cfg     Config
-	method  Method
-	env     *Env
-	net     *simnet.Network
-	objMdl  mobility.Model
-	qryMdl  mobility.Model
-	queries []QueryRuntime
-	truth   *grid.Grid
-	now     model.Tick
+	cfg    Config
+	method Method
+	env    *Env
+	net    *simnet.Network
+	objMdl mobility.Model
+	qryMdl mobility.Model
+	truth  *grid.Grid
+	now    model.Tick
 	// qScratch is the reusable buffer the motion step stages query focal
 	// states in (the query mobility model steps them as one population).
 	qScratch []model.ObjectState
