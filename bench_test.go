@@ -154,7 +154,7 @@ func BenchmarkFig15Skew(b *testing.B) {
 	runExperiment(b, func(p exp.Profile) *exp.Experiment { return p.Fig15Skew() })
 }
 
-// BenchmarkFig16ShardScaling regenerates Fig 16: server critical path vs
+// BenchmarkFig16ShardScaling regenerates Fig 16: server wall time vs
 // shard count.
 func BenchmarkFig16ShardScaling(b *testing.B) {
 	runExperiment(b, func(p exp.Profile) *exp.Experiment { return p.Fig16ShardScaling() })

@@ -44,6 +44,8 @@ type ServerOptions struct {
 	// shard-parallel at the next tick. The wire protocol is unchanged;
 	// responses to mid-tick arrivals are deferred to the next tick
 	// boundary, which a deployment already tolerates (LatencyTicks is 1).
+	// Two shards pay at about a thousand queries on two cores and cost
+	// time at a few dozen (DESIGN.md, "When the shards pay").
 	Shards int
 	// Trace, when set, receives the query server's structured protocol
 	// events (see internal/obs). The sink is invoked from the tick loop

@@ -1,9 +1,8 @@
 // Airspace watch: control towers continuously monitor every aircraft
 // within a fixed radius of a moving patrol plane — the range-monitoring
 // mode of the protocol, where membership *is* the answer and in-zone
-// aircraft send no position refreshes at all. The example also runs the
-// server sharded across CPU cores and compares the wireless bill against
-// the stream-everything design.
+// aircraft send no position refreshes at all. The example compares the
+// wireless bill against the stream-everything design.
 //
 //	go run ./examples/airspace
 package main
@@ -28,7 +27,6 @@ func main() {
 		Ticks:          150,
 		Warmup:         20,
 		Seed:           31,
-		Shards:         4,
 		Protocol:       dmknn.Protocol{HorizonTicks: 10, MinProbeRadius: 3000},
 	}
 

@@ -126,10 +126,8 @@ func (a *oracleAgent) handle(msg protocol.Message) {
 	switch v := msg.(type) {
 	case protocol.ProbeRequest:
 		if p := a.deps.Pos(); v.Region.Contains(p) {
-			now := a.deps.Now()
 			a.deps.Side.Uplink(protocol.ProbeReply{
 				Query: v.Query, Seq: v.Seq, Object: a.deps.ID, Pos: p,
-				At: now,
 			})
 		}
 	case protocol.MonitorInstall:

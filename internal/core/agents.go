@@ -359,13 +359,9 @@ func (a *ObjectAgent) HandleServerMessage(msg protocol.Message) {
 	switch v := msg.(type) {
 	case protocol.ProbeRequest:
 		if p := a.pos(); v.Region.Contains(p) {
-			now := a.now()
-			a.side.Uplink(protocol.ProbeReply{
-				Query: v.Query, Seq: v.Seq, Object: a.id, Pos: p,
-				At: now,
-			})
+			a.side.Uplink(protocol.ProbeReply{Query: v.Query, Seq: v.Seq, Object: a.id, Pos: p})
 			if tr := a.c.trace; tr != nil {
-				emitAgent(tr, obs.Event{At: now, Type: obs.EvReportSent,
+				emitAgent(tr, obs.Event{At: a.now(), Type: obs.EvReportSent,
 					Query: v.Query, Object: a.id, Kind: protocol.KindProbeReply, Seq: v.Seq})
 			}
 		}

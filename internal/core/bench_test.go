@@ -140,7 +140,7 @@ func benchServerQueries(b testing.TB, n int) (*Server, *model.Tick) {
 			for i := 1; i <= 20; i++ {
 				if p := geo.Pt(500+float64(i)*3, 500); probe.Region.Contains(p) {
 					srv.HandleUplink(model.ObjectID(i), protocol.ProbeReply{
-						Query: probe.Query, Seq: probe.Seq, Object: model.ObjectID(i), Pos: p, At: 1})
+						Query: probe.Query, Seq: probe.Seq, Object: model.ObjectID(i), Pos: p})
 				}
 			}
 		}
@@ -333,7 +333,7 @@ func benchInstallN(b testing.TB, srv *Server, side *recSide, k, repliers int, ve
 			p := geo.Pt(500+float64(i)*3, 500)
 			if probe.Region.Contains(p) {
 				srv.HandleUplink(model.ObjectID(i), protocol.ProbeReply{
-					Query: 1, Seq: probe.Seq, Object: model.ObjectID(i), Pos: p, At: 1,
+					Query: 1, Seq: probe.Seq, Object: model.ObjectID(i), Pos: p,
 				})
 			}
 		}

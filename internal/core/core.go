@@ -212,6 +212,9 @@ type Engine interface {
 	// reports whether anything moved; the driver delivers what was sent
 	// and calls again while it does.
 	Finalize(now model.Tick) bool
+	// BusyTime is the cumulative wall time of the engine's processing, as
+	// the clock measured it around its calls (a federation's is its
+	// busiest node's: each node stands for its own machine).
 	BusyTime() time.Duration
 }
 
@@ -380,7 +383,7 @@ func (m *Method) Answer(q model.QueryID) model.Answer {
 	return m.qcs[qi].Answer()
 }
 
-// ServerTime implements sim.Method: the engine's critical path.
+// ServerTime implements sim.Method: the engine's busy time.
 func (m *Method) ServerTime() time.Duration { return m.engine.BusyTime() }
 
 // Engine returns the server side Setup built, nil before Setup (tests and

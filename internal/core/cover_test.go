@@ -74,7 +74,7 @@ func TestInstallCoverContainsFrameAfterQueryMove(t *testing.T) {
 						break
 					}
 					for id, p := range map[model.ObjectID]geo.Point{1: geo.Pt(510, 500), 2: geo.Pt(530, 500)} {
-						srv.HandleUplink(id, protocol.ProbeReply{Query: 1, Seq: pr.Seq, Object: id, Pos: p, At: 6})
+						srv.HandleUplink(id, protocol.ProbeReply{Query: 1, Seq: pr.Seq, Object: id, Pos: p})
 					}
 					srv.Finalize(6)
 				}

@@ -288,7 +288,7 @@ func TestSlackCoversReactionWindow(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				if probe, ok := side.lastBroadcast().(protocol.ProbeRequest); ok {
 					for id, x := range map[model.ObjectID]float64{1: 510, 2: 530, 3: 560} {
-						srv.HandleUplink(id, protocol.ProbeReply{Query: 1, Seq: probe.Seq, Object: id, Pos: geo.Pt(x, 500), At: now})
+						srv.HandleUplink(id, protocol.ProbeReply{Query: 1, Seq: probe.Seq, Object: id, Pos: geo.Pt(x, 500)})
 					}
 				}
 				now += 2 // a probe round concludes a round trip after it went out

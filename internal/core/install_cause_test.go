@@ -25,7 +25,7 @@ func TestInstallCountsByCause(t *testing.T) {
 	// stand, and ends the round.
 	probeRound := func(srv *Server, probe protocol.ProbeRequest, now model.Tick) {
 		for id, x := range map[model.ObjectID]float64{1: 510, 2: 530, 3: 560} {
-			srv.HandleUplink(id, protocol.ProbeReply{Query: 1, Seq: probe.Seq, Object: id, Pos: geo.Pt(x, 500), At: now})
+			srv.HandleUplink(id, protocol.ProbeReply{Query: 1, Seq: probe.Seq, Object: id, Pos: geo.Pt(x, 500)})
 		}
 		srv.Finalize(now)
 	}

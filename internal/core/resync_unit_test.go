@@ -44,7 +44,7 @@ func answerProbes(t *testing.T, srv *Server, side *recSide, now model.Tick, obje
 		for id, p := range objects {
 			if probe.Region.Contains(p) {
 				srv.HandleUplink(id, protocol.ProbeReply{
-					Query: 1, Seq: probe.Seq, Object: id, Pos: p, At: now,
+					Query: 1, Seq: probe.Seq, Object: id, Pos: p,
 				})
 			}
 		}

@@ -141,15 +141,15 @@ func TestProbeExpandsUntilEnoughReplies(t *testing.T) {
 	}
 
 	// One reply (k=2 needs two): expands again.
-	srv.HandleUplink(1, protocol.ProbeReply{Query: 1, Seq: probe2.Seq, Object: 1, Pos: geo.Pt(510, 500), At: 1})
+	srv.HandleUplink(1, protocol.ProbeReply{Query: 1, Seq: probe2.Seq, Object: 1, Pos: geo.Pt(510, 500)})
 	if !srv.Finalize(1) {
 		t.Fatal("Finalize should expand again")
 	}
 	probe3 := side.lastBroadcast().(protocol.ProbeRequest)
 
 	// Two replies: installs.
-	srv.HandleUplink(1, protocol.ProbeReply{Query: 1, Seq: probe3.Seq, Object: 1, Pos: geo.Pt(510, 500), At: 1})
-	srv.HandleUplink(2, protocol.ProbeReply{Query: 1, Seq: probe3.Seq, Object: 2, Pos: geo.Pt(520, 500), At: 1})
+	srv.HandleUplink(1, protocol.ProbeReply{Query: 1, Seq: probe3.Seq, Object: 1, Pos: geo.Pt(510, 500)})
+	srv.HandleUplink(2, protocol.ProbeReply{Query: 1, Seq: probe3.Seq, Object: 2, Pos: geo.Pt(520, 500)})
 	if !srv.Finalize(1) {
 		t.Fatal("Finalize should install")
 	}
@@ -203,7 +203,7 @@ func installMovingQuery(t *testing.T, srv *Server, side *recSide, now model.Tick
 		for id, p := range objects {
 			if probe.Region.Contains(p) {
 				srv.HandleUplink(id, protocol.ProbeReply{
-					Query: 1, Seq: probe.Seq, Object: id, Pos: p, At: now,
+					Query: 1, Seq: probe.Seq, Object: id, Pos: p,
 				})
 			}
 		}
@@ -372,7 +372,7 @@ func TestSparseWorldFewerThanKObjects(t *testing.T) {
 		if probe, ok := side.lastBroadcast().(protocol.ProbeRequest); ok {
 			if probe.Region.Contains(geo.Pt(300, 300)) {
 				srv.HandleUplink(1, protocol.ProbeReply{
-					Query: 1, Seq: probe.Seq, Object: 1, Pos: geo.Pt(300, 300), At: 1,
+					Query: 1, Seq: probe.Seq, Object: 1, Pos: geo.Pt(300, 300),
 				})
 			}
 		}
@@ -449,12 +449,12 @@ func TestHandleClientGonePurgesPendingProbeReplies(t *testing.T) {
 	srv.Tick(1)
 	probe := side.lastBroadcast().(protocol.ProbeRequest)
 	// Two replies; the nearer replier dies before the round concludes.
-	srv.HandleUplink(50, protocol.ProbeReply{Query: 1, Seq: probe.Seq, Object: 50, Pos: geo.Pt(500, 505), At: 1})
-	srv.HandleUplink(51, protocol.ProbeReply{Query: 1, Seq: probe.Seq, Object: 51, Pos: geo.Pt(500, 520), At: 1})
+	srv.HandleUplink(50, protocol.ProbeReply{Query: 1, Seq: probe.Seq, Object: 50, Pos: geo.Pt(500, 505)})
+	srv.HandleUplink(51, protocol.ProbeReply{Query: 1, Seq: probe.Seq, Object: 51, Pos: geo.Pt(500, 520)})
 	srv.HandleClientGone(50)
 	for i := 0; i < 6 && srv.Finalize(1); i++ {
 		if probe2, ok := side.lastBroadcast().(protocol.ProbeRequest); ok {
-			srv.HandleUplink(51, protocol.ProbeReply{Query: 1, Seq: probe2.Seq, Object: 51, Pos: geo.Pt(500, 520), At: 1})
+			srv.HandleUplink(51, protocol.ProbeReply{Query: 1, Seq: probe2.Seq, Object: 51, Pos: geo.Pt(500, 520)})
 		}
 	}
 	a := srv.Answer(1)
@@ -488,7 +488,7 @@ func TestServerRobustToAdversarialClients(t *testing.T) {
 			Query: 1, Epoch: inst.Epoch, Object: 0, Pos: geo.Pt(nan, 5), At: 1}},
 		protocol.MoveReport{MemberReport: protocol.MemberReport{
 			Query: 1, Epoch: inst.Epoch, Object: 77, Pos: geo.Pt(1e308, 1e308), At: 1}},
-		protocol.ProbeReply{Query: 1, Seq: 9999, Object: 5, Pos: geo.Pt(5, 5), At: 1},
+		protocol.ProbeReply{Query: 1, Seq: 9999, Object: 5, Pos: geo.Pt(5, 5)},
 		protocol.QueryDeregister{Query: 4242},
 	}
 	for _, m := range hostile {
@@ -594,7 +594,7 @@ func TestNonFiniteReportPositionsDropped(t *testing.T) {
 		srv.Tick(1)
 		probe := side.lastBroadcast().(protocol.ProbeRequest)
 		for _, p := range bad {
-			srv.HandleUplink(2, protocol.ProbeReply{Query: 1, Seq: probe.Seq, Object: 2, Pos: p, At: 1})
+			srv.HandleUplink(2, protocol.ProbeReply{Query: 1, Seq: probe.Seq, Object: 2, Pos: p})
 		}
 		if n := srv.monitors[1].replies.Len(); n != 0 {
 			t.Errorf("%d non-finite probe replies stored", n)
@@ -652,7 +652,7 @@ func TestMemberTableGivesBackProbeCapacity(t *testing.T) {
 		case protocol.ProbeRequest:
 			for id, p := range pos {
 				if m.Region.Contains(p) {
-					srv.HandleUplink(id, protocol.ProbeReply{Query: 1, Seq: m.Seq, Object: id, Pos: p, At: 1})
+					srv.HandleUplink(id, protocol.ProbeReply{Query: 1, Seq: m.Seq, Object: id, Pos: p})
 				}
 			}
 		case protocol.MonitorInstall:
@@ -790,7 +790,7 @@ func TestRefreshInstallKeepsBoundaryMember(t *testing.T) {
 		}
 		for i, p := range pos {
 			id := model.ObjectID(i + 1)
-			srv.HandleUplink(id, protocol.ProbeReply{Query: 1, Seq: probe.Seq, Object: id, Pos: p, At: 1})
+			srv.HandleUplink(id, protocol.ProbeReply{Query: 1, Seq: probe.Seq, Object: id, Pos: p})
 		}
 		srv.Finalize(1)
 	}
@@ -838,7 +838,7 @@ func TestRangeAnswerFitsItsCount(t *testing.T) {
 		}
 		for i, p := range pos {
 			id := model.ObjectID(i + 1)
-			srv.HandleUplink(id, protocol.ProbeReply{Query: 1, Seq: probe.Seq, Object: id, Pos: p, At: 1})
+			srv.HandleUplink(id, protocol.ProbeReply{Query: 1, Seq: probe.Seq, Object: id, Pos: p})
 		}
 		srv.Finalize(1)
 	}

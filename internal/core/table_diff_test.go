@@ -263,7 +263,7 @@ func (r *diffRig) answerProbes(sends []loggedSend) {
 		}
 		for _, id := range r.ids {
 			if p := r.pos[id]; probe.Region.Contains(p) && (r.lossless || r.rng.Intn(10) > 0) {
-				r.uplink(id, protocol.ProbeReply{Query: probe.Query, Seq: probe.Seq, Object: id, Pos: p, At: r.now})
+				r.uplink(id, protocol.ProbeReply{Query: probe.Query, Seq: probe.Seq, Object: id, Pos: p})
 			}
 		}
 	}

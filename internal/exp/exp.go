@@ -716,10 +716,11 @@ func (p Profile) Fig15Skew() *Experiment {
 	return e
 }
 
-// Fig16ShardScaling: the server's per-tick critical path as queries are
+// Fig16ShardScaling: the server's per-tick wall time as queries are
 // partitioned over parallel shards — the "scalable distributed
 // processing" extension. The wireless traffic is provably unchanged
-// (tested); only the server interior parallelizes.
+// (tested); only the server interior parallelizes, and the clock around
+// each server call says what that buys on the host that runs it.
 func (p Profile) Fig16ShardScaling() *Experiment {
 	mkShard := func(n int) MethodSpec {
 		return MethodSpec{
@@ -728,7 +729,7 @@ func (p Profile) Fig16ShardScaling() *Experiment {
 		}
 	}
 	e := &Experiment{
-		ID: "fig16", Title: "Server critical path vs shard count (ablation)",
+		ID: "fig16", Title: "Server time vs shard count (ablation)",
 		XLabel:  "Q",
 		Metrics: []Metric{MetricServer, MetricExact},
 		// Wall-clock metric, and the sharded server already runs its
@@ -738,7 +739,7 @@ func (p Profile) Fig16ShardScaling() *Experiment {
 	for _, n := range p.Shards {
 		e.Methods = append(e.Methods, mkShard(n))
 	}
-	// Heavier query loads show the parallel speedup.
+	// The heaviest query loads, where the shards have the most to share.
 	qs := p.Qs
 	if len(qs) > 3 {
 		qs = qs[len(qs)-3:]

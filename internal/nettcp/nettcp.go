@@ -50,9 +50,10 @@ var (
 	magic = [4]byte{'D', 'K', 'N', 'N'}
 	// version of the wire protocol: 2 added the velocity of enter and move
 	// reports, 3 retired the leave-report, 4 dropped the probe request's
-	// tick and the answer resync's sequence and tick. An older peer is
-	// refused at the handshake instead of failing mid-session.
-	version byte = 4
+	// tick and the answer resync's sequence and tick, 5 the probe reply's
+	// tick. An older peer is refused at the handshake instead of failing
+	// mid-session.
+	version byte = 5
 )
 
 // ErrBadHandshake reports a connection that did not start with the

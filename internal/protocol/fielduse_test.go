@@ -24,7 +24,6 @@ var writeOnlyExempt = map[string]string{
 	"InfluenceInstall.Frontier": "reserved kind; bench/ names it and deletes it with the benchmark contract's next revision",
 	"InfluenceInstall.Band":     "reserved kind; bench/ names it and deletes it with the benchmark contract's next revision",
 	"NodeRedirect.Addr":         "MemberDeps.ClientAddrs gates redirects and partition broadcasts; its fate is decided with the replayable federation",
-	"ProbeReply.At":             "unread since object handoffs stopped carrying a tick; deleting it moves the uplink pins (37 → 29 B a reply), so it goes with the next uplink change",
 }
 
 // Every field of a message or record struct is on the wire, so every one

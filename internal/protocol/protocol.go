@@ -241,7 +241,6 @@ type ProbeReply struct {
 	Seq    uint32
 	Object model.ObjectID
 	Pos    geo.Point
-	At     model.Tick
 }
 
 // Kind implements Message.
@@ -559,7 +558,7 @@ func (NodeClientGone) Kind() Kind { return KindNodeClientGone }
 // PeerWireVersion numbers the peer wire's layouts (PROTOCOL.md lists
 // them). Both ends of a peer connection refuse a PeerHello of another, so
 // mixed builds fail at the handshake instead of on their first envelope.
-const PeerWireVersion = 2
+const PeerWireVersion = 3
 
 // PeerHello is the first frame on a node-to-node TCP connection, sent by
 // the dialing side after the raw transport handshake. Wire is the
@@ -771,7 +770,6 @@ func (c *codec) message(k Kind, m Message) Message {
 		u32(c, &v.Seq)
 		u32(c, &v.Object)
 		point(c, &v.Pos)
-		u64(c, &v.At)
 		return decoded(c, v)
 	case KindMonitorInstall:
 		v := as[MonitorInstall](m)

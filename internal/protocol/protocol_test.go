@@ -20,7 +20,7 @@ func sampleMessages() []Message {
 	return []Message{
 		LocationReport{Object: 7, Pos: geo.Pt(1.5, -2.25), Vel: geo.Vec(0.5, 9), At: 42},
 		ProbeRequest{Query: 3, Seq: 9, Region: geo.Circle{Center: geo.Pt(10, 20), R: 55.5}},
-		ProbeReply{Query: 3, Seq: 9, Object: 12, Pos: geo.Pt(-1, -2), At: 2},
+		ProbeReply{Query: 3, Seq: 9, Object: 12, Pos: geo.Pt(-1, -2)},
 		MonitorInstall{Query: 5, Epoch: 2, QueryPos: geo.Pt(100, 200), QueryVel: geo.Vec(-3, 4),
 			AnswerRadius: 75.25, Radius: 150.5, At: 17},
 		MonitorInstall{Query: 6, Epoch: 3, Refresh: true, QueryPos: geo.Pt(1, 2), QueryVel: geo.Vec(0, 0),

@@ -168,14 +168,13 @@ func TestQuickAnswerResync(t *testing.T) {
 }
 
 func TestQuickProbePair(t *testing.T) {
-	f := func(q, seq, obj uint32, cx, cy, r, px, py float64, at int64) bool {
+	f := func(q, seq, obj uint32, cx, cy, r, px, py float64) bool {
 		return roundTrips(ProbeRequest{
 			Query: model.QueryID(q), Seq: seq,
 			Region: geo.Circle{Center: geo.Pt(cx, cy), R: r},
 		}) && roundTrips(ProbeReply{
 			Query: model.QueryID(q), Seq: seq,
 			Object: model.ObjectID(obj), Pos: geo.Pt(px, py),
-			At: model.Tick(at),
 		})
 	}
 	if err := quick.Check(f, nil); err != nil {

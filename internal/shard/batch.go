@@ -108,12 +108,18 @@ func (b *batchSide) Broadcast(region geo.Circle, m protocol.Message) {
 // Drain processes every queued arrival, shard-parallel on the bounded
 // worker pool, then transmits the captured sends merged back into
 // arrival order. It reports whether any arrival was processed. Tick and
-// Finalize call it themselves; a driver that wants the phase timed on
-// its own (bench/) calls it just before, which leaves theirs nothing to
-// do — on empty queues it returns before touching a shard. Drain must
-// run on the driver goroutine (the one that owns the medium); only the
-// per-shard processing is parallel.
+// Finalize drain first themselves; a driver that wants the phase timed on
+// its own (bench/) calls Drain just before, which leaves theirs nothing
+// to do — on empty queues drain returns before touching a shard. Drain
+// must run on the driver goroutine (the one that owns the medium); only
+// the per-shard processing is parallel. Its time counts in BusyTime.
 func (s *Server) Drain(now model.Tick) bool {
+	defer s.track(obs.Now())
+	return s.drain()
+}
+
+// drain is Drain without the clock, for the phases that time themselves.
+func (s *Server) drain() bool {
 	any := false
 	for i := range s.queues {
 		iq := &s.queues[i]
@@ -163,10 +169,8 @@ func (s *Server) flushSends() {
 // transmit replays merged onto the real medium in key order, one
 // Downlink or Broadcast per send, exactly the calls the single server
 // makes. The stable sort preserves each shard's emission order within a
-// key, and the time spent here is accounted as serialized driver work in
-// BusyTime.
+// key.
 func (s *Server) transmit(merged []pendingSend) {
-	start := obs.Now()
 	slices.SortStableFunc(merged, func(a, b pendingSend) int { return cmp.Compare(a.key, b.key) })
 	for _, ps := range merged {
 		if ps.broadcast {
@@ -175,7 +179,6 @@ func (s *Server) transmit(merged []pendingSend) {
 			s.out.Downlink(ps.to, ps.msg)
 		}
 	}
-	s.flushBusy.Add(int64(start.Elapsed()))
 }
 
 // trimSends ends a flush's round of the capacity rule

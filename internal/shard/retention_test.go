@@ -74,7 +74,7 @@ func TestBatchedBuffersHoldNothingDelivered(t *testing.T) {
 			id := model.ObjectID(100*q + j)
 			s.HandleUplink(id, protocol.ProbeReply{
 				Query: model.QueryID(q), Seq: 1, Object: id,
-				Pos: geo.Pt(150*float64(q)+4*float64(j), 502), At: 1,
+				Pos: geo.Pt(150*float64(q)+4*float64(j), 502),
 			})
 		}
 	}

@@ -30,6 +30,7 @@ import (
 	"dmknn/internal/container"
 	"dmknn/internal/core"
 	"dmknn/internal/model"
+	"dmknn/internal/obs"
 	"dmknn/internal/protocol"
 	"dmknn/internal/transport"
 )
@@ -53,9 +54,9 @@ type Server struct {
 
 	merged     []pendingSend
 	sendWindow container.Window
-	// flushBusy is the driver's time in transmit, in nanoseconds; BusyTime
-	// reads it from any goroutine.
-	flushBusy atomic.Int64
+	// busy is the wall time Tick, Finalize and Drain took on the driver
+	// goroutine, in nanoseconds; BusyTime reads it from any goroutine.
+	busy atomic.Int64
 }
 
 // NewWithOptions builds a sharded server with n shards, all configured
@@ -137,7 +138,8 @@ func (s *Server) HandleClientGone(id model.ObjectID) {
 // single server's Tick iteration order — and transmits them before
 // returning.
 func (s *Server) Tick(now model.Tick) {
-	s.Drain(now)
+	defer s.track(obs.Now())
+	s.drain()
 	s.parallelShards(func(i int, sh *core.Server) {
 		s.sides[i].byQuery = true
 		sh.Tick(now)
@@ -151,7 +153,8 @@ func (s *Server) Tick(now model.Tick) {
 // phase's sends in the single server's order. It reports whether any
 // shard still has work.
 func (s *Server) Finalize(now model.Tick) bool {
-	drained := s.Drain(now)
+	defer s.track(obs.Now())
+	drained := s.drain()
 	var concluded atomic.Bool
 	s.parallelShards(func(i int, sh *core.Server) {
 		s.sides[i].byQuery = true
@@ -186,19 +189,15 @@ func (s *Server) Installs() core.InstallCounts {
 	return total
 }
 
-// BusyTime returns the *maximum* per-shard processing time — the
-// wall-clock critical path of the parallel server, which is what the
-// scaling experiment measures — plus the serialized driver time spent
-// merging and transmitting sends.
-func (s *Server) BusyTime() time.Duration {
-	var max time.Duration
-	for _, sh := range s.shards {
-		if b := sh.BusyTime(); b > max {
-			max = b
-		}
-	}
-	return max + time.Duration(s.flushBusy.Load())
-}
+// BusyTime returns the wall time the server's Tick, Finalize and Drain
+// calls took, each timed once on the driver goroutine: the shards'
+// parallel work, the merge and the transmit as the clock saw them. The
+// enqueue in HandleUplink is left out; it runs on the transport's
+// goroutines, and its message is processed, and timed, at the next drain.
+func (s *Server) BusyTime() time.Duration { return time.Duration(s.busy.Load()) }
+
+// track adds the time since start to BusyTime.
+func (s *Server) track(start obs.Stamp) { s.busy.Add(int64(start.Elapsed())) }
 
 var (
 	_ core.Engine                 = (*Server)(nil)

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"testing"
+	"time"
 
 	"dmknn/internal/core"
 	"dmknn/internal/geo"
@@ -110,6 +111,32 @@ func TestShardedExactness(t *testing.T) {
 	want := single.Engine().(*core.Server).Installs()
 	if got := srv.Installs(); got != want || got.Bootstrap != uint64(cfg.NumQueries) {
 		t.Errorf("sharded install counts %+v, single server %+v (%d queries)", got, want, cfg.NumQueries)
+	}
+}
+
+// BusyTime is the wall time the server's calls took. With one worker the
+// shards run one after another inside those calls, so it is at least the
+// sum of their own busy times; the slowest shard alone falls short of it.
+func TestBusyTimeIsObserved(t *testing.T) {
+	cfg := workload.Quick()
+	cfg.Ticks = 30
+	cfg.NumQueries = 16
+	m, err := core.NewMethod("dknn-sharded", proto(), 0, func(c core.Config, deps core.ServerDeps, _ *sim.Env) (core.Engine, error) {
+		return NewWithOptions(4, c, deps, Options{Workers: 1})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(cfg, m); err != nil {
+		t.Fatal(err)
+	}
+	srv := m.Engine().(*Server)
+	var sum time.Duration
+	for _, sh := range srv.shards {
+		sum += sh.BusyTime()
+	}
+	if got := srv.BusyTime(); got < sum || sum == 0 {
+		t.Errorf("BusyTime %v, shards' busy times sum to %v", got, sum)
 	}
 }
 

@@ -116,26 +116,27 @@ func (w *wireRun) noteMemberships(m sim.Method, queries, step int) {
 // object's own last fix (the downlink and per-step membership pins below
 // held), and again when probe requests stopped carrying a tick and answer
 // resyncs a sequence and a tick (the uplink and per-step membership pins
-// below held). The engine must
+// below held), and again when probe replies stopped carrying a tick (the
+// downlink and per-step membership pins below held). The engine must
 // keep producing these transcripts byte for byte: same message
 // sequences, same wire bytes, same loss draws, same answers.
 var wireDigests = map[string]string{
-	"seed=1/clean-L0": "9a0a4246ca3e5765fdd2d48035ce25e0a3895e4c583b69887300c81bda5f6c9b",
-	"seed=1/loss-L0":  "b63a6167d47dfcc14a3f70a2f6ceb6cc2491456b0da6aa6340c0921bc6da52d7",
-	"seed=1/burst-L0": "c5e46dcfbbf7cc2bce6f6bf8a90e857e8d99e40e7afbb691ac7d8b6c40531cfc",
-	"seed=1/delta-L0": "1cd2c68718250e46cd87122b38f8d65c3b22402c340d17415ac32b2f57d016ae",
-	"seed=2/clean-L0": "69f1eb096b7b2b5c1fd4e81891c5184b38403292a6b495d02e4a6882a1ad4029",
-	"seed=2/loss-L0":  "a9371e95c31fccf98f4d11240de996457898e4fce0e496402957e5784a6060e3",
-	"seed=2/burst-L0": "3796454d79e0f87b6c0edb529b348d39cc3dc6cea9cf24b3c33d83c9b8fb29d7",
-	"seed=2/delta-L0": "01c964c654cc8fc17de87bdf5dccd7efd33d675f3250ee1a8d5baf04bfa45b01",
-	"seed=3/clean-L0": "443ea9cdb732315e864bfb84b95f4eb9938c062f020a9fa4c02be3f12e6ded92",
-	"seed=3/loss-L0":  "3da5e1819d0d8eb2d2b7578253e1ebf631658a1fb99dfbbc834be1e065c78562",
-	"seed=3/burst-L0": "1637a860e5dbc07796b49eef6df579215a6c7ebe04bba431a0576dab28237db8",
-	"seed=3/delta-L0": "633b2a3ebb50767b10a491335f68dd980f7e634b5143a5e81c2fb1fa4a9bcda5",
-	"seed=4/clean-L0": "a6781b6f6ea57a9c5579f8f2aa7cb8d8aeac7565bf8b31fa4c9c955eb01d751e",
-	"seed=4/loss-L0":  "af3efac9c18cf09f388a0a000eedbd1df9513880e4fb0e4d4ec9b8260a8f7d28",
-	"seed=4/burst-L0": "f825e523fc4a70186673d05205c33f950b76c42585ecfd99ee271b2c0e163279",
-	"seed=4/delta-L0": "ec9522ee2f6897f1935fac5157460ea6f8d3d64a731dd24220c3c7d04ac6e7f9",
+	"seed=1/clean-L0": "685f6cf91bf1f6bd6f62c23d041a6af5fd7e75919eab1437e550ca912afb8de7",
+	"seed=1/loss-L0":  "18bb21213ffb596b619b473c5f36d72027d8d01e137d827c41503985ca4da285",
+	"seed=1/burst-L0": "13f0919d7b39981a004656e8c8da12c938528c42061d0352dd8bd89c8d08d254",
+	"seed=1/delta-L0": "d8e7d5ee7898553c01a84097e982e527c411a9d243a09c66a32456a68868cef3",
+	"seed=2/clean-L0": "a99981c45dbf233c1f3028bd1bac816a4d5fe8da3c3507996f97edd492c8215d",
+	"seed=2/loss-L0":  "1ec4c800308799f820ce15ecde10ecc666d71edde831fac1ce3262a2b52a8089",
+	"seed=2/burst-L0": "295436691ae73741c43319702284a72d6f7f7c5a625442c58af28db90fc20b21",
+	"seed=2/delta-L0": "e58e76aac948ada03529e9e60950c6c98479e09c1e334341596cfadee1bebe05",
+	"seed=3/clean-L0": "6b4cb5863d9690fc8f049d24a94b7f648e030ea49b6c7361547358e1ffbe09c1",
+	"seed=3/loss-L0":  "090c69dd5cc4dc638771db9d6385945bdc063815d99037672c8ef07d1580611f",
+	"seed=3/burst-L0": "19880907780dd9880f32173a55e4576103a7353c215c2f3cdd1342546b0b0827",
+	"seed=3/delta-L0": "2510cff234f02a1e9f86fcb84c55751115c732cdb554198f30d9aae1581beb55",
+	"seed=4/clean-L0": "dcae43085fb728d6065934ad45ab5ab19c1f9f39482d9009b818c9265cc193ba",
+	"seed=4/loss-L0":  "735fa4afafd852c6361db171622e0e07fed35c31e492d107919379dea3ca8f2d",
+	"seed=4/burst-L0": "b07b2262af4095da9f9d1647f36fc51b1a80069c4c617ef4574d4c7e4d171c56",
+	"seed=4/delta-L0": "8abd3369b8824cb71da486839c48cc6db69a0d94631ec0a8357fa1fde8a68aa7",
 }
 
 // uplinkDigests pins uplinkDigest of the lossless scenarios. They held
@@ -162,16 +163,17 @@ var wireDigests = map[string]string{
 // carries the displacement since the tick before, so an object on a
 // straight leg no longer sends a MoveReport a tick after entering, and a
 // Move carries the last tick's displacement rather than the mean since
-// the member's last report.
+// the member's last report. They were re-captured again when probe
+// replies stopped carrying a tick (37 → 29 B each).
 var uplinkDigests = map[string]string{
-	"seed=1/clean-L0": "66bf972f26dd24c00ec75aca554ba71661be6a821320b5c8a7fbea8728303fe6",
-	"seed=1/delta-L0": "aae9afeae30537bce8b2bebd121babfdaf471e7a79ba5b0613b83395c1438a97",
-	"seed=2/clean-L0": "7be0983f79762d3e118efd1aa80915d1b559dc22bf9190aa300431ab209ef7a6",
-	"seed=2/delta-L0": "5c9871f065dc2493ab164604ab48d75c996529e9f222dc676c9f384f2ef686cf",
-	"seed=3/clean-L0": "4ddf87f6071c7b6fcb7105b4c4e6a9fe832c4af200502b63eba94da268af8c28",
-	"seed=3/delta-L0": "06f81c22f0c9deae0fe5e9df013328b31cf7b12f491cd1842abb2d706d3bb826",
-	"seed=4/clean-L0": "cadefdc912f318f79e8e0a3fdc0688153bb36254fc6367d82b431dd59c61658e",
-	"seed=4/delta-L0": "8926c2670bf4d601758089c7f4fcd7d3a5e0210a32599d6ceaf5e28eb7c92bbc",
+	"seed=1/clean-L0": "631de151cbb9f1a0e49f5c6760d273d1d5e8e3545faf8e3a2f8b90113e8539f5",
+	"seed=1/delta-L0": "d4c79f5e0496f70fd244bc417153577f391f616d4560fd3ad2db2e7c121fb174",
+	"seed=2/clean-L0": "ac325d3a07448c5b08d322eebac2895a6b84ebd45f074b162536e8a17eb6503b",
+	"seed=2/delta-L0": "d7421ebc8a6c433dd9932ce8cb4565c474a433083bc263780292e88b575125d0",
+	"seed=3/clean-L0": "92a5f9db9c436129f513f23e4992d08a846478276ec19035383bb4644b4d461b",
+	"seed=3/delta-L0": "a5b4a6aafd935be697a94dfedc3bef40d65ebe40da6551fdcd4be5ed3ee9edb1",
+	"seed=4/clean-L0": "0b3e241d8e2ced3e83d8f7dae4c634909c655c68dc47a908034d174b71a02007",
+	"seed=4/delta-L0": "7c7881b416836c732604b45f1293ec0314f1756b5f5761441f23f5b63da1f664",
 }
 
 // downlinkDigests pins downlinkDigest of the lossless scenarios. They

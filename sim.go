@@ -6,7 +6,6 @@ import (
 	"dmknn/internal/baseline"
 	"dmknn/internal/core"
 	"dmknn/internal/metrics"
-	"dmknn/internal/shard"
 	"dmknn/internal/sim"
 	"dmknn/internal/workload"
 )
@@ -39,10 +38,6 @@ type SimConfig struct {
 	CITau float64
 	// Protocol tunes MethodDKNN.
 	Protocol Protocol
-	// Shards, when > 1, partitions MethodDKNN's server state over that
-	// many parallel shards, each tick's arrivals drained shard-parallel
-	// (interior scaling; the wire is byte-identical to one server's).
-	Shards int
 
 	World      Rect
 	GridCols   int
@@ -210,9 +205,6 @@ func (c SimConfig) internal() (sim.Config, error) {
 func (c SimConfig) method() (sim.Method, error) {
 	switch c.Method {
 	case MethodDKNN:
-		if c.Shards > 1 {
-			return shard.NewBatchedMethod(c.Shards, c.Protocol.internal())
-		}
 		return core.New(c.Protocol.internal())
 	case MethodCP:
 		return baseline.NewCP(), nil
