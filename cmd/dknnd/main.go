@@ -86,7 +86,6 @@ func main() {
 	node := flag.Int("node", -1, "federation: this process's node id")
 	peers := flag.String("peers", "", "federation: comma-separated inter-node addresses of ALL nodes, indexed by node id")
 	clientAddrs := flag.String("client-addrs", "", "federation: comma-separated client addresses of ALL nodes, indexed by node id")
-	strips := flag.Int("strips", 0, "federation: expected cluster size (0 = derive from -peers; a mismatch is fatal)")
 	heartbeat := flag.Duration("heartbeat", 500*time.Millisecond, "federation: peer keepalive cadence")
 	reap := flag.Duration("reap", 0, "federation: evict clients silent for this long (0 = off)")
 	balanceOn := flag.Bool("balance", false, "federation: enable adaptive partitioning (must match on all nodes)")
@@ -116,10 +115,6 @@ func main() {
 	if *peers != "" {
 		peerList := strings.Split(*peers, ",")
 		clientList := strings.Split(*clientAddrs, ",")
-		if *strips != 0 && *strips != len(peerList) {
-			fmt.Fprintf(os.Stderr, "dknnd: -strips %d but %d peer addresses\n", *strips, len(peerList))
-			os.Exit(1)
-		}
 		fopts := dmknn.FederationOptions{
 			World:          worldRect,
 			GridCols:       *gridN,

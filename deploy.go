@@ -460,7 +460,6 @@ func startQuery(id model.ObjectID, spec model.QuerySpec,
 	cfg core.Config, interval time.Duration, d clientDialer) (*QueryClient, error) {
 	qc := &QueryClient{}
 	err := qc.c.start(id, pos, interval, d, func(deps core.AgentDeps) (clientAgent, error) {
-		spec.Pos = deps.Pos()
 		agent, err := core.NewQueryAgent(cfg, spec, core.QueryAgentDeps{
 			AgentDeps: deps,
 			Vel:       func() geo.Vector { return vel().internal() },

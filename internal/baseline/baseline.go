@@ -67,10 +67,6 @@ type Config struct {
 	// Threshold is the drift/deviation bound τ in meters (ModeDrift and
 	// ModePredict).
 	Threshold float64
-	// QueryThreshold is the focal client's reporting threshold; the
-	// query position is cheap to track precisely, so it defaults to 0
-	// (report every tick it moved).
-	QueryThreshold float64
 }
 
 // Validate reports a descriptive error for unusable configurations.
@@ -78,7 +74,7 @@ func (c Config) Validate() error {
 	if c.Mode != ModePeriodic && c.Threshold <= 0 {
 		return fmt.Errorf("baseline: threshold mode requires positive threshold, got %v", c.Threshold)
 	}
-	if c.Threshold < 0 || c.QueryThreshold < 0 {
+	if c.Threshold < 0 {
 		return fmt.Errorf("baseline: negative threshold")
 	}
 	return nil
@@ -202,8 +198,6 @@ type reporterAgent struct {
 	lastAt   model.Tick
 }
 
-func (a *reporterAgent) pos() geo.Point { return a.m.env.Objects[int(a.id)-1].Pos }
-
 func (a *reporterAgent) tick(now model.Tick) {
 	st := a.m.env.Objects[int(a.id)-1]
 	var send bool
@@ -253,8 +247,8 @@ func (qc *centralQueryClient) tick(now model.Tick) {
 		return
 	}
 	// The focal position is precious: stream it every tick under the
-	// periodic policy, else when it moved beyond the query threshold.
-	if qc.m.cfg.Mode == ModePeriodic || st.Pos.Dist(qc.lastPos) > qc.m.cfg.QueryThreshold {
+	// periodic policy, else whenever it moved.
+	if qc.m.cfg.Mode == ModePeriodic || st.Pos.Dist(qc.lastPos) > 0 {
 		qc.side.Uplink(protocol.QueryMove{Query: rt.Spec.ID, Pos: st.Pos, Vel: st.Vel, At: now})
 		qc.lastPos = st.Pos
 	}

@@ -20,9 +20,6 @@ func TestConfigValidation(t *testing.T) {
 	if (Config{Mode: ModePeriodic, Threshold: -1}).Validate() == nil {
 		t.Error("negative threshold accepted")
 	}
-	if (Config{Mode: ModePeriodic, QueryThreshold: -1}).Validate() == nil {
-		t.Error("negative query threshold accepted")
-	}
 	if _, err := NewCB(0); err == nil {
 		t.Error("CB with zero threshold accepted")
 	}

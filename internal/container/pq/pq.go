@@ -46,12 +46,6 @@ func (h *Min[T]) Pop() (float64, T) {
 	return top.pri, top.val
 }
 
-// Peek returns the smallest priority and its value without removing it. It
-// must not be called on an empty heap.
-func (h *Min[T]) Peek() (float64, T) {
-	return h.items[0].pri, h.items[0].val
-}
-
 // Reset empties the heap, retaining capacity.
 func (h *Min[T]) Reset() { h.items = h.items[:0] }
 

@@ -14,9 +14,6 @@ func TestMinBasic(t *testing.T) {
 	h.Push(3, "c")
 	h.Push(1, "a")
 	h.Push(2, "b")
-	if pri, val := h.Peek(); pri != 1 || val != "a" {
-		t.Fatalf("Peek = %v %v", pri, val)
-	}
 	order := []string{"a", "b", "c"}
 	for i, want := range order {
 		pri, val := h.Pop()

@@ -187,7 +187,7 @@ type Experiment struct {
 	Workers int
 	// Serial forces the cells to run one at a time regardless of
 	// Workers. Experiments that report wall-clock quantities
-	// (sim.Result.ServerUS, Elapsed) declare it so sibling runs on
+	// (sim.Result.ServerUS) declare it so sibling runs on
 	// other cores cannot perturb their timings.
 	Serial bool
 }

@@ -62,20 +62,8 @@ func (p Point) String() string { return fmt.Sprintf("(%.2f, %.2f)", p.X, p.Y) }
 // Scale returns v scaled by s.
 func (v Vector) Scale(s float64) Vector { return Vector{v.X * s, v.Y * s} }
 
-// Add returns the component-wise sum of v and w.
-func (v Vector) Add(w Vector) Vector { return Vector{v.X + w.X, v.Y + w.Y} }
-
-// Sub returns the component-wise difference v - w.
-func (v Vector) Sub(w Vector) Vector { return Vector{v.X - w.X, v.Y - w.Y} }
-
-// Dot returns the dot product of v and w.
-func (v Vector) Dot(w Vector) float64 { return v.X*w.X + v.Y*w.Y }
-
 // Len returns the Euclidean length of v.
 func (v Vector) Len() float64 { return math.Hypot(v.X, v.Y) }
-
-// LenSq returns the squared length of v.
-func (v Vector) LenSq() float64 { return v.X*v.X + v.Y*v.Y }
 
 // Norm returns v scaled to unit length. The zero vector is returned
 // unchanged.
@@ -169,11 +157,6 @@ func (c Circle) BoundingRect() Rect {
 		Min: Point{c.Center.X - c.R, c.Center.Y - c.R},
 		Max: Point{c.Center.X + c.R, c.Center.Y + c.R},
 	}
-}
-
-// String implements fmt.Stringer.
-func (c Circle) String() string {
-	return fmt.Sprintf("circle(%s, r=%.2f)", c.Center, c.R)
 }
 
 func clamp(v, lo, hi float64) float64 {

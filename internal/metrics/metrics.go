@@ -160,7 +160,6 @@ func (c *Counters) BreakdownTable() string {
 type Audit struct {
 	evaluations  int
 	exact        int
-	sumPrecision float64
 	sumRecall    float64
 	sumRadiusErr float64 // relative error of the k-th distance
 	worstRecall  float64
@@ -179,19 +178,13 @@ func (a *Audit) Observe(got, truth model.Answer) {
 			inter++
 		}
 	}
-	precision, recall := 1.0, 1.0
-	if len(gotSet) > 0 {
-		precision = float64(inter) / float64(len(gotSet))
-	} else if len(truthSet) > 0 {
-		precision = 0
-	}
+	recall := 1.0
 	if len(truthSet) > 0 {
 		recall = float64(inter) / float64(len(truthSet))
 	}
 	if model.SameMembers(got, truth) {
 		a.exact++
 	}
-	a.sumPrecision += precision
 	a.sumRecall += recall
 	if !a.initialized || recall < a.worstRecall {
 		a.worstRecall = recall
@@ -211,7 +204,6 @@ func (a *Audit) Observe(got, truth model.Answer) {
 func (a *Audit) Merge(o *Audit) {
 	a.evaluations += o.evaluations
 	a.exact += o.exact
-	a.sumPrecision += o.sumPrecision
 	a.sumRecall += o.sumRecall
 	a.sumRadiusErr += o.sumRadiusErr
 	if o.initialized && (!a.initialized || o.worstRecall < a.worstRecall) {
@@ -234,14 +226,6 @@ func (a *Audit) Exactness() float64 {
 		return 1
 	}
 	return float64(a.exact) / float64(a.evaluations)
-}
-
-// MeanPrecision returns the average precision over all audited answers.
-func (a *Audit) MeanPrecision() float64 {
-	if a.evaluations == 0 {
-		return 1
-	}
-	return a.sumPrecision / float64(a.evaluations)
 }
 
 // MeanRecall returns the average recall over all audited answers.
@@ -281,12 +265,6 @@ type Series struct {
 // Add appends a sample.
 func (s *Series) Add(v float64) { s.values = append(s.values, v) }
 
-// Merge appends every sample of o to s in order. Together with
-// Audit.Merge it supports the merge-after-barrier pattern of parallel
-// collectors: each worker fills a private series, and the owner merges
-// them in a fixed order.
-func (s *Series) Merge(o *Series) { s.values = append(s.values, o.values...) }
-
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.values) }
 
@@ -302,28 +280,12 @@ func (s *Series) Mean() float64 {
 	return sum / float64(len(s.values))
 }
 
-// Max returns the largest sample, or 0 for an empty series.
-func (s *Series) Max() float64 {
-	var max float64
-	for i, v := range s.values {
-		if i == 0 || v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// Values returns the underlying samples (not a copy).
-func (s *Series) Values() []float64 { return s.values }
-
 // ---------------------------------------------------------------------------
 // Deterministic fixed-bucket histogram
 
 // Histogram counts samples into fixed buckets so distribution summaries
-// (quantiles, CDFs) stay byte-deterministic across runs and worker
-// counts: only integer bucket counts and one float sum accumulate, and
-// Merge in a fixed order reproduces the single-collector result exactly.
-// Bucket i covers (bounds[i-1], bounds[i]]; a final implicit overflow
+// (quantiles) stay byte-deterministic across runs: only integer bucket
+// counts and one float sum accumulate. Bucket i covers (bounds[i-1], bounds[i]]; a final implicit overflow
 // bucket covers everything above the last bound.
 type Histogram struct {
 	bounds []float64 // ascending upper bounds
@@ -334,8 +296,7 @@ type Histogram struct {
 }
 
 // NewHistogram returns a histogram over the given ascending bucket
-// bounds. It panics on unsorted or empty bounds: bucket layouts are
-// fixed at construction so that merging histograms is well-defined.
+// bounds. It panics on unsorted or empty bounds.
 func NewHistogram(bounds ...float64) *Histogram {
 	if len(bounds) == 0 {
 		panic("metrics: histogram needs at least one bucket bound")
@@ -424,33 +385,6 @@ func (h *Histogram) Quantile(p float64) float64 {
 		}
 	}
 	return h.max
-}
-
-// Buckets returns (bounds, counts) copies for rendering a CDF. The
-// counts slice has one extra trailing overflow entry.
-func (h *Histogram) Buckets() ([]float64, []uint64) {
-	b := make([]float64, len(h.bounds))
-	copy(b, h.bounds)
-	c := make([]uint64, len(h.counts))
-	copy(c, h.counts)
-	return b, c
-}
-
-// Merge folds o into h. Both must share the same bucket layout; like
-// Audit.Merge, merging private per-worker histograms in a fixed order
-// keeps the result deterministic.
-func (h *Histogram) Merge(o *Histogram) {
-	if len(h.bounds) != len(o.bounds) {
-		panic("metrics: merging histograms with different bucket layouts")
-	}
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
-	}
-	h.total += o.total
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
 }
 
 // Reset clears every sample, keeping the bucket layout.

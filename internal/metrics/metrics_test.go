@@ -115,9 +115,8 @@ func TestAuditExactMatch(t *testing.T) {
 	var a Audit
 	a.Observe(ans(1, 2, 3), ans(1, 2, 3))
 	a.Observe(ans(3, 2, 1), ans(1, 2, 3)) // order-insensitive
-	if a.Exactness() != 1 || a.MeanPrecision() != 1 || a.MeanRecall() != 1 {
-		t.Errorf("exact answers scored: exact=%v p=%v r=%v",
-			a.Exactness(), a.MeanPrecision(), a.MeanRecall())
+	if a.Exactness() != 1 || a.MeanRecall() != 1 {
+		t.Errorf("exact answers scored: exact=%v r=%v", a.Exactness(), a.MeanRecall())
 	}
 	if a.Evaluations() != 2 {
 		t.Errorf("Evaluations = %d", a.Evaluations())
@@ -134,9 +133,6 @@ func TestAuditPartialMatch(t *testing.T) {
 		t.Error("partial answer counted as exact")
 	}
 	want := 2.0 / 3.0
-	if p := a.MeanPrecision(); p < want-1e-9 || p > want+1e-9 {
-		t.Errorf("precision = %v, want %v", p, want)
-	}
 	if r := a.MeanRecall(); r < want-1e-9 || r > want+1e-9 {
 		t.Errorf("recall = %v, want %v", r, want)
 	}
@@ -158,9 +154,6 @@ func TestAuditEmptyAnswers(t *testing.T) {
 	if b.MeanRecall() != 0 || b.Exactness() != 0 {
 		t.Errorf("missing answer: recall=%v exact=%v", b.MeanRecall(), b.Exactness())
 	}
-	if b.MeanPrecision() != 0 {
-		t.Errorf("empty-got precision should be 0 when truth nonempty, got %v", b.MeanPrecision())
-	}
 }
 
 func TestAuditRadiusError(t *testing.T) {
@@ -175,7 +168,7 @@ func TestAuditRadiusError(t *testing.T) {
 
 func TestAuditEmptyDefaults(t *testing.T) {
 	var a Audit
-	if a.Exactness() != 1 || a.MeanPrecision() != 1 || a.MeanRecall() != 1 ||
+	if a.Exactness() != 1 || a.MeanRecall() != 1 ||
 		a.WorstRecall() != 1 || a.MeanRadiusError() != 0 {
 		t.Error("empty audit defaults wrong")
 	}
@@ -183,7 +176,7 @@ func TestAuditEmptyDefaults(t *testing.T) {
 
 func TestSeries(t *testing.T) {
 	var s Series
-	if s.Mean() != 0 || s.Max() != 0 || s.Len() != 0 {
+	if s.Mean() != 0 || s.Len() != 0 {
 		t.Error("empty series defaults")
 	}
 	for _, v := range []float64{2, 4, 9} {
@@ -194,19 +187,6 @@ func TestSeries(t *testing.T) {
 	}
 	if s.Mean() != 5 {
 		t.Errorf("Mean = %v", s.Mean())
-	}
-	if s.Max() != 9 {
-		t.Errorf("Max = %v", s.Max())
-	}
-	if len(s.Values()) != 3 {
-		t.Error("Values length")
-	}
-	// Max with negative values only.
-	var n Series
-	n.Add(-5)
-	n.Add(-2)
-	if n.Max() != -2 {
-		t.Errorf("negative Max = %v", n.Max())
 	}
 }
 
@@ -257,22 +237,6 @@ func TestAuditReset(t *testing.T) {
 	a.Reset()
 	if a != (Audit{}) {
 		t.Errorf("Reset left state: %+v", a)
-	}
-}
-
-func TestSeriesMerge(t *testing.T) {
-	var a, b Series
-	a.Add(1)
-	a.Add(2)
-	b.Add(3)
-	a.Merge(&b)
-	if a.Len() != 3 || a.Mean() != 2 || a.Max() != 3 {
-		t.Errorf("merged series: len=%d mean=%v max=%v", a.Len(), a.Mean(), a.Max())
-	}
-	var empty Series
-	a.Merge(&empty)
-	if a.Len() != 3 {
-		t.Error("merging empty series changed length")
 	}
 }
 

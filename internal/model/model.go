@@ -22,9 +22,6 @@ type ObjectID uint32
 // QueryID identifies a registered continuous kNN query.
 type QueryID uint32
 
-// NoObject is the zero ObjectID, reserved to mean "none".
-const NoObject ObjectID = 0
-
 // Tick is a discrete simulation timestamp. One tick is one evaluation
 // interval of the continuous queries (Δt seconds of simulated time).
 type Tick int64

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -110,10 +111,11 @@ func TestEveryMessageFieldIsRead(t *testing.T) {
 	}
 }
 
-// markReads records, as "Type.Field", every protocol struct field that f
-// reads through a selector. A selector that is the whole left-hand side
-// of a plain assignment is a write; one reached through embedded fields
-// reads each embedded field on the way.
+// markReads records every internal/ struct field that f reads through a
+// selector, as "Type.Field" for this package's and "pkg.Type.Field" for
+// the others (qualified). A selector that is the whole left-hand side of
+// a plain assignment is a write; one reached through embedded fields,
+// a method's included, reads each embedded field on the way.
 func markReads(f *ast.File, info *types.Info, read map[string]bool) {
 	written := map[*ast.SelectorExpr]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -132,29 +134,35 @@ func markReads(f *ast.File, info *types.Info, read map[string]bool) {
 			return true
 		}
 		s := info.Selections[sel]
-		if s == nil || s.Kind() != types.FieldVal {
+		if s == nil {
 			return true
 		}
-		typ := s.Recv()
 		path := s.Index()
-		for i, idx := range path {
-			if p, ok := typ.Underlying().(*types.Pointer); ok {
-				typ = p.Elem()
-			}
-			named, ok := typ.(*types.Named)
-			st, sok := typ.Underlying().(*types.Struct)
-			if !sok {
-				return true
-			}
-			field := st.Field(idx)
-			last := i == len(path)-1
-			if ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "dmknn/internal/protocol" && !(last && written[sel]) {
-				read[named.Obj().Name()+"."+field.Name()] = true
-			}
-			typ = field.Type()
+		if s.Kind() != types.FieldVal || written[sel] {
+			path = path[:len(path)-1] // a method, or the field assigned to
 		}
+		readPath(s.Recv(), path, read)
 		return true
 	})
+}
+
+// readPath records as read every internal/ struct field along an index
+// path from typ, as types.Selection.Index gives it.
+func readPath(typ types.Type, path []int, read map[string]bool) {
+	for _, idx := range path {
+		if p, ok := typ.Underlying().(*types.Pointer); ok {
+			typ = p.Elem()
+		}
+		st, ok := typ.Underlying().(*types.Struct)
+		if !ok {
+			return
+		}
+		field := st.Field(idx)
+		if named, ok := typ.(*types.Named); ok && named.Obj().Pkg() != nil && strings.HasPrefix(named.Obj().Pkg().Path(), "dmknn/internal/") {
+			read[qualified(named.Obj())+"."+field.Name()] = true
+		}
+		typ = field.Type()
+	}
 }
 
 type listedPackage struct {

@@ -92,9 +92,6 @@ func NewWithOptions(n int, cfg core.Config, deps core.ServerDeps, opts Options) 
 	return s, nil
 }
 
-// NumShards returns the shard count.
-func (s *Server) NumShards() int { return len(s.shards) }
-
 // shardOf routes a query id to the index of its owning shard.
 func (s *Server) shardOf(q model.QueryID) int {
 	return int(uint32(q)) % len(s.shards)

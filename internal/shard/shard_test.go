@@ -34,12 +34,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := NewBatchedMethod(4, core.Config{}); err == nil {
 		t.Error("NewBatchedMethod accepted invalid protocol config")
 	}
-	s, err := NewWithOptions(4, proto().WithWorldDefault(world), deps, Options{})
-	if err != nil {
+	if _, err := NewWithOptions(4, proto().WithWorldDefault(world), deps, Options{}); err != nil {
 		t.Fatal(err)
-	}
-	if s.NumShards() != 4 {
-		t.Errorf("NumShards = %d", s.NumShards())
 	}
 }
 

@@ -10,7 +10,7 @@
 //  4. lets the method finalize multi-round exchanges (probe → install)
 //     with a bounded number of additional flushes;
 //  5. audits the method's maintained answers against brute-force ground
-//     truth — fanning the queries out over Config.AuditWorkers goroutines
+//     truth — fanning the queries out over runtime.GOMAXPROCS goroutines
 //     with deterministic chunk-ordered merging — and samples the per-tick
 //     metric series. Motion (step 1) stays serial: mobility models draw
 //     from a shared per-model RNG stream, so parallel stepping would make
@@ -154,17 +154,6 @@ type Config struct {
 	// DisableAudit skips ground-truth maintenance and answer auditing
 	// (used by pure-throughput benchmarks).
 	DisableAudit bool
-	// AuditWorkers bounds the goroutines the per-tick auditor fans the
-	// queries out over (0 means runtime.GOMAXPROCS; 1 forces the serial
-	// path). The audit result is bit-identical for every worker count:
-	// queries are observed in fixed-size chunks whose accumulators are
-	// merged in chunk order after the barrier, so neither scheduling nor
-	// floating-point summation order depends on the worker count. Only
-	// auditing parallelizes — motion stepping stays serial because the
-	// mobility models draw from one shared per-model RNG stream (see
-	// internal/mobility), and the protocol rounds are serial by the
-	// slotted-time semantics.
-	AuditWorkers int
 	// Trace, when non-nil, receives every protocol lifecycle event the
 	// method and network emit (see internal/obs). Chaos tests arm a
 	// flight recorder here. Tracing must not change behavior: the event
@@ -229,8 +218,6 @@ type Result struct {
 	Staleness       *metrics.Histogram
 	ReportGaps      *metrics.Histogram
 	ServerLatencyUS *metrics.Histogram
-	// Elapsed is the wall-clock duration of the measured phase.
-	Elapsed time.Duration
 }
 
 // UplinkPerTick returns the headline metric: mean uplink messages per
@@ -398,14 +385,12 @@ func (e *Engine) Run() (*Result, error) {
 	res := &Result{Method: e.method.Name(), Config: e.cfg}
 	total := e.cfg.Warmup + e.cfg.Ticks
 	var (
-		measuredStart time.Time
-		baseTraffic   metrics.Counters
-		baseExtra     map[string]float64
+		baseTraffic metrics.Counters
+		baseExtra   map[string]float64
 	)
 	extra, _ := e.method.(ExtraReporter)
 	for tick := 0; tick < total; tick++ {
 		if tick == e.cfg.Warmup {
-			measuredStart = time.Now()
 			baseTraffic = e.net.Counters().Snapshot()
 			if extra != nil {
 				// Deep-copy the snapshot: the ExtraReporter contract does
@@ -451,7 +436,6 @@ func (e *Engine) Run() (*Result, error) {
 		}
 	}
 	res.Traffic = e.net.Counters().Diff(baseTraffic)
-	res.Elapsed = time.Since(measuredStart)
 	if extra != nil {
 		end := extra.ExtraMetrics()
 		res.Extra = make(map[string]float64, len(end))
@@ -554,7 +538,11 @@ func (e *Engine) step() error {
 const auditChunkSize = 128
 
 // audit compares every query's maintained answer against ground truth,
-// fanning the queries out over cfg.AuditWorkers goroutines. The
+// fanning the queries out over runtime.GOMAXPROCS goroutines, at most
+// one per chunk (with one, it runs inline). Only auditing parallelizes: motion stepping stays
+// serial because the mobility models draw from one shared per-model RNG
+// stream (see internal/mobility), and the protocol rounds are serial by
+// the slotted-time semantics. The
 // ground-truth index is only read here (motion already updated it), the
 // methods' Answer accessors are read-only, and each worker reuses a
 // private scratch buffer for the brute-force neighbor lists, so the
@@ -572,13 +560,7 @@ func (e *Engine) audit(res *Result) {
 		return
 	}
 	chunks := (n + auditChunkSize - 1) / auditChunkSize
-	workers := e.cfg.AuditWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > chunks {
-		workers = chunks
-	}
+	workers := min(runtime.GOMAXPROCS(0), chunks)
 	if len(e.chunkAudits) < chunks {
 		e.chunkAudits = make([]metrics.Audit, chunks)
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -328,6 +329,18 @@ func TestRunPropagatesStepErrors(t *testing.T) {
 	}
 }
 
+// runWithProcs runs cfg with GOMAXPROCS set to procs, which is the
+// auditor's worker count.
+func runWithProcs(t *testing.T, cfg Config, procs int) *Result {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	res, err := Run(cfg, &nullMethod{})
+	if err != nil {
+		t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+	}
+	return res
+}
+
 // The parallel auditor must produce bit-identical audit statistics for
 // every worker count: chunk boundaries depend only on the query count and
 // the chunk accumulators are merged in chunk order. The config uses more
@@ -341,13 +354,7 @@ func TestAuditWorkersDeterministic(t *testing.T) {
 
 	results := make([]*Result, 0, 3)
 	for _, workers := range []int{1, 4, 8} {
-		c := cfg
-		c.AuditWorkers = workers
-		res, err := Run(c, &nullMethod{})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		results = append(results, res)
+		results = append(results, runWithProcs(t, cfg, workers))
 	}
 	base := results[0]
 	for i, res := range results[1:] {
@@ -372,18 +379,8 @@ func TestAuditWorkersDeterministicRange(t *testing.T) {
 	cfg.Ticks = 4
 	cfg.Warmup = 1
 
-	c1 := cfg
-	c1.AuditWorkers = 1
-	one, err := Run(c1, &nullMethod{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c8 := cfg
-	c8.AuditWorkers = 8
-	eight, err := Run(c8, &nullMethod{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := runWithProcs(t, cfg, 1)
+	eight := runWithProcs(t, cfg, 8)
 	if one.Audit != eight.Audit {
 		t.Errorf("range audit differs: %+v vs %+v", one.Audit, eight.Audit)
 	}

@@ -20,7 +20,7 @@ import (
 // tagRec records the tag (Query field) of every broadcast it hears, so two
 // networks' per-client delivery sequences can be compared exactly. hook,
 // when set, runs once from inside the next broadcast delivery: the scripted
-// scenarios use it to attach and detach clients in the middle of a fan-out.
+// scenarios use it to attach clients in the middle of a fan-out.
 type tagRec struct {
 	seen []model.QueryID
 	hook func()
@@ -103,12 +103,6 @@ func (w *fanoutWorld) reattach(id model.ObjectID) {
 	w.net.AttachClient(id, w.rec(id))
 }
 
-func (w *fanoutWorld) detach(id model.ObjectID) {
-	delete(w.live, id)
-	w.idsDirt = true
-	w.net.DetachClient(id)
-}
-
 // deliverLinear is the Θ(clients) reference fan-out the indexed path must
 // match bit for bit (recipients, counters and both RNG streams): for each
 // broadcast, walk every attached client in id order and test its current
@@ -131,9 +125,8 @@ func (w *fanoutWorld) linearFanout(region geo.Circle, filter func(grid.Cell) boo
 		if !w.has[id] || !inCell[n.cfg.Geometry.CellOf(w.pos[id])] {
 			continue
 		}
-		// A handler earlier in this fan-out may have detached id: a drop.
 		h := w.live[id]
-		if h == nil || n.isDown(id) || n.lose(n.cfg.BroadcastLoss) || n.geLose(metrics.Broadcast) {
+		if n.isDown(id) || n.lose(n.cfg.BroadcastLoss) || n.geLose(metrics.Broadcast) {
 			n.counters.RecordDrop(metrics.Broadcast)
 			if n.trace != nil {
 				n.emit(obs.EvNetDrop, metrics.Broadcast, id, msg.Kind())
@@ -169,8 +162,6 @@ func (w *fanoutWorld) sortedIDs() []model.ObjectID {
 // edge cases, so a scenario that silently stopped reaching them fails.
 type scriptHits struct {
 	runs         int
-	slotReused   int // stale audience entry whose slot went to another id
-	movedSlot    int // stale audience entry whose id re-attached elsewhere
 	midFlush     int // attach while the index was fresh
 	unlocated    int // oracle lost a client that sat in a cell
 	downThenLive int // marked down before it was ever attached
@@ -180,8 +171,6 @@ type scriptHits struct {
 
 func (h *scriptHits) add(o scriptHits) {
 	h.runs++
-	h.slotReused += o.slotReused
-	h.movedSlot += o.movedSlot
 	h.midFlush += o.midFlush
 	h.unlocated += o.unlocated
 	h.downThenLive += o.downThenLive
@@ -196,7 +185,7 @@ func (h scriptHits) check(t *testing.T, seeds int) {
 	if h.runs < seeds {
 		return
 	}
-	if h.slotReused == 0 || h.movedSlot == 0 || h.midFlush == 0 || h.unlocated == 0 || h.downThenLive == 0 || h.wideRegion == 0 || h.onEdge == 0 {
+	if h.midFlush == 0 || h.unlocated == 0 || h.downThenLive == 0 || h.wideRegion == 0 || h.onEdge == 0 {
 		t.Errorf("scripted scenarios missed an edge case they exist for: %+v", h)
 	}
 }
@@ -215,19 +204,11 @@ type fanoutItem struct {
 // generator, so both worlds perform identical operations in identical
 // order.
 //
-// Besides random movement, attach/detach and down/up churn between
-// flushes, the script plants one-shot hooks that act from inside a
-// fan-out. Each pins its trigger client and a victim with a larger id on
-// one spot, so the victim's audience entry is still ahead when the
-// trigger hears the broadcast and acts:
-//
-//   - detach the victim and attach a brand-new id, which takes over the
-//     freed slot: the stale entry must count a drop and must not deliver
-//     to the newcomer;
-//   - detach the victim and a bystander, then re-attach the victim, which
-//     lands in the bystander's slot: the stale entry must still deliver;
-//   - attach a brand-new id on the spot while the index is fresh: later
-//     broadcasts of the same flush must reach it.
+// Besides random movement, attach and down/up churn between flushes, the
+// script plants one-shot hooks that act from inside a fan-out: each pins
+// its trigger client on a spot, and when the trigger hears a broadcast it
+// attaches a brand-new id on the spot while the index is fresh, which
+// later broadcasts of the same flush must reach.
 //
 // Every five ticks also walk one client around a cell corner, crossing one
 // edge a tick between exactly on it and one ulp below it — up across the
@@ -275,8 +256,8 @@ func runFanoutScript(t *testing.T, cfg Config, scriptSeed int64) scriptHits {
 				w.place(id, p, ok)
 			}
 		}
-		// Churn: occasionally attach a newcomer — sometimes one that was
-		// marked down before it ever attached — or detach a victim.
+		// Churn: occasionally attach a newcomer, sometimes one that was
+		// marked down before it ever attached.
 		if script.Intn(4) == 0 {
 			if script.Intn(3) == 0 {
 				for _, w := range worlds {
@@ -285,12 +266,6 @@ func runFanoutScript(t *testing.T, cfg Config, scriptSeed int64) scriptHits {
 				hits.downThenLive++
 			}
 			attachNew(randPt())
-		}
-		if script.Intn(5) == 0 {
-			victim := model.ObjectID(script.Intn(int(nextID)-1) + 1)
-			for _, w := range worlds {
-				w.detach(victim)
-			}
 		}
 		// Down/up churn (down ids may or may not be attached).
 		if script.Intn(3) == 0 {
@@ -302,44 +277,19 @@ func runFanoutScript(t *testing.T, cfg Config, scriptSeed int64) scriptHits {
 		}
 		// Plant a mid-fan-out hook (see the function comment).
 		if script.Intn(2) == 0 {
-			trigger := model.ObjectID(script.Intn(int(nextID)-2) + 1)
-			victim := trigger + 1 + model.ObjectID(script.Intn(min(4, int(nextID-trigger)-1)))
-			bystander := model.ObjectID(script.Intn(int(nextID)-1) + 1)
-			spot, kind := randPt(), script.Intn(3)
-			newcomer := nextID
-			if kind != 1 {
-				nextID++
-			}
-			if !pinned[trigger] && !pinned[victim] && a.live[trigger] != nil && a.live[victim] != nil {
-				pinned[trigger], pinned[victim] = true, true
+			trigger := model.ObjectID(script.Intn(int(nextID)-1) + 1)
+			spot, newcomer := randPt(), nextID
+			nextID++
+			if !pinned[trigger] && a.live[trigger] != nil {
+				pinned[trigger] = true
 				for _, w := range worlds {
 					w := w
 					w.place(trigger, spot, true)
-					w.place(victim, spot, true)
 					w.rec(trigger).hook = func() {
-						pinned[trigger], pinned[victim] = false, false
-						slot, attached := w.net.slotOf[victim]
-						switch kind {
-						case 0:
-							w.detach(victim)
-							w.attach(newcomer, spot)
-							if w == a && attached && a.net.slotOf[newcomer] == slot {
-								hits.slotReused++
-							}
-						case 1:
-							w.detach(victim)
-							if bystander != trigger {
-								w.detach(bystander)
-							}
-							w.reattach(victim)
-							if w == a && attached && a.net.slotOf[victim] != slot {
-								hits.movedSlot++
-							}
-						case 2:
-							w.attach(newcomer, spot)
-							if w == a && a.net.indexFresh {
-								hits.midFlush++
-							}
+						pinned[trigger] = false
+						w.attach(newcomer, spot)
+						if w == a && a.net.indexFresh {
+							hits.midFlush++
 						}
 					}
 				}
@@ -451,7 +401,7 @@ func runFanoutScript(t *testing.T, cfg Config, scriptSeed int64) scriptHits {
 // The tentpole equivalence invariant: the cell-indexed fan-out over the
 // dense client table and the linear oracle must be indistinguishable under
 // random positions, churn, down clients, loss, burst loss, jitter,
-// duplication, and attach/detach from inside a fan-out.
+// duplication, and attach from inside a fan-out.
 func TestIndexedFanoutMatchesLinear(t *testing.T) {
 	world := geo.NewRect(geo.Pt(0, 0), geo.Pt(1000, 1000))
 	var hits scriptHits

@@ -186,8 +186,7 @@ type bcast struct {
 	filter func(grid.Cell) bool
 }
 
-// client is one row of the dense client table. A row with a nil handler
-// is free (its number sits on Network.free); a live row records where the
+// client is one row of the dense client table. A row records where the
 // client sits in the cell index: the dense cell it occupies (-1 when the
 // position oracle cannot place it), that cell's column and row, which the
 // refresh tests the next position against, and its position within the
@@ -229,13 +228,12 @@ type Network struct {
 
 	server transport.ServerHandler
 
-	// Client table: slots is dense and never shrinks, free stacks the
-	// numbers of detached rows for reuse, and slotOf resolves an id to its
-	// row only where an id arrives from outside (attach, detach, downlink
-	// delivery, and a stale audience entry during fan-out). Everything on
-	// the per-flush path walks slots or follows a slot number.
+	// Client table: slots is dense and only grows, a client keeps its row
+	// for the network's life, and slotOf resolves an id to its row only
+	// where an id arrives from outside (attach and downlink delivery).
+	// Everything on the per-flush path walks slots or follows a slot
+	// number.
 	slots  []client
-	free   []int32
 	slotOf map[model.ObjectID]int32
 
 	positions func(model.ObjectID) (geo.Point, bool)
@@ -275,7 +273,7 @@ type Network struct {
 	// clients of its intersecting cells and reaches each handler through
 	// its slot number. The index is refreshed from the position oracle at
 	// most once per Flush — lazily, when the first broadcast delivers — and
-	// maintained incrementally through attach/detach. recipients is the
+	// maintained incrementally through attach. recipients is the
 	// per-broadcast scratch the audience is gathered and sorted into;
 	// audience applies the capacity rule to it, its high-water mark the
 	// largest audience, each flush one of its rounds.
@@ -404,36 +402,14 @@ func (n *Network) AttachClient(id model.ObjectID, h transport.ClientHandler) {
 		n.slots[s].handler = h
 		return
 	}
-	c := client{id: id, handler: h, cell: -1}
-	var s int32
-	if k := len(n.free); k > 0 {
-		s, n.free = n.free[k-1], n.free[:k-1]
-		n.slots[s] = c
-	} else {
-		s = int32(len(n.slots))
-		n.slots = append(n.slots, c)
-	}
+	s := int32(len(n.slots))
+	n.slots = append(n.slots, client{id: id, handler: h, cell: -1})
 	n.slotOf[id] = s
 	if n.indexFresh {
 		// Mid-flush attach: the index is live for the current Flush; place
 		// the newcomer now so later broadcasts in the same flush see it.
 		n.placeSlot(s)
 	}
-}
-
-// DetachClient removes a client endpoint; in-flight messages to it will be
-// dropped (and counted as such).
-func (n *Network) DetachClient(id model.ObjectID) {
-	s, exists := n.slotOf[id]
-	if !exists {
-		return
-	}
-	if c := n.slots[s]; c.cell >= 0 {
-		n.removeFromCell(c.cell, c.at)
-	}
-	n.slots[s] = client{cell: -1}
-	n.free = append(n.free, s)
-	delete(n.slotOf, id)
 }
 
 // SetPositionOracle installs the function the network uses to resolve
@@ -771,9 +747,8 @@ func (n *Network) deliver(q queued) int {
 	}
 }
 
-// handlerOf resolves an id that arrives from outside the table — a
-// downlink's recipient, or an audience entry whose slot changed hands —
-// to its current handler, nil when the id is not attached.
+// handlerOf resolves a downlink's recipient to its handler, nil when the
+// id is not attached.
 func (n *Network) handlerOf(id model.ObjectID) transport.ClientHandler {
 	if s, ok := n.slotOf[id]; ok {
 		return n.slots[s].handler
@@ -811,17 +786,11 @@ func (n *Network) fanout(rec []entry, msg protocol.Message) int {
 	delivered := 0
 	for _, e := range rec {
 		id := e.id()
-		// The audience is a snapshot: a handler earlier in this fan-out may
-		// have detached this client, and its slot may since have gone to
-		// another id. An entry whose slot no longer holds its id resolves by
-		// id instead — delivered if the id is attached (elsewhere) now, a
-		// counted drop if not — never a call through a stale slot.
-		c := &n.slots[e.slot()]
-		h := c.handler
-		if c.id != id || h == nil {
-			h = n.handlerOf(id)
-		}
-		if h == nil || n.isDown(id) || n.lose(n.cfg.BroadcastLoss) || n.geLose(metrics.Broadcast) {
+		// A slot keeps its client for the network's life, so the entry's
+		// slot reaches the current handler even when a handler earlier in
+		// this fan-out re-attached it.
+		h := n.slots[e.slot()].handler
+		if n.isDown(id) || n.lose(n.cfg.BroadcastLoss) || n.geLose(metrics.Broadcast) {
 			n.counters.RecordDrop(metrics.Broadcast)
 			if n.trace != nil {
 				n.emit(obs.EvNetDrop, metrics.Broadcast, id, msg.Kind())
@@ -852,9 +821,6 @@ func (n *Network) refreshCellIndex() {
 	xs, ys := n.xs, n.ys
 	for s := range n.slots {
 		c := &n.slots[s]
-		if c.handler == nil {
-			continue
-		}
 		pos, ok := n.positions(c.id)
 		if ok && c.cell >= 0 && xs != nil &&
 			xs[c.col] <= pos.X && pos.X < xs[c.col+1] && ys[c.row] <= pos.Y && pos.Y < ys[c.row+1] {

@@ -240,18 +240,6 @@ func TestLossIsAppliedAndCounted(t *testing.T) {
 	}
 }
 
-func TestDetachClient(t *testing.T) {
-	n := New(testConfig())
-	rec := &recorder{}
-	n.AttachClient(1, rec)
-	n.DetachClient(1)
-	n.DetachClient(1) // idempotent
-	n.ServerSide().Downlink(1, protocol.QueryDeregister{Query: 1})
-	if n.Flush() != 0 {
-		t.Fatal("delivered to detached client")
-	}
-}
-
 func TestConfigValidationPanics(t *testing.T) {
 	bad := []Config{
 		{Geometry: testConfig().Geometry, LatencyTicks: -1},
