@@ -7,18 +7,24 @@
 //
 //	dknnd [-addr :7707] [-world 10000] [-grid 64] [-tick 1s]
 //	      [-vobj 30] [-vqry 30] [-horizon 20] [-slack 10] [-theta 0]
-//	      [-shards 4] [-http :8080] [-trace]
+//	      [-shards 4] [-reap 0] [-http :8080] [-trace]
 //
 // Federation: start one dknnd per node, each with its node id, the full
 // list of peer (inter-node) addresses, and the full list of client
 // addresses — both indexed by node id and identical on every node. The
 // world is split into len(peers) column strips; each node serves the
 // clients inside its strip and relays boundary-spanning traffic to the
-// owning peer over the link.
+// owning peer over the link. The world, grid, tick, speed and protocol
+// flags, -reap, -trace and -http apply in both modes; -addr and -shards
+// to a standalone server only. A node runs one engine, so -shards above 1
+// with -peers is an error.
 //
 //	dknnd -node 0 -peers  127.0.0.1:7801,127.0.0.1:7802 \
 //	              -client-addrs 127.0.0.1:7707,127.0.0.1:7708 \
-//	              [-heartbeat 500ms] [-reap 0] [-balance] ...
+//	              [-heartbeat 500ms] [-balance] ...
+//
+// -reap evicts client connections silent for that long (0, the default,
+// keeps them: an object with no monitors is legitimately silent).
 //
 // -balance enables adaptive partitioning: node 0 observes every node's
 // load (the uplinks its server handled, reported over the link), and when
@@ -79,7 +85,7 @@ func main() {
 	horizon := flag.Int("horizon", 20, "monitor refresh horizon, ticks (0 = derive each query's horizon from its answer radius)")
 	slack := flag.Int("slack", 10, "answer buffer size m")
 	theta := flag.Float64("theta", 0, "in-boundary movement threshold, meters")
-	shards := flag.Int("shards", 1, "parallel query shards (>1 enables interior sharding; standalone mode)")
+	shards := flag.Int("shards", 1, "parallel query shards (>1 enables interior sharding; standalone mode, an error with -peers)")
 	quiet := flag.Bool("quiet", false, "suppress the periodic status line")
 	httpAddr := flag.String("http", "", "serve operational stats as JSON on this address (e.g. :8080)")
 	trace := flag.Bool("trace", false, "arm a protocol flight recorder (census at /debug/vars with -http)")
@@ -87,7 +93,7 @@ func main() {
 	peers := flag.String("peers", "", "federation: comma-separated inter-node addresses of ALL nodes, indexed by node id")
 	clientAddrs := flag.String("client-addrs", "", "federation: comma-separated client addresses of ALL nodes, indexed by node id")
 	heartbeat := flag.Duration("heartbeat", 500*time.Millisecond, "federation: peer keepalive cadence")
-	reap := flag.Duration("reap", 0, "federation: evict clients silent for this long (0 = off)")
+	reap := flag.Duration("reap", 0, "evict clients silent for this long (0 = off)")
 	balanceOn := flag.Bool("balance", false, "federation: enable adaptive partitioning (must match on all nodes)")
 	balanceInterval := flag.Int("balance-interval", 16, "federation: ticks between balance decisions")
 	balanceMinGain := flag.Float64("balance-min-gain", 0.05, "federation: minimum relative imbalance improvement to move a column")
@@ -104,7 +110,18 @@ func main() {
 		rec = obs.NewRecorder(0)
 		sink = rec
 	}
-	worldRect := dmknn.Rect{MinX: 0, MinY: 0, MaxX: *world, MaxY: *world}
+	opts := dmknn.ServerOptions{
+		World:          dmknn.Rect{MinX: 0, MinY: 0, MaxX: *world, MaxY: *world},
+		GridCols:       *gridN,
+		GridRows:       *gridN,
+		TickInterval:   *tick,
+		MaxObjectSpeed: *vobj,
+		MaxQuerySpeed:  *vqry,
+		Protocol:       proto,
+		Shards:         *shards,
+		Trace:          sink,
+		IdleReap:       *reap,
+	}
 
 	var (
 		srv      daemon
@@ -116,19 +133,11 @@ func main() {
 		peerList := strings.Split(*peers, ",")
 		clientList := strings.Split(*clientAddrs, ",")
 		fopts := dmknn.FederationOptions{
-			World:          worldRect,
-			GridCols:       *gridN,
-			GridRows:       *gridN,
-			TickInterval:   *tick,
-			MaxObjectSpeed: *vobj,
-			MaxQuerySpeed:  *vqry,
-			Protocol:       proto,
-			Node:           *node,
-			PeerAddrs:      peerList,
-			ClientAddrs:    clientList,
-			Heartbeat:      *heartbeat,
-			IdleReap:       *reap,
-			Trace:          sink,
+			ServerOptions: opts,
+			Node:          *node,
+			PeerAddrs:     peerList,
+			ClientAddrs:   clientList,
+			Heartbeat:     *heartbeat,
 		}
 		if *balanceOn {
 			fopts.BalanceInterval = *balanceInterval
@@ -144,17 +153,7 @@ func main() {
 		healthy = ns.Healthy
 		fedLabel = fmt.Sprintf(" node %d/%d (link %s)", *node, len(peerList), ns.PeerAddr())
 	} else {
-		s, err := dmknn.ListenAndServe(*addr, dmknn.ServerOptions{
-			World:          worldRect,
-			GridCols:       *gridN,
-			GridRows:       *gridN,
-			TickInterval:   *tick,
-			MaxObjectSpeed: *vobj,
-			MaxQuerySpeed:  *vqry,
-			Shards:         *shards,
-			Protocol:       proto,
-			Trace:          sink,
-		})
+		s, err := dmknn.ListenAndServe(*addr, opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dknnd: %v\n", err)
 			os.Exit(1)

@@ -48,26 +48,23 @@ type ServerOptions struct {
 	// time at a few dozen (DESIGN.md, "When the shards pay").
 	Shards int
 	// Trace, when set, receives the query server's structured protocol
-	// events (see internal/obs). The sink is invoked from the tick loop
-	// and the transport's receive goroutines, so it must be safe for
+	// events (see internal/obs), and a federation node's federation
+	// events, stamped with the node id. The sink is invoked from the tick
+	// loop and the transport's receive goroutines, so it must be safe for
 	// concurrent use; obs.Recorder is. Nil disables tracing: the hot
 	// paths then pay one branch per would-be event and nothing else.
 	Trace obs.Sink
+	// IdleReap, when > 0, evicts client connections with no inbound
+	// frame for this long. Off by default: objects with no monitors are
+	// legitimately silent indefinitely on TCP.
+	IdleReap time.Duration
 }
 
 func (o ServerOptions) withDefaults() (ServerOptions, error) {
 	if o.World == (Rect{}) {
 		return o, fmt.Errorf("dmknn: ServerOptions.World is required")
 	}
-	if o.GridCols == 0 {
-		o.GridCols = 64
-	}
-	if o.GridRows == 0 {
-		o.GridRows = 64
-	}
-	if o.TickInterval == 0 {
-		o.TickInterval = time.Second
-	}
+	defaultLayout(&o.GridCols, &o.GridRows, &o.TickInterval)
 	if o.MaxObjectSpeed == 0 {
 		o.MaxObjectSpeed = 30
 	}
@@ -75,6 +72,32 @@ func (o ServerOptions) withDefaults() (ServerOptions, error) {
 		o.MaxQuerySpeed = 30
 	}
 	return o, nil
+}
+
+// defaultLayout fills the defaults servers and clients share: a 64×64
+// grid and a 1s tick.
+func defaultLayout(cols, rows *int, tick *time.Duration) {
+	if *cols == 0 {
+		*cols = 64
+	}
+	if *rows == 0 {
+		*rows = 64
+	}
+	if *tick == 0 {
+		*tick = time.Second
+	}
+}
+
+// latencyTicks is the delivery bound, in ticks, that a deployment of nodes
+// servers and its clients assume. Over a real network a probe reply needs
+// a round trip, one tick each way, so Finalize does not conclude a probe
+// before the replies can possibly have arrived; in a federation a
+// cross-boundary probe also pays a link hop each way, one tick more.
+func latencyTicks(nodes int) int {
+	if nodes > 1 {
+		return 2
+	}
+	return 1
 }
 
 // wallClock converts the wall time to the shared tick number.
@@ -117,11 +140,8 @@ func ListenAndServe(addr string, opts ServerOptions) (*Server, error) {
 		DT:             opts.TickInterval.Seconds(),
 		MaxObjectSpeed: opts.MaxObjectSpeed,
 		MaxQuerySpeed:  opts.MaxQuerySpeed,
-		// Over a real network, probe replies need a round trip: budget
-		// one tick each way so Finalize does not conclude a probe before
-		// the replies can possibly have arrived.
-		LatencyTicks: 1,
-		Trace:        opts.Trace,
+		LatencyTicks:   latencyTicks(1),
+		Trace:          opts.Trace,
 	}
 	// A sharded server drains the inter-tick arrivals inside Tick, on the
 	// tick goroutine that owns the medium, and again in every Finalize, so
@@ -135,7 +155,7 @@ func ListenAndServe(addr string, opts ServerOptions) (*Server, error) {
 		s.tcp.Close()
 		return nil, err
 	}
-	s.serve(opts.TickInterval)
+	s.serve(opts)
 	return s, nil
 }
 
@@ -146,7 +166,7 @@ type serving struct {
 	tcp  *nettcp.Server
 	core serverCore
 	// housekeep, when set, runs at the head of every tick: the endpoint's
-	// own upkeep (a federation node's idle-connection reaping).
+	// own upkeep (idle-connection reaping).
 	housekeep func()
 
 	last    model.Tick // the tick evaluated last; 0 before the first
@@ -158,12 +178,16 @@ type serving struct {
 }
 
 // serve attaches the engine to the endpoint and starts the accept loop and
-// the evaluation loop.
-func (s *serving) serve(interval time.Duration) {
+// the evaluation loop, which reaps idle connections ahead of every tick
+// when opts.IdleReap is set.
+func (s *serving) serve(opts ServerOptions) {
+	if opts.IdleReap > 0 {
+		s.housekeep = func() { s.tcp.ReapIdle(opts.IdleReap) }
+	}
 	s.tcp.AttachHandler(s.core)
-	s.ticker = time.NewTicker(interval)
+	s.ticker = time.NewTicker(opts.TickInterval)
 	s.done = make(chan struct{})
-	now := wallClock(interval)
+	now := wallClock(opts.TickInterval)
 	s.wg.Add(2)
 	go func() {
 		defer s.wg.Done()
@@ -275,47 +299,23 @@ func (s *serving) Stats() Stats {
 }
 
 // ClientOptions configures a deployed object or query client. The world,
-// tick interval, and protocol settings must match the server's.
+// grid, tick interval, and protocol settings must match the servers': a
+// client of a federation derives the strip partition from the world and
+// grid to dial the node owning its position.
 type ClientOptions struct {
-	World        Rect
-	TickInterval time.Duration
-	Protocol     Protocol
+	World Rect
+	// GridCols/GridRows define the broadcast cell layout (default 64×64).
+	GridCols, GridRows int
+	TickInterval       time.Duration
+	Protocol           Protocol
 }
 
 func (o ClientOptions) withDefaults() (ClientOptions, error) {
 	if o.World == (Rect{}) {
 		return o, fmt.Errorf("dmknn: ClientOptions.World is required")
 	}
-	if o.TickInterval == 0 {
-		o.TickInterval = time.Second
-	}
+	defaultLayout(&o.GridCols, &o.GridRows, &o.TickInterval)
 	return o, nil
-}
-
-// clientConn is the common surface of a single server's client socket and
-// a federation's re-dialing connection.
-type clientConn interface {
-	transport.ClientSide
-	Close() error
-}
-
-// clientDialer is how a deployed client reaches its serving side:
-// everything that differs between a single server and a federation.
-type clientDialer struct {
-	// dial connects and installs h as the receive handler.
-	dial func(h transport.ClientHandler) (clientConn, error)
-	// latency is the delivery bound, in ticks, the serving side assumes.
-	latency int
-}
-
-// dialer reaches a single server at addr.
-func dialer(addr string, id model.ObjectID) clientDialer {
-	return clientDialer{
-		dial: func(h transport.ClientHandler) (clientConn, error) {
-			return nettcp.Dial(addr, id, h)
-		},
-		latency: 1, // match the server's assumed delivery bound
-	}
 }
 
 // clientAgent is what the connection and the tick loop need of a
@@ -329,7 +329,7 @@ type clientAgent interface {
 // kind: the connection the agent sends through, and the goroutine that
 // ticks the agent.
 type client struct {
-	conn clientConn
+	conn *fedConn
 	// agent is set after the connection exists; the receive loop may
 	// deliver broadcasts before then, which are safely dropped (any
 	// missed install is re-broadcast within a horizon).
@@ -339,34 +339,49 @@ type client struct {
 	wg     sync.WaitGroup
 }
 
-// start connects through d, has build make the agent that sends through the
-// connection, and ticks it every interval until stop.
-func (c *client) start(id model.ObjectID, pos func() Point, interval time.Duration, d clientDialer,
-	build func(core.AgentDeps) (clientAgent, error)) error {
-	conn, err := d.dial(transport.ClientHandlerFunc(func(m protocol.Message) {
-		if a := c.agent.Load(); a != nil {
-			(*a).HandleServerMessage(m)
-		}
-	}))
+// start connects to the nodes at addrs, has build make the agent that
+// sends through the connection, and ticks it until stop. An object client
+// with more than one node to choose from follows its own position across
+// strip boundaries.
+func (c *client) start(addrs []string, id model.ObjectID, pos func() Point, opts ClientOptions, object bool,
+	build func(core.Config, core.AgentDeps) (clientAgent, error)) error {
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return err
+	}
+	at := func() geo.Point { return pos().internal() }
+	conn, err := newFedConn(addrs, id, at, opts, object && len(addrs) > 1,
+		transport.ClientHandlerFunc(func(m protocol.Message) {
+			if a := c.agent.Load(); a != nil {
+				(*a).HandleServerMessage(m)
+			}
+		}),
+		func() {
+			if a := c.agent.Load(); a != nil {
+				if q, ok := (*a).(*core.QueryAgent); ok {
+					q.Reattach()
+				}
+			}
+		})
 	if err != nil {
 		return err
 	}
 	c.conn = conn
-	now := wallClock(interval)
-	agent, err := build(core.AgentDeps{
+	now := wallClock(opts.TickInterval)
+	agent, err := build(opts.Protocol.internal().WithWorldDefault(opts.World.internal()), core.AgentDeps{
 		ID:           id,
 		Side:         conn,
 		Now:          now,
-		Pos:          func() geo.Point { return pos().internal() },
-		DT:           interval.Seconds(),
-		LatencyTicks: d.latency,
+		Pos:          at,
+		DT:           opts.TickInterval.Seconds(),
+		LatencyTicks: latencyTicks(len(addrs)),
 	})
 	if err != nil {
 		conn.Close()
 		return err
 	}
 	c.agent.Store(&agent)
-	c.ticker = time.NewTicker(interval)
+	c.ticker = time.NewTicker(opts.TickInterval)
 	c.done = make(chan struct{})
 	c.wg.Add(1)
 	go func() {
@@ -397,20 +412,16 @@ func (c *client) stop() error {
 // reading its own position from the supplied callback.
 type ObjectClient struct{ c client }
 
-// DialObject connects object id to the server at addr. pos is the
-// client's position sensor; it is called from the agent's tick loop.
-func DialObject(addr string, id ObjectID, pos func() Point, opts ClientOptions) (*ObjectClient, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	cfg := opts.Protocol.internal().WithWorldDefault(opts.World.internal())
-	return startObject(model.ObjectID(id), pos, cfg, opts.TickInterval, dialer(addr, model.ObjectID(id)))
-}
-
-func startObject(id model.ObjectID, pos func() Point, cfg core.Config, interval time.Duration, d clientDialer) (*ObjectClient, error) {
+// DialObject connects object id to a deployed server: addrs lists every
+// node's client address in node-id order, one address for ListenAndServe.
+// With more than one node the client attaches to the node owning its
+// position and follows it across strip boundaries. pos is the client's
+// position sensor. With one node it is called only from the agent's tick
+// loop; with more, also from the connection's supervisor, so it must then
+// be safe for concurrent use.
+func DialObject(addrs []string, id ObjectID, pos func() Point, opts ClientOptions) (*ObjectClient, error) {
 	oc := &ObjectClient{}
-	err := oc.c.start(id, pos, interval, d, func(deps core.AgentDeps) (clientAgent, error) {
+	err := oc.c.start(addrs, model.ObjectID(id), pos, opts, true, func(cfg core.Config, deps core.AgentDeps) (clientAgent, error) {
 		return core.NewObjectAgent(cfg, deps)
 	})
 	if err != nil {
@@ -431,35 +442,27 @@ type QueryClient struct {
 }
 
 // DialQuery connects a focal client, registers a k-NN query, and invokes
-// onAnswer (may be nil) for every answer change. clientID must be unique
-// among all connected clients (objects and queries share the id space);
-// pos and vel are the focal device's sensors.
-func DialQuery(addr string, clientID ObjectID, query QueryID, k int,
+// onAnswer (may be nil) for every answer change. addrs is as in
+// DialObject. The query registers at the node owning the focal position;
+// when its monitor migrates across a strip boundary, the new home
+// redirects this client. After a lost connection the client redials and
+// registers the query again. clientID must be unique among all connected
+// clients (objects and queries share the id space); pos and vel are the
+// focal device's sensors.
+func DialQuery(addrs []string, clientID ObjectID, query QueryID, k int,
 	pos func() Point, vel func() Vector, onAnswer func(Answer),
 	opts ClientOptions) (*QueryClient, error) {
-	return dialQuerySpec(addr, clientID,
+	return dialQuery(addrs, clientID,
 		model.QuerySpec{ID: model.QueryID(query), K: k},
 		pos, vel, onAnswer, opts)
 }
 
-func dialQuerySpec(addr string, clientID ObjectID, spec model.QuerySpec,
+// dialQuery's agent registers spec at the focal position pos reports.
+func dialQuery(addrs []string, clientID ObjectID, spec model.QuerySpec,
 	pos func() Point, vel func() Vector, onAnswer func(Answer),
 	opts ClientOptions) (*QueryClient, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	cfg := opts.Protocol.internal().WithWorldDefault(opts.World.internal())
-	return startQuery(model.ObjectID(clientID), spec, pos, vel, onAnswer,
-		cfg, opts.TickInterval, dialer(addr, model.ObjectID(clientID)))
-}
-
-// startQuery's agent registers spec at the focal position pos reports.
-func startQuery(id model.ObjectID, spec model.QuerySpec,
-	pos func() Point, vel func() Vector, onAnswer func(Answer),
-	cfg core.Config, interval time.Duration, d clientDialer) (*QueryClient, error) {
 	qc := &QueryClient{}
-	err := qc.c.start(id, pos, interval, d, func(deps core.AgentDeps) (clientAgent, error) {
+	err := qc.c.start(addrs, model.ObjectID(clientID), pos, opts, false, func(cfg core.Config, deps core.AgentDeps) (clientAgent, error) {
 		agent, err := core.NewQueryAgent(cfg, spec, core.QueryAgentDeps{
 			AgentDeps: deps,
 			Vel:       func() geo.Vector { return vel().internal() },
@@ -482,13 +485,13 @@ func startQuery(id model.ObjectID, spec model.QuerySpec,
 // DialRange connects a focal client and registers a continuous
 // range-monitoring query: the answer is every object within radius meters
 // of the moving focal point. Other parameters are as in DialQuery.
-func DialRange(addr string, clientID ObjectID, query QueryID, radius float64,
+func DialRange(addrs []string, clientID ObjectID, query QueryID, radius float64,
 	pos func() Point, vel func() Vector, onAnswer func(Answer),
 	opts ClientOptions) (*QueryClient, error) {
 	if radius <= 0 {
 		return nil, fmt.Errorf("dmknn: non-positive range %v", radius)
 	}
-	return dialQuerySpec(addr, clientID,
+	return dialQuery(addrs, clientID,
 		model.QuerySpec{ID: model.QueryID(query), Range: radius},
 		pos, vel, onAnswer, opts)
 }

@@ -100,9 +100,6 @@ type Protocol struct {
 	// ThetaInside is the in-boundary movement threshold in meters; 0
 	// (default) keeps answers exact under an ideal network.
 	ThetaInside float64
-	// QueryDeviation is the focal client's track-correction threshold in
-	// meters (default 0: correct on every velocity change).
-	QueryDeviation float64
 	// AnswerSlack is the buffer size m: the server monitors k+m objects
 	// per query (default 10).
 	AnswerSlack int

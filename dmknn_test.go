@@ -140,7 +140,7 @@ func TestDeploymentEndToEnd(t *testing.T) {
 	}
 	for id := ObjectID(1); id <= 3; id++ {
 		id := id
-		oc, err := DialObject(srv.Addr(), id, func() Point {
+		oc, err := DialObject([]string{srv.Addr()}, id, func() Point {
 			mu.Lock()
 			defer mu.Unlock()
 			return positions[id]
@@ -152,7 +152,7 @@ func TestDeploymentEndToEnd(t *testing.T) {
 	}
 
 	answers := make(chan Answer, 64)
-	qc, err := DialQuery(srv.Addr(), 100, 1, 2,
+	qc, err := DialQuery([]string{srv.Addr()}, 100, 1, 2,
 		func() Point { return Point{500, 500} },
 		func() Vector { return Vector{} },
 		func(a Answer) {
@@ -208,8 +208,8 @@ func TestDeploymentEndToEnd(t *testing.T) {
 	}
 }
 
-// Every row is rejected by its options' withDefaults, before a socket is
-// opened; the expected error text pins which check rejected it.
+// Every row is rejected before a socket is opened; the expected error
+// text pins which check rejected it.
 func TestServerOptionsValidation(t *testing.T) {
 	world := Rect{0, 0, 1, 1}
 	peers := []string{"127.0.0.1:1", "127.0.0.1:2"}
@@ -218,6 +218,7 @@ func TestServerOptionsValidation(t *testing.T) {
 		_, err := ListenAndServeNode(o)
 		return err
 	}
+	in := ServerOptions{World: world}
 	for _, tc := range []struct {
 		name string
 		run  func() error
@@ -228,28 +229,31 @@ func TestServerOptionsValidation(t *testing.T) {
 			return err
 		}, "ServerOptions.World is required"},
 		{"client without world", func() error {
-			_, err := DialObject("127.0.0.1:1", 1, origin, ClientOptions{})
+			_, err := DialObject([]string{"127.0.0.1:1"}, 1, origin, ClientOptions{})
 			return err
 		}, "ClientOptions.World is required"},
+		{"client without an address", func() error {
+			_, err := DialObject(nil, 1, origin, ClientOptions{World: world})
+			return err
+		}, "no server address"},
 		{"node without world", func() error {
 			return node(FederationOptions{PeerAddrs: peers, ClientAddrs: peers})
-		}, "FederationOptions.World is required"},
+		}, "ServerOptions.World is required"},
 		{"node without peers", func() error {
-			return node(FederationOptions{World: world})
+			return node(FederationOptions{ServerOptions: in})
 		}, "FederationOptions.PeerAddrs is required"},
 		{"node with too few client addresses", func() error {
-			return node(FederationOptions{World: world, PeerAddrs: peers, ClientAddrs: peers[:1]})
+			return node(FederationOptions{ServerOptions: in, PeerAddrs: peers, ClientAddrs: peers[:1]})
 		}, "1 client addresses for 2 nodes"},
 		{"node id below range", func() error {
-			return node(FederationOptions{World: world, Node: -1, PeerAddrs: peers, ClientAddrs: peers})
+			return node(FederationOptions{ServerOptions: in, Node: -1, PeerAddrs: peers, ClientAddrs: peers})
 		}, "node -1 outside [0,2)"},
 		{"node id above range", func() error {
-			return node(FederationOptions{World: world, Node: 2, PeerAddrs: peers, ClientAddrs: peers})
+			return node(FederationOptions{ServerOptions: in, Node: 2, PeerAddrs: peers, ClientAddrs: peers})
 		}, "node 2 outside [0,2)"},
-		{"cluster client without world", func() error {
-			_, err := DialObjectCluster(peers, 1, origin, FederationClientOptions{})
-			return err
-		}, "FederationClientOptions.World is required"},
+		{"sharded node", func() error {
+			return node(FederationOptions{ServerOptions: ServerOptions{World: world, Shards: 2}, PeerAddrs: peers, ClientAddrs: peers})
+		}, "not 2 shards"},
 	} {
 		err := tc.run()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -289,14 +293,14 @@ func TestDeploymentRangeQuery(t *testing.T) {
 	// Two objects inside the 100 m radius, one outside.
 	for id, p := range map[ObjectID]Point{1: {520, 500}, 2: {500, 540}, 3: {800, 800}} {
 		p := p
-		oc, err := DialObject(srv.Addr(), id, func() Point { return p }, copts)
+		oc, err := DialObject([]string{srv.Addr()}, id, func() Point { return p }, copts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer oc.Close()
 	}
 	got := make(chan Answer, 16)
-	qc, err := DialRange(srv.Addr(), 100, 1, 100,
+	qc, err := DialRange([]string{srv.Addr()}, 100, 1, 100,
 		func() Point { return Point{500, 500} },
 		func() Vector { return Vector{} },
 		func(a Answer) {
@@ -331,7 +335,7 @@ func TestDeploymentRangeQuery(t *testing.T) {
 }
 
 func TestDialRangeValidation(t *testing.T) {
-	if _, err := DialRange("127.0.0.1:1", 1, 1, 0, nil, nil, nil,
+	if _, err := DialRange([]string{"127.0.0.1:1"}, 1, 1, 0, nil, nil, nil,
 		ClientOptions{World: Rect{0, 0, 1, 1}}); err == nil {
 		t.Fatal("zero radius accepted")
 	}
@@ -345,7 +349,7 @@ func TestServerStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	oc, err := DialObject(srv.Addr(), 1, func() Point { return Point{1, 1} },
+	oc, err := DialObject([]string{srv.Addr()}, 1, func() Point { return Point{1, 1} },
 		ClientOptions{World: world, TickInterval: tick})
 	if err != nil {
 		t.Fatal(err)
@@ -422,13 +426,13 @@ func TestDeploymentTraceRecorder(t *testing.T) {
 	defer srv.Close()
 
 	copts := ClientOptions{World: world, TickInterval: tick, Protocol: proto}
-	oc, err := DialObject(srv.Addr(), 1, func() Point { return Point{500, 520} }, copts)
+	oc, err := DialObject([]string{srv.Addr()}, 1, func() Point { return Point{500, 520} }, copts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer oc.Close()
 	answers := make(chan Answer, 16)
-	qc, err := DialQuery(srv.Addr(), 100, 1, 1,
+	qc, err := DialQuery([]string{srv.Addr()}, 100, 1, 1,
 		func() Point { return Point{500, 500} },
 		func() Vector { return Vector{} },
 		func(a Answer) {
@@ -490,14 +494,14 @@ func TestDeploymentChurn(t *testing.T) {
 	// A stable core population near the query.
 	for id := ObjectID(1); id <= 6; id++ {
 		p := Point{480 + float64(id)*8, 500}
-		oc, err := DialObject(srv.Addr(), id, func() Point { return p }, copts)
+		oc, err := DialObject([]string{srv.Addr()}, id, func() Point { return p }, copts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer oc.Close()
 	}
 	updates := make(chan Answer, 256)
-	qc, err := DialQuery(srv.Addr(), 1000, 1, 3,
+	qc, err := DialQuery([]string{srv.Addr()}, 1000, 1, 3,
 		func() Point { return Point{500, 500} },
 		func() Vector { return Vector{} },
 		func(a Answer) {
@@ -517,7 +521,7 @@ func TestDeploymentChurn(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		id := ObjectID(100 + i)
 		p := Point{495, 495}
-		oc, err := DialObject(srv.Addr(), id, func() Point { return p }, copts)
+		oc, err := DialObject([]string{srv.Addr()}, id, func() Point { return p }, copts)
 		if err != nil {
 			t.Fatalf("churn dial %d: %v", i, err)
 		}
@@ -580,13 +584,13 @@ func TestDeploymentSharded(t *testing.T) {
 			copts := ClientOptions{World: world, TickInterval: tick, Protocol: proto}
 			for id, p := range map[ObjectID]Point{1: {510, 500}, 2: {530, 500}} {
 				p := p
-				oc, err := DialObject(srv.Addr(), id, func() Point { return p }, copts)
+				oc, err := DialObject([]string{srv.Addr()}, id, func() Point { return p }, copts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer oc.Close()
 			}
-			qc, err := DialQuery(srv.Addr(), 100, 7, 2,
+			qc, err := DialQuery([]string{srv.Addr()}, 100, 7, 2,
 				func() Point { return Point{500, 500} },
 				func() Vector { return Vector{} }, nil, copts)
 			if err != nil {
@@ -628,13 +632,13 @@ func TestDeploymentShardedStatsWhileTicking(t *testing.T) {
 	defer srv.Close()
 	copts := ClientOptions{World: world, TickInterval: tick, Protocol: proto}
 	for id, p := range map[ObjectID]Point{1: {510, 500}, 2: {530, 500}, 3: {560, 500}} {
-		oc, err := DialObject(srv.Addr(), id, func() Point { return p }, copts)
+		oc, err := DialObject([]string{srv.Addr()}, id, func() Point { return p }, copts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer oc.Close()
 	}
-	qc, err := DialQuery(srv.Addr(), 100, 7, 2,
+	qc, err := DialQuery([]string{srv.Addr()}, 100, 7, 2,
 		func() Point { return Point{500, 500} },
 		func() Vector { return Vector{} }, nil, copts)
 	if err != nil {
@@ -647,6 +651,70 @@ func TestDeploymentShardedStatsWhileTicking(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Queries != 1 || st.BroadcastMsgs == 0 || st.BusyTime <= 0 {
 		t.Fatalf("stats after 0.5 s of ticks: %+v", st)
+	}
+}
+
+// A standalone server restarts on the same address: its clients redial by
+// themselves, the focal client registers its query again, and its answer
+// is complete again, computed after the restart.
+func TestDeploymentRedialsAfterRestart(t *testing.T) {
+	world := Rect{0, 0, 1000, 1000}
+	tick := 20 * time.Millisecond
+	proto := Protocol{HorizonTicks: 8, MinProbeRadius: 100}
+	opts := ServerOptions{
+		World: world, GridCols: 10, GridRows: 10, TickInterval: tick,
+		MaxObjectSpeed: 10, MaxQuerySpeed: 10, Protocol: proto,
+	}
+	srv, err := ListenAndServe("127.0.0.1:0", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := []string{srv.Addr()}
+	copts := ClientOptions{World: world, GridCols: 10, GridRows: 10, TickInterval: tick, Protocol: proto}
+	for id, p := range map[ObjectID]Point{1: {510, 500}, 2: {530, 500}, 3: {800, 800}} {
+		oc, err := DialObject(addrs, id, func() Point { return p }, copts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer oc.Close()
+	}
+	qc, err := DialQuery(addrs, 100, 7, 2,
+		func() Point { return Point{500, 500} },
+		func() Vector { return Vector{} }, nil, copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qc.Close()
+	// complete waits for the answer {1, 2} computed after tick since.
+	complete := func(phase string, since int64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			a := qc.Answer()
+			if a.Tick > since && len(a.Neighbors) == 2 && a.Neighbors[0].ID == 1 && a.Neighbors[1].ID == 2 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: answer %v", phase, a)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	complete("before the restart", 0)
+
+	srv.Close()
+	down := time.Now().UnixNano() / int64(tick)
+	srv, err = ListenAndServe(addrs[0], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	complete("after the restart", down)
+	if n := srv.QueryCount(); n != 1 {
+		t.Errorf("restarted server holds %d queries", n)
+	}
+	if n := srv.ClientCount(); n != 4 {
+		t.Errorf("%d clients reattached, want 4", n)
 	}
 }
 

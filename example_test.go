@@ -62,7 +62,7 @@ func ExampleListenAndServe() {
 	defer srv.Close()
 
 	opts := dmknn.ClientOptions{World: world, TickInterval: tick}
-	obj, err := dmknn.DialObject(srv.Addr(), 1,
+	obj, err := dmknn.DialObject([]string{srv.Addr()}, 1,
 		func() dmknn.Point { return dmknn.Point{X: 510, Y: 500} }, opts)
 	if err != nil {
 		panic(err)
@@ -70,7 +70,7 @@ func ExampleListenAndServe() {
 	defer obj.Close()
 
 	got := make(chan dmknn.Answer, 1)
-	qc, err := dmknn.DialQuery(srv.Addr(), 100, 1, 1,
+	qc, err := dmknn.DialQuery([]string{srv.Addr()}, 100, 1, 1,
 		func() dmknn.Point { return dmknn.Point{X: 500, Y: 500} },
 		func() dmknn.Vector { return dmknn.Vector{} },
 		func(a dmknn.Answer) {

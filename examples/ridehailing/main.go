@@ -94,7 +94,7 @@ func main() {
 			phase:  float64(i),
 		}
 		movers = append(movers, m)
-		oc, err := dmknn.DialObject(srv.Addr(), dmknn.ObjectID(i+1), m.pos, copts)
+		oc, err := dmknn.DialObject([]string{srv.Addr()}, dmknn.ObjectID(i+1), m.pos, copts)
 		if err != nil {
 			log.Fatalf("driver %d: %v", i+1, err)
 		}
@@ -111,7 +111,7 @@ func main() {
 		}
 		movers = append(movers, m)
 		rid := r + 1
-		qc, err := dmknn.DialQuery(srv.Addr(), dmknn.ObjectID(1000+r), dmknn.QueryID(rid),
+		qc, err := dmknn.DialQuery([]string{srv.Addr()}, dmknn.ObjectID(1000+r), dmknn.QueryID(rid),
 			kDrivers, m.pos, m.vel,
 			func(a dmknn.Answer) {
 				fmt.Printf("rider %d: nearest drivers now %v\n", rid, a.Neighbors)

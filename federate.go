@@ -2,11 +2,11 @@ package dmknn
 
 // This file is the multi-process federation surface: one ListenAndServeNode
 // per process runs one node of a dknnd cluster (a cluster.Member over a
-// nettcp radio and a cluster.TCPLink), and DialObjectCluster/
-// DialQueryCluster connect clients that follow their position across
-// strip boundaries — redialing the owning node on their own initiative
-// (objects track the static partition) or on a NodeRedirect from a
-// server (queries follow their migrating monitor).
+// nettcp radio and a cluster.TCPLink), and fedConn is every deployed
+// client's connection, to a standalone server or to a federation, whose
+// clients follow their position across strip boundaries — redialing the
+// owning node on their own initiative (objects track the partition) or on
+// a NodeRedirect from a server (queries follow their migrating monitor).
 
 import (
 	"fmt"
@@ -19,25 +19,19 @@ import (
 	"dmknn/internal/grid"
 	"dmknn/internal/model"
 	"dmknn/internal/nettcp"
-	"dmknn/internal/obs"
 	"dmknn/internal/protocol"
 	"dmknn/internal/transport"
 )
 
 // FederationOptions configures one node of a multi-process federation.
-// World, grid, tick, speed, and protocol settings must be identical on
-// every node (they define the shared partition), and the address slices
-// must list every node in id order.
+// The embedded ServerOptions must be identical on every node (the world
+// and grid define the shared partition), apart from Trace and IdleReap,
+// and the address slices must list every node in id order.
 type FederationOptions struct {
-	// World, grid, tick, speeds, and protocol settings as in
-	// ServerOptions (same defaults).
-	World          Rect
-	GridCols       int
-	GridRows       int
-	TickInterval   time.Duration
-	MaxObjectSpeed float64
-	MaxQuerySpeed  float64
-	Protocol       Protocol
+	// ServerOptions holds the settings a node shares with a standalone
+	// server, with the same defaults. Shards must stay 0 or 1: a node
+	// runs one engine.
+	ServerOptions
 
 	// Node is this process's node id in [0, len(PeerAddrs)).
 	Node int
@@ -63,19 +57,15 @@ type FederationOptions struct {
 	// BalanceMinGain is the minimum relative load reduction a column move
 	// must promise (default 0.05); only meaningful with BalanceInterval.
 	BalanceMinGain float64
-	// IdleReap, when > 0, evicts client connections with no inbound
-	// frame for this long. Off by default: objects with no monitors are
-	// legitimately silent indefinitely on TCP.
-	IdleReap time.Duration
-	// Trace, when set, receives the node's protocol and federation
-	// events (stamped with the node id). Must be safe for concurrent
-	// use; obs.Recorder is.
-	Trace obs.Sink
 }
 
 func (o FederationOptions) withDefaults() (FederationOptions, error) {
-	if o.World == (Rect{}) {
-		return o, fmt.Errorf("dmknn: FederationOptions.World is required")
+	var err error
+	if o.ServerOptions, err = o.ServerOptions.withDefaults(); err != nil {
+		return o, err
+	}
+	if o.Shards > 1 {
+		return o, fmt.Errorf("dmknn: a federation node runs one engine, not %d shards", o.Shards)
 	}
 	if len(o.PeerAddrs) < 1 {
 		return o, fmt.Errorf("dmknn: FederationOptions.PeerAddrs is required")
@@ -85,21 +75,6 @@ func (o FederationOptions) withDefaults() (FederationOptions, error) {
 	}
 	if o.Node < 0 || o.Node >= len(o.PeerAddrs) {
 		return o, fmt.Errorf("dmknn: node %d outside [0,%d)", o.Node, len(o.PeerAddrs))
-	}
-	if o.GridCols == 0 {
-		o.GridCols = 64
-	}
-	if o.GridRows == 0 {
-		o.GridRows = 64
-	}
-	if o.TickInterval == 0 {
-		o.TickInterval = time.Second
-	}
-	if o.MaxObjectSpeed == 0 {
-		o.MaxObjectSpeed = 30
-	}
-	if o.MaxQuerySpeed == 0 {
-		o.MaxQuerySpeed = 30
 	}
 	return o, nil
 }
@@ -150,10 +125,8 @@ func ListenAndServeNode(opts FederationOptions) (*NodeServer, error) {
 		DT:             opts.TickInterval.Seconds(),
 		MaxObjectSpeed: opts.MaxObjectSpeed,
 		MaxQuerySpeed:  opts.MaxQuerySpeed,
-		// A cross-boundary probe pays the radio round trip plus a link
-		// hop each way: budget one extra tick over the single-node bound.
-		LatencyTicks: 2,
-		Trace:        opts.Trace,
+		LatencyTicks:   latencyTicks(len(opts.PeerAddrs)),
+		Trace:          opts.Trace,
 	})
 	if err != nil {
 		link.Close()
@@ -172,10 +145,7 @@ func ListenAndServeNode(opts FederationOptions) (*NodeServer, error) {
 		link:    link,
 		member:  member,
 	}
-	if opts.IdleReap > 0 {
-		s.housekeep = func() { tcp.ReapIdle(opts.IdleReap) }
-	}
-	s.serve(opts.TickInterval)
+	s.serve(opts.ServerOptions)
 	return s, nil
 }
 
@@ -266,41 +236,14 @@ func (s *NodeServer) Close() error {
 }
 
 // ---------------------------------------------------------------------------
-// Federation clients
+// Client connection
 
-// FederationClientOptions configures a client of a multi-process
-// federation. World, grid, tick, and protocol settings must match the
-// servers' — clients derive the strip partition from them to dial the
-// node owning their position, the TCP stand-in for positional radio.
-type FederationClientOptions struct {
-	World        Rect
-	GridCols     int
-	GridRows     int
-	TickInterval time.Duration
-	Protocol     Protocol
-}
-
-func (o FederationClientOptions) withDefaults() (FederationClientOptions, error) {
-	if o.World == (Rect{}) {
-		return o, fmt.Errorf("dmknn: FederationClientOptions.World is required")
-	}
-	if o.GridCols == 0 {
-		o.GridCols = 64
-	}
-	if o.GridRows == 0 {
-		o.GridRows = 64
-	}
-	if o.TickInterval == 0 {
-		o.TickInterval = time.Second
-	}
-	return o, nil
-}
-
-// fedConn is a client connection to a federation: a transport.ClientSide
-// facade over whichever node currently owns the client's position. It
-// re-dials on NodeRedirect downlinks, on connection death (with retries
-// at tick cadence, surviving a node restart), and — for objects, which
-// may be legitimately silent — on its own observation that the position
+// fedConn is a deployed client's connection: a transport.ClientSide
+// facade over whichever node currently owns the client's position, the
+// only node when the server is a standalone one. It re-dials on connection
+// death (with retries at tick cadence, surviving a server or node restart),
+// on NodeRedirect downlinks, and — for objects of a federation, which may
+// be legitimately silent — on its own observation that the position
 // crossed a strip boundary, flushing a final LocationReport on the old
 // connection first so the old node hands the state off before the
 // disconnect.
@@ -319,6 +262,9 @@ type fedConn struct {
 	interval time.Duration
 	track    bool // self-initiated boundary migration (objects)
 	handler  transport.ClientHandler
+	// redialed runs after a dead connection was replaced: the serving
+	// side purged the client's state with it, or lost it in a restart.
+	redialed func()
 
 	mu      sync.Mutex
 	part    cluster.Partition
@@ -332,7 +278,10 @@ type fedConn struct {
 }
 
 func newFedConn(addrs []string, id model.ObjectID, pos func() geo.Point,
-	opts FederationClientOptions, track bool, h transport.ClientHandler) (*fedConn, error) {
+	opts ClientOptions, track bool, h transport.ClientHandler, redialed func()) (*fedConn, error) {
+	if len(addrs) == 0 {
+		return nil, fmt.Errorf("dmknn: no server address")
+	}
 	geom := grid.NewGeometry(opts.World.internal(), opts.GridCols, opts.GridRows)
 	part, err := cluster.NewPartition(geom, len(addrs))
 	if err != nil {
@@ -348,13 +297,14 @@ func newFedConn(addrs []string, id model.ObjectID, pos func() geo.Point,
 		interval: opts.TickInterval,
 		track:    track,
 		handler:  h,
+		redialed: redialed,
 		curNode:  -1,
 		kick:     make(chan int, 4),
 		done:     make(chan struct{}),
 	}
 	// Dial the owner of the starting position; fall back to any node
 	// (attachment heals through redirects once traffic flows).
-	owner := part.NodeOf(pos())
+	owner := f.owner()
 	order := []int{owner}
 	for i := range addrs {
 		if i != owner {
@@ -373,7 +323,7 @@ func newFedConn(addrs []string, id model.ObjectID, pos func() geo.Point,
 		}
 	}
 	if f.cur == nil {
-		return nil, fmt.Errorf("dmknn: no federation node reachable: %w", firstErr)
+		return nil, fmt.Errorf("dmknn: no server node reachable: %w", firstErr)
 	}
 	f.wg.Add(1)
 	go f.supervise()
@@ -414,8 +364,14 @@ func (f *fedConn) applyPartitionUpdate(u protocol.PartitionUpdate) {
 	}
 }
 
-// owner returns the node owning p under the current map.
-func (f *fedConn) owner(p geo.Point) int {
+// owner returns the node owning the client's position under the current
+// map. With one node that is node 0, and the position sensor is not read:
+// a standalone client's sensor is read only from its tick loop.
+func (f *fedConn) owner() int {
+	if len(f.addrs) == 1 {
+		return 0
+	}
+	p := f.pos()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.part.NodeOf(p)
@@ -456,7 +412,7 @@ func (f *fedConn) supervise() {
 				continue
 			}
 			if f.track {
-				if owner := f.owner(f.pos()); owner != curNode {
+				if owner := f.owner(); owner != curNode {
 					f.migrate(owner, true)
 				}
 			}
@@ -488,19 +444,22 @@ func (f *fedConn) migrate(to int, flush bool) {
 	}
 	f.cur, f.curNode = cl, to
 	f.mu.Unlock()
-	if old != nil {
-		old.Close()
+	if old == nil {
+		// Detached since a connection died: this attachment is the redial.
+		f.redialed()
+		return
 	}
+	old.Close()
 }
 
-// redial re-attaches after a dead connection (node crash or restart):
-// aim at the position's owner and keep trying at tick cadence.
+// redial re-attaches after a dead connection (server or node crash or
+// restart): aim at the position's owner and keep trying at tick cadence.
 func (f *fedConn) redial() {
-	owner := f.owner(f.pos())
+	owner := f.owner()
 	cl, err := nettcp.Dial(f.addrs[owner], f.id, transport.ClientHandlerFunc(f.dispatch))
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.closed {
+		f.mu.Unlock()
 		if err == nil {
 			cl.Close()
 		}
@@ -510,10 +469,13 @@ func (f *fedConn) redial() {
 		f.cur = nil
 		go old.Close() // fully dead already; Close only reaps the loop
 	}
-	if err != nil {
-		return // supervise retries on the next tick
+	if err == nil {
+		f.cur, f.curNode = cl, owner
 	}
-	f.cur, f.curNode = cl, owner
+	f.mu.Unlock()
+	if err == nil {
+		f.redialed()
+	}
 }
 
 // Uplink implements transport.ClientSide. During a re-attachment gap the
@@ -546,50 +508,4 @@ func (f *fedConn) Close() error {
 	}
 	f.wg.Wait()
 	return err
-}
-
-var _ clientConn = (*fedConn)(nil)
-
-// dialer reaches a federation whose nodes' client addresses are addrs;
-// track is as in fedConn.
-func (o FederationClientOptions) dialer(addrs []string, id model.ObjectID, pos func() Point, track bool) clientDialer {
-	return clientDialer{
-		dial: func(h transport.ClientHandler) (clientConn, error) {
-			return newFedConn(addrs, id, func() geo.Point { return pos().internal() }, o, track, h)
-		},
-		latency: 2, // match the federation's delivery bound
-	}
-}
-
-// DialObjectCluster connects object id to a multi-process federation:
-// addrs lists every node's client address in node-id order. The client
-// attaches to the node owning its position and follows it across strip
-// boundaries. pos is the client's position sensor.
-func DialObjectCluster(addrs []string, id ObjectID, pos func() Point, opts FederationClientOptions) (*ObjectClient, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	cfg := opts.Protocol.internal().WithWorldDefault(opts.World.internal())
-	return startObject(model.ObjectID(id), pos, cfg, opts.TickInterval,
-		opts.dialer(addrs, model.ObjectID(id), pos, true))
-}
-
-// DialQueryCluster connects a focal client to a multi-process federation
-// and registers a k-NN query. The query registers at the node owning the
-// focal position; when the monitor migrates across a strip boundary, the
-// new home redirects this client transparently. Parameters are as in
-// DialQuery, with addrs listing every node's client address in node-id
-// order.
-func DialQueryCluster(addrs []string, clientID ObjectID, query QueryID, k int,
-	pos func() Point, vel func() Vector, onAnswer func(Answer),
-	opts FederationClientOptions) (*QueryClient, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	cfg := opts.Protocol.internal().WithWorldDefault(opts.World.internal())
-	return startQuery(model.ObjectID(clientID), model.QuerySpec{ID: model.QueryID(query), K: k},
-		pos, vel, onAnswer, cfg, opts.TickInterval,
-		opts.dialer(addrs, model.ObjectID(clientID), pos, false))
 }

@@ -74,7 +74,7 @@ func TestFederationBalanceChaos(t *testing.T) {
 		12: {X: 250, Y: 520}, // column 2, d≈102
 	}}
 
-	clientOpts := dmknn.FederationClientOptions{
+	clientOpts := dmknn.ClientOptions{
 		World:        fedWorld(),
 		GridCols:     fedGrid,
 		GridRows:     fedGrid,
@@ -83,7 +83,7 @@ func TestFederationBalanceChaos(t *testing.T) {
 	}
 	for id := dmknn.ObjectID(1); id <= 12; id++ {
 		id := id
-		oc, err := dmknn.DialObjectCluster(clients, id,
+		oc, err := dmknn.DialObject(clients, id,
 			func() dmknn.Point { return positions.get(id) }, clientOpts)
 		if err != nil {
 			t.Fatalf("object %d: %v", id, err)
@@ -91,7 +91,7 @@ func TestFederationBalanceChaos(t *testing.T) {
 		t.Cleanup(func() { oc.Close() })
 	}
 	const k = 5
-	qc, err := dmknn.DialQueryCluster(clients, 100, 1, k,
+	qc, err := dmknn.DialQuery(clients, 100, 1, k,
 		func() dmknn.Point { return focal },
 		func() dmknn.Vector { return dmknn.Vector{} },
 		nil, clientOpts)

@@ -59,16 +59,18 @@ func TestHelperFederationNode(t *testing.T) {
 		os.Exit(1)
 	}
 	opts := dmknn.FederationOptions{
-		World:          fedWorld(),
-		GridCols:       fedGrid,
-		GridRows:       fedGrid,
-		TickInterval:   fedTick,
-		MaxObjectSpeed: 10,
-		Protocol:       fedProtocol(),
-		Node:           node,
-		PeerAddrs:      strings.Split(os.Getenv(fedPeersEnv), ","),
-		ClientAddrs:    strings.Split(os.Getenv(fedClientsEnv), ","),
-		Heartbeat:      100 * time.Millisecond,
+		ServerOptions: dmknn.ServerOptions{
+			World:          fedWorld(),
+			GridCols:       fedGrid,
+			GridRows:       fedGrid,
+			TickInterval:   fedTick,
+			MaxObjectSpeed: 10,
+			Protocol:       fedProtocol(),
+		},
+		Node:        node,
+		PeerAddrs:   strings.Split(os.Getenv(fedPeersEnv), ","),
+		ClientAddrs: strings.Split(os.Getenv(fedClientsEnv), ","),
+		Heartbeat:   100 * time.Millisecond,
 	}
 	if iv := os.Getenv(fedBalanceEnv); iv != "" {
 		n, err := strconv.Atoi(iv)
@@ -340,7 +342,7 @@ func TestFederationFourProcess(t *testing.T) {
 		8: {X: 750, Y: 950}, // strip 2, far
 	}}
 
-	clientOpts := dmknn.FederationClientOptions{
+	clientOpts := dmknn.ClientOptions{
 		World:        fedWorld(),
 		GridCols:     fedGrid,
 		GridRows:     fedGrid,
@@ -349,7 +351,7 @@ func TestFederationFourProcess(t *testing.T) {
 	}
 	for id := dmknn.ObjectID(1); id <= 8; id++ {
 		id := id
-		oc, err := dmknn.DialObjectCluster(clients, id,
+		oc, err := dmknn.DialObject(clients, id,
 			func() dmknn.Point { return positions.get(id) }, clientOpts)
 		if err != nil {
 			t.Fatalf("object %d: %v", id, err)
@@ -357,7 +359,7 @@ func TestFederationFourProcess(t *testing.T) {
 		t.Cleanup(func() { oc.Close() })
 	}
 	const k = 5
-	qc, err := dmknn.DialQueryCluster(clients, 100, 1, k,
+	qc, err := dmknn.DialQuery(clients, 100, 1, k,
 		func() dmknn.Point { return focal },
 		func() dmknn.Vector { return dmknn.Vector{} },
 		nil, clientOpts)
@@ -393,4 +395,79 @@ func TestFederationFourProcess(t *testing.T) {
 	// reattached clients to be live.
 	positions.set(7, dmknn.Point{X: 500, Y: 450})
 	auditExact(t, "after rejoin", qc, truth, 90*time.Second)
+}
+
+// A range client of a two-node federation in one process, over loopback
+// sockets. Its circle spans the strip boundary, so the answer holds
+// members of both nodes' strips, relayed over the peer link.
+func TestFederatedRangeAcrossStrips(t *testing.T) {
+	const nodes = 2
+	peers := reserveLoopbackPorts(t, nodes)
+	clients := reserveLoopbackPorts(t, nodes)
+	srvs := make([]*dmknn.NodeServer, nodes)
+	for i := range srvs {
+		srv, err := dmknn.ListenAndServeNode(dmknn.FederationOptions{
+			ServerOptions: dmknn.ServerOptions{
+				World:          fedWorld(),
+				GridCols:       fedGrid,
+				GridRows:       fedGrid,
+				TickInterval:   fedTick,
+				MaxObjectSpeed: 10,
+				Protocol:       fedProtocol(),
+			},
+			Node:        i,
+			PeerAddrs:   peers,
+			ClientAddrs: clients,
+			Heartbeat:   100 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		srvs[i] = srv
+	}
+	for deadline := time.Now().Add(20 * time.Second); !srvs[0].Healthy() || !srvs[1].Healthy(); {
+		if time.Now().After(deadline) {
+			t.Fatal("peer link never came up")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	// With 10 grid columns over 2 nodes the boundary is at x=500. The
+	// focal point sits in strip 0, 20 m from it; the 100 m circle reaches
+	// 80 m into strip 1.
+	focal := dmknn.Point{X: 480, Y: 500}
+	positions := map[dmknn.ObjectID]dmknn.Point{
+		1: {X: 450, Y: 500}, // strip 0, d=30
+		2: {X: 430, Y: 440}, // strip 0, d≈78
+		3: {X: 560, Y: 500}, // strip 1, d=80
+		4: {X: 530, Y: 560}, // strip 1, d≈78
+		5: {X: 620, Y: 500}, // strip 1, d=140
+		6: {X: 380, Y: 400}, // strip 0, d≈141
+		7: {X: 900, Y: 900}, // strip 1, far
+	}
+	want := map[dmknn.ObjectID]bool{1: true, 2: true, 3: true, 4: true}
+	clientOpts := dmknn.ClientOptions{
+		World:        fedWorld(),
+		GridCols:     fedGrid,
+		GridRows:     fedGrid,
+		TickInterval: fedTick,
+		Protocol:     fedProtocol(),
+	}
+	for id, p := range positions {
+		oc, err := dmknn.DialObject(clients, id, func() dmknn.Point { return p }, clientOpts)
+		if err != nil {
+			t.Fatalf("object %d: %v", id, err)
+		}
+		t.Cleanup(func() { oc.Close() })
+	}
+	qc, err := dmknn.DialRange(clients, 100, 1, 100,
+		func() dmknn.Point { return focal },
+		func() dmknn.Vector { return dmknn.Vector{} },
+		nil, clientOpts)
+	if err != nil {
+		t.Fatalf("query: %v", err)
+	}
+	t.Cleanup(func() { qc.Close() })
+	auditExact(t, "range across strips", qc, func() map[dmknn.ObjectID]bool { return want }, 30*time.Second)
 }

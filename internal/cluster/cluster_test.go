@@ -127,6 +127,35 @@ func TestClusterExactnessInvariant(t *testing.T) {
 	}
 }
 
+// Range monitoring is as exact in a federation as on one server, and its
+// monitors cross strips: every run hands at least one query to another
+// node, so the exactness covers a range monitor's handoff too.
+func TestFederatedRangeExact(t *testing.T) {
+	for _, nodes := range []int{2, 4} {
+		for seed := int64(1); seed <= 5; seed++ {
+			t.Run(fmt.Sprintf("nodes=%d/seed%d", nodes, seed), func(t *testing.T) {
+				cfg := workload.Quick()
+				cfg.K = 0
+				cfg.QueryRange = 120
+				cfg.Seed = seed
+				res, err := sim.Run(cfg, mustMethod(t, nodes, proto(), LinkConfig{}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Audit.Evaluations() == 0 {
+					t.Fatal("no audited answers")
+				}
+				if ex := res.Audit.Exactness(); ex != 1.0 {
+					t.Errorf("exactness = %v (worst recall %v)", ex, res.Audit.WorstRecall())
+				}
+				if res.Extra["query_handoffs"] == 0 {
+					t.Error("no query crossed a strip boundary")
+				}
+			})
+		}
+	}
+}
+
 // With one node the federation is wire-identical to the plain DKNN
 // method: same per-direction traffic, no link usage, no handoffs.
 func TestSingleNodeWireIdentity(t *testing.T) {

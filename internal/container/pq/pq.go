@@ -46,9 +46,6 @@ func (h *Min[T]) Pop() (float64, T) {
 	return top.pri, top.val
 }
 
-// Reset empties the heap, retaining capacity.
-func (h *Min[T]) Reset() { h.items = h.items[:0] }
-
 func (h *Min[T]) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -134,9 +131,6 @@ func (h *BoundedMax[T]) Drain() (pris []float64, vals []T) {
 	}
 	return pris, vals
 }
-
-// Reset empties the accumulator, retaining capacity.
-func (h *BoundedMax[T]) Reset() { h.items = h.items[:0] }
 
 func (h *BoundedMax[T]) popMax() (float64, T) {
 	top := h.items[0]

@@ -66,20 +66,6 @@ func TestMinDuplicatePriorities(t *testing.T) {
 	}
 }
 
-func TestMinReset(t *testing.T) {
-	h := NewMin[int](0)
-	h.Push(1, 1)
-	h.Push(2, 2)
-	h.Reset()
-	if h.Len() != 0 {
-		t.Fatal("Reset did not empty heap")
-	}
-	h.Push(9, 9)
-	if pri, v := h.Pop(); pri != 9 || v != 9 {
-		t.Fatal("heap unusable after Reset")
-	}
-}
-
 func TestBoundedMaxKeepsKSmallest(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
@@ -150,15 +136,6 @@ func TestBoundedMaxPanicsOnBadK(t *testing.T) {
 		}
 	}()
 	NewBoundedMax[int](0)
-}
-
-func TestBoundedMaxReset(t *testing.T) {
-	h := NewBoundedMax[int](3)
-	h.Offer(1, 1)
-	h.Reset()
-	if h.Len() != 0 || h.Full() {
-		t.Fatal("Reset failed")
-	}
 }
 
 func BenchmarkBoundedMaxOffer(b *testing.B) {

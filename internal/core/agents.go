@@ -618,7 +618,6 @@ type QueryAgentDeps struct {
 //
 // QueryAgent is safe for concurrent use.
 type QueryAgent struct {
-	cfg  Config
 	spec model.QuerySpec
 	deps QueryAgentDeps
 
@@ -656,11 +655,11 @@ func NewQueryAgent(cfg Config, spec model.QuerySpec, deps QueryAgentDeps) (*Quer
 	if !validDT(deps.DT) {
 		return nil, errBadDT
 	}
-	return &QueryAgent{cfg: cfg, spec: spec, deps: deps}, nil
+	return &QueryAgent{spec: spec, deps: deps}, nil
 }
 
 // Tick registers the query on first call, then corrects the advertised
-// track whenever the true position deviates beyond the threshold.
+// track whenever the true position leaves it.
 func (qc *QueryAgent) Tick(now model.Tick) {
 	qc.mu.Lock()
 	defer qc.mu.Unlock()
@@ -679,7 +678,7 @@ func (qc *QueryAgent) Tick(now model.Tick) {
 		return
 	}
 	expect := geo.DeadReckon(qc.lastPos, qc.lastVel, float64(now-qc.lastAt)*qc.deps.DT)
-	if pos.Dist(expect) > qc.cfg.QueryDeviation+trackEpsilon || qc.trackStale {
+	if pos.Dist(expect) > trackEpsilon || qc.trackStale {
 		qc.deps.Side.Uplink(protocol.QueryMove{
 			Query: qc.spec.ID,
 			Pos:   pos,
@@ -724,6 +723,22 @@ func (qc *QueryAgent) Deregister() {
 	qc.mu.Lock()
 	defer qc.mu.Unlock()
 	qc.deps.Side.Uplink(protocol.QueryDeregister{Query: qc.spec.ID})
+	qc.forget()
+}
+
+// Reattach readies the agent for a connection that replaced a dead one:
+// the server purged the query with the old connection, or lost it in a
+// restart. The next Tick registers the query again, and the answer state,
+// sequenced by a registration that is gone, is discarded.
+func (qc *QueryAgent) Reattach() {
+	qc.mu.Lock()
+	defer qc.mu.Unlock()
+	qc.forget()
+}
+
+// forget drops the registration and the answer state. Caller holds the
+// lock.
+func (qc *QueryAgent) forget() {
 	qc.registered = false
 	qc.answer = model.Answer{}
 	qc.answerSeq = 0
@@ -736,8 +751,8 @@ func (qc *QueryAgent) Deregister() {
 func seqNewer(a, b uint32) bool { return a != b && a-b < 1<<31 }
 
 // checkTrackEcho compares the server's echoed query-position estimate
-// against the advertised track. A deviation beyond the tracking
-// threshold proves the server missed a QueryMove: the client updated its
+// against the advertised track. A deviation beyond float noise
+// (trackEpsilon) proves the server missed a QueryMove: the client updated its
 // baseline on send, so a lost uplink would otherwise leave the two sides
 // silently diverged until the next natural velocity change. Answers
 // generated before the latest advertisement could have reached the
@@ -748,7 +763,7 @@ func (qc *QueryAgent) checkTrackEcho(v protocol.AnswerUpdate) {
 		return
 	}
 	expect := geo.DeadReckon(qc.lastPos, qc.lastVel, float64(v.At-qc.lastAt)*qc.deps.DT)
-	if v.QPos.Dist(expect) > qc.cfg.QueryDeviation+trackEpsilon {
+	if v.QPos.Dist(expect) > trackEpsilon {
 		qc.trackStale = true
 	}
 }

@@ -92,11 +92,6 @@ type Config struct {
 	// the server's ranking exact; larger values trade accuracy for fewer
 	// MoveReports (the Table 3 ablation).
 	ThetaInside float64
-	// QueryDeviation is the focal client's dead-reckoning threshold in
-	// meters: it reports QueryMove when its true position deviates this
-	// far from the track the server advertises. 0 reports every velocity
-	// change.
-	QueryDeviation float64
 	// MinProbeRadius is the initial probe ring radius in meters. Probes
 	// double until they cover at least k objects.
 	MinProbeRadius float64
@@ -130,7 +125,6 @@ func DefaultConfig() Config {
 	return Config{
 		HorizonTicks:   0,
 		ThetaInside:    0,
-		QueryDeviation: 0,
 		MinProbeRadius: 200,
 		AnswerSlack:    10,
 	}
@@ -183,8 +177,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: negative horizon %d", c.HorizonTicks)
 	case c.ThetaInside < 0:
 		return fmt.Errorf("core: negative theta %v", c.ThetaInside)
-	case c.QueryDeviation < 0:
-		return fmt.Errorf("core: negative query deviation %v", c.QueryDeviation)
 	case c.MinProbeRadius <= 0:
 		return fmt.Errorf("core: non-positive probe radius %v", c.MinProbeRadius)
 	case c.AnswerSlack < 0:

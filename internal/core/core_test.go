@@ -21,7 +21,6 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{HorizonTicks: -1, MinProbeRadius: 100},
 		{HorizonTicks: 10, ThetaInside: -1, MinProbeRadius: 100},
-		{HorizonTicks: 10, QueryDeviation: -1, MinProbeRadius: 100},
 		{HorizonTicks: 10, MinProbeRadius: 0},
 		{HorizonTicks: 10, MinProbeRadius: 100, AnswerSlack: -1},
 	}

@@ -41,20 +41,6 @@ func TestHistogramEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram(1, 10)
-	h.Observe(5)
-	h.Observe(50)
-	h.Reset()
-	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 {
-		t.Fatal("Reset left state behind")
-	}
-	h.Observe(2)
-	if h.Quantile(1) != 10 {
-		t.Fatalf("post-reset quantile = %v, want 10", h.Quantile(1))
-	}
-}
-
 func TestHistogramPanicsOnBadBounds(t *testing.T) {
 	for _, bounds := range [][]float64{{}, {3, 2}, {1, 1}} {
 		func() {

@@ -348,9 +348,6 @@ func (h *Histogram) Observe(v float64) {
 // Count returns the number of samples observed.
 func (h *Histogram) Count() uint64 { return h.total }
 
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Mean returns the arithmetic mean, or 0 for an empty histogram.
 func (h *Histogram) Mean() float64 {
 	if h.total == 0 {
@@ -385,12 +382,4 @@ func (h *Histogram) Quantile(p float64) float64 {
 		}
 	}
 	return h.max
-}
-
-// Reset clears every sample, keeping the bucket layout.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total, h.sum, h.max = 0, 0, 0
 }

@@ -22,7 +22,7 @@ import (
 
 // noCallerExempt names the internal/ declarations that may have no caller
 // in the module's non-test code, each with the reason it stays: a test of
-// some other behaviour needs it, or (three Resets) its deletion is due.
+// some other behaviour needs it.
 var noCallerExempt = map[string]string{
 	"cluster.MemLink.SetLoss":                  "fault hook: the federation chaos and wire-digest tests drop peer-link messages",
 	"simnet.Network.SetFaults":                 "fault hook: the chaos tests swap the fault matrix mid-run",
@@ -50,12 +50,8 @@ var noCallerExempt = map[string]string{
 	"metrics.Audit.WorstRecall":                "assertion accessor: the engine tests check every single answer's recall",
 	"metrics.Counters.SentKind":                "assertion accessor: the engine tests count messages of one kind",
 	"metrics.Histogram.Count":                  "assertion accessor: the observability tests check how many samples a histogram took",
-	"metrics.Histogram.Sum":                    "assertion accessor: TestHistogramReset checks Reset clears the sum",
 	"metrics.Histogram.Max":                    "assertion accessor: the histogram tests check the largest sample",
 	"metrics.Series.Len":                       "assertion accessor: the engine tests check a series has one sample per measured tick",
-	"container/pq.Min.Reset":                   "only TestMinReset calls it; its deletion, with the test, is left to a later change",
-	"container/pq.BoundedMax.Reset":            "only TestBoundedMaxReset calls it; its deletion, with the test, is left to a later change",
-	"metrics.Histogram.Reset":                  "only TestHistogramReset calls it; its deletion, with the test, is left to a later change",
 	"metrics.Direction.String":                 "tests print directions by name in their failure messages",
 	"container/pq.BoundedMax.Len":              "assertion accessor: the top-k test checks Drain empties the accumulator",
 	"grid.Grid.Len":                            "assertion accessor: the insert/remove tests count the index's entries",

@@ -151,9 +151,6 @@ func (p Protocol) internal() core.Config {
 	if p.ThetaInside != 0 {
 		cfg.ThetaInside = p.ThetaInside
 	}
-	if p.QueryDeviation != 0 {
-		cfg.QueryDeviation = p.QueryDeviation
-	}
 	if p.AnswerSlack != 0 {
 		cfg.AnswerSlack = p.AnswerSlack
 	}
