@@ -5,7 +5,7 @@
 // Usage:
 //
 //	dknn-bench [-profile full|smoke] [-only fig5,table3] [-markdown]
-//	           [-csv dir] [-seeds N] [-workers N] [-trace]
+//	           [-csv dir] [-seeds N] [-trace]
 //	           [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // The full profile is paper-scale (tens of thousands of objects; expect
@@ -17,12 +17,14 @@
 // tables as EXPERIMENTS.md records them and -csv writes one file per
 // experiment: those two are the machine-readable forms.
 //
-// -workers sets the experiment runner's worker-pool size (0 = one worker
-// per core). Every (method × sweep-point × seed) cell is an independent
-// seeded simulation, so the tables are byte-identical for every worker
-// count; experiments that measure wall-clock quantities (fig10, fig13,
-// fig15, fig16, fig19, fig20, fig22) are declared Serial and always run
-// their cells one at a time so sibling runs cannot perturb their timings.
+// The experiment runner runs an experiment's (method × sweep-point ×
+// seed) cells on GOMAXPROCS workers, so GOMAXPROCS=N bounds them (the
+// header line records it). Every cell is an independent seeded
+// simulation, so the tables are byte-identical at every GOMAXPROCS. An
+// experiment runs its cells one at a time exactly when one of its
+// metrics reads the clock (server time, its p99, the nodes' busy-time
+// spread: fig10, fig13, fig15, fig16, fig19, fig20, fig22), so sibling
+// runs cannot perturb its timings.
 //
 // -cpuprofile and -memprofile write pprof profiles of the selected
 // experiments (see README.md §Profiling), which is how hot-path
@@ -87,7 +89,6 @@ func main() {
 	markdown := flag.Bool("markdown", false, "emit GitHub-flavored markdown tables")
 	csvDir := flag.String("csv", "", "also write one CSV per experiment into this directory")
 	seeds := flag.Int("seeds", 1, "repetitions per cell with distinct workload seeds (mean reported)")
-	workers := flag.Int("workers", 0, "worker pool size for experiment cells (0 = GOMAXPROCS; Serial experiments ignore it)")
 	trace := flag.Bool("trace", false, "arm a flight recorder on every simulation and print a per-event census after each experiment")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
@@ -139,7 +140,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dknn-bench: unknown profile %q (want full or smoke)\n", *profileName)
 		os.Exit(2)
 	}
-	profile.Workers = *workers
 
 	experiments, table2, err := selectExperiments(exp.Suite(profile), *only)
 	if err != nil {
@@ -147,7 +147,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	fmt.Printf("# dknn-bench profile=%s workers=%d\n\n", *profileName, *workers)
+	fmt.Printf("# dknn-bench profile=%s gomaxprocs=%d\n\n", *profileName, runtime.GOMAXPROCS(0))
 	for _, e := range experiments {
 		e.Seeds = *seeds
 		var rec *obs.Recorder

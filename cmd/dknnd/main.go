@@ -31,8 +31,8 @@
 // the federation skews it moves one boundary grid column at a time between
 // adjacent strips, migrating the affected monitors live. All nodes of a
 // federation must agree on the -balance flags. The current partition map
-// version and this node's owned-column count appear in /stats and under
-// the "dknnd_partition" expvar key.
+// version, this node's owned-column count and the balancer's counters
+// appear in /stats and under the "dknnd_stats" expvar key.
 //
 // The daemon prints its listen address and, once a second, a one-line
 // status with connected clients and registered queries. Stop with
@@ -186,24 +186,6 @@ func main() {
 		expvar.Publish("dknnd_stats", expvar.Func(stats))
 		if rec != nil {
 			expvar.Publish("dknnd_trace", expvar.Func(func() any { return rec.Counts() }))
-		}
-		// Federation nodes also expose the live partition map state: the
-		// version, this node's column ownership, and the balancer's
-		// decision/move counters — the fast way to watch adaptive
-		// partitioning converge across a cluster.
-		if ns, ok := srv.(*dmknn.NodeServer); ok {
-			expvar.Publish("dknnd_partition", expvar.Func(func() any {
-				st := ns.Stats()
-				return map[string]any{
-					"version":           st.PartitionVersion,
-					"owned_columns":     st.OwnedColumns,
-					"column_moves":      st.ColumnMoves,
-					"balance_decisions": st.BalanceDecisions,
-					"balance_moves":     st.BalanceMoves,
-					"balance_splits":    st.BalanceSplits,
-					"balance_merges":    st.BalanceMerges,
-				}
-			}))
 		}
 		mux.Handle("/debug/vars", expvar.Handler())
 		go func() {

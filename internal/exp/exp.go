@@ -12,11 +12,9 @@ package exp
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"dmknn/internal/balance"
@@ -24,6 +22,7 @@ import (
 	"dmknn/internal/cluster"
 	"dmknn/internal/core"
 	"dmknn/internal/metrics"
+	"dmknn/internal/par"
 	"dmknn/internal/shard"
 	"dmknn/internal/sim"
 	"dmknn/internal/simnet"
@@ -69,30 +68,35 @@ func CB(tau float64) MethodSpec {
 type Metric struct {
 	Name string
 	Fn   func(*sim.Result) float64
+	// clock marks a metric that reads wall-clock time (server time, its
+	// tail, the nodes' busy time): an experiment reporting one runs its
+	// cells one at a time, so sibling runs on other cores cannot perturb
+	// the timings (Experiment.serial).
+	clock bool
 }
 
 // The metrics the evaluation reports.
 var (
-	MetricUplink = Metric{"uplink/tick", func(r *sim.Result) float64 { return r.UplinkPerTick() }}
-	MetricDown   = Metric{"down+bcast/tick", func(r *sim.Result) float64 { return r.DownlinkPerTick() }}
-	MetricServer = Metric{"server µs/tick", func(r *sim.Result) float64 { return r.ServerUS.Mean() }}
-	MetricExact  = Metric{"exactness", func(r *sim.Result) float64 { return r.Audit.Exactness() }}
-	MetricRecall = Metric{"mean recall", func(r *sim.Result) float64 { return r.Audit.MeanRecall() }}
-	MetricRadErr = Metric{"radius err", func(r *sim.Result) float64 { return r.Audit.MeanRadiusError() }}
+	MetricUplink = Metric{Name: "uplink/tick", Fn: func(r *sim.Result) float64 { return r.UplinkPerTick() }}
+	MetricDown   = Metric{Name: "down+bcast/tick", Fn: func(r *sim.Result) float64 { return r.DownlinkPerTick() }}
+	MetricServer = Metric{Name: "server µs/tick", Fn: func(r *sim.Result) float64 { return r.ServerUS.Mean() }, clock: true}
+	MetricExact  = Metric{Name: "exactness", Fn: func(r *sim.Result) float64 { return r.Audit.Exactness() }}
+	MetricRecall = Metric{Name: "mean recall", Fn: func(r *sim.Result) float64 { return r.Audit.MeanRecall() }}
+	MetricRadErr = Metric{Name: "radius err", Fn: func(r *sim.Result) float64 { return r.Audit.MeanRadiusError() }}
 	// MetricLink and MetricHandoff read the federation counters a
 	// clustered method exposes through sim.ExtraReporter; both are zero
 	// for single-server methods.
-	MetricLink = Metric{"link msgs/tick", func(r *sim.Result) float64 {
+	MetricLink = Metric{Name: "link msgs/tick", Fn: func(r *sim.Result) float64 {
 		return r.Extra["link_sent"] / float64(r.Config.Ticks)
 	}}
-	MetricHandoff = Metric{"handoffs", func(r *sim.Result) float64 {
+	MetricHandoff = Metric{Name: "handoffs", Fn: func(r *sim.Result) float64 {
 		return r.Extra["object_handoffs"] + r.Extra["query_handoffs"]
 	}}
 	// MetricLoadCV is the coefficient of variation (stddev/mean) of the
 	// federation nodes' measured-phase busy time, read from the per-node
 	// counters a clustered method exports — 0 means a perfectly even
 	// load, and 0 for single-server methods.
-	MetricLoadCV = Metric{"load cv", func(r *sim.Result) float64 {
+	MetricLoadCV = Metric{Name: "load cv", Fn: func(r *sim.Result) float64 {
 		var busy []float64
 		for i := 0; ; i++ {
 			v, ok := r.Extra[fmt.Sprintf("node%d_busy_us", i)]
@@ -118,30 +122,30 @@ var (
 			ss += d * d
 		}
 		return math.Sqrt(ss/float64(len(busy))) / mean
-	}}
+	}, clock: true}
 	// MetricMoves counts the balancer's applied column moves (0 for
 	// static partitions).
-	MetricMoves = Metric{"col moves", func(r *sim.Result) float64 {
+	MetricMoves = Metric{Name: "col moves", Fn: func(r *sim.Result) float64 {
 		return r.Extra["column_moves"]
 	}}
 	// The staleness and report-gap metrics read the observability
 	// histograms a run collects when its config sets Observe; they are
 	// zero when observation is off. Quantiles come from fixed histogram
 	// bucket bounds, so the rendered tables stay deterministic.
-	MetricStaleP50  = Metric{"stale p50", histQuantile(staleHist, 0.50)}
-	MetricStaleP90  = Metric{"stale p90", histQuantile(staleHist, 0.90)}
-	MetricStaleP99  = Metric{"stale p99", histQuantile(staleHist, 0.99)}
-	MetricStaleMean = Metric{"stale mean", func(r *sim.Result) float64 {
+	MetricStaleP50  = Metric{Name: "stale p50", Fn: histQuantile(staleHist, 0.50)}
+	MetricStaleP90  = Metric{Name: "stale p90", Fn: histQuantile(staleHist, 0.90)}
+	MetricStaleP99  = Metric{Name: "stale p99", Fn: histQuantile(staleHist, 0.99)}
+	MetricStaleMean = Metric{Name: "stale mean", Fn: func(r *sim.Result) float64 {
 		if r.Staleness == nil {
 			return 0
 		}
 		return r.Staleness.Mean()
 	}}
-	MetricGapP90 = Metric{"report gap p90", histQuantile(gapHist, 0.90)}
+	MetricGapP90 = Metric{Name: "report gap p90", Fn: histQuantile(gapHist, 0.90)}
 	// MetricServLatP99 is the tail of the per-tick server processing
 	// time distribution (microseconds) — the latency view of the shard
 	// scaling story, where the mean (MetricServer) can hide stalls.
-	MetricServLatP99 = Metric{"server p99 µs", histQuantile(servLatHist, 0.99)}
+	MetricServLatP99 = Metric{Name: "server p99 µs", Fn: histQuantile(servLatHist, 0.99), clock: true}
 )
 
 func staleHist(r *sim.Result) *metrics.Histogram   { return r.Staleness }
@@ -180,16 +184,6 @@ type Experiment struct {
 	// reports the mean, which removes single-trajectory noise from the
 	// tables.
 	Seeds int
-	// Workers bounds the worker pool the (method × point × seed) cells
-	// run on: 0 means runtime.GOMAXPROCS, 1 runs the cells inline.
-	// Every cell is an independent sim.Run with its own seeded RNGs, so
-	// the rendered table is byte-identical for every worker count.
-	Workers int
-	// Serial forces the cells to run one at a time regardless of
-	// Workers. Experiments that report wall-clock quantities
-	// (sim.Result.ServerUS) declare it so sibling runs on
-	// other cores cannot perturb their timings.
-	Serial bool
 }
 
 // Table is a rendered experiment result.
@@ -207,13 +201,15 @@ type Row struct {
 	Values []float64
 }
 
-// Run executes every (point × method × seed) cell of the experiment on a
-// bounded worker pool and aggregates the results in enumeration order.
-// Each cell is a fully independent sim.Run — it builds its own method
-// instance and derives its own config seed — so the returned table is
-// byte-identical to a sequential execution for every worker count.
-// Serial experiments (and Workers == 1) keep the cells strictly
-// sequential so wall-clock metrics are not perturbed by sibling runs.
+// Run executes every (point × method × seed) cell of the experiment on
+// runtime.GOMAXPROCS workers (par.Each) and aggregates the results in
+// enumeration order. Each cell is a fully independent sim.Run — it
+// builds its own method instance and derives its own config seed — so
+// the returned table is byte-identical to a sequential execution for
+// every worker count. An experiment with a metric that reads the clock
+// runs its cells one at a time (serial), so sibling runs cannot perturb
+// its timings. After a failed cell, the cells not yet started return at
+// once.
 func (e *Experiment) Run() (*Table, error) {
 	t := &Table{ID: e.ID, Title: e.Title, XLabel: e.XLabel}
 	for _, m := range e.Methods {
@@ -236,7 +232,14 @@ func (e *Experiment) Run() (*Table, error) {
 	values := make([][]float64, cells) // metric values per cell
 	errs := make([]error, cells)
 	var failed atomic.Bool
-	runCell := func(ci int) {
+	workers := 0 // runtime.GOMAXPROCS
+	if e.serial() {
+		workers = 1
+	}
+	par.Each(cells, workers, func(_, ci int) {
+		if failed.Load() {
+			return
+		}
 		rep := ci % seeds
 		mi := ci / seeds % nM
 		pi := ci / seeds / nM
@@ -260,30 +263,7 @@ func (e *Experiment) Run() (*Table, error) {
 			vals[i] = metric.Fn(res)
 		}
 		values[ci] = vals
-	}
-
-	if workers := e.workers(cells); workers <= 1 {
-		for ci := 0; ci < cells && !failed.Load(); ci++ {
-			runCell(ci)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					ci := int(next.Add(1)) - 1
-					if ci >= cells || failed.Load() {
-						return
-					}
-					runCell(ci)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -311,19 +291,10 @@ func (e *Experiment) Run() (*Table, error) {
 	return t, nil
 }
 
-// workers resolves the effective worker-pool size for this experiment.
-func (e *Experiment) workers(cells int) int {
-	if e.Serial {
-		return 1
-	}
-	w := e.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > cells {
-		w = cells
-	}
-	return w
+// serial reports whether the experiment's cells run one at a time:
+// exactly when one of its metrics reads the clock.
+func (e *Experiment) serial() bool {
+	return slices.ContainsFunc(e.Metrics, func(m Metric) bool { return m.clock })
 }
 
 // Render formats the table as fixed-width text.
@@ -432,10 +403,6 @@ type Profile struct {
 	Base  sim.Config
 	Proto core.Config
 	CITau float64
-	// Workers is the worker-pool size Suite stamps onto every
-	// experiment (0 = runtime.GOMAXPROCS). Experiments that measure
-	// wall-clock quantities declare Serial and ignore it.
-	Workers int
 	// CBTau, when positive, adds the predictive dead-reckoning baseline
 	// to every comparison (an extension beyond the paper's own two
 	// baselines).
@@ -531,11 +498,9 @@ func (p Profile) methods() []MethodSpec {
 	return append(ms, DKNN(p.Proto))
 }
 
-// Suite builds every experiment in the reconstructed evaluation, with
-// p.Workers stamped onto each one (Serial experiments keep their
-// sequential execution regardless).
+// Suite builds every experiment in the reconstructed evaluation.
 func Suite(p Profile) []*Experiment {
-	es := []*Experiment{
+	return []*Experiment{
 		p.Fig5ObjectScaling(),
 		p.Fig6VaryK(),
 		p.Fig7ObjectSpeed(),
@@ -556,10 +521,6 @@ func Suite(p Profile) []*Experiment {
 		p.Table3Accuracy(),
 		p.Table4Mobility(),
 	}
-	for _, e := range es {
-		e.Workers = p.Workers
-	}
-	return es
 }
 
 // Fig5ObjectScaling: uplink/tick vs object population.
@@ -627,9 +588,6 @@ func (p Profile) Fig10ServerCPU() *Experiment {
 	e := &Experiment{
 		ID: "fig10", Title: "Server processing time per tick vs number of objects",
 		XLabel: "N", Methods: p.methods(), Metrics: []Metric{MetricServer},
-		// Wall-clock metric: parallel sibling cells would contend for
-		// cores and distort it.
-		Serial: true,
 	}
 	for _, n := range p.Ns {
 		e.Points = append(e.Points, Point{fmt.Sprint(n), workload.WithObjects(p.Base, n)})
@@ -684,7 +642,6 @@ func (p Profile) Fig13GridResolution() *Experiment {
 		XLabel:  "grid",
 		Methods: []MethodSpec{CP(), DKNN(p.Proto)},
 		Metrics: []Metric{MetricUplink, MetricDown, MetricServer},
-		Serial:  true, // reports MetricServer (wall-clock)
 	}
 	base := p.Base
 	for _, g := range p.Grids {
@@ -704,7 +661,6 @@ func (p Profile) Fig15Skew() *Experiment {
 		XLabel:  "population",
 		Methods: []MethodSpec{CP(), DKNN(p.Proto)},
 		Metrics: []Metric{MetricUplink, MetricServer},
-		Serial:  true, // reports MetricServer (wall-clock)
 	}
 	for _, kind := range []string{workload.ModelWaypoint, workload.ModelHotspot} {
 		cfg, err := workload.WithMobility(p.Base, kind)
@@ -732,9 +688,6 @@ func (p Profile) Fig16ShardScaling() *Experiment {
 		ID: "fig16", Title: "Server time vs shard count (ablation)",
 		XLabel:  "Q",
 		Metrics: []Metric{MetricServer, MetricExact},
-		// Wall-clock metric, and the sharded server already runs its
-		// shards on parallel goroutines inside each cell.
-		Serial: true,
 	}
 	for _, n := range p.Shards {
 		e.Methods = append(e.Methods, mkShard(n))
@@ -822,7 +775,6 @@ func (p Profile) Fig19LargeScale() *Experiment {
 		XLabel:  "N",
 		Methods: []MethodSpec{CI(p.CITau), DKNN(p.Proto)},
 		Metrics: []Metric{MetricUplink, MetricDown, MetricServer, MetricServLatP99},
-		Serial:  true, // reports MetricServer (wall-clock)
 	}
 	for _, n := range p.Shards {
 		e.Methods = append(e.Methods, mkBatched(n))
@@ -858,9 +810,6 @@ func (p Profile) Fig20ClusterScaling() *Experiment {
 		ID: "fig20", Title: "Federation scaling: per-node server time, link traffic, handoffs",
 		XLabel:  "N",
 		Metrics: []Metric{MetricServer, MetricLink, MetricHandoff, MetricExact},
-		// Wall-clock metric: parallel sibling cells would contend for
-		// cores and distort it.
-		Serial: true,
 	}
 	for _, n := range p.Nodes {
 		e.Methods = append(e.Methods, mkCluster(n))
@@ -935,9 +884,6 @@ func (p Profile) Fig22AdaptiveBalance() *Experiment {
 		ID: "fig22", Title: "Adaptive partitioning under hotspot skew: load balance vs static strips",
 		XLabel:  "workload",
 		Metrics: []Metric{MetricLoadCV, MetricServLatP99, MetricMoves, MetricExact},
-		// Wall-clock metrics (busy time, latency tail): parallel sibling
-		// cells would contend for cores and distort them.
-		Serial: true,
 	}
 	for _, n := range p.Nodes {
 		if n < 2 {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -339,12 +340,12 @@ func TestTableMarkdownEscaping(t *testing.T) {
 
 // Build and run errors must surface from the parallel pool too.
 func TestBuildErrorsPropagateParallel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	e := &Experiment{
 		ID: "bad", Title: "bad", XLabel: "x",
 		Points:  []Point{{"p", tiny().Base}, {"q", tiny().Base}},
 		Methods: []MethodSpec{{Name: "broken", Build: func() (sim.Method, error) { return nil, errBoom }}},
 		Metrics: []Metric{MetricUplink},
-		Workers: 4,
 	}
 	if _, err := e.Run(); err == nil {
 		t.Fatal("build error swallowed by parallel runner")
@@ -352,11 +353,20 @@ func TestBuildErrorsPropagateParallel(t *testing.T) {
 }
 
 // The parallel runner must be invisible in the output: for every
-// experiment in the suite, the rendered tables at Workers 1 and
-// Workers 8 are byte-identical (each cell is an independent seeded
+// experiment in the suite, the rendered tables at GOMAXPROCS 1 and
+// GOMAXPROCS 8 are byte-identical (each cell is an independent seeded
 // run, and aggregation happens in enumeration order).
 func TestParallelRunDeterministic(t *testing.T) {
 	p := tiny()
+	runAt := func(e *Experiment, procs int) *Table {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		tbl, err := e.Run()
+		if err != nil {
+			t.Fatalf("%s at GOMAXPROCS=%d: %v", e.ID, procs, err)
+		}
+		return tbl
+	}
 	for i, build := range []func() *Experiment{
 		p.Fig5ObjectScaling,  // single metric, multi-method
 		p.Fig12SlackAblation, // methods encode the sweep
@@ -365,63 +375,34 @@ func TestParallelRunDeterministic(t *testing.T) {
 	} {
 		e := build()
 		e.Seeds = 2
-		e.Workers = 1
-		seq, err := e.Run()
-		if err != nil {
-			t.Fatalf("case %d serial: %v", i, err)
+		seq, parallel := runAt(e, 1), runAt(e, 8)
+		if seq.Render() != parallel.Render() {
+			t.Errorf("case %d (%s): parallel Render differs\n--- GOMAXPROCS=1\n%s--- GOMAXPROCS=8\n%s",
+				i, e.ID, seq.Render(), parallel.Render())
 		}
-		e.Workers = 8
-		par, err := e.Run()
-		if err != nil {
-			t.Fatalf("case %d parallel: %v", i, err)
-		}
-		if seq.Render() != par.Render() {
-			t.Errorf("case %d (%s): parallel Render differs\n--- workers=1\n%s--- workers=8\n%s",
-				i, e.ID, seq.Render(), par.Render())
-		}
-		if seq.CSV() != par.CSV() {
+		if seq.CSV() != parallel.CSV() {
 			t.Errorf("case %d (%s): parallel CSV differs", i, e.ID)
 		}
 	}
 }
 
-// Timing-sensitive experiments must declare Serial so the pool cannot
-// perturb their wall-clock metrics, and Suite must stamp the profile's
-// worker knob onto everything else.
-func TestSerialExperimentsAndWorkerStamp(t *testing.T) {
-	p := tiny()
-	p.Workers = 3
+// An experiment runs its cells one at a time exactly when one of its
+// metrics reads the clock (server time, its p99, the nodes' busy time),
+// so the pool cannot perturb a wall-clock metric.
+func TestSerialExperiments(t *testing.T) {
+	for _, m := range []Metric{MetricServer, MetricServLatP99, MetricLoadCV} {
+		if !m.clock {
+			t.Errorf("%s reads the clock but is not marked", m.Name)
+		}
+	}
 	serialIDs := map[string]bool{
 		"fig10": true, "fig13": true, "fig15": true, "fig16": true,
 		"fig19": true, "fig20": true, "fig22": true,
 	}
-	for _, e := range Suite(p) {
-		if e.Serial != serialIDs[e.ID] {
-			t.Errorf("%s: Serial = %v, want %v", e.ID, e.Serial, serialIDs[e.ID])
+	for _, e := range Suite(tiny()) {
+		if e.serial() != serialIDs[e.ID] {
+			t.Errorf("%s: serial = %v, want %v", e.ID, e.serial(), serialIDs[e.ID])
 		}
-		if e.Workers != 3 {
-			t.Errorf("%s: Workers = %d, want 3", e.ID, e.Workers)
-		}
-		if !e.Serial {
-			// No parallel experiment may report the wall-clock server
-			// metric — that is exactly what Serial protects.
-			for _, m := range e.Metrics {
-				if m.Name == MetricServer.Name {
-					t.Errorf("%s: parallel experiment reports %s", e.ID, m.Name)
-				}
-			}
-		}
-	}
-}
-
-// A worker pool far larger than the cell count must degrade gracefully.
-func TestWorkersExceedCells(t *testing.T) {
-	p := tiny()
-	e := p.Fig6VaryK()
-	e.Points = e.Points[:1]
-	e.Workers = 64
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

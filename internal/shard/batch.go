@@ -2,16 +2,15 @@ package shard
 
 import (
 	"cmp"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"dmknn/internal/container"
 	"dmknn/internal/core"
 	"dmknn/internal/geo"
 	"dmknn/internal/model"
 	"dmknn/internal/obs"
+	"dmknn/internal/par"
 	"dmknn/internal/protocol"
 )
 
@@ -19,8 +18,8 @@ import (
 type Options struct {
 	// Deprecated: every Server runs the batched ingest pipeline; the field is ignored.
 	Batched bool
-	// Workers bounds the worker pool Drain/Tick/Finalize run shards on.
-	// Zero means min(shards, GOMAXPROCS).
+	// Workers bounds the worker pool Drain/Tick/Finalize run shards on
+	// (par.Each). Zero means min(shards, GOMAXPROCS).
 	Workers int
 }
 
@@ -133,17 +132,17 @@ func (s *Server) drain() bool {
 	if !any {
 		return false
 	}
-	s.parallelShards(s.drainStep)
+	par.Each(len(s.shards), s.workers, s.drainStep)
 	s.flushSends()
 	return true
 }
 
 // drainShard processes shard i's swapped-out arrivals, its sends keyed by
 // the arrival that triggered them, and then zeroes them (consumed).
-func (s *Server) drainShard(i int, sh *core.Server) {
+func (s *Server) drainShard(_, i int) {
 	side, iq := s.sides[i], &s.queues[i]
 	side.byQuery = false
-	sh.HandleUplinkBatch(iq.proc, func(in core.Ingest) { side.key = in.Seq })
+	s.shards[i].HandleUplinkBatch(iq.proc, func(in core.Ingest) { side.key = in.Seq })
 	iq.consumed()
 }
 
@@ -194,42 +193,4 @@ func (s *Server) trimSends(n int) {
 		side.sends = container.Trim(side.sends, keep)
 	}
 	s.merged = container.Trim(s.merged, keep)
-}
-
-// parallelShards runs fn over every shard on at most s.workers
-// goroutines, pulling shard indices from a shared counter.
-func (s *Server) parallelShards(fn func(i int, sh *core.Server)) {
-	w := s.workers
-	if w > len(s.shards) {
-		w = len(s.shards)
-	}
-	if w <= 1 || len(s.shards) == 1 {
-		for i, sh := range s.shards {
-			fn(i, sh)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(s.shards) {
-					return
-				}
-				fn(i, s.shards[i])
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-func defaultWorkers(n int) int {
-	if p := runtime.GOMAXPROCS(0); p < n {
-		return p
-	}
-	return n
 }

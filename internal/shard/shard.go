@@ -31,6 +31,7 @@ import (
 	"dmknn/internal/core"
 	"dmknn/internal/model"
 	"dmknn/internal/obs"
+	"dmknn/internal/par"
 	"dmknn/internal/protocol"
 	"dmknn/internal/transport"
 )
@@ -50,7 +51,7 @@ type Server struct {
 	workers int
 	// drainStep is s.drainShard, bound once so that a drain allocates
 	// nothing.
-	drainStep func(int, *core.Server)
+	drainStep func(worker, i int)
 
 	merged     []pendingSend
 	sendWindow container.Window
@@ -76,9 +77,6 @@ func NewWithOptions(n int, cfg core.Config, deps core.ServerDeps, opts Options) 
 		workers: opts.Workers,
 	}
 	s.drainStep = s.drainShard
-	if s.workers <= 0 {
-		s.workers = defaultWorkers(n)
-	}
 	for i := range s.shards {
 		s.sides[i] = &batchSide{}
 		d := deps
@@ -137,9 +135,9 @@ func (s *Server) HandleClientGone(id model.ObjectID) {
 func (s *Server) Tick(now model.Tick) {
 	defer s.track(obs.Now())
 	s.drain()
-	s.parallelShards(func(i int, sh *core.Server) {
+	par.Each(len(s.shards), s.workers, func(_, i int) {
 		s.sides[i].byQuery = true
-		sh.Tick(now)
+		s.shards[i].Tick(now)
 	})
 	s.flushSends()
 }
@@ -153,9 +151,9 @@ func (s *Server) Finalize(now model.Tick) bool {
 	defer s.track(obs.Now())
 	drained := s.drain()
 	var concluded atomic.Bool
-	s.parallelShards(func(i int, sh *core.Server) {
+	par.Each(len(s.shards), s.workers, func(_, i int) {
 		s.sides[i].byQuery = true
-		if sh.Finalize(now) {
+		if s.shards[i].Finalize(now) {
 			concluded.Store(true)
 		}
 	})

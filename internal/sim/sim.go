@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dmknn/internal/geo"
@@ -35,6 +34,7 @@ import (
 	"dmknn/internal/mobility"
 	"dmknn/internal/model"
 	"dmknn/internal/obs"
+	"dmknn/internal/par"
 	"dmknn/internal/simnet"
 )
 
@@ -254,8 +254,8 @@ type Engine struct {
 	qScratch []model.ObjectState
 	// auditBufs holds one reusable ground-truth neighbor buffer per
 	// audit worker, and chunkAudits one accumulator per query chunk;
-	// both persist across ticks so the steady-state audit allocates
-	// nothing.
+	// both persist across ticks so the steady-state audit allocates no
+	// neighbor lists.
 	auditBufs   [][]model.Neighbor
 	chunkAudits []metrics.Audit
 
@@ -538,15 +538,15 @@ func (e *Engine) step() error {
 const auditChunkSize = 128
 
 // audit compares every query's maintained answer against ground truth,
-// fanning the queries out over runtime.GOMAXPROCS goroutines, at most
-// one per chunk (with one, it runs inline). Only auditing parallelizes: motion stepping stays
-// serial because the mobility models draw from one shared per-model RNG
-// stream (see internal/mobility), and the protocol rounds are serial by
-// the slotted-time semantics. The
-// ground-truth index is only read here (motion already updated it), the
-// methods' Answer accessors are read-only, and each worker reuses a
-// private scratch buffer for the brute-force neighbor lists, so the
-// steady-state audit is allocation-free and race-free. Per-chunk Audit
+// fanning the query chunks out over runtime.GOMAXPROCS workers
+// (par.Each; with one, it runs inline). Only auditing parallelizes:
+// motion stepping stays serial because the mobility models draw from one
+// shared per-model RNG stream (see internal/mobility), and the protocol
+// rounds are serial by the slotted-time semantics. The ground-truth
+// index is only read here (motion already updated it), the methods'
+// Answer accessors are read-only, and each worker reuses a private
+// scratch buffer for the brute-force neighbor lists, so the steady-state
+// audit allocates no neighbor lists and is race-free. Per-chunk Audit
 // accumulators are merged in chunk order after the barrier, which keeps
 // the result deterministic (see auditChunkSize).
 //
@@ -567,28 +567,9 @@ func (e *Engine) audit(res *Result) {
 	if len(e.auditBufs) < workers {
 		e.auditBufs = append(e.auditBufs, make([][]model.Neighbor, workers-len(e.auditBufs))...)
 	}
-	if workers <= 1 {
-		for c := 0; c < chunks; c++ {
-			e.auditChunk(c, &e.chunkAudits[c], &e.auditBufs[0])
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for {
-					c := int(next.Add(1)) - 1
-					if c >= chunks {
-						return
-					}
-					e.auditChunk(c, &e.chunkAudits[c], &e.auditBufs[w])
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
+	par.Each(chunks, workers, func(w, c int) {
+		e.auditChunk(c, &e.chunkAudits[c], &e.auditBufs[w])
+	})
 	for c := 0; c < chunks; c++ {
 		res.Audit.Merge(&e.chunkAudits[c])
 		e.chunkAudits[c].Reset()
